@@ -21,9 +21,8 @@ import time
 
 from . import fixtures, serialize
 from .errors import NotStrict, ParseError, QuasibraidError
-from .exactlin import QQ, field_from_name
+from .exactlin import field_from_name
 from .gchq import (
-    from_hopf_quasigroup,
     mirror,
     power_construction,
     validate_crossing,

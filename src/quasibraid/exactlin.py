@@ -3,9 +3,10 @@
 Every structure map in this library (multiplication, comultiplication,
 counit, antipode, crossing, action, coaction, braiding) is a LinMap: a
 sparse exact matrix between based vector spaces.  Axioms are decided by
-composing LinMaps and comparing for literal equality, so the arithmetic
-must be exact: scalars live in Q (as fractions) or in a prime field
-GF(p) (as canonical representatives in [0, p)).
+composing LinMaps, or by pushing basis vectors leg by leg through a Chain
+of them, and comparing for literal equality, so the arithmetic must be
+exact: scalars live in Q (as fractions) or in a prime field GF(p) (as
+canonical representatives in [0, p)).
 
 Basis labels are tuples of string atoms.  Tensor products concatenate
 label tuples, and the ground field k carries the empty tuple (), so
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -472,17 +474,9 @@ def leg_perm(field, legs, order):
         for slot, src in enumerate(order):
             row = row * out_dims[slot] + multi[src]
         entries[(row, col)] = field.one
-    dom = tuple(
-        _concat_labels(legs, multi)
-        for multi in product(*[range(d) for d in dims])
-    )
-    cod = tuple(
-        _concat_labels([legs[i] for i in order], multi)
-        for multi in product(*[range(d) for d in out_dims])
-    )
-    total = 1
-    for d in dims:
-        total *= d
+    dom = _product_labels(legs)
+    cod = _product_labels([legs[i] for i in order])
+    total = prod(dims)
     return LinMap(field, total, total, entries, dom, cod)
 
 
@@ -491,3 +485,198 @@ def _concat_labels(legs, multi):
     for labels, idx in zip(legs, multi):
         out = out + labels[idx]
     return out
+
+
+def _product_labels(legs):
+    """Basis labels of the tensor product of legs, left leg slowest."""
+    return tuple(
+        _concat_labels(legs, multi) for multi in product(*[range(len(leg)) for leg in legs])
+    )
+
+
+# -- leg-wise evaluation -------------------------------------------------------
+#
+# A tensor product of based spaces is given by its legs, each leg the label
+# tuple of one factor; the ground field k is the empty product and has no
+# legs.  A basis vector of the product is an index tuple with one entry per
+# leg.  Its flat position counts with the left leg slowest, as kron and
+# leg_perm do, and its label concatenates the legs' labels in leg order.
+
+
+def _multi_index(flat, dims):
+    """Index tuple of flat position `flat` in a product of legs of size dims."""
+    total = prod(dims)
+    if not 0 <= flat < total:
+        raise DomainMismatch(f"basis index {flat} outside dimension {total}")
+    out = []
+    for d in reversed(dims):
+        flat, idx = divmod(flat, d)
+        out.append(idx)
+    return tuple(reversed(out))
+
+
+def _flat_index(multi, dims):
+    flat = 0
+    for d, idx in zip(dims, multi):
+        flat = flat * d + idx
+    return flat
+
+
+def _dims(legs):
+    return tuple(len(leg) for leg in legs)
+
+
+class LegMap:
+    """A LinMap read as a map between tensor products of legs.
+
+    f must carry the labels that kron would give the products of dom_legs
+    and cod_legs.  The check costs the size of f's own bases, never the
+    size of a chain the map is used in.  The columns are kept as
+    {input index tuple: [(output index tuple, scalar), ...]}; for an
+    identity map they are None, and a chain passes its legs through.
+    """
+
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns")
+
+    def __init__(self, f, dom_legs, cod_legs):
+        dom_legs = tuple(tuple(leg) for leg in dom_legs)
+        cod_legs = tuple(tuple(leg) for leg in cod_legs)
+        for labels, legs, side in ((f.dom, dom_legs, "domain"), (f.cod, cod_legs, "codomain")):
+            if len(labels) != prod(_dims(legs)) or labels != _product_labels(legs):
+                raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
+        self.map = f
+        self.dom_legs = dom_legs
+        self.cod_legs = cod_legs
+        one = f.field.one
+        if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
+            self.columns = None
+            return
+        dom_dims, cod_dims = _dims(dom_legs), _dims(cod_legs)
+        columns = {}
+        for (i, j), value in sorted(f.entries.items()):
+            columns.setdefault(_multi_index(j, dom_dims), []).append(
+                (_multi_index(i, cod_dims), value)
+            )
+        self.columns = columns
+
+    def __repr__(self):
+        return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
+
+
+class Chain:
+    """A composite of leg-wise stages, applied without building its matrix.
+
+    Chain(field, legs) is the identity of the tensor product of legs;
+    then() and permute() return the chain followed by one more stage:
+
+    - then(f1, ..., fm) applies f1 (x) ... (x) fm, where each fi is a
+      LegMap acting on the next len(fi.dom_legs) legs, left factor on the
+      leftmost (slowest) legs; the Kronecker product is never built.
+    - permute(*order) reorders the legs; order[j] names the leg that lands
+      in slot j, as in leg_perm.
+
+    Both check the stage boundary like compose: the legs must agree in
+    number and basis labels, or DomainMismatch is raised.  column(j)
+    pushes one domain basis vector through the stages as a sparse dict
+    {index tuple: scalar}; arithmetic goes through field.mul and
+    field.add, and exact zeros are dropped at every stage boundary.
+    """
+
+    __slots__ = ("field", "dom_legs", "cod_legs", "stages", "_dom_dims", "_cod_dims")
+
+    def __init__(self, field, legs, _stages=(), _cod_legs=None):
+        self.field = field
+        self.dom_legs = tuple(tuple(leg) for leg in legs)
+        self.cod_legs = self.dom_legs if _cod_legs is None else _cod_legs
+        self.stages = _stages
+        self._dom_dims = _dims(self.dom_legs)
+        self._cod_dims = _dims(self.cod_legs)
+
+    @property
+    def rows(self):
+        return prod(self._cod_dims)
+
+    @property
+    def cols(self):
+        return prod(self._dom_dims)
+
+    def then(self, *factors):
+        plan = []
+        pos = 0
+        cod_legs = []
+        for f in factors:
+            stop = pos + len(f.dom_legs)
+            if f.map.field != self.field:
+                raise DomainMismatch("maps over different fields")
+            if f.dom_legs != self.cod_legs[pos:stop]:
+                raise DomainMismatch(
+                    f"cannot apply {f!r} to legs {pos}..{stop - 1} of a chain with "
+                    f"{len(self.cod_legs)} legs: dimensions or basis labels disagree"
+                )
+            if f.columns is None and plan and plan[-1][0] is None:
+                plan[-1] = (None, plan[-1][1], stop)  # merge runs of identity legs
+            else:
+                plan.append((f.columns, pos, stop))
+            cod_legs.extend(f.cod_legs)
+            pos = stop
+        if pos != len(self.cod_legs):
+            raise DomainMismatch(
+                f"factors cover {pos} of the chain's {len(self.cod_legs)} legs"
+            )
+        return self._extend(("kron", tuple(plan)), tuple(cod_legs))
+
+    def permute(self, *order):
+        if sorted(order) != list(range(len(self.cod_legs))):
+            raise DomainMismatch(f"{order!r} is not a permutation of the legs")
+        return self._extend(("perm", order), tuple(self.cod_legs[i] for i in order))
+
+    def _extend(self, stage, cod_legs):
+        return Chain(self.field, self.dom_legs, self.stages + (stage,), cod_legs)
+
+    def column(self, j):
+        """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
+        field = self.field
+        vec = {_multi_index(j, self._dom_dims): field.one}
+        for kind, data in self.stages:
+            if kind == "perm":
+                vec = {tuple(idx[i] for i in data): v for idx, v in vec.items()}
+            else:
+                vec = _apply_kron(field, data, vec)
+        dims = self._cod_dims
+        return {_flat_index(idx, dims): v for idx, v in vec.items()}
+
+    def dom_label(self, j):
+        """Basis label of domain column j."""
+        return _concat_labels(self.dom_legs, _multi_index(j, self._dom_dims))
+
+    def cod_label(self, i):
+        """Basis label of codomain row i."""
+        return _concat_labels(self.cod_legs, _multi_index(i, self._cod_dims))
+
+    def __repr__(self):
+        return (
+            f"Chain({len(self.dom_legs)} -> {len(self.cod_legs)} legs, "
+            f"{len(self.stages)} stages, {self.field.name})"
+        )
+
+
+def _apply_kron(field, plan, vec):
+    """One Kronecker stage on a sparse vector; plan holds (columns, start, stop)."""
+    mul, add, zero = field.mul, field.add, field.zero
+    out = {}
+    for idx, coeff in vec.items():
+        terms = [((), coeff)]
+        for columns, start, stop in plan:
+            legs = idx[start:stop]
+            if columns is None:
+                terms = [(key + legs, v) for key, v in terms]
+                continue
+            images = columns.get(legs)
+            if images is None:
+                break
+            terms = [(key + o, mul(v, w)) for key, v in terms for o, w in images]
+        else:
+            for key, v in terms:
+                acc = out.get(key)
+                out[key] = v if acc is None else add(acc, v)
+    return {key: v for key, v in out.items() if v != zero}

@@ -2,15 +2,17 @@
 
 A HopfQuasigroup packs a unital, not necessarily associative algebra
 (multiplication tensor + unit vector) with a coassociative coalgebra and
-an antipode.  The validator decides every axiom as one composed-matrix
-identity; associativity is reported but never required, which is the
-whole point of the structure.
+an antipode.  The validator decides every axiom as an identity between
+two Chains of leg-wise stages (exactlin), evaluated one basis vector at
+a time, so its cost grows with the number of basis tuples and not with
+the size of a matrix on H^{(x)3} or H^{(x)4}; associativity is reported
+but never required, which is the whole point of the structure.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidLoop, MalformedStructure, NotInvertible
-from .exactlin import K_LABELS, LinMap, kron, kron_all, leg_perm, swap_map
+from .exactlin import K_LABELS, Chain, LegMap, LinMap
 from .report import Report
 from . import tables
 
@@ -160,75 +162,89 @@ def group_algebra(g, field):
     return loop_algebra(tables.LoopTable.from_group(g), field)
 
 
-def validate_hopf_quasigroup(h):
-    """All axioms as exact composed-map identities, with witnesses.
+def _structure_legs(h):
+    """The legs (H,) and the maps mu, eta, delta, eps, S and id as LegMaps;
+    the ground field k has no legs."""
+    field = h.field
+    alg = h.algebra
+    H = (alg.labels,)
+    HH = H * 2
+    return (
+        H,
+        LegMap(alg.mult_map(), HH, H),
+        LegMap(alg.unit_map(), (), H),
+        LegMap(h.comult, H, HH),
+        LegMap(h.counit, H, ()),
+        LegMap(h.antipode, H, H),
+        LegMap(LinMap.identity(field, alg.labels), H, H),
+    )
 
+
+def validate_hopf_quasigroup(h):
+    """All axioms as exact identities between two Chains, with witnesses.
+
+    Each side is a chain of leg-wise stages read left to right (the first
+    stage is applied first) and is evaluated one basis vector of H, H (x) H
+    or H (x) H (x) H at a time, so no map on H^{(x)3} or H^{(x)4} is built.
     Associativity (HQ-assoc) is informational; the compensation laws
     HQ-2.5-*/HQ-2.6-* are what the antipode must satisfy instead.
     """
     field = h.field
     rep = Report(f"hopf quasigroup (dim {h.dim}, {field.name})")
-    alg = h.algebra
-    mu = alg.mult_map()
-    eta = alg.unit_map()
-    delta = h.comult
-    eps = h.counit
-    s = h.antipode
-    ident = LinMap.identity(field, alg.labels)
-    one_k = LinMap.identity(field, K_LABELS)
+    H, mu, eta, delta, eps, s, i = _structure_legs(h)
+    k = Chain(field, ())
+    h1 = Chain(field, H)
+    h2 = Chain(field, H * 2)
+    h3 = Chain(field, H * 3)
 
     # unital algebra
-    rep.add_map_equality("HQ-unit-left", mu @ kron(eta, ident), ident)
-    rep.add_map_equality("HQ-unit-right", mu @ kron(ident, eta), ident)
+    rep.add_chain_equality("HQ-unit-left", h1.then(eta, i).then(mu), h1)
+    rep.add_chain_equality("HQ-unit-right", h1.then(i, eta).then(mu), h1)
 
     # coalgebra
-    rep.add_map_equality("HQ-coassoc", kron(delta, ident) @ delta, kron(ident, delta) @ delta)
-    rep.add_map_equality("HQ-counit-left", kron(eps, ident) @ delta, ident)
-    rep.add_map_equality("HQ-counit-right", kron(ident, eps) @ delta, ident)
+    split = h1.then(delta)
+    rep.add_chain_equality("HQ-coassoc", split.then(delta, i), split.then(i, delta))
+    rep.add_chain_equality("HQ-counit-left", split.then(eps, i), h1)
+    rep.add_chain_equality("HQ-counit-right", split.then(i, eps), h1)
 
     # comultiplication and counit are unital algebra morphisms
-    mu_hh = kron(mu, mu) @ leg_perm(
-        field, [alg.labels] * 4, (0, 2, 1, 3)
+    rep.add_chain_equality(
+        "HQ-delta-multiplicative",
+        h2.then(mu).then(delta),
+        h2.then(delta, delta).permute(0, 2, 1, 3).then(mu, mu),
     )
-    rep.add_map_equality("HQ-delta-multiplicative", delta @ mu, mu_hh @ kron(delta, delta))
-    rep.add_map_equality("HQ-delta-unit", delta @ eta, kron(eta, eta))
-    rep.add_map_equality("HQ-epsilon-multiplicative", eps @ mu, kron(eps, eps))
-    rep.add_map_equality("HQ-epsilon-unit", eps @ eta, one_k)
+    rep.add_chain_equality("HQ-delta-unit", k.then(eta).then(delta), k.then(eta, eta))
+    rep.add_chain_equality("HQ-epsilon-multiplicative", h2.then(mu).then(eps), h2.then(eps, eps))
+    rep.add_chain_equality("HQ-epsilon-unit", k.then(eta).then(eps), k)
 
     # antipode compensation identities on H (x) H
-    d_i = kron(delta, ident)
-    i_d = kron(ident, delta)
-    left_shape = mu @ kron(ident, mu)
-    right_shape = mu @ kron(mu, ident)
-    eps_i = kron(eps, ident)
-    i_eps = kron(ident, eps)
-    rep.add_map_equality(
-        "HQ-2.5-left", left_shape @ kron_all(s, ident, ident) @ d_i, eps_i
-    )
-    rep.add_map_equality(
-        "HQ-2.5-right", left_shape @ kron_all(ident, s, ident) @ d_i, eps_i
-    )
-    rep.add_map_equality(
-        "HQ-2.6-left", right_shape @ kron_all(ident, ident, s) @ i_d, i_eps
-    )
-    rep.add_map_equality(
-        "HQ-2.6-right", right_shape @ kron_all(ident, s, ident) @ i_d, i_eps
-    )
+    d_i = h2.then(delta, i)
+    i_d = h2.then(i, delta)
+    eps_i = h2.then(eps, i)
+    i_eps = h2.then(i, eps)
+    rep.add_chain_equality("HQ-2.5-left", d_i.then(s, i, i).then(i, mu).then(mu), eps_i)
+    rep.add_chain_equality("HQ-2.5-right", d_i.then(i, s, i).then(i, mu).then(mu), eps_i)
+    rep.add_chain_equality("HQ-2.6-left", i_d.then(i, i, s).then(mu, i).then(mu), i_eps)
+    rep.add_chain_equality("HQ-2.6-right", i_d.then(i, s, i).then(mu, i).then(mu), i_eps)
 
     # associativity, reported but not required
-    assoc = rep.add_map_equality(
-        "HQ-assoc", mu @ kron(mu, ident), mu @ kron(ident, mu), required=False
+    assoc = rep.add_chain_equality(
+        "HQ-assoc", h3.then(mu, i).then(mu), h3.then(i, mu).then(mu), required=False
     )
     if assoc.passed:
         # associative case degenerates to the usual Hopf antipode law
-        rep.add_map_equality(
-            "HQ-hopf-antipode", mu @ kron(s, ident) @ delta, eta @ eps, required=False
+        rep.add_chain_equality(
+            "HQ-hopf-antipode",
+            split.then(s, i).then(mu),
+            h1.then(eps).then(eta),
+            required=False,
         )
     return rep
 
 
 def antipode_inverse_laws(h):
-    """The compensation identities for the inverse antipode; reports
+    """The compensation identities for the inverse antipode, as Chain
+    identities like validate_hopf_quasigroup; reports
     HQ-antipode-bijective failed instead of raising when S is singular."""
     field = h.field
     rep = Report(f"antipode inverse laws (dim {h.dim}, {field.name})")
@@ -243,36 +259,25 @@ def antipode_inverse_laws(h):
         return rep
     rep.add("HQ-antipode-bijective", True)
 
-    alg = h.algebra
-    mu = alg.mult_map()
-    delta = h.comult
-    eps = h.counit
-    ident = LinMap.identity(field, alg.labels)
-    flip_first = leg_perm(field, [alg.labels] * 3, (1, 0, 2))
-    flip_last = leg_perm(field, [alg.labels] * 3, (0, 2, 1))
-    left_shape = mu @ kron(ident, mu)
-    right_shape = mu @ kron(mu, ident)
-    eps_i = kron(eps, ident)
-    i_eps = kron(ident, eps)
+    H, mu, _, delta, eps, _, i = _structure_legs(h)
+    s_inv = LegMap(s_inv, H, H)
+    h2 = Chain(field, H * 2)
+    # h (x) g -> h2 (x) h1 (x) g and h (x) g -> h (x) g2 (x) g1
+    flip_first = h2.then(delta, i).permute(1, 0, 2)
+    flip_last = h2.then(i, delta).permute(0, 2, 1)
+    eps_i = h2.then(eps, i)
+    i_eps = h2.then(i, eps)
 
-    rep.add_map_equality(
-        "HQ-2.9-left",
-        left_shape @ kron_all(s_inv, ident, ident) @ flip_first @ kron(delta, ident),
-        eps_i,
+    rep.add_chain_equality(
+        "HQ-2.9-left", flip_first.then(s_inv, i, i).then(i, mu).then(mu), eps_i
     )
-    rep.add_map_equality(
-        "HQ-2.9-right",
-        left_shape @ kron_all(ident, s_inv, ident) @ flip_first @ kron(delta, ident),
-        eps_i,
+    rep.add_chain_equality(
+        "HQ-2.9-right", flip_first.then(i, s_inv, i).then(i, mu).then(mu), eps_i
     )
-    rep.add_map_equality(
-        "HQ-2.10-left",
-        right_shape @ kron_all(ident, s_inv, ident) @ flip_last @ kron(ident, delta),
-        i_eps,
+    rep.add_chain_equality(
+        "HQ-2.10-left", flip_last.then(i, s_inv, i).then(mu, i).then(mu), i_eps
     )
-    rep.add_map_equality(
-        "HQ-2.10-right",
-        left_shape @ kron_all(ident, ident, s_inv) @ flip_last @ kron(ident, delta),
-        i_eps,
+    rep.add_chain_equality(
+        "HQ-2.10-right", flip_last.then(i, i, s_inv).then(i, mu).then(mu), i_eps
     )
     return rep

@@ -5,6 +5,12 @@ check that fails on a matrix identity carries the first differing basis
 pair and the two scalars, so mutation testing can point at the exact
 structure constant that broke an axiom.  Check identifiers are stable
 strings; consumers key off them, not off positions in the list.
+
+The witness rule is the same whether the two sides are LinMaps
+(map_witness) or Chains evaluated leg by leg (chain_witness): among all
+entries where the sides differ, the one with the smallest (row, col) in
+row-major order; its labels are the lhs domain label of that column and
+codomain label of that row, and its values are formatted with field.fmt.
 """
 
 from __future__ import annotations
@@ -144,7 +150,8 @@ class Check:
 
 
 def map_witness(lhs, rhs):
-    """First differing entry of two same-shaped maps, or None if equal."""
+    """First differing entry of two same-shaped maps in row-major order,
+    or None if equal."""
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
         raise ValueError("witness comparison needs maps of equal shape")
     keys = sorted(set(lhs.entries) | set(rhs.entries))
@@ -163,6 +170,32 @@ def map_witness(lhs, rhs):
     return None
 
 
+def chain_witness(lhs, rhs):
+    """map_witness for two Chains, without building either side.
+
+    Both sides are evaluated on every domain column; labels are built
+    only for the witness.
+    """
+    if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
+        raise ValueError("witness comparison needs maps of equal shape")
+    zero = lhs.field.zero
+    best = None
+    for j in range(lhs.cols):
+        a, b = lhs.column(j), rhs.column(j)
+        if a == b:
+            continue
+        for i in a.keys() | b.keys():
+            x, y = a.get(i, zero), b.get(i, zero)
+            # columns come in increasing order, so a tie in row keeps the first
+            if x != y and (best is None or i < best[0]):
+                best = (i, j, x, y)
+    if best is None:
+        return None
+    i, j, x, y = best
+    fmt = lhs.field.fmt
+    return Witness(domain=lhs.dom_label(j), codomain=lhs.cod_label(i), lhs=fmt(x), rhs=fmt(y))
+
+
 class Report:
     """Ordered collection of checks about one subject."""
 
@@ -177,6 +210,11 @@ class Report:
     def add_map_equality(self, check_id, lhs, rhs, required=True, detail=""):
         """Check two composed maps for exact equality; record first difference."""
         witness = map_witness(lhs, rhs)
+        return self.add(check_id, witness is None, required, witness, detail)
+
+    def add_chain_equality(self, check_id, lhs, rhs, required=True, detail=""):
+        """Check two Chains for exact equality, column by column."""
+        witness = chain_witness(lhs, rhs)
         return self.add(check_id, witness is None, required, witness, detail)
 
     def merge(self, other):

@@ -62,6 +62,36 @@ def _pair_labels(a, b):
     return tuple(x + y for x in a for y in b)
 
 
+def _index(value, bound, what):
+    """A grade: an int in [0, bound).
+
+    Python would read a negative index from the end of a table, so a
+    grade outside the range is an error, never a lookup."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what}: {value!r} is not an integer index")
+    if not 0 <= value < bound:
+        raise ParseError(f"{what}: index {value} outside [0, {bound})")
+    return value
+
+
+def _key_index(text, bound, what):
+    """A grade written as an object key, in canonical decimal text."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ParseError(f"{what}: {text!r} is not a decimal index")
+    return _index(value, bound, what)
+
+
+def _key_pair(key, sep, bound, what):
+    parts = key.split(sep)
+    if len(parts) != 2:
+        raise ParseError(f"{what}: key {key!r} is not two indices joined by {sep!r}")
+    return tuple(_key_index(part, bound, f"{what} {key}") for part in parts)
+
+
 # -- Cayley tables ---------------------------------------------------------
 
 
@@ -196,8 +226,11 @@ def gchq_from_jobj(jobj):
     try:
         field = field_from_name(jobj["field"])
         grading = group_from_jobj(jobj["group"])
+        order = grading.order
+        for key in jobj["components"]:
+            _key_index(key, order, "component key")
         components = []
-        for p in range(grading.order):
+        for p in range(order):
             data = jobj["components"][str(p)]
             labels = tuple((str(s),) for s in data["labels"])
             mult = {
@@ -209,7 +242,7 @@ def gchq_from_jobj(jobj):
 
         comult = {}
         for key, data in jobj["comult"].items():
-            p, q = (int(s) for s in key.split(","))
+            p, q = _key_pair(key, ",", order, "comult")
             pq = grading.mul(p, q)
             comult[(p, q)] = _matrix_from_jobj(
                 field,
@@ -232,7 +265,7 @@ def gchq_from_jobj(jobj):
         )
         antipode = {}
         for key, data in jobj["antipode"].items():
-            p = int(key)
+            p = _key_index(key, order, "antipode key")
             antipode[p] = _matrix_from_jobj(
                 field,
                 data,
@@ -242,7 +275,7 @@ def gchq_from_jobj(jobj):
             )
         crossing = {}
         for key, data in jobj["crossing"].items():
-            p, q = (int(s) for s in key.split("|"))
+            p, q = _key_pair(key, "|", order, "crossing")
             target = grading.mul(grading.mul(p, q), grading.inv(p))
             crossing[(p, q)] = _matrix_from_jobj(
                 field,
@@ -286,7 +319,8 @@ def yd_from_jobj(jobj, base_dir=None):
         else:
             base = gchq_from_jobj(base_field)
         field = base.field
-        grade = int(jobj["grade"])
+        order = base.grading.order
+        grade = _index(jobj["grade"], order, "grade")
         labels = tuple(tuple(str(a) for a in label) for label in jobj["labels"])
         comp = base.comp(grade)
         action = _matrix_from_jobj(
@@ -294,7 +328,7 @@ def yd_from_jobj(jobj, base_dir=None):
         )
         coaction = {}
         for key, data in jobj["coaction"].items():
-            r = int(key)
+            r = _key_index(key, order, "coaction key")
             coaction[r] = _matrix_from_jobj(
                 field,
                 data,

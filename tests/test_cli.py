@@ -227,3 +227,27 @@ def test_fixtures_command(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "fx" / "yd-crossed-s3.json").exists()
     assert len(out.strip().splitlines()) == len(fixtures.REGISTRY)
+
+
+# -- hostile input: out-of-range indices end in exit 2, never a traceback ------
+
+
+def test_gchq_comult_key_outside_grading_exits_2(fixture_dir, tmp_path, capsys):
+    jobj = serialize.read_file(fixture_dir / "gchq-power.json")
+    assert jobj["group"]["order"] == 2
+    jobj["comult"]["5,0"] = jobj["comult"]["0,0"]
+    target = tmp_path / "comult-key.json"
+    serialize.write_file(target, jobj)
+    code, _, err = run(capsys, "validate", str(target), "--kind", "gchq")
+    assert code == 2
+    assert "error:" in err and "5,0" in err
+
+
+def test_yd_negative_grade_exits_2(fixture_dir, tmp_path, capsys):
+    jobj = serialize.read_file(fixture_dir / "yd-diagonal-power.json")
+    jobj["grade"] = -1
+    target = tmp_path / "negative-grade.json"
+    serialize.write_file(target, jobj)
+    code, _, err = run(capsys, "validate", str(target), "--kind", "yd")
+    assert code == 2
+    assert "error:" in err and "-1" in err

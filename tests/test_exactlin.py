@@ -1,4 +1,5 @@
-"""Exact linear algebra kernel: fields, composition, Kronecker, inversion."""
+"""Exact linear algebra kernel: fields, composition, Kronecker, inversion,
+and leg-wise chains."""
 
 from fractions import Fraction
 
@@ -7,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasibraid.errors import DomainMismatch, FieldError, NotInvertible
+from quasibraid.report import chain_witness, map_witness
 from quasibraid.exactlin import (
     K_LABELS,
+    Chain,
+    LegMap,
     LinMap,
     PrimeField,
     QQ,
@@ -279,3 +283,91 @@ def test_kron_all_folds_left():
     b = LinMap.from_rows(QQ, [[3]])
     c = LinMap.from_rows(QQ, [[5]])
     assert kron_all(a, b, c).entries == {(0, 0): Fraction(30)}
+
+
+# -- leg-wise chains -----------------------------------------------------------
+
+A = default_labels(2, "a")
+B = default_labels(3, "b")
+
+
+def chain_as_map(chain):
+    """The chain's matrix, column by column."""
+    entries = {
+        (i, j): v for j in range(chain.cols) for i, v in chain.column(j).items()
+    }
+    dom = tuple(chain.dom_label(j) for j in range(chain.cols))
+    cod = tuple(chain.cod_label(i) for i in range(chain.rows))
+    return LinMap(chain.field, chain.rows, chain.cols, entries, dom, cod)
+
+
+def pair(x, y):
+    return tuple(a + b for a in x for b in y)
+
+
+def test_chain_identity_and_labels():
+    chain = Chain(QQ, (A, B))
+    assert chain_as_map(chain) == LinMap.identity(QQ, pair(A, B))
+    assert chain.dom_label(4) == ("a1", "b1")
+    empty = Chain(QQ, ())
+    assert empty.cols == empty.rows == 1
+    assert empty.column(0) == {0: QQ.one} and empty.cod_label(0) == ()
+
+
+def test_chain_permute_matches_leg_perm():
+    chain = Chain(GF5, (A, B, A)).permute(2, 0, 1)
+    assert chain_as_map(chain) == leg_perm(GF5, [A, B, A], (2, 0, 1))
+
+
+@st.composite
+def chain_factors(draw):
+    """f: A (x) B -> B, g: B -> A (x) A, h: A -> k, with random entries."""
+    field = draw(fields)
+    f = draw(matrices(field, 3, 6)).relabeled(dom=pair(A, B), cod=B)
+    g = draw(matrices(field, 4, 3)).relabeled(dom=B, cod=pair(A, A))
+    h = draw(matrices(field, 1, 2)).relabeled(dom=A, cod=K_LABELS)
+    return f, g, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_factors())
+def test_chain_matches_matrix_composite(fgh):
+    f, g, h = fgh
+    field = f.field
+    ident_a = LinMap.identity(field, A)
+    lf, lg, lh = LegMap(f, (A, B), (B,)), LegMap(g, (B,), (A, A)), LegMap(h, (A,), ())
+    la = LegMap(ident_a, (A,), (A,))
+    head = Chain(field, (A, A, B)).then(la, lf).then(la, lg)
+    chain = head.permute(1, 0, 2).then(lh, la, la)
+    matrix = (
+        kron_all(h, ident_a, ident_a)
+        @ leg_perm(field, [A, A, A], (1, 0, 2))
+        @ kron(ident_a, g)
+        @ kron(ident_a, f)
+    )
+    assert chain_as_map(chain) == matrix
+    # the witness rule: same pick as map_witness on the built matrices
+    other = head.then(lh, la, la)
+    assert chain_witness(chain, other) == map_witness(matrix, chain_as_map(other))
+
+
+def test_chain_rejects_mismatched_boundary_labels():
+    f = LegMap(LinMap.identity(QQ, A).scale(2), (A,), (A,))
+    relabeled = tuple((f"z{i}",) for i in range(2))
+    with pytest.raises(DomainMismatch):
+        Chain(QQ, (relabeled, B)).then(f, LegMap(LinMap.identity(QQ, B), (B,), (B,)))
+    with pytest.raises(DomainMismatch):
+        Chain(QQ, (A, B)).then(f)  # factors leave a leg uncovered
+    with pytest.raises(DomainMismatch):
+        Chain(QQ, (A, B)).then(f, f)  # second leg has the wrong dimension
+    with pytest.raises(DomainMismatch):
+        Chain(QQ, (A, B)).permute(0, 0)
+    with pytest.raises(DomainMismatch):
+        Chain(GF5, (A,)).then(f)  # maps over different fields
+
+
+def test_legmap_checks_labels_against_its_legs():
+    with pytest.raises(DomainMismatch):
+        LegMap(LinMap.identity(QQ, A), (B,), (B,))
+    with pytest.raises(DomainMismatch):
+        LegMap(LinMap.identity(QQ, pair(B, A)), (A, B), (A, B))

@@ -50,7 +50,7 @@ def test_group_algebra_over_prime_field():
 
 def elementwise_compensation_holds(t):
     """Direct table-level evaluation of the four compensation identities
-    on all basis pairs of a loop algebra (independent of the matrix path)."""
+    on all basis pairs of a loop algebra (independent of the chain evaluator)."""
     n = t.order
     li, ri = t.left_inverse, t.right_inverse
     if any(v is None for v in li) or any(v is None for v in ri):
@@ -117,7 +117,7 @@ def test_loop_algebra_requires_ip_loop():
 
 
 def test_loop_algebra_validator_agrees_with_ip_property(o16):
-    """The matrix validator and the loop-level property must coincide on
+    """The HQ validator and the loop-level property must coincide on
     loop algebras: small groups and group products pass, the broken
     table fails."""
     from quasibraid.tables import validate_ip_loop

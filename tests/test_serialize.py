@@ -82,3 +82,66 @@ def test_dump_bytes_is_canonical():
     a = serialize.dump_bytes({"b": 1, "a": [2, 3]})
     b = serialize.dump_bytes({"a": [2, 3], "b": 1})
     assert a == b == b'{"a":[2,3],"b":1}\n'
+
+
+def _gchq_jobj():
+    return serialize.gchq_to_jobj(fixtures.gchq_power())
+
+
+def _yd_jobj():
+    return serialize.yd_to_jobj(fixtures.yd_diagonal_power())
+
+
+def _copy_key(table, old, new):
+    table[new] = table[old]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda j: _copy_key(j["comult"], "1,1", "-1,1"),
+        lambda j: _copy_key(j["comult"], "1,1", "1,2"),
+        lambda j: _copy_key(j["comult"], "1,1", "01,1"),
+        lambda j: _copy_key(j["comult"], "1,1", "1,1,0"),
+        lambda j: _copy_key(j["antipode"], "1", "-1"),
+        lambda j: _copy_key(j["antipode"], "1", "2"),
+        lambda j: _copy_key(j["crossing"], "1|1", "1|-1"),
+        lambda j: _copy_key(j["crossing"], "1|1", "2|1"),
+        lambda j: _copy_key(j["components"], "1", "2"),
+        lambda j: _copy_key(j["components"], "1", "-1"),
+    ],
+    ids=[
+        "comult-negative", "comult-too-large", "comult-not-canonical", "comult-three-parts",
+        "antipode-negative", "antipode-too-large", "crossing-negative", "crossing-too-large",
+        "component-extra", "component-negative",
+    ],
+)
+def test_gchq_keys_are_range_checked(tmp_path, edit):
+    jobj = _gchq_jobj()
+    edit(jobj)
+    path = tmp_path / "bad-gchq.json"
+    serialize.write_file(path, jobj)
+    with pytest.raises(ParseError):
+        serialize.load("gchq", path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda j: j.update(grade=-1),
+        lambda j: j.update(grade=2),
+        lambda j: j.update(grade="1"),
+        lambda j: j.update(grade=True),
+        lambda j: _copy_key(j["coaction"], "1", "-1"),
+        lambda j: _copy_key(j["coaction"], "1", "7"),
+    ],
+    ids=["grade-negative", "grade-too-large", "grade-text", "grade-bool",
+         "coaction-negative", "coaction-too-large"],
+)
+def test_yd_grades_are_range_checked(tmp_path, edit):
+    jobj = _yd_jobj()
+    edit(jobj)
+    path = tmp_path / "bad-yd.json"
+    serialize.write_file(path, jobj)
+    with pytest.raises(ParseError):
+        serialize.load("yd", path)
