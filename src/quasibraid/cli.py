@@ -33,7 +33,7 @@ from .report import Report
 from .yd import (
     check_braiding_inverse,
     check_braiding_laws,
-    check_conjugation_coherence,
+    conjugation_coherence,
     validate_yd,
     yd_conjugate,
     yd_direct_sum,
@@ -85,6 +85,7 @@ def cmd_validate(args):
 def cmd_construct(args):
     start = time.monotonic()
     op = args.op
+    validated = False
     if op == "loop-algebra":
         _expect_inputs(args, 1)
         table = serialize.load("loop", args.inputs[0])
@@ -97,7 +98,8 @@ def cmd_construct(args):
     elif op == "mirror":
         _expect_inputs(args, 1)
         h = serialize.load("gchq", args.inputs[0])
-        result_kind, result = "gchq", mirror(h)
+        # mirror validates its output and raises if it fails
+        result_kind, result, validated = "gchq", mirror(h), True
     elif op == "yd-tensor":
         _expect_inputs(args, 2)
         v = serialize.load("yd", args.inputs[0])
@@ -123,11 +125,12 @@ def cmd_construct(args):
     else:  # pragma: no cover - argparse restricts choices
         raise QuasibraidError(f"unknown op {op}")
 
-    report = _validate_object(result_kind, result)
-    if not report.passed:
-        print(report.render())
-        print("construction result failed validation; not writing output")
-        return EXIT_FAILED
+    if not validated:
+        report = _validate_object(result_kind, result)
+        if not report.passed:
+            print(report.render())
+            print("construction result failed validation; not writing output")
+            return EXIT_FAILED
     serialize.save(result_kind, result, args.out)
     print(f"wrote {result_kind} structure to {args.out}")
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
@@ -141,7 +144,8 @@ def _expect_inputs(args, n):
 
 def cmd_braid_report(args):
     start = time.monotonic()
-    modules = [serialize.load("yd", path) for path in args.modules]
+    loaded = {path: serialize.load("yd", path) for path in dict.fromkeys(args.modules)}
+    modules = [loaded[path] for path in args.modules]
     report = Report("braiding law suite")
     v, w = modules[0], modules[1]
     x = modules[2] if len(modules) > 2 else None
@@ -153,9 +157,7 @@ def cmd_braid_report(args):
     if x is not None:
         report.merge(check_braiding_inverse(w, x))
         report.merge(check_braiding_inverse(v, x))
-    for s in v.base.grades():
-        for t in v.base.grades():
-            report.merge(check_conjugation_coherence(v, w, s, t))
+    report.merge(conjugation_coherence(v, w))
     return _emit(report, args.json, time.monotonic() - start)
 
 

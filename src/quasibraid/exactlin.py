@@ -5,8 +5,8 @@ counit, antipode, crossing, action, coaction, braiding) is a LinMap: a
 sparse exact matrix between based vector spaces.  Axioms are decided by
 composing LinMaps, or by pushing basis vectors leg by leg through a Chain
 of them, and comparing for literal equality, so the arithmetic must be
-exact: scalars live in Q (as fractions) or in a prime field GF(p) (as
-canonical representatives in [0, p)).
+exact: scalars live in Q (as an int when integral, a Fraction otherwise)
+or in a prime field GF(p) (as canonical representatives in [0, p)).
 
 Basis labels are tuples of string atoms.  Tensor products concatenate
 label tuples, and the ground field k carries the empty tuple (), so
@@ -49,41 +49,60 @@ def _is_prime(n):
     return True
 
 
+def _rational(x):
+    """Canonical form of a rational number: int when integral, else Fraction."""
+    if type(x) is int:
+        return x
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x
+
+
 class Rationals:
-    """The field Q with arbitrary-precision Fraction scalars."""
+    """The field Q.
+
+    A scalar is a plain int when it is integral and a Fraction only
+    otherwise, and every operation returns that canonical form.  Fraction
+    compares and hashes equal to int, so equality of entries is that of
+    the rationals; the int form spares the integral structure constants
+    of the usual examples the cost of Fraction arithmetic.
+    """
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def scalar(self, value):
-        return Fraction(value)
+        return value if type(value) is int else _rational(Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _rational(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _rational(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _rational(c)
 
     def neg(self, a):
-        return -a
+        return _rational(-a)
 
     def div(self, a, b):
         if b == 0:
             raise FieldError("division by zero")
-        return a / b
+        return _rational(Fraction(a) / b)
 
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return _rational(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 

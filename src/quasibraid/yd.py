@@ -445,6 +445,16 @@ def _structure_data_witness(a, b):
     return None
 
 
+def _iterated_witness(v_st, v_t, s):
+    """Regrading by st against regrading by t then s."""
+    return _structure_data_witness(v_st, yd_conjugate(v_t, s))
+
+
+def _tensor_witness(vw, v_s, w_s, s):
+    """Regrading a tensor by s against the tensor of the regradings."""
+    return _structure_data_witness(yd_conjugate(vw, s), yd_tensor(v_s, w_s))
+
+
 def check_conjugation_coherence(v, w, s, t):
     """Conjugation is functorial for composition and tensor: regrading by
     st equals regrading by t then s, and regrading a tensor equals the
@@ -454,15 +464,31 @@ def check_conjugation_coherence(v, w, s, t):
     rep = Report(
         f"conjugation coherence (s={base.grade_label(s)}, t={base.grade_label(t)})"
     )
-    lhs = yd_conjugate(v, base.mul(s, t))
-    rhs = yd_conjugate(yd_conjugate(v, t), s)
-    witness = _structure_data_witness(lhs, rhs)
+    witness = _iterated_witness(yd_conjugate(v, base.mul(s, t)), yd_conjugate(v, t), s)
     rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
-
-    lhs = yd_conjugate(yd_tensor(v, w), s)
-    rhs = yd_tensor(yd_conjugate(v, s), yd_conjugate(w, s))
-    witness = _structure_data_witness(lhs, rhs)
+    witness = _tensor_witness(yd_tensor(v, w), yd_conjugate(v, s), yd_conjugate(w, s), s)
     rep.add("CONJ-4.6-tensor", witness is None, witness=witness)
+    return rep
+
+
+def conjugation_coherence(v, w):
+    """The checks of check_conjugation_coherence for every pair (s, t), s
+    slowest, building each construction once: V (x) W, the regradings of
+    V and W by each grade, and the tensor check of each s, which does not
+    depend on t."""
+    _require_same_base(v, w)
+    base = v.base
+    grades = list(base.grades())
+    conj_v = {g: yd_conjugate(v, g) for g in grades}
+    conj_w = conj_v if w is v else {g: yd_conjugate(w, g) for g in grades}
+    vw = yd_tensor(v, w)
+    rep = Report("conjugation coherence")
+    for s in grades:
+        tensor = _tensor_witness(vw, conj_v[s], conj_w[s], s)
+        for t in grades:
+            witness = _iterated_witness(conj_v[base.mul(s, t)], conj_v[t], s)
+            rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
+            rep.add("CONJ-4.6-tensor", tensor is None, witness=tensor)
     return rep
 
 

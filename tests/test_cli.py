@@ -199,6 +199,66 @@ def test_braid_report_pair_and_triple(fixture_dir, tmp_path, capsys):
     assert "CONJ-4.6-tensor" in ids
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that its calls are counted; returns the counter."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_braid_report_loads_each_distinct_path_once(fixture_dir, monkeypatch, capsys):
+    loads = _count_calls(monkeypatch, serialize, "load")
+    diag = str(fixture_dir / "yd-diagonal-power.json")
+    trivial = str(fixture_dir / "yd-trivial.json")
+    code, out_same, _ = run(capsys, "braid-report", diag, diag, diag)
+    assert code == 0
+    assert [args[1] for args in loads] == [diag]
+    loads.clear()
+    code, out_mixed, _ = run(capsys, "braid-report", diag, trivial, diag)
+    assert code == 0
+    assert [args[1] for args in loads] == [diag, trivial]
+    assert out_same == out_mixed  # every check passes on both triples
+
+
+def test_construct_mirror_validates_its_output_once(fixture_dir, tmp_path, monkeypatch, capsys):
+    from quasibraid import gchq
+
+    in_mirror = _count_calls(monkeypatch, gchq, "validate_gchq")
+    in_cli = _count_calls(monkeypatch, cli, "validate_gchq")
+    out_path = tmp_path / "mirror.json"
+    code, out, _ = run(
+        capsys, "construct", "--op", "mirror", str(fixture_dir / "gchq-power.json"),
+        "--out", str(out_path),
+    )
+    assert code == 0
+    assert out == f"wrote gchq structure to {out_path}\n"
+    assert (len(in_mirror), len(in_cli)) == (2, 0)  # the input, then the output
+    assert out_path.read_bytes() == (fixture_dir / "gchq-power-mirror.json").read_bytes()
+
+
+def test_construct_mirror_of_invalid_input_exits_1(fixture_dir, tmp_path, capsys):
+    jobj = serialize.read_file(fixture_dir / "gchq-power.json")
+    jobj["antipode"]["1"] = [["0"] * 3] * 3
+    target = tmp_path / "bad-antipode.json"
+    serialize.write_file(target, jobj)
+    out_path = tmp_path / "mirror.json"
+    code, out, err = run(capsys, "construct", "--op", "mirror", str(target), "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: mirror input is not a valid crossed structure: GHQ-3.3-left, "
+        "GHQ-3.3-right, GHQ-3.4-left, GHQ-3.4-right, GHQ-antipode-unit, "
+        "GHQ-antipode-bijective\n"
+    )
+    assert not out_path.exists()
+
+
 def test_braid_report_quasimodule_exits_3(fixture_dir, capsys):
     code, _, err = run(
         capsys,

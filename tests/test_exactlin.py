@@ -40,6 +40,64 @@ def test_rational_scalars_exact():
     assert QQ.fmt(Fraction(5, 2)) == "5/2"
 
 
+def _assert_canonical(x):
+    """A Q scalar is an int exactly when integral, else a Fraction."""
+    assert type(x) in (int, Fraction)  # never a float or a bool
+    assert (type(x) is int) == (Fraction(x).denominator == 1)
+
+
+def test_rational_scalars_canonical_form():
+    for x in (QQ.zero, QQ.one, QQ.scalar(True), QQ.scalar(Fraction(6, 3)), QQ.scalar("4/2")):
+        _assert_canonical(x)
+    assert QQ.parse("4/2") == 2 and type(QQ.parse("4/2")) is int
+    assert QQ.fmt(QQ.parse("4/2")) == "2"
+    assert QQ.fmt(QQ.parse("-6/4")) == "-3/2"
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+    assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(1, 2), 2)) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.neg(Fraction(3))) is int
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, st.booleans())
+def test_rational_ops_agree_with_fraction_arithmetic(a, b, canonical_inputs):
+    x, y = (QQ.scalar(a), QQ.scalar(b)) if canonical_inputs else (a, b)
+    results = [
+        (QQ.add(x, y), a + b),
+        (QQ.sub(x, y), a - b),
+        (QQ.mul(x, y), a * b),
+        (QQ.neg(x), -a),
+        (QQ.scalar(x), a),
+    ]
+    if b:
+        results += [(QQ.div(x, y), a / b), (QQ.inv(y), 1 / b)]
+    else:
+        with pytest.raises(FieldError):
+            QQ.div(x, y)
+    for got, expected in results:
+        assert got == expected
+        _assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals)
+def test_rational_fmt_parse_round_trip(a):
+    text = QQ.fmt(a)
+    assert text == str(a)
+    x = QQ.parse(text)
+    assert x == a
+    _assert_canonical(x)
+    assert QQ.fmt(x) == text
+    unreduced = QQ.parse(f"{a.numerator * 3}/{a.denominator * 3}")
+    assert unreduced == a and QQ.fmt(unreduced) == text
+    _assert_canonical(unreduced)
+
+
 def test_gf_arithmetic():
     assert GF5.add(3, 4) == 2
     assert GF5.inv(2) == 3

@@ -1,0 +1,223 @@
+"""Golden CLI output: the sha256 of stdout and of --json for `validate` on
+every bundled fixture and for `braid-report` on the yd fixtures, over Q
+and GF(7).  Passing reports carry no witnesses, so a few mutants (one
+structure map scaled by 1/2, which is 4 in GF(7)) add failing checks
+whose witnesses hold integral and non-integral scalars.
+
+A change that must not alter any report (a speed-up, a refactor) keeps
+these digests; a change to a verdict, check order, detail or witness
+breaks them.  To record the table for a new report format, run at the
+commit whose output is the reference:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and paste what it prints over GOLDEN.
+"""
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from quasibraid import cli, fixtures, serialize
+from quasibraid.exactlin import field_from_name
+
+FIELDS = ("Q", "GF:7")
+
+VALIDATE = tuple(
+    (name, kind)
+    for name, (kind, _) in sorted(fixtures.REGISTRY.items())
+    if kind in ("hq", "gchq", "yd")
+)
+
+#: module lists for braid-report; the last two end in exit 3 (a
+#: quasimodule) and exit 1 (modules over different bases)
+BRAID = (
+    ("yd-crossed-s3", "yd-crossed-s3"),
+    ("yd-crossed-s3", "yd-crossed-s3", "yd-crossed-s3"),
+    ("yd-crossed-s3-half-action", "yd-crossed-s3"),
+    ("yd-crossed-s3-half-coaction", "yd-crossed-s3"),
+    ("yd-crossed-s3", "yd-crossed-s3-half-coaction", "yd-crossed-s3-half-coaction"),
+    ("yd-diagonal-power-half-coaction", "yd-diagonal-power", "yd-trivial"),
+    ("yd-diagonal-power", "yd-diagonal-power"),
+    ("yd-diagonal-power", "yd-diagonal-power", "yd-diagonal-power"),
+    ("yd-trivial", "yd-trivial"),
+    ("yd-diagonal-power", "yd-trivial", "yd-diagonal-power"),
+    ("yd-trivial", "yd-diagonal-power", "yd-trivial"),
+    ("yd-crossed-s3-quasi", "yd-crossed-s3"),
+    ("yd-crossed-s3", "yd-diagonal-power"),
+)
+
+
+#: mutant name -> (fixture, kind, key path of the scaled map)
+MUTANTS = {
+    "hq-c3-half-antipode": ("hq-c3", "hq", ("antipode",)),
+    "gchq-power-half-antipode": ("gchq-power", "gchq", ("antipode", "1")),
+    "yd-crossed-s3-half-action": ("yd-crossed-s3", "yd", ("action",)),
+    "yd-crossed-s3-half-coaction": ("yd-crossed-s3", "yd", ("coaction", "0")),
+    "yd-diagonal-power-half-coaction": ("yd-diagonal-power", "yd", ("coaction", "0")),
+}
+
+HALF = {"Q": "1/2", "GF:7": "4"}
+
+
+def _halved(node, half):
+    if isinstance(node, list):
+        return [_halved(item, half) for item in node]
+    return half if node != "0" else node
+
+
+def write_inputs(directory, field):
+    """The bundled fixtures and the mutants as <name>.json in directory."""
+    directory = Path(directory)
+    fixtures.write_all(directory, field_from_name(field))
+    for name, (source, _, path) in MUTANTS.items():
+        jobj = serialize.read_file(directory / f"{source}.json")
+        parent = jobj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _halved(parent[path[-1]], HALF[field])
+        serialize.write_file(directory / f"{name}.json", jobj)
+
+
+def _cases():
+    for field in FIELDS:
+        for name, kind in VALIDATE + tuple((name, m[1]) for name, m in MUTANTS.items()):
+            yield f"{field} validate {name}", ["validate", f"{name}.json", "--kind", kind]
+        for names in BRAID:
+            yield f"{field} braid-report {' '.join(names)}", ["braid-report"] + [
+                f"{n}.json" for n in names
+            ]
+
+
+CASES = dict(_cases())
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_case(directory, argv):
+    """(exit code, stdout digest, --json digest, stderr digest); stderr
+    loses its timing line, and a run that writes no report has None."""
+    directory = Path(directory)
+    report = directory / "report.json"
+    report.unlink(missing_ok=True)
+    argv = [str(directory / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv + ["--json", str(report)])
+    stderr = "".join(
+        line for line in err.getvalue().splitlines(True) if not line.startswith("elapsed: ")
+    )
+    return [
+        code,
+        _sha(out.getvalue().encode()),
+        _sha(report.read_bytes()) if report.exists() else None,
+        _sha(stderr.encode()),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fixture_dirs(tmp_path_factory):
+    dirs = {}
+    for field in FIELDS:
+        directory = tmp_path_factory.mktemp("golden")
+        write_inputs(directory, field)
+        dirs[field] = directory
+    return dirs
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden_digest(case, fixture_dirs):
+    field = case.split(" ", 1)[0]
+    assert run_case(fixture_dirs[field], CASES[case]) == GOLDEN[case]
+
+
+def test_golden_table_covers_every_case():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+#: recorded at the commit before integral Q scalars became ints
+GOLDEN = {
+    'Q braid-report yd-crossed-s3 yd-crossed-s3': [0, "c705b1266a82869c", "10b07cd5640d1c20", "e3b0c44298fc1c14"],
+    'Q braid-report yd-crossed-s3 yd-crossed-s3 yd-crossed-s3': [0, "15dc90933b5c16e3", "7b68f030eaf23763", "e3b0c44298fc1c14"],
+    'Q braid-report yd-crossed-s3 yd-crossed-s3-half-coaction yd-crossed-s3-half-coaction': [1, "336842e1f3b57321", "e0921841a793a348", "e3b0c44298fc1c14"],
+    'Q braid-report yd-crossed-s3 yd-diagonal-power': [1, "e3b0c44298fc1c14", None, "d97ee12c18086db7"],
+    'Q braid-report yd-crossed-s3-half-action yd-crossed-s3': [0, "c705b1266a82869c", "10b07cd5640d1c20", "e3b0c44298fc1c14"],
+    'Q braid-report yd-crossed-s3-half-coaction yd-crossed-s3': [1, "33fe2353aff2c249", "c5e6319ad587ec2d", "e3b0c44298fc1c14"],
+    'Q braid-report yd-crossed-s3-quasi yd-crossed-s3': [3, "e3b0c44298fc1c14", None, "fc083cab7f7e6ddf"],
+    'Q braid-report yd-diagonal-power yd-diagonal-power': [0, "476f2328a4e1743f", "3ffcb4cd2fe11ced", "e3b0c44298fc1c14"],
+    'Q braid-report yd-diagonal-power yd-diagonal-power yd-diagonal-power': [0, "39fa2377bfb0d2f1", "bc15486782605a24", "e3b0c44298fc1c14"],
+    'Q braid-report yd-diagonal-power yd-trivial yd-diagonal-power': [0, "39fa2377bfb0d2f1", "bc15486782605a24", "e3b0c44298fc1c14"],
+    'Q braid-report yd-diagonal-power-half-coaction yd-diagonal-power yd-trivial': [1, "22ff92be4a2050a7", "2fb9aca3146e1204", "e3b0c44298fc1c14"],
+    'Q braid-report yd-trivial yd-diagonal-power yd-trivial': [0, "39fa2377bfb0d2f1", "bc15486782605a24", "e3b0c44298fc1c14"],
+    'Q braid-report yd-trivial yd-trivial': [0, "476f2328a4e1743f", "3ffcb4cd2fe11ced", "e3b0c44298fc1c14"],
+    'Q validate gchq-power': [0, "492b9fea6f7b16d1", "e599d2cfec6058a0", "e3b0c44298fc1c14"],
+    'Q validate gchq-power-half-antipode': [1, "be711539d926d3c5", "0ac3b230d8cd9fb1", "e3b0c44298fc1c14"],
+    'Q validate gchq-power-mirror': [0, "492b9fea6f7b16d1", "e599d2cfec6058a0", "e3b0c44298fc1c14"],
+    'Q validate gchq-s3': [0, "3fda7708e927c046", "9684428e8074e96f", "e3b0c44298fc1c14"],
+    'Q validate gchq-trivial-c2': [0, "3fda7708e927c046", "9684428e8074e96f", "e3b0c44298fc1c14"],
+    'Q validate hq-c2': [0, "5d256d773af28a90", "c3b23d6fded22235", "e3b0c44298fc1c14"],
+    'Q validate hq-c3': [0, "a4caecdd47aecdae", "b335e2028f54fef2", "e3b0c44298fc1c14"],
+    'Q validate hq-c3-half-antipode': [1, "beaa6e233fb219be", "feb319e9cc3583c9", "e3b0c44298fc1c14"],
+    'Q validate hq-o16': [0, "a99742cc7520cbac", "956f212f38b03e1c", "e3b0c44298fc1c14"],
+    'Q validate hq-s3': [0, "d46818ab84eb3317", "bdb8d6f4765a5171", "e3b0c44298fc1c14"],
+    'Q validate yd-crossed-s3': [0, "90872965899eecb4", "958c631c19544aa1", "e3b0c44298fc1c14"],
+    'Q validate yd-crossed-s3-half-action': [1, "36544631cdbb27f7", "bc2d848414ce516a", "e3b0c44298fc1c14"],
+    'Q validate yd-crossed-s3-half-coaction': [1, "9fe9e8f066c5ea83", "35260bac30ead108", "e3b0c44298fc1c14"],
+    'Q validate yd-crossed-s3-quasi': [0, "03a0e79450a18edf", "11c5561d8ff07c52", "e3b0c44298fc1c14"],
+    'Q validate yd-diagonal-power': [0, "b230a52709efcbed", "6336a0ffba3991e3", "e3b0c44298fc1c14"],
+    'Q validate yd-diagonal-power-half-coaction': [1, "5be7ab52f0d2a819", "6997289db5275688", "e3b0c44298fc1c14"],
+    'Q validate yd-trivial': [0, "b230a52709efcbed", "6336a0ffba3991e3", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-crossed-s3 yd-crossed-s3': [0, "c705b1266a82869c", "10b07cd5640d1c20", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-crossed-s3 yd-crossed-s3 yd-crossed-s3': [0, "15dc90933b5c16e3", "7b68f030eaf23763", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-crossed-s3 yd-crossed-s3-half-coaction yd-crossed-s3-half-coaction': [1, "bf4be13f9e8e260d", "73cd5eedeeddae4e", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-crossed-s3 yd-diagonal-power': [1, "e3b0c44298fc1c14", None, "d97ee12c18086db7"],
+    'GF:7 braid-report yd-crossed-s3-half-action yd-crossed-s3': [0, "c705b1266a82869c", "10b07cd5640d1c20", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-crossed-s3-half-coaction yd-crossed-s3': [1, "113f0209388afc55", "49f71e6f84bbf6d0", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-crossed-s3-quasi yd-crossed-s3': [3, "e3b0c44298fc1c14", None, "fc083cab7f7e6ddf"],
+    'GF:7 braid-report yd-diagonal-power yd-diagonal-power': [0, "476f2328a4e1743f", "3ffcb4cd2fe11ced", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-diagonal-power yd-diagonal-power yd-diagonal-power': [0, "39fa2377bfb0d2f1", "bc15486782605a24", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-diagonal-power yd-trivial yd-diagonal-power': [0, "39fa2377bfb0d2f1", "bc15486782605a24", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-diagonal-power-half-coaction yd-diagonal-power yd-trivial': [1, "d4e5303058248882", "9ee0fdb1c8a48e84", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-trivial yd-diagonal-power yd-trivial': [0, "39fa2377bfb0d2f1", "bc15486782605a24", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-trivial yd-trivial': [0, "476f2328a4e1743f", "3ffcb4cd2fe11ced", "e3b0c44298fc1c14"],
+    'GF:7 validate gchq-power': [0, "c490bf45248d504e", "76ec2ba5cb5fb915", "e3b0c44298fc1c14"],
+    'GF:7 validate gchq-power-half-antipode': [1, "7879aaea2aea1718", "9768799989b94b34", "e3b0c44298fc1c14"],
+    'GF:7 validate gchq-power-mirror': [0, "c490bf45248d504e", "76ec2ba5cb5fb915", "e3b0c44298fc1c14"],
+    'GF:7 validate gchq-s3': [0, "3ee0bdf55ba40acf", "0d60ee958484c36d", "e3b0c44298fc1c14"],
+    'GF:7 validate gchq-trivial-c2': [0, "3ee0bdf55ba40acf", "0d60ee958484c36d", "e3b0c44298fc1c14"],
+    'GF:7 validate hq-c2': [0, "edfe6734340984a0", "3b5dd1c08127b934", "e3b0c44298fc1c14"],
+    'GF:7 validate hq-c3': [0, "60db9e4dbfb8cab3", "79d1e4c0905c477d", "e3b0c44298fc1c14"],
+    'GF:7 validate hq-c3-half-antipode': [1, "470300b6e8c88a09", "51922821b2694b1a", "e3b0c44298fc1c14"],
+    'GF:7 validate hq-o16': [0, "a2705b16ebfa19e5", "d14b39e1714a24a2", "e3b0c44298fc1c14"],
+    'GF:7 validate hq-s3': [0, "f7aefc1d65253dbf", "f262d5de0f81ab6d", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-crossed-s3': [0, "a868d01b3d053266", "bbdf3d46f6549802", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-crossed-s3-half-action': [1, "488588a3311dbc22", "5b04ab197d78d587", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-crossed-s3-half-coaction': [1, "25ffc3a05492d177", "99c63cba46437cc9", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-crossed-s3-quasi': [0, "befc570493b584a4", "6f2a9eaf6b6d3be0", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-diagonal-power': [0, "aa85de30e83e0133", "a6991ab3c6301205", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-diagonal-power-half-coaction': [1, "d83be0870a1abe7e", "5aae5f980079507f", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-trivial': [0, "aa85de30e83e0133", "a6991ab3c6301205", "e3b0c44298fc1c14"],
+}
+
+
+if __name__ == "__main__":
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for field in FIELDS:
+            directory = Path(tmp) / field.replace(":", "")
+            write_inputs(directory, field)
+            for case in sorted(CASES):
+                if case.startswith(field + " "):
+                    table[case] = run_case(directory, CASES[case])
+    sys.stdout.write("GOLDEN = {\n")
+    for case, value in table.items():
+        sys.stdout.write(f"    {case!r}: {json.dumps(value)},\n".replace("null", "None"))
+    sys.stdout.write("}\n")

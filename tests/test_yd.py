@@ -8,9 +8,10 @@ from quasibraid.errors import (
     MalformedStructure,
     NotAGroupAlgebra,
 )
-from quasibraid.exactlin import LinMap, QQ
-from quasibraid.fixtures import gchq_power, yd_diagonal_power
-from quasibraid.gchq import from_hopf_quasigroup
+from quasibraid.exactlin import LinMap, PrimeField, QQ
+from quasibraid.fixtures import gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial
+from quasibraid.report import Report
+from quasibraid.gchq import CrossedGCHQ, from_hopf_quasigroup
 from quasibraid.hq import group_algebra
 from quasibraid.tables import GroupTable
 from quasibraid.yd import (
@@ -18,6 +19,7 @@ from quasibraid.yd import (
     YDMorphism,
     check_conjugation_coherence,
     check_crossed_equivalence,
+    conjugation_coherence,
     crossed_set_module,
     diagonal_module,
     search_dim1_modules,
@@ -229,6 +231,44 @@ def test_conjugation_coherence_exhaustive(power_base, diag_power):
             assert rep.passed
             rep = check_conjugation_coherence(diag_power, diag_power, s, tt)
             assert rep.passed
+
+
+def _doubled_crossing(v):
+    """v over a copy of its base whose crossing pi_g is doubled on every
+    component for g != e, so that pi_g pi_g != pi_e and coherence fails."""
+    b = v.base
+    two = b.field.scalar(2)
+    crossing = {(g, q): m.scale(two) if g else m for (g, q), m in b.crossing.items()}
+    base = CrossedGCHQ(
+        b.field, b.grading, b.components, b.comult, b.counit, b.antipode, crossing
+    )
+    return YDModule(base, v.grade, v.labels, v.action, v.coaction, v.strict)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize(
+    "pair", ["crossed-s3", "diagonal-power", "diagonal-trivial", "doubled-crossing"]
+)
+def test_conjugation_coherence_suite_matches_per_pair_loop(field, pair):
+    if pair == "crossed-s3":
+        v = w = yd_crossed_s3(field)
+    elif pair == "diagonal-power":
+        v = w = yd_diagonal_power(field)
+    elif pair == "diagonal-trivial":
+        v = yd_diagonal_power(field)
+        w = yd_trivial(field)
+    else:
+        v = _doubled_crossing(yd_diagonal_power(field))
+        w = trivial_module(v.base)
+    loop = Report("conjugation coherence")
+    for s in v.base.grades():
+        for t in v.base.grades():
+            loop.merge(check_conjugation_coherence(v, w, s, t))
+    suite = conjugation_coherence(v, w)
+    assert suite.render() == loop.render()
+    assert suite.to_jobj() == loop.to_jobj()
+    if pair == "doubled-crossing":
+        assert not suite.passed
 
 
 def test_conjugation_coherence_trivial_cases(yd_crossed_s3):
