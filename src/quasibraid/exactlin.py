@@ -195,8 +195,9 @@ class LinMap:
     """Sparse exact matrix with labeled domain and codomain bases.
 
     rows x cols matrix acting on column vectors; entries holds only the
-    nonzero coefficients, keyed by (row, col).  Equality is that of the
-    dense matrix together with the basis labels.
+    nonzero coefficients, keyed by (row, col), over GF(p) reduced to
+    [0, p).  Equality is that of the dense matrix together with the basis
+    labels.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "dom", "cod")
@@ -208,6 +209,9 @@ class LinMap:
             raise DomainMismatch(
                 f"label lists ({len(cod)}, {len(dom)}) do not match shape ({rows}, {cols})"
             )
+        if type(field) is PrimeField:
+            p = field.p
+            entries = {key: value % p for key, value in entries.items()}
         clean = {}
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
@@ -463,14 +467,7 @@ def invert(f):
 
 def swap_map(field, labels_a, labels_b):
     """The flip A (x) B -> B (x) A on based spaces given by their labels."""
-    na, nb = len(labels_a), len(labels_b)
-    entries = {}
-    for i in range(na):
-        for j in range(nb):
-            entries[(j * na + i, i * nb + j)] = field.one
-    dom = tuple(la + lb for la in labels_a for lb in labels_b)
-    cod = tuple(lb + la for lb in labels_b for la in labels_a)
-    return LinMap(field, na * nb, na * nb, entries, dom, cod)
+    return leg_perm(field, [labels_a, labels_b], (1, 0))
 
 
 def leg_perm(field, legs, order):
@@ -499,7 +496,8 @@ def leg_perm(field, legs, order):
     return LinMap(field, total, total, entries, dom, cod)
 
 
-def _concat_labels(legs, multi):
+def concat_labels(legs, multi):
+    """Basis label of the index tuple multi in the tensor product of legs."""
     out = ()
     for labels, idx in zip(legs, multi):
         out = out + labels[idx]
@@ -509,7 +507,7 @@ def _concat_labels(legs, multi):
 def _product_labels(legs):
     """Basis labels of the tensor product of legs, left leg slowest."""
     return tuple(
-        _concat_labels(legs, multi) for multi in product(*[range(len(leg)) for leg in legs])
+        concat_labels(legs, multi) for multi in product(*[range(len(leg)) for leg in legs])
     )
 
 
@@ -603,13 +601,11 @@ class Chain:
 
     __slots__ = ("field", "dom_legs", "cod_legs", "stages", "_dom_dims", "_cod_dims")
 
-    def __init__(self, field, legs, _stages=(), _cod_legs=None):
+    def __init__(self, field, legs):
         self.field = field
-        self.dom_legs = tuple(tuple(leg) for leg in legs)
-        self.cod_legs = self.dom_legs if _cod_legs is None else _cod_legs
-        self.stages = _stages
-        self._dom_dims = _dims(self.dom_legs)
-        self._cod_dims = _dims(self.cod_legs)
+        self.dom_legs = self.cod_legs = tuple(tuple(leg) for leg in legs)
+        self.stages = ()
+        self._dom_dims = self._cod_dims = _dims(self.dom_legs)
 
     @property
     def rows(self):
@@ -650,27 +646,40 @@ class Chain:
         return self._extend(("perm", order), tuple(self.cod_legs[i] for i in order))
 
     def _extend(self, stage, cod_legs):
-        return Chain(self.field, self.dom_legs, self.stages + (stage,), cod_legs)
+        out = Chain.__new__(Chain)
+        out.field, out.dom_legs, out._dom_dims = self.field, self.dom_legs, self._dom_dims
+        out.stages, out.cod_legs, out._cod_dims = self.stages + (stage,), cod_legs, _dims(cod_legs)
+        return out
 
-    def column(self, j):
-        """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
+    def dom_indices(self):
+        """Index tuples of the domain basis vectors, in column order."""
+        return product(*[range(d) for d in self._dom_dims])
+
+    def image(self, multi):
+        """Image of the domain basis vector with index tuple multi, as a
+        sparse dict {codomain index tuple: scalar}."""
         field = self.field
-        vec = {_multi_index(j, self._dom_dims): field.one}
+        vec = {multi: field.one}
         for kind, data in self.stages:
             if kind == "perm":
                 vec = {tuple(idx[i] for i in data): v for idx, v in vec.items()}
             else:
                 vec = _apply_kron(field, data, vec)
+        return vec
+
+    def column(self, j):
+        """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
         dims = self._cod_dims
-        return {_flat_index(idx, dims): v for idx, v in vec.items()}
+        image = self.image(_multi_index(j, self._dom_dims))
+        return {_flat_index(idx, dims): v for idx, v in image.items()}
 
     def dom_label(self, j):
         """Basis label of domain column j."""
-        return _concat_labels(self.dom_legs, _multi_index(j, self._dom_dims))
+        return concat_labels(self.dom_legs, _multi_index(j, self._dom_dims))
 
     def cod_label(self, i):
         """Basis label of codomain row i."""
-        return _concat_labels(self.cod_legs, _multi_index(i, self._cod_dims))
+        return concat_labels(self.cod_legs, _multi_index(i, self._cod_dims))
 
     def __repr__(self):
         return (

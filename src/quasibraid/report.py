@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exactlin import concat_labels
+
 #: Every check identifier the library can emit, with a one-line meaning.
 #: Identifiers are part of the report format: consumers key off these
 #: strings, so they never change once released.
@@ -171,29 +173,41 @@ def map_witness(lhs, rhs):
 
 
 def chain_witness(lhs, rhs):
-    """map_witness for two Chains, without building either side.
+    """map_witness for two Chains with the same leg dimensions, without
+    building either side.
 
-    Both sides are evaluated on every domain column; labels are built
-    only for the witness.
+    Both sides are evaluated on every domain basis vector; index tuples
+    order as flat positions do (left leg slowest), so the smallest
+    differing (row, col) is found on them, and labels are built only for
+    the witness.
     """
-    if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
-        raise ValueError("witness comparison needs maps of equal shape")
+    if _leg_dims(lhs) != _leg_dims(rhs):
+        raise ValueError("witness comparison needs chains with the same leg dimensions")
     zero = lhs.field.zero
     best = None
-    for j in range(lhs.cols):
-        a, b = lhs.column(j), rhs.column(j)
+    for col in lhs.dom_indices():
+        a, b = lhs.image(col), rhs.image(col)
         if a == b:
             continue
-        for i in a.keys() | b.keys():
-            x, y = a.get(i, zero), b.get(i, zero)
+        for row in a.keys() | b.keys():
+            x, y = a.get(row, zero), b.get(row, zero)
             # columns come in increasing order, so a tie in row keeps the first
-            if x != y and (best is None or i < best[0]):
-                best = (i, j, x, y)
+            if x != y and (best is None or row < best[0]):
+                best = (row, col, x, y)
     if best is None:
         return None
-    i, j, x, y = best
+    row, col, x, y = best
     fmt = lhs.field.fmt
-    return Witness(domain=lhs.dom_label(j), codomain=lhs.cod_label(i), lhs=fmt(x), rhs=fmt(y))
+    return Witness(
+        domain=concat_labels(lhs.dom_legs, col),
+        codomain=concat_labels(lhs.cod_legs, row),
+        lhs=fmt(x),
+        rhs=fmt(y),
+    )
+
+
+def _leg_dims(chain):
+    return [len(leg) for leg in chain.dom_legs], [len(leg) for leg in chain.cod_legs]
 
 
 class Report:

@@ -9,6 +9,7 @@ over Q, canonical representatives in [0, p) over GF(p).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ParseError, QuasibraidError
@@ -34,13 +35,25 @@ def read_file(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+@contextmanager
+def _reading(what):
+    """Re-raise any failure while decoding `what` as a ParseError whose
+    message starts with `what`; a ParseError raised inside passes as is."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (QuasibraidError, TypeError, KeyError, ValueError, IndexError, AttributeError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def _matrix_to_jobj(m):
     fmt = m.field.fmt
     return [[fmt(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _matrix_from_jobj(field, data, dom, cod, what):
-    try:
+    with _reading(what):
         rows = len(data)
         cols = len(data[0]) if rows else 0
         entries = {}
@@ -52,10 +65,6 @@ def _matrix_from_jobj(field, data, dom, cod, what):
                 if value != field.zero:
                     entries[(i, j)] = value
         return LinMap(field, rows, cols, entries, dom, cod)
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, IndexError) as exc:
-        raise ParseError(f"{what}: {exc}") from exc
 
 
 def _pair_labels(a, b):
@@ -104,27 +113,19 @@ def table_to_jobj(t):
 
 
 def group_from_jobj(jobj):
-    try:
+    with _reading("bad group table"):
         t = GroupTable(jobj["labels"], jobj["table"])
         if t.order != jobj["order"]:
             raise ParseError("declared order does not match table")
         return t
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad group table: {exc}") from exc
 
 
 def loop_from_jobj(jobj):
-    try:
+    with _reading("bad loop table"):
         t = LoopTable(jobj["labels"], jobj["table"])
         if t.order != jobj["order"]:
             raise ParseError("declared order does not match table")
         return t
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad loop table: {exc}") from exc
 
 
 def action_to_jobj(a):
@@ -137,17 +138,13 @@ def action_to_jobj(a):
 
 
 def action_from_jobj(jobj):
-    try:
+    with _reading("bad action"):
         actor = group_from_jobj(jobj["actor"])
         if jobj.get("carrier_kind", "group") == "group":
             carrier = group_from_jobj(jobj["carrier"])
         else:
             carrier = loop_from_jobj(jobj["carrier"])
         return GroupAction(actor, carrier, jobj["maps"])
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad action: {exc}") from exc
 
 
 # -- Hopf quasigroups -------------------------------------------------------
@@ -171,7 +168,7 @@ def hq_to_jobj(h):
 
 
 def hq_from_jobj(jobj):
-    try:
+    with _reading("bad hopf quasigroup"):
         field = field_from_name(jobj["field"])
         dim = int(jobj["dim"])
         labels = tuple((str(s),) for s in jobj["labels"])
@@ -187,10 +184,6 @@ def hq_from_jobj(jobj):
         counit = _matrix_from_jobj(field, jobj["counit"], labels, K_LABELS, "counit")
         antipode = _matrix_from_jobj(field, jobj["antipode"], labels, labels, "antipode")
         return HopfQuasigroup(field, algebra, comult, counit, antipode)
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad hopf quasigroup: {exc}") from exc
 
 
 # -- crossed group-cograded structures --------------------------------------
@@ -223,7 +216,7 @@ def gchq_to_jobj(h):
 
 
 def gchq_from_jobj(jobj):
-    try:
+    with _reading("bad crossed structure"):
         field = field_from_name(jobj["field"])
         grading = group_from_jobj(jobj["group"])
         order = grading.order
@@ -285,10 +278,6 @@ def gchq_from_jobj(jobj):
                 f"crossing {key}",
             )
         return CrossedGCHQ(field, grading, components, comult, counit, antipode, crossing)
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad crossed structure: {exc}") from exc
 
 
 # -- Yetter-Drinfeld modules -------------------------------------------------
@@ -309,7 +298,7 @@ def yd_to_jobj(m, base_ref=None):
 
 
 def yd_from_jobj(jobj, base_dir=None):
-    try:
+    with _reading("bad yd module"):
         base_field = jobj["base"]
         if isinstance(base_field, str):
             path = Path(base_field)
@@ -337,10 +326,6 @@ def yd_from_jobj(jobj, base_dir=None):
                 f"coaction {key}",
             )
         return YDModule(base, grade, labels, action, coaction, bool(jobj["strict"]))
-    except ParseError:
-        raise
-    except (QuasibraidError, TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad yd module: {exc}") from exc
 
 
 # -- file-level helpers ------------------------------------------------------

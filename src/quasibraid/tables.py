@@ -95,19 +95,23 @@ class GroupTable:
 
     @classmethod
     def direct_product(cls, a, b):
-        labels = [
-            f"({a.labels[i]},{b.labels[j]})" for i in a.elements() for j in b.elements()
+        return cls(*_direct_product_table(a, b))
+
+
+def _direct_product_table(a, b):
+    """Labels and Cayley table of the direct product of two tables, pairs
+    (i, j) indexed i * |b| + j."""
+    labels = [f"({a.labels[i]},{b.labels[j]})" for i in range(a.order) for j in range(b.order)]
+    table = [
+        [
+            a.table[i][k] * b.order + b.table[j][l]
+            for k in range(a.order)
+            for l in range(b.order)
         ]
-        table = [
-            [
-                a.table[i][k] * b.order + b.table[j][l]
-                for k in a.elements()
-                for l in b.elements()
-            ]
-            for i in a.elements()
-            for j in b.elements()
-        ]
-        return cls(labels, table)
+        for i in range(a.order)
+        for j in range(b.order)
+    ]
+    return labels, table
 
 
 def _cycle_label(perm):
@@ -206,19 +210,7 @@ class LoopTable:
 
     @classmethod
     def direct_product(cls, a, b):
-        labels = [
-            f"({a.labels[i]},{b.labels[j]})" for i in range(a.order) for j in range(b.order)
-        ]
-        table = [
-            [
-                a.table[i][k] * b.order + b.table[j][l]
-                for k in range(a.order)
-                for l in range(b.order)
-            ]
-            for i in range(a.order)
-            for j in range(b.order)
-        ]
-        return cls(labels, table)
+        return cls(*_direct_product_table(a, b))
 
 
 def validate_group(t):

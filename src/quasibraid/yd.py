@@ -6,10 +6,14 @@ group element r.  The strict flag distinguishes genuine modules (action
 associative) from quasimodules, which only satisfy the antipode
 compensation laws; the braiding is defined for strict modules only.
 
-All element-level laws are compiled to composed linear maps: iterated
-comultiplication legs become compositions of comultiplication matrices,
-leg shuffles become explicit permutation matrices, and each axiom is one
-exact matrix comparison.
+The module laws (validate_yd, check_crossed_equivalence) are identities
+between two Chains over the base's GradedLegs plus the module's own leg,
+evaluated one basis vector at a time: iterated comultiplication legs are
+successive Delta stages and leg shuffles are permute stages, so no map on
+a triple or quadruple tensor product is built.  Constructions (tensor
+product, conjugation, braiding, direct sum) must produce matrices and stay
+on LinMaps, and so do the braiding-law suite and validate_morphism, which
+compare maps those constructions already built.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from .errors import (
     NotInvertible,
     NotStrict,
 )
-from .exactlin import LinMap, kron, kron_all, leg_perm, swap_map
+from .exactlin import Chain, LegMap, LinMap, kron, kron_all, leg_perm, swap_map
+from .gchq import GradedLegs
 from .report import Report, Witness, map_witness
 
 
@@ -127,121 +132,83 @@ def validate_morphism(m):
 # -- validation ----------------------------------------------------------
 
 
-def _crossed_condition_sides(v, r):
+def _module_legs(v):
+    """The base's GradedLegs, the module's leg V, and its action (H_p (x) V
+    -> V), coactions (V -> V (x) H_r, by grade) and identity as LegMaps."""
+    legs = GradedLegs(v.base)
+    V = (v.labels,)
+    action = LegMap(v.action, legs.H[v.grade] + V, V)
+    coaction = [LegMap(v.coaction[r], V, V + legs.H[r]) for r in v.base.grades()]
+    return legs, V, action, coaction, LegMap(v.ident(), V, V)
+
+
+def _crossed_condition_sides(v, module_legs, r):
     """Both sides of the crossed compatibility law at coaction grade r,
-    as maps H_{pr} (x) V -> V (x) H_r."""
-    base = v.base
-    field = base.field
-    p = v.grade
-    comp_p = base.comp(p)
-    comp_r = base.comp(r)
-    mu_r = comp_r.mult_map()
-    i_v = v.ident()
-    lhs = (
-        kron(v.action, mu_r)
-        @ leg_perm(field, [comp_p.labels, comp_r.labels, v.labels, comp_r.labels], (0, 2, 1, 3))
-        @ kron(base.comult[(p, r)], v.coaction[r])
-    )
+    as Chains H_{pr} (x) V -> V (x) H_r."""
+    base, p = v.base, v.grade
+    L, V, act, rho, i_v = module_legs
     g1 = base.conj(p, r)  # p r p^-1
-    comp_g1 = base.comp(g1)
-    i_g1 = LinMap.identity(field, comp_g1.labels)
-    i_r = LinMap.identity(field, comp_r.labels)
-    twist = base.crossing[(base.inv(p), g1)]  # lands in H_r
-    rhs = (
-        kron(i_v, mu_r @ kron(i_r, twist))
-        @ leg_perm(field, [comp_g1.labels, v.labels, comp_r.labels], (1, 2, 0))
-        @ kron(i_g1, v.coaction[r])
-        @ kron(i_g1, v.action)
-        @ kron(base.comult[(g1, p)], i_v)
-    )
-    return lhs, rhs
+    start = Chain(base.field, L.H[base.mul(p, r)] + V)
+    lhs = start.then(L.delta[(p, r)], rho[r]).permute(0, 2, 1, 3).then(act, L.mu[r])
+    twisted = start.then(L.delta[(g1, p)], i_v).then(L.ident[g1], act).then(L.ident[g1], rho[r])
+    # (h1, v0, v1) -> (v0, v1, pi_{p^-1}(h1)), the twist landing in H_r
+    twisted = twisted.permute(1, 2, 0).then(i_v, L.ident[r], L.pi[(base.inv(p), g1)])
+    return lhs, twisted.then(i_v, L.mu[r])
 
 
 def validate_yd(v):
-    """All module/quasimodule laws over every grade tuple.
+    """All module/quasimodule laws over every grade tuple, as Chain
+    identities.
 
     The action-associativity check is required when the module claims to
     be strict and informational otherwise.  Assumes the base already
     passed both of its own validators.
     """
-    base = v.base
-    field = base.field
-    p = v.grade
+    base, p = v.base, v.grade
     rep = Report(
         f"yd {'module' if v.strict else 'quasimodule'} "
         f"(grade {base.grade_label(p)}, dim {v.dim})"
     )
-    comp_p = base.comp(p)
-    pi_ = base.inv(p)
-    mu_p = comp_p.mult_map()
-    eta_p = comp_p.unit_map()
-    s = base.antipode[pi_]
-    i_p = LinMap.identity(field, comp_p.labels)
-    i_v = v.ident()
-    eps = base.counit
+    module_legs = _module_legs(v)
+    L, V, act, rho, i_v = module_legs
+    H, mu, i, s, delta, eps = L.H, L.mu, L.ident, L.s, L.delta, L.eps
+    eq, tag, pi_, e = rep.add_chain_equality, base.grade_label, base.inv(p), 0
+    hv, ev, ppv = (Chain(base.field, legs) for legs in (V, H[e] + V, H[p] * 2 + V))
 
-    rep.add_map_equality("YD-4.3-unital", v.action @ kron(eta_p, i_v), i_v)
-
-    quasi_shape = v.action @ kron(i_p, v.action)
-    eps_i = kron(eps, i_v)
-    rep.add_map_equality(
-        "YD-4.4-left",
-        quasi_shape @ kron_all(s, i_p, i_v) @ kron(base.comult[(pi_, p)], i_v),
-        eps_i,
-    )
-    rep.add_map_equality(
-        "YD-4.4-right",
-        quasi_shape @ kron_all(i_p, s, i_v) @ kron(base.comult[(p, pi_)], i_v),
-        eps_i,
-    )
-    rep.add_map_equality(
+    eq("YD-4.3-unital", hv.then(L.eta[p], i_v).then(act), hv)
+    eps_i = ev.then(eps, i_v)
+    left = ev.then(delta[(pi_, p)], i_v).then(s[pi_], i[p], i_v)
+    right = ev.then(delta[(p, pi_)], i_v).then(i[p], s[pi_], i_v)
+    eq("YD-4.4-left", left.then(i[p], act).then(act), eps_i)
+    eq("YD-4.4-right", right.then(i[p], act).then(act), eps_i)
+    eq(
         "YD-4.1-module-assoc",
-        quasi_shape,
-        v.action @ kron(mu_p, i_v),
+        ppv.then(i[p], act).then(act),
+        ppv.then(mu[p], i_v).then(act),
         required=v.strict,
         detail="required for strict modules",
     )
 
     for r1 in base.grades():
-        i_r1 = LinMap.identity(field, base.comp(r1).labels)
         for r2 in base.grades():
-            i_r2 = LinMap.identity(field, base.comp(r2).labels)
-            rep.add_map_equality(
-                "YD-coassoc",
-                kron(v.coaction[r1], i_r2) @ v.coaction[r2],
-                kron(i_v, base.comult[(r1, r2)]) @ v.coaction[base.mul(r1, r2)],
-                detail=f"grades ({base.grade_label(r1)},{base.grade_label(r2)})",
-            )
+            lhs = hv.then(rho[r2]).then(rho[r1], i[r2])
+            rhs = hv.then(rho[base.mul(r1, r2)]).then(i_v, delta[(r1, r2)])
+            eq("YD-coassoc", lhs, rhs, detail=f"grades ({tag(r1)},{tag(r2)})")
 
-    rep.add_map_equality("YD-counit", kron(i_v, eps) @ v.coaction[0], i_v)
+    eq("YD-counit", hv.then(rho[e]).then(i_v, eps), hv)
 
     for r in base.grades():
-        lhs, rhs = _crossed_condition_sides(v, r)
-        rep.add_map_equality(
-            "YD-4.5-crossed", lhs, rhs, detail=f"coaction grade {base.grade_label(r)}"
-        )
+        lhs, rhs = _crossed_condition_sides(v, module_legs, r)
+        eq("YD-4.5-crossed", lhs, rhs, detail=f"coaction grade {tag(r)}")
 
     for r in base.grades():
-        comp_r = base.comp(r)
-        mu_r = comp_r.mult_map()
-        i_r = LinMap.identity(field, comp_r.labels)
-        spread = kron_all(v.coaction[r], i_r, i_r)  # (v,h,g) -> (v0,v1,h,g)
-        rep.add_map_equality(
-            "YD-4.6-coassoc-right",
-            kron(i_v, mu_r) @ kron_all(i_v, i_r, mu_r) @ spread,
-            kron(i_v, mu_r) @ kron_all(i_v, mu_r, i_r) @ spread,
-            detail=f"grade {base.grade_label(r)}",
-        )
-        shuffled = (
-            leg_perm(field, [v.labels, comp_r.labels, comp_r.labels, comp_r.labels], (0, 2, 1, 3))
-            @ spread
-        )  # (v0, h, v1, g)
-        rep.add_map_equality(
-            "YD-4.7-coassoc-mixed",
-            kron(i_v, mu_r) @ kron_all(i_v, mu_r, i_r) @ shuffled,
-            kron(i_v, mu_r) @ kron_all(i_v, i_r, mu_r) @ shuffled,
-            detail=f"grade {base.grade_label(r)}",
-        )
+        m, ir, detail = mu[r], i[r], f"grade {tag(r)}"
+        spread = Chain(base.field, V + H[r] * 2).then(rho[r], ir, ir)  # (v,h,g) -> (v0,v1,h,g)
+        lhs, rhs = spread.then(i_v, ir, m).then(i_v, m), spread.then(i_v, m, ir).then(i_v, m)
+        eq("YD-4.6-coassoc-right", lhs, rhs, detail=detail)
+        shuffled = spread.permute(0, 2, 1, 3)  # (v0, h, v1, g)
+        lhs, rhs = shuffled.then(i_v, m, ir).then(i_v, m), shuffled.then(i_v, ir, m).then(i_v, m)
+        eq("YD-4.7-coassoc-mixed", lhs, rhs, detail=detail)
     return rep
 
 
@@ -261,9 +228,10 @@ def trivial_module(base):
     return YDModule(base, 0, labels, action, coaction, strict=True)
 
 
-def _group_table_of_component(comp):
-    """Recover a Cayley table from a component whose multiplication tensor
-    is a permutation-style 0/1 tensor; None if it is not of that shape."""
+def _group_table(comp):
+    """Cayley table of a component whose multiplication tensor is the 0/1
+    table of an associative multiplication with identity at index 0; None
+    if it is not of that shape."""
     field = comp.field
     n = comp.dim
     table = [[None] * n for _ in range(n)]
@@ -273,7 +241,7 @@ def _group_table_of_component(comp):
         table[i][j] = k
     if any(cell is None for row in table for cell in row):
         return None
-    return table
+    return table if _is_associative_with_identity(table) else None
 
 
 def _is_associative_with_identity(table):
@@ -290,6 +258,39 @@ def _is_associative_with_identity(table):
     return True
 
 
+def _copies_of_identity_component(base):
+    """Whether every component is an index-identical copy of H_e (the
+    shape the power construction produces)."""
+    comp_e = base.comp(0)
+    return all(
+        comp.dim == comp_e.dim and comp.mult == comp_e.mult and comp.unit == comp_e.unit
+        for comp in base.components
+    )
+
+
+def _conjugation_module(base, table):
+    """Group `table` acting on the basis of H_e by conjugation, with the
+    diagonal coaction x -> x (x) x at every grade."""
+    field = base.field
+    labels = base.comp(0).labels
+    n = len(labels)
+    ginv = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
+    action_entries = {
+        (table[table[g][x]][ginv[g]], g * n + x): field.one
+        for g in range(n)
+        for x in range(n)
+    }
+    dom = tuple(a + b for a in labels for b in labels)
+    action = LinMap(field, n, n * n, action_entries, dom, labels)
+    coaction = {}
+    for r in base.grades():
+        cod = tuple(a + b for a in labels for b in base.comp(r).labels)
+        coaction[r] = LinMap(
+            field, n * n, n, {(x * n + x, x): field.one for x in range(n)}, labels, cod
+        )
+    return YDModule(base, 0, labels, action, coaction, strict=True)
+
+
 def crossed_set_module(base):
     """The conjugation module of a group algebra over the trivial grading:
     the group acts on itself by conjugation, the coaction is diagonal."""
@@ -297,65 +298,24 @@ def crossed_set_module(base):
     if base.grading.order != 1:
         raise NotAGroupAlgebra("crossed-set module needs a trivially graded base")
     comp = base.comp(0)
-    table = _group_table_of_component(comp)
-    if table is None or not _is_associative_with_identity(table):
+    table = _group_table(comp)
+    if table is None:
         raise NotAGroupAlgebra("base component is not a group algebra")
-    n = comp.dim
-    if comp.unit != tuple(
-        field.one if i == 0 else field.zero for i in range(n)
-    ):
+    if comp.unit != tuple(field.one if i == 0 else field.zero for i in range(comp.dim)):
         raise NotAGroupAlgebra("unit vector is not the group identity")
-    ginv = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
-
-    labels = comp.labels
-    action_entries = {
-        (table[table[g][x]][ginv[g]], g * n + x): field.one
-        for g in range(n)
-        for x in range(n)
-    }
-    dom = tuple(a + b for a in comp.labels for b in labels)
-    action = LinMap(field, n, n * n, action_entries, dom, labels)
-    co_cod = tuple(a + b for a in labels for b in comp.labels)
-    coaction = {
-        0: LinMap(
-            field, n * n, n, {(x * n + x, x): field.one for x in range(n)}, labels, co_cod
-        )
-    }
-    return YDModule(base, 0, labels, action, coaction, strict=True)
+    return _conjugation_module(base, table)
 
 
 def diagonal_module(base):
     """Conjugation action with grade-wise diagonal coaction over a base
     whose components are index-identical copies of one group algebra
     (the shape the power construction produces)."""
-    field = base.field
-    comp_e = base.comp(0)
-    table = _group_table_of_component(comp_e)
-    if table is None or not _is_associative_with_identity(table):
+    table = _group_table(base.comp(0))
+    if table is None:
         raise InvalidInput("identity component is not a group algebra")
-    n = comp_e.dim
-    for r in base.grades():
-        comp_r = base.comp(r)
-        if comp_r.dim != n or comp_r.mult != comp_e.mult or comp_r.unit != comp_e.unit:
-            raise InvalidInput("components are not index-identical copies")
-    ginv = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
-
-    labels = comp_e.labels
-    action_entries = {
-        (table[table[g][x]][ginv[g]], g * n + x): field.one
-        for g in range(n)
-        for x in range(n)
-    }
-    dom = tuple(a + b for a in comp_e.labels for b in labels)
-    action = LinMap(field, n, n * n, action_entries, dom, labels)
-    coaction = {}
-    for r in base.grades():
-        comp_r = base.comp(r)
-        cod = tuple(a + b for a in labels for b in comp_r.labels)
-        coaction[r] = LinMap(
-            field, n * n, n, {(x * n + x, x): field.one for x in range(n)}, labels, cod
-        )
-    return YDModule(base, 0, labels, action, coaction, strict=True)
+    if not _copies_of_identity_component(base):
+        raise InvalidInput("components are not index-identical copies")
+    return _conjugation_module(base, table)
 
 
 def yd_tensor(v, w):
@@ -633,77 +593,51 @@ def check_crossed_equivalence(v):
 
     The first form constrains the coaction of an acted vector against
     the plain crossed law; the other two rewrite it through the inverse
-    antipode with the two bracketings of the right factor.  On any one
-    structure all three must pass or all three must fail; divergence is
-    reported as a loud failure of the equivalence check itself.
+    antipode with the two bracketings of the right factor.  Each form is
+    a Chain identity, as in validate_yd.  On any one structure all three
+    must pass or all three must fail; divergence is reported as a loud
+    failure of the equivalence check itself.
     """
-    base = v.base
-    field = base.field
-    p = v.grade
-    comp_p = base.comp(p)
-    i_v = v.ident()
-    i_p = LinMap.identity(field, comp_p.labels)
-
-    s_inverse = {}
+    base, p = v.base, v.grade
+    module_legs = _module_legs(v)
+    L, V, act, rho, i_v = module_legs
+    H, mu, i, tag = L.H, L.mu, L.ident, base.grade_label
+    s_inv = {}
     for r in base.grades():
         try:
-            s_inverse[r] = base.antipode[r].invert()
+            s_inv[r] = LegMap(base.antipode[r].invert(), H[base.inv(r)], H[r])
         except NotInvertible as exc:
-            raise AntipodeNotInvertible(
-                f"antipode at grade {base.grade_label(r)} has rank {exc.rank}"
-            ) from exc
+            raise AntipodeNotInvertible(f"antipode at grade {tag(r)} has rank {exc.rank}") from exc
+    pv = Chain(base.field, H[p] + V)
 
-    rep = Report(f"crossed condition equivalence (grade {base.grade_label(p)})")
-    verdicts = {}
-
-    ok = True
-    for r in base.grades():
-        lhs, rhs = _crossed_condition_sides(v, r)
-        check = rep.add_map_equality(
-            "YD-4.5-crossed", lhs, rhs, detail=f"coaction grade {base.grade_label(r)}"
+    def spread(r):
+        """(h, v) -> (h2, v0, h3, v1, pi_{p^-1}(h1)), the h legs of grades
+        (p r^-1 p^-1, p, r) split out of H_p."""
+        ri, ir = base.inv(r), i[r]
+        g2 = base.conj(p, ri)
+        return (
+            pv.then(L.delta[(base.mul(p, ri), r)], i_v)
+            .then(L.delta[(g2, p)], ir, i_v)
+            .then(i[g2], i[p], ir, rho[r])
+            .permute(1, 3, 2, 4, 0)
+            .then(i[p], i_v, ir, ir, L.pi[(base.inv(p), g2)])
         )
-        ok = ok and check.passed
-    verdicts["YD-4.5-crossed"] = ok
 
-    for form in ("YD-4.8-crossed", "YD-4.9-crossed"):
+    rep = Report(f"crossed condition equivalence (grade {tag(p)})")
+    verdicts = {}
+    for form in ("YD-4.5-crossed", "YD-4.8-crossed", "YD-4.9-crossed"):
         ok = True
         for r in base.grades():
-            comp_r = base.comp(r)
-            mu_r = comp_r.mult_map()
-            i_r = LinMap.identity(field, comp_r.labels)
-            g2 = base.conj(p, base.inv(r))  # p r^-1 p^-1
-            comp_g2 = base.comp(g2)
-            i_g2 = LinMap.identity(field, comp_g2.labels)
-            # h legs (1,g2),(2,p),(3,r) out of H_p
-            legs3 = kron(base.comult[(g2, p)], i_r) @ base.comult[(base.mul(p, base.inv(r)), r)]
-            lhs = v.coaction[r] @ v.action
-
-            twist = s_inverse[r] @ base.crossing[(base.inv(p), g2)]  # H_{g2} -> H_r
-            spread = (
-                leg_perm(
-                    field,
-                    [comp_g2.labels, comp_p.labels, comp_r.labels, v.labels, comp_r.labels],
-                    (1, 3, 2, 4, 0),
-                )  # -> (h2, v0, h3, v1, h1)
-                @ kron_all(i_g2, i_p, i_r, v.coaction[r])
-                @ kron(legs3, i_v)
-            )
-            if form == "YD-4.8-crossed":
-                rhs = (
-                    kron(i_v, mu_r)
-                    @ kron_all(v.action, mu_r, twist)
-                    @ spread
-                )  # (h2.v0) (x) (h3 v1) S^-1 pi(h1)
-            else:
-                rhs = (
-                    kron(i_v, mu_r)
-                    @ kron_all(i_v, i_r, mu_r)
-                    @ kron_all(v.action, i_r, i_r, twist)
-                    @ spread
-                )  # (h2.v0) (x) h3 (v1 S^-1 pi(h1))
-            check = rep.add_map_equality(
-                form, lhs, rhs, detail=f"coaction grade {base.grade_label(r)}"
-            )
+            m, ir = mu[r], i[r]
+            if form == "YD-4.5-crossed":
+                lhs, rhs = _crossed_condition_sides(v, module_legs, r)
+            elif form == "YD-4.8-crossed":  # (h2.v0) (x) (h3 v1) S^-1 pi(h1)
+                lhs = pv.then(act).then(rho[r])
+                rhs = spread(r).then(act, m, s_inv[r]).then(i_v, m)
+            else:  # (h2.v0) (x) h3 (v1 S^-1 pi(h1))
+                lhs = pv.then(act).then(rho[r])
+                rhs = spread(r).then(act, ir, ir, s_inv[r]).then(i_v, ir, m).then(i_v, m)
+            check = rep.add_chain_equality(form, lhs, rhs, detail=f"coaction grade {tag(r)}")
             ok = ok and check.passed
         verdicts[form] = ok
 
@@ -791,27 +725,16 @@ def search_dim1_modules(base):
     """
     rep = Report("dim-1 module search at non-identity grades")
     field = base.field
-    comp_e = base.comp(0)
-    table = _group_table_of_component(comp_e)
-    if table is None or not _is_associative_with_identity(table):
-        rep.add(
-            "YD-grade-search",
-            True,
-            required=False,
-            detail="inapplicable: identity component is not a group algebra",
-        )
+    if _group_table(base.comp(0)) is None:
+        unfit = "identity component is not a group algebra"
+    elif not _copies_of_identity_component(base):
+        unfit = "components are not index-identical copies"
+    else:
+        unfit = None
+    if unfit is not None:
+        rep.add("YD-grade-search", True, required=False, detail=f"inapplicable: {unfit}")
         return rep
-    n = comp_e.dim
-    for r in base.grades():
-        comp_r = base.comp(r)
-        if comp_r.dim != n or comp_r.mult != comp_e.mult or comp_r.unit != comp_e.unit:
-            rep.add(
-                "YD-grade-search",
-                True,
-                required=False,
-                detail="inapplicable: components are not index-identical copies",
-            )
-            return rep
+    n = base.comp(0).dim
 
     found = 0
     for p in base.grades():

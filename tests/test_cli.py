@@ -1,9 +1,14 @@
 """CLI behavior: exit codes, reports, constructions, determinism."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import quasibraid
 from quasibraid import cli, fixtures, serialize
 
 
@@ -311,3 +316,48 @@ def test_yd_negative_grade_exits_2(fixture_dir, tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(target), "--kind", "yd")
     assert code == 2
     assert "error:" in err and "-1" in err
+
+
+def _set(key, value):
+    def edit(jobj):
+        jobj[key] = value
+
+    return edit
+
+
+def _set_group_table(table):
+    def edit(jobj):
+        jobj["group"]["table"] = table
+
+    return edit
+
+
+#: name -> (fixture, kind, edit); each edit once ended in an AttributeError
+#: or IndexError traceback with exit 1
+WRONGLY_TYPED = {
+    "hq-field-not-text": ("hq-c2", "hq", _set("field", True)),
+    "gchq-comult-not-an-object": ("gchq-power", "gchq", _set("comult", [])),
+    "gchq-group-product-out-of-range": ("gchq-power", "gchq", _set_group_table([[0, 5], [1, 0]])),
+    "yd-coaction-not-an-object": ("yd-trivial", "yd", _set("coaction", True)),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONGLY_TYPED))
+def test_wrongly_typed_input_exits_2_without_traceback(case, fixture_dir, tmp_path):
+    name, kind, edit = WRONGLY_TYPED[case]
+    jobj = serialize.read_file(fixture_dir / f"{name}.json")
+    edit(jobj)
+    target = tmp_path / f"{case}.json"
+    serialize.write_file(target, jobj)
+    src = str(Path(quasibraid.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "quasibraid", "validate", str(target), "--kind", kind],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

@@ -111,6 +111,15 @@ def test_gf_arithmetic():
         QQ.div(QQ.one, QQ.zero)
 
 
+def test_gf_map_entries_are_canonical():
+    """Entries over GF(p) are reduced to [0, p) on construction, so an
+    entry p is no stored zero and equality is that of GF(p)."""
+    assert LinMap(GF5, 1, 1, {(0, 0): 5}).entries == {}
+    assert LinMap(GF5, 1, 1, {(0, 0): 7}) == LinMap(GF5, 1, 1, {(0, 0): 2})
+    assert LinMap(GF5, 1, 2, {(0, 0): -1, (0, 1): 12}).entries == {(0, 0): 4, (0, 1): 2}
+    assert LinMap(QQ, 1, 1, {(0, 0): 7}).entries == {(0, 0): 7}
+
+
 def test_gf_requires_prime():
     with pytest.raises(FieldError):
         PrimeField(6)
@@ -222,6 +231,16 @@ def test_swap_map_is_self_inverse_after_flip():
     s = swap_map(QQ, a, b)
     s_back = swap_map(QQ, b, a)
     assert compose(s_back, s) == LinMap.identity(QQ, s.dom)
+
+
+def test_swap_map_by_hand():
+    """a_i (x) b_j -> b_j (x) a_i, flat (i * 3 + j) -> (j * 2 + i)."""
+    a = default_labels(2, "a")
+    b = default_labels(3, "b")
+    s = swap_map(QQ, a, b)
+    assert s.entries == {(j * 2 + i, i * 3 + j): QQ.one for i in range(2) for j in range(3)}
+    assert s.dom[1 * 3 + 2] == ("a1", "b2")
+    assert s.cod[2 * 2 + 1] == ("b2", "a1")
 
 
 def test_leg_perm_matches_swap():

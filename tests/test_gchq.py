@@ -7,7 +7,8 @@ from quasibraid.errors import (
     InvalidInput,
     MalformedStructure,
 )
-from quasibraid.exactlin import LinMap, QQ
+from quasibraid.exactlin import LinMap, PrimeField, QQ
+from quasibraid.fixtures import gchq_power as build_gchq_power
 from quasibraid.gchq import (
     CrossedGCHQ,
     from_hopf_quasigroup,
@@ -217,3 +218,20 @@ def test_antipode_invertibility_flag(gchq_power):
     rep = validate_gchq(gchq_power, require_invertible_antipode=False)
     bijective = [c for c in rep.checks if c.check_id == "GHQ-antipode-bijective"]
     assert bijective and all(not c.required for c in bijective)
+
+
+def test_unreduced_gf_entries_give_the_reduced_verdict():
+    """A crossing whose GF(7) entries are written as v + 7 is the same
+    crossing: LinMap reduces them, so CROSS-identity and every other
+    check read it as the reduced one."""
+    gf7 = PrimeField(7)
+    h = build_gchq_power(gf7)
+    shifted = {
+        key: LinMap(gf7, m.rows, m.cols, {k: v + 7 for k, v in m.entries.items()}, m.dom, m.cod)
+        for key, m in h.crossing.items()
+    }
+    moved = CrossedGCHQ(
+        gf7, h.grading, h.components, h.comult, h.counit, h.antipode, shifted
+    )
+    assert moved == h
+    assert validate_crossing(moved).render() == validate_crossing(h).render()
