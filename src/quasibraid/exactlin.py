@@ -17,8 +17,9 @@ structure is strict: unitors and associators are identity matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
+from operator import itemgetter
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -101,7 +102,16 @@ class Rationals:
         return _rational(1 / Fraction(a))
 
     def parse(self, text):
+        """A scalar from its text: "a/b", or any literal Fraction reads.
+
+        Only text is accepted: a JSON number such as 0.1 or true would be
+        read through a binary float or as a bool, not as written.  The
+        usual ASCII "[-]digits" literal takes the int path."""
+        if type(text) is not str:
+            raise FieldError(f"rational literal {text!r} is not a string")
         try:
+            if text.isascii() and text.removeprefix("-").isdigit():
+                return int(text)
             return _rational(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
@@ -155,6 +165,8 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def parse(self, text):
+        if type(text) is not str:
+            raise FieldError(f"GF({self.p}) literal {text!r} is not a string")
         try:
             value = int(text)
         except ValueError as exc:
@@ -549,11 +561,15 @@ class LegMap:
     f must carry the labels that kron would give the products of dom_legs
     and cod_legs.  The check costs the size of f's own bases, never the
     size of a chain the map is used in.  The columns are kept as
-    {input index tuple: [(output index tuple, scalar), ...]}; for an
-    identity map they are None, and a chain passes its legs through.
+    {input index tuple: [(output index tuple, scalar), ...]}.  Whether the
+    map is monomial (every column has at most one nonzero entry) is
+    decided once: if it is, table also holds {input index tuple: (output
+    index tuple, scalar)}, with no key for a zero column; otherwise table
+    is None.  For an identity map both are None, and a chain passes its
+    legs through.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "table")
 
     def __init__(self, f, dom_legs, cod_legs):
         dom_legs = tuple(tuple(leg) for leg in dom_legs)
@@ -566,7 +582,7 @@ class LegMap:
         self.cod_legs = cod_legs
         one = f.field.one
         if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
-            self.columns = None
+            self.columns = self.table = None
             return
         dom_dims, cod_dims = _dims(dom_legs), _dims(cod_legs)
         columns = {}
@@ -575,9 +591,18 @@ class LegMap:
                 (_multi_index(i, cod_dims), value)
             )
         self.columns = columns
+        if all(len(images) == 1 for images in columns.values()):
+            self.table = {multi: images[0] for multi, images in columns.items()}
+        else:
+            self.table = None
 
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
+
+
+#: Domain basis vectors a Chain pushes through its stages together.  A
+#: block bounds the memory of one evaluation whatever the domain's size.
+BLOCK = 1024
 
 
 class Chain:
@@ -590,13 +615,21 @@ class Chain:
       LegMap acting on the next len(fi.dom_legs) legs, left factor on the
       leftmost (slowest) legs; the Kronecker product is never built.
     - permute(*order) reorders the legs; order[j] names the leg that lands
-      in slot j, as in leg_perm.
+      in slot j, as in leg_perm.  The identity order adds no stage.
 
     Both check the stage boundary like compose: the legs must agree in
-    number and basis labels, or DomainMismatch is raised.  column(j)
-    pushes one domain basis vector through the stages as a sparse dict
-    {index tuple: scalar}; arithmetic goes through field.mul and
-    field.add, and exact zeros are dropped at every stage boundary.
+    number and basis labels, or DomainMismatch is raised.
+
+    block(cols) is the one evaluator: it pushes a block of domain index
+    tuples through the stages together.  While every stage is a
+    permutation or a Kronecker product of identity runs and monomial
+    LegMaps, each column stays one (index tuple, scalar) pair, or
+    (None, zero) once it has vanished, and maps to one pair; the block
+    falls back to sparse dicts {index tuple: scalar} at the first other
+    stage.  Arithmetic goes through field.mul and field.add, and exact
+    zeros are dropped at every stage boundary.  dom_blocks() yields the
+    domain in column order, BLOCK columns at a time; image() and column()
+    evaluate a single column through block().
     """
 
     __slots__ = ("field", "dom_legs", "cod_legs", "stages", "_dom_dims", "_cod_dims")
@@ -629,21 +662,24 @@ class Chain:
                     f"{len(self.cod_legs)} legs: dimensions or basis labels disagree"
                 )
             if f.columns is None and plan and plan[-1][0] is None:
-                plan[-1] = (None, plan[-1][1], stop)  # merge runs of identity legs
+                plan[-1] = (None, None, plan[-1][2], stop)  # merge runs of identity legs
             else:
-                plan.append((f.columns, pos, stop))
+                plan.append((f.columns, f.table, pos, stop))
             cod_legs.extend(f.cod_legs)
             pos = stop
         if pos != len(self.cod_legs):
             raise DomainMismatch(
                 f"factors cover {pos} of the chain's {len(self.cod_legs)} legs"
             )
-        return self._extend(("kron", tuple(plan)), tuple(cod_legs))
+        monomial = all(columns is None or table is not None for columns, table, _, _ in plan)
+        return self._extend(("mono" if monomial else "kron", tuple(plan)), tuple(cod_legs))
 
     def permute(self, *order):
         if sorted(order) != list(range(len(self.cod_legs))):
             raise DomainMismatch(f"{order!r} is not a permutation of the legs")
-        return self._extend(("perm", order), tuple(self.cod_legs[i] for i in order))
+        if order == tuple(range(len(order))):
+            return self
+        return self._extend(("perm", itemgetter(*order)), tuple(self.cod_legs[i] for i in order))
 
     def _extend(self, stage, cod_legs):
         out = Chain.__new__(Chain)
@@ -651,21 +687,40 @@ class Chain:
         out.stages, out.cod_legs, out._cod_dims = self.stages + (stage,), cod_legs, _dims(cod_legs)
         return out
 
-    def dom_indices(self):
-        """Index tuples of the domain basis vectors, in column order."""
-        return product(*[range(d) for d in self._dom_dims])
+    def dom_blocks(self):
+        """Index tuples of the domain basis vectors in column order, as
+        lists of at most BLOCK."""
+        indices = product(*[range(d) for d in self._dom_dims])
+        while cols := list(islice(indices, BLOCK)):
+            yield cols
+
+    def block(self, cols):
+        """Images of the domain basis vectors with index tuples cols, as
+        (monomial, images): one (index tuple | None, scalar) pair per
+        column if monomial, else one sparse dict {index tuple: scalar}."""
+        field = self.field
+        images = [(multi, field.one) for multi in cols]
+        monomial = True
+        for kind, data in self.stages:
+            if kind == "perm":
+                if monomial:
+                    images = [(idx if idx is None else data(idx), v) for idx, v in images]
+                else:
+                    images = [{data(idx): v for idx, v in vec.items()} for vec in images]
+            elif kind == "mono" and monomial:
+                images = _monomial_stage(field, data, images)
+            else:
+                if monomial:
+                    images = [as_sparse(image) for image in images]
+                    monomial = False
+                images = [_apply_kron(field, data, vec) for vec in images]
+        return monomial, images
 
     def image(self, multi):
         """Image of the domain basis vector with index tuple multi, as a
         sparse dict {codomain index tuple: scalar}."""
-        field = self.field
-        vec = {multi: field.one}
-        for kind, data in self.stages:
-            if kind == "perm":
-                vec = {tuple(idx[i] for i in data): v for idx, v in vec.items()}
-            else:
-                vec = _apply_kron(field, data, vec)
-        return vec
+        monomial, (image,) = self.block([multi])
+        return as_sparse(image) if monomial else image
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
@@ -688,13 +743,48 @@ class Chain:
         )
 
 
+def as_sparse(image):
+    """A monomial column (index tuple | None, scalar) as a sparse dict."""
+    idx, v = image
+    return {} if idx is None else {idx: v}
+
+
+def _monomial_stage(field, plan, images):
+    """One Kronecker stage of identity runs and monomial tables on a block
+    of monomial columns.  A product of nonzero scalars is nonzero, so a
+    column vanishes only where a table has no key."""
+    mul = field.mul
+    vanished = (None, field.zero)
+    out = []
+    append = out.append
+    for idx, v in images:
+        if idx is None:
+            append(vanished)
+            continue
+        key = ()
+        for _, table, start, stop in plan:
+            legs = idx[start:stop]
+            if table is None:
+                key += legs
+                continue
+            hit = table.get(legs)
+            if hit is None:
+                key = None
+                break
+            key += hit[0]
+            v = mul(v, hit[1])
+        append(vanished if key is None else (key, v))
+    return out
+
+
 def _apply_kron(field, plan, vec):
-    """One Kronecker stage on a sparse vector; plan holds (columns, start, stop)."""
+    """One Kronecker stage on a sparse vector; plan holds (columns, table,
+    start, stop) and only the columns are read."""
     mul, add, zero = field.mul, field.add, field.zero
     out = {}
     for idx, coeff in vec.items():
         terms = [((), coeff)]
-        for columns, start, stop in plan:
+        for columns, _, start, stop in plan:
             legs = idx[start:stop]
             if columns is None:
                 terms = [(key + legs, v) for key, v in terms]

@@ -8,7 +8,7 @@ this encoding, which makes the vanishing condition structural.
 
 The two validators state every axiom as an identity between two Chains
 over GradedLegs, the structure maps read as LegMaps on per-grade legs,
-and evaluate it one basis vector at a time; no matrix on a triple or
+and evaluate it in blocks of basis vectors; no matrix on a triple or
 quadruple tensor product is built.  Besides them this module builds the
 three constructions, which produce matrices and so stay on LinMaps: the
 trivial one-component embedding of a plain Hopf quasigroup, the power
@@ -183,7 +183,7 @@ def validate_gchq(h, require_invertible_antipode=True):
     """Grading, algebra, coalgebra and antipode axioms over all grade tuples.
 
     Each axiom is an identity between two Chains over the GradedLegs of h,
-    read left to right and evaluated one basis vector at a time, as in
+    read left to right and evaluated in blocks of basis vectors, as in
     hq.validate_hopf_quasigroup.  Antipode bijectivity is demanded by the
     module theory downstream; pass require_invertible_antipode=False to
     downgrade it to a warning.

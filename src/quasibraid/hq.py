@@ -3,8 +3,8 @@
 A HopfQuasigroup packs a unital, not necessarily associative algebra
 (multiplication tensor + unit vector) with a coassociative coalgebra and
 an antipode.  The validator decides every axiom as an identity between
-two Chains of leg-wise stages (exactlin), evaluated one basis vector at
-a time, so its cost grows with the number of basis tuples and not with
+two Chains of leg-wise stages (exactlin), evaluated in blocks of basis
+vectors, so its cost grows with the number of basis tuples and not with
 the size of a matrix on H^{(x)3} or H^{(x)4}; associativity is reported
 but never required, which is the whole point of the structure.
 """
@@ -184,8 +184,8 @@ def validate_hopf_quasigroup(h):
     """All axioms as exact identities between two Chains, with witnesses.
 
     Each side is a chain of leg-wise stages read left to right (the first
-    stage is applied first) and is evaluated one basis vector of H, H (x) H
-    or H (x) H (x) H at a time, so no map on H^{(x)3} or H^{(x)4} is built.
+    stage is applied first) and is evaluated in blocks of basis vectors of
+    H, H (x) H or H (x) H (x) H, so no map on H^{(x)3} or H^{(x)4} is built.
     Associativity (HQ-assoc) is informational; the compensation laws
     HQ-2.5-*/HQ-2.6-* are what the antipode must satisfy instead.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import concat_labels
+from .exactlin import as_sparse, concat_labels
 
 #: Every check identifier the library can emit, with a one-line meaning.
 #: Identifiers are part of the report format: consumers key off these
@@ -176,24 +176,34 @@ def chain_witness(lhs, rhs):
     """map_witness for two Chains with the same leg dimensions, without
     building either side.
 
-    Both sides are evaluated on every domain basis vector; index tuples
-    order as flat positions do (left leg slowest), so the smallest
-    differing (row, col) is found on them, and labels are built only for
-    the witness.
+    Both sides are evaluated block by block (Chain.block), in column
+    order.  A block whose two sides are equal is done in one comparison.
+    Otherwise each differing column offers its smallest differing row; a
+    monomial column whose sides land in different rows offers the smaller
+    of the two, with zero on the side that misses it.  Index tuples order
+    as flat positions do (left leg slowest), so the smallest row over all
+    columns, the earliest column winning a tie, is the smallest differing
+    (row, col) in row-major order.  Labels are built only for the witness.
     """
     if _leg_dims(lhs) != _leg_dims(rhs):
         raise ValueError("witness comparison needs chains with the same leg dimensions")
     zero = lhs.field.zero
     best = None
-    for col in lhs.dom_indices():
-        a, b = lhs.image(col), rhs.image(col)
-        if a == b:
+    for cols in lhs.dom_blocks():
+        mono_a, a = lhs.block(cols)
+        mono_b, b = rhs.block(cols)
+        if mono_a == mono_b and a == b:
             continue
-        for row in a.keys() | b.keys():
-            x, y = a.get(row, zero), b.get(row, zero)
-            # columns come in increasing order, so a tie in row keeps the first
-            if x != y and (best is None or row < best[0]):
-                best = (row, col, x, y)
+        for col, x, y in zip(cols, a, b):
+            x = as_sparse(x) if mono_a else x
+            y = as_sparse(y) if mono_b else y
+            if x == y:
+                continue
+            for row in x.keys() | y.keys():
+                u, v = x.get(row, zero), y.get(row, zero)
+                # columns come in increasing order, so a tie in row keeps the first
+                if u != v and (best is None or row < best[0]):
+                    best = (row, col, u, v)
     if best is None:
         return None
     row, col, x, y = best
@@ -227,7 +237,7 @@ class Report:
         return self.add(check_id, witness is None, required, witness, detail)
 
     def add_chain_equality(self, check_id, lhs, rhs, required=True, detail=""):
-        """Check two Chains for exact equality, column by column."""
+        """Check two Chains for exact equality, a block of columns at a time."""
         witness = chain_witness(lhs, rhs)
         return self.add(check_id, witness is None, required, witness, detail)
 

@@ -54,6 +54,8 @@ def _matrix_to_jobj(m):
 
 def _matrix_from_jobj(field, data, dom, cod, what):
     with _reading(what):
+        if type(data) is not list or any(type(row) is not list for row in data):
+            raise ParseError(f"{what}: a matrix is a list of rows, each a list")
         rows = len(data)
         cols = len(data[0]) if rows else 0
         entries = {}
@@ -244,17 +246,8 @@ def gchq_from_jobj(jobj):
                 _pair_labels(components[p].labels, components[q].labels),
                 f"comult {key}",
             )
-        counit = LinMap(
-            field,
-            1,
-            components[0].dim,
-            {
-                (0, j): field.parse(text)
-                for j, text in enumerate(jobj["counit"])
-                if field.parse(text) != field.zero
-            },
-            components[0].labels,
-            K_LABELS,
+        counit = _matrix_from_jobj(
+            field, [jobj["counit"]], components[0].labels, K_LABELS, "counit"
         )
         antipode = {}
         for key, data in jobj["antipode"].items():

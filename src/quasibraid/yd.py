@@ -8,7 +8,7 @@ compensation laws; the braiding is defined for strict modules only.
 
 The module laws (validate_yd, check_crossed_equivalence) are identities
 between two Chains over the base's GradedLegs plus the module's own leg,
-evaluated one basis vector at a time: iterated comultiplication legs are
+evaluated in blocks of basis vectors: iterated comultiplication legs are
 successive Delta stages and leg shuffles are permute stages, so no map on
 a triple or quadruple tensor product is built.  Constructions (tensor
 product, conjugation, braiding, direct sum) must produce matrices and stay
@@ -230,8 +230,8 @@ def trivial_module(base):
 
 def _group_table(comp):
     """Cayley table of a component whose multiplication tensor is the 0/1
-    table of an associative multiplication with identity at index 0; None
-    if it is not of that shape."""
+    table of a group with identity at index 0; None if it is not of that
+    shape."""
     field = comp.field
     n = comp.dim
     table = [[None] * n for _ in range(n)]
@@ -241,14 +241,18 @@ def _group_table(comp):
         table[i][j] = k
     if any(cell is None for row in table for cell in row):
         return None
-    return table if _is_associative_with_identity(table) else None
+    return table if _is_group(table) else None
 
 
-def _is_associative_with_identity(table):
+def _is_group(table):
+    """Associative with identity 0, and every element has a right inverse,
+    which makes a monoid a group."""
     n = len(table)
     if any(table[0][j] != j for j in range(n)):
         return False
     if any(table[i][0] != i for i in range(n)):
+        return False
+    if any(0 not in row for row in table):
         return False
     for i in range(n):
         for j in range(n):

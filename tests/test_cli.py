@@ -10,6 +10,7 @@ import pytest
 
 import quasibraid
 from quasibraid import cli, fixtures, serialize
+from quasibraid.exactlin import QQ, PrimeField
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +331,47 @@ def _set_group_table(table):
         jobj["group"]["table"] = table
 
     return edit
+
+
+def _set_entry(key, i, j, value):
+    def edit(jobj):
+        jobj[key][i][j] = value
+
+    return edit
+
+
+def _gchq_counit(edit_list):
+    def edit(jobj):
+        jobj["counit"] = edit_list(jobj["counit"])
+
+    return edit
+
+
+#: name -> (fixture, field, edit); each edit once loaded, and then passed or
+#: failed checks, where the input was not what it claimed to be
+MISREAD = {
+    "scalar-float": ("hq-c2", QQ, _set_entry("antipode", 0, 0, 1.0)),
+    "scalar-true": ("hq-c2", QQ, _set_entry("antipode", 1, 1, True)),
+    "scalar-int": ("hq-c2", QQ, _set_entry("antipode", 0, 0, 1)),
+    "scalar-half-over-gf7": ("hq-c2", PrimeField(7), _set_entry("antipode", 0, 1, 0.5)),
+    "matrix-rows-as-text": ("hq-c2", QQ, _set("antipode", ["10", "01"])),
+    "counit-truncated": ("gchq-power", QQ, _gchq_counit(lambda c: c[:1])),
+    "counit-overlong": ("gchq-power", QQ, _gchq_counit(lambda c: c + ["0"])),
+}
+
+
+@pytest.mark.parametrize("case", list(MISREAD))
+def test_misread_input_exits_2(case, tmp_path, capsys):
+    name, field, edit = MISREAD[case]
+    kind, obj = fixtures.build(name, field)
+    target = tmp_path / f"{case}.json"
+    serialize.save(kind, obj, target)
+    jobj = serialize.read_file(target)
+    edit(jobj)
+    serialize.write_file(target, jobj)
+    code, out, err = run(capsys, "validate", str(target), "--kind", kind)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 #: name -> (fixture, kind, edit); each edit once ended in an AttributeError

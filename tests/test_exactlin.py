@@ -2,20 +2,25 @@
 and leg-wise chains."""
 
 from fractions import Fraction
+from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasibraid import exactlin
 from quasibraid.errors import DomainMismatch, FieldError, NotInvertible
-from quasibraid.report import chain_witness, map_witness
+from quasibraid.report import Witness, chain_witness, map_witness
 from quasibraid.exactlin import (
+    BLOCK,
     K_LABELS,
     Chain,
     LegMap,
     LinMap,
     PrimeField,
     QQ,
+    _rational,
     compose,
     default_labels,
     field_from_name,
@@ -109,6 +114,53 @@ def test_gf_arithmetic():
         GF5.inv(0)
     with pytest.raises(FieldError):
         QQ.div(QQ.one, QQ.zero)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])
+@pytest.mark.parametrize("value", [1, 0, 1.0, 0.5, 0.1, True, False, None, [1]])
+def test_parse_accepts_only_text(field, value):
+    """A JSON number or boolean is not a scalar literal: 0.5 would load as
+    0 over GF(p), 0.1 as a 55-bit binary fraction over Q, true as 1."""
+    with pytest.raises(FieldError):
+        field.parse(value)
+
+
+def test_rational_parse_int_path():
+    for text, value in (("12", 12), ("-3", -3), ("007", 7), ("-0", 0)):
+        assert QQ.parse(text) == value and type(QQ.parse(text)) is int
+    for text in ("-", "", "--1", "1/0", "1.2.3"):
+        with pytest.raises(FieldError):
+            QQ.parse(text)
+
+
+def _fraction_parse(text):
+    """What Rationals.parse read before its int path: any Fraction literal."""
+    try:
+        return True, _rational(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        return False, None
+
+
+# no exponent letter: "1e99999999" is a valid literal whose value has a
+# hundred million digits
+literal_text = st.one_of(
+    st.text(max_size=10).filter(lambda t: "e" not in t.lower()),
+    st.text(alphabet="0123456789-+/._ ", max_size=12),
+    st.from_regex(r"-?[0-9]{1,40}", fullmatch=True),
+    st.integers().map(str),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(literal_text)
+def test_rational_parse_agrees_with_fraction(text):
+    ok, expected = _fraction_parse(text)
+    if not ok:
+        with pytest.raises(FieldError):
+            QQ.parse(text)
+        return
+    got = QQ.parse(text)
+    assert got == expected and type(got) is type(expected)
 
 
 def test_gf_map_entries_are_canonical():
@@ -448,3 +500,282 @@ def test_legmap_checks_labels_against_its_legs():
         LegMap(LinMap.identity(QQ, A), (B,), (B,))
     with pytest.raises(DomainMismatch):
         LegMap(LinMap.identity(QQ, pair(B, A)), (A, B), (A, B))
+
+
+# -- the block evaluator against the per-column one ----------------------------
+
+
+def product_labels(legs):
+    return tuple(sum(multi, ()) for multi in product(*legs))
+
+
+def _multi(flat, dims):
+    out = []
+    for d in reversed(dims):
+        flat, idx = divmod(flat, d)
+        out.append(idx)
+    return tuple(reversed(out))
+
+
+def reference_columns(f):
+    """A LegMap's columns {input index tuple: [(output index tuple, scalar)]},
+    read off its LinMap."""
+    dom_dims = [len(leg) for leg in f.dom_legs]
+    cod_dims = [len(leg) for leg in f.cod_legs]
+    columns = {}
+    for (i, j), value in f.map.entries.items():
+        columns.setdefault(_multi(j, dom_dims), []).append((_multi(i, cod_dims), value))
+    return columns
+
+
+def reference_image(field, program, multi):
+    """The per-column evaluator: one sparse dict {index tuple: scalar}
+    pushed through every stage, exact zeros dropped at each boundary."""
+    vec = {multi: field.one}
+    for kind, data in program:
+        if kind == "perm":
+            vec = {tuple(idx[i] for i in data): v for idx, v in vec.items()}
+            continue
+        out = {}
+        for idx, coeff in vec.items():
+            terms = [((), coeff)]
+            pos = 0
+            for f in data:
+                stop = pos + len(f.dom_legs)
+                images = reference_columns(f).get(idx[pos:stop], [])
+                terms = [(key + o, field.mul(v, w)) for key, v in terms for o, w in images]
+                pos = stop
+            for key, v in terms:
+                out[key] = field.add(out.get(key, field.zero), v)
+        vec = {key: v for key, v in out.items() if v != field.zero}
+    return vec
+
+
+def reference_witness(field, dom_legs, cod_legs, lhs, rhs):
+    """The per-column witness rule: the smallest differing row over all
+    columns, the earliest column winning a tie on row."""
+    best = None
+    for col in product(*[range(len(leg)) for leg in dom_legs]):
+        a, b = reference_image(field, lhs, col), reference_image(field, rhs, col)
+        for row in a.keys() | b.keys():
+            x, y = a.get(row, field.zero), b.get(row, field.zero)
+            if x != y and (best is None or row < best[0]):
+                best = (row, col, x, y)
+    if best is None:
+        return None
+    row, col, x, y = best
+    return Witness(
+        domain=sum((dom_legs[k][i] for k, i in enumerate(col)), ()),
+        codomain=sum((cod_legs[k][i] for k, i in enumerate(row)), ()),
+        lhs=field.fmt(x),
+        rhs=field.fmt(y),
+    )
+
+
+def build_chain(field, dom_legs, program):
+    chain = Chain(field, dom_legs)
+    for kind, data in program:
+        chain = chain.permute(*data) if kind == "perm" else chain.then(*data)
+    return chain
+
+
+LEG_SPACES = (A, B)  # dims 2 and 3
+MAX_LEGS = 4  # keeps every space of a random chain at most 81-dimensional
+# values that cancel in sums: 1 + 4 = 0 over GF(5), 1 + -1 = 0 over Q
+entry_values = st.sampled_from([1, -1, 2, 4])
+
+
+@st.composite
+def leg_maps(draw, field, dom_legs, max_cod_legs):
+    """A random LegMap out of dom_legs: the identity, a monomial map or a
+    map with several entries per column."""
+    kind = draw(st.sampled_from(["identity", "monomial", "general"]))
+    if kind == "identity":
+        labels = product_labels(dom_legs)
+        return LegMap(LinMap.identity(field, labels), dom_legs, dom_legs)
+    cod_legs = tuple(draw(st.lists(st.sampled_from(LEG_SPACES), max_size=max_cod_legs)))
+    rows, cols = prod(len(l) for l in cod_legs), prod(len(l) for l in dom_legs)
+    entries = {}
+    for j in range(cols):
+        hits = draw(st.integers(0, 1 if kind == "monomial" else min(rows, 3)))
+        for i in draw(st.permutations(range(rows)))[:hits]:
+            entries[(i, j)] = draw(entry_values)
+    f = LinMap(field, rows, cols, entries, product_labels(dom_legs), product_labels(cod_legs))
+    return LegMap(f, dom_legs, cod_legs)
+
+
+@st.composite
+def programs(draw, field, legs, steps):
+    """Stages from legs: permutations, and Kronecker stages whose factors
+    cover consecutive runs of legs, empty runs (maps out of k) included."""
+    program = []
+    for _ in range(steps):
+        if len(legs) > 1 and draw(st.booleans()):
+            order = tuple(draw(st.permutations(range(len(legs)))))
+            program.append(("perm", order))
+            legs = tuple(legs[i] for i in order)
+            continue
+        cuts = sorted(draw(st.lists(st.integers(0, len(legs)), max_size=3)))
+        bounds = [0] + cuts + [len(legs)]
+        factors = []
+        spare = MAX_LEGS - len(legs)
+        for a, b in zip(bounds, bounds[1:]):
+            factors.append(draw(leg_maps(field, legs[a:b], min(2, b - a + spare))))
+            spare -= len(factors[-1].cod_legs) - (b - a)
+        program.append(("then", tuple(factors)))
+        legs = tuple(leg for f in factors for leg in f.cod_legs)
+    return program, legs
+
+
+def perturb(draw, field, program):
+    """The program with one entry of one non-identity factor changed."""
+    spots = [
+        (s, k) for s, (kind, data) in enumerate(program) if kind == "then"
+        for k, f in enumerate(data) if f.map.rows * f.map.cols
+    ]
+    if not spots:
+        return program
+    s, k = draw(st.sampled_from(spots))
+    f = program[s][1][k]
+    key = (draw(st.integers(0, f.map.rows - 1)), draw(st.integers(0, f.map.cols - 1)))
+    entries = dict(f.map.entries)
+    entries[key] = draw(st.sampled_from([0, 1, 3]))
+    g = LegMap(LinMap(field, f.map.rows, f.map.cols, entries, f.map.dom, f.map.cod),
+               f.dom_legs, f.cod_legs)
+    factors = program[s][1][:k] + (g,) + program[s][1][k + 1:]
+    return program[:s] + [("then", factors)] + program[s + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_evaluator_matches_per_column_reference(data):
+    field = data.draw(st.sampled_from([QQ, GF5, PrimeField(2)]))
+    dom_legs = tuple(data.draw(st.lists(st.sampled_from(LEG_SPACES), max_size=3)))
+    program, cod_legs = data.draw(programs(field, dom_legs, data.draw(st.integers(1, 4))))
+    other = perturb(data.draw, field, program) if data.draw(st.booleans()) else program
+    lhs, rhs = build_chain(field, dom_legs, program), build_chain(field, dom_legs, other)
+    saved = exactlin.BLOCK
+    exactlin.BLOCK = data.draw(st.sampled_from([1, 2, 5, saved]))
+    try:
+        for col in product(*[range(len(leg)) for leg in dom_legs]):
+            assert lhs.image(col) == reference_image(field, program, col)
+        assert chain_witness(lhs, rhs) == reference_witness(
+            field, dom_legs, cod_legs, program, other
+        )
+    finally:
+        exactlin.BLOCK = saved
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])
+def test_entries_that_cancel_leave_no_zero(field):
+    """a0 -> a0 + a1 -> a0 - a0: the image is empty, not {a0: 0}, and the
+    chain equals the zero map."""
+    split = LegMap(LinMap(field, 2, 2, {(0, 0): 1, (1, 0): 1}, A, A), (A,), (A,))
+    fold = LegMap(LinMap(field, 2, 2, {(0, 0): 1, (0, 1): -1}, A, A), (A,), (A,))
+    chain = Chain(field, (A,)).then(split).then(fold)
+    zero = Chain(field, (A,)).then(LegMap(LinMap.zero_map(field, A, A), (A,), (A,)))
+    assert chain.image((0,)) == {} and chain.column(0) == {}
+    assert chain_witness(chain, zero) is None
+
+
+X = default_labels(2 * BLOCK + 50, "x")
+Y = default_labels(12, "y")
+
+
+def one_leg_chain(columns, extra=None):
+    """X -> Y sending column j to row columns[j] with scalar 1 (a monomial
+    map), plus the entries extra (making it non-monomial)."""
+    entries = {(row, j): 1 for j, row in enumerate(columns)}
+    entries.update(extra or {})
+    f = LinMap(QQ, len(Y), len(X), entries, X, Y)
+    return Chain(QQ, (X,)).then(LegMap(f, (X,), (Y,)))
+
+
+@pytest.mark.parametrize("monomial", [True, False], ids=["monomial", "fallback"])
+def test_witness_is_carried_across_blocks(monomial):
+    base = [j % 7 + 5 for j in range(len(X))]  # rows 5..11
+    extra = None if monomial else {(11, len(X) - 1): 2}
+    lhs = one_leg_chain(base, extra)
+    first, second, third = 3, BLOCK + 10, 2 * BLOCK + 20
+
+    def differing(changes):
+        columns = list(base)
+        for j, row in changes.items():
+            columns[j] = row
+        return one_leg_chain(columns, extra)
+
+    def witness_at(j, row, lhs_value, rhs_value):
+        return Witness(domain=X[j], codomain=Y[row], lhs=lhs_value, rhs=rhs_value)
+
+    # block 0 differs at a larger row, block 1 at a smaller one: block 1 wins,
+    # with zero on the side that misses the smaller row
+    rhs = differing({first: 4, second: 1})
+    assert chain_witness(lhs, rhs) == witness_at(second, 1, "0", "1")
+    # a tie on row keeps the earlier column, across blocks and within one
+    rhs = differing({first: 2, second: 2, second + 1: 2, third: 2})
+    assert chain_witness(lhs, rhs) == witness_at(first, 2, "0", "1")
+    # sides landing in the same row with different values
+    assert chain_witness(lhs.then(LegMap(LinMap.identity(QQ, Y).scale(2), (Y,), (Y,))), lhs) \
+        == witness_at(0, base[0], "2", "1")
+    assert chain_witness(lhs, lhs) is None
+
+
+# -- kernel engagement -----------------------------------------------------------
+
+
+def v4_crossed_by_s3():
+    """k[V4] with S3 permuting its three involutions, through the power
+    construction."""
+    from quasibraid.gchq import power_construction
+    from quasibraid.hq import group_algebra
+    from quasibraid.tables import GroupAction, GroupTable
+
+    v4 = GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.cyclic(2))
+    maps = [[0] + [p[k] + 1 for k in range(3)] for p in sorted(permutations(range(3)))]
+    action = GroupAction(GroupTable.symmetric(3), v4, maps)
+    return power_construction(group_algebra(v4, QQ), action)
+
+
+def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
+    """Every chain identity the validators state on these structures has
+    only monomial stages, and no column takes the sparse fallback."""
+    from test_hq_legwise import chein_loop
+    from quasibraid import fixtures
+    from quasibraid.gchq import mirror, validate_crossing, validate_gchq
+    from quasibraid.hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
+    from quasibraid.report import Report
+    from quasibraid.tables import GroupTable
+    from quasibraid.yd import check_crossed_equivalence, diagonal_module, validate_yd
+
+    calls = {"checks": 0, "stages": 0, "fallback": 0}
+    add_chain_equality = Report.add_chain_equality
+
+    def counted_check(self, check_id, lhs, rhs, *args, **kwargs):
+        calls["checks"] += 1
+        for chain in (lhs, rhs):
+            kinds = [kind for kind, _ in chain.stages]
+            assert "kron" not in kinds, f"{check_id}: a non-monomial stage"
+            calls["stages"] += len(kinds)
+        return add_chain_equality(self, check_id, lhs, rhs, *args, **kwargs)
+
+    apply_kron = exactlin._apply_kron
+
+    def counted_fallback(*args):
+        calls["fallback"] += 1
+        return apply_kron(*args)
+
+    monkeypatch.setattr(Report, "add_chain_equality", counted_check)
+    monkeypatch.setattr(exactlin, "_apply_kron", counted_fallback)
+
+    for h in (fixtures.hq_o16(), loop_algebra(chein_loop(GroupTable.symmetric(3)), QQ)):
+        validate_hopf_quasigroup(h)
+        antipode_inverse_laws(h)
+    power = v4_crossed_by_s3()
+    for base in (power, mirror(power)):
+        validate_gchq(base)
+        validate_crossing(base)
+    module = diagonal_module(power)
+    validate_yd(module)
+    check_crossed_equivalence(module)
+    assert calls["checks"] > 0 and calls["stages"] > 0
+    assert calls["fallback"] == 0

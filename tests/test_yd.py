@@ -5,14 +5,15 @@ import pytest
 from quasibraid.errors import (
     BaseMismatch,
     GradeMismatch,
+    InvalidInput,
     MalformedStructure,
     NotAGroupAlgebra,
 )
-from quasibraid.exactlin import LinMap, PrimeField, QQ
+from quasibraid.exactlin import K_LABELS, LinMap, PrimeField, QQ
 from quasibraid.fixtures import gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial
 from quasibraid.report import Report
 from quasibraid.gchq import CrossedGCHQ, from_hopf_quasigroup
-from quasibraid.hq import group_algebra
+from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, group_algebra
 from quasibraid.tables import GroupTable
 from quasibraid.yd import (
     YDModule,
@@ -128,6 +129,27 @@ def test_crossed_set_requires_group_algebra(hq_o16, power_base):
         crossed_set_module(from_hopf_quasigroup(hq_o16))
     with pytest.raises(NotAGroupAlgebra):
         crossed_set_module(power_base)
+
+
+def monoid_base():
+    """k[M] for the monoid M = {e, a} with a a = a, embedded unchecked:
+    associative with identity, but a has no inverse."""
+    labels = (("e",), ("a",))
+    mult = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1}
+    algebra = UnitalAlgebra(QQ, 2, labels, mult, (1, 0))
+    pairs = tuple(x + y for x in labels for y in labels)
+    comult = LinMap(QQ, 4, 2, {(0, 0): 1, (3, 1): 1}, labels, pairs)
+    counit = LinMap(QQ, 1, 2, {(0, 0): 1, (0, 1): 1}, labels, K_LABELS)
+    h = HopfQuasigroup(QQ, algebra, comult, counit, LinMap.identity(QQ, labels))
+    return from_hopf_quasigroup(h, check=False)
+
+
+def test_monoid_algebra_is_not_a_group_algebra():
+    base = monoid_base()
+    with pytest.raises(NotAGroupAlgebra):
+        crossed_set_module(base)
+    with pytest.raises(InvalidInput):
+        diagonal_module(base)
 
 
 def test_diagonal_module_over_power_base(diag_power):
