@@ -2,11 +2,15 @@
 
 Every structure map in this library (multiplication, comultiplication,
 counit, antipode, crossing, action, coaction, braiding) is a LinMap: a
-sparse exact matrix between based vector spaces.  Axioms are decided by
-composing LinMaps, or by pushing basis vectors leg by leg through a Chain
-of them, and comparing for literal equality, so the arithmetic must be
-exact: scalars live in Q (as an int when integral, a Fraction otherwise)
-or in a prime field GF(p) (as canonical representatives in [0, p)).
+sparse exact matrix between based vector spaces.  Every composite of them,
+an axiom's side or a construction, is a Chain of leg-wise stages pushed
+through in blocks of basis vectors; Chain.matrix() is the one place a
+composite becomes a matrix.  Axioms compare two Chains for literal
+equality, so the arithmetic must be exact: scalars live in Q (as an int
+when integral, a Fraction otherwise) or in a prime field GF(p) (as
+canonical representatives in [0, p)).  compose, kron, kron_all, leg_perm
+and swap_map build whole matrices; they are public API and the tests'
+independent reference for Chain, and the library does not use them.
 
 Basis labels are tuples of string atoms.  Tensor products concatenate
 label tuples, and the ground field k carries the empty tuple (), so
@@ -301,48 +305,10 @@ class LinMap:
         """Image of the j-th domain basis vector as a sparse dict."""
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
-    def apply(self, vec):
-        """Apply to a sparse column vector {index: scalar}."""
-        field = self.field
-        out = {}
-        for (i, j), value in self.entries.items():
-            coeff = vec.get(j)
-            if coeff is None:
-                continue
-            acc = field.add(out.get(i, field.zero), field.mul(value, coeff))
-            if acc == field.zero:
-                out.pop(i, None)
-            else:
-                out[i] = acc
-        return out
-
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other):
         return compose(self, other)
-
-    def kron(self, other):
-        return kron(self, other)
-
-    def __add__(self, other):
-        self._require_same_shape(other)
-        field = self.field
-        entries = dict(self.entries)
-        for key, value in other.entries.items():
-            acc = field.add(entries.get(key, field.zero), value)
-            if acc == field.zero:
-                entries.pop(key, None)
-            else:
-                entries[key] = acc
-        return LinMap(field, self.rows, self.cols, entries, self.dom, self.cod)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        field = self.field
-        entries = {key: field.neg(value) for key, value in self.entries.items()}
-        return LinMap(field, self.rows, self.cols, entries, self.dom, self.cod)
 
     def scale(self, scalar):
         field = self.field
@@ -378,16 +344,6 @@ class LinMap:
         )
 
     __hash__ = None
-
-    def _require_same_shape(self, other):
-        if (
-            self.field != other.field
-            or self.rows != other.rows
-            or self.cols != other.cols
-            or self.dom != other.dom
-            or self.cod != other.cod
-        ):
-            raise DomainMismatch("maps have different shapes or labels")
 
     def __repr__(self):
         return f"LinMap({self.rows}x{self.cols}, {len(self.entries)} nonzero, {self.field.name})"
@@ -629,7 +585,7 @@ class Chain:
     stage.  Arithmetic goes through field.mul and field.add, and exact
     zeros are dropped at every stage boundary.  dom_blocks() yields the
     domain in column order, BLOCK columns at a time; image() and column()
-    evaluate a single column through block().
+    evaluate a single column through block(), and matrix() every column.
     """
 
     __slots__ = ("field", "dom_legs", "cod_legs", "stages", "_dom_dims", "_cod_dims")
@@ -728,13 +684,22 @@ class Chain:
         image = self.image(_multi_index(j, self._dom_dims))
         return {_flat_index(idx, dims): v for idx, v in image.items()}
 
-    def dom_label(self, j):
-        """Basis label of domain column j."""
-        return concat_labels(self.dom_legs, _multi_index(j, self._dom_dims))
-
-    def cod_label(self, i):
-        """Basis label of codomain row i."""
-        return concat_labels(self.cod_legs, _multi_index(i, self._cod_dims))
+    def matrix(self):
+        """The composite as a LinMap, evaluated through block() in column
+        order; its bases carry the labels kron would give the products of
+        the domain and codomain legs.  The library's one way to turn a
+        composite into a matrix."""
+        dims = self._cod_dims
+        entries = {}
+        j = 0
+        for cols in self.dom_blocks():
+            monomial, images = self.block(cols)
+            for image in images:
+                for idx, v in (as_sparse(image) if monomial else image).items():
+                    entries[(_flat_index(idx, dims), j)] = v
+                j += 1
+        dom, cod = _product_labels(self.dom_legs), _product_labels(self.cod_legs)
+        return LinMap(self.field, self.rows, self.cols, entries, dom, cod)
 
     def __repr__(self):
         return (

@@ -6,17 +6,17 @@ on H_e, antipodes S_p: H_p -> H_{p^-1} and a crossing pi_p: H_q ->
 H_{pqp^-1}.  Products across different grades are not representable in
 this encoding, which makes the vanishing condition structural.
 
-The two validators state every axiom as an identity between two Chains
-over GradedLegs, the structure maps read as LegMaps on per-grade legs,
-and evaluate it in blocks of basis vectors; no matrix on a triple or
-quadruple tensor product is built.  Besides them this module builds the
-three constructions, which produce matrices and so stay on LinMaps: the
-trivial one-component embedding of a plain Hopf quasigroup, the power
-construction (one copy of a Hopf quasigroup per group element, crossed
-by an automorphic action) and the mirror, which rebuilds the structure
-on the inverse-indexed components with a twisted comultiplication and
-antipode.  The mirror validates its own output: that the result is
-again a valid crossed structure is an asserted theorem, not a hope.
+A structure reads its maps as LegMaps on per-grade legs once (h.legs),
+and everything here is a Chain over those legs.  The two validators state
+every axiom as an identity between two Chains, evaluated in blocks of
+basis vectors.  The constructions are the trivial one-component embedding
+of a plain Hopf quasigroup, the power construction (one copy of a Hopf
+quasigroup per group element, crossed by an automorphic action, checked
+as Chain identities) and the mirror, which rebuilds the structure on the
+inverse-indexed components with a twisted comultiplication and antipode,
+each one Chain materialized with Chain.matrix().  The mirror validates its
+own output: that the result is again a valid crossed structure is an
+asserted theorem, not a hope.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .errors import (
     MalformedStructure,
     NotInvertible,
 )
-from .exactlin import K_LABELS, Chain, LegMap, LinMap, kron
-from .hq import UnitalAlgebra, validate_hopf_quasigroup
-from .report import Report
+from .exactlin import K_LABELS, Chain, LegMap, LinMap
+from .hq import UnitalAlgebra, _structure_legs, validate_hopf_quasigroup
+from .report import Report, chain_witness
 from . import tables
 
 
@@ -43,9 +43,14 @@ class CrossedGCHQ:
     comult[(p, q)] maps component pq into components p (x) q;
     antipode[p] maps component p into component p^-1;
     crossing[(p, q)] is pi_p restricted to component q.
-    """
 
-    __slots__ = ("field", "grading", "components", "comult", "counit", "antipode", "crossing")
+    A structure is treated as immutable once built, so legs can read its
+    maps as GradedLegs once, on first use, for every validator and
+    construction to share."""
+
+    __slots__ = (
+        "field", "grading", "components", "comult", "counit", "antipode", "crossing", "_legs"
+    )
 
     def __init__(self, field, grading, components, comult, counit, antipode, crossing):
         self.field = field
@@ -55,7 +60,15 @@ class CrossedGCHQ:
         self.counit = counit
         self.antipode = dict(antipode)
         self.crossing = dict(crossing)
+        self._legs = None
         self._check_shapes()
+
+    @property
+    def legs(self):
+        """The structure maps as LegMaps (GradedLegs), built on first use."""
+        if self._legs is None:
+            self._legs = GradedLegs(self)
+        return self._legs
 
     # -- grade bookkeeping ---------------------------------------------
 
@@ -133,7 +146,8 @@ class CrossedGCHQ:
 
 
 class GradedLegs:
-    """The structure maps of a crossed structure as LegMaps, built once.
+    """The structure maps of a crossed structure as LegMaps; a structure
+    builds them once and keeps them as h.legs.
 
     H[p] is the legs of component p (one leg), and chain(p, q, ...) is the
     identity Chain on H_p (x) H_q (x) ...; k has no legs.  mu[p], eta[p],
@@ -162,9 +176,10 @@ class GradedLegs:
         return Chain(self.field, sum((self.H[p] for p in grades), ()))
 
 
-def _left_compensation(legs, h, p):
+def _left_compensation(h, p):
     """The left side of GHQ-3.3-left, H_e (x) H_p -> H_p:
     x (x) g -> S_{p^-1}(x_(1,p^-1)) (x_(2,p) g)."""
+    legs = h.legs
     mu, i = legs.mu[p], legs.ident[p]
     start = legs.chain(0, p).then(legs.delta[(h.inv(p), p)], i)
     return start.then(legs.s[h.inv(p)], i, i).then(i, mu).then(mu)
@@ -192,7 +207,7 @@ def validate_gchq(h, require_invertible_antipode=True):
     rep.merge(tables.validate_group(h.grading))
     if not rep.passed:
         return rep
-    L = GradedLegs(h)
+    L = h.legs
     chain, mu, eta, i, s, delta, eps = L.chain, L.mu, L.eta, L.ident, L.s, L.delta, L.eps
     eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
 
@@ -231,7 +246,7 @@ def validate_gchq(h, require_invertible_antipode=True):
         sp = s[pi_]
         eps_i, i_eps = chain(e, p).then(eps, ip), chain(p, e).then(ip, eps)
         right = chain(e, p).then(delta[(p, pi_)], ip).then(ip, sp, ip).then(ip, m).then(m)
-        eq("GHQ-3.3-left", _left_compensation(L, h, p), eps_i, detail=detail)
+        eq("GHQ-3.3-left", _left_compensation(h, p), eps_i, detail=detail)
         eq("GHQ-3.3-right", right, eps_i, detail=detail)
         left = chain(p, e).then(ip, delta[(p, pi_)]).then(ip, ip, sp).then(m, ip).then(m)
         right = chain(p, e).then(ip, delta[(pi_, p)]).then(ip, sp, ip).then(m, ip).then(m)
@@ -256,7 +271,7 @@ def validate_crossing(h):
     and identity, as Chain identities like validate_gchq.  Assumes
     validate_gchq already passed."""
     rep = Report(f"crossing (|G|={h.grading.order}, {h.field.name})")
-    L = GradedLegs(h)
+    L = h.legs
     chain, mu, eta, s, delta, pi, eps = L.chain, L.mu, L.eta, L.s, L.delta, L.pi, L.eps
     eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
 
@@ -330,8 +345,9 @@ def power_construction(h, action):
 
     Every actor element must act as an automorphism of the whole
     structure: the induced basis permutation has to commute with
-    multiplication, unit, comultiplication, counit and antipode.  The
-    failing equation is reported otherwise.
+    multiplication, unit, comultiplication, counit and antipode, each an
+    identity between two Chains over the legs of h.  The first failing
+    equation is reported otherwise.
     """
     field = h.field
     G = action.actor
@@ -339,19 +355,19 @@ def power_construction(h, action):
         raise ActionNotHopfAutomorphism(
             f"action permutes {action.carrier.order} elements but the structure has dimension {h.dim}"
         )
-    mu = h.algebra.mult_map()
-    eta = h.algebra.unit_map()
+    H, mu, eta, delta, eps, s, _ = _structure_legs(h)
+    k, h1, h2 = Chain(field, ()), Chain(field, H), Chain(field, H * 2)
     for g in G.elements():
-        t = LinMap.from_permutation(field, action.maps[g], h.labels)
+        t = LegMap(LinMap.from_permutation(field, action.maps[g], h.labels), H, H)
         checks = [
-            ("multiplication", t @ mu, mu @ kron(t, t)),
-            ("unit", t @ eta, eta),
-            ("comultiplication", h.comult @ t, kron(t, t) @ h.comult),
-            ("counit", h.counit @ t, h.counit),
-            ("antipode", h.antipode @ t, t @ h.antipode),
+            ("multiplication", h2.then(mu).then(t), h2.then(t, t).then(mu)),
+            ("unit", k.then(eta).then(t), k.then(eta)),
+            ("comultiplication", h1.then(t).then(delta), h1.then(delta).then(t, t)),
+            ("counit", h1.then(t).then(eps), h1.then(eps)),
+            ("antipode", h1.then(t).then(s), h1.then(s).then(t)),
         ]
         for name, lhs, rhs in checks:
-            if lhs != rhs:
+            if chain_witness(lhs, rhs) is not None:
                 raise ActionNotHopfAutomorphism(
                     f"actor {G.labels[g]} does not preserve the {name}"
                 )
@@ -402,6 +418,7 @@ def mirror(h, check=True):
             )
     field = h.field
     G = h.grading
+    L = h.legs
     components = []
     for p in h.grades():
         src = h.comp(h.inv(p))
@@ -413,10 +430,12 @@ def mirror(h, check=True):
         for q in h.grades():
             qi = h.inv(q)
             twisted = h.conj(qi, h.inv(p))  # q^-1 p^-1 q
-            ident_qi = LinMap.identity(field, h.comp(qi).labels)
-            comult[(p, q)] = kron(h.crossing[(q, twisted)], ident_qi) @ h.comult[(twisted, qi)]
+            split = L.chain(h.mul(twisted, qi)).then(L.delta[(twisted, qi)])
+            comult[(p, q)] = split.then(L.pi[(q, twisted)], L.ident[qi]).matrix()
 
-    antipode = {p: h.crossing[(p, p)] @ h.antipode[h.inv(p)] for p in h.grades()}
+    antipode = {
+        p: L.chain(h.inv(p)).then(L.s[h.inv(p)]).then(L.pi[(p, p)]).matrix() for p in h.grades()
+    }
     crossing = {(p, q): h.crossing[(p, h.inv(q))] for p in h.grades() for q in h.grades()}
 
     out = CrossedGCHQ(field, G, components, comult, h.counit, antipode, crossing)
@@ -462,7 +481,6 @@ def sweedler_spot_check(h, samples=20, seed=0):
     rng = random.Random(seed)
     e = 0
     d_e = h.comp(e).dim
-    legs = GradedLegs(h)
 
     pool = [
         (p, i, j)
@@ -495,7 +513,7 @@ def sweedler_spot_check(h, samples=20, seed=0):
 
         eps_i = h.counit.column(i).get(0, field.zero)
         expected = {j: eps_i} if eps_i != field.zero else {}
-        composed = _left_compensation(legs, h, p).column(i * d_p + j)
+        composed = _left_compensation(h, p).column(i * d_p + j)
 
         ok = elementwise == composed == expected
         rep.add(

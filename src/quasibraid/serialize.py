@@ -74,15 +74,35 @@ def _pair_labels(a, b):
 
 
 def _index(value, bound, what):
-    """A grade: an int in [0, bound).
+    """An index or a count: an int (not a bool) in [0, bound), or any int
+    >= 0 when bound is None.
 
-    Python would read a negative index from the end of a table, so a
-    grade outside the range is an error, never a lookup."""
+    Python would read a negative index from the end of a table, so an
+    index outside the range is an error, never a lookup."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what}: {value!r} is not an integer index")
-    if not 0 <= value < bound:
+    if value < 0 or bound is not None and value >= bound:
         raise ParseError(f"{what}: index {value} outside [0, {bound})")
     return value
+
+
+def _algebra_from_jobj(field, data, what):
+    """A unital algebra from its dim, labels, mult and unit: dim and mult
+    indices read by _index, no index triple twice, labels a list of str."""
+    dim = _index(data["dim"], None, f"{what} dim")
+    labels, unit = data["labels"], data["unit"]
+    if type(labels) is not list or any(type(atom) is not str for atom in labels):
+        raise ParseError(f"{what}: labels must be a list of strings, not {labels!r}")
+    if type(unit) is not list:  # a string would be read digit by digit
+        raise ParseError(f"{what}: unit {unit!r} is not a list")
+    mult = {}
+    for i, j, k, text in data["mult"]:
+        key = tuple(_index(n, dim, f"{what} mult entry") for n in (i, j, k))
+        if key in mult:
+            raise ParseError(f"{what} mult: two entries for {list(key)}")
+        mult[key] = field.parse(text)
+    unit = tuple(field.parse(text) for text in unit)
+    return UnitalAlgebra(field, dim, tuple((atom,) for atom in labels), mult, unit)
 
 
 def _key_index(text, bound, what):
@@ -172,14 +192,8 @@ def hq_to_jobj(h):
 def hq_from_jobj(jobj):
     with _reading("bad hopf quasigroup"):
         field = field_from_name(jobj["field"])
-        dim = int(jobj["dim"])
-        labels = tuple((str(s),) for s in jobj["labels"])
-        mult = {
-            (int(i), int(j), int(k)): field.parse(text)
-            for i, j, k, text in jobj["mult"]
-        }
-        unit = tuple(field.parse(t) for t in jobj["unit"])
-        algebra = UnitalAlgebra(field, dim, labels, mult, unit)
+        algebra = _algebra_from_jobj(field, jobj, "algebra")
+        labels = algebra.labels
         comult = _matrix_from_jobj(
             field, jobj["comult"], labels, _pair_labels(labels, labels), "comult"
         )
@@ -227,13 +241,7 @@ def gchq_from_jobj(jobj):
         components = []
         for p in range(order):
             data = jobj["components"][str(p)]
-            labels = tuple((str(s),) for s in data["labels"])
-            mult = {
-                (int(i), int(j), int(k)): field.parse(text)
-                for i, j, k, text in data["mult"]
-            }
-            unit = tuple(field.parse(t) for t in data["unit"])
-            components.append(UnitalAlgebra(field, int(data["dim"]), labels, mult, unit))
+            components.append(_algebra_from_jobj(field, data, f"component {p}"))
 
         comult = {}
         for key, data in jobj["comult"].items():

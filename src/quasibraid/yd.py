@@ -6,14 +6,14 @@ group element r.  The strict flag distinguishes genuine modules (action
 associative) from quasimodules, which only satisfy the antipode
 compensation laws; the braiding is defined for strict modules only.
 
-The module laws (validate_yd, check_crossed_equivalence) are identities
-between two Chains over the base's GradedLegs plus the module's own leg,
-evaluated in blocks of basis vectors: iterated comultiplication legs are
-successive Delta stages and leg shuffles are permute stages, so no map on
-a triple or quadruple tensor product is built.  Constructions (tensor
-product, conjugation, braiding, direct sum) must produce matrices and stay
-on LinMaps, and so do the braiding-law suite and validate_morphism, which
-compare maps those constructions already built.
+A module reads its maps as LegMaps once, through v.legs: one leg V of its
+own beside the base's h.legs.  Every law and construction is a Chain over
+those legs (iterated comultiplications are successive Delta stages, leg
+shuffles are permute stages).  The module laws, the braiding-law suite and
+validate_morphism are identities between two Chains; the tensor product,
+conjugation, trivial module and braiding are each one Chain materialized
+with Chain.matrix().  A map built on a tensor module enters a Chain as a
+LegMap over the factor legs: braiding(V (x) W, X) is read on (V, W, X).
 """
 
 from __future__ import annotations
@@ -28,15 +28,18 @@ from .errors import (
     NotInvertible,
     NotStrict,
 )
-from .exactlin import Chain, LegMap, LinMap, kron, kron_all, leg_perm, swap_map
-from .gchq import GradedLegs
-from .report import Report, Witness, map_witness
+from .exactlin import Chain, LegMap, LinMap
+from .report import Report, Witness, chain_witness, map_witness
 
 
 class YDModule:
-    """Graded module/quasimodule data over a CrossedGCHQ base."""
+    """Graded module/quasimodule data over a CrossedGCHQ base.
 
-    __slots__ = ("base", "grade", "dim", "labels", "action", "coaction", "strict")
+    Like its base, a module is treated as immutable once built, and legs
+    keeps its maps as LegMaps from first use on.
+    """
+
+    __slots__ = ("base", "grade", "dim", "labels", "action", "coaction", "strict", "_legs")
 
     def __init__(self, base, grade, labels, action, coaction, strict):
         self.base = base
@@ -46,6 +49,7 @@ class YDModule:
         self.action = action
         self.coaction = dict(coaction)
         self.strict = bool(strict)
+        self._legs = None
         comp = base.comp(grade)
         expected_dom = tuple(a + b for a in comp.labels for b in self.labels)
         if action.dom != expected_dom or action.cod != self.labels:
@@ -62,6 +66,17 @@ class YDModule:
 
     def ident(self):
         return LinMap.identity(self.base.field, self.labels)
+
+    @property
+    def legs(self):
+        """(h.legs of the base, the module's leg V, and as LegMaps its action,
+        coactions by grade and identity), built on first use."""
+        if self._legs is None:
+            L, V = self.base.legs, (self.labels,)
+            action = LegMap(self.action, L.H[self.grade] + V, V)
+            coaction = [LegMap(self.coaction[r], V, V + L.H[r]) for r in self.base.grades()]
+            self._legs = L, V, action, coaction, LegMap(self.ident(), V, V)
+        return self._legs
 
     def __eq__(self, other):
         if not isinstance(other, YDModule):
@@ -109,21 +124,20 @@ def _require_same_base(v, w):
 
 
 def validate_morphism(m):
-    """Action-linearity and colinearity of a module morphism."""
-    base = m.source.base
-    field = base.field
+    """Action-linearity and colinearity of a module morphism, as Chain
+    identities over the legs of its endpoints."""
+    base, p = m.source.base, m.source.grade
     rep = Report("yd morphism")
-    comp = base.comp(m.source.grade)
-    i_p = LinMap.identity(field, comp.labels)
-    rep.add_map_equality(
-        "YDM-linear", m.map @ m.source.action, m.target.action @ kron(i_p, m.map)
-    )
+    L, V, act, rho, _ = m.source.legs
+    _, W, act_t, rho_t, _ = m.target.legs
+    f = LegMap(m.map, V, W)
+    pv, hv = Chain(base.field, L.H[p] + V), Chain(base.field, V)
+    rep.add_chain_equality("YDM-linear", pv.then(act).then(f), pv.then(L.ident[p], f).then(act_t))
     for r in base.grades():
-        i_r = LinMap.identity(field, base.comp(r).labels)
-        rep.add_map_equality(
+        rep.add_chain_equality(
             "YDM-colinear",
-            m.target.coaction[r] @ m.map,
-            kron(m.map, i_r) @ m.source.coaction[r],
+            hv.then(f).then(rho_t[r]),
+            hv.then(rho[r]).then(f, L.ident[r]),
             detail=f"grade {base.grade_label(r)}",
         )
     return rep
@@ -132,21 +146,20 @@ def validate_morphism(m):
 # -- validation ----------------------------------------------------------
 
 
-def _module_legs(v):
-    """The base's GradedLegs, the module's leg V, and its action (H_p (x) V
-    -> V), coactions (V -> V (x) H_r, by grade) and identity as LegMaps."""
-    legs = GradedLegs(v.base)
-    V = (v.labels,)
-    action = LegMap(v.action, legs.H[v.grade] + V, V)
-    coaction = [LegMap(v.coaction[r], V, V + legs.H[r]) for r in v.base.grades()]
-    return legs, V, action, coaction, LegMap(v.ident(), V, V)
+def _module_assoc_sides(v):
+    """Both sides of action associativity (YD-4.1), as Chains
+    H_p (x) H_p (x) V -> V."""
+    L, V, act, _, i_v = v.legs
+    p = v.grade
+    ppv = Chain(v.base.field, L.H[p] * 2 + V)
+    return ppv.then(L.ident[p], act).then(act), ppv.then(L.mu[p], i_v).then(act)
 
 
-def _crossed_condition_sides(v, module_legs, r):
+def _crossed_condition_sides(v, r):
     """Both sides of the crossed compatibility law at coaction grade r,
     as Chains H_{pr} (x) V -> V (x) H_r."""
     base, p = v.base, v.grade
-    L, V, act, rho, i_v = module_legs
+    L, V, act, rho, i_v = v.legs
     g1 = base.conj(p, r)  # p r p^-1
     start = Chain(base.field, L.H[base.mul(p, r)] + V)
     lhs = start.then(L.delta[(p, r)], rho[r]).permute(0, 2, 1, 3).then(act, L.mu[r])
@@ -169,11 +182,10 @@ def validate_yd(v):
         f"yd {'module' if v.strict else 'quasimodule'} "
         f"(grade {base.grade_label(p)}, dim {v.dim})"
     )
-    module_legs = _module_legs(v)
-    L, V, act, rho, i_v = module_legs
+    L, V, act, rho, i_v = v.legs
     H, mu, i, s, delta, eps = L.H, L.mu, L.ident, L.s, L.delta, L.eps
     eq, tag, pi_, e = rep.add_chain_equality, base.grade_label, base.inv(p), 0
-    hv, ev, ppv = (Chain(base.field, legs) for legs in (V, H[e] + V, H[p] * 2 + V))
+    hv, ev = Chain(base.field, V), Chain(base.field, H[e] + V)
 
     eq("YD-4.3-unital", hv.then(L.eta[p], i_v).then(act), hv)
     eps_i = ev.then(eps, i_v)
@@ -181,13 +193,8 @@ def validate_yd(v):
     right = ev.then(delta[(p, pi_)], i_v).then(i[p], s[pi_], i_v)
     eq("YD-4.4-left", left.then(i[p], act).then(act), eps_i)
     eq("YD-4.4-right", right.then(i[p], act).then(act), eps_i)
-    eq(
-        "YD-4.1-module-assoc",
-        ppv.then(i[p], act).then(act),
-        ppv.then(mu[p], i_v).then(act),
-        required=v.strict,
-        detail="required for strict modules",
-    )
+    lhs, rhs = _module_assoc_sides(v)
+    eq("YD-4.1-module-assoc", lhs, rhs, required=v.strict, detail="required for strict modules")
 
     for r1 in base.grades():
         for r2 in base.grades():
@@ -198,7 +205,7 @@ def validate_yd(v):
     eq("YD-counit", hv.then(rho[e]).then(i_v, eps), hv)
 
     for r in base.grades():
-        lhs, rhs = _crossed_condition_sides(v, module_legs, r)
+        lhs, rhs = _crossed_condition_sides(v, r)
         eq("YD-4.5-crossed", lhs, rhs, detail=f"coaction grade {tag(r)}")
 
     for r in base.grades():
@@ -220,11 +227,10 @@ def trivial_module(base):
     coaction tensors with the component units."""
     field = base.field
     labels = (("1",),)
-    i_v = LinMap.identity(field, labels)
-    action = kron(base.counit, i_v)
-    coaction = {
-        r: kron(i_v, base.comp(r).unit_map()) for r in base.grades()
-    }
+    L, V = base.legs, (labels,)
+    i_v = LegMap(LinMap.identity(field, labels), V, V)
+    action = Chain(field, L.H[0] + V).then(L.eps, i_v).matrix()
+    coaction = {r: Chain(field, V).then(i_v, L.eta[r]).matrix() for r in base.grades()}
     return YDModule(base, 0, labels, action, coaction, strict=True)
 
 
@@ -324,66 +330,46 @@ def diagonal_module(base):
 
 def yd_tensor(v, w):
     """Tensor product module at the product grade: diagonal action through
-    the comultiplication, coaction with a crossing twist on the left leg."""
+    the comultiplication, coaction with a crossing twist on the left leg;
+    strict when both factors are and its action passes YD-4.1."""
     _require_same_base(v, w)
     base = v.base
     field = base.field
     p, q = v.grade, w.grade
-    pq = base.mul(p, q)
-    comp_p = base.comp(p)
-    comp_q = base.comp(q)
-    labels = tuple(a + b for a in v.labels for b in w.labels)
+    pq, qi = base.mul(p, q), base.inv(q)
+    L, V, act_v, rho_v, i_v = v.legs
+    _, W, act_w, rho_w, i_w = w.legs
 
-    i_v = v.ident()
-    i_w = LinMap.identity(field, w.labels)
-    action = (
-        kron(v.action, w.action)
-        @ leg_perm(field, [comp_p.labels, comp_q.labels, v.labels, w.labels], (0, 2, 1, 3))
-        @ kron_all(base.comult[(p, q)], i_v, i_w)
-    )
-
+    start = Chain(field, L.H[pq] + V + W).then(L.delta[(p, q)], i_v, i_w)
+    action = start.permute(0, 2, 1, 3).then(act_v, act_w).matrix()
     coaction = {}
-    qi = base.inv(q)
     for r in base.grades():
         g = base.conj(q, r)  # q r q^-1
-        comp_r = base.comp(r)
-        comp_g = base.comp(g)
-        mu_r = comp_r.mult_map()
-        i_r = LinMap.identity(field, comp_r.labels)
-        twist = base.crossing[(qi, g)]  # H_{qrq^-1} -> H_r
-        coaction[r] = (
-            kron_all(i_v, i_w, mu_r @ kron(i_r, twist))
-            @ leg_perm(field, [v.labels, comp_g.labels, w.labels, comp_r.labels], (0, 2, 3, 1))
-            @ kron(v.coaction[g], w.coaction[r])
-        )
+        # (v0, g, w0, r) -> (v0, w0, r, g), then r times pi_{q^-1}(g) in H_r
+        spread = Chain(field, V + W).then(rho_v[g], rho_w[r]).permute(0, 2, 3, 1)
+        twisted = spread.then(i_v, i_w, L.ident[r], L.pi[(qi, g)])
+        coaction[r] = twisted.then(i_v, i_w, L.mu[r]).matrix()
 
-    strict = v.strict and w.strict
-    if strict:
-        comp_pq = base.comp(pq)
-        i_t = LinMap.identity(field, labels)
-        i_pq = LinMap.identity(field, comp_pq.labels)
-        strict = (
-            action @ kron(i_pq, action)
-            == action @ kron(comp_pq.mult_map(), i_t)
-        )
-    return YDModule(base, pq, labels, action, coaction, strict)
+    labels = tuple(a + b for a in v.labels for b in w.labels)
+    out = YDModule(base, pq, labels, action, coaction, v.strict and w.strict)
+    if out.strict and chain_witness(*_module_assoc_sides(out)) is not None:
+        out.strict = False  # settled before the module is handed out
+    return out
 
 
 def yd_conjugate(v, q):
     """Regrade a module by a group element: action twisted by the inverse
     crossing, coactions reindexed through the crossing."""
     base = v.base
-    field = base.field
-    p = v.grade
-    newgrade = base.conj(q, p)
+    L, V, act, rho, i_v = v.legs
+    newgrade = base.conj(q, v.grade)
     qi = base.inv(q)
-    i_v = v.ident()
-    action = v.action @ kron(base.crossing[(qi, newgrade)], i_v)
+    action = Chain(base.field, L.H[newgrade] + V).then(L.pi[(qi, newgrade)], i_v).then(act)
     coaction = {}
     for r in base.grades():
         g = base.conj(qi, r)  # q^-1 r q
-        coaction[r] = kron(i_v, base.crossing[(q, g)]) @ v.coaction[g]
-    return YDModule(base, newgrade, v.labels, action, coaction, v.strict)
+        coaction[r] = Chain(base.field, V).then(rho[g]).then(i_v, L.pi[(q, g)]).matrix()
+    return YDModule(base, newgrade, v.labels, action.matrix(), coaction, v.strict)
 
 
 def _structure_data_witness(a, b):
@@ -409,16 +395,6 @@ def _structure_data_witness(a, b):
     return None
 
 
-def _iterated_witness(v_st, v_t, s):
-    """Regrading by st against regrading by t then s."""
-    return _structure_data_witness(v_st, yd_conjugate(v_t, s))
-
-
-def _tensor_witness(vw, v_s, w_s, s):
-    """Regrading a tensor by s against the tensor of the regradings."""
-    return _structure_data_witness(yd_conjugate(vw, s), yd_tensor(v_s, w_s))
-
-
 def check_conjugation_coherence(v, w, s, t):
     """Conjugation is functorial for composition and tensor: regrading by
     st equals regrading by t then s, and regrading a tensor equals the
@@ -428,9 +404,11 @@ def check_conjugation_coherence(v, w, s, t):
     rep = Report(
         f"conjugation coherence (s={base.grade_label(s)}, t={base.grade_label(t)})"
     )
-    witness = _iterated_witness(yd_conjugate(v, base.mul(s, t)), yd_conjugate(v, t), s)
+    v_st, v_t_s = yd_conjugate(v, base.mul(s, t)), yd_conjugate(yd_conjugate(v, t), s)
+    witness = _structure_data_witness(v_st, v_t_s)
     rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
-    witness = _tensor_witness(yd_tensor(v, w), yd_conjugate(v, s), yd_conjugate(w, s), s)
+    regraded = yd_tensor(yd_conjugate(v, s), yd_conjugate(w, s))
+    witness = _structure_data_witness(yd_conjugate(yd_tensor(v, w), s), regraded)
     rep.add("CONJ-4.6-tensor", witness is None, witness=witness)
     return rep
 
@@ -448,9 +426,9 @@ def conjugation_coherence(v, w):
     vw = yd_tensor(v, w)
     rep = Report("conjugation coherence")
     for s in grades:
-        tensor = _tensor_witness(vw, conj_v[s], conj_w[s], s)
+        tensor = _structure_data_witness(yd_conjugate(vw, s), yd_tensor(conj_v[s], conj_w[s]))
         for t in grades:
-            witness = _iterated_witness(conj_v[base.mul(s, t)], conj_v[t], s)
+            witness = _structure_data_witness(conj_v[base.mul(s, t)], yd_conjugate(conj_v[t], s))
             rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
             rep.add("CONJ-4.6-tensor", tensor is None, witness=tensor)
     return rep
@@ -471,18 +449,11 @@ def braiding(v, w):
     yd_tensor(yd_conjugate(w, v.grade), v)."""
     _require_same_base(v, w)
     _require_strict(v, w)
-    base = v.base
-    field = base.field
-    q = w.grade
-    qi = base.inv(q)
-    i_v = v.ident()
-    i_w = LinMap.identity(field, w.labels)
-    return (
-        swap_map(field, v.labels, w.labels)
-        @ kron(i_v, w.action)
-        @ kron_all(i_v, base.antipode[qi], i_w)
-        @ kron(v.coaction[qi], i_w)
-    )
+    L, V, _, rho_v, i_v = v.legs
+    _, W, act_w, _, i_w = w.legs
+    qi = v.base.inv(w.grade)
+    coacted = Chain(v.base.field, V + W).then(rho_v[qi], i_w).then(i_v, L.s[qi], i_w)
+    return coacted.then(i_v, act_w).permute(1, 0).matrix()
 
 
 def braiding_inverse(v, w):
@@ -490,25 +461,24 @@ def braiding_inverse(v, w):
     and act the coaction leg back on W."""
     _require_same_base(v, w)
     _require_strict(v, w)
-    base = v.base
-    field = base.field
-    i_v = v.ident()
-    i_w = LinMap.identity(field, w.labels)
-    return (
-        kron(i_v, w.action)
-        @ kron(v.coaction[w.grade], i_w)
-        @ swap_map(field, w.labels, v.labels)
-    )
+    _, V, _, rho_v, i_v = v.legs
+    _, W, act_w, _, i_w = w.legs
+    flipped = Chain(v.base.field, W + V).permute(1, 0)
+    return flipped.then(rho_v[w.grade], i_w).then(i_v, act_w).matrix()
 
 
 def check_braiding_inverse(v, w):
-    """Both round trips and agreement with linear-algebra inversion."""
+    """Both round trips, as Chain identities, and agreement with
+    linear-algebra inversion."""
     field = v.base.field
+    V, W = (v.labels,), (w.labels,)
     c = braiding(v, w)
     ci = braiding_inverse(v, w)
+    lc, lci = LegMap(c, V + W, W + V), LegMap(ci, W + V, V + W)
+    vw, wv = Chain(field, V + W), Chain(field, W + V)
     rep = Report("braiding invertibility")
-    rep.add_map_equality("BRAID-inverse-left", ci @ c, LinMap.identity(field, c.dom))
-    rep.add_map_equality("BRAID-inverse-right", c @ ci, LinMap.identity(field, c.cod))
+    rep.add_chain_equality("BRAID-inverse-left", vw.then(lc).then(lci), vw)
+    rep.add_chain_equality("BRAID-inverse-right", wv.then(lci).then(lc), wv)
     try:
         rep.add_map_equality("BRAID-inverse-matrix", c.invert(), ci)
     except NotInvertible as exc:
@@ -520,7 +490,10 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
     """The braided-crossed-category law suite for the pair (v, w):
     action linearity, coaction colinearity, conjugation compatibility,
     and, when x / morphisms are supplied, both tensor-composition laws
-    with their Yang-Baxter consequence and naturality."""
+    with their Yang-Baxter consequence and naturality.
+
+    Each law but the conjugation check is a Chain identity on the factor
+    legs V, W, X, which a map built on a tensor product enters as a LegMap."""
     _require_same_base(v, w)
     _require_strict(v, w)
     base = v.base
@@ -530,20 +503,25 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
     rep = Report(
         f"braiding laws (grades {base.grade_label(p)},{base.grade_label(q)})"
     )
+    L, V, _, _, i_v = v.legs
+    W, i_w = w.legs[1], w.legs[4]
 
     c = braiding(v, w)
     source = yd_tensor(v, w)
     target = yd_tensor(yd_conjugate(w, p), v)
-    i_pq = LinMap.identity(field, base.comp(pq).labels)
-    rep.add_map_equality(
-        "BRAID-H-linear", c @ source.action, target.action @ kron(i_pq, c)
+    lc = LegMap(c, V + W, W + V)
+    hvw, vw = Chain(field, L.H[pq] + V + W), Chain(field, V + W)
+    rep.add_chain_equality(
+        "BRAID-H-linear",
+        hvw.then(LegMap(source.action, L.H[pq] + V + W, V + W)).then(lc),
+        hvw.then(L.ident[pq], lc).then(LegMap(target.action, L.H[pq] + W + V, W + V)),
     )
     for r in base.grades():
-        i_r = LinMap.identity(field, base.comp(r).labels)
-        rep.add_map_equality(
+        H = L.H[r]
+        rep.add_chain_equality(
             "BRAID-H-colinear",
-            target.coaction[r] @ c,
-            kron(c, i_r) @ source.coaction[r],
+            vw.then(lc).then(LegMap(target.coaction[r], W + V, W + V + H)),
+            vw.then(LegMap(source.coaction[r], V + W, V + W + H)).then(lc, L.ident[r]),
             detail=f"grade {base.grade_label(r)}",
         )
 
@@ -558,32 +536,34 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
     if x is not None:
         _require_same_base(v, x)
         _require_strict(x)
-        i_v = v.ident()
-        i_w = LinMap.identity(field, w.labels)
-        i_x = LinMap.identity(field, x.labels)
-        c_wx = braiding(w, x)
-        c_v_qx = braiding(v, yd_conjugate(x, q))
-        rep.add_map_equality(
+        X, i_x = (x.labels,), x.legs[4]
+        c_wx = LegMap(braiding(w, x), W + X, X + W)
+        c_v_qx = LegMap(braiding(v, yd_conjugate(x, q)), V + X, X + V)
+        vwx = Chain(field, V + W + X)
+        through = vwx.then(i_v, c_wx).then(c_v_qx, i_w)  # (x', v, w)
+        rep.add_chain_equality(
             "BRAID-comp-tensor-first",
-            braiding(source, x),
-            kron(c_v_qx, i_w) @ kron(i_v, c_wx),
+            vwx.then(LegMap(braiding(source, x), V + W + X, X + V + W)),
+            through,
         )
-        rep.add_map_equality(
+        rep.add_chain_equality(
             "BRAID-comp-tensor-second",
-            braiding(v, yd_tensor(w, x)),
-            kron(i_w, braiding(v, x)) @ kron(c, i_x),
+            vwx.then(LegMap(braiding(v, yd_tensor(w, x)), V + W + X, W + X + V)),
+            vwx.then(lc, i_x).then(i_w, LegMap(braiding(v, x), V + X, X + V)),
         )
-        rep.add_map_equality(
+        rep.add_chain_equality(
             "BRAID-yang-baxter",
-            braiding(target, x) @ kron(c, i_x),
-            kron(i_x, c) @ kron(c_v_qx, i_w) @ kron(i_v, c_wx),
+            vwx.then(lc, i_x).then(LegMap(braiding(target, x), W + V + X, X + W + V)),
+            through.then(i_x, lc),
         )
 
     if f is not None and g is not None:
-        rep.add_map_equality(
+        F, G = (f.target.labels,), (g.target.labels,)
+        lf, lg = LegMap(f.map, V, F), LegMap(g.map, W, G)
+        rep.add_chain_equality(
             "BRAID-2.1-naturality",
-            kron(g.map, f.map) @ c,
-            braiding(f.target, g.target) @ kron(f.map, g.map),
+            vw.then(lc).then(lg, lf),
+            vw.then(lf, lg).then(LegMap(braiding(f.target, g.target), F + G, G + F)),
         )
     return rep
 
@@ -603,8 +583,7 @@ def check_crossed_equivalence(v):
     failure of the equivalence check itself.
     """
     base, p = v.base, v.grade
-    module_legs = _module_legs(v)
-    L, V, act, rho, i_v = module_legs
+    L, V, act, rho, i_v = v.legs
     H, mu, i, tag = L.H, L.mu, L.ident, base.grade_label
     s_inv = {}
     for r in base.grades():
@@ -634,7 +613,7 @@ def check_crossed_equivalence(v):
         for r in base.grades():
             m, ir = mu[r], i[r]
             if form == "YD-4.5-crossed":
-                lhs, rhs = _crossed_condition_sides(v, module_legs, r)
+                lhs, rhs = _crossed_condition_sides(v, r)
             elif form == "YD-4.8-crossed":  # (h2.v0) (x) (h3 v1) S^-1 pi(h1)
                 lhs = pv.then(act).then(rho[r])
                 rhs = spread(r).then(act, m, s_inv[r]).then(i_v, m)

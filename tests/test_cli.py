@@ -248,6 +248,28 @@ def test_construct_mirror_validates_its_output_once(fixture_dir, tmp_path, monke
     assert out_path.read_bytes() == (fixture_dir / "gchq-power-mirror.json").read_bytes()
 
 
+def test_each_base_builds_its_legs_once(fixture_dir, tmp_path, monkeypatch, capsys):
+    from quasibraid import gchq
+
+    built = []
+    init = gchq.GradedLegs.__init__
+
+    def counted(self, h):
+        built.append(h)
+        init(self, h)
+
+    monkeypatch.setattr(gchq.GradedLegs, "__init__", counted)
+    module = str(fixture_dir / "yd-diagonal-power.json")
+    code, _, _ = run(capsys, "validate", module, "--kind", "yd")
+    assert code == 0 and len(built) == 1  # the base, for all three validators
+    built.clear()
+    code, _, _ = run(
+        capsys, "construct", "--op", "mirror", str(fixture_dir / "gchq-power.json"),
+        "--out", str(tmp_path / "mirror.json"),
+    )
+    assert code == 0 and len(built) == 2  # the input, then the output
+
+
 def test_construct_mirror_of_invalid_input_exits_1(fixture_dir, tmp_path, capsys):
     jobj = serialize.read_file(fixture_dir / "gchq-power.json")
     jobj["antipode"]["1"] = [["0"] * 3] * 3
@@ -340,6 +362,13 @@ def _set_entry(key, i, j, value):
     return edit
 
 
+def _set_mult(n, entry):
+    def edit(jobj):
+        jobj["mult"][n] = entry
+
+    return edit
+
+
 def _gchq_counit(edit_list):
     def edit(jobj):
         jobj["counit"] = edit_list(jobj["counit"])
@@ -357,6 +386,14 @@ MISREAD = {
     "matrix-rows-as-text": ("hq-c2", QQ, _set("antipode", ["10", "01"])),
     "counit-truncated": ("gchq-power", QQ, _gchq_counit(lambda c: c[:1])),
     "counit-overlong": ("gchq-power", QQ, _gchq_counit(lambda c: c + ["0"])),
+    "mult-index-float": ("hq-c2", QQ, _set_mult(1, [0, 1.9, 1, "1"])),
+    "mult-index-text": ("hq-c2", QQ, _set_mult(0, ["0", 0, 0, "1"])),
+    "mult-index-true": ("hq-c2", QQ, _set_mult(0, [True, 0, 1, "1"])),
+    "dim-float": ("hq-c2", QQ, _set("dim", 2.7)),
+    "labels-as-text": ("hq-c2", QQ, _set("labels", "ab")),
+    "label-null": ("hq-c2", QQ, _set("labels", [None, "g"])),
+    "unit-as-text": ("hq-c2", QQ, _set("unit", "10")),
+    "mult-entry-twice": ("hq-c2", QQ, lambda jobj: jobj["mult"].append(jobj["mult"][0])),
 }
 
 
@@ -371,7 +408,7 @@ def test_misread_input_exits_2(case, tmp_path, capsys):
     serialize.write_file(target, jobj)
     code, out, err = run(capsys, "validate", str(target), "--kind", kind)
     assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 #: name -> (fixture, kind, edit); each edit once ended in an AttributeError

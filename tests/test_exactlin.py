@@ -312,13 +312,6 @@ def test_leg_perm_three_cycle():
     assert rot.cod[0b110] == ("b1", "c1", "a0")
 
 
-def test_apply_and_column():
-    f = LinMap.from_rows(QQ, [[1, 2], [3, 4]])
-    assert f.column(1) == {0: Fraction(2), 1: Fraction(4)}
-    out = f.apply({0: Fraction(1), 1: Fraction(-1)})
-    assert out == {0: Fraction(-1), 1: Fraction(-1)}
-
-
 # -- algebraic properties (hypothesis) ---------------------------------------
 
 small_scalar = st.integers(min_value=-3, max_value=3)
@@ -420,47 +413,50 @@ A = default_labels(2, "a")
 B = default_labels(3, "b")
 
 
-def chain_as_map(chain):
-    """The chain's matrix, column by column."""
-    entries = {
-        (i, j): v for j in range(chain.cols) for i, v in chain.column(j).items()
-    }
-    dom = tuple(chain.dom_label(j) for j in range(chain.cols))
-    cod = tuple(chain.cod_label(i) for i in range(chain.rows))
-    return LinMap(chain.field, chain.rows, chain.cols, entries, dom, cod)
-
-
 def pair(x, y):
     return tuple(a + b for a in x for b in y)
 
 
 def test_chain_identity_and_labels():
     chain = Chain(QQ, (A, B))
-    assert chain_as_map(chain) == LinMap.identity(QQ, pair(A, B))
-    assert chain.dom_label(4) == ("a1", "b1")
+    assert chain.matrix() == LinMap.identity(QQ, pair(A, B))
+    assert chain.matrix().dom[4] == ("a1", "b1")
     empty = Chain(QQ, ())
     assert empty.cols == empty.rows == 1
-    assert empty.column(0) == {0: QQ.one} and empty.cod_label(0) == ()
+    assert empty.column(0) == {0: QQ.one} and empty.matrix().cod == ((),)
 
 
 def test_chain_permute_matches_leg_perm():
     chain = Chain(GF5, (A, B, A)).permute(2, 0, 1)
-    assert chain_as_map(chain) == leg_perm(GF5, [A, B, A], (2, 0, 1))
+    assert chain.matrix() == leg_perm(GF5, [A, B, A], (2, 0, 1))
+
+
+def monomial_matrices(field, rows, cols):
+    """Matrices with at most one nonzero entry per column."""
+    column = st.tuples(st.integers(0, rows - 1), small_scalar)
+    return st.lists(column, min_size=cols, max_size=cols).map(
+        lambda picks: LinMap(field, rows, cols, {(i, j): v for j, (i, v) in enumerate(picks)})
+    )
 
 
 @st.composite
 def chain_factors(draw):
-    """f: A (x) B -> B, g: B -> A (x) A, h: A -> k, with random entries."""
+    """f: A (x) B -> B, g: B -> A (x) A, h: A -> k, with random entries;
+    either all three monomial or dense."""
     field = draw(fields)
-    f = draw(matrices(field, 3, 6)).relabeled(dom=pair(A, B), cod=B)
-    g = draw(matrices(field, 4, 3)).relabeled(dom=B, cod=pair(A, A))
-    h = draw(matrices(field, 1, 2)).relabeled(dom=A, cod=K_LABELS)
+    build = monomial_matrices if draw(st.booleans()) else matrices
+    f = draw(build(field, 3, 6)).relabeled(dom=pair(A, B), cod=B)
+    g = draw(build(field, 4, 3)).relabeled(dom=B, cod=pair(A, A))
+    h = draw(build(field, 1, 2)).relabeled(dom=A, cod=K_LABELS)
     return f, g, h
 
 
 @settings(max_examples=60, deadline=None)
 @given(chain_factors())
 def test_chain_matches_matrix_composite(fgh):
+    """Chain.matrix() against the kron/leg_perm/compose reference, on
+    monomial stages (the kernel without dicts) and dense ones (the sparse
+    fallback)."""
     f, g, h = fgh
     field = f.field
     ident_a = LinMap.identity(field, A)
@@ -474,10 +470,27 @@ def test_chain_matches_matrix_composite(fgh):
         @ kron(ident_a, g)
         @ kron(ident_a, f)
     )
-    assert chain_as_map(chain) == matrix
+    assert chain.matrix() == matrix
+    # monomial factors keep every column on the monomial kernel
+    monomial = all(m.table is not None for m in (lf, lg, lh))
+    assert chain.block([(0, 0, 0)])[0] == monomial
     # the witness rule: same pick as map_witness on the built matrices
     other = head.then(lh, la, la)
-    assert chain_witness(chain, other) == map_witness(matrix, chain_as_map(other))
+    assert chain_witness(chain, other) == map_witness(matrix, other.matrix())
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])
+def test_chain_out_of_k_matrix(field):
+    """A chain on no legs is k; its matrix has the one column () and
+    carries the labels kron gives a map out of k."""
+    assert Chain(field, ()).matrix() == LinMap.identity(field, K_LABELS)
+    u = LinMap(field, 6, 1, {(1, 0): 2, (5, 0): 3}, K_LABELS, pair(A, B))
+    unit = LegMap(u, (), (A, B))
+    assert Chain(field, ()).then(unit).matrix() == u
+    # and into k, through two legs out of k
+    eps = LinMap(field, 1, 6, {(0, 1): 1, (0, 4): 4}, pair(A, B), K_LABELS)
+    counit = LegMap(eps, (A, B), ())
+    assert Chain(field, ()).then(unit).then(counit).matrix() == compose(eps, u)
 
 
 def test_chain_rejects_mismatched_boundary_labels():
@@ -737,15 +750,25 @@ def v4_crossed_by_s3():
 
 
 def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
-    """Every chain identity the validators state on these structures has
-    only monomial stages, and no column takes the sparse fallback."""
+    """Every chain identity the validators and the braiding-law suite state
+    on these structures has only monomial stages, and no column, whether
+    of a law or of a construction's Chain.matrix(), takes the sparse
+    fallback."""
     from test_hq_legwise import chein_loop
     from quasibraid import fixtures
     from quasibraid.gchq import mirror, validate_crossing, validate_gchq
     from quasibraid.hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
     from quasibraid.report import Report
     from quasibraid.tables import GroupTable
-    from quasibraid.yd import check_crossed_equivalence, diagonal_module, validate_yd
+    from quasibraid.yd import (
+        check_braiding_inverse,
+        check_braiding_laws,
+        check_crossed_equivalence,
+        conjugation_coherence,
+        diagonal_module,
+        validate_yd,
+        yd_direct_sum,
+    )
 
     calls = {"checks": 0, "stages": 0, "fallback": 0}
     add_chain_equality = Report.add_chain_equality
@@ -777,5 +800,12 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     module = diagonal_module(power)
     validate_yd(module)
     check_crossed_equivalence(module)
+    _, incl, _ = yd_direct_sum(module, module)
+    for rep in (
+        check_braiding_laws(module, module, module, incl, incl),
+        check_braiding_inverse(module, module),
+        conjugation_coherence(module, module),
+    ):
+        assert rep.passed
     assert calls["checks"] > 0 and calls["stages"] > 0
     assert calls["fallback"] == 0

@@ -1,6 +1,12 @@
-"""Source hygiene: every package module uses every name it imports.
+"""Source hygiene, checked on the package's syntax trees:
 
-__init__.py is exempt, because its imports are the package's re-exports.
+- every package module uses every name it imports (__init__.py is exempt,
+  because its imports are the package's re-exports);
+- composites are stated one way: no package module but exactlin.py (and
+  __init__.py, for its re-exports) names the whole-matrix toolkit or
+  multiplies matrices with @;
+- every private top-level function or class is referenced somewhere in
+  the package.
 """
 
 import ast
@@ -11,7 +17,13 @@ import pytest
 import quasibraid
 
 PACKAGE = Path(quasibraid.__file__).resolve().parent
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ALL_MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
+
+#: exactlin's whole-matrix builders: public API and the tests' reference,
+#: but not how the library states a composite (that is Chain)
+MATRIX_TOOLKIT = {"kron", "kron_all", "leg_perm", "swap_map", "compose"}
+TOOLKIT_HOMES = {"exactlin.py", "__init__.py"}
 
 
 def unused_imports(source):
@@ -27,12 +39,89 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def matrix_toolkit_uses(source):
+    """The toolkit names that source imports, reads or looks up as an
+    attribute, and "@" if it multiplies with @."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.MatMult):
+            found.add("@")
+    return sorted(found & (MATRIX_TOOLKIT | {"@"}))
+
+
+def unreferenced_private_definitions(sources):
+    """module:name for each private top-level function or class (one
+    leading underscore) in sources, {module: source}, that no module
+    reads, looks up as an attribute or imports."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
+
+
 def test_detector_finds_unused_names():
     source = "import os.path\nfrom x import a, b as c\nfrom . import d\nc(d.e)\n"
     assert unused_imports(source) == ["a", "os"]
     assert unused_imports("from __future__ import annotations\n") == []
 
 
+def test_detector_finds_the_matrix_toolkit():
+    source = (
+        "from .exactlin import kron as k\n"
+        "from . import exactlin\n"
+        "x = exactlin.leg_perm(a, b) @ c\n"
+        "x @= compose\n"
+    )
+    assert matrix_toolkit_uses(source) == ["@", "compose", "kron", "leg_perm"]
+    # a Chain, and the names only as text, are fine
+    assert matrix_toolkit_uses("m = chain.then(f).matrix()\nnote = 'kron @ compose'\n") == []
+
+
+def test_detector_finds_unreferenced_private_definitions():
+    sources = {
+        "a.py": (
+            "def _used(): pass\n"
+            "def _unused(): pass\n"
+            "class _Dead: pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _local()\n"
+            "def _local(): pass\n"
+        ),
+        "b.py": "from .a import _used\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py:_Dead", "a.py:_unused"]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports_are_used(name):
     assert unused_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - TOOLKIT_HOMES))
+def test_module_states_composites_as_chains(name):
+    assert matrix_toolkit_uses((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def test_every_private_definition_is_referenced():
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
+    assert unreferenced_private_definitions(sources) == []

@@ -87,9 +87,9 @@ def test_crossed_set_action_is_conjugation(yd_crossed_s3, s3):
 def test_crossed_condition_instance_on_group_likes(yd_crossed_s3, s3):
     """Table-level evaluation of the crossed law: both sides send h (x) x
     to h x h^-1 (x) h x on group-like basis vectors."""
-    from quasibraid.yd import _crossed_condition_sides, _module_legs
+    from quasibraid.yd import _crossed_condition_sides
 
-    lhs, rhs = _crossed_condition_sides(yd_crossed_s3, _module_legs(yd_crossed_s3), 0)
+    lhs, rhs = _crossed_condition_sides(yd_crossed_s3, 0)
     n = s3.order
     for h in range(n):
         for x in range(n):
