@@ -31,6 +31,7 @@ from .gchq import (
 from .hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
 from .report import Report
 from .yd import (
+    Constructions,
     check_braiding_inverse,
     check_braiding_laws,
     conjugation_coherence,
@@ -152,12 +153,13 @@ def cmd_braid_report(args):
 
     sum_v, incl_v, _ = yd_direct_sum(v, v)
     sum_w, incl_w, _ = yd_direct_sum(w, w)
-    report.merge(check_braiding_laws(v, w, x, incl_v, incl_w))
+    built = Constructions()
+    report.merge(check_braiding_laws(v, w, x, incl_v, incl_w, built))
     report.merge(check_braiding_inverse(v, w))
     if x is not None:
         report.merge(check_braiding_inverse(w, x))
         report.merge(check_braiding_inverse(v, x))
-    report.merge(conjugation_coherence(v, w))
+    report.merge(conjugation_coherence(v, w, built))
     return _emit(report, args.json, time.monotonic() - start)
 
 

@@ -21,9 +21,9 @@ structure is strict: unitors and associators are identity matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import compress, count, product, repeat
 from math import prod
-from operator import itemgetter
+from operator import add, eq, floordiv, mod, mul
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -464,68 +464,53 @@ def leg_perm(field, legs, order):
     return LinMap(field, total, total, entries, dom, cod)
 
 
-def concat_labels(legs, multi):
-    """Basis label of the index tuple multi in the tensor product of legs."""
-    out = ()
-    for labels, idx in zip(legs, multi):
-        out = out + labels[idx]
-    return out
-
-
 def _product_labels(legs):
     """Basis labels of the tensor product of legs, left leg slowest."""
-    return tuple(
-        concat_labels(legs, multi) for multi in product(*[range(len(leg)) for leg in legs])
-    )
+    return tuple(sum(multi, ()) for multi in product(*legs))
 
 
 # -- leg-wise evaluation -------------------------------------------------------
 #
 # A tensor product of based spaces is given by its legs, each leg the label
 # tuple of one factor; the ground field k is the empty product and has no
-# legs.  A basis vector of the product is an index tuple with one entry per
-# leg.  Its flat position counts with the left leg slowest, as kron and
-# leg_perm do, and its label concatenates the legs' labels in leg order.
-
-
-def _multi_index(flat, dims):
-    """Index tuple of flat position `flat` in a product of legs of size dims."""
-    total = prod(dims)
-    if not 0 <= flat < total:
-        raise DomainMismatch(f"basis index {flat} outside dimension {total}")
-    out = []
-    for d in reversed(dims):
-        flat, idx = divmod(flat, d)
-        out.append(idx)
-    return tuple(reversed(out))
-
-
-def _flat_index(multi, dims):
-    flat = 0
-    for d, idx in zip(dims, multi):
-        flat = flat * d + idx
-    return flat
+# legs.  A basis vector of the product is named by its flat position, which
+# counts with the left leg slowest, as kron and leg_perm do; its label
+# concatenates the legs' labels in leg order.
 
 
 def _dims(legs):
-    return tuple(len(leg) for leg in legs)
+    return tuple(map(len, legs))
+
+
+def flat_label(legs, flat):
+    """Basis label of flat position `flat` in the tensor product of legs."""
+    out = ()
+    for labels in reversed(legs):
+        flat, idx = divmod(flat, len(labels))
+        out = labels[idx] + out
+    return out
 
 
 class LegMap:
     """A LinMap read as a map between tensor products of legs.
 
     f must carry the labels that kron would give the products of dom_legs
-    and cod_legs.  The check costs the size of f's own bases, never the
-    size of a chain the map is used in.  The columns are kept as
-    {input index tuple: [(output index tuple, scalar), ...]}.  Whether the
-    map is monomial (every column has at most one nonzero entry) is
-    decided once: if it is, table also holds {input index tuple: (output
-    index tuple, scalar)}, with no key for a zero column; otherwise table
-    is None.  For an identity map both are None, and a chain passes its
-    legs through.
+    and cod_legs, so a flat position in f's own bases is a flat position
+    in the product of its legs.  The check costs the size of f's own bases,
+    never the size of a chain the map is used in.
+
+    For an identity map columns, dest and scale are all None, and a chain
+    passes its legs through.  Otherwise columns holds {input position:
+    [(output position, scalar), ...]} with no key for a zero column.
+    Whether the map is monomial (every column has at most one nonzero
+    entry) is decided once: if it is, dest lists over f's own domain the
+    output position of each column, or -1 for a zero column, and scale
+    lists the column scalars (field.zero on a zero column) only when some
+    scalar is not field.one; loop and group algebras keep no scale.  A
+    map that is not monomial has dest = scale = None.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "table")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale")
 
     def __init__(self, f, dom_legs, cod_legs):
         dom_legs = tuple(tuple(leg) for leg in dom_legs)
@@ -536,21 +521,24 @@ class LegMap:
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
+        self.columns = self.dest = self.scale = None
         one = f.field.one
         if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
-            self.columns = self.table = None
             return
-        dom_dims, cod_dims = _dims(dom_legs), _dims(cod_legs)
         columns = {}
         for (i, j), value in sorted(f.entries.items()):
-            columns.setdefault(_multi_index(j, dom_dims), []).append(
-                (_multi_index(i, cod_dims), value)
-            )
+            columns.setdefault(j, []).append((i, value))
         self.columns = columns
-        if all(len(images) == 1 for images in columns.values()):
-            self.table = {multi: images[0] for multi, images in columns.items()}
-        else:
-            self.table = None
+        if any(len(images) != 1 for images in columns.values()):
+            return
+        dest = [-1] * f.cols
+        scale = [f.field.zero] * f.cols
+        for j, ((i, value),) in columns.items():
+            dest[j] = i
+            scale[j] = value
+        self.dest = dest
+        if any(images[0][1] != one for images in columns.values()):
+            self.scale = scale
 
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
@@ -571,21 +559,31 @@ class Chain:
       LegMap acting on the next len(fi.dom_legs) legs, left factor on the
       leftmost (slowest) legs; the Kronecker product is never built.
     - permute(*order) reorders the legs; order[j] names the leg that lands
-      in slot j, as in leg_perm.  The identity order adds no stage.
+      in slot j, as in leg_perm.  The identity order, and a then() of
+      identities only, add no stage.
 
     Both check the stage boundary like compose: the legs must agree in
     number and basis labels, or DomainMismatch is raised.
 
-    block(cols) is the one evaluator: it pushes a block of domain index
-    tuples through the stages together.  While every stage is a
-    permutation or a Kronecker product of identity runs and monomial
-    LegMaps, each column stays one (index tuple, scalar) pair, or
-    (None, zero) once it has vanished, and maps to one pair; the block
-    falls back to sparse dicts {index tuple: scalar} at the first other
-    stage.  Arithmetic goes through field.mul and field.add, and exact
-    zeros are dropped at every stage boundary.  dom_blocks() yields the
-    domain in column order, BLOCK columns at a time; image() and column()
-    evaluate a single column through block(), and matrix() every column.
+    A stage is recorded once, as (monomial, terms).  Each term is one
+    factor, a run of identity legs, or a run of legs a permutation keeps
+    together, as (s, n, t, f): its input digit of a flat position x is
+    x // s % n (n is None for the leftmost run, where x // s suffices),
+    f is its LegMap or None for identity legs, and its output digit lands
+    at output stride t, so a stage sends x to the sum over its terms of
+    f(digit) * t.  A stage is monomial when every f is None or has a dest;
+    permutations always are.  No stage holds a table over its domain.
+
+    block(cols) is the one evaluator: it pushes a block of flat domain
+    positions through the stages together.  While the stages are
+    monomial, each column stays one flat position with one scalar, and a
+    stage runs as a few C-level map passes over the block per term
+    (_flat_stage); the block falls back to sparse dicts {flat position:
+    scalar} at the first other stage (_apply_kron).  Arithmetic goes
+    through field.mul and field.add, and exact zeros are dropped at every
+    stage boundary.  dom_blocks() yields the domain in column order, BLOCK
+    columns at a time; column() evaluates a single column through block(),
+    and matrix() every column.
     """
 
     __slots__ = ("field", "dom_legs", "cod_legs", "stages", "_dom_dims", "_cod_dims")
@@ -605,37 +603,63 @@ class Chain:
         return prod(self._dom_dims)
 
     def then(self, *factors):
-        plan = []
+        field, legs = self.field, self.cod_legs
+        runs = []  # [input size, LegMap or None for a run of identity legs]
+        monomial = True
         pos = 0
-        cod_legs = []
+        cod_legs = ()
         for f in factors:
             stop = pos + len(f.dom_legs)
-            if f.map.field != self.field:
+            if f.map.field is not field and f.map.field != field:
                 raise DomainMismatch("maps over different fields")
-            if f.dom_legs != self.cod_legs[pos:stop]:
+            if f.dom_legs != legs[pos:stop]:
                 raise DomainMismatch(
                     f"cannot apply {f!r} to legs {pos}..{stop - 1} of a chain with "
-                    f"{len(self.cod_legs)} legs: dimensions or basis labels disagree"
+                    f"{len(legs)} legs: dimensions or basis labels disagree"
                 )
-            if f.columns is None and plan and plan[-1][0] is None:
-                plan[-1] = (None, None, plan[-1][2], stop)  # merge runs of identity legs
+            if f.columns is not None:
+                runs.append([f.map.cols, f])
+                monomial = monomial and f.dest is not None
+            elif runs and runs[-1][1] is None:
+                runs[-1][0] *= f.map.cols  # merge runs of identity legs
             else:
-                plan.append((f.columns, f.table, pos, stop))
-            cod_legs.extend(f.cod_legs)
+                runs.append([f.map.cols, None])
+            cod_legs += f.cod_legs
             pos = stop
-        if pos != len(self.cod_legs):
-            raise DomainMismatch(
-                f"factors cover {pos} of the chain's {len(self.cod_legs)} legs"
-            )
-        monomial = all(columns is None or table is not None for columns, table, _, _ in plan)
-        return self._extend(("mono" if monomial else "kron", tuple(plan)), tuple(cod_legs))
+        if pos != len(legs):
+            raise DomainMismatch(f"factors cover {pos} of the chain's {len(legs)} legs")
+        if len(runs) == 1 and runs[0][1] is None:
+            return self
+        terms = []
+        s = t = 1
+        for n, f in reversed(runs):
+            terms.append((s, n, t, f))
+            s *= n
+            t *= n if f is None else f.map.rows
+        s, _, t, f = terms[-1]
+        terms[-1] = (s, None, t, f)  # the leftmost run needs no mod
+        terms.reverse()
+        return self._extend((monomial, tuple(terms)), cod_legs)
 
     def permute(self, *order):
         if sorted(order) != list(range(len(self.cod_legs))):
             raise DomainMismatch(f"{order!r} is not a permutation of the legs")
         if order == tuple(range(len(order))):
             return self
-        return self._extend(("perm", itemgetter(*order)), tuple(self.cod_legs[i] for i in order))
+        dims = self._cod_dims
+        out_dims = [dims[i] for i in order]
+        runs = []  # [first leg, stop leg, output slot of the first leg]
+        for slot, leg in enumerate(order):
+            if runs and runs[-1][1] == leg:
+                runs[-1][1] += 1
+            else:
+                runs.append([leg, leg + 1, slot])
+        terms = tuple(
+            (prod(dims[stop:]), prod(dims[start:stop]) if start else None,
+             prod(out_dims[slot + stop - start:]), None)
+            for start, stop, slot in sorted(runs)
+        )
+        return self._extend((True, terms), tuple(self.cod_legs[i] for i in order))
 
     def _extend(self, stage, cod_legs):
         out = Chain.__new__(Chain)
@@ -644,60 +668,77 @@ class Chain:
         return out
 
     def dom_blocks(self):
-        """Index tuples of the domain basis vectors in column order, as
-        lists of at most BLOCK."""
-        indices = product(*[range(d) for d in self._dom_dims])
-        while cols := list(islice(indices, BLOCK)):
-            yield cols
+        """Flat positions of the domain basis vectors in column order, as
+        ranges of at most BLOCK."""
+        total = self.cols
+        for start in range(0, total, BLOCK):
+            yield range(start, min(start + BLOCK, total))
 
     def block(self, cols):
-        """Images of the domain basis vectors with index tuples cols, as
-        (monomial, images): one (index tuple | None, scalar) pair per
-        column if monomial, else one sparse dict {index tuple: scalar}."""
+        """Images of the domain basis vectors at flat positions cols, as
+        (monomial, images).  If monomial, images is (positions, scalars):
+        one flat codomain position per column, -1 for a column that has
+        vanished, and one scalar per column (field.zero where it has
+        vanished), or None when every column that has not vanished has
+        scalar field.one.  Otherwise
+        images holds one sparse dict {flat position: scalar} per column."""
         field = self.field
-        images = [(multi, field.one) for multi in cols]
-        monomial = True
-        for kind, data in self.stages:
-            if kind == "perm":
-                if monomial:
-                    images = [(idx if idx is None else data(idx), v) for idx, v in images]
-                else:
-                    images = [{data(idx): v for idx, v in vec.items()} for vec in images]
-            elif kind == "mono" and monomial:
-                images = _monomial_stage(field, data, images)
-            else:
-                if monomial:
-                    images = [as_sparse(image) for image in images]
-                    monomial = False
-                images = [_apply_kron(field, data, vec) for vec in images]
-        return monomial, images
-
-    def image(self, multi):
-        """Image of the domain basis vector with index tuple multi, as a
-        sparse dict {codomain index tuple: scalar}."""
-        monomial, (image,) = self.block([multi])
-        return as_sparse(image) if monomial else image
+        positions, scalars, dead = list(cols), None, set()
+        stages = iter(self.stages)
+        for monomial, terms in stages:
+            if not monomial:
+                one = field.one
+                vecs = [{x: one} for x in positions] if scalars is None else [
+                    {x: v} for x, v in zip(positions, scalars)
+                ]
+                for i in dead:
+                    vecs[i] = {}
+                vecs = [_apply_kron(field, terms, vec) for vec in vecs]
+                for _, terms in stages:
+                    vecs = [_apply_kron(field, terms, vec) for vec in vecs]
+                return False, vecs
+            if len(dead) < len(positions):  # else the next space may be empty
+                positions, scalars, lost = _flat_stage(field, terms, positions, scalars)
+                dead.update(lost)
+        if dead:
+            for i in dead:
+                positions[i] = -1
+            if len(dead) == len(positions):
+                scalars = None
+            elif scalars is not None:
+                for i in dead:
+                    scalars[i] = field.zero
+        return True, (positions, scalars)
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
-        dims = self._cod_dims
-        image = self.image(_multi_index(j, self._dom_dims))
-        return {_flat_index(idx, dims): v for idx, v in image.items()}
+        if not 0 <= j < self.cols:
+            raise DomainMismatch(f"basis index {j} outside dimension {self.cols}")
+        monomial, images = self.block((j,))
+        if not monomial:
+            return images[0]
+        (x,), scalars = images
+        return {} if x < 0 else {x: self.field.one if scalars is None else scalars[0]}
 
     def matrix(self):
         """The composite as a LinMap, evaluated through block() in column
         order; its bases carry the labels kron would give the products of
         the domain and codomain legs.  The library's one way to turn a
         composite into a matrix."""
-        dims = self._cod_dims
         entries = {}
-        j = 0
         for cols in self.dom_blocks():
             monomial, images = self.block(cols)
-            for image in images:
-                for idx, v in (as_sparse(image) if monomial else image).items():
-                    entries[(_flat_index(idx, dims), j)] = v
-                j += 1
+            if monomial:
+                positions, scalars = images
+                if scalars is None:
+                    scalars = repeat(self.field.one)
+                for j, i, v in zip(cols, positions, scalars):
+                    if i >= 0:
+                        entries[(i, j)] = v
+            else:
+                for j, vec in zip(cols, images):
+                    for i, v in vec.items():
+                        entries[(i, j)] = v
         dom, cod = _product_labels(self.dom_legs), _product_labels(self.cod_legs)
         return LinMap(self.field, self.rows, self.cols, entries, dom, cod)
 
@@ -708,58 +749,60 @@ class Chain:
         )
 
 
-def as_sparse(image):
-    """A monomial column (index tuple | None, scalar) as a sparse dict."""
-    idx, v = image
-    return {} if idx is None else {idx: v}
+def _flat_stage(field, terms, positions, scalars):
+    """One monomial stage on a block of flat positions, all in range, with
+    their scalars (None when all are field.one).  Each term is a chain of
+    C-level map passes over the block: floordiv and mod for its digit,
+    dest.__getitem__ for its factor, then mul and add by its output
+    stride.  A product of nonzero scalars is nonzero, so a column vanishes
+    only where a dest holds -1; only factors with zero columns look for
+    that.  Returns (positions, scalars, lost), where lost lists the block
+    indices that vanished here; their positions are set to 0, a position
+    of the output space, so the next stage can run over the whole block."""
+    out = None
+    lost = ()
+    for s, n, t, f in terms:
+        digits = positions if s == 1 else map(floordiv, positions, repeat(s))
+        if n is not None:
+            digits = map(mod, digits, repeat(n))
+        if f is not None:
+            if f.scale is not None:
+                digits = list(digits)
+                factor = list(map(f.scale.__getitem__, digits))
+                scalars = factor if scalars is None else list(map(field.mul, scalars, factor))
+            digits = map(f.dest.__getitem__, digits)
+            if len(f.columns) < len(f.dest):
+                digits = list(digits)
+                if -1 in digits:
+                    lost = [*lost, *compress(count(), map(eq, digits, repeat(-1)))]
+        if t != 1:
+            digits = map(mul, digits, repeat(t))
+        out = digits if out is None else map(add, out, digits)
+    out = list(out)
+    for i in lost:
+        out[i] = 0
+    return out, scalars, lost
 
 
-def _monomial_stage(field, plan, images):
-    """One Kronecker stage of identity runs and monomial tables on a block
-    of monomial columns.  A product of nonzero scalars is nonzero, so a
-    column vanishes only where a table has no key."""
-    mul = field.mul
-    vanished = (None, field.zero)
-    out = []
-    append = out.append
-    for idx, v in images:
-        if idx is None:
-            append(vanished)
-            continue
-        key = ()
-        for _, table, start, stop in plan:
-            legs = idx[start:stop]
-            if table is None:
-                key += legs
-                continue
-            hit = table.get(legs)
-            if hit is None:
-                key = None
-                break
-            key += hit[0]
-            v = mul(v, hit[1])
-        append(vanished if key is None else (key, v))
-    return out
-
-
-def _apply_kron(field, plan, vec):
-    """One Kronecker stage on a sparse vector; plan holds (columns, table,
-    start, stop) and only the columns are read."""
+def _apply_kron(field, terms, vec):
+    """One stage on a sparse vector {flat position: scalar}; terms as in
+    Chain, read through each factor's columns."""
     mul, add, zero = field.mul, field.add, field.zero
     out = {}
-    for idx, coeff in vec.items():
-        terms = [((), coeff)]
-        for columns, _, start, stop in plan:
-            legs = idx[start:stop]
-            if columns is None:
-                terms = [(key + legs, v) for key, v in terms]
+    for x, coeff in vec.items():
+        partial = [(0, coeff)]
+        for s, n, t, f in terms:
+            digit = x // s if n is None else x // s % n
+            if f is None:
+                shift = digit * t
+                partial = [(key + shift, v) for key, v in partial]
                 continue
-            images = columns.get(legs)
+            images = f.columns.get(digit)
             if images is None:
                 break
-            terms = [(key + o, mul(v, w)) for key, v in terms for o, w in images]
+            partial = [(key + o * t, mul(v, w)) for key, v in partial for o, w in images]
         else:
-            for key, v in terms:
+            for key, v in partial:
                 acc = out.get(key)
                 out[key] = v if acc is None else add(acc, v)
     return {key: v for key, v in out.items() if v != zero}

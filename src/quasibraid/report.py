@@ -16,8 +16,10 @@ codomain label of that row, and its values are formatted with field.fmt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import ne
 
-from .exactlin import as_sparse, concat_labels
+from .exactlin import flat_label
 
 #: Every check identifier the library can emit, with a one-line meaning.
 #: Identifiers are part of the report format: consumers key off these
@@ -177,43 +179,93 @@ def chain_witness(lhs, rhs):
     building either side.
 
     Both sides are evaluated block by block (Chain.block), in column
-    order.  A block whose two sides are equal is done in one comparison.
-    Otherwise each differing column offers its smallest differing row; a
-    monomial column whose sides land in different rows offers the smaller
-    of the two, with zero on the side that misses it.  Index tuples order
-    as flat positions do (left leg slowest), so the smallest row over all
-    columns, the earliest column winning a tie, is the smallest differing
-    (row, col) in row-major order.  Labels are built only for the witness.
+    order, as flat positions.  A block whose two sides are equal is done
+    in one comparison of flat lists.  Otherwise each differing column
+    offers its smallest differing row; a monomial column whose sides land
+    in different rows offers the smaller of the two, with zero on the side
+    that misses it.  Flat positions order as index tuples do, so the
+    smallest row over all columns, the earliest column winning a tie, is
+    the smallest differing (row, col) in row-major order.  Labels are
+    built only for the witness.
     """
     if _leg_dims(lhs) != _leg_dims(rhs):
         raise ValueError("witness comparison needs chains with the same leg dimensions")
-    zero = lhs.field.zero
+    field = lhs.field
     best = None
     for cols in lhs.dom_blocks():
-        mono_a, a = lhs.block(cols)
-        mono_b, b = rhs.block(cols)
-        if mono_a == mono_b and a == b:
+        a = lhs.block(cols)
+        b = rhs.block(cols)
+        if a == b:
             continue
-        for col, x, y in zip(cols, a, b):
-            x = as_sparse(x) if mono_a else x
-            y = as_sparse(y) if mono_b else y
-            if x == y:
-                continue
-            for row in x.keys() | y.keys():
-                u, v = x.get(row, zero), y.get(row, zero)
-                # columns come in increasing order, so a tie in row keeps the first
-                if u != v and (best is None or row < best[0]):
-                    best = (row, col, u, v)
+        found = _first_difference(field, a, b) if a[0] and b[0] else _sparse_difference(field, a, b)
+        # blocks come in column order, so a tie in row keeps the earlier block
+        if found is not None and (best is None or found[0] < best[0]):
+            best = found[0], cols[found[1]], found[2], found[3]
     if best is None:
         return None
     row, col, x, y = best
-    fmt = lhs.field.fmt
+    fmt = field.fmt
     return Witness(
-        domain=concat_labels(lhs.dom_legs, col),
-        codomain=concat_labels(lhs.cod_legs, row),
+        domain=flat_label(lhs.dom_legs, col),
+        codomain=flat_label(lhs.cod_legs, row),
         lhs=fmt(x),
         rhs=fmt(y),
     )
+
+
+def _first_difference(field, a, b):
+    """(row, index in block, lhs value, rhs value) of the smallest
+    differing row of two monomial blocks, the earliest column winning a
+    tie, or None if they agree.  Only the columns that differ are visited
+    one by one."""
+    (pa, sa), (pb, sb) = a[1], b[1]
+    offers = []
+    moved = list(map(ne, pa, pb))
+    xa, xb = list(compress(pa, moved)), list(compress(pb, moved))
+    if xa:
+        if -1 in xa or -1 in xb:  # a vanished side misses every row
+            rows = [max(x, y) if min(x, y) < 0 else min(x, y) for x, y in zip(xa, xb)]
+        else:
+            rows = list(map(min, xa, xb))
+        row = min(rows)
+        offers.append((row, next(islice(compress(count(), moved), rows.index(row), None))))
+    if sa != sb:
+        ones = repeat(field.one)
+        rescaled = compress(count(), map(ne, ones if sa is None else sa, ones if sb is None else sb))
+        offers += [(pa[i], i) for i in rescaled if pa[i] == pb[i] >= 0]
+    if not offers:
+        return None
+    row, i = min(offers)
+    zero, one = field.zero, field.one
+    x = (one if sa is None else sa[i]) if pa[i] == row else zero
+    y = (one if sb is None else sb[i]) if pb[i] == row else zero
+    return row, i, x, y
+
+
+def _sparse_difference(field, a, b):
+    """_first_difference when a side has left the monomial path."""
+    zero = field.zero
+    best = None
+    for i, (x, y) in enumerate(zip(_as_dicts(field, a), _as_dicts(field, b))):
+        if x == y:
+            continue
+        for row in x.keys() | y.keys():
+            u, v = x.get(row, zero), y.get(row, zero)
+            # columns come in increasing order, so a tie in row keeps the first
+            if u != v and (best is None or row < best[0]):
+                best = (row, i, u, v)
+    return best
+
+
+def _as_dicts(field, block):
+    """A Chain.block result as one sparse dict {row: scalar} per column."""
+    monomial, images = block
+    if not monomial:
+        return images
+    positions, scalars = images
+    if scalars is None:
+        scalars = repeat(field.one)
+    return [{} if x < 0 else {x: v} for x, v in zip(positions, scalars)]
 
 
 def _leg_dims(chain):

@@ -86,13 +86,25 @@ def _index(value, bound, what):
     return value
 
 
+def _labels(data, what):
+    """A list of str; a string would be read character by character."""
+    if type(data) is not list or any(type(atom) is not str for atom in data):
+        raise ParseError(f"{what}: labels must be a list of strings, not {data!r}")
+    return data
+
+
+def _index_rows(data, bound, what):
+    """A list of rows, each a list of indices read by _index."""
+    if type(data) is not list or any(type(row) is not list for row in data):
+        raise ParseError(f"{what}: {data!r} is not a list of rows, each a list")
+    return [[_index(v, bound, f"{what} entry") for v in row] for row in data]
+
+
 def _algebra_from_jobj(field, data, what):
     """A unital algebra from its dim, labels, mult and unit: dim and mult
     indices read by _index, no index triple twice, labels a list of str."""
     dim = _index(data["dim"], None, f"{what} dim")
-    labels, unit = data["labels"], data["unit"]
-    if type(labels) is not list or any(type(atom) is not str for atom in labels):
-        raise ParseError(f"{what}: labels must be a list of strings, not {labels!r}")
+    labels, unit = _labels(data["labels"], what), data["unit"]
     if type(unit) is not list:  # a string would be read digit by digit
         raise ParseError(f"{what}: unit {unit!r} is not a list")
     mult = {}
@@ -134,20 +146,24 @@ def table_to_jobj(t):
     }
 
 
+def _table_from_jobj(cls, jobj):
+    """A Cayley table: order read by _index, labels a list of str, and each
+    entry an index below the order."""
+    order = _index(jobj["order"], None, "order")
+    labels = _labels(jobj["labels"], "table")
+    if len(labels) != order:
+        raise ParseError("declared order does not match table")
+    return cls(labels, _index_rows(jobj["table"], order, "table"))
+
+
 def group_from_jobj(jobj):
     with _reading("bad group table"):
-        t = GroupTable(jobj["labels"], jobj["table"])
-        if t.order != jobj["order"]:
-            raise ParseError("declared order does not match table")
-        return t
+        return _table_from_jobj(GroupTable, jobj)
 
 
 def loop_from_jobj(jobj):
     with _reading("bad loop table"):
-        t = LoopTable(jobj["labels"], jobj["table"])
-        if t.order != jobj["order"]:
-            raise ParseError("declared order does not match table")
-        return t
+        return _table_from_jobj(LoopTable, jobj)
 
 
 def action_to_jobj(a):
@@ -166,7 +182,7 @@ def action_from_jobj(jobj):
             carrier = group_from_jobj(jobj["carrier"])
         else:
             carrier = loop_from_jobj(jobj["carrier"])
-        return GroupAction(actor, carrier, jobj["maps"])
+        return GroupAction(actor, carrier, _index_rows(jobj["maps"], carrier.order, "maps"))
 
 
 # -- Hopf quasigroups -------------------------------------------------------
@@ -311,7 +327,13 @@ def yd_from_jobj(jobj, base_dir=None):
         field = base.field
         order = base.grading.order
         grade = _index(jobj["grade"], order, "grade")
-        labels = tuple(tuple(str(a) for a in label) for label in jobj["labels"])
+        labels = jobj["labels"]
+        if type(labels) is not list:
+            raise ParseError(f"labels must be a list of labels, not {labels!r}")
+        labels = tuple(tuple(_labels(label, "label")) for label in labels)
+        strict = jobj["strict"]
+        if type(strict) is not bool:
+            raise ParseError(f"strict must be true or false, not {strict!r}")
         comp = base.comp(grade)
         action = _matrix_from_jobj(
             field, jobj["action"], _pair_labels(comp.labels, labels), labels, "action"
@@ -326,7 +348,7 @@ def yd_from_jobj(jobj, base_dir=None):
                 _pair_labels(labels, base.comp(r).labels),
                 f"coaction {key}",
             )
-        return YDModule(base, grade, labels, action, coaction, bool(jobj["strict"]))
+        return YDModule(base, grade, labels, action, coaction, strict)
 
 
 # -- file-level helpers ------------------------------------------------------

@@ -413,22 +413,49 @@ def check_conjugation_coherence(v, w, s, t):
     return rep
 
 
-def conjugation_coherence(v, w):
+class Constructions:
+    """yd_tensor and yd_conjugate kept by their arguments, so that the law
+    suites of one braid report build each module once.  A module argument
+    is keyed by identity and held with the result, so its id stays its
+    own; modules are immutable once built, so a kept result stays right."""
+
+    def __init__(self):
+        self._built = {}
+
+    def tensor(self, v, w):
+        return self._get(("tensor", id(v), id(w)), yd_tensor, v, w)
+
+    def conjugate(self, v, q):
+        return self._get(("conjugate", id(v), q), yd_conjugate, v, q)
+
+    def _get(self, key, build, v, arg):
+        if key not in self._built:
+            self._built[key] = (build(v, arg), v, arg)
+        return self._built[key][0]
+
+
+def conjugation_coherence(v, w, built=None):
     """The checks of check_conjugation_coherence for every pair (s, t), s
     slowest, building each construction once: V (x) W, the regradings of
     V and W by each grade, and the tensor check of each s, which does not
-    depend on t."""
+    depend on t.  built (Constructions) shares them with
+    check_braiding_laws on the same pair."""
     _require_same_base(v, w)
+    built = Constructions() if built is None else built
     base = v.base
     grades = list(base.grades())
-    conj_v = {g: yd_conjugate(v, g) for g in grades}
-    conj_w = conj_v if w is v else {g: yd_conjugate(w, g) for g in grades}
-    vw = yd_tensor(v, w)
+    conj_v = {g: built.conjugate(v, g) for g in grades}
+    conj_w = {g: built.conjugate(w, g) for g in grades}
+    vw = built.tensor(v, w)
     rep = Report("conjugation coherence")
     for s in grades:
-        tensor = _structure_data_witness(yd_conjugate(vw, s), yd_tensor(conj_v[s], conj_w[s]))
+        tensor = _structure_data_witness(
+            built.conjugate(vw, s), built.tensor(conj_v[s], conj_w[s])
+        )
         for t in grades:
-            witness = _structure_data_witness(conj_v[base.mul(s, t)], yd_conjugate(conj_v[t], s))
+            witness = _structure_data_witness(
+                conj_v[base.mul(s, t)], built.conjugate(conj_v[t], s)
+            )
             rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
             rep.add("CONJ-4.6-tensor", tensor is None, witness=tensor)
     return rep
@@ -486,16 +513,19 @@ def check_braiding_inverse(v, w):
     return rep
 
 
-def check_braiding_laws(v, w, x=None, f=None, g=None):
+def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     """The braided-crossed-category law suite for the pair (v, w):
     action linearity, coaction colinearity, conjugation compatibility,
     and, when x / morphisms are supplied, both tensor-composition laws
     with their Yang-Baxter consequence and naturality.
 
     Each law but the conjugation check is a Chain identity on the factor
-    legs V, W, X, which a map built on a tensor product enters as a LegMap."""
+    legs V, W, X, which a map built on a tensor product enters as a LegMap.
+    built (Constructions) shares the tensor products and regradings with
+    conjugation_coherence on the same pair."""
     _require_same_base(v, w)
     _require_strict(v, w)
+    built = Constructions() if built is None else built
     base = v.base
     field = base.field
     p, q = v.grade, w.grade
@@ -507,8 +537,8 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
     W, i_w = w.legs[1], w.legs[4]
 
     c = braiding(v, w)
-    source = yd_tensor(v, w)
-    target = yd_tensor(yd_conjugate(w, p), v)
+    source = built.tensor(v, w)
+    target = built.tensor(built.conjugate(w, p), v)
     lc = LegMap(c, V + W, W + V)
     hvw, vw = Chain(field, L.H[pq] + V + W), Chain(field, V + W)
     rep.add_chain_equality(
@@ -528,7 +558,7 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
     for s in base.grades():
         rep.add_map_equality(
             "BRAID-2.4-conjugation",
-            braiding(yd_conjugate(v, s), yd_conjugate(w, s)),
+            braiding(built.conjugate(v, s), built.conjugate(w, s)),
             c,
             detail=f"conjugated by {base.grade_label(s)}",
         )
@@ -538,7 +568,7 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
         _require_strict(x)
         X, i_x = (x.labels,), x.legs[4]
         c_wx = LegMap(braiding(w, x), W + X, X + W)
-        c_v_qx = LegMap(braiding(v, yd_conjugate(x, q)), V + X, X + V)
+        c_v_qx = LegMap(braiding(v, built.conjugate(x, q)), V + X, X + V)
         vwx = Chain(field, V + W + X)
         through = vwx.then(i_v, c_wx).then(c_v_qx, i_w)  # (x', v, w)
         rep.add_chain_equality(
@@ -548,7 +578,7 @@ def check_braiding_laws(v, w, x=None, f=None, g=None):
         )
         rep.add_chain_equality(
             "BRAID-comp-tensor-second",
-            vwx.then(LegMap(braiding(v, yd_tensor(w, x)), V + W + X, W + X + V)),
+            vwx.then(LegMap(braiding(v, built.tensor(w, x)), V + W + X, W + X + V)),
             vwx.then(lc, i_x).then(i_w, LegMap(braiding(v, x), V + X, X + V)),
         )
         rep.add_chain_equality(

@@ -270,6 +270,24 @@ def test_each_base_builds_its_legs_once(fixture_dir, tmp_path, monkeypatch, caps
     assert code == 0 and len(built) == 2  # the input, then the output
 
 
+def test_braid_report_builds_each_construction_once(fixture_dir, monkeypatch, capsys):
+    """The braiding laws and conjugation coherence share V (x) W and the
+    regradings of V and W; with a third module equal to the others, its
+    regrading and W (x) X are shared as well."""
+    from quasibraid import yd
+
+    tensors = _count_calls(monkeypatch, yd, "yd_tensor")
+    conjugates = _count_calls(monkeypatch, yd, "yd_conjugate")
+    module = str(fixture_dir / "yd-diagonal-power.json")
+    for modules in ([module] * 2, [module] * 3):
+        tensors.clear()
+        conjugates.clear()
+        code, _, _ = run(capsys, "braid-report", *modules)
+        assert code == 0
+        # 5 and 13 (two modules), 6 and 14 (three) when each suite built its own
+        assert (len(tensors), len(conjugates)) == (4, 8)
+
+
 def test_construct_mirror_of_invalid_input_exits_1(fixture_dir, tmp_path, capsys):
     jobj = serialize.read_file(fixture_dir / "gchq-power.json")
     jobj["antipode"]["1"] = [["0"] * 3] * 3
@@ -394,6 +412,8 @@ MISREAD = {
     "label-null": ("hq-c2", QQ, _set("labels", [None, "g"])),
     "unit-as-text": ("hq-c2", QQ, _set("unit", "10")),
     "mult-entry-twice": ("hq-c2", QQ, lambda jobj: jobj["mult"].append(jobj["mult"][0])),
+    "yd-strict-as-text": ("yd-trivial", QQ, _set("strict", "false")),
+    "yd-label-atom-null": ("yd-trivial", QQ, _set("labels", [[None]])),
 }
 
 
@@ -408,6 +428,40 @@ def test_misread_input_exits_2(case, tmp_path, capsys):
     serialize.write_file(target, jobj)
     code, out, err = run(capsys, "validate", str(target), "--kind", kind)
     assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _set_map_entry(g, x, value):
+    def edit(jobj):
+        jobj["maps"][g][x] = value
+
+    return edit
+
+
+#: name -> (construct op, inputs, the input edited, edit); each edit once
+#: loaded as a valid table or action, so the construction wrote its output
+#: and exited 0
+TABLE_MISREAD = {
+    "table-bools": ("loop-algebra", ["table-c2"], 0, _set("table", [[0, True], [1, False]])),
+    "table-entry-float": ("loop-algebra", ["table-c2"], 0, _set_entry("table", 0, 1, 1.7)),
+    "table-labels-as-text": ("loop-algebra", ["table-c2"], 0, _set("labels", "ab")),
+    "table-order-float": ("loop-algebra", ["table-c2"], 0, _set("order", 2.0)),
+    "action-map-entry-true": ("power", ["hq-c3", "action-c2-on-c3"], 1, _set_map_entry(0, 1, True)),
+    "action-map-entry-float": ("power", ["hq-c3", "action-c2-on-c3"], 1, _set_map_entry(1, 2, 1.2)),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_MISREAD))
+def test_misread_table_or_action_exits_2(case, fixture_dir, tmp_path, capsys):
+    op, names, edited, edit = TABLE_MISREAD[case]
+    paths = [str(fixture_dir / f"{name}.json") for name in names]
+    jobj = serialize.read_file(paths[edited])
+    edit(jobj)
+    paths[edited] = str(tmp_path / f"{case}.json")
+    serialize.write_file(paths[edited], jobj)
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "construct", "--op", op, *paths, "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
     assert err.startswith("error: ") and "Traceback" not in err
 
 

@@ -472,8 +472,8 @@ def test_chain_matches_matrix_composite(fgh):
     )
     assert chain.matrix() == matrix
     # monomial factors keep every column on the monomial kernel
-    monomial = all(m.table is not None for m in (lf, lg, lh))
-    assert chain.block([(0, 0, 0)])[0] == monomial
+    monomial = all(m.dest is not None for m in (lf, lg, lh))
+    assert chain.block([0])[0] == monomial
     # the witness rule: same pick as map_witness on the built matrices
     other = head.then(lh, la, la)
     assert chain_witness(chain, other) == map_witness(matrix, other.matrix())
@@ -528,6 +528,17 @@ def _multi(flat, dims):
         flat, idx = divmod(flat, d)
         out.append(idx)
     return tuple(reversed(out))
+
+
+def image(chain, multi):
+    """Chain.column of the basis vector with index tuple multi, keyed by
+    codomain index tuples like reference_image."""
+    dom_dims = [len(leg) for leg in chain.dom_legs]
+    cod_dims = [len(leg) for leg in chain.cod_legs]
+    flat = 0
+    for d, idx in zip(dom_dims, multi):
+        flat = flat * d + idx
+    return {_multi(row, cod_dims): v for row, v in chain.column(flat).items()}
 
 
 def reference_columns(f):
@@ -594,26 +605,36 @@ def build_chain(field, dom_legs, program):
 
 LEG_SPACES = (A, B)  # dims 2 and 3
 MAX_LEGS = 4  # keeps every space of a random chain at most 81-dimensional
-# values that cancel in sums: 1 + 4 = 0 over GF(5), 1 + -1 = 0 over Q
-entry_values = st.sampled_from([1, -1, 2, 4])
+
+
+def entry_values(field):
+    """Values that cancel in sums (1 + 4 = 0 over GF(5), 1 + -1 = 0 over Q),
+    reduce to zero over GF(2) (2 and 4), or keep Q on Fractions (1/2)."""
+    return st.sampled_from([1, -1, 2, 4] + ([Fraction(1, 2)] if field == QQ else []))
 
 
 @st.composite
 def leg_maps(draw, field, dom_legs, max_cod_legs):
-    """A random LegMap out of dom_legs: the identity, a monomial map or a
-    map with several entries per column."""
-    kind = draw(st.sampled_from(["identity", "monomial", "general"]))
+    """A random LegMap out of dom_legs: the identity, a permutation matrix,
+    a monomial map with unit scalars or with others (either with or
+    without zero columns), or a map with several entries per column."""
+    kind = draw(st.sampled_from(["identity", "permutation", "unit", "scaled", "general"]))
+    labels = product_labels(dom_legs)
+    cols = len(labels)
     if kind == "identity":
-        labels = product_labels(dom_legs)
         return LegMap(LinMap.identity(field, labels), dom_legs, dom_legs)
+    if kind == "permutation":
+        perm = draw(st.permutations(range(cols)))
+        return LegMap(LinMap.from_permutation(field, perm, labels), dom_legs, dom_legs)
     cod_legs = tuple(draw(st.lists(st.sampled_from(LEG_SPACES), max_size=max_cod_legs)))
-    rows, cols = prod(len(l) for l in cod_legs), prod(len(l) for l in dom_legs)
+    rows = prod(len(l) for l in cod_legs)
+    fewest = 0 if draw(st.booleans()) else 1
     entries = {}
     for j in range(cols):
-        hits = draw(st.integers(0, 1 if kind == "monomial" else min(rows, 3)))
+        hits = draw(st.integers(fewest, min(rows, 3) if kind == "general" else 1))
         for i in draw(st.permutations(range(rows)))[:hits]:
-            entries[(i, j)] = draw(entry_values)
-    f = LinMap(field, rows, cols, entries, product_labels(dom_legs), product_labels(cod_legs))
+            entries[(i, j)] = 1 if kind == "unit" else draw(entry_values(field))
+    f = LinMap(field, rows, cols, entries, labels, product_labels(cod_legs))
     return LegMap(f, dom_legs, cod_legs)
 
 
@@ -671,7 +692,7 @@ def test_block_evaluator_matches_per_column_reference(data):
     exactlin.BLOCK = data.draw(st.sampled_from([1, 2, 5, saved]))
     try:
         for col in product(*[range(len(leg)) for leg in dom_legs]):
-            assert lhs.image(col) == reference_image(field, program, col)
+            assert image(lhs, col) == reference_image(field, program, col)
         assert chain_witness(lhs, rhs) == reference_witness(
             field, dom_legs, cod_legs, program, other
         )
@@ -687,7 +708,7 @@ def test_entries_that_cancel_leave_no_zero(field):
     fold = LegMap(LinMap(field, 2, 2, {(0, 0): 1, (0, 1): -1}, A, A), (A,), (A,))
     chain = Chain(field, (A,)).then(split).then(fold)
     zero = Chain(field, (A,)).then(LegMap(LinMap.zero_map(field, A, A), (A,), (A,)))
-    assert chain.image((0,)) == {} and chain.column(0) == {}
+    assert image(chain, (0,)) == {} and chain.column(0) == {}
     assert chain_witness(chain, zero) is None
 
 
@@ -751,8 +772,9 @@ def v4_crossed_by_s3():
 
 def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     """Every chain identity the validators and the braiding-law suite state
-    on these structures has only monomial stages, and no column, whether
-    of a law or of a construction's Chain.matrix(), takes the sparse
+    on these structures has only monomial stages; every stage that any
+    block, of a law or of a construction's Chain.matrix(), pushes through
+    runs on the flat stage function, and none takes the sparse
     fallback."""
     from test_hq_legwise import chein_loop
     from quasibraid import fixtures
@@ -770,24 +792,34 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
         yd_direct_sum,
     )
 
-    calls = {"checks": 0, "stages": 0, "fallback": 0}
+    calls = {"checks": 0, "stages": 0, "blocked": 0, "flat": 0, "fallback": 0}
     add_chain_equality = Report.add_chain_equality
+    block, flat_stage, apply_kron = Chain.block, exactlin._flat_stage, exactlin._apply_kron
 
     def counted_check(self, check_id, lhs, rhs, *args, **kwargs):
         calls["checks"] += 1
         for chain in (lhs, rhs):
-            kinds = [kind for kind, _ in chain.stages]
-            assert "kron" not in kinds, f"{check_id}: a non-monomial stage"
-            calls["stages"] += len(kinds)
+            assert all(monomial for monomial, _ in chain.stages), (
+                f"{check_id}: a non-monomial stage"
+            )
+            calls["stages"] += len(chain.stages)
         return add_chain_equality(self, check_id, lhs, rhs, *args, **kwargs)
 
-    apply_kron = exactlin._apply_kron
+    def counted_block(self, cols):
+        calls["blocked"] += len(self.stages)
+        return block(self, cols)
+
+    def counted_flat(*args):
+        calls["flat"] += 1
+        return flat_stage(*args)
 
     def counted_fallback(*args):
         calls["fallback"] += 1
         return apply_kron(*args)
 
     monkeypatch.setattr(Report, "add_chain_equality", counted_check)
+    monkeypatch.setattr(Chain, "block", counted_block)
+    monkeypatch.setattr(exactlin, "_flat_stage", counted_flat)
     monkeypatch.setattr(exactlin, "_apply_kron", counted_fallback)
 
     for h in (fixtures.hq_o16(), loop_algebra(chein_loop(GroupTable.symmetric(3)), QQ)):
@@ -808,4 +840,5 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     ):
         assert rep.passed
     assert calls["checks"] > 0 and calls["stages"] > 0
+    assert calls["flat"] == calls["blocked"] > 0
     assert calls["fallback"] == 0

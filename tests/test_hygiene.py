@@ -6,10 +6,13 @@
   __init__.py, for its re-exports) names the whole-matrix toolkit or
   multiplies matrices with @;
 - every private top-level function or class is referenced somewhere in
-  the package.
+  the package;
+- the runtime is stdlib-only: every module the package imports is in the
+  standard library or is quasibraid itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,19 @@ MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 #: but not how the library states a composite (that is Chain)
 MATRIX_TOOLKIT = {"kron", "kron_all", "leg_perm", "swap_map", "compose"}
 TOOLKIT_HOMES = {"exactlin.py", "__init__.py"}
+
+
+def non_stdlib_imports(source):
+    """Top-level names of the absolute imports in source that are neither
+    in the standard library nor quasibraid; relative imports are the
+    package's own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {"quasibraid", "__future__"})
 
 
 def unused_imports(source):
@@ -97,6 +113,21 @@ def test_detector_finds_the_matrix_toolkit():
     assert matrix_toolkit_uses("m = chain.then(f).matrix()\nnote = 'kron @ compose'\n") == []
 
 
+def test_detector_finds_non_stdlib_imports():
+    source = (
+        "import os.path, numpy as np\n"
+        "from sympy.core import Rational\n"
+        "from . import exactlin\n"
+        "from .yd import braiding\n"
+        "from quasibraid.report import Report\n"
+        "from __future__ import annotations\n"
+        "def f():\n"
+        "    import hypothesis\n"
+    )
+    assert non_stdlib_imports(source) == ["hypothesis", "numpy", "sympy"]
+    assert non_stdlib_imports("from itertools import repeat\nimport operator\n") == []
+
+
 def test_detector_finds_unreferenced_private_definitions():
     sources = {
         "a.py": (
@@ -120,6 +151,11 @@ def test_module_imports_are_used(name):
 @pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - TOOLKIT_HOMES))
 def test_module_states_composites_as_chains(name):
     assert matrix_toolkit_uses((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_module_imports_only_the_standard_library(name):
+    assert non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 def test_every_private_definition_is_referenced():
