@@ -196,14 +196,17 @@ QQ = Rationals()
 
 
 def field_from_name(name):
-    """Parse a field tag: "Q" or "GF:<p>"."""
+    """Parse a field tag: "Q" or "GF:<p>", p in canonical decimal text (the
+    text a saved field is written back as)."""
+    if type(name) is not str:
+        raise FieldError(f"field tag {name!r} is not a string")
     if name == "Q":
         return QQ
     if name.startswith("GF:"):
-        try:
-            return PrimeField(int(name[3:]))
-        except ValueError as exc:
-            raise FieldError(f"bad field tag {name!r}") from exc
+        digits = name[3:]
+        if not (digits.isdecimal() and str(int(digits)) == digits):
+            raise FieldError(f"bad field tag {name!r}")
+        return PrimeField(int(digits))
     raise FieldError(f"unknown field tag {name!r}")
 
 
@@ -458,13 +461,13 @@ def leg_perm(field, legs, order):
         for slot, src in enumerate(order):
             row = row * out_dims[slot] + multi[src]
         entries[(row, col)] = field.one
-    dom = _product_labels(legs)
-    cod = _product_labels([legs[i] for i in order])
+    dom = product_labels(legs)
+    cod = product_labels([legs[i] for i in order])
     total = prod(dims)
     return LinMap(field, total, total, entries, dom, cod)
 
 
-def _product_labels(legs):
+def product_labels(legs):
     """Basis labels of the tensor product of legs, left leg slowest."""
     return tuple(sum(multi, ()) for multi in product(*legs))
 
@@ -516,7 +519,7 @@ class LegMap:
         dom_legs = tuple(tuple(leg) for leg in dom_legs)
         cod_legs = tuple(tuple(leg) for leg in cod_legs)
         for labels, legs, side in ((f.dom, dom_legs, "domain"), (f.cod, cod_legs, "codomain")):
-            if len(labels) != prod(_dims(legs)) or labels != _product_labels(legs):
+            if len(labels) != prod(_dims(legs)) or labels != product_labels(legs):
                 raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
         self.map = f
         self.dom_legs = dom_legs
@@ -739,7 +742,7 @@ class Chain:
                 for j, vec in zip(cols, images):
                     for i, v in vec.items():
                         entries[(i, j)] = v
-        dom, cod = _product_labels(self.dom_legs), _product_labels(self.cod_legs)
+        dom, cod = product_labels(self.dom_legs), product_labels(self.cod_legs)
         return LinMap(self.field, self.rows, self.cols, entries, dom, cod)
 
     def __repr__(self):

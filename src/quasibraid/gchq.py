@@ -30,7 +30,7 @@ from .errors import (
     MalformedStructure,
     NotInvertible,
 )
-from .exactlin import K_LABELS, Chain, LegMap, LinMap
+from .exactlin import K_LABELS, Chain, LegMap, LinMap, product_labels
 from .hq import UnitalAlgebra, _structure_legs, validate_hopf_quasigroup
 from .report import Report, chain_witness
 from . import tables
@@ -110,10 +110,7 @@ class CrossedGCHQ:
             src = self.comp(self.mul(p, q))
             if m.dom != src.labels:
                 raise MalformedStructure(f"comultiplication ({p},{q}) domain mismatch")
-            expected = tuple(
-                a + b for a in self.comp(p).labels for b in self.comp(q).labels
-            )
-            if m.cod != expected:
+            if m.cod != product_labels((self.comp(p).labels, self.comp(q).labels)):
                 raise MalformedStructure(f"comultiplication ({p},{q}) codomain mismatch")
         e_labels = self.comp(0).labels
         if self.counit.dom != e_labels or self.counit.cod != K_LABELS:
@@ -377,16 +374,14 @@ def power_construction(h, action):
         labels = tuple((f"{G.labels[p]}:{atom}",) for (atom,) in h.labels)
         components.append(h.algebra.relabeled(labels))
 
-    def pair_labels(p, q):
-        return tuple(a + b for a in components[p].labels for b in components[q].labels)
-
     comult = {}
     crossing = {}
     for p in G.elements():
         for q in G.elements():
             pq = G.mul(p, q)
             comult[(p, q)] = h.comult.relabeled(
-                dom=components[pq].labels, cod=pair_labels(p, q)
+                dom=components[pq].labels,
+                cod=product_labels((components[p].labels, components[q].labels)),
             )
             target = tables.conjugate(G, p, q)
             crossing[(p, q)] = LinMap.from_permutation(

@@ -12,7 +12,7 @@ but never required, which is the whole point of the structure.
 from __future__ import annotations
 
 from .errors import InvalidLoop, MalformedStructure, NotInvertible
-from .exactlin import K_LABELS, Chain, LegMap, LinMap
+from .exactlin import K_LABELS, Chain, LegMap, LinMap, product_labels
 from .report import Report
 from . import tables
 
@@ -45,7 +45,7 @@ class UnitalAlgebra:
         entries = {
             (k, i * self.dim + j): value for (i, j, k), value in self.mult.items()
         }
-        dom = tuple(a + b for a in self.labels for b in self.labels)
+        dom = product_labels((self.labels, self.labels))
         return LinMap(self.field, self.dim, self.dim * self.dim, entries, dom, self.labels)
 
     def unit_map(self):
@@ -95,7 +95,7 @@ class HopfQuasigroup:
             or antipode.cod != algebra.labels
         ):
             raise MalformedStructure("antipode has wrong shape or labels")
-        expected = tuple(a + b for a in algebra.labels for b in algebra.labels)
+        expected = product_labels((algebra.labels, algebra.labels))
         if comult.cod != expected:
             raise MalformedStructure("comultiplication codomain labels are not pairs")
         if counit.cod != K_LABELS:
@@ -145,10 +145,8 @@ def loop_algebra(t, field, check=True):
     mult = {(i, j, t.table[i][j]): field.one for i in range(n) for j in range(n)}
     unit = tuple(field.one if i == 0 else field.zero for i in range(n))
     algebra = UnitalAlgebra(field, n, labels, mult, unit)
-    pair_labels = tuple(a + b for a in labels for b in labels)
-    comult = LinMap(
-        field, n * n, n, {(i * n + i, i): field.one for i in range(n)}, labels, pair_labels
-    )
+    diagonal = {(i * n + i, i): field.one for i in range(n)}
+    comult = LinMap(field, n * n, n, diagonal, labels, product_labels((labels, labels)))
     counit = LinMap(field, 1, n, {(0, i): field.one for i in range(n)}, labels, K_LABELS)
     inv = [t.right_inverse[i] for i in range(n)]
     if any(v is None for v in inv):

@@ -283,6 +283,12 @@ class Report:
         self.checks.append(Check(check_id, bool(passed), required, witness, detail))
         return self.checks[-1]
 
+    def add_first_witness(self, check_id, witnesses, required=True):
+        """Record a check stated as a stream of counterexamples: the first
+        Witness it yields fails the check, and none is drawn after it."""
+        witness = next(iter(witnesses), None)
+        return self.add(check_id, witness is None, required, witness)
+
     def add_map_equality(self, check_id, lhs, rhs, required=True, detail=""):
         """Check two composed maps for exact equality; record first difference."""
         witness = map_witness(lhs, rhs)

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ParseError, QuasibraidError
-from .exactlin import K_LABELS, LinMap, field_from_name
+from .exactlin import K_LABELS, LinMap, field_from_name, product_labels
 from .gchq import CrossedGCHQ
 from .hq import HopfQuasigroup, UnitalAlgebra
 from .tables import GroupAction, GroupTable, LoopTable
@@ -67,10 +67,6 @@ def _matrix_from_jobj(field, data, dom, cod, what):
                 if value != field.zero:
                     entries[(i, j)] = value
         return LinMap(field, rows, cols, entries, dom, cod)
-
-
-def _pair_labels(a, b):
-    return tuple(x + y for x in a for y in b)
 
 
 def _index(value, bound, what):
@@ -178,10 +174,10 @@ def action_to_jobj(a):
 def action_from_jobj(jobj):
     with _reading("bad action"):
         actor = group_from_jobj(jobj["actor"])
-        if jobj.get("carrier_kind", "group") == "group":
-            carrier = group_from_jobj(jobj["carrier"])
-        else:
-            carrier = loop_from_jobj(jobj["carrier"])
+        kind = jobj.get("carrier_kind", "group")
+        if kind not in ("group", "loop"):
+            raise ParseError(f'carrier_kind must be "group" or "loop", not {kind!r}')
+        carrier = (group_from_jobj if kind == "group" else loop_from_jobj)(jobj["carrier"])
         return GroupAction(actor, carrier, _index_rows(jobj["maps"], carrier.order, "maps"))
 
 
@@ -211,7 +207,7 @@ def hq_from_jobj(jobj):
         algebra = _algebra_from_jobj(field, jobj, "algebra")
         labels = algebra.labels
         comult = _matrix_from_jobj(
-            field, jobj["comult"], labels, _pair_labels(labels, labels), "comult"
+            field, jobj["comult"], labels, product_labels((labels, labels)), "comult"
         )
         counit = _matrix_from_jobj(field, jobj["counit"], labels, K_LABELS, "counit")
         antipode = _matrix_from_jobj(field, jobj["antipode"], labels, labels, "antipode")
@@ -267,7 +263,7 @@ def gchq_from_jobj(jobj):
                 field,
                 data,
                 components[pq].labels,
-                _pair_labels(components[p].labels, components[q].labels),
+                product_labels((components[p].labels, components[q].labels)),
                 f"comult {key}",
             )
         counit = _matrix_from_jobj(
@@ -331,12 +327,14 @@ def yd_from_jobj(jobj, base_dir=None):
         if type(labels) is not list:
             raise ParseError(f"labels must be a list of labels, not {labels!r}")
         labels = tuple(tuple(_labels(label, "label")) for label in labels)
+        if _index(jobj["dim"], None, "dim") != len(labels):
+            raise ParseError(f"dim {jobj['dim']} does not match {len(labels)} labels")
         strict = jobj["strict"]
         if type(strict) is not bool:
             raise ParseError(f"strict must be true or false, not {strict!r}")
         comp = base.comp(grade)
         action = _matrix_from_jobj(
-            field, jobj["action"], _pair_labels(comp.labels, labels), labels, "action"
+            field, jobj["action"], product_labels((comp.labels, labels)), labels, "action"
         )
         coaction = {}
         for key, data in jobj["coaction"].items():
@@ -345,7 +343,7 @@ def yd_from_jobj(jobj, base_dir=None):
                 field,
                 data,
                 labels,
-                _pair_labels(labels, base.comp(r).labels),
+                product_labels((labels, base.comp(r).labels)),
                 f"coaction {key}",
             )
         return YDModule(base, grade, labels, action, coaction, strict)

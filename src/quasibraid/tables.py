@@ -1,9 +1,13 @@
 """Finite groups, inverse-property loops and automorphic actions as Cayley tables.
 
-Element 0 is always the identity.  Validators are exhaustive over all
-pairs/triples and report the first offending witness; multiplication
-tables of interesting nonassociative loops (the 16-element unit loop of
-the octonion basis) are generated here.
+Element 0 is always the identity.  GroupTable and LoopTable share one
+core (the shape check, mul, elements, equality and the direct product)
+and add only their inverse tables and constructors.  Every group, loop
+and action law is stated once, as a stream of counterexample Witnesses
+over all elements, pairs or triples in index order, and recorded by one
+helper (Report.add_first_witness): the first witness fails the check.
+Groups and loops share the identity and associativity scans.  The
+16-element unit loop of the octonion basis is generated here.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ _OCT_LINES = tuple(
 )
 
 
-class GroupTable:
-    """Finite group given by its Cayley table over element indices."""
+class _CayleyTable:
+    """A finite set with a multiplication given by its Cayley table over
+    element indices; a subclass reads it as a group or a loop and keeps
+    its own inverse tables."""
 
-    __slots__ = ("order", "labels", "table", "inverse")
+    __slots__ = ("order", "labels", "table")
 
     def __init__(self, labels, table):
         self.order = len(labels)
@@ -33,40 +39,50 @@ class GroupTable:
             len(row) != self.order for row in self.table
         ):
             raise QuasibraidError("Cayley table shape does not match order")
-        self.inverse = self._inverse_table()
-
-    def _inverse_table(self):
-        inv = []
-        for x in range(self.order):
-            found = None
-            for y in range(self.order):
-                if self.table[x][y] == 0 and self.table[y][x] == 0:
-                    found = y
-                    break
-            inv.append(found)
-        return tuple(inv)
 
     def mul(self, x, y):
         return self.table[x][y]
-
-    def inv(self, x):
-        y = self.inverse[x]
-        if y is None:
-            raise QuasibraidError(f"element {self.labels[x]} has no two-sided inverse")
-        return y
 
     def elements(self):
         return range(self.order)
 
     def __eq__(self, other):
-        if not isinstance(other, GroupTable):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.labels == other.labels and self.table == other.table
 
     __hash__ = None
 
     def __repr__(self):
-        return f"GroupTable(order={self.order})"
+        return f"{type(self).__name__}(order={self.order})"
+
+    @classmethod
+    def direct_product(cls, a, b):
+        """Pairs (i, j) indexed i * |b| + j."""
+        pairs = list(product(a.elements(), b.elements()))
+        labels = [f"({a.labels[i]},{b.labels[j]})" for i, j in pairs]
+        table = [[a.table[i][k] * b.order + b.table[j][l] for k, l in pairs] for i, j in pairs]
+        return cls(labels, table)
+
+
+class GroupTable(_CayleyTable):
+    """Finite group given by its Cayley table over element indices."""
+
+    __slots__ = ("inverse",)
+
+    def __init__(self, labels, table):
+        super().__init__(labels, table)
+        n, table = self.order, self.table
+        self.inverse = tuple(
+            next((y for y in range(n) if table[x][y] == 0 and table[y][x] == 0), None)
+            for x in range(n)
+        )
+
+    def inv(self, x):
+        y = self.inverse[x]
+        if y is None:
+            raise QuasibraidError(f"element {self.labels[x]} has no two-sided inverse")
+        return y
 
     # -- constructors -------------------------------------------------
 
@@ -93,26 +109,6 @@ class GroupTable:
         ]
         return cls(labels, table)
 
-    @classmethod
-    def direct_product(cls, a, b):
-        return cls(*_direct_product_table(a, b))
-
-
-def _direct_product_table(a, b):
-    """Labels and Cayley table of the direct product of two tables, pairs
-    (i, j) indexed i * |b| + j."""
-    labels = [f"({a.labels[i]},{b.labels[j]})" for i in range(a.order) for j in range(b.order)]
-    table = [
-        [
-            a.table[i][k] * b.order + b.table[j][l]
-            for k in range(a.order)
-            for l in range(b.order)
-        ]
-        for i in range(a.order)
-        for j in range(b.order)
-    ]
-    return labels, table
-
 
 def _cycle_label(perm):
     seen = [False] * len(perm)
@@ -132,7 +128,7 @@ def _cycle_label(perm):
     return "e" if not parts else "".join(parts)
 
 
-class LoopTable:
+class LoopTable(_CayleyTable):
     """Quasigroup with two-sided identity, given by its Cayley table.
 
     Left and right inverse tables are the unique solutions of y*x = e and
@@ -140,38 +136,17 @@ class LoopTable:
     solution exists so validators can report the failure.
     """
 
-    __slots__ = ("order", "labels", "table", "left_inverse", "right_inverse")
+    __slots__ = ("left_inverse", "right_inverse")
 
     def __init__(self, labels, table):
-        self.order = len(labels)
-        self.labels = tuple(str(s) for s in labels)
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
-        if len(self.table) != self.order or any(
-            len(row) != self.order for row in self.table
-        ):
-            raise QuasibraidError("Cayley table shape does not match order")
-        left, right = [], []
-        for x in range(self.order):
-            left.append(next((y for y in range(self.order) if self.table[y][x] == 0), None))
-            right.append(next((y for y in range(self.order) if self.table[x][y] == 0), None))
-        self.left_inverse = tuple(left)
-        self.right_inverse = tuple(right)
-
-    def mul(self, x, y):
-        return self.table[x][y]
-
-    def elements(self):
-        return range(self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopTable):
-            return NotImplemented
-        return self.labels == other.labels and self.table == other.table
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"LoopTable(order={self.order})"
+        super().__init__(labels, table)
+        n, table = self.order, self.table
+        self.left_inverse = tuple(
+            next((y for y in range(n) if table[y][x] == 0), None) for x in range(n)
+        )
+        self.right_inverse = tuple(
+            next((y for y in range(n) if table[x][y] == 0), None) for x in range(n)
+        )
 
     @classmethod
     def from_group(cls, g):
@@ -208,168 +183,119 @@ class LoopTable:
             table.append(row)
         return cls(labels, table)
 
-    @classmethod
-    def direct_product(cls, a, b):
-        return cls(*_direct_product_table(a, b))
+
+# -- validators ------------------------------------------------------------
+#
+# Each law is one stream of counterexample Witnesses, elements taken in
+# index order with the first argument slowest; Report.add_first_witness
+# records the check, failed by the first Witness the stream yields.
+
+
+def _identity_witnesses(t):
+    """x with e x != x or x e != x."""
+    labels, table = t.labels, t.table
+    return (
+        Witness((labels[x],), (), labels[table[0][x]], labels[x])
+        for x in t.elements()
+        if table[0][x] != x or table[x][0] != x
+    )
+
+
+def _assoc_witnesses(t):
+    """(x, y, z) with (x y) z != x (y z); entries must be in range."""
+    labels, table = t.labels, t.table
+    for x in t.elements():
+        row_x = table[x]
+        for y in t.elements():
+            row_xy, row_y = table[row_x[y]], table[y]
+            for z in t.elements():
+                if (lhs := row_xy[z]) != (rhs := row_x[row_y[z]]):
+                    yield Witness((labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs])
 
 
 def validate_group(t):
     """Exhaustive group axioms: closure, identity, inverses, associativity."""
     rep = Report(f"group table ({t.order} elements)")
-    labels = t.labels
-
-    bad = next(
-        (
-            (x, y)
-            for x in t.elements()
-            for y in t.elements()
-            if not 0 <= t.table[x][y] < t.order
-        ),
-        None,
+    labels, table, n = t.labels, t.table, t.order
+    closure = (
+        Witness((labels[x], labels[y]), (), str(table[x][y]), "in range")
+        for x in t.elements()
+        for y in t.elements()
+        if not 0 <= table[x][y] < n
     )
-    rep.add(
-        "GRP-closure",
-        bad is None,
-        witness=None
-        if bad is None
-        else Witness((labels[bad[0]], labels[bad[1]]), (), str(t.table[bad[0]][bad[1]]), "in range"),
-    )
-    if bad is not None:
+    if not rep.add_first_witness("GRP-closure", closure).passed:
         return rep
-
-    bad = next(
-        (x for x in t.elements() if t.table[0][x] != x or t.table[x][0] != x), None
-    )
-    rep.add(
-        "GRP-identity",
-        bad is None,
-        witness=None
-        if bad is None
-        else Witness((labels[bad],), (), labels[t.table[0][bad]], labels[bad]),
-    )
-
-    bad = next((x for x in t.elements() if t.inverse[x] is None), None)
-    rep.add(
+    rep.add_first_witness("GRP-identity", _identity_witnesses(t))
+    rep.add_first_witness(
         "GRP-inverse",
-        bad is None,
-        witness=None if bad is None else Witness((labels[bad],), (), "no inverse", "inverse"),
+        (
+            Witness((labels[x],), (), "no inverse", "inverse")
+            for x in t.elements()
+            if t.inverse[x] is None
+        ),
+    )
+    rep.add_first_witness("GRP-assoc", _assoc_witnesses(t))
+    return rep
+
+
+def _latin_witnesses(t, lines, kind):
+    """x whose line, a row of `lines` named `kind` (the table's rows, or its
+    columns as the rows of its transpose), is not a permutation."""
+    full = set(t.elements())
+    return (
+        Witness((t.labels[x],), (), kind, "permutation")
+        for x, entries in enumerate(lines)
+        if set(entries) != full
     )
 
-    witness = None
-    for x, y, z in product(t.elements(), repeat=3):
-        lhs = t.table[t.table[x][y]][z]
-        rhs = t.table[x][t.table[y][z]]
-        if lhs != rhs:
-            witness = Witness(
-                (labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs]
-            )
-            break
-    rep.add("GRP-assoc", witness is None, witness=witness)
-    return rep
+
+def _ip_witnesses(labels, table, inverse):
+    """(x, y) with x^-1 (x y) != y, x^-1 read from inverse.  On the
+    transposed table with right inverses this is (y x) x^-1 != y."""
+    n = len(table)
+    return (
+        Witness((labels[x], labels[y]), (), labels[got], labels[y])
+        for x, y in product(range(n), repeat=2)
+        if (got := table[inverse[x]][table[x][y]]) != y
+    )
 
 
 def validate_ip_loop(t):
     """Quasigroup, identity and inverse-property checks; Moufang and
     associativity are reported informationally and may fail."""
     rep = Report(f"loop table ({t.order} elements)")
-    labels = t.labels
-    n = t.order
-    full = set(range(n))
-
-    bad = next((x for x in range(n) if set(t.table[x]) != full), None)
-    rep.add(
-        "LOOP-latin-rows",
-        bad is None,
-        witness=None if bad is None else Witness((labels[bad],), (), "row", "permutation"),
-    )
-    bad = next(
-        (y for y in range(n) if {t.table[x][y] for x in range(n)} != full), None
-    )
-    rep.add(
-        "LOOP-latin-cols",
-        bad is None,
-        witness=None if bad is None else Witness((labels[bad],), (), "column", "permutation"),
-    )
-
-    bad = next((x for x in range(n) if t.table[0][x] != x or t.table[x][0] != x), None)
-    rep.add(
-        "LOOP-identity",
-        bad is None,
-        witness=None
-        if bad is None
-        else Witness((labels[bad],), (), labels[t.table[0][bad]], labels[bad]),
-    )
+    labels, table, n = t.labels, t.table, t.order
+    transpose = tuple(zip(*table))
+    rep.add_first_witness("LOOP-latin-rows", _latin_witnesses(t, table, "row"))
+    rep.add_first_witness("LOOP-latin-cols", _latin_witnesses(t, transpose, "column"))
+    rep.add_first_witness("LOOP-identity", _identity_witnesses(t))
     if not rep.passed:
         return rep
 
-    bad = next(
-        (
-            x
-            for x in range(n)
-            if t.left_inverse[x] is None
-            or t.right_inverse[x] is None
-            or t.left_inverse[x] != t.right_inverse[x]
-        ),
-        None,
-    )
-    inverses_ok = bad is None
-    rep.add(
-        "LOOP-inverse-two-sided",
-        inverses_ok,
-        witness=None
-        if inverses_ok
-        else Witness(
-            (labels[bad],),
-            (),
-            "none" if t.left_inverse[bad] is None else labels[t.left_inverse[bad]],
-            "none" if t.right_inverse[bad] is None else labels[t.right_inverse[bad]],
-        ),
-    )
+    left, right = t.left_inverse, t.right_inverse
 
-    if inverses_ok:
-        witness = None
-        for x, y in product(range(n), repeat=2):
-            xi = t.left_inverse[x]
-            got = t.table[xi][t.table[x][y]]
-            if got != y:
-                witness = Witness((labels[x], labels[y]), (), labels[got], labels[y])
-                break
-        rep.add("LOOP-IP-left", witness is None, witness=witness)
+    def name(x):
+        return "none" if x is None else labels[x]
 
-        witness = None
-        for x, y in product(range(n), repeat=2):
-            xi = t.right_inverse[x]
-            got = t.table[t.table[y][x]][xi]
-            if got != y:
-                witness = Witness((labels[x], labels[y]), (), labels[got], labels[y])
-                break
-        rep.add("LOOP-IP-right", witness is None, witness=witness)
+    two_sided = (
+        Witness((labels[x],), (), name(left[x]), name(right[x]))
+        for x in range(n)
+        if left[x] is None or left[x] != right[x]
+    )
+    if rep.add_first_witness("LOOP-inverse-two-sided", two_sided).passed:
+        rep.add_first_witness("LOOP-IP-left", _ip_witnesses(labels, table, left))
+        rep.add_first_witness("LOOP-IP-right", _ip_witnesses(labels, transpose, right))
     else:
         rep.add("LOOP-IP-left", False, detail="needs two-sided inverses")
         rep.add("LOOP-IP-right", False, detail="needs two-sided inverses")
 
-    # Moufang identity (xy)(zx) = (x(yz))x; informational only
-    witness = None
-    for x, y, z in product(range(n), repeat=3):
-        lhs = t.table[t.table[x][y]][t.table[z][x]]
-        rhs = t.table[t.table[x][t.table[y][z]]][x]
-        if lhs != rhs:
-            witness = Witness(
-                (labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs]
-            )
-            break
-    rep.add("LOOP-moufang", witness is None, required=False, witness=witness)
-
-    witness = None
-    for x, y, z in product(range(n), repeat=3):
-        lhs = t.table[t.table[x][y]][z]
-        rhs = t.table[x][t.table[y][z]]
-        if lhs != rhs:
-            witness = Witness(
-                (labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs]
-            )
-            break
-    rep.add("LOOP-assoc", witness is None, required=False, witness=witness)
+    moufang = (  # (x y)(z x) = (x (y z)) x
+        Witness((labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs])
+        for x, y, z in product(range(n), repeat=3)
+        if (lhs := table[table[x][y]][table[z][x]]) != (rhs := table[table[x][table[y][z]]][x])
+    )
+    rep.add_first_witness("LOOP-moufang", moufang, required=False)
+    rep.add_first_witness("LOOP-assoc", _assoc_witnesses(t), required=False)
     return rep
 
 
@@ -432,44 +358,37 @@ class GroupAction:
 def validate_action(a):
     """Automorphism property, identity map and composition law, exhaustively."""
     rep = Report("group action")
-    actor, carrier = a.actor, a.carrier
+    actor, carrier, maps = a.actor, a.carrier, a.maps
     alab, clab = actor.labels, carrier.labels
+    rep.add_first_witness("ACT-automorphism", _automorphism_witnesses(a))
+    ident = tuple(range(carrier.order))
+    rep.add_first_witness(
+        "ACT-identity", () if maps[0] == ident else (Witness(("e",), (), "map", "id"),)
+    )
+    composition = (
+        Witness((alab[g], alab[h], clab[x]), (), clab[gh_x], clab[maps[g][maps[h][x]]])
+        for g, h in product(actor.elements(), repeat=2)
+        for x in ident
+        if (gh_x := maps[actor.table[g][h]][x]) != maps[g][maps[h][x]]
+    )
+    rep.add_first_witness("ACT-composition", composition)
+    return rep
 
-    witness = None
-    for g in actor.elements():
+
+def _automorphism_witnesses(a):
+    """A map that is not a bijection of the carrier, or (g, x, y) with
+    g(x y) != g(x) g(y)."""
+    carrier = a.carrier
+    clab, ctable = carrier.labels, carrier.table
+    for g in a.actor.elements():
         m = a.maps[g]
         if sorted(m) != list(range(carrier.order)):
-            witness = Witness((alab[g],), (), "map", "bijection")
-            break
+            yield Witness((a.actor.labels[g],), (), "map", "bijection")
         for x, y in product(range(carrier.order), repeat=2):
-            if m[carrier.table[x][y]] != carrier.table[m[x]][m[y]]:
-                witness = Witness(
-                    (alab[g], clab[x], clab[y]),
+            if m[ctable[x][y]] != ctable[m[x]][m[y]]:
+                yield Witness(
+                    (a.actor.labels[g], clab[x], clab[y]),
                     (),
-                    clab[m[carrier.table[x][y]]],
-                    clab[carrier.table[m[x]][m[y]]],
+                    clab[m[ctable[x][y]]],
+                    clab[ctable[m[x]][m[y]]],
                 )
-                break
-        if witness:
-            break
-    rep.add("ACT-automorphism", witness is None, witness=witness)
-
-    ok = a.maps[0] == tuple(range(carrier.order))
-    rep.add("ACT-identity", ok, witness=None if ok else Witness(("e",), (), "map", "id"))
-
-    witness = None
-    for g, h in product(actor.elements(), repeat=2):
-        gh = actor.table[g][h]
-        for x in range(carrier.order):
-            if a.maps[gh][x] != a.maps[g][a.maps[h][x]]:
-                witness = Witness(
-                    (alab[g], alab[h], clab[x]),
-                    (),
-                    clab[a.maps[gh][x]],
-                    clab[a.maps[g][a.maps[h][x]]],
-                )
-                break
-        if witness:
-            break
-    rep.add("ACT-composition", witness is None, witness=witness)
-    return rep

@@ -28,8 +28,9 @@ from .errors import (
     NotInvertible,
     NotStrict,
 )
-from .exactlin import Chain, LegMap, LinMap
+from .exactlin import Chain, LegMap, LinMap, product_labels
 from .report import Report, Witness, chain_witness, map_witness
+from .tables import GroupTable, conjugate, validate_group
 
 
 class YDModule:
@@ -51,14 +52,14 @@ class YDModule:
         self.strict = bool(strict)
         self._legs = None
         comp = base.comp(grade)
-        expected_dom = tuple(a + b for a in comp.labels for b in self.labels)
+        expected_dom = product_labels((comp.labels, self.labels))
         if action.dom != expected_dom or action.cod != self.labels:
             raise MalformedStructure("action must map H_p (x) V to V")
         for r in base.grades():
             rho = self.coaction.get(r)
             if rho is None:
                 raise MalformedStructure(f"missing coaction at grade {base.grade_label(r)}")
-            expected_cod = tuple(a + b for a in self.labels for b in base.comp(r).labels)
+            expected_cod = product_labels((self.labels, base.comp(r).labels))
             if rho.dom != self.labels or rho.cod != expected_cod:
                 raise MalformedStructure(
                     f"coaction at grade {base.grade_label(r)} must map V to V (x) H_r"
@@ -235,9 +236,9 @@ def trivial_module(base):
 
 
 def _group_table(comp):
-    """Cayley table of a component whose multiplication tensor is the 0/1
-    table of a group with identity at index 0; None if it is not of that
-    shape."""
+    """The GroupTable of a component whose multiplication tensor is the 0/1
+    table of a group with identity at index 0, that is whose table passes
+    tables.validate_group; None if it is not of that shape."""
     field = comp.field
     n = comp.dim
     table = [[None] * n for _ in range(n)]
@@ -247,25 +248,8 @@ def _group_table(comp):
         table[i][j] = k
     if any(cell is None for row in table for cell in row):
         return None
-    return table if _is_group(table) else None
-
-
-def _is_group(table):
-    """Associative with identity 0, and every element has a right inverse,
-    which makes a monoid a group."""
-    n = len(table)
-    if any(table[0][j] != j for j in range(n)):
-        return False
-    if any(table[i][0] != i for i in range(n)):
-        return False
-    if any(0 not in row for row in table):
-        return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    return False
-    return True
+    group = GroupTable(range(n), table)
+    return group if validate_group(group).passed else None
 
 
 def _copies_of_identity_component(base):
@@ -278,23 +262,20 @@ def _copies_of_identity_component(base):
     )
 
 
-def _conjugation_module(base, table):
-    """Group `table` acting on the basis of H_e by conjugation, with the
-    diagonal coaction x -> x (x) x at every grade."""
+def _conjugation_module(base, group):
+    """The GroupTable `group` acting on the basis of H_e by conjugation,
+    with the diagonal coaction x -> x (x) x at every grade."""
     field = base.field
     labels = base.comp(0).labels
     n = len(labels)
-    ginv = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
     action_entries = {
-        (table[table[g][x]][ginv[g]], g * n + x): field.one
-        for g in range(n)
-        for x in range(n)
+        (conjugate(group, g, x), g * n + x): field.one for g in range(n) for x in range(n)
     }
-    dom = tuple(a + b for a in labels for b in labels)
+    dom = product_labels((labels, labels))
     action = LinMap(field, n, n * n, action_entries, dom, labels)
     coaction = {}
     for r in base.grades():
-        cod = tuple(a + b for a in labels for b in base.comp(r).labels)
+        cod = product_labels((labels, base.comp(r).labels))
         coaction[r] = LinMap(
             field, n * n, n, {(x * n + x, x): field.one for x in range(n)}, labels, cod
         )
@@ -308,24 +289,24 @@ def crossed_set_module(base):
     if base.grading.order != 1:
         raise NotAGroupAlgebra("crossed-set module needs a trivially graded base")
     comp = base.comp(0)
-    table = _group_table(comp)
-    if table is None:
+    group = _group_table(comp)
+    if group is None:
         raise NotAGroupAlgebra("base component is not a group algebra")
     if comp.unit != tuple(field.one if i == 0 else field.zero for i in range(comp.dim)):
         raise NotAGroupAlgebra("unit vector is not the group identity")
-    return _conjugation_module(base, table)
+    return _conjugation_module(base, group)
 
 
 def diagonal_module(base):
     """Conjugation action with grade-wise diagonal coaction over a base
     whose components are index-identical copies of one group algebra
     (the shape the power construction produces)."""
-    table = _group_table(base.comp(0))
-    if table is None:
+    group = _group_table(base.comp(0))
+    if group is None:
         raise InvalidInput("identity component is not a group algebra")
     if not _copies_of_identity_component(base):
         raise InvalidInput("components are not index-identical copies")
-    return _conjugation_module(base, table)
+    return _conjugation_module(base, group)
 
 
 def yd_tensor(v, w):
@@ -350,7 +331,7 @@ def yd_tensor(v, w):
         twisted = spread.then(i_v, i_w, L.ident[r], L.pi[(qi, g)])
         coaction[r] = twisted.then(i_v, i_w, L.mu[r]).matrix()
 
-    labels = tuple(a + b for a in v.labels for b in w.labels)
+    labels = product_labels((v.labels, w.labels))
     out = YDModule(base, pq, labels, action, coaction, v.strict and w.strict)
     if out.strict and chain_witness(*_module_assoc_sides(out)) is not None:
         out.strict = False  # settled before the module is handed out
@@ -395,24 +376,6 @@ def _structure_data_witness(a, b):
     return None
 
 
-def check_conjugation_coherence(v, w, s, t):
-    """Conjugation is functorial for composition and tensor: regrading by
-    st equals regrading by t then s, and regrading a tensor equals the
-    tensor of the regradings.  Exact structure-data equalities."""
-    _require_same_base(v, w)
-    base = v.base
-    rep = Report(
-        f"conjugation coherence (s={base.grade_label(s)}, t={base.grade_label(t)})"
-    )
-    v_st, v_t_s = yd_conjugate(v, base.mul(s, t)), yd_conjugate(yd_conjugate(v, t), s)
-    witness = _structure_data_witness(v_st, v_t_s)
-    rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
-    regraded = yd_tensor(yd_conjugate(v, s), yd_conjugate(w, s))
-    witness = _structure_data_witness(yd_conjugate(yd_tensor(v, w), s), regraded)
-    rep.add("CONJ-4.6-tensor", witness is None, witness=witness)
-    return rep
-
-
 class Constructions:
     """yd_tensor and yd_conjugate kept by their arguments, so that the law
     suites of one braid report build each module once.  A module argument
@@ -434,28 +397,38 @@ class Constructions:
         return self._built[key][0]
 
 
+def check_conjugation_coherence(v, w, s, t):
+    """Conjugation is functorial for composition and tensor: regrading by
+    st equals regrading by t then s, and regrading a tensor equals the
+    tensor of the regradings.  Exact structure-data equalities; the
+    one-pair case of conjugation_coherence."""
+    _require_same_base(v, w)
+    label = v.base.grade_label
+    rep = Report(f"conjugation coherence (s={label(s)}, t={label(t)})")
+    return _coherence(rep, v, w, [(s, [t])], Constructions())
+
+
 def conjugation_coherence(v, w, built=None):
     """The checks of check_conjugation_coherence for every pair (s, t), s
-    slowest, building each construction once: V (x) W, the regradings of
-    V and W by each grade, and the tensor check of each s, which does not
-    depend on t.  built (Constructions) shares them with
+    slowest.  built (Constructions) shares the constructions with
     check_braiding_laws on the same pair."""
     _require_same_base(v, w)
     built = Constructions() if built is None else built
+    grades = list(v.base.grades())
+    return _coherence(Report("conjugation coherence"), v, w, [(s, grades) for s in grades], built)
+
+
+def _coherence(rep, v, w, pairs, built):
+    """Add to rep the two coherence checks of each (s, t), for pairs given
+    as [(s, [t, ...]), ...].  Each construction is built once through
+    built: V (x) W, the regradings of V and W, and the tensor check of
+    each s, which does not depend on t."""
     base = v.base
-    grades = list(base.grades())
-    conj_v = {g: built.conjugate(v, g) for g in grades}
-    conj_w = {g: built.conjugate(w, g) for g in grades}
-    vw = built.tensor(v, w)
-    rep = Report("conjugation coherence")
-    for s in grades:
-        tensor = _structure_data_witness(
-            built.conjugate(vw, s), built.tensor(conj_v[s], conj_w[s])
-        )
-        for t in grades:
-            witness = _structure_data_witness(
-                conj_v[base.mul(s, t)], built.conjugate(conj_v[t], s)
-            )
+    conj, vw = built.conjugate, built.tensor(v, w)
+    for s, ts in pairs:
+        tensor = _structure_data_witness(conj(vw, s), built.tensor(conj(v, s), conj(w, s)))
+        for t in ts:
+            witness = _structure_data_witness(conj(v, base.mul(s, t)), conj(conj(v, t), s))
             rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
             rep.add("CONJ-4.6-tensor", tensor is None, witness=tensor)
     return rep
@@ -682,42 +655,36 @@ def yd_direct_sum(v, w):
     p = v.grade
     comp_p = base.comp(p)
     d_p = comp_p.dim
-    nv, nw = v.dim, w.dim
-    n = nv + nw
+    n = v.dim + w.dim
     labels = tuple(("+0",) + l for l in v.labels) + tuple(("+1",) + l for l in w.labels)
+    blocks = ((v, 0), (w, v.dim))  # each summand with the offset of its basis
 
     action_entries = {}
-    for (i, c), value in v.action.entries.items():
-        h, j = divmod(c, nv)
-        action_entries[(i, h * n + j)] = value
-    for (i, c), value in w.action.entries.items():
-        h, j = divmod(c, nw)
-        action_entries[(nv + i, h * n + nv + j)] = value
-    dom = tuple(a + b for a in comp_p.labels for b in labels)
+    for m, off in blocks:
+        for (i, c), value in m.action.entries.items():
+            h, j = divmod(c, m.dim)
+            action_entries[(off + i, h * n + off + j)] = value
+    dom = product_labels((comp_p.labels, labels))
     action = LinMap(field, n, d_p * n, action_entries, dom, labels)
 
     coaction = {}
     for r in base.grades():
         d_r = base.comp(r).dim
         entries = {}
-        for (row, col), value in v.coaction[r].entries.items():
-            i, a = divmod(row, d_r)
-            entries[(i * d_r + a, col)] = value
-        for (row, col), value in w.coaction[r].entries.items():
-            i, a = divmod(row, d_r)
-            entries[((nv + i) * d_r + a, nv + col)] = value
-        cod = tuple(a + b for a in labels for b in base.comp(r).labels)
+        for m, off in blocks:
+            for (row, col), value in m.coaction[r].entries.items():
+                i, a = divmod(row, d_r)
+                entries[((off + i) * d_r + a, off + col)] = value
+        cod = product_labels((labels, base.comp(r).labels))
         coaction[r] = LinMap(field, n * d_r, n, entries, labels, cod)
 
     total = YDModule(base, p, labels, action, coaction, v.strict and w.strict)
-    incl_v = YDMorphism(
-        v, total, LinMap(field, n, nv, {(i, i): field.one for i in range(nv)}, v.labels, labels)
-    )
-    incl_w = YDMorphism(
-        w, total,
-        LinMap(field, n, nw, {(nv + i, i): field.one for i in range(nw)}, w.labels, labels),
-    )
-    return total, incl_v, incl_w
+
+    def inclusion(m, off):
+        entries = {(off + i, i): field.one for i in range(m.dim)}
+        return YDMorphism(m, total, LinMap(field, n, m.dim, entries, m.labels, labels))
+
+    return (total,) + tuple(inclusion(m, off) for m, off in blocks)
 
 
 def scaled_identity_morphism(v, scalar):
@@ -755,7 +722,7 @@ def search_dim1_modules(base):
             continue
         comp_p = base.comp(p)
         labels = (("cand",),)
-        dom = tuple(a + b for a in comp_p.labels for b in labels)
+        dom = product_labels((comp_p.labels, labels))
         action = LinMap(
             field, 1, comp_p.dim, {(0, h): field.one for h in range(comp_p.dim)}, dom, labels
         )
@@ -763,7 +730,7 @@ def search_dim1_modules(base):
             coaction = {}
             for r in base.grades():
                 comp_r = base.comp(r)
-                cod = tuple(a + b for a in labels for b in comp_r.labels)
+                cod = product_labels((labels, comp_r.labels))
                 coaction[r] = LinMap(field, comp_r.dim, 1, {(gamma, 0): field.one}, labels, cod)
             candidate = YDModule(base, p, labels, action, coaction, strict=True)
             passed = validate_yd(candidate).passed

@@ -414,6 +414,11 @@ MISREAD = {
     "mult-entry-twice": ("hq-c2", QQ, lambda jobj: jobj["mult"].append(jobj["mult"][0])),
     "yd-strict-as-text": ("yd-trivial", QQ, _set("strict", "false")),
     "yd-label-atom-null": ("yd-trivial", QQ, _set("labels", [[None]])),
+    "yd-dim-too-large": ("yd-trivial", QQ, _set("dim", 99)),
+    "yd-dim-as-text": ("yd-trivial", QQ, _set("dim", "x")),
+    "field-leading-zeros": ("hq-c2", QQ, _set("field", "GF:007")),
+    "field-inner-space": ("hq-c2", QQ, _set("field", "GF: 7")),
+    "field-plus-sign": ("hq-c2", QQ, _set("field", "GF:+7")),
 }
 
 
@@ -448,6 +453,12 @@ TABLE_MISREAD = {
     "table-order-float": ("loop-algebra", ["table-c2"], 0, _set("order", 2.0)),
     "action-map-entry-true": ("power", ["hq-c3", "action-c2-on-c3"], 1, _set_map_entry(0, 1, True)),
     "action-map-entry-float": ("power", ["hq-c3", "action-c2-on-c3"], 1, _set_map_entry(1, 2, 1.2)),
+    "action-carrier-kind-unknown": (
+        "power", ["hq-c3", "action-c2-on-c3"], 1, _set("carrier_kind", "grp")
+    ),
+    "action-carrier-kind-number": (
+        "power", ["hq-c3", "action-c2-on-c3"], 1, _set("carrier_kind", 5)
+    ),
 }
 
 
@@ -463,6 +474,16 @@ def test_misread_table_or_action_exits_2(case, fixture_dir, tmp_path, capsys):
     code, out, err = run(capsys, "construct", "--op", op, *paths, "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_field_tag_not_text_is_a_field_error(fixture_dir, tmp_path, capsys):
+    jobj = serialize.read_file(fixture_dir / "hq-c2.json")
+    jobj["field"] = 7
+    target = tmp_path / "field-int.json"
+    serialize.write_file(target, jobj)
+    code, out, err = run(capsys, "validate", str(target), "--kind", "hq")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad hopf quasigroup: field tag 7 is not a string")
 
 
 #: name -> (fixture, kind, edit); each edit once ended in an AttributeError

@@ -8,7 +8,9 @@
 - every private top-level function or class is referenced somewhere in
   the package;
 - the runtime is stdlib-only: every module the package imports is in the
-  standard library or is quasibraid itself.
+  standard library or is quasibraid itself;
+- no two package functions or methods have the same body once their
+  docstrings are dropped: shared code lives in one place.
 """
 
 import ast
@@ -95,6 +97,31 @@ def unreferenced_private_definitions(sources):
     return sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
 
 
+def _functions(body, prefix=""):
+    """(qualified name, node) of every function and method in body, nested
+    ones included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def duplicate_bodies(sources):
+    """Groups of module:qualname, over sources {module: source}, of the
+    functions whose bodies are identical by ast.dump, docstrings ignored."""
+    seen = {}
+    for module, source in sources.items():
+        for name, node in _functions(ast.parse(source).body):
+            body = node.body
+            if ast.get_docstring(node, clean=False) is not None:
+                body = body[1:]
+            key = "\n".join(ast.dump(stmt) for stmt in body)
+            seen.setdefault(key, []).append(f"{module}:{name}")
+    return sorted(names for names in seen.values() if len(names) > 1)
+
+
 def test_detector_finds_unused_names():
     source = "import os.path\nfrom x import a, b as c\nfrom . import d\nc(d.e)\n"
     assert unused_imports(source) == ["a", "os"]
@@ -141,6 +168,41 @@ def test_detector_finds_unreferenced_private_definitions():
         "b.py": "from .a import _used\n",
     }
     assert unreferenced_private_definitions(sources) == ["a.py:_Dead", "a.py:_unused"]
+
+
+def test_detector_finds_duplicate_bodies():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    def mul(self, x, y):\n"
+            "        \"\"\"Product.\"\"\"\n"
+            "        return self.table[x][y]\n"
+            "    def inv(self, x):\n"
+            "        return self.inverse[x]\n"
+            "def f(t):\n"
+            "    def g(x, y):\n"
+            "        return self.table[x][y]\n"
+            "    return g\n"
+        ),
+        "b.py": (
+            "class B:\n"
+            "    def mul(self, x, y):\n"
+            "        return self.table[x][y]\n"
+            "    def inv(self, x):\n"
+            "        return self.inverse[x] # same text, other name below\n"
+            "def h(x):\n"
+            "    return self.inverse[y]\n"
+        ),
+    }
+    assert duplicate_bodies(sources) == [
+        ["a.py:A.inv", "b.py:B.inv"],
+        ["a.py:A.mul", "a.py:f.g", "b.py:B.mul"],
+    ]
+
+
+def test_no_two_functions_share_a_body():
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
+    assert duplicate_bodies(sources) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
