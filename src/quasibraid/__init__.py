@@ -16,16 +16,17 @@ from .hq import (
     HopfQuasigroup,
     UnitalAlgebra,
     antipode_inverse_laws,
+    from_hopf_quasigroup,
     group_algebra,
     loop_algebra,
     validate_hopf_quasigroup,
 )
 from .gchq import (
     CrossedGCHQ,
-    from_hopf_quasigroup,
     mirror,
     power_construction,
     sweedler_spot_check,
+    validate_crossed,
     validate_crossing,
     validate_gchq,
 )

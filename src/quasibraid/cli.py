@@ -22,12 +22,7 @@ import time
 from . import fixtures, serialize
 from .errors import NotStrict, ParseError, QuasibraidError
 from .exactlin import field_from_name
-from .gchq import (
-    mirror,
-    power_construction,
-    validate_crossing,
-    validate_gchq,
-)
+from .gchq import mirror, power_construction, validate_crossed
 from .hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
 from .report import Report
 from .yd import (
@@ -64,13 +59,9 @@ def _validate_object(kind, obj):
         report = validate_hopf_quasigroup(obj)
         report.merge(antipode_inverse_laws(obj))
     elif kind == "gchq":
-        report = validate_gchq(obj)
-        if report.passed:
-            report.merge(validate_crossing(obj))
+        report = validate_crossed(obj)
     else:
-        report = validate_gchq(obj.base)
-        if report.passed:
-            report.merge(validate_crossing(obj.base))
+        report = validate_crossed(obj.base)
         if report.passed:
             report.merge(validate_yd(obj))
     return report

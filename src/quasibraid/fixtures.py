@@ -10,8 +10,8 @@ from pathlib import Path
 
 from . import serialize
 from .exactlin import QQ
-from .gchq import from_hopf_quasigroup, mirror, power_construction
-from .hq import group_algebra, loop_algebra
+from .gchq import mirror, power_construction
+from .hq import from_hopf_quasigroup, group_algebra, loop_algebra
 from .tables import GroupAction, GroupTable, LoopTable
 from .yd import YDModule, crossed_set_module, diagonal_module, trivial_module
 

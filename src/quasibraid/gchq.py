@@ -7,12 +7,14 @@ H_{pqp^-1}.  Products across different grades are not representable in
 this encoding, which makes the vanishing condition structural.
 
 A structure reads its maps as LegMaps on per-grade legs once (h.legs),
-and everything here is a Chain over those legs.  The two validators state
+and everything here is a Chain over those legs.  The validators state
 every axiom as an identity between two Chains, evaluated in blocks of
-basis vectors.  The constructions are the trivial one-component embedding
-of a plain Hopf quasigroup, the power construction (one copy of a Hopf
-quasigroup per group element, crossed by an automorphic action, checked
-as Chain identities) and the mirror, which rebuilds the structure on the
+basis vectors; validate_crossed runs both in one report.  A plain Hopf
+quasigroup is the |G| = 1 case: hq builds on this module, deciding its
+shared laws through hq_laws, and nothing here imports hq.  The
+constructions are the power construction (one copy of a Hopf quasigroup
+per group element, crossed by an automorphic action, checked as Chain
+identities) and the mirror, which rebuilds the structure on the
 inverse-indexed components with a twisted comultiplication and antipode,
 each one Chain materialized with Chain.matrix().  The mirror validates its
 own output: that the result is again a valid crossed structure is an
@@ -22,6 +24,7 @@ asserted theorem, not a hope.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .errors import (
     ActionNotHopfAutomorphism,
@@ -31,7 +34,6 @@ from .errors import (
     NotInvertible,
 )
 from .exactlin import K_LABELS, Chain, LegMap, LinMap, product_labels
-from .hq import UnitalAlgebra, _structure_legs, validate_hopf_quasigroup
 from .report import Report, chain_witness
 from . import tables
 
@@ -150,7 +152,7 @@ class GradedLegs:
     identity Chain on H_p (x) H_q (x) ...; k has no legs.  mu[p], eta[p],
     ident[p] and s[p]: H_p -> H_{p^-1} are indexed by grade, delta[(p, q)]:
     H_{pq} -> H_p (x) H_q and pi[(p, q)]: H_q -> H_{pqp^-1} by grade pair,
-    and eps is the counit on H_e.  The graded form of hq._structure_legs.
+    and eps is the counit on H_e.
     """
 
     __slots__ = ("field", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
@@ -191,73 +193,77 @@ def _bijectivity(m, detail):
         return False, f"{detail}: rank {exc.rank}"
 
 
-def validate_gchq(h, require_invertible_antipode=True):
-    """Grading, algebra, coalgebra and antipode axioms over all grade tuples.
-
-    Each axiom is an identity between two Chains over the GradedLegs of h,
-    read left to right and evaluated in blocks of basis vectors, as in
-    hq.validate_hopf_quasigroup.  Antipode bijectivity is demanded by the
-    module theory downstream; pass require_invertible_antipode=False to
-    downgrade it to a warning.
-    """
-    rep = Report(f"crossed structure (|G|={h.grading.order}, {h.field.name})")
-    rep.merge(tables.validate_group(h.grading))
-    if not rep.passed:
-        return rep
+def hq_laws(h):
+    """Every algebra, coalgebra and antipode law of h over all grade tuples,
+    in report order, as (check ID, detail, lhs, rhs) with Chains over h.legs.
+    At |G| = 1 they include the laws hq.validate_hopf_quasigroup decides."""
     L = h.legs
     chain, mu, eta, i, s, delta, eps = L.chain, L.mu, L.eta, L.ident, L.s, L.delta, L.eps
-    eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
+    tag, k, e = h.grade_label, L.chain(), 0
 
     for p in h.grades():
         hp, detail = chain(p), f"grade {tag(p)}"
-        eq("GHQ-component-unit-left", hp.then(eta[p], i[p]).then(mu[p]), hp, detail=detail)
-        eq("GHQ-component-unit-right", hp.then(i[p], eta[p]).then(mu[p]), hp, detail=detail)
+        yield "GHQ-component-unit-left", detail, hp.then(eta[p], i[p]).then(mu[p]), hp
+        yield "GHQ-component-unit-right", detail, hp.then(i[p], eta[p]).then(mu[p]), hp
 
-    for p in h.grades():
-        for q in h.grades():
-            pq, d, detail = h.mul(p, q), delta[(p, q)], f"grades ({tag(p)},{tag(q)})"
-            lhs = chain(pq, pq).then(mu[pq]).then(d)
-            rhs = chain(pq, pq).then(d, d).permute(0, 2, 1, 3).then(mu[p], mu[q])
-            eq("GHQ-delta-multiplicative", lhs, rhs, detail=detail)
-            eq("GHQ-delta-unit", k.then(eta[pq]).then(d), k.then(eta[p], eta[q]), detail=detail)
+    for p, q in product(h.grades(), repeat=2):
+        pq, d, detail = h.mul(p, q), delta[(p, q)], f"grades ({tag(p)},{tag(q)})"
+        lhs = chain(pq, pq).then(mu[pq]).then(d)
+        rhs = chain(pq, pq).then(d, d).permute(0, 2, 1, 3).then(mu[p], mu[q])
+        yield "GHQ-delta-multiplicative", detail, lhs, rhs
+        yield "GHQ-delta-unit", detail, k.then(eta[pq]).then(d), k.then(eta[p], eta[q])
 
     ee = chain(e, e)
-    eq("GHQ-epsilon-multiplicative", ee.then(mu[e]).then(eps), ee.then(eps, eps))
-    eq("GHQ-epsilon-unit", k.then(eta[e]).then(eps), k)
+    yield "GHQ-epsilon-multiplicative", "", ee.then(mu[e]).then(eps), ee.then(eps, eps)
+    yield "GHQ-epsilon-unit", "", k.then(eta[e]).then(eps), k
 
-    for p in h.grades():
-        for q in h.grades():
-            for r in h.grades():
-                pq, qr = h.mul(p, q), h.mul(q, r)
-                lhs = chain(h.mul(pq, r)).then(delta[(pq, r)]).then(delta[(p, q)], i[r])
-                rhs = chain(h.mul(p, qr)).then(delta[(p, qr)]).then(i[p], delta[(q, r)])
-                eq("GHQ-3.1-coassoc", lhs, rhs, detail=f"grades ({tag(p)},{tag(q)},{tag(r)})")
+    for p, q, r in product(h.grades(), repeat=3):
+        pq, qr = h.mul(p, q), h.mul(q, r)
+        lhs = chain(h.mul(pq, r)).then(delta[(pq, r)]).then(delta[(p, q)], i[r])
+        rhs = chain(h.mul(p, qr)).then(delta[(p, qr)]).then(i[p], delta[(q, r)])
+        yield "GHQ-3.1-coassoc", f"grades ({tag(p)},{tag(q)},{tag(r)})", lhs, rhs
 
     for p in h.grades():
         hp, detail = chain(p), f"grade {tag(p)}"
-        eq("GHQ-3.2-counit-right", hp.then(delta[(p, e)]).then(i[p], eps), hp, detail=detail)
-        eq("GHQ-3.2-counit-left", hp.then(delta[(e, p)]).then(eps, i[p]), hp, detail=detail)
+        yield "GHQ-3.2-counit-right", detail, hp.then(delta[(p, e)]).then(i[p], eps), hp
+        yield "GHQ-3.2-counit-left", detail, hp.then(delta[(e, p)]).then(eps, i[p]), hp
 
     for p in h.grades():
         pi_, m, ip, detail = h.inv(p), mu[p], i[p], f"grade {tag(p)}"
         sp = s[pi_]
         eps_i, i_eps = chain(e, p).then(eps, ip), chain(p, e).then(ip, eps)
         right = chain(e, p).then(delta[(p, pi_)], ip).then(ip, sp, ip).then(ip, m).then(m)
-        eq("GHQ-3.3-left", _left_compensation(h, p), eps_i, detail=detail)
-        eq("GHQ-3.3-right", right, eps_i, detail=detail)
+        yield "GHQ-3.3-left", detail, _left_compensation(h, p), eps_i
+        yield "GHQ-3.3-right", detail, right, eps_i
         left = chain(p, e).then(ip, delta[(p, pi_)]).then(ip, ip, sp).then(m, ip).then(m)
         right = chain(p, e).then(ip, delta[(pi_, p)]).then(ip, sp, ip).then(m, ip).then(m)
-        eq("GHQ-3.4-left", left, i_eps, detail=detail)
-        eq("GHQ-3.4-right", right, i_eps, detail=detail)
+        yield "GHQ-3.4-left", detail, left, i_eps
+        yield "GHQ-3.4-right", detail, right, i_eps
 
     for p in h.grades():
         pp, detail = chain(p, p), f"grade {tag(p)}"
         rhs = pp.permute(1, 0).then(s[p], s[p]).then(mu[h.inv(p)])
-        eq("GHQ-antipode-antimultiplicative", pp.then(mu[p]).then(s[p]), rhs, detail=detail)
-        eq("GHQ-antipode-unit", k.then(eta[p]).then(s[p]), k.then(eta[h.inv(p)]), detail=detail)
+        yield "GHQ-antipode-antimultiplicative", detail, pp.then(mu[p]).then(s[p]), rhs
+        yield "GHQ-antipode-unit", detail, k.then(eta[p]).then(s[p]), k.then(eta[h.inv(p)])
 
+
+def validate_gchq(h, require_invertible_antipode=True):
+    """Grading, algebra, coalgebra and antipode axioms over all grade tuples.
+
+    The group table is checked first.  Each axiom of hq_laws is then an
+    identity between two Chains over the GradedLegs of h, read left to right
+    and evaluated in blocks of basis vectors.  Antipode bijectivity is
+    demanded by the module theory downstream; pass
+    require_invertible_antipode=False to downgrade it to a warning.
+    """
+    rep = Report(f"crossed structure (|G|={h.grading.order}, {h.field.name})")
+    rep.merge(tables.validate_group(h.grading))
+    if not rep.passed:
+        return rep
+    for check_id, detail, lhs, rhs in hq_laws(h):
+        rep.add_chain_equality(check_id, lhs, rhs, detail=detail)
     for p in h.grades():
-        ok, detail = _bijectivity(h.antipode[p], f"grade {tag(p)}")
+        ok, detail = _bijectivity(h.antipode[p], f"grade {h.grade_label(p)}")
         rep.add("GHQ-antipode-bijective", ok, required=require_invertible_antipode, detail=detail)
     return rep
 
@@ -272,68 +278,48 @@ def validate_crossing(h):
     chain, mu, eta, s, delta, pi, eps = L.chain, L.mu, L.eta, L.s, L.delta, L.pi, L.eps
     eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
 
-    for p in h.grades():
-        for q in h.grades():
-            t, x, detail = h.conj(p, q), pi[(p, q)], f"pi_{tag(p)} on grade {tag(q)}"
-            ok, noted = _bijectivity(h.crossing[(p, q)], detail)
-            rep.add("CROSS-pi-bijective", ok, detail=noted)
-            rhs = chain(q, q).then(x, x).then(mu[t])
-            eq("CROSS-pi-multiplicative", chain(q, q).then(mu[q]).then(x), rhs, detail=detail)
-            eq("CROSS-pi-unit", k.then(eta[q]).then(x), k.then(eta[t]), detail=detail)
+    for p, q in product(h.grades(), repeat=2):
+        t, x, detail = h.conj(p, q), pi[(p, q)], f"pi_{tag(p)} on grade {tag(q)}"
+        ok, noted = _bijectivity(h.crossing[(p, q)], detail)
+        rep.add("CROSS-pi-bijective", ok, detail=noted)
+        rhs = chain(q, q).then(x, x).then(mu[t])
+        eq("CROSS-pi-multiplicative", chain(q, q).then(mu[q]).then(x), rhs, detail=detail)
+        eq("CROSS-pi-unit", k.then(eta[q]).then(x), k.then(eta[t]), detail=detail)
 
     for p in h.grades():
         he = chain(e)
         eq("CROSS-3.7-counit", he.then(pi[(p, e)]).then(eps), he.then(eps), detail=f"pi_{tag(p)}")
 
-    for p in h.grades():
-        for q in h.grades():
-            lhs = chain(q).then(s[q]).then(pi[(p, h.inv(q))])
-            rhs = chain(q).then(pi[(p, q)]).then(s[h.conj(p, q)])
-            eq("CROSS-3.8-antipode", lhs, rhs, detail=f"pi_{tag(p)} on grade {tag(q)}")
+    for p, q in product(h.grades(), repeat=2):
+        lhs = chain(q).then(s[q]).then(pi[(p, h.inv(q))])
+        rhs = chain(q).then(pi[(p, q)]).then(s[h.conj(p, q)])
+        eq("CROSS-3.8-antipode", lhs, rhs, detail=f"pi_{tag(p)} on grade {tag(q)}")
 
-    for p in h.grades():
-        for q in h.grades():
-            for r in h.grades():
-                qr = h.mul(q, r)
-                x = chain(qr)
-                lhs = x.then(delta[(q, r)]).then(pi[(p, q)], pi[(p, r)])
-                rhs = x.then(pi[(p, qr)]).then(delta[(h.conj(p, q), h.conj(p, r))])
-                detail = f"pi_{tag(p)} on grades ({tag(q)},{tag(r)})"
-                eq("CROSS-3.9-comult", lhs, rhs, detail=detail)
+    for p, q, r in product(h.grades(), repeat=3):
+        qr = h.mul(q, r)
+        x = chain(qr)
+        lhs = x.then(delta[(q, r)]).then(pi[(p, q)], pi[(p, r)])
+        rhs = x.then(pi[(p, qr)]).then(delta[(h.conj(p, q), h.conj(p, r))])
+        detail = f"pi_{tag(p)} on grades ({tag(q)},{tag(r)})"
+        eq("CROSS-3.9-comult", lhs, rhs, detail=detail)
 
-    for p in h.grades():
-        for q in h.grades():
-            for r in h.grades():
-                lhs = chain(r).then(pi[(h.mul(p, q), r)])
-                rhs = chain(r).then(pi[(q, r)]).then(pi[(p, h.conj(q, r))])
-                detail = f"pi_{tag(p)}pi_{tag(q)} on grade {tag(r)}"
-                eq("CROSS-multiplicative", lhs, rhs, detail=detail)
+    for p, q, r in product(h.grades(), repeat=3):
+        lhs = chain(r).then(pi[(h.mul(p, q), r)])
+        rhs = chain(r).then(pi[(q, r)]).then(pi[(p, h.conj(q, r))])
+        detail = f"pi_{tag(p)}pi_{tag(q)} on grade {tag(r)}"
+        eq("CROSS-multiplicative", lhs, rhs, detail=detail)
 
     for q in h.grades():
         eq("CROSS-identity", chain(q).then(pi[(e, q)]), chain(q), detail=f"grade {tag(q)}")
     return rep
 
 
-def from_hopf_quasigroup(h, check=True):
-    """Embed a plain Hopf quasigroup as the single component over the
-    trivial group."""
-    if check:
-        rep = validate_hopf_quasigroup(h)
-        if not rep.passed:
-            raise InvalidInput(
-                "not a valid Hopf quasigroup: " + ", ".join(rep.failed_ids())
-            )
-    grading = tables.GroupTable.trivial()
-    ident = LinMap.identity(h.field, h.labels)
-    return CrossedGCHQ(
-        h.field,
-        grading,
-        [h.algebra],
-        {(0, 0): h.comult},
-        h.counit,
-        {0: h.antipode},
-        {(0, 0): ident},
-    )
+def validate_crossed(h):
+    """validate_gchq, then validate_crossing if it passed, in one report."""
+    rep = validate_gchq(h)
+    if rep.passed:
+        rep.merge(validate_crossing(h))
+    return rep
 
 
 def power_construction(h, action):
@@ -343,8 +329,9 @@ def power_construction(h, action):
     Every actor element must act as an automorphism of the whole
     structure: the induced basis permutation has to commute with
     multiplication, unit, comultiplication, counit and antipode, each an
-    identity between two Chains over the legs of h.  The first failing
-    equation is reported otherwise.
+    identity between two Chains over h.graded.legs, the legs of h as the
+    one component over the trivial group.  The first failing equation is
+    reported otherwise.
     """
     field = h.field
     G = action.actor
@@ -352,8 +339,9 @@ def power_construction(h, action):
         raise ActionNotHopfAutomorphism(
             f"action permutes {action.carrier.order} elements but the structure has dimension {h.dim}"
         )
-    H, mu, eta, delta, eps, s, _ = _structure_legs(h)
-    k, h1, h2 = Chain(field, ()), Chain(field, H), Chain(field, H * 2)
+    L = h.graded.legs
+    H, mu, eta, delta, eps, s = L.H[0], L.mu[0], L.eta[0], L.delta[(0, 0)], L.eps, L.s[0]
+    k, h1, h2 = L.chain(), L.chain(0), L.chain(0, 0)
     for g in G.elements():
         t = LegMap(LinMap.from_permutation(field, action.maps[g], h.labels), H, H)
         checks = [
@@ -403,9 +391,7 @@ def mirror(h, check=True):
     first leg and the antipode becomes pi_p S_{p^-1}.  Output validity is
     asserted: both validators run on the result."""
     if check:
-        rep = validate_gchq(h)
-        if rep.passed:
-            rep = validate_crossing(h)
+        rep = validate_crossed(h)
         if not rep.passed:
             raise InvalidInput(
                 "mirror input is not a valid crossed structure: "
@@ -414,11 +400,8 @@ def mirror(h, check=True):
     field = h.field
     G = h.grading
     L = h.legs
-    components = []
-    for p in h.grades():
-        src = h.comp(h.inv(p))
-        # fresh copy so input and output share no mutable state
-        components.append(UnitalAlgebra(field, src.dim, src.labels, dict(src.mult), src.unit))
+    # relabeled builds fresh dicts, so input and output share no mutable state
+    components = [c.relabeled(c.labels) for c in (h.comp(h.inv(p)) for p in h.grades())]
 
     comult = {}
     for p in h.grades():
@@ -435,9 +418,7 @@ def mirror(h, check=True):
 
     out = CrossedGCHQ(field, G, components, comult, h.counit, antipode, crossing)
     if check:
-        rep = validate_gchq(out)
-        if rep.passed:
-            rep = validate_crossing(out)
+        rep = validate_crossed(out)
         if not rep.passed:
             raise ConstructionCheckFailed(
                 "mirror output failed validation: " + ", ".join(rep.failed_ids())

@@ -2,17 +2,20 @@
 
 A HopfQuasigroup packs a unital, not necessarily associative algebra
 (multiplication tensor + unit vector) with a coassociative coalgebra and
-an antipode.  The validator decides every axiom as an identity between
-two Chains of leg-wise stages (exactlin), evaluated in blocks of basis
-vectors, so its cost grows with the number of basis tuples and not with
-the size of a matrix on H^{(x)3} or H^{(x)4}; associativity is reported
-but never required, which is the whole point of the structure.
+an antipode.  It is the |G| = 1 crossed structure (the one component over
+the trivial group), so this module builds on gchq and not the other way
+round.  The validator decides every axiom as an identity between two Chains
+of leg-wise stages (exactlin), evaluated in blocks of basis vectors, so its
+cost grows with the number of basis tuples and not with the size of a
+matrix on H^{(x)3} or H^{(x)4}; associativity is reported but never
+required, which is the whole point of the structure.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidLoop, MalformedStructure, NotInvertible
-from .exactlin import K_LABELS, Chain, LegMap, LinMap, product_labels
+from .errors import InvalidInput, InvalidLoop, MalformedStructure, NotInvertible
+from .exactlin import K_LABELS, LegMap, LinMap, product_labels
+from .gchq import CrossedGCHQ, hq_laws
 from .report import Report
 from . import tables
 
@@ -76,9 +79,9 @@ class UnitalAlgebra:
 
 
 class HopfQuasigroup:
-    """Algebra + coalgebra + antipode over one based space."""
+    """Algebra + coalgebra + antipode over one based space; immutable once built."""
 
-    __slots__ = ("field", "algebra", "comult", "counit", "antipode")
+    __slots__ = ("field", "algebra", "comult", "counit", "antipode", "_graded")
 
     def __init__(self, field, algebra, comult, counit, antipode):
         self.field = field
@@ -103,6 +106,15 @@ class HopfQuasigroup:
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
+        self._graded = None
+
+    @property
+    def graded(self):
+        """h as the one component over the trivial group, built on first use;
+        its legs are the structure maps as LegMaps."""
+        if self._graded is None:
+            self._graded = from_hopf_quasigroup(self, check=False)
+        return self._graded
 
     @property
     def dim(self):
@@ -160,22 +172,22 @@ def group_algebra(g, field):
     return loop_algebra(tables.LoopTable.from_group(g), field)
 
 
-def _structure_legs(h):
-    """The legs (H,) and the maps mu, eta, delta, eps, S and id as LegMaps;
-    the ground field k has no legs."""
-    field = h.field
-    alg = h.algebra
-    H = (alg.labels,)
-    HH = H * 2
-    return (
-        H,
-        LegMap(alg.mult_map(), HH, H),
-        LegMap(alg.unit_map(), (), H),
-        LegMap(h.comult, H, HH),
-        LegMap(h.counit, H, ()),
-        LegMap(h.antipode, H, H),
-        LegMap(LinMap.identity(field, alg.labels), H, H),
-    )
+#: (HQ ID, the gchq.hq_laws ID of the same law at |G| = 1), in HQ report order
+_SHARED_LAWS = (
+    ("HQ-unit-left", "GHQ-component-unit-left"),
+    ("HQ-unit-right", "GHQ-component-unit-right"),
+    ("HQ-coassoc", "GHQ-3.1-coassoc"),
+    ("HQ-counit-left", "GHQ-3.2-counit-left"),
+    ("HQ-counit-right", "GHQ-3.2-counit-right"),
+    ("HQ-delta-multiplicative", "GHQ-delta-multiplicative"),
+    ("HQ-delta-unit", "GHQ-delta-unit"),
+    ("HQ-epsilon-multiplicative", "GHQ-epsilon-multiplicative"),
+    ("HQ-epsilon-unit", "GHQ-epsilon-unit"),
+    ("HQ-2.5-left", "GHQ-3.3-left"),
+    ("HQ-2.5-right", "GHQ-3.3-right"),
+    ("HQ-2.6-left", "GHQ-3.4-left"),
+    ("HQ-2.6-right", "GHQ-3.4-right"),
+)
 
 
 def validate_hopf_quasigroup(h):
@@ -184,47 +196,18 @@ def validate_hopf_quasigroup(h):
     Each side is a chain of leg-wise stages read left to right (the first
     stage is applied first) and is evaluated in blocks of basis vectors of
     H, H (x) H or H (x) H (x) H, so no map on H^{(x)3} or H^{(x)4} is built.
+    All but HQ-assoc are gchq.hq_laws on h.graded, under _SHARED_LAWS IDs.
     Associativity (HQ-assoc) is informational; the compensation laws
     HQ-2.5-*/HQ-2.6-* are what the antipode must satisfy instead.
     """
-    field = h.field
-    rep = Report(f"hopf quasigroup (dim {h.dim}, {field.name})")
-    H, mu, eta, delta, eps, s, i = _structure_legs(h)
-    k = Chain(field, ())
-    h1 = Chain(field, H)
-    h2 = Chain(field, H * 2)
-    h3 = Chain(field, H * 3)
+    rep = Report(f"hopf quasigroup (dim {h.dim}, {h.field.name})")
+    sides = {check_id: (lhs, rhs) for check_id, _, lhs, rhs in hq_laws(h.graded)}
+    for check_id, law in _SHARED_LAWS:
+        rep.add_chain_equality(check_id, *sides[law])
 
-    # unital algebra
-    rep.add_chain_equality("HQ-unit-left", h1.then(eta, i).then(mu), h1)
-    rep.add_chain_equality("HQ-unit-right", h1.then(i, eta).then(mu), h1)
-
-    # coalgebra
-    split = h1.then(delta)
-    rep.add_chain_equality("HQ-coassoc", split.then(delta, i), split.then(i, delta))
-    rep.add_chain_equality("HQ-counit-left", split.then(eps, i), h1)
-    rep.add_chain_equality("HQ-counit-right", split.then(i, eps), h1)
-
-    # comultiplication and counit are unital algebra morphisms
-    rep.add_chain_equality(
-        "HQ-delta-multiplicative",
-        h2.then(mu).then(delta),
-        h2.then(delta, delta).permute(0, 2, 1, 3).then(mu, mu),
-    )
-    rep.add_chain_equality("HQ-delta-unit", k.then(eta).then(delta), k.then(eta, eta))
-    rep.add_chain_equality("HQ-epsilon-multiplicative", h2.then(mu).then(eps), h2.then(eps, eps))
-    rep.add_chain_equality("HQ-epsilon-unit", k.then(eta).then(eps), k)
-
-    # antipode compensation identities on H (x) H
-    d_i = h2.then(delta, i)
-    i_d = h2.then(i, delta)
-    eps_i = h2.then(eps, i)
-    i_eps = h2.then(i, eps)
-    rep.add_chain_equality("HQ-2.5-left", d_i.then(s, i, i).then(i, mu).then(mu), eps_i)
-    rep.add_chain_equality("HQ-2.5-right", d_i.then(i, s, i).then(i, mu).then(mu), eps_i)
-    rep.add_chain_equality("HQ-2.6-left", i_d.then(i, i, s).then(mu, i).then(mu), i_eps)
-    rep.add_chain_equality("HQ-2.6-right", i_d.then(i, s, i).then(mu, i).then(mu), i_eps)
-
+    L = h.graded.legs
+    mu, eta, delta, eps, s, i = L.mu[0], L.eta[0], L.delta[(0, 0)], L.eps, L.s[0], L.ident[0]
+    h1, h3 = L.chain(0), L.chain(0, 0, 0)
     # associativity, reported but not required
     assoc = rep.add_chain_equality(
         "HQ-assoc", h3.then(mu, i).then(mu), h3.then(i, mu).then(mu), required=False
@@ -233,7 +216,7 @@ def validate_hopf_quasigroup(h):
         # associative case degenerates to the usual Hopf antipode law
         rep.add_chain_equality(
             "HQ-hopf-antipode",
-            split.then(s, i).then(mu),
+            h1.then(delta).then(s, i).then(mu),
             h1.then(eps).then(eta),
             required=False,
         )
@@ -257,25 +240,42 @@ def antipode_inverse_laws(h):
         return rep
     rep.add("HQ-antipode-bijective", True)
 
-    H, mu, _, delta, eps, _, i = _structure_legs(h)
-    s_inv = LegMap(s_inv, H, H)
-    h2 = Chain(field, H * 2)
+    L = h.graded.legs
+    mu, delta, eps, i = L.mu[0], L.delta[(0, 0)], L.eps, L.ident[0]
+    s_inv = LegMap(s_inv, L.H[0], L.H[0])
+    h2 = L.chain(0, 0)
     # h (x) g -> h2 (x) h1 (x) g and h (x) g -> h (x) g2 (x) g1
     flip_first = h2.then(delta, i).permute(1, 0, 2)
     flip_last = h2.then(i, delta).permute(0, 2, 1)
     eps_i = h2.then(eps, i)
     i_eps = h2.then(i, eps)
-
-    rep.add_chain_equality(
-        "HQ-2.9-left", flip_first.then(s_inv, i, i).then(i, mu).then(mu), eps_i
-    )
-    rep.add_chain_equality(
-        "HQ-2.9-right", flip_first.then(i, s_inv, i).then(i, mu).then(mu), eps_i
-    )
-    rep.add_chain_equality(
-        "HQ-2.10-left", flip_last.then(i, s_inv, i).then(mu, i).then(mu), i_eps
-    )
-    rep.add_chain_equality(
-        "HQ-2.10-right", flip_last.then(i, i, s_inv).then(i, mu).then(mu), i_eps
-    )
+    for check_id, lhs, rhs in (
+        ("HQ-2.9-left", flip_first.then(s_inv, i, i).then(i, mu), eps_i),
+        ("HQ-2.9-right", flip_first.then(i, s_inv, i).then(i, mu), eps_i),
+        ("HQ-2.10-left", flip_last.then(i, s_inv, i).then(mu, i), i_eps),
+        ("HQ-2.10-right", flip_last.then(i, i, s_inv).then(i, mu), i_eps),
+    ):
+        rep.add_chain_equality(check_id, lhs.then(mu), rhs)
     return rep
+
+
+def from_hopf_quasigroup(h, check=True):
+    """Embed a plain Hopf quasigroup as the single component over the
+    trivial group."""
+    if check:
+        rep = validate_hopf_quasigroup(h)
+        if not rep.passed:
+            raise InvalidInput(
+                "not a valid Hopf quasigroup: " + ", ".join(rep.failed_ids())
+            )
+    grading = tables.GroupTable.trivial()
+    ident = LinMap.identity(h.field, h.labels)
+    return CrossedGCHQ(
+        h.field,
+        grading,
+        [h.algebra],
+        {(0, 0): h.comult},
+        h.counit,
+        {0: h.antipode},
+        {(0, 0): ident},
+    )

@@ -96,6 +96,17 @@ def _index_rows(data, bound, what):
     return [[_index(v, bound, f"{what} entry") for v in row] for row in data]
 
 
+def _algebra_to_jobj(algebra):
+    """dim, labels, mult and unit of a unital algebra, as _algebra_from_jobj reads them."""
+    fmt = algebra.field.fmt
+    return {
+        "dim": algebra.dim,
+        "labels": [atom for (atom,) in algebra.labels],
+        "mult": sorted([i, j, k, fmt(v)] for (i, j, k), v in algebra.mult.items()),
+        "unit": [fmt(v) for v in algebra.unit],
+    }
+
+
 def _algebra_from_jobj(field, data, what):
     """A unital algebra from its dim, labels, mult and unit: dim and mult
     indices read by _index, no index triple twice, labels a list of str."""
@@ -185,16 +196,9 @@ def action_from_jobj(jobj):
 
 
 def hq_to_jobj(h):
-    fmt = h.field.fmt
-    mult = sorted(
-        [i, j, k, fmt(value)] for (i, j, k), value in h.algebra.mult.items()
-    )
     return {
         "field": h.field.name,
-        "dim": h.dim,
-        "labels": [atom for (atom,) in h.labels],
-        "mult": mult,
-        "unit": [fmt(v) for v in h.algebra.unit],
+        **_algebra_to_jobj(h.algebra),
         "comult": _matrix_to_jobj(h.comult),
         "counit": _matrix_to_jobj(h.counit),
         "antipode": _matrix_to_jobj(h.antipode),
@@ -219,19 +223,10 @@ def hq_from_jobj(jobj):
 
 def gchq_to_jobj(h):
     fmt = h.field.fmt
-    components = {}
-    for p in h.grades():
-        comp = h.comp(p)
-        components[str(p)] = {
-            "dim": comp.dim,
-            "labels": [atom for (atom,) in comp.labels],
-            "mult": sorted([i, j, k, fmt(v)] for (i, j, k), v in comp.mult.items()),
-            "unit": [fmt(v) for v in comp.unit],
-        }
     return {
         "field": h.field.name,
         "group": table_to_jobj(h.grading),
-        "components": components,
+        "components": {str(p): _algebra_to_jobj(h.comp(p)) for p in h.grades()},
         "comult": {
             f"{p},{q}": _matrix_to_jobj(m) for (p, q), m in sorted(h.comult.items())
         },

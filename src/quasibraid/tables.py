@@ -131,6 +131,7 @@ def _cycle_label(perm):
 class LoopTable(_CayleyTable):
     """Quasigroup with two-sided identity, given by its Cayley table.
 
+    Entries are element indices, never negative ones read from the end.
     Left and right inverse tables are the unique solutions of y*x = e and
     x*y = e when the table is a Latin square; entries are None where no
     solution exists so validators can report the failure.
@@ -141,6 +142,8 @@ class LoopTable(_CayleyTable):
     def __init__(self, labels, table):
         super().__init__(labels, table)
         n, table = self.order, self.table
+        if any(not 0 <= v < n for row in table for v in row):
+            raise QuasibraidError(f"loop table entry outside [0, {n})")
         self.left_inverse = tuple(
             next((y for y in range(n) if table[y][x] == 0), None) for x in range(n)
         )
@@ -307,9 +310,9 @@ def conjugate(t, p, q):
 class GroupAction:
     """A group acting on a group or loop by table automorphisms.
 
-    maps[g] is the permutation of carrier elements implementing g; the
-    validator checks each map preserves the carrier table and that maps
-    compose along the actor's multiplication.
+    maps[g] is the permutation of carrier elements implementing g, each
+    entry a carrier index; the validator checks each map preserves the
+    carrier table and that maps compose along the actor's multiplication.
     """
 
     __slots__ = ("actor", "carrier", "maps")
@@ -322,6 +325,8 @@ class GroupAction:
             len(m) != carrier.order for m in self.maps
         ):
             raise QuasibraidError("action maps do not match actor/carrier orders")
+        if any(not 0 <= x < carrier.order for m in self.maps for x in m):
+            raise QuasibraidError(f"action map entry outside [0, {carrier.order})")
 
     def act(self, g, x):
         if not 0 <= g < self.actor.order:

@@ -5,8 +5,7 @@ import pytest
 from quasibraid.errors import BaseMismatch, NotStrict
 from quasibraid.exactlin import LinMap, QQ, invert
 from quasibraid.fixtures import gchq_power, yd_crossed_s3_quasi
-from quasibraid.gchq import from_hopf_quasigroup
-from quasibraid.hq import group_algebra
+from quasibraid.hq import from_hopf_quasigroup, group_algebra
 from quasibraid.tables import GroupTable
 from quasibraid.yd import (
     YDModule,

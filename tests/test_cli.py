@@ -236,7 +236,7 @@ def test_construct_mirror_validates_its_output_once(fixture_dir, tmp_path, monke
     from quasibraid import gchq
 
     in_mirror = _count_calls(monkeypatch, gchq, "validate_gchq")
-    in_cli = _count_calls(monkeypatch, cli, "validate_gchq")
+    in_cli = _count_calls(monkeypatch, cli, "validate_crossed")
     out_path = tmp_path / "mirror.json"
     code, out, _ = run(
         capsys, "construct", "--op", "mirror", str(fixture_dir / "gchq-power.json"),

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from quasibraid import exactlin, fixtures
 from quasibraid.exactlin import Chain, LegMap, LinMap, QQ
-from quasibraid.gchq import CrossedGCHQ, from_hopf_quasigroup, validate_gchq
-from quasibraid.hq import UnitalAlgebra
+from quasibraid.gchq import CrossedGCHQ, validate_gchq
+from quasibraid.hq import UnitalAlgebra, from_hopf_quasigroup
 from quasibraid.report import Report, Witness, chain_witness
 from quasibraid.yd import YDModule, trivial_module, validate_yd
 from test_exactlin import B, GF2, GF5, LEG_SPACES, build_chain, perturb, programs

@@ -11,14 +11,13 @@ from quasibraid.exactlin import LinMap, PrimeField, QQ
 from quasibraid.fixtures import gchq_power as build_gchq_power
 from quasibraid.gchq import (
     CrossedGCHQ,
-    from_hopf_quasigroup,
     mirror,
     power_construction,
     sweedler_spot_check,
     validate_crossing,
     validate_gchq,
 )
-from quasibraid.hq import group_algebra, validate_hopf_quasigroup
+from quasibraid.hq import from_hopf_quasigroup, group_algebra, validate_hopf_quasigroup
 from quasibraid.tables import GroupAction, GroupTable
 
 

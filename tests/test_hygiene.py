@@ -10,7 +10,11 @@
 - the runtime is stdlib-only: every module the package imports is in the
   standard library or is quasibraid itself;
 - no two package functions or methods have the same body once their
-  docstrings are dropped: shared code lives in one place.
+  docstrings are dropped: shared code lives in one place;
+- no package module imports a private name (one leading underscore) from
+  another, or reads one as an attribute of a package module it imported;
+- the package's relative imports form no cycle: a special case depends on
+  the general one, never both ways.
 """
 
 import ast
@@ -122,6 +126,93 @@ def duplicate_bodies(sources):
     return sorted(names for names in seen.values() if len(names) > 1)
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _relative_imports(tree):
+    """(module file, imported names) of each relative import in the syntax
+    tree, function-local ones included; `from . import x` imports module x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
+                for alias in node.names:
+                    yield f"{alias.name}.py", ()
+            else:
+                yield f"{node.module}.py", [alias.name for alias in node.names]
+
+
+def private_imports(sources):
+    """module:target.name for each private name that a module in sources,
+    {module: source}, imports from another package module, or reads as an
+    attribute of a package module it bound with `from . import`."""
+    found = set()
+    for module, source in sources.items():
+        tree, modules = ast.parse(source), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module is None:
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        for target, names in _relative_imports(tree):
+            found.update(f"{module}:{target[:-3]}.{name}" for name in names if _is_private(name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and _is_private(node.attr)
+            ):
+                found.add(f"{module}:{modules[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def import_cycles(sources):
+    """Each cycle of the relative-import graph over sources, {module:
+    source}, as the sorted modules of its strongly connected component."""
+    graph = {
+        module: {target for target, _ in _relative_imports(ast.parse(source))}
+        for module, source in sources.items()
+    }
+
+    def reach(start):
+        seen, todo = set(), [start]
+        while todo:
+            for nxt in graph.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    reached = {module: reach(module) for module in graph}
+    cycles = {
+        tuple(sorted(m for m in graph if module in reached[m] and m in reached[module]))
+        for module in graph
+        if module in reached[module]
+    }
+    return sorted(list(cycle) for cycle in cycles)
+
+
+def test_detector_finds_private_imports():
+    sources = {
+        "a.py": "from .b import _legs, public\nfrom .c import __version__\n",
+        "b.py": "from . import c\nfrom . import d as dd\nx = c._table + c.public + dd._y\n",
+        "c.py": "def f():\n    from .d import _z\n    return self._own\n",
+        "d.py": "from os import _exit\nfrom quasibraid import x\n",
+    }
+    assert private_imports(sources) == ["a.py:b._legs", "b.py:c._table", "b.py:d._y", "c.py:d._z"]
+
+
+def test_detector_finds_import_cycles():
+    sources = {
+        "a.py": "from .b import f\n",
+        "b.py": "def g():\n    from .c import h\n",
+        "c.py": "from . import a\n",
+        "d.py": "from .d import x\nfrom .a import y\n",
+        "e.py": "from .a import z\nimport os\n",
+    }
+    assert import_cycles(sources) == [["a.py", "b.py", "c.py"], ["d.py"]]
+    assert import_cycles({"hq.py": "from .gchq import hq_laws\n", "gchq.py": ""}) == []
+
+
 def test_detector_finds_unused_names():
     source = "import os.path\nfrom x import a, b as c\nfrom . import d\nc(d.e)\n"
     assert unused_imports(source) == ["a", "os"]
@@ -223,3 +314,13 @@ def test_module_imports_only_the_standard_library(name):
 def test_every_private_definition_is_referenced():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert unreferenced_private_definitions(sources) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
+    assert private_imports(sources) == []
+
+
+def test_relative_imports_form_no_cycle():
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
+    assert import_cycles(sources) == []

@@ -18,10 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasibraid import fixtures
-from quasibraid.errors import InvalidInput, NotAGroupAlgebra
+from quasibraid.errors import InvalidInput, NotAGroupAlgebra, QuasibraidError
 from quasibraid.exactlin import K_LABELS, LinMap, QQ
-from quasibraid.gchq import from_hopf_quasigroup
-from quasibraid.hq import HopfQuasigroup, UnitalAlgebra
+from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, from_hopf_quasigroup
 from quasibraid.report import Report, Witness
 from quasibraid.tables import (
     GroupAction,
@@ -345,9 +344,16 @@ def outcome(validator, structure):
 @settings(max_examples=400, deadline=None)
 @given(cayley_tables())
 def test_group_and_loop_verdicts_match_the_reference(rows):
-    labels = labels_for(len(rows))
-    group, loop = GroupTable(labels, rows), LoopTable(labels, rows)
+    """A group table may hold any int (GRP-closure reports it); a loop
+    table with an entry outside [0, n) is refused when it is built."""
+    n, labels = len(rows), labels_for(len(rows))
+    group = GroupTable(labels, rows)
     assert outcome(validate_group, group) == outcome(reference_validate_group, group)
+    if any(not 0 <= v < n for row in rows for v in row):
+        with pytest.raises(QuasibraidError, match=rf"^loop table entry outside \[0, {n}\)$"):
+            LoopTable(labels, rows)
+        return
+    loop = LoopTable(labels, rows)
     assert outcome(validate_ip_loop, loop) == outcome(reference_validate_ip_loop, loop)
 
 
@@ -392,17 +398,17 @@ NATURAL = [v4_automorphism(p) for p in sorted(permutations(range(3)))]
 
 @st.composite
 def actions(draw):
-    """A cyclic actor acting by the powers of one automorphism (a
-    homomorphism only when its order divides the actor's); S3 acting
-    naturally on V4, with one map possibly replaced; or a cyclic actor or
-    S3 with each map drawn on its own among automorphisms, permutations
-    and tuples with entries out of range."""
+    """(actor, carrier, maps): a cyclic actor acting by the powers of one
+    automorphism (a homomorphism only when its order divides the actor's);
+    S3 acting naturally on V4, with one map possibly replaced; or a cyclic
+    actor or S3 with each map drawn on its own among automorphisms,
+    permutations and tuples with entries out of range."""
     kind = draw(st.sampled_from(["powers", "natural", "free"]))
     if kind == "natural":
         maps = list(NATURAL)
         if draw(st.booleans()):
             maps[draw(st.integers(0, 5))] = draw(st.sampled_from(NATURAL))
-        return GroupAction(S3, V4, maps)
+        return S3, V4, maps
     carrier, autos = draw(st.sampled_from(CARRIERS))
     m = carrier.order
     if kind == "powers":
@@ -412,19 +418,27 @@ def actions(draw):
         for _ in range(actor.order):
             maps.append(power)
             power = tuple(phi[x] for x in power)
-        return GroupAction(actor, carrier, maps)
+        return actor, carrier, maps
     actor = draw(st.sampled_from([GroupTable.cyclic(k) for k in range(1, 5)] + [S3]))
     any_map = st.one_of(
         st.sampled_from(autos),
         st.permutations(range(m)).map(tuple),
         st.lists(st.integers(-1, m), min_size=m, max_size=m).map(tuple),
     )
-    return GroupAction(actor, carrier, [draw(any_map) for _ in range(actor.order)])
+    return actor, carrier, [draw(any_map) for _ in range(actor.order)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(actions())
-def test_action_verdicts_match_the_reference(action):
+def test_action_verdicts_match_the_reference(parts):
+    """An action with a map entry outside the carrier is refused when it is built."""
+    actor, carrier, maps = parts
+    if any(not 0 <= x < carrier.order for m in maps for x in m):
+        message = rf"^action map entry outside \[0, {carrier.order}\)$"
+        with pytest.raises(QuasibraidError, match=message):
+            GroupAction(actor, carrier, maps)
+        return
+    action = GroupAction(actor, carrier, maps)
     assert outcome(validate_action, action) == outcome(reference_validate_action, action)
 
 

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from quasibraid.errors import QuasibraidError
 from quasibraid.tables import (
     GroupAction,
     GroupTable,
@@ -209,3 +210,25 @@ def test_action_composition_failure_detected():
     rep = validate_action(bad)
     assert rep.find("ACT-automorphism").passed
     assert not rep.find("ACT-composition").passed
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0, 2], [1, 0]], [[0, -1], [1, 0]]], ids=["past-end", "negative"]
+)
+def test_loop_table_refuses_an_entry_outside_its_elements(rows):
+    """Read as is, 2 ended LOOP-identity in an IndexError and -1 was read as
+    the last element, so LOOP-identity failed with a != a."""
+    with pytest.raises(QuasibraidError, match=r"^loop table entry outside \[0, 2\)$"):
+        LoopTable(["e", "a"], rows)
+
+
+def test_group_table_keeps_an_entry_outside_its_elements_for_grp_closure():
+    rep = validate_group(GroupTable(["e", "a"], [[0, 2], [1, 0]]))
+    assert rep.failed_ids() == ["GRP-closure"]
+
+
+def test_action_refuses_a_map_entry_outside_the_carrier():
+    """Read as is, ACT-composition ended in an IndexError."""
+    c2 = GroupTable.cyclic(2)
+    with pytest.raises(QuasibraidError, match=r"^action map entry outside \[0, 2\)$"):
+        GroupAction(c2, c2, [(0, 1), (0, 5)])

@@ -12,8 +12,8 @@ from quasibraid.errors import (
 from quasibraid.exactlin import K_LABELS, LinMap, PrimeField, QQ
 from quasibraid.fixtures import gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial
 from quasibraid.report import Report
-from quasibraid.gchq import CrossedGCHQ, from_hopf_quasigroup
-from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, group_algebra
+from quasibraid.gchq import CrossedGCHQ
+from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, from_hopf_quasigroup, group_algebra
 from quasibraid.tables import GroupTable
 from quasibraid.yd import (
     YDModule,
