@@ -469,6 +469,8 @@ def leg_perm(field, legs, order):
 
 def product_labels(legs):
     """Basis labels of the tensor product of legs, left leg slowest."""
+    if len(legs) == 1:  # a label is a tuple, so one leg is its own product
+        return tuple(legs[0])
     return tuple(sum(multi, ()) for multi in product(*legs))
 
 

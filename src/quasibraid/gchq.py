@@ -1,24 +1,24 @@
 """Crossed group-cograded Hopf quasigroups.
 
 The total object is a family of unital algebras H_p indexed by a finite
-group G, comultiplications Delta_{p,q}: H_{pq} -> H_p (x) H_q, a counit
-on H_e, antipodes S_p: H_p -> H_{p^-1} and a crossing pi_p: H_q ->
-H_{pqp^-1}.  Products across different grades are not representable in
-this encoding, which makes the vanishing condition structural.
+group G, with comultiplications, a counit, antipodes and a crossing.
+map_legs states the spaces of each map once, for the constructor, h.legs
+and the loaders.  Products across different grades are not representable
+in this encoding, which makes the vanishing condition structural.
 
 A structure reads its maps as LegMaps on per-grade legs once (h.legs),
 and everything here is a Chain over those legs.  The validators state
 every axiom as an identity between two Chains, evaluated in blocks of
 basis vectors; validate_crossed runs both in one report.  A plain Hopf
-quasigroup is the |G| = 1 case: hq builds on this module, deciding its
-shared laws through hq_laws, and nothing here imports hq.  The
-constructions are the power construction (one copy of a Hopf quasigroup
-per group element, crossed by an automorphic action, checked as Chain
-identities) and the mirror, which rebuilds the structure on the
-inverse-indexed components with a twisted comultiplication and antipode,
-each one Chain materialized with Chain.matrix().  The mirror validates its
-own output: that the result is again a valid crossed structure is an
-asserted theorem, not a hope.
+quasigroup is the |G| = 1 case: hq builds on this module, checking its
+shape and deciding its shared laws on the embedding, and nothing here
+imports hq.  The constructions are the power construction (one copy of a
+Hopf quasigroup per group element, crossed by an automorphic action,
+checked as Chain identities) and the mirror, which rebuilds the structure
+on the inverse-indexed components with a twisted comultiplication and
+antipode, each one Chain materialized with Chain.matrix().  The mirror
+validates its own output: that the result is again a valid crossed
+structure is an asserted theorem, not a hope.
 """
 
 from __future__ import annotations
@@ -33,18 +33,62 @@ from .errors import (
     MalformedStructure,
     NotInvertible,
 )
-from .exactlin import K_LABELS, Chain, LegMap, LinMap, product_labels
+from .exactlin import Chain, LegMap, LinMap, product_labels
 from .report import Report, chain_witness
 from . import tables
 
 
+def map_legs(grading, components):
+    """The spaces of every structure map, {family: {key: (dom_legs,
+    cod_legs)}}, for the components of a crossed structure graded by
+    grading: comult[(p, q)] H_{pq} -> H_p (x) H_q, antipode[p] H_p ->
+    H_{p^-1}, crossing[(p, q)] H_q -> H_{pqp^-1}, and the counit H_e -> k
+    under the one key None.  H_p is the one leg of component p; k has none.
+    The constructor, legs and loaders all read their shapes from here."""
+    H = [(c.labels,) for c in components]
+    pairs = list(product(grading.elements(), repeat=2))
+    return {
+        "comult": {(p, q): (H[grading.mul(p, q)], H[p] + H[q]) for p, q in pairs},
+        "counit": {None: (H[0], ())},
+        "antipode": {p: (H[p], H[grading.inv(p)]) for p in grading.elements()},
+        "crossing": {(p, q): (H[q], H[tables.conjugate(grading, p, q)]) for p, q in pairs},
+    }
+
+
+def legs_labels(legs):
+    """The domain and codomain labels of a (dom_legs, cod_legs) pair."""
+    return tuple(product_labels(side) for side in legs)
+
+
+def legs_map(field, entries, legs):
+    """The LinMap with the given entries between the spaces of legs."""
+    dom, cod = legs_labels(legs)
+    return LinMap(field, len(cod), len(dom), entries, dom, cod)
+
+
+def require_legs(field, maps, signature):
+    """Raise MalformedStructure, naming the family and key, unless maps,
+    {family: {key: LinMap}}, has exactly the keys of signature in every
+    family and each map is over field with the labels of its legs."""
+    for family, legs in signature.items():
+        given = maps[family]
+        for key in legs:
+            if key not in given:
+                raise MalformedStructure(f"{family} {key}: missing")
+        for key, m in given.items():
+            name = family if key is None else f"{family} {key}"
+            if key not in legs:
+                raise MalformedStructure(f"{name}: unexpected key")
+            if m.field != field:
+                raise MalformedStructure(f"{name} is over {m.field.name}, not {field.name}")
+            if (m.dom, m.cod) != legs_labels(legs[key]):
+                raise MalformedStructure(f"{name}: labels are not the products of its legs")
+
+
 class CrossedGCHQ:
     """G-graded family of algebras with comultiplication, counit, antipode
-    and crossing, all stored as exact structure constants.
-
-    comult[(p, q)] maps component pq into components p (x) q;
-    antipode[p] maps component p into component p^-1;
-    crossing[(p, q)] is pi_p restricted to component q.
+    and crossing, all stored as exact structure constants.  The maps are
+    keyed, and checked when built, by the spaces map_legs gives them.
 
     A structure is treated as immutable once built, so legs can read its
     maps as GradedLegs once, on first use, for every validator and
@@ -63,7 +107,20 @@ class CrossedGCHQ:
         self.antipode = dict(antipode)
         self.crossing = dict(crossing)
         self._legs = None
-        self._check_shapes()
+        if len(self.components) != grading.order:
+            raise MalformedStructure("one component per group element required")
+        if any(c.field != field for c in self.components):
+            raise MalformedStructure("component field mismatch")
+        require_legs(field, self.maps(), map_legs(grading, self.components))
+
+    def maps(self):
+        """The structure maps by family and key, as map_legs keys them."""
+        return {
+            "comult": self.comult,
+            "counit": {None: self.counit},
+            "antipode": self.antipode,
+            "crossing": self.crossing,
+        }
 
     @property
     def legs(self):
@@ -92,38 +149,6 @@ class CrossedGCHQ:
     def grade_label(self, p):
         return self.grading.labels[p]
 
-    def _check_shapes(self):
-        G = self.grading
-        n = G.order
-        if len(self.components) != n:
-            raise MalformedStructure("one component per group element required")
-        for p in range(n):
-            if self.components[p].field != self.field:
-                raise MalformedStructure("component field mismatch")
-        for p in range(n):
-            for q in range(n):
-                if (p, q) not in self.comult:
-                    raise MalformedStructure(f"missing comultiplication ({p},{q})")
-                if (p, q) not in self.crossing:
-                    raise MalformedStructure(f"missing crossing ({p},{q})")
-            if p not in self.antipode:
-                raise MalformedStructure(f"missing antipode {p}")
-        for (p, q), m in self.comult.items():
-            src = self.comp(self.mul(p, q))
-            if m.dom != src.labels:
-                raise MalformedStructure(f"comultiplication ({p},{q}) domain mismatch")
-            if m.cod != product_labels((self.comp(p).labels, self.comp(q).labels)):
-                raise MalformedStructure(f"comultiplication ({p},{q}) codomain mismatch")
-        e_labels = self.comp(0).labels
-        if self.counit.dom != e_labels or self.counit.cod != K_LABELS:
-            raise MalformedStructure("counit must map the identity component to k")
-        for p, m in self.antipode.items():
-            if m.dom != self.comp(p).labels or m.cod != self.comp(self.inv(p)).labels:
-                raise MalformedStructure(f"antipode {p} grade mismatch")
-        for (p, q), m in self.crossing.items():
-            if m.dom != self.comp(q).labels or m.cod != self.comp(self.conj(p, q)).labels:
-                raise MalformedStructure(f"crossing ({p},{q}) grade mismatch")
-
     def __eq__(self, other):
         if not isinstance(other, CrossedGCHQ):
             return NotImplemented
@@ -131,10 +156,7 @@ class CrossedGCHQ:
             self.field == other.field
             and self.grading == other.grading
             and self.components == other.components
-            and self.comult == other.comult
-            and self.counit == other.counit
-            and self.antipode == other.antipode
-            and self.crossing == other.crossing
+            and self.maps() == other.maps()
         )
 
     __hash__ = None
@@ -149,10 +171,11 @@ class GradedLegs:
     builds them once and keeps them as h.legs.
 
     H[p] is the legs of component p (one leg), and chain(p, q, ...) is the
-    identity Chain on H_p (x) H_q (x) ...; k has no legs.  mu[p], eta[p],
-    ident[p] and s[p]: H_p -> H_{p^-1} are indexed by grade, delta[(p, q)]:
-    H_{pq} -> H_p (x) H_q and pi[(p, q)]: H_q -> H_{pqp^-1} by grade pair,
-    and eps is the counit on H_e.
+    identity Chain on H_p (x) H_q (x) ...; k has no legs.  mu[p], eta[p]
+    and ident[p] are the algebra maps of component p.  The structure maps
+    sit on the legs map_legs gives them: s[p] the antipode of grade p,
+    delta[(p, q)] and pi[(p, q)] the comultiplication and crossing of a
+    grade pair, and eps the counit.
     """
 
     __slots__ = ("field", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
@@ -164,12 +187,11 @@ class GradedLegs:
         self.mu = [LegMap(c.mult_map(), H[p] * 2, H[p]) for p, c in comps]
         self.eta = [LegMap(c.unit_map(), (), H[p]) for p, c in comps]
         self.ident = [LegMap(LinMap.identity(h.field, c.labels), H[p], H[p]) for p, c in comps]
-        self.s = [LegMap(h.antipode[p], H[p], H[h.inv(p)]) for p, _ in comps]
-        self.delta = {
-            (p, q): LegMap(m, H[h.mul(p, q)], H[p] + H[q]) for (p, q), m in h.comult.items()
-        }
-        self.pi = {(p, q): LegMap(m, H[q], H[h.conj(p, q)]) for (p, q), m in h.crossing.items()}
-        self.eps = LegMap(h.counit, H[0], ())
+        legs = map_legs(h.grading, h.components)
+        self.s = [LegMap(h.antipode[p], *legs["antipode"][p]) for p, _ in comps]
+        self.delta = {key: LegMap(h.comult[key], *pair) for key, pair in legs["comult"].items()}
+        self.pi = {key: LegMap(h.crossing[key], *pair) for key, pair in legs["crossing"].items()}
+        self.eps = LegMap(h.counit, *legs["counit"][None])
 
     def chain(self, *grades):
         return Chain(self.field, sum((self.H[p] for p in grades), ()))
@@ -337,7 +359,8 @@ def power_construction(h, action):
     G = action.actor
     if action.carrier.order != h.dim:
         raise ActionNotHopfAutomorphism(
-            f"action permutes {action.carrier.order} elements but the structure has dimension {h.dim}"
+            f"action permutes {action.carrier.order} elements"
+            f" but the structure has dimension {h.dim}"
         )
     L = h.graded.legs
     H, mu, eta, delta, eps, s = L.H[0], L.mu[0], L.eta[0], L.delta[(0, 0)], L.eps, L.s[0]
@@ -357,30 +380,19 @@ def power_construction(h, action):
                     f"actor {G.labels[g]} does not preserve the {name}"
                 )
 
-    components = []
-    for p in G.elements():
-        labels = tuple((f"{G.labels[p]}:{atom}",) for (atom,) in h.labels)
-        components.append(h.algebra.relabeled(labels))
-
-    comult = {}
-    crossing = {}
-    for p in G.elements():
-        for q in G.elements():
-            pq = G.mul(p, q)
-            comult[(p, q)] = h.comult.relabeled(
-                dom=components[pq].labels,
-                cod=product_labels((components[p].labels, components[q].labels)),
-            )
-            target = tables.conjugate(G, p, q)
-            crossing[(p, q)] = LinMap.from_permutation(
-                field, action.maps[p], components[q].labels, components[target].labels
-            )
-    counit = h.counit.relabeled(dom=components[0].labels)
-    antipode = {
-        p: h.antipode.relabeled(
-            dom=components[p].labels, cod=components[G.inv(p)].labels
-        )
+    components = [
+        h.algebra.relabeled(tuple((f"{G.labels[p]}:{atom}",) for (atom,) in h.labels))
         for p in G.elements()
+    ]
+    signature = map_legs(G, components)
+    comult, antipode = (
+        {key: m.relabeled(*legs_labels(pair)) for key, pair in signature[family].items()}
+        for family, m in (("comult", h.comult), ("antipode", h.antipode))
+    )
+    counit = h.counit.relabeled(*legs_labels(signature["counit"][None]))
+    crossing = {
+        (p, q): LinMap.from_permutation(field, action.maps[p], *legs_labels(legs))
+        for (p, q), legs in signature["crossing"].items()
     }
     return CrossedGCHQ(field, G, components, comult, counit, antipode, crossing)
 

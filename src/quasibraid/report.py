@@ -231,7 +231,7 @@ def _first_difference(field, a, b):
         offers.append((row, next(islice(compress(count(), moved), rows.index(row), None))))
     if sa != sb:
         ones = repeat(field.one)
-        rescaled = compress(count(), map(ne, ones if sa is None else sa, ones if sb is None else sb))
+        rescaled = compress(count(), map(ne, *(ones if x is None else x for x in (sa, sb))))
         offers += [(pa[i], i) for i in rescaled if pa[i] == pb[i] >= 0]
     if not offers:
         return None

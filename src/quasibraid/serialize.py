@@ -3,21 +3,25 @@
 Files are UTF-8 JSON with canonical formatting (sorted keys, compact
 separators, trailing newline) so that save/load round trips are
 byte-identical.  Scalars are text: decimal integers or "a/b" fractions
-over Q, canonical representatives in [0, p) over GF(p).
+over Q, canonical representatives in [0, p) over GF(p).  Each map is read
+between the spaces of its kind's signature (gchq.map_legs, yd.module_legs),
+and a keyed family must have exactly the signature's keys, in the text
+_KEY_TEXT writes for its family.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError, QuasibraidError
-from .exactlin import K_LABELS, LinMap, field_from_name, product_labels
-from .gchq import CrossedGCHQ
+from .exactlin import LinMap, field_from_name
+from .gchq import CrossedGCHQ, legs_labels, map_legs
 from .hq import HopfQuasigroup, UnitalAlgebra
 from .tables import GroupAction, GroupTable, LoopTable
-from .yd import YDModule
+from .yd import YDModule, module_legs
 
 
 def dump_bytes(jobj):
@@ -52,21 +56,16 @@ def _matrix_to_jobj(m):
     return [[fmt(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def _matrix_from_jobj(field, data, dom, cod, what):
+def _matrix_from_jobj(field, data, legs, what):
+    """A matrix written as a list of rows, between the spaces of legs, a
+    (dom_legs, cod_legs) pair."""
     with _reading(what):
         if type(data) is not list or any(type(row) is not list for row in data):
             raise ParseError(f"{what}: a matrix is a list of rows, each a list")
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ParseError(f"{what}: ragged matrix")
-            for j, text in enumerate(row):
-                value = field.parse(text)
-                if value != field.zero:
-                    entries[(i, j)] = value
-        return LinMap(field, rows, cols, entries, dom, cod)
+        # a matrix repeats few distinct texts, so each is parsed once
+        values = {text: field.parse(text) for text in set(chain.from_iterable(data))}
+        rows = [list(map(values.__getitem__, row)) for row in data]
+        return LinMap.from_rows(field, rows, *legs_labels(legs))
 
 
 def _index(value, bound, what):
@@ -124,22 +123,42 @@ def _algebra_from_jobj(field, data, what):
     return UnitalAlgebra(field, dim, tuple((atom,) for atom in labels), mult, unit)
 
 
-def _key_index(text, bound, what):
-    """A grade written as an object key, in canonical decimal text."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or str(value) != text:
-        raise ParseError(f"{what}: {text!r} is not a decimal index")
-    return _index(value, bound, what)
+#: how each keyed family writes the key of an entry as an object key
+_KEY_TEXT = {
+    "components": str,
+    "comult": "{0[0]},{0[1]}".format,
+    "antipode": str,
+    "crossing": "{0[0]}|{0[1]}".format,
+    "coaction": str,
+}
 
 
-def _key_pair(key, sep, bound, what):
-    parts = key.split(sep)
-    if len(parts) != 2:
-        raise ParseError(f"{what}: key {key!r} is not two indices joined by {sep!r}")
-    return tuple(_key_index(part, bound, f"{what} {key}") for part in parts)
+def _keyed_to_jobj(family, items, write):
+    return {_KEY_TEXT[family](key): write(value) for key, value in items}
+
+
+def _keyed_from_jobj(family, data, keys):
+    """(key, value, what) for each of keys, from an object whose keys are
+    exactly those keys in the family's text; what names the entry."""
+    if type(data) is not dict:
+        raise ParseError(f"{family}: {data!r} is not an object")
+    texts = {_KEY_TEXT[family](key): key for key in keys}
+    for text in data:
+        if text not in texts:
+            raise ParseError(f"{family}: unexpected key {text!r}")
+    for text in texts:
+        if text not in data:
+            raise ParseError(f"{family}: missing key {text!r}")
+    return [(key, data[text], f"{family} {text}") for text, key in texts.items()]
+
+
+def _maps_from_jobj(field, jobj, signature, family):
+    """The maps of a keyed family, each read between its legs in signature."""
+    legs = signature[family]
+    return {
+        key: _matrix_from_jobj(field, data, legs[key], what)
+        for key, data, what in _keyed_from_jobj(family, jobj[family], legs)
+    }
 
 
 # -- Cayley tables ---------------------------------------------------------
@@ -209,12 +228,11 @@ def hq_from_jobj(jobj):
     with _reading("bad hopf quasigroup"):
         field = field_from_name(jobj["field"])
         algebra = _algebra_from_jobj(field, jobj, "algebra")
-        labels = algebra.labels
-        comult = _matrix_from_jobj(
-            field, jobj["comult"], labels, product_labels((labels, labels)), "comult"
+        signature = map_legs(GroupTable.trivial(), [algebra])
+        comult, counit, antipode = (
+            _matrix_from_jobj(field, jobj[family], signature[family][key], family)
+            for family, key in (("comult", (0, 0)), ("counit", None), ("antipode", 0))
         )
-        counit = _matrix_from_jobj(field, jobj["counit"], labels, K_LABELS, "counit")
-        antipode = _matrix_from_jobj(field, jobj["antipode"], labels, labels, "antipode")
         return HopfQuasigroup(field, algebra, comult, counit, antipode)
 
 
@@ -222,19 +240,15 @@ def hq_from_jobj(jobj):
 
 
 def gchq_to_jobj(h):
-    fmt = h.field.fmt
     return {
         "field": h.field.name,
         "group": table_to_jobj(h.grading),
-        "components": {str(p): _algebra_to_jobj(h.comp(p)) for p in h.grades()},
-        "comult": {
-            f"{p},{q}": _matrix_to_jobj(m) for (p, q), m in sorted(h.comult.items())
+        "components": _keyed_to_jobj("components", enumerate(h.components), _algebra_to_jobj),
+        **{
+            family: _keyed_to_jobj(family, sorted(h.maps()[family].items()), _matrix_to_jobj)
+            for family in ("comult", "antipode", "crossing")
         },
-        "counit": [fmt(h.counit.entry(0, j)) for j in range(h.counit.cols)],
-        "antipode": {str(p): _matrix_to_jobj(m) for p, m in sorted(h.antipode.items())},
-        "crossing": {
-            f"{p}|{q}": _matrix_to_jobj(m) for (p, q), m in sorted(h.crossing.items())
-        },
+        "counit": _matrix_to_jobj(h.counit)[0],
     }
 
 
@@ -242,49 +256,14 @@ def gchq_from_jobj(jobj):
     with _reading("bad crossed structure"):
         field = field_from_name(jobj["field"])
         grading = group_from_jobj(jobj["group"])
-        order = grading.order
-        for key in jobj["components"]:
-            _key_index(key, order, "component key")
-        components = []
-        for p in range(order):
-            data = jobj["components"][str(p)]
-            components.append(_algebra_from_jobj(field, data, f"component {p}"))
-
-        comult = {}
-        for key, data in jobj["comult"].items():
-            p, q = _key_pair(key, ",", order, "comult")
-            pq = grading.mul(p, q)
-            comult[(p, q)] = _matrix_from_jobj(
-                field,
-                data,
-                components[pq].labels,
-                product_labels((components[p].labels, components[q].labels)),
-                f"comult {key}",
-            )
-        counit = _matrix_from_jobj(
-            field, [jobj["counit"]], components[0].labels, K_LABELS, "counit"
+        keyed = _keyed_from_jobj("components", jobj["components"], grading.elements())
+        components = [_algebra_from_jobj(field, data, what) for _, data, what in keyed]
+        signature = map_legs(grading, components)
+        comult, antipode, crossing = (
+            _maps_from_jobj(field, jobj, signature, family)
+            for family in ("comult", "antipode", "crossing")
         )
-        antipode = {}
-        for key, data in jobj["antipode"].items():
-            p = _key_index(key, order, "antipode key")
-            antipode[p] = _matrix_from_jobj(
-                field,
-                data,
-                components[p].labels,
-                components[grading.inv(p)].labels,
-                f"antipode {key}",
-            )
-        crossing = {}
-        for key, data in jobj["crossing"].items():
-            p, q = _key_pair(key, "|", order, "crossing")
-            target = grading.mul(grading.mul(p, q), grading.inv(p))
-            crossing[(p, q)] = _matrix_from_jobj(
-                field,
-                data,
-                components[q].labels,
-                components[target].labels,
-                f"crossing {key}",
-            )
+        counit = _matrix_from_jobj(field, [jobj["counit"]], signature["counit"][None], "counit")
         return CrossedGCHQ(field, grading, components, comult, counit, antipode, crossing)
 
 
@@ -300,7 +279,7 @@ def yd_to_jobj(m, base_ref=None):
         "dim": m.dim,
         "labels": [list(label) for label in m.labels],
         "action": _matrix_to_jobj(m.action),
-        "coaction": {str(r): _matrix_to_jobj(rho) for r, rho in sorted(m.coaction.items())},
+        "coaction": _keyed_to_jobj("coaction", sorted(m.coaction.items()), _matrix_to_jobj),
         "strict": m.strict,
     }
 
@@ -316,8 +295,7 @@ def yd_from_jobj(jobj, base_dir=None):
         else:
             base = gchq_from_jobj(base_field)
         field = base.field
-        order = base.grading.order
-        grade = _index(jobj["grade"], order, "grade")
+        grade = _index(jobj["grade"], base.grading.order, "grade")
         labels = jobj["labels"]
         if type(labels) is not list:
             raise ParseError(f"labels must be a list of labels, not {labels!r}")
@@ -327,20 +305,9 @@ def yd_from_jobj(jobj, base_dir=None):
         strict = jobj["strict"]
         if type(strict) is not bool:
             raise ParseError(f"strict must be true or false, not {strict!r}")
-        comp = base.comp(grade)
-        action = _matrix_from_jobj(
-            field, jobj["action"], product_labels((comp.labels, labels)), labels, "action"
-        )
-        coaction = {}
-        for key, data in jobj["coaction"].items():
-            r = _key_index(key, order, "coaction key")
-            coaction[r] = _matrix_from_jobj(
-                field,
-                data,
-                labels,
-                product_labels((labels, base.comp(r).labels)),
-                f"coaction {key}",
-            )
+        signature = module_legs(base, grade, labels)
+        action = _matrix_from_jobj(field, jobj["action"], signature["action"][None], "action")
+        coaction = _maps_from_jobj(field, jobj, signature, "coaction")
         return YDModule(base, grade, labels, action, coaction, strict)
 
 

@@ -24,6 +24,12 @@ _OCT_LINES = tuple(
 )
 
 
+def _require_indices(rows, n, what):
+    """Raise QuasibraidError if an entry of rows lies outside [0, n)."""
+    if any(not 0 <= v < n for row in rows for v in row):
+        raise QuasibraidError(f"{what} entry outside [0, {n})")
+
+
 class _CayleyTable:
     """A finite set with a multiplication given by its Cayley table over
     element indices; a subclass reads it as a group or a loop and keeps
@@ -142,8 +148,7 @@ class LoopTable(_CayleyTable):
     def __init__(self, labels, table):
         super().__init__(labels, table)
         n, table = self.order, self.table
-        if any(not 0 <= v < n for row in table for v in row):
-            raise QuasibraidError(f"loop table entry outside [0, {n})")
+        _require_indices(table, n, "loop table")
         self.left_inverse = tuple(
             next((y for y in range(n) if table[y][x] == 0), None) for x in range(n)
         )
@@ -325,8 +330,9 @@ class GroupAction:
             len(m) != carrier.order for m in self.maps
         ):
             raise QuasibraidError("action maps do not match actor/carrier orders")
-        if any(not 0 <= x < carrier.order for m in self.maps for x in m):
-            raise QuasibraidError(f"action map entry outside [0, {carrier.order})")
+        _require_indices(self.maps, carrier.order, "action map")
+        for name, t in (("actor", actor), ("carrier", carrier)):
+            _require_indices(t.table, t.order, f"{name} table")
 
     def act(self, g, x):
         if not 0 <= g < self.actor.order:

@@ -1,10 +1,11 @@
 """Yetter-Drinfeld (quasi)modules over a crossed group-cograded structure.
 
-A module of grade p is a based space V with one action matrix
-H_p (x) V -> V and a family of coaction matrices V -> V (x) H_r, one per
-group element r.  The strict flag distinguishes genuine modules (action
-associative) from quasimodules, which only satisfy the antipode
-compensation laws; the braiding is defined for strict modules only.
+A module of grade p is a based space V with one action matrix and a
+coaction matrix per group element r; module_legs states their spaces
+once, for the constructor, v.legs and the loader.  The strict flag
+distinguishes genuine modules (action associative) from quasimodules,
+which only satisfy the antipode compensation laws; the braiding is
+defined for strict modules only.
 
 A module reads its maps as LegMaps once, through v.legs: one leg V of its
 own beside the base's h.legs.  Every law and construction is a Chain over
@@ -29,8 +30,22 @@ from .errors import (
     NotStrict,
 )
 from .exactlin import Chain, LegMap, LinMap, product_labels
+from .gchq import legs_map, require_legs
 from .report import Report, Witness, chain_witness, map_witness
 from .tables import GroupTable, conjugate, validate_group
+
+
+def module_legs(base, grade, labels):
+    """The spaces of the maps of a module over base of grade p = grade on
+    basis labels V, keyed as gchq.map_legs keys a crossed structure's: the
+    action H_p (x) V -> V under the one key None, and coaction[r] V -> V (x)
+    H_r."""
+    V = (tuple(labels),)
+    H = [(c.labels,) for c in base.components]
+    return {
+        "action": {None: (H[grade] + V, V)},
+        "coaction": {r: (V, V + H[r]) for r in base.grades()},
+    }
 
 
 class YDModule:
@@ -51,19 +66,11 @@ class YDModule:
         self.coaction = dict(coaction)
         self.strict = bool(strict)
         self._legs = None
-        comp = base.comp(grade)
-        expected_dom = product_labels((comp.labels, self.labels))
-        if action.dom != expected_dom or action.cod != self.labels:
-            raise MalformedStructure("action must map H_p (x) V to V")
-        for r in base.grades():
-            rho = self.coaction.get(r)
-            if rho is None:
-                raise MalformedStructure(f"missing coaction at grade {base.grade_label(r)}")
-            expected_cod = product_labels((self.labels, base.comp(r).labels))
-            if rho.dom != self.labels or rho.cod != expected_cod:
-                raise MalformedStructure(
-                    f"coaction at grade {base.grade_label(r)} must map V to V (x) H_r"
-                )
+        require_legs(base.field, self.maps(), module_legs(base, grade, self.labels))
+
+    def maps(self):
+        """The action and coaction by key, as module_legs keys them."""
+        return {"action": {None: self.action}, "coaction": self.coaction}
 
     def ident(self):
         return LinMap.identity(self.base.field, self.labels)
@@ -73,10 +80,10 @@ class YDModule:
         """(h.legs of the base, the module's leg V, and as LegMaps its action,
         coactions by grade and identity), built on first use."""
         if self._legs is None:
-            L, V = self.base.legs, (self.labels,)
-            action = LegMap(self.action, L.H[self.grade] + V, V)
-            coaction = [LegMap(self.coaction[r], V, V + L.H[r]) for r in self.base.grades()]
-            self._legs = L, V, action, coaction, LegMap(self.ident(), V, V)
+            V, legs = (self.labels,), module_legs(self.base, self.grade, self.labels)
+            action = LegMap(self.action, *legs["action"][None])
+            coaction = [LegMap(self.coaction[r], *legs["coaction"][r]) for r in self.base.grades()]
+            self._legs = self.base.legs, V, action, coaction, LegMap(self.ident(), V, V)
         return self._legs
 
     def __eq__(self, other):
@@ -86,8 +93,7 @@ class YDModule:
             _bases_match(self.base, other.base)
             and self.grade == other.grade
             and self.labels == other.labels
-            and self.action == other.action
-            and self.coaction == other.coaction
+            and self.maps() == other.maps()
             and self.strict == other.strict
         )
 
@@ -268,17 +274,13 @@ def _conjugation_module(base, group):
     field = base.field
     labels = base.comp(0).labels
     n = len(labels)
-    action_entries = {
+    signature = module_legs(base, 0, labels)
+    conjugation = {
         (conjugate(group, g, x), g * n + x): field.one for g in range(n) for x in range(n)
     }
-    dom = product_labels((labels, labels))
-    action = LinMap(field, n, n * n, action_entries, dom, labels)
-    coaction = {}
-    for r in base.grades():
-        cod = product_labels((labels, base.comp(r).labels))
-        coaction[r] = LinMap(
-            field, n * n, n, {(x * n + x, x): field.one for x in range(n)}, labels, cod
-        )
+    action = legs_map(field, conjugation, signature["action"][None])
+    diagonal = {(x * n + x, x): field.one for x in range(n)}
+    coaction = {r: legs_map(field, diagonal, legs) for r, legs in signature["coaction"].items()}
     return YDModule(base, 0, labels, action, coaction, strict=True)
 
 
@@ -653,10 +655,9 @@ def yd_direct_sum(v, w):
     base = v.base
     field = base.field
     p = v.grade
-    comp_p = base.comp(p)
-    d_p = comp_p.dim
     n = v.dim + w.dim
     labels = tuple(("+0",) + l for l in v.labels) + tuple(("+1",) + l for l in w.labels)
+    signature = module_legs(base, p, labels)
     blocks = ((v, 0), (w, v.dim))  # each summand with the offset of its basis
 
     action_entries = {}
@@ -664,19 +665,17 @@ def yd_direct_sum(v, w):
         for (i, c), value in m.action.entries.items():
             h, j = divmod(c, m.dim)
             action_entries[(off + i, h * n + off + j)] = value
-    dom = product_labels((comp_p.labels, labels))
-    action = LinMap(field, n, d_p * n, action_entries, dom, labels)
+    action = legs_map(field, action_entries, signature["action"][None])
 
     coaction = {}
-    for r in base.grades():
+    for r, legs in signature["coaction"].items():
         d_r = base.comp(r).dim
         entries = {}
         for m, off in blocks:
             for (row, col), value in m.coaction[r].entries.items():
                 i, a = divmod(row, d_r)
                 entries[((off + i) * d_r + a, off + col)] = value
-        cod = product_labels((labels, base.comp(r).labels))
-        coaction[r] = LinMap(field, n * d_r, n, entries, labels, cod)
+        coaction[r] = legs_map(field, entries, legs)
 
     total = YDModule(base, p, labels, action, coaction, v.strict and w.strict)
 
@@ -720,18 +719,14 @@ def search_dim1_modules(base):
     for p in base.grades():
         if p == 0:
             continue
-        comp_p = base.comp(p)
         labels = (("cand",),)
-        dom = product_labels((comp_p.labels, labels))
-        action = LinMap(
-            field, 1, comp_p.dim, {(0, h): field.one for h in range(comp_p.dim)}, dom, labels
-        )
+        signature = module_legs(base, p, labels)
+        trivial = {(0, h): field.one for h in range(base.comp(p).dim)}
+        action = legs_map(field, trivial, signature["action"][None])
+        coaction_legs = signature["coaction"].items()
         for gamma in range(n):
-            coaction = {}
-            for r in base.grades():
-                comp_r = base.comp(r)
-                cod = product_labels((labels, comp_r.labels))
-                coaction[r] = LinMap(field, comp_r.dim, 1, {(gamma, 0): field.one}, labels, cod)
+            through = {(gamma, 0): field.one}
+            coaction = {r: legs_map(field, through, pair) for r, pair in coaction_legs}
             candidate = YDModule(base, p, labels, action, coaction, strict=True)
             passed = validate_yd(candidate).passed
             if passed:

@@ -14,7 +14,8 @@
 - no package module imports a private name (one leading underscore) from
   another, or reads one as an attribute of a package module it imported;
 - the package's relative imports form no cycle: a special case depends on
-  the general one, never both ways.
+  the general one, never both ways;
+- no line of a package module is wider than 100 columns.
 """
 
 import ast
@@ -33,6 +34,8 @@ MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 #: but not how the library states a composite (that is Chain)
 MATRIX_TOOLKIT = {"kron", "kron_all", "leg_perm", "swap_map", "compose"}
 TOOLKIT_HOMES = {"exactlin.py", "__init__.py"}
+
+MAX_COLUMNS = 100
 
 
 def non_stdlib_imports(source):
@@ -191,6 +194,11 @@ def import_cycles(sources):
     return sorted(list(cycle) for cycle in cycles)
 
 
+def long_lines(source, limit=MAX_COLUMNS):
+    """1-based numbers of the lines of source wider than limit columns."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
+
+
 def test_detector_finds_private_imports():
     sources = {
         "a.py": "from .b import _legs, public\nfrom .c import __version__\n",
@@ -291,6 +299,14 @@ def test_detector_finds_duplicate_bodies():
     ]
 
 
+def test_detector_finds_long_lines():
+    fits = "x = " + "1" * (MAX_COLUMNS - 4)
+    source = f"{fits}\n{fits}2\n\n    # {'-' * MAX_COLUMNS}\n"
+    assert len(fits) == MAX_COLUMNS
+    assert long_lines(source) == [2, 4]
+    assert long_lines("def f():\n    return 1\n") == []
+
+
 def test_no_two_functions_share_a_body():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert duplicate_bodies(sources) == []
@@ -324,3 +340,8 @@ def test_no_module_imports_a_private_name_of_another():
 def test_relative_imports_form_no_cycle():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert import_cycles(sources) == []
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_module_lines_fit_in_100_columns(name):
+    assert long_lines((PACKAGE / name).read_text(encoding="utf-8")) == []

@@ -1,5 +1,7 @@
 """Round trips and canonical bytes for every structure kind."""
 
+import re
+
 import pytest
 
 from quasibraid import fixtures, serialize
@@ -109,11 +111,16 @@ def _copy_key(table, old, new):
         lambda j: _copy_key(j["crossing"], "1|1", "2|1"),
         lambda j: _copy_key(j["components"], "1", "2"),
         lambda j: _copy_key(j["components"], "1", "-1"),
+        lambda j: j["comult"].pop("1,1"),
+        lambda j: j["antipode"].pop("1"),
+        lambda j: j["crossing"].pop("1|0"),
+        lambda j: j["components"].pop("1"),
     ],
     ids=[
         "comult-negative", "comult-too-large", "comult-not-canonical", "comult-three-parts",
         "antipode-negative", "antipode-too-large", "crossing-negative", "crossing-too-large",
-        "component-extra", "component-negative",
+        "component-extra", "component-negative", "comult-missing", "antipode-missing",
+        "crossing-missing", "component-missing",
     ],
 )
 def test_gchq_keys_are_range_checked(tmp_path, edit):
@@ -134,9 +141,10 @@ def test_gchq_keys_are_range_checked(tmp_path, edit):
         lambda j: j.update(grade=True),
         lambda j: _copy_key(j["coaction"], "1", "-1"),
         lambda j: _copy_key(j["coaction"], "1", "7"),
+        lambda j: j["coaction"].pop("1"),
     ],
     ids=["grade-negative", "grade-too-large", "grade-text", "grade-bool",
-         "coaction-negative", "coaction-too-large"],
+         "coaction-negative", "coaction-too-large", "coaction-missing"],
 )
 def test_yd_grades_are_range_checked(tmp_path, edit):
     jobj = _yd_jobj()
@@ -145,3 +153,22 @@ def test_yd_grades_are_range_checked(tmp_path, edit):
     serialize.write_file(path, jobj)
     with pytest.raises(ParseError):
         serialize.load("yd", path)
+
+
+@pytest.mark.parametrize(
+    "family, edit, message",
+    [
+        ("comult", lambda t: t.pop("1,1"), "missing key '1,1'"),
+        ("crossing", lambda t: t.pop("1|0"), "missing key '1|0'"),
+        ("components", lambda t: t.pop("1"), "missing key '1'"),
+        ("comult", lambda t: _copy_key(t, "1,1", "5,0"), "unexpected key '5,0'"),
+        ("antipode", lambda t: _copy_key(t, "1", "01"), "unexpected key '01'"),
+    ],
+)
+def test_gchq_loader_names_the_family_and_key(tmp_path, family, edit, message):
+    jobj = _gchq_jobj()
+    edit(jobj[family])
+    path = tmp_path / "bad-gchq.json"
+    serialize.write_file(path, jobj)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{family}: {message}')}$"):
+        serialize.load("gchq", path)

@@ -232,3 +232,19 @@ def test_action_refuses_a_map_entry_outside_the_carrier():
     c2 = GroupTable.cyclic(2)
     with pytest.raises(QuasibraidError, match=r"^action map entry outside \[0, 2\)$"):
         GroupAction(c2, c2, [(0, 1), (0, 5)])
+
+
+@pytest.mark.parametrize(
+    "side, actor, carrier",
+    [
+        ("carrier", GroupTable.cyclic(2), GroupTable(["e", "a"], [[0, 5], [1, 0]])),
+        ("actor", GroupTable(["e", "a"], [[0, 7], [1, 0]]), GroupTable.cyclic(2)),
+    ],
+    ids=["carrier", "actor"],
+)
+def test_action_refuses_a_table_entry_outside_its_group(side, actor, carrier):
+    """Read as is, ACT-automorphism or ACT-composition ended in an
+    IndexError; the GroupTable itself still loads, for GRP-closure."""
+    assert validate_group(actor if side == "actor" else carrier).failed_ids() == ["GRP-closure"]
+    with pytest.raises(QuasibraidError, match=rf"^{side} table entry outside \[0, 2\)$"):
+        validate_action(GroupAction(actor, carrier, [(0, 1), (1, 0)]))
