@@ -10,6 +10,10 @@ Exit codes: 0 all checks pass, 1 a required check failed or a
 construction was rejected, 2 unreadable/malformed input, 3 braiding
 requested on a non-strict module.  Reports are deterministic; timing
 goes to stderr so stdout and --json stay byte-stable.
+
+Each command imports what it runs.  The modules every command needs are
+imported at the top; yd and fixtures are imported only inside the code
+paths that use them, so no hq or gchq command loads either.
 """
 
 from __future__ import annotations
@@ -19,22 +23,12 @@ import os
 import sys
 import time
 
-from . import fixtures, serialize
+from . import serialize
 from .errors import NotStrict, ParseError, QuasibraidError
 from .exactlin import field_from_name
 from .gchq import mirror, power_construction, validate_crossed
 from .hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
 from .report import Report
-from .yd import (
-    Constructions,
-    check_braiding_inverse,
-    check_braiding_laws,
-    conjugation_coherence,
-    validate_yd,
-    yd_conjugate,
-    yd_direct_sum,
-    yd_tensor,
-)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -61,6 +55,8 @@ def _validate_object(kind, obj):
     elif kind == "gchq":
         report = validate_crossed(obj)
     else:
+        from .yd import validate_yd
+
         report = validate_crossed(obj.base)
         if report.passed:
             report.merge(validate_yd(obj))
@@ -93,11 +89,15 @@ def cmd_construct(args):
         # mirror validates its output and raises if it fails
         result_kind, result, validated = "gchq", mirror(h), True
     elif op == "yd-tensor":
+        from .yd import yd_tensor
+
         _expect_inputs(args, 2)
         v = serialize.load("yd", args.inputs[0])
         w = serialize.load("yd", args.inputs[1])
         result_kind, result = "yd", yd_tensor(v, w)
     elif op == "yd-conjugate":
+        from .yd import yd_conjugate
+
         _expect_inputs(args, 1)
         v = serialize.load("yd", args.inputs[0])
         if args.grade is None:
@@ -109,6 +109,8 @@ def cmd_construct(args):
             )
         result_kind, result = "yd", yd_conjugate(v, labels.index(args.grade))
     elif op == "direct-sum":
+        from .yd import yd_direct_sum
+
         _expect_inputs(args, 2)
         v = serialize.load("yd", args.inputs[0])
         w = serialize.load("yd", args.inputs[1])
@@ -135,6 +137,14 @@ def _expect_inputs(args, n):
 
 
 def cmd_braid_report(args):
+    from .yd import (
+        Constructions,
+        check_braiding_inverse,
+        check_braiding_laws,
+        conjugation_coherence,
+        yd_direct_sum,
+    )
+
     start = time.monotonic()
     loaded = {path: serialize.load("yd", path) for path in dict.fromkeys(args.modules)}
     modules = [loaded[path] for path in args.modules]
@@ -155,6 +165,8 @@ def cmd_braid_report(args):
 
 
 def cmd_fixtures(args):
+    from . import fixtures
+
     field = field_from_name(args.field) if args.field else default_field()
     paths = fixtures.write_all(args.out, field)
     for path in paths:

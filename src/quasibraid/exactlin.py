@@ -20,7 +20,6 @@ structure is strict: unitors and associators are identity matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count, product, repeat
 from math import prod
 from operator import add, eq, floordiv, mod, mul
@@ -70,7 +69,10 @@ class Rationals:
     otherwise, and every operation returns that canonical form.  Fraction
     compares and hashes equal to int, so equality of entries is that of
     the rationals; the int form spares the integral structure constants
-    of the usual examples the cost of Fraction arithmetic.
+    of the usual examples the cost of Fraction arithmetic, and of loading
+    fractions at all: only the branches that may make a Fraction (scalar,
+    div, inv of anything but 1 and -1, parse of anything but "[-]digits")
+    import it.
     """
 
     name = "Q"
@@ -78,7 +80,11 @@ class Rationals:
     one = 1
 
     def scalar(self, value):
-        return value if type(value) is int else _rational(Fraction(value))
+        if type(value) is int:
+            return value
+        from fractions import Fraction
+
+        return _rational(Fraction(value))
 
     def add(self, a, b):
         c = a + b
@@ -98,11 +104,17 @@ class Rationals:
     def div(self, a, b):
         if b == 0:
             raise FieldError("division by zero")
+        from fractions import Fraction
+
         return _rational(Fraction(a) / b)
 
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
+        if type(a) is int and a * a == 1:  # the units of Z, their own inverses
+            return a
+        from fractions import Fraction
+
         return _rational(1 / Fraction(a))
 
     def parse(self, text):
@@ -116,6 +128,8 @@ class Rationals:
         try:
             if text.isascii() and text.removeprefix("-").isdigit():
                 return int(text)
+            from fractions import Fraction
+
             return _rational(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc

@@ -23,7 +23,6 @@ structure is an asserted theorem, not a hope.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 from .errors import (
@@ -109,6 +108,8 @@ class CrossedGCHQ:
         self._legs = None
         if len(self.components) != grading.order:
             raise MalformedStructure("one component per group element required")
+        if any(not 0 <= v < grading.order for row in grading.table for v in row):
+            raise MalformedStructure(f"grading table entry outside [0, {grading.order})")
         if any(c.field != field for c in self.components):
             raise MalformedStructure("component field mismatch")
         require_legs(field, self.maps(), map_legs(grading, self.components))
@@ -464,6 +465,8 @@ def sweedler_spot_check(h, samples=20, seed=0):
     structure constants and compared with the column the GHQ-3.3-left
     chain produces for the same pair.
     """
+    import random
+
     field = h.field
     rep = Report("sweedler spot check")
     rng = random.Random(seed)

@@ -15,7 +15,6 @@ codomain label of that row, and its values are formatted with field.fmt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import ne
 
@@ -116,8 +115,46 @@ AXIOM_LEGEND = {
 }
 
 
-@dataclass(frozen=True)
-class Witness:
+class FrozenFieldError(AttributeError):
+    """Raised on assigning or deleting a field of a Witness or a Check."""
+
+
+class _Value:
+    """An immutable record of the fields named by __slots__, compared,
+    hashed and printed by their values, in slot order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise FrozenFieldError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenFieldError(f"cannot delete field {name!r}")
+
+
+class Witness(_Value):
     """First counterexample found for a failed check.
 
     domain/codomain hold basis-label atoms (domain may be a tuple of
@@ -125,10 +162,10 @@ class Witness:
     values, formatted as text.
     """
 
-    domain: tuple
-    codomain: tuple
-    lhs: str
-    rhs: str
+    __slots__ = ("domain", "codomain", "lhs", "rhs")
+
+    def __init__(self, domain, codomain, lhs, rhs):
+        super().__init__(domain, codomain, lhs, rhs)
 
     def describe(self):
         dom = "(" + ",".join(str(a) for a in self.domain) + ")"
@@ -144,13 +181,14 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    passed: bool
-    required: bool = True
-    witness: Witness | None = None
-    detail: str = ""
+class Check(_Value):
+    """One named check: whether it passed, whether it is required, and
+    its witness and detail text."""
+
+    __slots__ = ("check_id", "passed", "required", "witness", "detail")
+
+    def __init__(self, check_id, passed, required=True, witness=None, detail=""):
+        super().__init__(check_id, passed, required, witness, detail)
 
 
 def map_witness(lhs, rhs):

@@ -21,7 +21,6 @@ from .exactlin import LinMap, field_from_name
 from .gchq import CrossedGCHQ, legs_labels, map_legs
 from .hq import HopfQuasigroup, UnitalAlgebra
 from .tables import GroupAction, GroupTable, LoopTable
-from .yd import YDModule, module_legs
 
 
 def dump_bytes(jobj):
@@ -285,6 +284,8 @@ def yd_to_jobj(m, base_ref=None):
 
 
 def yd_from_jobj(jobj, base_dir=None):
+    from .yd import YDModule, module_legs
+
     with _reading("bad yd module"):
         base_field = jobj["base"]
         if isinstance(base_field, str):

@@ -58,6 +58,8 @@ class YDModule:
     __slots__ = ("base", "grade", "dim", "labels", "action", "coaction", "strict", "_legs")
 
     def __init__(self, base, grade, labels, action, coaction, strict):
+        if not 0 <= grade < base.grading.order:
+            raise MalformedStructure(f"grade {grade} outside [0, {base.grading.order})")
         self.base = base
         self.grade = grade
         self.dim = len(labels)

@@ -59,7 +59,10 @@ def test_rational_scalars_canonical_form():
     assert QQ.fmt(QQ.parse("-6/4")) == "-3/2"
     assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
     assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
+    assert QQ.parse("3/6") == Fraction(1, 2) and type(QQ.parse("3/6")) is Fraction
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(Fraction(1, 2))) is int
+    assert [QQ.inv(1), QQ.inv(-1)] == [1, -1] and type(QQ.inv(-1)) is int
+    assert type(QQ.inv(Fraction(-1))) is int
     assert type(QQ.mul(Fraction(1, 2), 2)) is int
     assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
     assert type(QQ.neg(Fraction(3))) is int

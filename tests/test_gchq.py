@@ -186,6 +186,25 @@ def test_scaled_crossing_fails_morphism_check(gchq_power):
     assert "CROSS-pi-multiplicative" in rep.failed_ids() or "CROSS-pi-unit" in rep.failed_ids()
 
 
+@pytest.mark.parametrize(
+    "table", [[[0, 5], [1, 0]], [[0, -1], [1, 0]]], ids=["past-the-end", "negative"]
+)
+def test_grading_entries_outside_the_group_rejected(gchq_power, table):
+    """A grading table entry outside [0, |G|) is not read as an index:
+    5 is not an IndexError and -1 is not H_1 read from the end."""
+    grading = GroupTable(gchq_power.grading.labels, table)
+    with pytest.raises(MalformedStructure, match=r"^grading table entry outside \[0, 2\)$"):
+        CrossedGCHQ(
+            gchq_power.field,
+            grading,
+            gchq_power.components,
+            gchq_power.comult,
+            gchq_power.counit,
+            gchq_power.antipode,
+            gchq_power.crossing,
+        )
+
+
 def test_malformed_shapes_rejected(gchq_power):
     bad_comult = dict(gchq_power.comult)
     bad_comult[(0, 1)] = LinMap.identity(QQ, gchq_power.comp(0).labels)

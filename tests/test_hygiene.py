@@ -15,16 +15,23 @@
   another, or reads one as an attribute of a package module it imported;
 - the package's relative imports form no cycle: a special case depends on
   the general one, never both ways;
-- no line of a package module is wider than 100 columns.
+- no line of a package module is wider than 100 columns;
+- importing the command-line module loads only what every command runs,
+  and validating a Hopf quasigroup over integral constants loads neither
+  the Yetter-Drinfeld layer nor fractions.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import quasibraid
+from quasibraid import fixtures, serialize
 
 PACKAGE = Path(quasibraid.__file__).resolve().parent
 ALL_MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -345,3 +352,71 @@ def test_relative_imports_form_no_cycle():
 @pytest.mark.parametrize("name", ALL_MODULES)
 def test_module_lines_fit_in_100_columns(name):
     assert long_lines((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+#: what `import quasibraid.cli` must leave unloaded: dataclasses pulls in
+#: inspect (and with it ast, dis and tokenize), fractions pulls in decimal,
+#: and no hq or gchq command runs random, yd or fixtures
+NOT_LOADED_BY_CLI = (
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "random",
+    "quasibraid.yd",
+    "quasibraid.fixtures",
+)
+
+#: run as `python -S - <hq file>`: the modules loaded after importing the
+#: cli, after validating the file through cli.main, and after one
+#: non-integral Q scalar, as one JSON line
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import quasibraid.cli
+stages = {"import": sorted(sys.modules)}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stages["exit"] = quasibraid.cli.main(["validate", sys.argv[1], "--kind", "hq"])
+stages["validate"] = sorted(sys.modules)
+from quasibraid.exactlin import QQ
+half = QQ.div(1, 2)
+stages["half"] = [type(half).__module__, type(half).__name__, str(half)]
+stages["fraction"] = sorted(sys.modules)
+print(json.dumps(stages))
+"""
+
+
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory):
+    """FOOTPRINT_SCRIPT's stages on the k[S3] fixture, in a fresh
+    interpreter that imports quasibraid from this source tree.  -S keeps
+    site-packages' .pth files, which import modules of their own, out of
+    the count."""
+    path = tmp_path_factory.mktemp("footprint") / "hq-s3.json"
+    serialize.save("hq", fixtures.hq_s3(), path)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-", str(path)],
+        input=FOOTPRINT_SCRIPT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_cli_import_leaves_out_what_no_hq_command_runs(footprint):
+    loaded = set(footprint["import"])
+    assert "quasibraid.cli" in loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_CLI)) == []
+
+
+def test_hq_validate_loads_no_yd_and_no_fractions(footprint):
+    assert footprint["exit"] == 0
+    assert sorted({"quasibraid.yd", "fractions"}.intersection(footprint["validate"])) == []
+
+
+def test_non_integral_rational_loads_fractions_on_first_use(footprint):
+    assert footprint["half"] == ["fractions", "Fraction", "1/2"]
+    assert "fractions" in footprint["fraction"]

@@ -169,6 +169,15 @@ def test_malformed_module_rejected(yd_crossed_s3):
         )
 
 
+@pytest.mark.parametrize("grade", [-2, 5], ids=["negative", "past-the-end"])
+def test_grade_outside_the_base_grading_rejected(grade):
+    """A grade is an element index of the base grading: -2 is not read
+    from the end of the group, and 5 on |G| = 2 is not an IndexError."""
+    v = yd_diagonal_power()
+    with pytest.raises(MalformedStructure, match=rf"^grade {grade} outside \[0, 2\)$"):
+        YDModule(v.base, grade, v.labels, v.action, v.coaction, True)
+
+
 # -- tensor product ----------------------------------------------------------
 
 
