@@ -4,8 +4,9 @@ Every structure map in this library (multiplication, comultiplication,
 counit, antipode, crossing, action, coaction, braiding) is a LinMap: a
 sparse exact matrix between based vector spaces.  Every composite of them,
 an axiom's side or a construction, is a Chain of leg-wise stages pushed
-through in blocks of basis vectors; Chain.matrix() is the one place a
-composite becomes a matrix.  Axioms compare two Chains for literal
+through in blocks of basis vectors, and a law over many grade tuples is
+one Chain family with a segment per tuple; Chain.matrix() is the one
+place a composite becomes a matrix.  Axioms compare two Chains for literal
 equality, so the arithmetic must be exact: scalars live in Q (as an int
 when integral, a Fraction otherwise) or in a prime field GF(p) (as
 canonical representatives in [0, p)).  compose, kron, kron_all, leg_perm
@@ -13,16 +14,19 @@ and swap_map build whole matrices; they are public API and the tests'
 independent reference for Chain, and the library does not use them.
 
 Basis labels are tuples of string atoms.  Tensor products concatenate
-label tuples, and the ground field k carries the empty tuple (), so
-k (x) V, V (x) k and V have literally identical labels and the monoidal
-structure is strict: unitors and associators are identity matrices.
+label tuples (product_labels builds each product once), and the ground
+field k carries the empty tuple (), so k (x) V, V (x) k and V have
+literally identical labels and the monoidal structure is strict: unitors
+and associators are identity matrices.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count, product, repeat
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate, chain as concat, compress, count, product, repeat
 from math import prod
-from operator import add, eq, floordiv, mod, mul
+from operator import add, eq, floordiv, getitem, mod, mul, sub
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -482,9 +486,23 @@ def leg_perm(field, legs, order):
 
 
 def product_labels(legs):
-    """Basis labels of the tensor product of legs, left leg slowest."""
+    """Basis labels of the tensor product of legs, left leg slowest.
+
+    A product is built once and kept, by the value of its legs, for the
+    last _KEPT_PRODUCTS distinct legs asked for: the loaders, the shape
+    checks, LegMap and Chain.matrix() all label the same spaces, and then
+    share one label tuple, which a label check compares by identity."""
     if len(legs) == 1:  # a label is a tuple, so one leg is its own product
         return tuple(legs[0])
+    return _product_of(tuple(map(tuple, legs)))
+
+
+#: how many distinct label products product_labels keeps
+_KEPT_PRODUCTS = 4096
+
+
+@lru_cache(maxsize=_KEPT_PRODUCTS)
+def _product_of(legs):
     return tuple(sum(multi, ()) for multi in product(*legs))
 
 
@@ -497,8 +515,34 @@ def product_labels(legs):
 # concatenates the legs' labels in leg order.
 
 
-def _dims(legs):
-    return tuple(map(len, legs))
+def _stack_size(stack):
+    """The size of the legs of a stack: an int if they all have it, else
+    the tuple of their sizes."""
+    sizes = tuple(map(len, stack))
+    return _uniform(sizes)
+
+
+def _uniform(sizes):
+    """sizes[0] if every entry of sizes equals it, else sizes."""
+    return sizes[0] if sizes.count(sizes[0]) == len(sizes) else sizes
+
+
+def _times(a, b):
+    """a * b for sizes that are ints or tuples of one int per segment."""
+    if type(a) is int and type(b) is int:
+        return a * b
+    return _uniform(tuple(map(mul, _per_segment(a), _per_segment(b))))
+
+
+def _per_segment(size):
+    return repeat(size) if type(size) is int else size
+
+
+def _product(sizes):
+    out = 1
+    for size in sizes:
+        out = _times(out, size)
+    return out
 
 
 def flat_label(legs, flat):
@@ -516,31 +560,36 @@ class LegMap:
     f must carry the labels that kron would give the products of dom_legs
     and cod_legs, so a flat position in f's own bases is a flat position
     in the product of its legs.  The check costs the size of f's own bases,
-    never the size of a chain the map is used in.
+    never the size of a chain the map is used in, and nothing at all when
+    f carries the very label tuples product_labels keeps for its legs (a
+    map labelled from a signature or by Chain.matrix()).
 
-    For an identity map columns, dest and scale are all None, and a chain
-    passes its legs through.  Otherwise columns holds {input position:
-    [(output position, scalar), ...]} with no key for a zero column.
-    Whether the map is monomial (every column has at most one nonzero
-    entry) is decided once: if it is, dest lists over f's own domain the
-    output position of each column, or -1 for a zero column, and scale
-    lists the column scalars (field.zero on a zero column) only when some
-    scalar is not field.one; loop and group algebras keep no scale.  A
-    map that is not monomial has dest = scale = None.
+    For an identity map columns and scale are None, and a chain passes its
+    legs through.  Otherwise columns holds {input position: [(output
+    position, scalar), ...]} with no key for a zero column, and holes tells
+    whether there is a zero column.  Whether the map is monomial (every
+    column has at most one nonzero entry) is decided once: if it is, dest
+    lists over f's own domain the output position of each column, or -1
+    for a zero column (an identity's dest is range(cols)), and scale lists
+    the column scalars (field.zero on a zero column) only when some scalar
+    is not field.one; loop and group algebras keep no scale.  A map that is
+    not monomial has dest = scale = None.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale", "holes")
 
     def __init__(self, f, dom_legs, cod_legs):
         dom_legs = tuple(tuple(leg) for leg in dom_legs)
         cod_legs = tuple(tuple(leg) for leg in cod_legs)
         for labels, legs, side in ((f.dom, dom_legs, "domain"), (f.cod, cod_legs, "codomain")):
-            if len(labels) != prod(_dims(legs)) or labels != product_labels(legs):
+            expected = product_labels(legs)
+            if labels is not expected and labels != expected:
                 raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
-        self.columns = self.dest = self.scale = None
+        self.columns = self.scale = None
+        self.dest, self.holes = range(f.cols), False
         one = f.field.one
         if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
             return
@@ -548,7 +597,9 @@ class LegMap:
         for (i, j), value in sorted(f.entries.items()):
             columns.setdefault(j, []).append((i, value))
         self.columns = columns
+        self.holes = len(columns) < f.cols
         if any(len(images) != 1 for images in columns.values()):
+            self.dest = None
             return
         dest = [-1] * f.cols
         scale = [f.field.zero] * f.cols
@@ -563,13 +614,85 @@ class LegMap:
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
 
 
+class Stack:
+    """A factor that differs from segment to segment of a family: one
+    LegMap per segment, maps[k] on segment k (Chain.then).
+
+    Its facts are read once, when it is built, for every then() it enters:
+    field, which all maps must share; dom_legs and cod_legs, stacked like
+    a family's legs (one tuple of a leg per segment at each leg position);
+    cols and rows, an int where all segments share it, else the tuple of
+    them; identity, true when every map is an identity; and shared, the
+    map when every segment has the same one, else None (and then only
+    maps and shared are set, as a chain reads the one map).  A monomial stack
+    keeps dest, each segment's dest list (range(cols) for an identity),
+    and scale, each segment's scale list, or None when no map has one;
+    holes tells whether some map has a zero column.  A stack that is not
+    monomial has dest = scale = None and is read through maps[k]."""
+
+    __slots__ = (
+        "maps", "field", "dom_legs", "cod_legs", "cols", "rows", "identity", "shared",
+        "dest", "scale", "holes",
+    )
+
+    def __init__(self, maps):
+        self.maps = maps = tuple(maps)
+        if not maps:
+            raise DomainMismatch("a stack holds one map for each segment")
+        distinct = tuple(dict.fromkeys(maps))  # a law draws its K maps from a few
+        self.shared = maps[0] if len(distinct) == 1 else None
+        self.field = self.dom_legs = self.cod_legs = self.cols = self.rows = None
+        self.identity = self.dest = self.scale = self.holes = None
+        if self.shared is not None:
+            return  # a chain reads the one map
+        fields = [f.map.field for f in distinct]
+        if fields.count(fields[0]) != len(fields):
+            raise DomainMismatch("maps over different fields")
+        self.field = fields[0]
+        if len({(len(f.dom_legs), len(f.cod_legs)) for f in distinct}) != 1:
+            raise DomainMismatch("a stack's maps differ in their number of legs")
+        self.dom_legs = _stacked([f.dom_legs for f in maps])
+        self.cod_legs = _stacked([f.cod_legs for f in maps])
+        cols, rows = {f.map.cols for f in distinct}, {f.map.rows for f in distinct}
+        self.cols = cols.pop() if len(cols) == 1 else tuple([f.map.cols for f in maps])
+        self.rows = rows.pop() if len(rows) == 1 else tuple([f.map.rows for f in maps])
+        self.identity = all([f.columns is None for f in distinct])
+        self.holes = any([f.holes for f in distinct])
+        if any([f.dest is None for f in distinct]):
+            return
+        self.dest = tuple([f.dest for f in maps])
+        if any([f.scale is not None for f in distinct]):
+            one = self.field.one
+            self.scale = tuple([[one] * f.map.cols if f.scale is None else f.scale for f in maps])
+
+    def __len__(self):
+        return len(self.maps)
+
+    def __repr__(self):
+        return f"Stack({len(self.maps)} segments, {self.maps[0]!r}, ...)"
+
+
+def _stacked(legs):
+    """The legs of each map, stacked: at each leg position, the tuple of
+    every map's leg there."""
+    return tuple(tuple([x[j] for x in legs]) for j in range(len(legs[0])))
+
+
+def _misfit(pos, stop, legs):
+    return DomainMismatch(
+        f"cannot apply a factor to legs {pos}..{stop - 1} of a family with "
+        f"{len(legs)} legs: dimensions or basis labels disagree in a segment"
+    )
+
+
 #: Domain basis vectors a Chain pushes through its stages together.  A
 #: block bounds the memory of one evaluation whatever the domain's size.
 BLOCK = 1024
 
 
 class Chain:
-    """A composite of leg-wise stages, applied without building its matrix.
+    """A composite of leg-wise stages, applied without building its matrix;
+    or a family of them, one law over all its grade tuples.
 
     Chain(field, legs) is the identity of the tensor product of legs;
     then() and permute() return the chain followed by one more stage:
@@ -584,50 +707,108 @@ class Chain:
     Both check the stage boundary like compose: the legs must agree in
     number and basis labels, or DomainMismatch is raised.
 
+    A family is the direct sum of K segments, one composite per grade
+    tuple of a law, all with the same number of legs.  Chain(field, legs,
+    K) starts it, each leg a stack of K legs (leg k on segment k), and a
+    factor of then() may be a Stack of K LegMaps, one per segment (or a
+    sequence of them, made a Stack), where a single LegMap serves every
+    segment; a chain of one segment meeting a Stack becomes a family of
+    copies of itself.  The domain of a family is its segments' domains one
+    after the other; a flat position in it is read as (segment, position
+    in the segment), and every stage acts on the position within the
+    segment.  A family is built and evaluated once for all its segments,
+    and no segment has a Chain of its own; the labels of its legs are only
+    read for the boundary checks and a witness (segment_legs).  dom_dims
+    and cod_dims hold the size of each leg: in a family an int where the
+    segments agree, else the tuple of the segments' sizes.
+
     A stage is recorded once, as (monomial, terms).  Each term is one
     factor, a run of identity legs, or a run of legs a permutation keeps
-    together, as (s, n, t, f): its input digit of a flat position x is
+    together, as (s, n, t, f): its input digit of a position x is
     x // s % n (n is None for the leftmost run, where x // s suffices),
-    f is its LegMap or None for identity legs, and its output digit lands
-    at output stride t, so a stage sends x to the sum over its terms of
-    f(digit) * t.  A stage is monomial when every f is None or has a dest;
-    permutations always are.  No stage holds a table over its domain.
+    f is its LegMap, a Stack of one LegMap per segment, or None for
+    identity legs, and its output digit lands at output stride t, so a
+    stage sends x to the sum over its terms of f(digit) * t.  In a family
+    whose segments differ in size at a stage, s, n and t there are tuples
+    of one size per segment.  A stage is monomial when every f is None or
+    has a dest; permutations always are.  No stage holds a table over its
+    domain.
 
     block(cols) is the one evaluator: it pushes a block of flat domain
     positions through the stages together.  While the stages are
-    monomial, each column stays one flat position with one scalar, and a
-    stage runs as a few C-level map passes over the block per term
-    (_flat_stage); the block falls back to sparse dicts {flat position:
-    scalar} at the first other stage (_apply_kron).  Arithmetic goes
-    through field.mul and field.add, and exact zeros are dropped at every
-    stage boundary.  dom_blocks() yields the domain in column order, BLOCK
-    columns at a time; column() evaluates a single column through block(),
-    and matrix() every column.
+    monomial, each column stays one position with one scalar, and a stage
+    runs as a few C-level map passes over the block per term
+    (_flat_stage); the block falls back to sparse dicts {position: scalar}
+    at the first other stage (_apply_kron).  Arithmetic goes through
+    field.mul and field.add, and exact zeros are dropped at every stage
+    boundary.  dom_blocks() yields the domain in column order, BLOCK
+    columns at a time across segment boundaries (whole segments when they
+    are small); column() evaluates a single column through block(), and
+    matrix() every column of a chain of one segment.
     """
 
-    __slots__ = ("field", "dom_legs", "cod_legs", "stages", "_dom_dims", "_cod_dims")
+    __slots__ = (
+        "field", "segments", "dom_legs", "cod_legs", "stages", "dom_dims", "cod_dims"
+    )
 
-    def __init__(self, field, legs):
+    def __init__(self, field, legs, segments=1):
         self.field = field
+        self.segments = segments
         self.dom_legs = self.cod_legs = tuple(tuple(leg) for leg in legs)
         self.stages = ()
-        self._dom_dims = self._cod_dims = _dims(self.dom_legs)
+        if segments != 1 and any(len(stack) != segments for stack in self.dom_legs):
+            raise DomainMismatch(f"a stacked leg does not hold a leg for each of {segments}")
+        self.dom_dims = self.cod_dims = tuple(
+            map(len if segments == 1 else _stack_size, self.dom_legs)
+        )
 
     @property
     def rows(self):
-        return prod(self._cod_dims)
+        return self._total(self.cod_dims)
 
     @property
     def cols(self):
-        return prod(self._dom_dims)
+        return self._total(self.dom_dims)
+
+    def _total(self, dims):
+        if self.segments == 1:
+            return prod(dims)
+        size = _product(dims)
+        return size * self.segments if type(size) is int else sum(size)
+
+    def segment_ends(self):
+        """The flat domain position where each segment's columns end."""
+        size = _product(self.dom_dims)
+        return tuple(accumulate(repeat(size, self.segments) if type(size) is int else size))
+
+    def segment_legs(self, k):
+        """(dom_legs, cod_legs) of segment k."""
+        if self.segments == 1:
+            return self.dom_legs, self.cod_legs
+        return tuple(s[k] for s in self.dom_legs), tuple(s[k] for s in self.cod_legs)
 
     def then(self, *factors):
+        segments = self.segments
+        for f in factors:
+            if type(f) is not LegMap and len(f) != 1:
+                if segments != len(f) and segments != 1:
+                    raise DomainMismatch(
+                        f"a factor for {len(f)} segments on a family of {segments}"
+                    )
+                segments = len(f)
+        if segments == 1:
+            return self._then_one(factors)
+        return self._then_family(factors, segments)
+
+    def _then_one(self, factors):
         field, legs = self.field, self.cod_legs
-        runs = []  # [input size, LegMap or None for a run of identity legs]
+        runs = []  # [input size, LegMap or None for a run of identity legs, output size]
         monomial = True
         pos = 0
         cod_legs = ()
         for f in factors:
+            if type(f) is not LegMap:  # a stack or a sequence of one map
+                f = f.maps[0] if type(f) is Stack else f[0]
             stop = pos + len(f.dom_legs)
             if f.map.field is not field and f.map.field != field:
                 raise DomainMismatch("maps over different fields")
@@ -637,35 +818,72 @@ class Chain:
                     f"{len(legs)} legs: dimensions or basis labels disagree"
                 )
             if f.columns is not None:
-                runs.append([f.map.cols, f])
+                runs.append([f.map.cols, f, f.map.rows])
                 monomial = monomial and f.dest is not None
             elif runs and runs[-1][1] is None:
                 runs[-1][0] *= f.map.cols  # merge runs of identity legs
             else:
-                runs.append([f.map.cols, None])
+                runs.append([f.map.cols, None, None])
             cod_legs += f.cod_legs
             pos = stop
         if pos != len(legs):
             raise DomainMismatch(f"factors cover {pos} of the chain's {len(legs)} legs")
         if len(runs) == 1 and runs[0][1] is None:
             return self
-        terms = []
-        s = t = 1
-        for n, f in reversed(runs):
-            terms.append((s, n, t, f))
-            s *= n
-            t *= n if f is None else f.map.rows
-        s, _, t, f = terms[-1]
-        terms[-1] = (s, None, t, f)  # the leftmost run needs no mod
-        terms.reverse()
-        return self._extend((monomial, tuple(terms)), cod_legs)
+        return self._extend((monomial, _terms(runs)), cod_legs, tuple(map(len, cod_legs)), 1)
+
+    def _then_family(self, factors, segments):
+        field = self.field
+        legs = self.cod_legs
+        if self.segments == 1:
+            legs = tuple((leg,) * segments for leg in legs)
+        runs = []  # as in _then_one, with Stacks and sizes per segment
+        monomial = True
+        pos = 0
+        cod_legs, cod_dims = (), ()
+        for f in factors:
+            if type(f) is not LegMap:
+                if type(f) is not Stack:
+                    f = Stack(f if len(f) == segments else f * segments)
+                f = f if f.shared is None else f.shared
+            field_ = f.map.field if type(f) is LegMap else f.field
+            if field_ is not field and field_ != field:
+                raise DomainMismatch("maps over different fields")
+            if type(f) is LegMap:  # one map for every segment
+                stop = pos + len(f.dom_legs)
+                if stop > len(legs) or any(
+                    stack.count(leg) != segments for stack, leg in zip(legs[pos:stop], f.dom_legs)
+                ):
+                    raise _misfit(pos, stop, legs)
+                n, m, identity = f.map.cols, f.map.rows, f.columns is None
+                cod_legs += tuple((leg,) * segments for leg in f.cod_legs)
+                cod_dims += tuple(map(len, f.cod_legs))
+            else:
+                stop = pos + len(f.dom_legs)
+                if f.dom_legs != legs[pos:stop]:
+                    raise _misfit(pos, stop, legs)
+                n, m, identity = f.cols, f.rows, f.identity
+                cod_legs += f.cod_legs
+                cod_dims += tuple(map(_stack_size, f.cod_legs))
+            if not identity:
+                runs.append([n, f, m])
+                monomial = monomial and f.dest is not None
+            elif runs and runs[-1][1] is None:
+                runs[-1][0] = _times(runs[-1][0], n)  # merge runs of identity legs
+            else:
+                runs.append([n, None, None])
+            pos = stop
+        if pos != len(legs):
+            raise DomainMismatch(f"factors cover {pos} of the family's {len(legs)} legs")
+        stage = None if len(runs) == 1 and runs[0][1] is None else (monomial, _terms(runs))
+        return self._extend(stage, cod_legs, cod_dims, segments)
 
     def permute(self, *order):
         if sorted(order) != list(range(len(self.cod_legs))):
             raise DomainMismatch(f"{order!r} is not a permutation of the legs")
         if order == tuple(range(len(order))):
             return self
-        dims = self._cod_dims
+        dims = self.cod_dims
         out_dims = [dims[i] for i in order]
         runs = []  # [first leg, stop leg, output slot of the first leg]
         for slot, leg in enumerate(order):
@@ -673,36 +891,68 @@ class Chain:
                 runs[-1][1] += 1
             else:
                 runs.append([leg, leg + 1, slot])
+        size = prod if self.segments == 1 else _product
         terms = tuple(
-            (prod(dims[stop:]), prod(dims[start:stop]) if start else None,
-             prod(out_dims[slot + stop - start:]), None)
+            (size(dims[stop:]), size(dims[start:stop]) if start else None,
+             size(out_dims[slot + stop - start:]), None)
             for start, stop, slot in sorted(runs)
         )
-        return self._extend((True, terms), tuple(self.cod_legs[i] for i in order))
+        cod_legs = tuple(self.cod_legs[i] for i in order)
+        return self._extend((True, terms), cod_legs, tuple(out_dims), self.segments)
 
-    def _extend(self, stage, cod_legs):
+    def _extend(self, stage, cod_legs, cod_dims, segments):
+        """The chain followed by stage (None adds none) onto cod_legs of
+        sizes cod_dims, a family of `segments` when the chain is one
+        segment copied."""
         out = Chain.__new__(Chain)
-        out.field, out.dom_legs, out._dom_dims = self.field, self.dom_legs, self._dom_dims
-        out.stages, out.cod_legs, out._cod_dims = self.stages + (stage,), cod_legs, _dims(cod_legs)
+        out.field, out.segments, out.dom_dims = self.field, segments, self.dom_dims
+        out.dom_legs = self.dom_legs
+        if segments != self.segments:
+            out.dom_legs = tuple((leg,) * segments for leg in self.dom_legs)
+        out.stages = self.stages if stage is None else self.stages + (stage,)
+        out.cod_legs, out.cod_dims = cod_legs, cod_dims
         return out
 
     def dom_blocks(self):
         """Flat positions of the domain basis vectors in column order, as
-        ranges of at most BLOCK."""
-        total = self.cols
-        for start in range(0, total, BLOCK):
-            yield range(start, min(start + BLOCK, total))
+        ranges of at most BLOCK; in a family of segments of at most BLOCK
+        columns each, a block holds whole segments."""
+        total, step = self.cols, BLOCK
+        size = _product(self.dom_dims)
+        if self.segments != 1 and type(size) is int and 0 < size <= BLOCK:
+            step = size * (BLOCK // size)
+        for start in range(0, total, step):
+            yield range(start, min(start + step, total))
+
+    def locate(self, cols):
+        """The segment of each flat domain position in cols, and the
+        position within it, as two lists."""
+        size = _product(self.dom_dims)
+        if type(size) is int:
+            if type(cols) is range and size and cols.start % size == len(cols) % size == 0:
+                first, whole = cols.start // size, len(cols) // size  # whole segments
+                seg = concat.from_iterable(map(repeat, range(first, first + whole), repeat(size)))
+                return list(seg), list(range(size)) * whole
+            return list(map(floordiv, cols, repeat(size))), list(map(mod, cols, repeat(size)))
+        ends = self.segment_ends()
+        seg = list(map(bisect_right, repeat(ends), cols))
+        starts = (0, *ends)
+        return seg, list(map(sub, cols, map(starts.__getitem__, seg)))
 
     def block(self, cols):
         """Images of the domain basis vectors at flat positions cols, as
-        (monomial, images).  If monomial, images is (positions, scalars):
-        one flat codomain position per column, -1 for a column that has
-        vanished, and one scalar per column (field.zero where it has
-        vanished), or None when every column that has not vanished has
-        scalar field.one.  Otherwise
-        images holds one sparse dict {flat position: scalar} per column."""
+        (monomial, images), each a position within its segment's
+        codomain.  If monomial, images is (positions, scalars): one
+        position per column, -1 for a column that has vanished, and one
+        scalar per column (field.zero where it has vanished), or None when
+        every column that has not vanished has scalar field.one.  Otherwise
+        images holds one sparse dict {position: scalar} per column."""
         field = self.field
-        positions, scalars, dead = list(cols), None, set()
+        if self.segments == 1:
+            seg, positions = None, list(cols)
+        else:
+            seg, positions = self.locate(cols)
+        scalars, dead = None, set()
         stages = iter(self.stages)
         for monomial, terms in stages:
             if not monomial:
@@ -712,12 +962,13 @@ class Chain:
                 ]
                 for i in dead:
                     vecs[i] = {}
-                vecs = [_apply_kron(field, terms, vec) for vec in vecs]
+                segs = repeat(None) if seg is None else seg
+                vecs = list(map(_apply_kron, repeat(field), repeat(terms), vecs, segs))
                 for _, terms in stages:
-                    vecs = [_apply_kron(field, terms, vec) for vec in vecs]
+                    vecs = list(map(_apply_kron, repeat(field), repeat(terms), vecs, segs))
                 return False, vecs
             if len(dead) < len(positions):  # else the next space may be empty
-                positions, scalars, lost = _flat_stage(field, terms, positions, scalars)
+                positions, scalars, lost = _flat_stage(field, terms, positions, scalars, seg)
                 dead.update(lost)
         if dead:
             for i in dead:
@@ -743,7 +994,9 @@ class Chain:
         """The composite as a LinMap, evaluated through block() in column
         order; its bases carry the labels kron would give the products of
         the domain and codomain legs.  The library's one way to turn a
-        composite into a matrix."""
+        composite into a matrix; a family has none."""
+        if self.segments != 1:
+            raise DomainMismatch(f"a family of {self.segments} segments is not one map")
         entries = {}
         for cols in self.dom_blocks():
             monomial, images = self.block(cols)
@@ -762,40 +1015,79 @@ class Chain:
         return LinMap(self.field, self.rows, self.cols, entries, dom, cod)
 
     def __repr__(self):
+        family = f"{self.segments} segments, " if self.segments != 1 else ""
         return (
-            f"Chain({len(self.dom_legs)} -> {len(self.cod_legs)} legs, "
+            f"Chain({family}{len(self.dom_legs)} -> {len(self.cod_legs)} legs, "
             f"{len(self.stages)} stages, {self.field.name})"
         )
 
 
-def _flat_stage(field, terms, positions, scalars):
-    """One monomial stage on a block of flat positions, all in range, with
-    their scalars (None when all are field.one).  Each term is a chain of
-    C-level map passes over the block: floordiv and mod for its digit,
-    dest.__getitem__ for its factor, then mul and add by its output
-    stride.  A product of nonzero scalars is nonzero, so a column vanishes
-    only where a dest holds -1; only factors with zero columns look for
-    that.  Returns (positions, scalars, lost), where lost lists the block
-    indices that vanished here; their positions are set to 0, a position
-    of the output space, so the next stage can run over the whole block."""
+def _terms(runs):
+    """The terms of a stage from its runs [input size, factor or None,
+    output size], left to right."""
+    terms = []
+    s = t = 1
+    for n, f, m in reversed(runs):
+        terms.append((s, n, t, f))
+        if f is None:
+            m = n
+        if type(s) is type(t) is type(n) is type(m) is int:
+            s, t = s * n, t * m
+        else:
+            s, t = _times(s, n), _times(t, m)
+    s, _, t, f = terms[-1]
+    terms[-1] = (s, None, t, f)  # the leftmost run needs no mod
+    terms.reverse()
+    return tuple(terms)
+
+
+def _lookup(lists, digits, seg):
+    """lists[k][digit] for each column's segment k and digit."""
+    return map(getitem, map(lists.__getitem__, seg), digits)
+
+
+def _spread(sizes, seg):
+    """The size of each column's segment, from sizes by segment."""
+    return map(sizes.__getitem__, seg)
+
+
+def _flat_stage(field, terms, positions, scalars, seg=None):
+    """One monomial stage on a block of positions, all in range, with
+    their scalars (None when all are field.one); seg holds each column's
+    segment in a family.  Each term is a chain of C-level map passes over
+    the block: floordiv and mod for its digit, dest.__getitem__ for its
+    factor (a stack's dest of each column's segment), then mul and add by
+    its output stride.  A product of nonzero scalars is nonzero, so a
+    column vanishes only where a dest holds -1; only factors with holes
+    look for that.  Returns (positions, scalars, lost), where lost lists
+    the block indices that vanished here; their positions are set to 0, a
+    position of the output space, so the next stage can run over the whole
+    block."""
     out = None
     lost = ()
     for s, n, t, f in terms:
-        digits = positions if s == 1 else map(floordiv, positions, repeat(s))
+        if s != 1:
+            digits = map(floordiv, positions, repeat(s) if type(s) is int else _spread(s, seg))
+        else:
+            digits = positions
         if n is not None:
-            digits = map(mod, digits, repeat(n))
+            digits = map(mod, digits, repeat(n) if type(n) is int else _spread(n, seg))
         if f is not None:
+            stacked = type(f) is Stack
             if f.scale is not None:
                 digits = list(digits)
-                factor = list(map(f.scale.__getitem__, digits))
+                if stacked:
+                    factor = list(_lookup(f.scale, digits, seg))
+                else:
+                    factor = list(map(f.scale.__getitem__, digits))
                 scalars = factor if scalars is None else list(map(field.mul, scalars, factor))
-            digits = map(f.dest.__getitem__, digits)
-            if len(f.columns) < len(f.dest):
+            digits = _lookup(f.dest, digits, seg) if stacked else map(f.dest.__getitem__, digits)
+            if f.holes:
                 digits = list(digits)
                 if -1 in digits:
                     lost = [*lost, *compress(count(), map(eq, digits, repeat(-1)))]
         if t != 1:
-            digits = map(mul, digits, repeat(t))
+            digits = map(mul, digits, repeat(t) if type(t) is int else _spread(t, seg))
         out = digits if out is None else map(add, out, digits)
     out = list(out)
     for i in lost:
@@ -803,9 +1095,12 @@ def _flat_stage(field, terms, positions, scalars):
     return out, scalars, lost
 
 
-def _apply_kron(field, terms, vec):
-    """One stage on a sparse vector {flat position: scalar}; terms as in
-    Chain, read through each factor's columns."""
+def _apply_kron(field, terms, vec, k=None):
+    """One stage on a sparse vector {position: scalar} of segment k (None
+    outside a family); terms as in Chain, read through each factor's
+    columns."""
+    if k is not None:
+        terms = [_segment_term(term, k) for term in terms]
     mul, add, zero = field.mul, field.add, field.zero
     out = {}
     for x, coeff in vec.items():
@@ -825,3 +1120,14 @@ def _apply_kron(field, terms, vec):
                 acc = out.get(key)
                 out[key] = v if acc is None else add(acc, v)
     return {key: v for key, v in out.items() if v != zero}
+
+
+def _segment_term(term, k):
+    """A family's term as it acts on segment k: the sizes and the map of k."""
+    s, n, t, f = term
+    s, n, t = (size if size is None or type(size) is int else size[k] for size in (s, n, t))
+    if type(f) is Stack:
+        f = f.maps[k]
+        if f.columns is None:  # an identity among the stack's maps
+            f = None
+    return s, n, t, f

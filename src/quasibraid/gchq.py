@@ -3,13 +3,19 @@
 The total object is a family of unital algebras H_p indexed by a finite
 group G, with comultiplications, a counit, antipodes and a crossing.
 map_legs states the spaces of each map once, for the constructor, h.legs
-and the loaders.  Products across different grades are not representable
-in this encoding, which makes the vanishing condition structural.
+and the loaders, and its labels (legs_labels) are the products
+exactlin.product_labels builds once: a loaded map, its shape check and
+its LegMap share one label tuple per space.  Products across different
+grades are not representable in this encoding, which makes the vanishing
+condition structural.
 
 A structure reads its maps as LegMaps on per-grade legs once (h.legs),
 and everything here is a Chain over those legs.  The validators state
-every axiom as an identity between two Chains, evaluated in blocks of
-basis vectors; validate_crossed runs both in one report.  A plain Hopf
+every axiom once for all its grade tuples, as an identity between two
+families of Chains with one segment per tuple (at() gathers each tuple's
+structure map into a Stack); a family is built and evaluated in blocks
+of basis vectors once, and one check is recorded per tuple, in tuple
+order.  validate_crossed runs both validators in one report.  A plain Hopf
 quasigroup is the |G| = 1 case: hq builds on this module, checking its
 shape and deciding its shared laws on the embedding, and nothing here
 imports hq.  The constructions are the power construction (one copy of a
@@ -24,6 +30,7 @@ structure is an asserted theorem, not a hope.
 from __future__ import annotations
 
 from itertools import product
+from operator import getitem
 
 from .errors import (
     ActionNotHopfAutomorphism,
@@ -32,8 +39,8 @@ from .errors import (
     MalformedStructure,
     NotInvertible,
 )
-from .exactlin import Chain, LegMap, LinMap, product_labels
-from .report import Report, chain_witness
+from .exactlin import Chain, LegMap, LinMap, Stack, product_labels
+from .report import Check, Report, chain_witness, law_checks
 from . import tables
 
 
@@ -55,7 +62,8 @@ def map_legs(grading, components):
 
 
 def legs_labels(legs):
-    """The domain and codomain labels of a (dom_legs, cod_legs) pair."""
+    """The domain and codomain labels of a (dom_legs, cod_legs) pair, the
+    tuples product_labels keeps for them."""
     return tuple(product_labels(side) for side in legs)
 
 
@@ -171,19 +179,20 @@ class GradedLegs:
     """The structure maps of a crossed structure as LegMaps; a structure
     builds them once and keeps them as h.legs.
 
-    H[p] is the legs of component p (one leg), and chain(p, q, ...) is the
-    identity Chain on H_p (x) H_q (x) ...; k has no legs.  mu[p], eta[p]
-    and ident[p] are the algebra maps of component p.  The structure maps
-    sit on the legs map_legs gives them: s[p] the antipode of grade p,
-    delta[(p, q)] and pi[(p, q)] the comultiplication and crossing of a
-    grade pair, and eps the counit.
+    H[p] is the legs of component p (one leg, its labels labels[p]), and
+    chain(p, q, ...) is the identity Chain on H_p (x) H_q (x) ...; k has
+    no legs.  mu[p], eta[p] and ident[p] are the algebra maps of component
+    p.  The structure maps sit on the legs map_legs gives them: s[p] the
+    antipode of grade p, delta[(p, q)] and pi[(p, q)] the comultiplication
+    and crossing of a grade pair, and eps the counit.
     """
 
-    __slots__ = ("field", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
+    __slots__ = ("field", "labels", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
 
     def __init__(self, h):
         self.field = h.field
-        self.H = H = [(c.labels,) for c in h.components]
+        self.labels = [c.labels for c in h.components]
+        self.H = H = [(labels,) for labels in self.labels]
         comps = list(enumerate(h.components))
         self.mu = [LegMap(c.mult_map(), H[p] * 2, H[p]) for p, c in comps]
         self.eta = [LegMap(c.unit_map(), (), H[p]) for p, c in comps]
@@ -194,21 +203,81 @@ class GradedLegs:
         self.pi = {key: LegMap(h.crossing[key], *pair) for key, pair in legs["crossing"].items()}
         self.eps = LegMap(h.counit, *legs["counit"][None])
 
-    def chain(self, *grades):
-        return Chain(self.field, sum((self.H[p] for p in grades), ()))
+    def chain(self, *legs):
+        """The identity Chain on a tensor product of legs, one per argument:
+        a grade p for the leg of H_p, or the labels of a leg of its own (a
+        tuple, such as a module's basis); k has no legs.  Where some
+        arguments are lists of grades, one grade for each grade tuple of a
+        law, it is the identity family with one segment per tuple, on the
+        legs of that tuple's grades; a grade or labels serve every
+        segment."""
+        stacks = [g for g in legs if type(g) is list]
+        if not stacks or len(stacks[0]) == 1:
+            return Chain(self.field, [self._leg(g[0] if type(g) is list else g) for g in legs])
+        segments, labels = len(stacks[0]), self.labels.__getitem__
+        stacked = [
+            tuple(map(labels, g)) if type(g) is list else (self._leg(g),) * segments for g in legs
+        ]
+        return Chain(self.field, stacked, segments)
+
+    def _leg(self, leg):
+        return self.labels[leg] if type(leg) is int else leg
+
+
+def at(table, *keys):
+    """The Stack of table[key] for each grade tuple of a law: a structure
+    map for each segment of a family.  keys holds one list of grades per
+    key position, zipped into tuples when there are several."""
+    return Stack(map(table.__getitem__, keys[0] if len(keys) == 1 else zip(*keys)))
+
+
+def grade_tuples(h, n):
+    """The grade n-tuples of h in product order, as n lists: the grades at
+    each position of the tuples."""
+    return [list(grades) for grades in zip(*product(h.grades(), repeat=n))]
+
+
+def mul(h, p, q):
+    """The product p[j] q[j] of the grades at each position j of two lists."""
+    return list(map(getitem, map(h.grading.table.__getitem__, p), q))
+
+
+def inv(h, p):
+    """The inverse of each grade of a list."""
+    return list(map(h.grading.inverse.__getitem__, p))
+
+
+def conj(h, p, q):
+    """p[j] q[j] p[j]^-1 at each position j of two lists of grades."""
+    return mul(h, mul(h, p, q), inv(h, p))
+
+
+def grade_details(h, *grades):
+    """The detail of each grade tuple: "grade p", or "grades (p,q,...)"."""
+    tag = h.grading.labels
+    if len(grades) == 1:
+        return [f"grade {tag[p]}" for p in grades[0]]
+    return [f"grades ({','.join(map(tag.__getitem__, t))})" for t in zip(*grades)]
 
 
 def _left_compensation(h, p):
     """The left side of GHQ-3.3-left, H_e (x) H_p -> H_p:
-    x (x) g -> S_{p^-1}(x_(1,p^-1)) (x_(2,p) g)."""
-    legs = h.legs
-    mu, i = legs.mu[p], legs.ident[p]
-    start = legs.chain(0, p).then(legs.delta[(h.inv(p), p)], i)
-    return start.then(legs.s[h.inv(p)], i, i).then(i, mu).then(mu)
+    x (x) g -> S_{p^-1}(x_(1,p^-1)) (x_(2,p) g), as a family over the
+    list of grades p."""
+    L = h.legs
+    p_inv, mu, i = inv(h, p), at(L.mu, p), at(L.ident, p)
+    start = L.chain([0] * len(p), p).then(at(L.delta, p_inv, p), i)
+    return start.then(at(L.s, p_inv), i, i).then(i, mu).then(mu)
 
 
-def _bijectivity(m, detail):
-    """Whether m is invertible, and detail with the rank appended if not."""
+def _bijectivity(f, detail):
+    """Whether the map of LegMap f is invertible, and detail with the rank
+    appended if not.  A square monomial map without zero columns is
+    invertible when its columns land on distinct rows; any other map is
+    inverted."""
+    m = f.map
+    if f.dest is not None and not f.holes and m.rows == m.cols == len(set(f.dest)):
+        return True, detail
     try:
         m.invert()
         return True, detail
@@ -218,75 +287,89 @@ def _bijectivity(m, detail):
 
 def hq_laws(h):
     """Every algebra, coalgebra and antipode law of h over all grade tuples,
-    in report order, as (check ID, detail, lhs, rhs) with Chains over h.legs.
-    At |G| = 1 they include the laws hq.validate_hopf_quasigroup decides."""
+    in report order.
+
+    A law is (check ID, details, lhs, rhs): lhs and rhs are families of
+    Chains over h.legs with one segment per grade tuple, the tuples in
+    product order, and details holds the detail of each tuple.  Laws come
+    in groups over the same tuples, recorded interleaved tuple by tuple
+    (Report.add_rows).  At |G| = 1 every family is one chain, and the laws
+    include those hq.validate_hopf_quasigroup decides."""
     L = h.legs
     chain, mu, eta, i, s, delta, eps = L.chain, L.mu, L.eta, L.ident, L.s, L.delta, L.eps
-    tag, k, e = h.grade_label, L.chain(), 0
+    k, e = L.chain(), 0
 
-    for p in h.grades():
-        hp, detail = chain(p), f"grade {tag(p)}"
-        yield "GHQ-component-unit-left", detail, hp.then(eta[p], i[p]).then(mu[p]), hp
-        yield "GHQ-component-unit-right", detail, hp.then(i[p], eta[p]).then(mu[p]), hp
+    p = list(h.grades())
+    E, p_inv, ip, mp = [e] * len(p), inv(h, p), at(i, p), at(mu, p)
+    hp, details = chain(p), grade_details(h, p)
+    yield (
+        ("GHQ-component-unit-left", details, hp.then(at(eta, p), ip).then(mp), hp),
+        ("GHQ-component-unit-right", details, hp.then(ip, at(eta, p)).then(mp), hp),
+    )
 
-    for p, q in product(h.grades(), repeat=2):
-        pq, d, detail = h.mul(p, q), delta[(p, q)], f"grades ({tag(p)},{tag(q)})"
-        lhs = chain(pq, pq).then(mu[pq]).then(d)
-        rhs = chain(pq, pq).then(d, d).permute(0, 2, 1, 3).then(mu[p], mu[q])
-        yield "GHQ-delta-multiplicative", detail, lhs, rhs
-        yield "GHQ-delta-unit", detail, k.then(eta[pq]).then(d), k.then(eta[p], eta[q])
+    p2, q2 = grade_tuples(h, 2)
+    pq, d = mul(h, p2, q2), at(delta, p2, q2)
+    pq_pq, pair_details = chain(pq, pq), grade_details(h, p2, q2)
+    rhs = pq_pq.then(d, d).permute(0, 2, 1, 3).then(at(mu, p2), at(mu, q2))
+    yield (
+        ("GHQ-delta-multiplicative", pair_details, pq_pq.then(at(mu, pq)).then(d), rhs),
+        ("GHQ-delta-unit", pair_details, k.then(at(eta, pq)).then(d),
+         k.then(at(eta, p2), at(eta, q2))),
+    )
 
     ee = chain(e, e)
-    yield "GHQ-epsilon-multiplicative", "", ee.then(mu[e]).then(eps), ee.then(eps, eps)
-    yield "GHQ-epsilon-unit", "", k.then(eta[e]).then(eps), k
+    yield ("GHQ-epsilon-multiplicative", [""], ee.then(mu[e]).then(eps), ee.then(eps, eps)),
+    yield ("GHQ-epsilon-unit", [""], k.then(eta[e]).then(eps), k),
 
-    for p, q, r in product(h.grades(), repeat=3):
-        pq, qr = h.mul(p, q), h.mul(q, r)
-        lhs = chain(h.mul(pq, r)).then(delta[(pq, r)]).then(delta[(p, q)], i[r])
-        rhs = chain(h.mul(p, qr)).then(delta[(p, qr)]).then(i[p], delta[(q, r)])
-        yield "GHQ-3.1-coassoc", f"grades ({tag(p)},{tag(q)},{tag(r)})", lhs, rhs
+    p3, q3, r3 = grade_tuples(h, 3)
+    pq, qr = mul(h, p3, q3), mul(h, q3, r3)
+    lhs = chain(mul(h, pq, r3)).then(at(delta, pq, r3)).then(at(delta, p3, q3), at(i, r3))
+    rhs = chain(mul(h, p3, qr)).then(at(delta, p3, qr)).then(at(i, p3), at(delta, q3, r3))
+    yield ("GHQ-3.1-coassoc", grade_details(h, p3, q3, r3), lhs, rhs),
 
-    for p in h.grades():
-        hp, detail = chain(p), f"grade {tag(p)}"
-        yield "GHQ-3.2-counit-right", detail, hp.then(delta[(p, e)]).then(i[p], eps), hp
-        yield "GHQ-3.2-counit-left", detail, hp.then(delta[(e, p)]).then(eps, i[p]), hp
+    yield (
+        ("GHQ-3.2-counit-right", details, hp.then(at(delta, p, E)).then(ip, eps), hp),
+        ("GHQ-3.2-counit-left", details, hp.then(at(delta, E, p)).then(eps, ip), hp),
+    )
 
-    for p in h.grades():
-        pi_, m, ip, detail = h.inv(p), mu[p], i[p], f"grade {tag(p)}"
-        sp = s[pi_]
-        eps_i, i_eps = chain(e, p).then(eps, ip), chain(p, e).then(ip, eps)
-        right = chain(e, p).then(delta[(p, pi_)], ip).then(ip, sp, ip).then(ip, m).then(m)
-        yield "GHQ-3.3-left", detail, _left_compensation(h, p), eps_i
-        yield "GHQ-3.3-right", detail, right, eps_i
-        left = chain(p, e).then(ip, delta[(p, pi_)]).then(ip, ip, sp).then(m, ip).then(m)
-        right = chain(p, e).then(ip, delta[(pi_, p)]).then(ip, sp, ip).then(m, ip).then(m)
-        yield "GHQ-3.4-left", detail, left, i_eps
-        yield "GHQ-3.4-right", detail, right, i_eps
+    sp = at(s, p_inv)
+    eps_i, i_eps = chain(E, p).then(eps, ip), chain(p, E).then(ip, eps)
+    right = chain(E, p).then(at(delta, p, p_inv), ip).then(ip, sp, ip).then(ip, mp).then(mp)
+    left4 = chain(p, E).then(ip, at(delta, p, p_inv)).then(ip, ip, sp).then(mp, ip).then(mp)
+    right4 = chain(p, E).then(ip, at(delta, p_inv, p)).then(ip, sp, ip).then(mp, ip).then(mp)
+    yield (
+        ("GHQ-3.3-left", details, _left_compensation(h, p), eps_i),
+        ("GHQ-3.3-right", details, right, eps_i),
+        ("GHQ-3.4-left", details, left4, i_eps),
+        ("GHQ-3.4-right", details, right4, i_eps),
+    )
 
-    for p in h.grades():
-        pp, detail = chain(p, p), f"grade {tag(p)}"
-        rhs = pp.permute(1, 0).then(s[p], s[p]).then(mu[h.inv(p)])
-        yield "GHQ-antipode-antimultiplicative", detail, pp.then(mu[p]).then(s[p]), rhs
-        yield "GHQ-antipode-unit", detail, k.then(eta[p]).then(s[p]), k.then(eta[h.inv(p)])
+    pp, sp = chain(p, p), at(s, p)
+    rhs = pp.permute(1, 0).then(sp, sp).then(at(mu, p_inv))
+    yield (
+        ("GHQ-antipode-antimultiplicative", details, pp.then(mp).then(sp), rhs),
+        ("GHQ-antipode-unit", details, k.then(at(eta, p)).then(sp), k.then(at(eta, p_inv))),
+    )
 
 
 def validate_gchq(h, require_invertible_antipode=True):
     """Grading, algebra, coalgebra and antipode axioms over all grade tuples.
 
-    The group table is checked first.  Each axiom of hq_laws is then an
-    identity between two Chains over the GradedLegs of h, read left to right
-    and evaluated in blocks of basis vectors.  Antipode bijectivity is
-    demanded by the module theory downstream; pass
+    The group table is checked first.  Each law of hq_laws is then decided
+    for all its grade tuples at once, as an identity between two families
+    of Chains over the GradedLegs of h, read left to right and evaluated
+    in blocks of basis vectors; one check per tuple is recorded.  Antipode
+    bijectivity is demanded by the module theory downstream; pass
     require_invertible_antipode=False to downgrade it to a warning.
     """
     rep = Report(f"crossed structure (|G|={h.grading.order}, {h.field.name})")
     rep.merge(tables.validate_group(h.grading))
     if not rep.passed:
         return rep
-    for check_id, detail, lhs, rhs in hq_laws(h):
-        rep.add_chain_equality(check_id, lhs, rhs, detail=detail)
+    for laws in hq_laws(h):
+        rep.add_rows(*(law_checks(*law) for law in laws))
     for p in h.grades():
-        ok, detail = _bijectivity(h.antipode[p], f"grade {h.grade_label(p)}")
+        ok, detail = _bijectivity(h.legs.s[p], f"grade {h.grade_label(p)}")
         rep.add("GHQ-antipode-bijective", ok, required=require_invertible_antipode, detail=detail)
     return rep
 
@@ -294,46 +377,54 @@ def validate_gchq(h, require_invertible_antipode=True):
 def validate_crossing(h):
     """Crossing axioms: isomorphism of algebras landing in the conjugated
     grade, counit/antipode/comultiplication preservation, multiplicativity
-    and identity, as Chain identities like validate_gchq.  Assumes
-    validate_gchq already passed."""
+    and identity, each law a family over its grade tuples like
+    validate_gchq.  Assumes validate_gchq already passed."""
     rep = Report(f"crossing (|G|={h.grading.order}, {h.field.name})")
     L = h.legs
     chain, mu, eta, s, delta, pi, eps = L.chain, L.mu, L.eta, L.s, L.delta, L.pi, L.eps
-    eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
+    tag, k, e = h.grading.labels, L.chain(), 0
 
-    for p, q in product(h.grades(), repeat=2):
-        t, x, detail = h.conj(p, q), pi[(p, q)], f"pi_{tag(p)} on grade {tag(q)}"
-        ok, noted = _bijectivity(h.crossing[(p, q)], detail)
-        rep.add("CROSS-pi-bijective", ok, detail=noted)
-        rhs = chain(q, q).then(x, x).then(mu[t])
-        eq("CROSS-pi-multiplicative", chain(q, q).then(mu[q]).then(x), rhs, detail=detail)
-        eq("CROSS-pi-unit", k.then(eta[q]).then(x), k.then(eta[t]), detail=detail)
+    p, q = grade_tuples(h, 2)
+    t, x = conj(h, p, q), at(pi, p, q)
+    details = [f"pi_{tag[a]} on grade {tag[b]}" for a, b in zip(p, q)]
+    bijective = [
+        Check("CROSS-pi-bijective", ok, True, None, noted)
+        for ok, noted in map(_bijectivity, x.maps, details)
+    ]
+    qq = chain(q, q)
+    rep.add_rows(
+        bijective,
+        law_checks("CROSS-pi-multiplicative", details, qq.then(at(mu, q)).then(x),
+                   qq.then(x, x).then(at(mu, t))),
+        law_checks("CROSS-pi-unit", details, k.then(at(eta, q)).then(x), k.then(at(eta, t))),
+    )
 
-    for p in h.grades():
-        he = chain(e)
-        eq("CROSS-3.7-counit", he.then(pi[(p, e)]).then(eps), he.then(eps), detail=f"pi_{tag(p)}")
+    grades = list(h.grades())
+    E = [e] * len(grades)
+    he = chain(E)
+    rep.add_family(
+        "CROSS-3.7-counit", [f"pi_{tag[a]}" for a in grades],
+        he.then(at(pi, grades, E)).then(eps), he.then(eps),
+    )
 
-    for p, q in product(h.grades(), repeat=2):
-        lhs = chain(q).then(s[q]).then(pi[(p, h.inv(q))])
-        rhs = chain(q).then(pi[(p, q)]).then(s[h.conj(p, q)])
-        eq("CROSS-3.8-antipode", lhs, rhs, detail=f"pi_{tag(p)} on grade {tag(q)}")
+    lhs = chain(q).then(at(s, q)).then(at(pi, p, inv(h, q)))
+    rep.add_family("CROSS-3.8-antipode", details, lhs, chain(q).then(x).then(at(s, t)))
 
-    for p, q, r in product(h.grades(), repeat=3):
-        qr = h.mul(q, r)
-        x = chain(qr)
-        lhs = x.then(delta[(q, r)]).then(pi[(p, q)], pi[(p, r)])
-        rhs = x.then(pi[(p, qr)]).then(delta[(h.conj(p, q), h.conj(p, r))])
-        detail = f"pi_{tag(p)} on grades ({tag(q)},{tag(r)})"
-        eq("CROSS-3.9-comult", lhs, rhs, detail=detail)
+    p3, q3, r3 = grade_tuples(h, 3)
+    qr = chain(mul(h, q3, r3))
+    lhs = qr.then(at(delta, q3, r3)).then(at(pi, p3, q3), at(pi, p3, r3))
+    rhs = qr.then(at(pi, p3, mul(h, q3, r3)))
+    rhs = rhs.then(at(delta, conj(h, p3, q3), conj(h, p3, r3)))
+    details = [f"pi_{tag[a]} on grades ({tag[b]},{tag[c]})" for a, b, c in zip(p3, q3, r3)]
+    rep.add_family("CROSS-3.9-comult", details, lhs, rhs)
 
-    for p, q, r in product(h.grades(), repeat=3):
-        lhs = chain(r).then(pi[(h.mul(p, q), r)])
-        rhs = chain(r).then(pi[(q, r)]).then(pi[(p, h.conj(q, r))])
-        detail = f"pi_{tag(p)}pi_{tag(q)} on grade {tag(r)}"
-        eq("CROSS-multiplicative", lhs, rhs, detail=detail)
+    lhs = chain(r3).then(at(pi, mul(h, p3, q3), r3))
+    rhs = chain(r3).then(at(pi, q3, r3)).then(at(pi, p3, conj(h, q3, r3)))
+    details = [f"pi_{tag[a]}pi_{tag[b]} on grade {tag[c]}" for a, b, c in zip(p3, q3, r3)]
+    rep.add_family("CROSS-multiplicative", details, lhs, rhs)
 
-    for q in h.grades():
-        eq("CROSS-identity", chain(q).then(pi[(e, q)]), chain(q), detail=f"grade {tag(q)}")
+    hq = chain(grades)
+    rep.add_family("CROSS-identity", grade_details(h, grades), hq.then(at(pi, E, grades)), hq)
     return rep
 
 
@@ -504,7 +595,7 @@ def sweedler_spot_check(h, samples=20, seed=0):
 
         eps_i = h.counit.column(i).get(0, field.zero)
         expected = {j: eps_i} if eps_i != field.zero else {}
-        composed = _left_compensation(h, p).column(i * d_p + j)
+        composed = _left_compensation(h, [p]).column(i * d_p + j)
 
         ok = elementwise == composed == expected
         rep.add(

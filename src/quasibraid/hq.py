@@ -176,7 +176,7 @@ def validate_hopf_quasigroup(h):
     HQ-2.5-*/HQ-2.6-* are what the antipode must satisfy instead.
     """
     rep = Report(f"hopf quasigroup (dim {h.dim}, {h.field.name})")
-    sides = {check_id: (lhs, rhs) for check_id, _, lhs, rhs in hq_laws(h.graded)}
+    sides = {law[0]: law[2:] for laws in hq_laws(h.graded) for law in laws}
     for check_id, law in _SHARED_LAWS:
         rep.add_chain_equality(check_id, *sides[law])
 

@@ -7,16 +7,21 @@ structure constant that broke an axiom.  Check identifiers are stable
 strings; consumers key off them, not off positions in the list.
 
 The witness rule is the same whether the two sides are LinMaps
-(map_witness) or Chains evaluated leg by leg (chain_witness): among all
-entries where the sides differ, the one with the smallest (row, col) in
-row-major order; its labels are the lhs domain label of that column and
-codomain label of that row, and its values are formatted with field.fmt.
+(map_witness), Chains evaluated leg by leg (chain_witness) or one segment
+of two families of Chains, a law over all its grade tuples
+(family_witnesses): among all entries where the sides differ, the one
+with the smallest (row, col) in row-major order; its labels are the lhs
+domain label of that column and codomain label of that row, and its
+values are formatted with field.fmt.  A law stated as families is
+recorded as one check per grade tuple (law_checks), and laws over the
+same tuples may be recorded interleaved, tuple by tuple (Report.add_rows).
 """
 
 from __future__ import annotations
 
-from itertools import compress, count, islice, repeat
-from operator import ne
+from bisect import bisect_right
+from itertools import chain as concat, compress, count, islice, repeat
+from operator import lt, ne
 
 from .exactlin import flat_label
 
@@ -188,7 +193,13 @@ class Check(_Value):
     __slots__ = ("check_id", "passed", "required", "witness", "detail")
 
     def __init__(self, check_id, passed, required=True, witness=None, detail=""):
-        super().__init__(check_id, passed, required, witness, detail)
+        # a validator records one per grade tuple, so the fields are set directly
+        setattr_ = object.__setattr__
+        setattr_(self, "check_id", check_id)
+        setattr_(self, "passed", passed)
+        setattr_(self, "required", required)
+        setattr_(self, "witness", witness)
+        setattr_(self, "detail", detail)
 
 
 def map_witness(lhs, rhs):
@@ -213,49 +224,103 @@ def map_witness(lhs, rhs):
 
 
 def chain_witness(lhs, rhs):
-    """map_witness for two Chains with the same leg dimensions, without
-    building either side.
+    """map_witness for two Chains of one segment with the same leg
+    dimensions, without building either side: family_witnesses of the
+    one segment."""
+    if lhs.segments != 1 or rhs.segments != 1:
+        raise ValueError("chain_witness compares two chains of one segment")
+    return family_witnesses(lhs, rhs)[0]
+
+
+def family_witnesses(lhs, rhs):
+    """The witness of each segment of two families (Chains) with the same
+    segments and leg dimensions, in segment order: None where the
+    segment's two sides agree, else map_witness of the segment's two
+    maps, without building any.
 
     Both sides are evaluated block by block (Chain.block), in column
-    order, as flat positions.  A block whose two sides are equal is done
-    in one comparison of flat lists.  Otherwise each differing column
-    offers its smallest differing row; a monomial column whose sides land
-    in different rows offers the smaller of the two, with zero on the side
-    that misses it.  Flat positions order as index tuples do, so the
-    smallest row over all columns, the earliest column winning a tie, is
-    the smallest differing (row, col) in row-major order.  Labels are
-    built only for the witness.
+    order across segment boundaries, as positions within each column's
+    segment.  A block whose two sides are equal is done in one comparison
+    of flat lists.  Otherwise the block is split at segment boundaries,
+    and in each part whose sides differ each differing column offers its
+    smallest differing row; a monomial column whose sides land in
+    different rows offers the smaller of the two, with zero on the side
+    that misses it.  Only rows below the segment's best so far are
+    sought.  Positions order as index tuples do, so the smallest row over
+    all of a segment's columns, the earliest column winning a tie, is the
+    smallest differing (row, col) in row-major order.  Labels are built
+    only for the witnesses.
     """
-    if _leg_dims(lhs) != _leg_dims(rhs):
+    shapes = [(c.segments, c.dom_dims, c.cod_dims) for c in (lhs, rhs)]
+    if shapes[0] != shapes[1]:
         raise ValueError("witness comparison needs chains with the same leg dimensions")
     field = lhs.field
-    best = None
+    best = [None] * lhs.segments
+    ends = None
     for cols in lhs.dom_blocks():
         a = lhs.block(cols)
         b = rhs.block(cols)
         if a == b:
             continue
-        found = _first_difference(field, a, b) if a[0] and b[0] else _sparse_difference(field, a, b)
-        # blocks come in column order, so a tie in row keeps the earlier block
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found[0], cols[found[1]], found[2], found[3]
-    if best is None:
-        return None
-    row, col, x, y = best
-    fmt = field.fmt
+        if ends is None:
+            ends = lhs.segment_ends()
+        k = bisect_right(ends, cols.start)
+        lo = 0
+        while lo < len(cols):
+            hi = min(ends[k], cols.stop) - cols.start
+            x, y = _part(a, lo, hi, len(cols)), _part(b, lo, hi, len(cols))
+            if x != y:
+                below = None if best[k] is None else best[k][0]
+                found = (
+                    _first_difference(field, x, y, below) if x[0] and y[0]
+                    else _sparse_difference(field, x, y, below)
+                )
+                # blocks come in column order, so a tie in row keeps the earlier block
+                if found is not None:
+                    start = ends[k - 1] if k else 0
+                    best[k] = found[0], cols[lo + found[1]] - start, found[2], found[3]
+            lo, k = hi, k + 1
+    return [None if found is None else _witness(lhs, k, *found) for k, found in enumerate(best)]
+
+
+def _part(block, lo, hi, size):
+    """Columns lo..hi-1 of a Chain.block result of size columns."""
+    if lo == 0 and hi == size:
+        return block
+    monomial, images = block
+    if not monomial:
+        return False, images[lo:hi]
+    positions, scalars = images
+    return True, (positions[lo:hi], None if scalars is None else scalars[lo:hi])
+
+
+def _witness(chain, k, row, col, x, y):
+    """The Witness at (row, col) of segment k of chain, values x and y."""
+    dom_legs, cod_legs = chain.segment_legs(k)
+    fmt = chain.field.fmt
     return Witness(
-        domain=flat_label(lhs.dom_legs, col),
-        codomain=flat_label(lhs.cod_legs, row),
+        domain=flat_label(dom_legs, col),
+        codomain=flat_label(cod_legs, row),
         lhs=fmt(x),
         rhs=fmt(y),
     )
 
 
-def _first_difference(field, a, b):
+def _first_difference(field, a, b, below=None):
     """(row, index in block, lhs value, rhs value) of the smallest
     differing row of two monomial blocks, the earliest column winning a
-    tie, or None if they agree.  Only the columns that differ are visited
-    one by one."""
+    tie, or None if they agree; with a bound below, only rows below it
+    count.  Only the columns that differ are visited one by one, and
+    under a bound only those where a side lands below it (when they are
+    fewer than half the block)."""
+    if below is not None:
+        low = _landing_below(a, b, below)
+        if low is not None:
+            found = _first_difference(field, _pick(a, low), _pick(b, low)) if low else None
+            if found is None or found[0] >= below:
+                return None
+            row, i, x, y = found
+            return row, low[i], x, y
     (pa, sa), (pb, sb) = a[1], b[1]
     offers = []
     moved = list(map(ne, pa, pb))
@@ -274,13 +339,37 @@ def _first_difference(field, a, b):
     if not offers:
         return None
     row, i = min(offers)
+    if below is not None and row >= below:
+        return None
     zero, one = field.zero, field.one
     x = (one if sa is None else sa[i]) if pa[i] == row else zero
     y = (one if sb is None else sb[i]) if pb[i] == row else zero
     return row, i, x, y
 
 
-def _sparse_difference(field, a, b):
+def _landing_below(a, b, below):
+    """The block indices, in order, of the columns of two monomial blocks
+    where a side lands below row `below` (or vanishes), the only columns
+    that can offer a row below it; None if they are half the block or
+    more."""
+    (pa, _), (pb, _) = a[1], b[1]
+    half = len(pa) // 2
+    low = set(compress(count(), map(lt, pa, repeat(below))))
+    if len(low) < half:
+        low.update(compress(count(), map(lt, pb, repeat(below))))
+        if len(low) < half:
+            return sorted(low)
+    return None
+
+
+def _pick(block, indices):
+    """The columns at indices of a monomial Chain.block result."""
+    positions, scalars = block[1]
+    pick = list(map(positions.__getitem__, indices))
+    return True, (pick, None if scalars is None else list(map(scalars.__getitem__, indices)))
+
+
+def _sparse_difference(field, a, b, below=None):
     """_first_difference when a side has left the monomial path."""
     zero = field.zero
     best = None
@@ -290,7 +379,7 @@ def _sparse_difference(field, a, b):
         for row in x.keys() | y.keys():
             u, v = x.get(row, zero), y.get(row, zero)
             # columns come in increasing order, so a tie in row keeps the first
-            if u != v and (best is None or row < best[0]):
+            if u != v and (best is None or row < best[0]) and (below is None or row < below):
                 best = (row, i, u, v)
     return best
 
@@ -306,8 +395,15 @@ def _as_dicts(field, block):
     return [{} if x < 0 else {x: v} for x, v in zip(positions, scalars)]
 
 
-def _leg_dims(chain):
-    return [len(leg) for leg in chain.dom_legs], [len(leg) for leg in chain.cod_legs]
+def law_checks(check_id, details, lhs, rhs, required=True):
+    """The checks of one law stated as two families, one per segment in
+    segment order, each with its detail from details."""
+    if len(details) != lhs.segments:
+        raise ValueError(f"{len(details)} details for {lhs.segments} segments")
+    return [
+        Check(check_id, witness is None, required, witness, detail)
+        for detail, witness in zip(details, family_witnesses(lhs, rhs))
+    ]
 
 
 class Report:
@@ -326,6 +422,16 @@ class Report:
         Witness it yields fails the check, and none is drawn after it."""
         witness = next(iter(witnesses), None)
         return self.add(check_id, witness is None, required, witness)
+
+    def add_rows(self, *laws):
+        """Record laws over the same grade tuples, each a list of Checks in
+        tuple order, interleaved: every law's check of the first tuple,
+        then of the second, and so on."""
+        self.checks.extend(concat.from_iterable(zip(*laws, strict=True)))
+
+    def add_family(self, check_id, details, lhs, rhs, required=True):
+        """Check a law stated as two families: one check per segment."""
+        self.add_rows(law_checks(check_id, details, lhs, rhs, required))
 
     def add_map_equality(self, check_id, lhs, rhs, required=True, detail=""):
         """Check two composed maps for exact equality; record first difference."""

@@ -12,9 +12,9 @@ _KEY_TEXT writes for its family.
 from __future__ import annotations
 
 import json
+import os.path
 from contextlib import contextmanager
 from itertools import chain
-from pathlib import Path
 
 from .errors import ParseError, QuasibraidError
 from .exactlin import LinMap, field_from_name
@@ -28,14 +28,28 @@ def dump_bytes(jobj):
 
 
 def write_file(path, jobj):
-    Path(path).write_bytes(dump_bytes(jobj))
+    with open(_path_text(path), "wb") as out:
+        out.write(dump_bytes(jobj))
 
 
 def read_file(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(_path_text(path), encoding="utf-8") as text:
+            return json.loads(text.read())
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _path_text(path):
+    """A file path (str or path-like) as pathlib writes it, so that file
+    errors name the file as they always have: repeated and trailing
+    separators and "." parts dropped, ".." kept, and "." for no path.
+    Only the root keeps a doubled "//"."""
+    path = os.fspath(path)
+    root = "/" if path.startswith("/") else ""
+    if path.startswith("//") and not path.startswith("///"):
+        root = "//"
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
 @contextmanager
@@ -289,10 +303,10 @@ def yd_from_jobj(jobj, base_dir=None):
     with _reading("bad yd module"):
         base_field = jobj["base"]
         if isinstance(base_field, str):
-            path = Path(base_field)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            base = gchq_from_jobj(read_file(path))
+            path = base_field
+            if base_dir is not None and not os.path.isabs(path):
+                path = os.path.join(os.fspath(base_dir), path)
+            base = gchq_from_jobj(read_file(_path_text(path)))
         else:
             base = gchq_from_jobj(base_field)
         field = base.field
@@ -341,5 +355,5 @@ def load(kind, path):
     if kind == "gchq":
         return gchq_from_jobj(jobj)
     if kind == "yd":
-        return yd_from_jobj(jobj, base_dir=Path(path).parent)
+        return yd_from_jobj(jobj, base_dir=os.path.dirname(_path_text(path)))
     raise ParseError(f"unknown structure kind {kind!r}")

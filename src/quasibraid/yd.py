@@ -2,7 +2,8 @@
 
 A module of grade p is a based space V with one action matrix and a
 coaction matrix per group element r; module_legs states their spaces
-once, for the constructor, v.legs and the loader.  The strict flag
+once, for the constructor, v.legs and the loader, with their labels
+built once as in gchq.map_legs.  The strict flag
 distinguishes genuine modules (action associative) from quasimodules,
 which only satisfy the antipode compensation laws; the braiding is
 defined for strict modules only.
@@ -11,7 +12,10 @@ A module reads its maps as LegMaps once, through v.legs: one leg V of its
 own beside the base's h.legs.  Every law and construction is a Chain over
 those legs (iterated comultiplications are successive Delta stages, leg
 shuffles are permute stages).  The module laws, the braiding-law suite and
-validate_morphism are identities between two Chains; the tensor product,
+validate_morphism are identities between two Chains; a module law stated
+over coaction grades is one identity between two families of Chains, one
+segment per grade tuple, decided once and recorded per tuple as in gchq.
+The tensor product,
 conjugation, trivial module and braiding are each one Chain materialized
 with Chain.matrix().  A map built on a tensor module enters a Chain as a
 LegMap over the factor legs: braiding(V (x) W, X) is read on (V, W, X).
@@ -30,8 +34,8 @@ from .errors import (
     NotStrict,
 )
 from .exactlin import Chain, LegMap, LinMap, product_labels
-from .gchq import legs_map, require_legs
-from .report import Report, Witness, chain_witness, map_witness
+from .gchq import at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs
+from .report import Report, Witness, chain_witness, law_checks, map_witness
 from .tables import GroupTable, conjugate, validate_group
 
 
@@ -166,21 +170,25 @@ def _module_assoc_sides(v):
 
 def _crossed_condition_sides(v, r):
     """Both sides of the crossed compatibility law at coaction grade r,
-    as Chains H_{pr} (x) V -> V (x) H_r."""
-    base, p = v.base, v.grade
-    L, V, act, rho, i_v = v.legs
-    g1 = base.conj(p, r)  # p r p^-1
-    start = Chain(base.field, L.H[base.mul(p, r)] + V)
-    lhs = start.then(L.delta[(p, r)], rho[r]).permute(0, 2, 1, 3).then(act, L.mu[r])
-    twisted = start.then(L.delta[(g1, p)], i_v).then(L.ident[g1], act).then(L.ident[g1], rho[r])
+    as Chains H_{pr} (x) V -> V (x) H_r; for a list of grades r, as
+    families with one segment per grade."""
+    base, L, _, act, rho, i_v = v.base, *v.legs
+    r = [r] if type(r) is int else r
+    p = [v.grade] * len(r)
+    g1 = conj(base, p, r)  # p r p^-1
+    start = L.chain(mul(base, p, r), v.labels)
+    lhs = start.then(at(L.delta, p, r), at(rho, r)).permute(0, 2, 1, 3).then(act, at(L.mu, r))
+    twisted = start.then(at(L.delta, g1, p), i_v).then(at(L.ident, g1), act)
+    twisted = twisted.then(at(L.ident, g1), at(rho, r))
     # (h1, v0, v1) -> (v0, v1, pi_{p^-1}(h1)), the twist landing in H_r
-    twisted = twisted.permute(1, 2, 0).then(i_v, L.ident[r], L.pi[(base.inv(p), g1)])
-    return lhs, twisted.then(i_v, L.mu[r])
+    twisted = twisted.permute(1, 2, 0).then(i_v, at(L.ident, r), at(L.pi, inv(base, p), g1))
+    return lhs, twisted.then(i_v, at(L.mu, r))
 
 
 def validate_yd(v):
     """All module/quasimodule laws over every grade tuple, as Chain
-    identities.
+    identities; a law stated over the coaction grades is one pair of
+    families for all its grade tuples, recorded one check per tuple.
 
     The action-associativity check is required when the module claims to
     be strict and informational otherwise.  Assumes the base already
@@ -193,7 +201,7 @@ def validate_yd(v):
     )
     L, V, act, rho, i_v = v.legs
     H, mu, i, s, delta, eps = L.H, L.mu, L.ident, L.s, L.delta, L.eps
-    eq, tag, pi_, e = rep.add_chain_equality, base.grade_label, base.inv(p), 0
+    eq, pi_, e = rep.add_chain_equality, base.inv(p), 0
     hv, ev = Chain(base.field, V), Chain(base.field, H[e] + V)
 
     eq("YD-4.3-unital", hv.then(L.eta[p], i_v).then(act), hv)
@@ -205,26 +213,28 @@ def validate_yd(v):
     lhs, rhs = _module_assoc_sides(v)
     eq("YD-4.1-module-assoc", lhs, rhs, required=v.strict, detail="required for strict modules")
 
-    for r1 in base.grades():
-        for r2 in base.grades():
-            lhs = hv.then(rho[r2]).then(rho[r1], i[r2])
-            rhs = hv.then(rho[base.mul(r1, r2)]).then(i_v, delta[(r1, r2)])
-            eq("YD-coassoc", lhs, rhs, detail=f"grades ({tag(r1)},{tag(r2)})")
+    r1, r2 = grade_tuples(base, 2)
+    lhs = hv.then(at(rho, r2)).then(at(rho, r1), at(i, r2))
+    rhs = hv.then(at(rho, mul(base, r1, r2))).then(i_v, at(delta, r1, r2))
+    rep.add_family("YD-coassoc", grade_details(base, r1, r2), lhs, rhs)
 
     eq("YD-counit", hv.then(rho[e]).then(i_v, eps), hv)
 
-    for r in base.grades():
-        lhs, rhs = _crossed_condition_sides(v, r)
-        eq("YD-4.5-crossed", lhs, rhs, detail=f"coaction grade {tag(r)}")
+    r = list(base.grades())
+    tag = base.grade_label
+    lhs, rhs = _crossed_condition_sides(v, r)
+    rep.add_family("YD-4.5-crossed", [f"coaction grade {tag(g)}" for g in r], lhs, rhs)
 
-    for r in base.grades():
-        m, ir, detail = mu[r], i[r], f"grade {tag(r)}"
-        spread = Chain(base.field, V + H[r] * 2).then(rho[r], ir, ir)  # (v,h,g) -> (v0,v1,h,g)
-        lhs, rhs = spread.then(i_v, ir, m).then(i_v, m), spread.then(i_v, m, ir).then(i_v, m)
-        eq("YD-4.6-coassoc-right", lhs, rhs, detail=detail)
-        shuffled = spread.permute(0, 2, 1, 3)  # (v0, h, v1, g)
-        lhs, rhs = shuffled.then(i_v, m, ir).then(i_v, m), shuffled.then(i_v, ir, m).then(i_v, m)
-        eq("YD-4.7-coassoc-mixed", lhs, rhs, detail=detail)
+    m, ir, details = at(mu, r), at(i, r), grade_details(base, r)
+    spread = L.chain(v.labels, r, r).then(at(rho, r), ir, ir)  # (v,h,g) -> (v0,v1,h,g)
+    lhs6, rhs6 = spread.then(i_v, ir, m).then(i_v, m), spread.then(i_v, m, ir).then(i_v, m)
+    shuffled = spread.permute(0, 2, 1, 3)  # (v0, h, v1, g)
+    lhs7 = shuffled.then(i_v, m, ir).then(i_v, m)
+    rhs7 = shuffled.then(i_v, ir, m).then(i_v, m)
+    rep.add_rows(
+        law_checks("YD-4.6-coassoc-right", details, lhs6, rhs6),
+        law_checks("YD-4.7-coassoc-mixed", details, lhs7, rhs7),
+    )
     return rep
 
 

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasibraid import exactlin, fixtures
-from quasibraid.exactlin import Chain, LegMap, LinMap, QQ
+from quasibraid import exactlin, fixtures, gchq, report, yd
+from quasibraid.exactlin import Chain, LegMap, LinMap, QQ, Stack
 from quasibraid.gchq import CrossedGCHQ, validate_gchq
 from quasibraid.hq import UnitalAlgebra, from_hopf_quasigroup
-from quasibraid.report import Report, Witness, chain_witness
+from quasibraid.report import Witness, chain_witness
 from quasibraid.yd import YDModule, trivial_module, validate_yd
 from test_exactlin import B, GF2, GF5, LEG_SPACES, build_chain, perturb, programs
 
@@ -207,14 +207,15 @@ def as_tuple_block(chain, result):
 
 class Programs:
     """Records, for every Chain built while installed, the program of
-    then() and permute() calls that built it."""
+    then() and permute() calls that built it; program(chain, k) reads it
+    on segment k of a family."""
 
     def __init__(self, monkeypatch):
         self.built = {}  # id(chain) -> (chain, program); the chain pins its id
         init, then, permute = Chain.__init__, Chain.then, Chain.permute
 
-        def recorded_init(chain, field, legs):
-            init(chain, field, legs)
+        def recorded_init(chain, field, legs, segments=1):
+            init(chain, field, legs, segments)
             self.built[id(chain)] = (chain, [])
 
         def recorded_then(chain, *factors):
@@ -231,13 +232,26 @@ class Programs:
         self.built[id(out)] = (out, self.built[id(chain)][1] + [step])
         return out
 
-    def program(self, chain):
-        return self.built[id(chain)][1]
+    def program(self, chain, k=0):
+        return [
+            (kind, tuple(segment_factor(f, k) for f in data) if kind == "then" else data)
+            for kind, data in self.built[id(chain)][1]
+        ]
 
-    def witness(self, lhs, rhs):
+    def witness(self, lhs, rhs, k=0):
+        dom_legs, cod_legs = lhs.segment_legs(k)
         return tuple_chain_witness(
-            lhs.field, lhs.dom_legs, lhs.cod_legs, self.program(lhs), self.program(rhs)
+            lhs.field, dom_legs, cod_legs, self.program(lhs, k), self.program(rhs, k)
         )
+
+
+def segment_factor(f, k):
+    """The LegMap a factor of then() puts on segment k."""
+    if type(f) is LegMap:
+        return f
+    if type(f) is Stack:
+        return f.maps[k if len(f) > 1 else 0]
+    return f[k if len(f) > 1 else 0]
 
 
 # -- the differential test ---------------------------------------------------------
@@ -339,21 +353,24 @@ KILLS = {
 
 @pytest.mark.parametrize("check_id", list(KILLS))
 def test_kill_table(check_id, monkeypatch):
-    """The ID fails, and its witness is the tuple path's on the chains the
-    validator stated for it."""
+    """The ID fails, and the witness of each failing grade tuple is the
+    tuple path's on that segment of the families the validator stated."""
     validator, build = KILLS[check_id]
     programs_seen = Programs(monkeypatch)
     stated = []
-    add_chain_equality = Report.add_chain_equality
+    law_checks = report.law_checks
 
-    def captured(self, cid, lhs, rhs, *args, **kwargs):
-        check = add_chain_equality(self, cid, lhs, rhs, *args, **kwargs)
-        if cid == check_id and not check.passed:
-            stated.append((check, lhs, rhs))
-        return check
+    def captured(cid, details, lhs, rhs, *args, **kwargs):
+        checks = law_checks(cid, details, lhs, rhs, *args, **kwargs)
+        if cid == check_id:
+            stated.append((checks, lhs, rhs))
+        return checks
 
-    monkeypatch.setattr(Report, "add_chain_equality", captured)
+    for module in (report, gchq, yd):
+        monkeypatch.setattr(module, "law_checks", captured)
     rep = validator(build())
     assert check_id in rep.failed_ids()
-    for check, lhs, rhs in stated:
-        assert check.witness == programs_seen.witness(lhs, rhs)
+    failing = [(k, c, lhs, rhs) for cs, lhs, rhs in stated for k, c in enumerate(cs) if not c.passed]
+    assert failing
+    for k, check, lhs, rhs in failing:
+        assert check.witness == programs_seen.witness(lhs, rhs, k)

@@ -358,6 +358,7 @@ def test_module_lines_fit_in_100_columns(name):
 #: inspect (and with it ast, dis and tokenize), fractions pulls in decimal,
 #: and no hq or gchq command runs random, yd or fixtures
 NOT_LOADED_BY_CLI = (
+    "pathlib",
     "dataclasses",
     "inspect",
     "fractions",

@@ -8,7 +8,9 @@ random Cayley tables (reduced Latin squares, group tables, arbitrary
 tables, entries out of range, single-entry mutations) and on random action
 maps on cyclic groups, V4 and the octonion unit loop, and must agree on
 render(), to_jobj() and any exception raised.  A kill table drives the
-table IDs that no other test drives to fail.
+table IDs that no other test drives to fail, and the LOOP-moufang scan,
+which reads whole rows, is pinned against the per-triple stream it
+replaced.
 """
 
 from itertools import permutations, product
@@ -26,11 +28,13 @@ from quasibraid.tables import (
     GroupAction,
     GroupTable,
     LoopTable,
+    _moufang_witnesses,
     validate_action,
     validate_group,
     validate_ip_loop,
 )
 from quasibraid.yd import _group_table, crossed_set_module, diagonal_module, search_dim1_modules
+from test_hq_legwise import chein_loop
 
 
 # -- the reference: one loop per check -------------------------------------------------
@@ -539,3 +543,44 @@ def test_tables_equal_only_within_their_class():
     assert (repr(group), repr(loop)) == ("GroupTable(order=3)", "LoopTable(order=3)")
     product_ = LoopTable.direct_product(loop, loop)
     assert type(product_) is LoopTable and product_.labels[1] == "(e,g)"
+
+
+# -- the LOOP-moufang scan against the per-triple stream ----------------------------------
+
+
+def reference_moufang_witnesses(t):
+    """The LOOP-moufang stream as validate_ip_loop stated it before the
+    scan read whole rows: one triple at a time, z fastest."""
+    labels, table, n = t.labels, t.table, t.order
+    return (
+        Witness((labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs])
+        for x, y, z in product(range(n), repeat=3)
+        if (lhs := table[table[x][y]][table[z][x]]) != (rhs := table[table[x][table[y][z]]][x])
+    )
+
+
+#: Moufang loops whose scan runs to the end: the octonion units and
+#: Chein's M(S3,2), both nonassociative
+MOUFANG_TABLES = [O16.table, chein_loop(GroupTable.symmetric(3)).table]
+
+
+@st.composite
+def moufang_mutants(draw):
+    """A Moufang loop (the octonion units or Chein's M(S3,2)), as it is or
+    with one entry changed to another in range."""
+    rows = [list(row) for row in draw(st.sampled_from(MOUFANG_TABLES))]
+    n = len(rows)
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[x][y] = draw(st.integers(0, n - 1))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cayley_tables(in_range=True), moufang_mutants()))
+def test_moufang_scan_matches_the_per_triple_stream(rows):
+    """The row-wise scan yields the same witnesses in the same order, so
+    add_first_witness records the same first one."""
+    loop = LoopTable(labels_for(len(rows)), rows)
+    transpose = tuple(zip(*loop.table))
+    assert list(_moufang_witnesses(loop, transpose)) == list(reference_moufang_witnesses(loop))
