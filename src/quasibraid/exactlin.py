@@ -994,25 +994,37 @@ class Chain:
         """The composite as a LinMap, evaluated through block() in column
         order; its bases carry the labels kron would give the products of
         the domain and codomain legs.  The library's one way to turn a
-        composite into a matrix; a family has none."""
+        composite into a matrix; a family has one per segment
+        (matrices())."""
         if self.segments != 1:
             raise DomainMismatch(f"a family of {self.segments} segments is not one map")
-        entries = {}
+        return self.matrices()[0]
+
+    def matrices(self):
+        """Each segment's composite as a LinMap, in segment order, evaluated
+        together through block() like matrix()."""
+        field, segments = self.field, self.segments
+        entries = [{} for _ in range(segments)]
+        starts = (0, *self.segment_ends())
         for cols in self.dom_blocks():
+            seg = repeat(0) if segments == 1 else self.locate(cols)[0]
             monomial, images = self.block(cols)
             if monomial:
                 positions, scalars = images
                 if scalars is None:
-                    scalars = repeat(self.field.one)
-                for j, i, v in zip(cols, positions, scalars):
+                    scalars = repeat(field.one)
+                for j, k, i, v in zip(cols, seg, positions, scalars):
                     if i >= 0:
-                        entries[(i, j)] = v
+                        entries[k][(i, j - starts[k])] = v
             else:
-                for j, vec in zip(cols, images):
+                for j, k, vec in zip(cols, seg, images):
                     for i, v in vec.items():
-                        entries[(i, j)] = v
-        dom, cod = product_labels(self.dom_legs), product_labels(self.cod_legs)
-        return LinMap(self.field, self.rows, self.cols, entries, dom, cod)
+                        entries[k][(i, j - starts[k])] = v
+        out = []
+        for k in range(segments):
+            dom, cod = map(product_labels, self.segment_legs(k))
+            out.append(LinMap(field, len(cod), len(dom), entries[k], dom, cod))
+        return out
 
     def __repr__(self):
         family = f"{self.segments} segments, " if self.segments != 1 else ""

@@ -22,9 +22,9 @@ imports hq.  The constructions are the power construction (one copy of a
 Hopf quasigroup per group element, crossed by an automorphic action,
 checked as Chain identities) and the mirror, which rebuilds the structure
 on the inverse-indexed components with a twisted comultiplication and
-antipode, each one Chain materialized with Chain.matrix().  The mirror
-validates its own output: that the result is again a valid crossed
-structure is an asserted theorem, not a hope.
+antipode, each a family of Chains over its grades materialized with
+Chain.matrices().  The mirror validates its own output: that the result
+is again a valid crossed structure is an asserted theorem, not a hope.
 """
 
 from __future__ import annotations
@@ -507,17 +507,15 @@ def mirror(h, check=True):
     # relabeled builds fresh dicts, so input and output share no mutable state
     components = [c.relabeled(c.labels) for c in (h.comp(h.inv(p)) for p in h.grades())]
 
-    comult = {}
-    for p in h.grades():
-        for q in h.grades():
-            qi = h.inv(q)
-            twisted = h.conj(qi, h.inv(p))  # q^-1 p^-1 q
-            split = L.chain(h.mul(twisted, qi)).then(L.delta[(twisted, qi)])
-            comult[(p, q)] = split.then(L.pi[(q, twisted)], L.ident[qi]).matrix()
+    p, q = grade_tuples(h, 2)
+    qi = inv(h, q)
+    twisted = conj(h, qi, inv(h, p))  # q^-1 p^-1 q
+    split = L.chain(mul(h, twisted, qi)).then(at(L.delta, twisted, qi))
+    comult = dict(zip(zip(p, q), split.then(at(L.pi, q, twisted), at(L.ident, qi)).matrices()))
 
-    antipode = {
-        p: L.chain(h.inv(p)).then(L.s[h.inv(p)]).then(L.pi[(p, p)]).matrix() for p in h.grades()
-    }
+    p = list(h.grades())
+    antipode = L.chain(inv(h, p)).then(at(L.s, inv(h, p))).then(at(L.pi, p, p)).matrices()
+    antipode = dict(zip(p, antipode))
     crossing = {(p, q): h.crossing[(p, h.inv(q))] for p in h.grades() for q in h.grades()}
 
     out = CrossedGCHQ(field, G, components, comult, h.counit, antipode, crossing)

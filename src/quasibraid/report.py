@@ -207,6 +207,8 @@ def map_witness(lhs, rhs):
     or None if equal."""
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
         raise ValueError("witness comparison needs maps of equal shape")
+    if lhs.entries == rhs.entries:  # only nonzero entries are kept
+        return None
     keys = sorted(set(lhs.entries) | set(rhs.entries))
     fmt = lhs.field.fmt
     for key in keys:

@@ -65,8 +65,14 @@ def _reading(what):
 
 
 def _matrix_to_jobj(m):
+    """The dense rows of m, each entry as field.fmt writes it; only the
+    nonzero entries are formatted one by one."""
     fmt = m.field.fmt
-    return [[fmt(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    zero = fmt(m.field.zero)
+    rows = [[zero] * m.cols for _ in range(m.rows)]
+    for (i, j), value in m.entries.items():
+        rows[i][j] = fmt(value)
+    return rows
 
 
 def _matrix_from_jobj(field, data, legs, what):

@@ -15,10 +15,11 @@ shuffles are permute stages).  The module laws, the braiding-law suite and
 validate_morphism are identities between two Chains; a module law stated
 over coaction grades is one identity between two families of Chains, one
 segment per grade tuple, decided once and recorded per tuple as in gchq.
-The tensor product,
-conjugation, trivial module and braiding are each one Chain materialized
-with Chain.matrix().  A map built on a tensor module enters a Chain as a
-LegMap over the factor legs: braiding(V (x) W, X) is read on (V, W, X).
+The tensor product, conjugation, trivial module and braiding are built
+from Chains materialized with Chain.matrix(), the coactions of all grades
+as one family with Chain.matrices().  A map built on a tensor module
+enters a Chain as a LegMap over the factor legs: braiding(V (x) W, X) is
+read on (V, W, X).
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ def trivial_module(base):
     L, V = base.legs, (labels,)
     i_v = LegMap(LinMap.identity(field, labels), V, V)
     action = Chain(field, L.H[0] + V).then(L.eps, i_v).matrix()
-    coaction = {r: Chain(field, V).then(i_v, L.eta[r]).matrix() for r in base.grades()}
+    r = list(base.grades())
+    coaction = dict(zip(r, Chain(field, V).then(i_v, at(L.eta, r)).matrices()))
     return YDModule(base, 0, labels, action, coaction, strict=True)
 
 
@@ -337,13 +339,12 @@ def yd_tensor(v, w):
 
     start = Chain(field, L.H[pq] + V + W).then(L.delta[(p, q)], i_v, i_w)
     action = start.permute(0, 2, 1, 3).then(act_v, act_w).matrix()
-    coaction = {}
-    for r in base.grades():
-        g = base.conj(q, r)  # q r q^-1
-        # (v0, g, w0, r) -> (v0, w0, r, g), then r times pi_{q^-1}(g) in H_r
-        spread = Chain(field, V + W).then(rho_v[g], rho_w[r]).permute(0, 2, 3, 1)
-        twisted = spread.then(i_v, i_w, L.ident[r], L.pi[(qi, g)])
-        coaction[r] = twisted.then(i_v, i_w, L.mu[r]).matrix()
+    r = list(base.grades())
+    g = conj(base, [q] * len(r), r)  # q r q^-1
+    # (v0, g, w0, r) -> (v0, w0, r, g), then r times pi_{q^-1}(g) in H_r
+    spread = Chain(field, V + W).then(at(rho_v, g), at(rho_w, r)).permute(0, 2, 3, 1)
+    twisted = spread.then(i_v, i_w, at(L.ident, r), at(L.pi, [qi] * len(r), g))
+    coaction = dict(zip(r, twisted.then(i_v, i_w, at(L.mu, r)).matrices()))
 
     labels = product_labels((v.labels, w.labels))
     out = YDModule(base, pq, labels, action, coaction, v.strict and w.strict)
@@ -355,16 +356,26 @@ def yd_tensor(v, w):
 def yd_conjugate(v, q):
     """Regrade a module by a group element: action twisted by the inverse
     crossing, coactions reindexed through the crossing."""
+    return _conjugates(v, [q])[0]
+
+
+def _conjugates(v, qs):
+    """yd_conjugate(v, q) for each q of the list qs: the actions as one
+    family over qs, the coactions as one over (q, r), q slowest."""
     base = v.base
     L, V, act, rho, i_v = v.legs
-    newgrade = base.conj(q, v.grade)
-    qi = base.inv(q)
-    action = Chain(base.field, L.H[newgrade] + V).then(L.pi[(qi, newgrade)], i_v).then(act)
-    coaction = {}
-    for r in base.grades():
-        g = base.conj(qi, r)  # q^-1 r q
-        coaction[r] = Chain(base.field, V).then(rho[g]).then(i_v, L.pi[(q, g)]).matrix()
-    return YDModule(base, newgrade, v.labels, action.matrix(), coaction, v.strict)
+    grades, n = list(base.grades()), len(qs)
+    newgrades = conj(base, qs, [v.grade] * n)
+    actions = L.chain(newgrades, v.labels).then(at(L.pi, inv(base, qs), newgrades), i_v)
+    actions = actions.then(act).matrices()
+    q = [x for x in qs for _ in grades]
+    g = conj(base, inv(base, q), grades * n)  # q^-1 r q
+    coactions = Chain(base.field, V).then(at(rho, g)).then(i_v, at(L.pi, q, g)).matrices()
+    return [
+        YDModule(base, newgrades[k], v.labels, actions[k],
+                 dict(zip(grades, coactions[k * len(grades):(k + 1) * len(grades)])), v.strict)
+        for k in range(n)
+    ]
 
 
 def _structure_data_witness(a, b):
@@ -400,14 +411,19 @@ class Constructions:
         self._built = {}
 
     def tensor(self, v, w):
-        return self._get(("tensor", id(v), id(w)), yd_tensor, v, w)
+        key = ("tensor", id(v), id(w))
+        if key not in self._built:
+            self._built[key] = (yd_tensor(v, w), v, w)
+        return self._built[key][0]
 
     def conjugate(self, v, q):
-        return self._get(("conjugate", id(v), q), yd_conjugate, v, q)
-
-    def _get(self, key, build, v, arg):
+        """yd_conjugate(v, q); the first regrading of v asked for builds
+        them all, for every grade at once."""
+        key = ("conjugate", id(v), q)
         if key not in self._built:
-            self._built[key] = (build(v, arg), v, arg)
+            grades = list(v.base.grades())
+            for p, out in zip(grades, _conjugates(v, grades)):
+                self._built[("conjugate", id(v), p)] = (out, v, p)
         return self._built[key][0]
 
 

@@ -273,19 +273,22 @@ def test_each_base_builds_its_legs_once(fixture_dir, tmp_path, monkeypatch, caps
 def test_braid_report_builds_each_construction_once(fixture_dir, monkeypatch, capsys):
     """The braiding laws and conjugation coherence share V (x) W and the
     regradings of V and W; with a third module equal to the others, its
-    regrading and W (x) X are shared as well."""
+    regrading and W (x) X are shared as well.  A module is regraded by
+    every grade in one call of yd._conjugates, once."""
     from quasibraid import yd
 
     tensors = _count_calls(monkeypatch, yd, "yd_tensor")
-    conjugates = _count_calls(monkeypatch, yd, "yd_conjugate")
+    conjugates = _count_calls(monkeypatch, yd, "_conjugates")
     module = str(fixture_dir / "yd-diagonal-power.json")
     for modules in ([module] * 2, [module] * 3):
         tensors.clear()
         conjugates.clear()
         code, _, _ = run(capsys, "braid-report", *modules)
         assert code == 0
+        regraded = [m for m, _ in conjugates]
+        assert len({id(m) for m in regraded}) == len(regraded)
         # 5 and 13 (two modules), 6 and 14 (three) when each suite built its own
-        assert (len(tensors), len(conjugates)) == (4, 8)
+        assert (len(tensors), sum(len(grades) for _, grades in conjugates)) == (4, 8)
 
 
 def test_construct_mirror_of_invalid_input_exits_1(fixture_dir, tmp_path, capsys):
