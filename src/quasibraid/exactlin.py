@@ -5,8 +5,8 @@ counit, antipode, crossing, action, coaction, braiding) is a LinMap: a
 sparse exact matrix between based vector spaces.  Every composite of them,
 an axiom's side or a construction, is a Chain of leg-wise stages pushed
 through in blocks of basis vectors, and a law over many grade tuples is
-one Chain family with a segment per tuple; Chain.matrix() is the one
-place a composite becomes a matrix.  Axioms compare two Chains for literal
+one Chain family with a segment per tuple; Chain.matrices() is the one
+place a composite becomes matrices.  Axioms compare two Chains for literal
 equality, so the arithmetic must be exact: scalars live in Q (as an int
 when integral, a Fraction otherwise) or in a prime field GF(p) (as
 canonical representatives in [0, p)).  compose, kron, kron_all, leg_perm
@@ -14,16 +14,15 @@ and swap_map build whole matrices; they are public API and the tests'
 independent reference for Chain, and the library does not use them.
 
 Basis labels are tuples of string atoms.  Tensor products concatenate
-label tuples (product_labels builds each product once), and the ground
-field k carries the empty tuple (), so k (x) V, V (x) k and V have
-literally identical labels and the monoidal structure is strict: unitors
-and associators are identity matrices.
+label tuples (product_labels), and the ground field k carries the empty
+tuple (), so k (x) V, V (x) k and V have literally identical labels and
+the monoidal structure is strict: unitors and associators are identity
+matrices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate, chain as concat, compress, count, product, repeat
 from math import prod
 from operator import add, eq, floordiv, getitem, mod, mul, sub
@@ -486,23 +485,9 @@ def leg_perm(field, legs, order):
 
 
 def product_labels(legs):
-    """Basis labels of the tensor product of legs, left leg slowest.
-
-    A product is built once and kept, by the value of its legs, for the
-    last _KEPT_PRODUCTS distinct legs asked for: the loaders, the shape
-    checks, LegMap and Chain.matrix() all label the same spaces, and then
-    share one label tuple, which a label check compares by identity."""
+    """Basis labels of the tensor product of legs, left leg slowest."""
     if len(legs) == 1:  # a label is a tuple, so one leg is its own product
         return tuple(legs[0])
-    return _product_of(tuple(map(tuple, legs)))
-
-
-#: how many distinct label products product_labels keeps
-_KEPT_PRODUCTS = 4096
-
-
-@lru_cache(maxsize=_KEPT_PRODUCTS)
-def _product_of(legs):
     return tuple(sum(multi, ()) for multi in product(*legs))
 
 
@@ -518,8 +503,7 @@ def _product_of(legs):
 def _stack_size(stack):
     """The size of the legs of a stack: an int if they all have it, else
     the tuple of their sizes."""
-    sizes = tuple(map(len, stack))
-    return _uniform(sizes)
+    return _uniform(tuple(map(len, stack)))
 
 
 def _uniform(sizes):
@@ -531,11 +515,8 @@ def _times(a, b):
     """a * b for sizes that are ints or tuples of one int per segment."""
     if type(a) is int and type(b) is int:
         return a * b
-    return _uniform(tuple(map(mul, _per_segment(a), _per_segment(b))))
-
-
-def _per_segment(size):
-    return repeat(size) if type(size) is int else size
+    a, b = (repeat(x) if type(x) is int else x for x in (a, b))
+    return _uniform(tuple(map(mul, a, b)))
 
 
 def _product(sizes):
@@ -560,9 +541,10 @@ class LegMap:
     f must carry the labels that kron would give the products of dom_legs
     and cod_legs, so a flat position in f's own bases is a flat position
     in the product of its legs.  The check costs the size of f's own bases,
-    never the size of a chain the map is used in, and nothing at all when
-    f carries the very label tuples product_labels keeps for its legs (a
-    map labelled from a signature or by Chain.matrix()).
+    never the size of a chain the map is used in.  dom and cod, when
+    given, are those products as a signature carries them (gchq.map_legs,
+    yd.module_legs): f's labels are compared with them and nothing is
+    rebuilt, and a map labelled with those very tuples passes at once.
 
     For an identity map columns and scale are None, and a chain passes its
     legs through.  Otherwise columns holds {input position: [(output
@@ -578,11 +560,13 @@ class LegMap:
 
     __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale", "holes")
 
-    def __init__(self, f, dom_legs, cod_legs):
+    def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(tuple(leg) for leg in dom_legs)
         cod_legs = tuple(tuple(leg) for leg in cod_legs)
-        for labels, legs, side in ((f.dom, dom_legs, "domain"), (f.cod, cod_legs, "codomain")):
-            expected = product_labels(legs)
+        sides = ((f.dom, dom_legs, dom, "domain"), (f.cod, cod_legs, cod, "codomain"))
+        for labels, legs, expected, side in sides:
+            if expected is None:
+                expected = product_labels(legs)
             if labels is not expected and labels != expected:
                 raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
         self.map = f
@@ -707,19 +691,21 @@ class Chain:
     Both check the stage boundary like compose: the legs must agree in
     number and basis labels, or DomainMismatch is raised.
 
-    A family is the direct sum of K segments, one composite per grade
-    tuple of a law, all with the same number of legs.  Chain(field, legs,
-    K) starts it, each leg a stack of K legs (leg k on segment k), and a
-    factor of then() may be a Stack of K LegMaps, one per segment (or a
-    sequence of them, made a Stack), where a single LegMap serves every
-    segment; a chain of one segment meeting a Stack becomes a family of
-    copies of itself.  The domain of a family is its segments' domains one
-    after the other; a flat position in it is read as (segment, position
-    in the segment), and every stage acts on the position within the
-    segment.  A family is built and evaluated once for all its segments,
-    and no segment has a Chain of its own; the labels of its legs are only
-    read for the boundary checks and a witness (segment_legs).  dom_dims
-    and cod_dims hold the size of each leg: in a family an int where the
+    Every chain is a family: the direct sum of K segments, one composite
+    per grade tuple of a law, all with the same number of legs; a plain
+    chain is the family of one segment.  Chain.family(field, stacks)
+    starts a family, each of stacks holding one leg per segment (leg k on
+    segment k), and a factor of then() may be a Stack of K LegMaps, one
+    per segment (or a sequence of them, made a Stack), where a single
+    LegMap serves every segment; a chain of one segment meeting a Stack
+    becomes a family of copies of itself.  The domain of a family is its
+    segments' domains one after the other; a flat position in it is read
+    as (segment, position in the segment), and every stage acts on the
+    position within the segment.  A family is built and evaluated once for
+    all its segments, and no segment has a Chain of its own; the labels of
+    its legs are only read for the boundary checks and a witness
+    (segment_legs; dom_legs and cod_legs of a chain of one segment).
+    dom_dims and cod_dims hold the size of each leg: an int where the
     segments agree, else the tuple of the segments' sizes.
 
     A stage is recorded once, as (monomial, terms).  Each term is one
@@ -728,10 +714,10 @@ class Chain:
     x // s % n (n is None for the leftmost run, where x // s suffices),
     f is its LegMap, a Stack of one LegMap per segment, or None for
     identity legs, and its output digit lands at output stride t, so a
-    stage sends x to the sum over its terms of f(digit) * t.  In a family
-    whose segments differ in size at a stage, s, n and t there are tuples
-    of one size per segment.  A stage is monomial when every f is None or
-    has a dest; permutations always are.  No stage holds a table over its
+    stage sends x to the sum over its terms of f(digit) * t.  Where the
+    segments differ in size at a stage, s, n and t there are tuples of one
+    size per segment.  A stage is monomial when every f is None or has a
+    dest; permutations always are.  No stage holds a table over its
     domain.
 
     block(cols) is the one evaluator: it pushes a block of flat domain
@@ -743,24 +729,34 @@ class Chain:
     field.mul and field.add, and exact zeros are dropped at every stage
     boundary.  dom_blocks() yields the domain in column order, BLOCK
     columns at a time across segment boundaries (whole segments when they
-    are small); column() evaluates a single column through block(), and
-    matrix() every column of a chain of one segment.
+    are small); column() evaluates a single column through block(),
+    matrices() every column, one LinMap per segment, and matrix() that of
+    a chain of one segment.
     """
 
     __slots__ = (
-        "field", "segments", "dom_legs", "cod_legs", "stages", "dom_dims", "cod_dims"
+        "field", "segments", "dom_stacks", "cod_stacks", "stages", "dom_dims", "cod_dims"
     )
 
-    def __init__(self, field, legs, segments=1):
-        self.field = field
-        self.segments = segments
-        self.dom_legs = self.cod_legs = tuple(tuple(leg) for leg in legs)
-        self.stages = ()
-        if segments != 1 and any(len(stack) != segments for stack in self.dom_legs):
+    def __init__(self, field, legs):
+        self._start(field, tuple((tuple(leg),) for leg in legs), 1)
+
+    @classmethod
+    def family(cls, field, stacks):
+        """The identity family on stacks, each a sequence of one leg per
+        segment; a family on no legs has one segment."""
+        stacks = tuple(map(tuple, stacks))
+        segments = len(stacks[0]) if stacks else 1
+        if any(len(stack) != segments for stack in stacks):
             raise DomainMismatch(f"a stacked leg does not hold a leg for each of {segments}")
-        self.dom_dims = self.cod_dims = tuple(
-            map(len if segments == 1 else _stack_size, self.dom_legs)
-        )
+        out = cls.__new__(cls)
+        out._start(field, stacks, segments)
+        return out
+
+    def _start(self, field, stacks, segments):
+        self.field, self.segments, self.stages = field, segments, ()
+        self.dom_stacks = self.cod_stacks = stacks
+        self.dom_dims = self.cod_dims = tuple(map(_stack_size, stacks))
 
     @property
     def rows(self):
@@ -771,10 +767,21 @@ class Chain:
         return self._total(self.dom_dims)
 
     def _total(self, dims):
-        if self.segments == 1:
-            return prod(dims)
         size = _product(dims)
         return size * self.segments if type(size) is int else sum(size)
+
+    @property
+    def dom_legs(self):
+        return self._single().segment_legs(0)[0]
+
+    @property
+    def cod_legs(self):
+        return self._single().segment_legs(0)[1]
+
+    def _single(self):
+        if self.segments != 1:
+            raise DomainMismatch(f"a family of {self.segments} segments is not one map")
+        return self
 
     def segment_ends(self):
         """The flat domain position where each segment's columns end."""
@@ -783,9 +790,7 @@ class Chain:
 
     def segment_legs(self, k):
         """(dom_legs, cod_legs) of segment k."""
-        if self.segments == 1:
-            return self.dom_legs, self.cod_legs
-        return tuple(s[k] for s in self.dom_legs), tuple(s[k] for s in self.cod_legs)
+        return tuple(s[k] for s in self.dom_stacks), tuple(s[k] for s in self.cod_stacks)
 
     def then(self, *factors):
         segments = self.segments
@@ -796,75 +801,36 @@ class Chain:
                         f"a factor for {len(f)} segments on a family of {segments}"
                     )
                 segments = len(f)
-        if segments == 1:
-            return self._then_one(factors)
-        return self._then_family(factors, segments)
-
-    def _then_one(self, factors):
-        field, legs = self.field, self.cod_legs
-        runs = []  # [input size, LegMap or None for a run of identity legs, output size]
+        field, legs = self.field, self.cod_stacks
+        if segments != self.segments:  # one segment, copied for each of a Stack's
+            legs = tuple(leg * segments for leg in legs)
+        runs = []  # [input size, factor or None for a run of identity legs, output size]
         monomial = True
         pos = 0
-        cod_legs = ()
-        for f in factors:
-            if type(f) is not LegMap:  # a stack or a sequence of one map
-                f = f.maps[0] if type(f) is Stack else f[0]
-            stop = pos + len(f.dom_legs)
-            if f.map.field is not field and f.map.field != field:
-                raise DomainMismatch("maps over different fields")
-            if f.dom_legs != legs[pos:stop]:
-                raise DomainMismatch(
-                    f"cannot apply {f!r} to legs {pos}..{stop - 1} of a chain with "
-                    f"{len(legs)} legs: dimensions or basis labels disagree"
-                )
-            if f.columns is not None:
-                runs.append([f.map.cols, f, f.map.rows])
-                monomial = monomial and f.dest is not None
-            elif runs and runs[-1][1] is None:
-                runs[-1][0] *= f.map.cols  # merge runs of identity legs
-            else:
-                runs.append([f.map.cols, None, None])
-            cod_legs += f.cod_legs
-            pos = stop
-        if pos != len(legs):
-            raise DomainMismatch(f"factors cover {pos} of the chain's {len(legs)} legs")
-        if len(runs) == 1 and runs[0][1] is None:
-            return self
-        return self._extend((monomial, _terms(runs)), cod_legs, tuple(map(len, cod_legs)), 1)
-
-    def _then_family(self, factors, segments):
-        field = self.field
-        legs = self.cod_legs
-        if self.segments == 1:
-            legs = tuple((leg,) * segments for leg in legs)
-        runs = []  # as in _then_one, with Stacks and sizes per segment
-        monomial = True
-        pos = 0
-        cod_legs, cod_dims = (), ()
+        cod_stacks, cod_dims = (), ()
         for f in factors:
             if type(f) is not LegMap:
                 if type(f) is not Stack:
                     f = Stack(f if len(f) == segments else f * segments)
                 f = f if f.shared is None else f.shared
-            field_ = f.map.field if type(f) is LegMap else f.field
-            if field_ is not field and field_ != field:
-                raise DomainMismatch("maps over different fields")
             if type(f) is LegMap:  # one map for every segment
                 stop = pos + len(f.dom_legs)
                 if stop > len(legs) or any(
                     stack.count(leg) != segments for stack, leg in zip(legs[pos:stop], f.dom_legs)
                 ):
                     raise _misfit(pos, stop, legs)
-                n, m, identity = f.map.cols, f.map.rows, f.columns is None
-                cod_legs += tuple((leg,) * segments for leg in f.cod_legs)
+                f_field, n, m, identity = f.map.field, f.map.cols, f.map.rows, f.columns is None
+                cod_stacks += tuple((leg,) * segments for leg in f.cod_legs)
                 cod_dims += tuple(map(len, f.cod_legs))
             else:
                 stop = pos + len(f.dom_legs)
                 if f.dom_legs != legs[pos:stop]:
                     raise _misfit(pos, stop, legs)
-                n, m, identity = f.cols, f.rows, f.identity
-                cod_legs += f.cod_legs
+                f_field, n, m, identity = f.field, f.cols, f.rows, f.identity
+                cod_stacks += f.cod_legs
                 cod_dims += tuple(map(_stack_size, f.cod_legs))
+            if f_field is not field and f_field != field:
+                raise DomainMismatch("maps over different fields")
             if not identity:
                 runs.append([n, f, m])
                 monomial = monomial and f.dest is not None
@@ -874,12 +840,12 @@ class Chain:
                 runs.append([n, None, None])
             pos = stop
         if pos != len(legs):
-            raise DomainMismatch(f"factors cover {pos} of the family's {len(legs)} legs")
+            raise DomainMismatch(f"factors cover {pos} of the chain's {len(legs)} legs")
         stage = None if len(runs) == 1 and runs[0][1] is None else (monomial, _terms(runs))
-        return self._extend(stage, cod_legs, cod_dims, segments)
+        return self._extend(stage, cod_stacks, cod_dims, segments)
 
     def permute(self, *order):
-        if sorted(order) != list(range(len(self.cod_legs))):
+        if sorted(order) != list(range(len(self.cod_stacks))):
             raise DomainMismatch(f"{order!r} is not a permutation of the legs")
         if order == tuple(range(len(order))):
             return self
@@ -891,26 +857,25 @@ class Chain:
                 runs[-1][1] += 1
             else:
                 runs.append([leg, leg + 1, slot])
-        size = prod if self.segments == 1 else _product
         terms = tuple(
-            (size(dims[stop:]), size(dims[start:stop]) if start else None,
-             size(out_dims[slot + stop - start:]), None)
+            (_product(dims[stop:]), _product(dims[start:stop]) if start else None,
+             _product(out_dims[slot + stop - start:]), None)
             for start, stop, slot in sorted(runs)
         )
-        cod_legs = tuple(self.cod_legs[i] for i in order)
-        return self._extend((True, terms), cod_legs, tuple(out_dims), self.segments)
+        cod_stacks = tuple(self.cod_stacks[i] for i in order)
+        return self._extend((True, terms), cod_stacks, tuple(out_dims), self.segments)
 
-    def _extend(self, stage, cod_legs, cod_dims, segments):
-        """The chain followed by stage (None adds none) onto cod_legs of
+    def _extend(self, stage, cod_stacks, cod_dims, segments):
+        """The chain followed by stage (None adds none) onto cod_stacks of
         sizes cod_dims, a family of `segments` when the chain is one
         segment copied."""
         out = Chain.__new__(Chain)
         out.field, out.segments, out.dom_dims = self.field, segments, self.dom_dims
-        out.dom_legs = self.dom_legs
+        out.dom_stacks = self.dom_stacks
         if segments != self.segments:
-            out.dom_legs = tuple((leg,) * segments for leg in self.dom_legs)
+            out.dom_stacks = tuple(leg * segments for leg in self.dom_stacks)
         out.stages = self.stages if stage is None else self.stages + (stage,)
-        out.cod_legs, out.cod_dims = cod_legs, cod_dims
+        out.cod_stacks, out.cod_dims = cod_stacks, cod_dims
         return out
 
     def dom_blocks(self):
@@ -919,7 +884,7 @@ class Chain:
         columns each, a block holds whole segments."""
         total, step = self.cols, BLOCK
         size = _product(self.dom_dims)
-        if self.segments != 1 and type(size) is int and 0 < size <= BLOCK:
+        if type(size) is int and 0 < size <= BLOCK:
             step = size * (BLOCK // size)
         for start in range(0, total, step):
             yield range(start, min(start + step, total))
@@ -928,13 +893,17 @@ class Chain:
         """The segment of each flat domain position in cols, and the
         position within it, as two lists."""
         size = _product(self.dom_dims)
-        if type(size) is int:
-            if type(cols) is range and size and cols.start % size == len(cols) % size == 0:
-                first, whole = cols.start // size, len(cols) // size  # whole segments
+        if type(cols) is range and type(size) is int and size:
+            if cols.start % size == len(cols) % size == 0:  # whole segments
+                first, whole = cols.start // size, len(cols) // size
                 seg = concat.from_iterable(map(repeat, range(first, first + whole), repeat(size)))
                 return list(seg), list(range(size)) * whole
-            return list(map(floordiv, cols, repeat(size))), list(map(mod, cols, repeat(size)))
         ends = self.segment_ends()
+        if type(cols) is range and cols:
+            k = bisect_right(ends, cols.start)
+            if cols[-1] < ends[k]:  # within segment k
+                start = cols.start - (ends[k - 1] if k else 0)
+                return [k] * len(cols), list(range(start, start + len(cols)))
         seg = list(map(bisect_right, repeat(ends), cols))
         starts = (0, *ends)
         return seg, list(map(sub, cols, map(starts.__getitem__, seg)))
@@ -948,10 +917,7 @@ class Chain:
         every column that has not vanished has scalar field.one.  Otherwise
         images holds one sparse dict {position: scalar} per column."""
         field = self.field
-        if self.segments == 1:
-            seg, positions = None, list(cols)
-        else:
-            seg, positions = self.locate(cols)
+        seg, positions = self.locate(cols)
         scalars, dead = None, set()
         stages = iter(self.stages)
         for monomial, terms in stages:
@@ -962,10 +928,9 @@ class Chain:
                 ]
                 for i in dead:
                     vecs[i] = {}
-                segs = repeat(None) if seg is None else seg
-                vecs = list(map(_apply_kron, repeat(field), repeat(terms), vecs, segs))
+                vecs = _sparse_stage(field, terms, vecs, seg)
                 for _, terms in stages:
-                    vecs = list(map(_apply_kron, repeat(field), repeat(terms), vecs, segs))
+                    vecs = _sparse_stage(field, terms, vecs, seg)
                 return False, vecs
             if len(dead) < len(positions):  # else the next space may be empty
                 positions, scalars, lost = _flat_stage(field, terms, positions, scalars, seg)
@@ -991,35 +956,30 @@ class Chain:
         return {} if x < 0 else {x: self.field.one if scalars is None else scalars[0]}
 
     def matrix(self):
-        """The composite as a LinMap, evaluated through block() in column
-        order; its bases carry the labels kron would give the products of
-        the domain and codomain legs.  The library's one way to turn a
-        composite into a matrix; a family has one per segment
-        (matrices())."""
-        if self.segments != 1:
-            raise DomainMismatch(f"a family of {self.segments} segments is not one map")
-        return self.matrices()[0]
+        """The composite of a chain of one segment as a LinMap (matrices())."""
+        return self._single().matrices()[0]
 
     def matrices(self):
         """Each segment's composite as a LinMap, in segment order, evaluated
-        together through block() like matrix()."""
+        through block() in column order; its bases carry the labels kron
+        would give the products of the segment's domain and codomain legs.
+        The library's one way to turn a composite into matrices."""
         field, segments = self.field, self.segments
         entries = [{} for _ in range(segments)]
-        starts = (0, *self.segment_ends())
         for cols in self.dom_blocks():
-            seg = repeat(0) if segments == 1 else self.locate(cols)[0]
+            seg, within = self.locate(cols)
             monomial, images = self.block(cols)
             if monomial:
                 positions, scalars = images
                 if scalars is None:
                     scalars = repeat(field.one)
-                for j, k, i, v in zip(cols, seg, positions, scalars):
+                for j, k, i, v in zip(within, seg, positions, scalars):
                     if i >= 0:
-                        entries[k][(i, j - starts[k])] = v
+                        entries[k][(i, j)] = v
             else:
-                for j, k, vec in zip(cols, seg, images):
+                for j, k, vec in zip(within, seg, images):
                     for i, v in vec.items():
-                        entries[k][(i, j - starts[k])] = v
+                        entries[k][(i, j)] = v
         out = []
         for k in range(segments):
             dom, cod = map(product_labels, self.segment_legs(k))
@@ -1029,7 +989,7 @@ class Chain:
     def __repr__(self):
         family = f"{self.segments} segments, " if self.segments != 1 else ""
         return (
-            f"Chain({family}{len(self.dom_legs)} -> {len(self.cod_legs)} legs, "
+            f"Chain({family}{len(self.dom_stacks)} -> {len(self.cod_stacks)} legs, "
             f"{len(self.stages)} stages, {self.field.name})"
         )
 
@@ -1107,12 +1067,22 @@ def _flat_stage(field, terms, positions, scalars, seg=None):
     return out, scalars, lost
 
 
-def _apply_kron(field, terms, vec, k=None):
-    """One stage on a sparse vector {position: scalar} of segment k (None
-    outside a family); terms as in Chain, read through each factor's
-    columns."""
-    if k is not None:
-        terms = [_segment_term(term, k) for term in terms]
+def _sparse_stage(field, terms, vecs, seg):
+    """One stage on sparse vectors {position: scalar}, vecs[i] of segment
+    seg[i]; terms as in Chain, read on each segment once (_segment_term)."""
+    on = {}
+    out = []
+    for vec, k in zip(vecs, seg):
+        resolved = on.get(k)
+        if resolved is None:
+            resolved = on[k] = [_segment_term(term, k) for term in terms]
+        out.append(_apply_kron(field, resolved, vec))
+    return out
+
+
+def _apply_kron(field, terms, vec):
+    """One stage on a sparse vector {position: scalar}; terms as in Chain
+    on one segment, read through each factor's columns."""
     mul, add, zero = field.mul, field.add, field.zero
     out = {}
     for x, coeff in vec.items():

@@ -2,10 +2,10 @@
 
 The total object is a family of unital algebras H_p indexed by a finite
 group G, with comultiplications, a counit, antipodes and a crossing.
-map_legs states the spaces of each map once, for the constructor, h.legs
-and the loaders, and its labels (legs_labels) are the products
-exactlin.product_labels builds once: a loaded map, its shape check and
-its LegMap share one label tuple per space.  Products across different
+map_legs states the spaces of each map once, with the labels of their
+products: the loaders label the maps with them, and a structure keeps its
+own (h.signature), checks its maps against it and reads them as LegMaps
+through it, building no label product again.  Products across different
 grades are not representable in this encoding, which makes the vanishing
 condition structural.
 
@@ -45,26 +45,32 @@ from . import tables
 
 
 def map_legs(grading, components):
-    """The spaces of every structure map, {family: {key: (dom_legs,
-    cod_legs)}}, for the components of a crossed structure graded by
-    grading: comult[(p, q)] H_{pq} -> H_p (x) H_q, antipode[p] H_p ->
-    H_{p^-1}, crossing[(p, q)] H_q -> H_{pqp^-1}, and the counit H_e -> k
-    under the one key None.  H_p is the one leg of component p; k has none.
+    """The spaces of every structure map, {family: {key: space}}, for the
+    components of a crossed structure graded by grading: comult[(p, q)]
+    H_{pq} -> H_p (x) H_q, antipode[p] H_p -> H_{p^-1}, crossing[(p, q)]
+    H_q -> H_{pqp^-1}, and the counit H_e -> k under the one key None.  H_p
+    is the one leg of component p; k has none.  A space is (dom_legs,
+    cod_legs, dom, cod) (space()), so LegMap(f, *space) reads f on it.
     The constructor, legs and loaders all read their shapes from here."""
     H = [(c.labels,) for c in components]
     pairs = list(product(grading.elements(), repeat=2))
     return {
-        "comult": {(p, q): (H[grading.mul(p, q)], H[p] + H[q]) for p, q in pairs},
-        "counit": {None: (H[0], ())},
-        "antipode": {p: (H[p], H[grading.inv(p)]) for p in grading.elements()},
-        "crossing": {(p, q): (H[q], H[tables.conjugate(grading, p, q)]) for p, q in pairs},
+        "comult": {(p, q): space(H[grading.mul(p, q)], H[p] + H[q]) for p, q in pairs},
+        "counit": {None: space(H[0], ())},
+        "antipode": {p: space(H[p], H[grading.inv(p)]) for p in grading.elements()},
+        "crossing": {(p, q): space(H[q], H[tables.conjugate(grading, p, q)]) for p, q in pairs},
     }
 
 
-def legs_labels(legs):
-    """The domain and codomain labels of a (dom_legs, cod_legs) pair, the
-    tuples product_labels keeps for them."""
-    return tuple(product_labels(side) for side in legs)
+def space(dom_legs, cod_legs):
+    """A signature's entry for one map: (dom_legs, cod_legs, dom, cod),
+    dom and cod the labels of the two products, built here once."""
+    return dom_legs, cod_legs, product_labels(dom_legs), product_labels(cod_legs)
+
+
+def legs_labels(space):
+    """The domain and codomain labels a signature's entry carries."""
+    return space[2:]
 
 
 def legs_map(field, entries, legs):
@@ -76,7 +82,8 @@ def legs_map(field, entries, legs):
 def require_legs(field, maps, signature):
     """Raise MalformedStructure, naming the family and key, unless maps,
     {family: {key: LinMap}}, has exactly the keys of signature in every
-    family and each map is over field with the labels of its legs."""
+    family and each map is over field with the labels of its legs (the
+    labels the signature carries; none is rebuilt)."""
     for family, legs in signature.items():
         given = maps[family]
         for key in legs:
@@ -95,14 +102,16 @@ def require_legs(field, maps, signature):
 class CrossedGCHQ:
     """G-graded family of algebras with comultiplication, counit, antipode
     and crossing, all stored as exact structure constants.  The maps are
-    keyed, and checked when built, by the spaces map_legs gives them.
+    keyed, and checked when built, by the spaces map_legs gives them,
+    kept as signature.
 
     A structure is treated as immutable once built, so legs can read its
     maps as GradedLegs once, on first use, for every validator and
     construction to share."""
 
     __slots__ = (
-        "field", "grading", "components", "comult", "counit", "antipode", "crossing", "_legs"
+        "field", "grading", "components", "comult", "counit", "antipode", "crossing",
+        "signature", "_legs",
     )
 
     def __init__(self, field, grading, components, comult, counit, antipode, crossing):
@@ -120,7 +129,8 @@ class CrossedGCHQ:
             raise MalformedStructure(f"grading table entry outside [0, {grading.order})")
         if any(c.field != field for c in self.components):
             raise MalformedStructure("component field mismatch")
-        require_legs(field, self.maps(), map_legs(grading, self.components))
+        self.signature = map_legs(grading, self.components)
+        require_legs(field, self.maps(), self.signature)
 
     def maps(self):
         """The structure maps by family and key, as map_legs keys them."""
@@ -182,9 +192,9 @@ class GradedLegs:
     H[p] is the legs of component p (one leg, its labels labels[p]), and
     chain(p, q, ...) is the identity Chain on H_p (x) H_q (x) ...; k has
     no legs.  mu[p], eta[p] and ident[p] are the algebra maps of component
-    p.  The structure maps sit on the legs map_legs gives them: s[p] the
-    antipode of grade p, delta[(p, q)] and pi[(p, q)] the comultiplication
-    and crossing of a grade pair, and eps the counit.
+    p.  The structure maps sit on the spaces of h.signature, read through
+    its labels: s[p] the antipode of grade p, delta[(p, q)] and pi[(p, q)]
+    the comultiplication and crossing of a grade pair, and eps the counit.
     """
 
     __slots__ = ("field", "labels", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
@@ -197,7 +207,7 @@ class GradedLegs:
         self.mu = [LegMap(c.mult_map(), H[p] * 2, H[p]) for p, c in comps]
         self.eta = [LegMap(c.unit_map(), (), H[p]) for p, c in comps]
         self.ident = [LegMap(LinMap.identity(h.field, c.labels), H[p], H[p]) for p, c in comps]
-        legs = map_legs(h.grading, h.components)
+        legs = h.signature
         self.s = [LegMap(h.antipode[p], *legs["antipode"][p]) for p, _ in comps]
         self.delta = {key: LegMap(h.comult[key], *pair) for key, pair in legs["comult"].items()}
         self.pi = {key: LegMap(h.crossing[key], *pair) for key, pair in legs["crossing"].items()}
@@ -212,13 +222,10 @@ class GradedLegs:
         legs of that tuple's grades; a grade or labels serve every
         segment."""
         stacks = [g for g in legs if type(g) is list]
-        if not stacks or len(stacks[0]) == 1:
-            return Chain(self.field, [self._leg(g[0] if type(g) is list else g) for g in legs])
-        segments, labels = len(stacks[0]), self.labels.__getitem__
-        stacked = [
-            tuple(map(labels, g)) if type(g) is list else (self._leg(g),) * segments for g in legs
-        ]
-        return Chain(self.field, stacked, segments)
+        segments, labels = len(stacks[0]) if stacks else 1, self.labels.__getitem__
+        return Chain.family(self.field, [
+            map(labels, g) if type(g) is list else (self._leg(g),) * segments for g in legs
+        ])
 
     def _leg(self, leg):
         return self.labels[leg] if type(leg) is int else leg

@@ -193,13 +193,7 @@ class Check(_Value):
     __slots__ = ("check_id", "passed", "required", "witness", "detail")
 
     def __init__(self, check_id, passed, required=True, witness=None, detail=""):
-        # a validator records one per grade tuple, so the fields are set directly
-        setattr_ = object.__setattr__
-        setattr_(self, "check_id", check_id)
-        setattr_(self, "passed", passed)
-        setattr_(self, "required", required)
-        setattr_(self, "witness", witness)
-        setattr_(self, "detail", detail)
+        super().__init__(check_id, passed, required, witness, detail)
 
 
 def map_witness(lhs, rhs):

@@ -77,7 +77,7 @@ def _matrix_to_jobj(m):
 
 def _matrix_from_jobj(field, data, legs, what):
     """A matrix written as a list of rows, between the spaces of legs, a
-    (dom_legs, cod_legs) pair."""
+    signature's entry, labelled with the labels it carries."""
     with _reading(what):
         if type(data) is not list or any(type(row) is not list for row in data):
             raise ParseError(f"{what}: a matrix is a list of rows, each a list")

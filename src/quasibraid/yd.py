@@ -2,9 +2,10 @@
 
 A module of grade p is a based space V with one action matrix and a
 coaction matrix per group element r; module_legs states their spaces
-once, for the constructor, v.legs and the loader, with their labels
-built once as in gchq.map_legs.  The strict flag
-distinguishes genuine modules (action associative) from quasimodules,
+once, with the labels of their products, as gchq.map_legs does: the
+loader labels the maps with them, and a module keeps its own
+(v.signature), checks its maps against it and reads them as LegMaps
+through it.  The strict flag distinguishes genuine modules (action associative) from quasimodules,
 which only satisfy the antipode compensation laws; the braiding is
 defined for strict modules only.
 
@@ -35,7 +36,9 @@ from .errors import (
     NotStrict,
 )
 from .exactlin import Chain, LegMap, LinMap, product_labels
-from .gchq import at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs
+from .gchq import (
+    at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs, space
+)
 from .report import Report, Witness, chain_witness, law_checks, map_witness
 from .tables import GroupTable, conjugate, validate_group
 
@@ -44,23 +47,26 @@ def module_legs(base, grade, labels):
     """The spaces of the maps of a module over base of grade p = grade on
     basis labels V, keyed as gchq.map_legs keys a crossed structure's: the
     action H_p (x) V -> V under the one key None, and coaction[r] V -> V (x)
-    H_r."""
+    H_r.  Each space carries the labels of its products (gchq.space)."""
     V = (tuple(labels),)
     H = [(c.labels,) for c in base.components]
     return {
-        "action": {None: (H[grade] + V, V)},
-        "coaction": {r: (V, V + H[r]) for r in base.grades()},
+        "action": {None: space(H[grade] + V, V)},
+        "coaction": {r: space(V, V + H[r]) for r in base.grades()},
     }
 
 
 class YDModule:
     """Graded module/quasimodule data over a CrossedGCHQ base.
 
-    Like its base, a module is treated as immutable once built, and legs
-    keeps its maps as LegMaps from first use on.
+    Like its base, a module is treated as immutable once built: signature
+    is the module_legs its maps were checked against, and legs keeps its
+    maps as LegMaps on it from first use on.
     """
 
-    __slots__ = ("base", "grade", "dim", "labels", "action", "coaction", "strict", "_legs")
+    __slots__ = (
+        "base", "grade", "dim", "labels", "action", "coaction", "strict", "signature", "_legs"
+    )
 
     def __init__(self, base, grade, labels, action, coaction, strict):
         if not 0 <= grade < base.grading.order:
@@ -73,7 +79,8 @@ class YDModule:
         self.coaction = dict(coaction)
         self.strict = bool(strict)
         self._legs = None
-        require_legs(base.field, self.maps(), module_legs(base, grade, self.labels))
+        self.signature = module_legs(base, grade, self.labels)
+        require_legs(base.field, self.maps(), self.signature)
 
     def maps(self):
         """The action and coaction by key, as module_legs keys them."""
@@ -87,7 +94,7 @@ class YDModule:
         """(h.legs of the base, the module's leg V, and as LegMaps its action,
         coactions by grade and identity), built on first use."""
         if self._legs is None:
-            V, legs = (self.labels,), module_legs(self.base, self.grade, self.labels)
+            V, legs = (self.labels,), self.signature
             action = LegMap(self.action, *legs["action"][None])
             coaction = [LegMap(self.coaction[r], *legs["coaction"][r]) for r in self.base.grades()]
             self._legs = self.base.legs, V, action, coaction, LegMap(self.ident(), V, V)
@@ -405,25 +412,31 @@ class Constructions:
     """yd_tensor and yd_conjugate kept by their arguments, so that the law
     suites of one braid report build each module once.  A module argument
     is keyed by identity and held with the result, so its id stays its
-    own; modules are immutable once built, so a kept result stays right."""
+    own; modules are immutable once built, so a kept result stays right.
+    A law that reads a module's regradings by every grade asks for them
+    together (regradings), and those not kept yet are built as one family."""
 
     def __init__(self):
         self._built = {}
 
     def tensor(self, v, w):
-        key = ("tensor", id(v), id(w))
-        if key not in self._built:
-            self._built[key] = (yd_tensor(v, w), v, w)
-        return self._built[key][0]
+        return self._get(("tensor", id(v), id(w)), yd_tensor, v, w)
 
     def conjugate(self, v, q):
-        """yd_conjugate(v, q); the first regrading of v asked for builds
-        them all, for every grade at once."""
-        key = ("conjugate", id(v), q)
+        return self._get(("conjugate", id(v), q), yd_conjugate, v, q)
+
+    def regradings(self, v):
+        """[conjugate(v, q) for every grade q]."""
+        grades = list(v.base.grades())
+        missing = [q for q in grades if ("conjugate", id(v), q) not in self._built]
+        if missing:
+            for q, out in zip(missing, _conjugates(v, missing)):
+                self._built[("conjugate", id(v), q)] = (out, v, q)
+        return [self.conjugate(v, q) for q in grades]
+
+    def _get(self, key, build, v, arg):
         if key not in self._built:
-            grades = list(v.base.grades())
-            for p, out in zip(grades, _conjugates(v, grades)):
-                self._built[("conjugate", id(v), p)] = (out, v, p)
+            self._built[key] = (build(v, arg), v, arg)
         return self._built[key][0]
 
 
@@ -445,6 +458,9 @@ def conjugation_coherence(v, w, built=None):
     _require_same_base(v, w)
     built = Constructions() if built is None else built
     grades = list(v.base.grades())
+    # every regrading of V (x) W, V, W and each V^t is read, so each is one family
+    for m in (built.tensor(v, w), v, w, *built.regradings(v)):
+        built.regradings(m)
     return _coherence(Report("conjugation coherence"), v, w, [(s, grades) for s in grades], built)
 
 
@@ -540,6 +556,7 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     W, i_w = w.legs[1], w.legs[4]
 
     c = braiding(v, w)
+    regraded = zip(built.regradings(v), built.regradings(w))  # BRAID-2.4 reads them all
     source = built.tensor(v, w)
     target = built.tensor(built.conjugate(w, p), v)
     lc = LegMap(c, V + W, W + V)
@@ -558,10 +575,10 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
             detail=f"grade {base.grade_label(r)}",
         )
 
-    for s in base.grades():
+    for s, (v_s, w_s) in zip(base.grades(), regraded):
         rep.add_map_equality(
             "BRAID-2.4-conjugation",
-            braiding(built.conjugate(v, s), built.conjugate(w, s)),
+            braiding(v_s, w_s),
             c,
             detail=f"conjugated by {base.grade_label(s)}",
         )

@@ -273,14 +273,18 @@ def test_each_base_builds_its_legs_once(fixture_dir, tmp_path, monkeypatch, caps
 def test_braid_report_builds_each_construction_once(fixture_dir, monkeypatch, capsys):
     """The braiding laws and conjugation coherence share V (x) W and the
     regradings of V and W; with a third module equal to the others, its
-    regrading and W (x) X are shared as well.  A module is regraded by
-    every grade in one call of yd._conjugates, once."""
+    regrading and W (x) X are shared as well.  A module whose regradings
+    by every grade are read is regraded by them in one call of
+    yd._conjugates, once; a third module of its own only by the one grade
+    its laws read."""
     from quasibraid import yd
 
     tensors = _count_calls(monkeypatch, yd, "yd_tensor")
     conjugates = _count_calls(monkeypatch, yd, "_conjugates")
     module = str(fixture_dir / "yd-diagonal-power.json")
-    for modules in ([module] * 2, [module] * 3):
+    trivial = str(fixture_dir / "yd-trivial.json")
+    for modules, counts in (([module] * 2, (4, 8)), ([module] * 3, (4, 8)),
+                            ([module] * 2 + [trivial], (5, 9))):
         tensors.clear()
         conjugates.clear()
         code, _, _ = run(capsys, "braid-report", *modules)
@@ -288,7 +292,9 @@ def test_braid_report_builds_each_construction_once(fixture_dir, monkeypatch, ca
         regraded = [m for m, _ in conjugates]
         assert len({id(m) for m in regraded}) == len(regraded)
         # 5 and 13 (two modules), 6 and 14 (three) when each suite built its own
-        assert (len(tensors), sum(len(grades) for _, grades in conjugates)) == (4, 8)
+        assert (len(tensors), sum(len(grades) for _, grades in conjugates)) == counts
+    # the trivial module, regraded by w's grade alone for BRAID-comp-tensor-first
+    assert [grades for m, grades in conjugates if m.labels == (("1",),)] == [[0]]
 
 
 def test_construct_mirror_of_invalid_input_exits_1(fixture_dir, tmp_path, capsys):

@@ -212,10 +212,10 @@ class Programs:
 
     def __init__(self, monkeypatch):
         self.built = {}  # id(chain) -> (chain, program); the chain pins its id
-        init, then, permute = Chain.__init__, Chain.then, Chain.permute
+        start, then, permute = Chain._start, Chain.then, Chain.permute
 
-        def recorded_init(chain, field, legs, segments=1):
-            init(chain, field, legs, segments)
+        def recorded_start(chain, *args):
+            start(chain, *args)
             self.built[id(chain)] = (chain, [])
 
         def recorded_then(chain, *factors):
@@ -224,7 +224,7 @@ class Programs:
         def recorded_permute(chain, *order):
             return self._note(chain, permute(chain, *order), ("perm", order))
 
-        monkeypatch.setattr(Chain, "__init__", recorded_init)
+        monkeypatch.setattr(Chain, "_start", recorded_start)
         monkeypatch.setattr(Chain, "then", recorded_then)
         monkeypatch.setattr(Chain, "permute", recorded_permute)
 

@@ -382,21 +382,22 @@ def test_a_counit_mutant_kills_ghq_epsilon_unit():
 
 
 def chains_built(monkeypatch, h):
-    """The Chains validate_crossed builds on h, new ones (Chain.__init__)
-    and extended ones (Chain._extend) alike."""
+    """The Chains validate_crossed builds on h, new ones (Chain._start,
+    through which Chain() and Chain.family() begin) and extended ones
+    (Chain._extend) alike."""
     h.legs  # built once per structure, outside the count
     calls = []
-    init, extend = Chain.__init__, Chain._extend
+    start, extend = Chain._start, Chain._extend
 
-    def counted_init(self, *args, **kwargs):
-        calls.append("init")
-        init(self, *args, **kwargs)
+    def counted_start(self, *args, **kwargs):
+        calls.append("start")
+        start(self, *args, **kwargs)
 
     def counted_extend(self, *args, **kwargs):
         calls.append("extend")
         return extend(self, *args, **kwargs)
 
-    monkeypatch.setattr(Chain, "__init__", counted_init)
+    monkeypatch.setattr(Chain, "_start", counted_start)
     monkeypatch.setattr(Chain, "_extend", counted_extend)
     rep = validate_crossed(h)
     monkeypatch.undo()
@@ -412,6 +413,38 @@ def test_chains_built_do_not_grow_with_the_group(monkeypatch):
     large, large_checks = chains_built(monkeypatch, V4_S3)
     assert (small_checks, large_checks) == (80, 948)
     assert small == large
+
+
+def test_a_chain_is_the_family_of_one_segment():
+    """Chain(field, legs) and Chain.family(field, stacks of one leg) are
+    one representation: same stages, same blocks, same matrix; a family of
+    several segments has no single domain legs or matrix."""
+    A, B = (("a0",), ("a1",)), (("b0",), ("b1",), ("b2",))
+    f = exactlin.LegMap(LinMap.identity(QQ, A).scale(3), (A,), (A,))
+    g = exactlin.LegMap(LinMap.identity(QQ, B).scale(2), (B,), (B,))
+    plain = Chain(QQ, (A, B)).permute(1, 0).then(g, f)
+    # a factor given as a sequence of one map serves the one segment
+    family = Chain.family(QQ, [(A,), (B,)]).permute(1, 0).then([g], [f])
+    assert family.segments == plain.segments == 1
+    assert family.stages == plain.stages and family.dom_legs == plain.dom_legs == (A, B)
+    assert family.block(range(6)) == plain.block(range(6))
+    assert family.matrix() == plain.matrix()
+    two = Chain.family(QQ, [(A, A), (B, B)])
+    assert two.segments == 2 and two.cols == 12
+    with pytest.raises(exactlin.DomainMismatch):
+        two.dom_legs
+    with pytest.raises(exactlin.DomainMismatch):
+        two.matrix()
+
+
+def test_a_signature_label_check_still_rejects_a_mislabelled_map():
+    """LegMap compares a map with the labels a signature carries instead of
+    rebuilding them, and still rejects a map labelled otherwise."""
+    h = fixtures.gchq_power()
+    dom_legs, cod_legs, dom, cod = h.signature["comult"][(0, 1)]
+    assert exactlin.LegMap(h.comult[(0, 1)], dom_legs, cod_legs, dom, cod).map is h.comult[(0, 1)]
+    with pytest.raises(exactlin.DomainMismatch):
+        exactlin.LegMap(h.comult[(1, 0)], dom_legs, cod_legs, dom, cod)
 
 
 # -- the bounded witness search --------------------------------------------------------
