@@ -485,10 +485,12 @@ def leg_perm(field, legs, order):
 
 
 def product_labels(legs):
-    """Basis labels of the tensor product of legs, left leg slowest."""
-    if len(legs) == 1:  # a label is a tuple, so one leg is its own product
-        return tuple(legs[0])
-    return tuple(sum(multi, ()) for multi in product(*legs))
+    """Basis labels of the tensor product of legs, left leg slowest; a
+    label is a tuple, so one leg is its own product."""
+    out = legs[0] if legs else K_LABELS
+    for leg in legs[1:]:
+        out = [a + b for a in out for b in leg]
+    return tuple(out)
 
 
 # -- leg-wise evaluation -------------------------------------------------------
@@ -980,9 +982,15 @@ class Chain:
                 for j, k, vec in zip(within, seg, images):
                     for i, v in vec.items():
                         entries[k][(i, j)] = v
-        out = []
+        out, known = [], {}  # segments on the same legs share their labels
         for k in range(segments):
-            dom, cod = map(product_labels, self.segment_legs(k))
+            sides = []
+            for legs in self.segment_legs(k):
+                key = tuple(map(id, legs))
+                if key not in known:
+                    known[key] = product_labels(legs)
+                sides.append(known[key])
+            dom, cod = sides
             out.append(LinMap(field, len(cod), len(dom), entries[k], dom, cod))
         return out
 

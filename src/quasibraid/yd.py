@@ -5,9 +5,9 @@ coaction matrix per group element r; module_legs states their spaces
 once, with the labels of their products, as gchq.map_legs does: the
 loader labels the maps with them, and a module keeps its own
 (v.signature), checks its maps against it and reads them as LegMaps
-through it.  The strict flag distinguishes genuine modules (action associative) from quasimodules,
-which only satisfy the antipode compensation laws; the braiding is
-defined for strict modules only.
+through it.  The strict flag distinguishes genuine modules (action
+associative) from quasimodules, which only satisfy the antipode
+compensation laws; the braiding is defined for strict modules only.
 
 A module reads its maps as LegMaps once, through v.legs: one leg V of its
 own beside the base's h.legs.  Every law and construction is a Chain over
