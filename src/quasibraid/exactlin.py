@@ -560,7 +560,7 @@ class LegMap:
     not monomial has dest = scale = None.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale", "holes")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale", "holes", "_stacks")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(tuple(leg) for leg in dom_legs)
@@ -574,6 +574,7 @@ class LegMap:
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
+        self._stacks = {}
         self.columns = self.scale = None
         self.dest, self.holes = range(f.cols), False
         one = f.field.one
@@ -595,6 +596,19 @@ class LegMap:
         self.dest = dest
         if any(images[0][1] != one for images in columns.values()):
             self.scale = scale
+
+    def stacked(self, segments):
+        """(dom stacks, cod stacks, cod sizes) of the map serving every one
+        of `segments` segments of a family: each leg repeated per segment.
+        Kept per segment count, as a chain asks for them at every then()."""
+        out = self._stacks.get(segments)
+        if out is None:
+            out = self._stacks[segments] = (
+                tuple([(leg,) * segments for leg in self.dom_legs]),
+                tuple([(leg,) * segments for leg in self.cod_legs]),
+                tuple(map(len, self.cod_legs)),
+            )
+        return out
 
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
@@ -737,7 +751,8 @@ class Chain:
     """
 
     __slots__ = (
-        "field", "segments", "dom_stacks", "cod_stacks", "stages", "dom_dims", "cod_dims"
+        "field", "segments", "dom_stacks", "cod_stacks", "stages", "dom_dims", "cod_dims",
+        "dom_size", "dom_ends",
     )
 
     def __init__(self, field, legs):
@@ -759,6 +774,8 @@ class Chain:
         self.field, self.segments, self.stages = field, segments, ()
         self.dom_stacks = self.cod_stacks = stacks
         self.dom_dims = self.cod_dims = tuple(map(_stack_size, stacks))
+        size = self.dom_size = _product(self.dom_dims)  # an int, or one per segment
+        self.dom_ends = tuple(accumulate(repeat(size, segments) if type(size) is int else size))
 
     @property
     def rows(self):
@@ -766,7 +783,7 @@ class Chain:
 
     @property
     def cols(self):
-        return self._total(self.dom_dims)
+        return self.dom_ends[-1]
 
     def _total(self, dims):
         size = _product(dims)
@@ -787,8 +804,7 @@ class Chain:
 
     def segment_ends(self):
         """The flat domain position where each segment's columns end."""
-        size = _product(self.dom_dims)
-        return tuple(accumulate(repeat(size, self.segments) if type(size) is int else size))
+        return self.dom_ends
 
     def segment_legs(self, k):
         """(dom_legs, cod_legs) of segment k."""
@@ -816,14 +832,13 @@ class Chain:
                     f = Stack(f if len(f) == segments else f * segments)
                 f = f if f.shared is None else f.shared
             if type(f) is LegMap:  # one map for every segment
-                stop = pos + len(f.dom_legs)
-                if stop > len(legs) or any(
-                    stack.count(leg) != segments for stack, leg in zip(legs[pos:stop], f.dom_legs)
-                ):
+                dom, cod, sizes = f.stacked(segments)
+                stop = pos + len(dom)
+                if legs[pos:stop] != dom:
                     raise _misfit(pos, stop, legs)
                 f_field, n, m, identity = f.map.field, f.map.cols, f.map.rows, f.columns is None
-                cod_stacks += tuple((leg,) * segments for leg in f.cod_legs)
-                cod_dims += tuple(map(len, f.cod_legs))
+                cod_stacks += cod
+                cod_dims += sizes
             else:
                 stop = pos + len(f.dom_legs)
                 if f.dom_legs != legs[pos:stop]:
@@ -873,9 +888,10 @@ class Chain:
         segment copied."""
         out = Chain.__new__(Chain)
         out.field, out.segments, out.dom_dims = self.field, segments, self.dom_dims
-        out.dom_stacks = self.dom_stacks
+        out.dom_stacks, out.dom_size, out.dom_ends = self.dom_stacks, self.dom_size, self.dom_ends
         if segments != self.segments:
             out.dom_stacks = tuple(leg * segments for leg in self.dom_stacks)
+            out.dom_ends = tuple(accumulate(repeat(self.dom_size, segments)))
         out.stages = self.stages if stage is None else self.stages + (stage,)
         out.cod_stacks, out.cod_dims = cod_stacks, cod_dims
         return out
@@ -884,8 +900,7 @@ class Chain:
         """Flat positions of the domain basis vectors in column order, as
         ranges of at most BLOCK; in a family of segments of at most BLOCK
         columns each, a block holds whole segments."""
-        total, step = self.cols, BLOCK
-        size = _product(self.dom_dims)
+        total, step, size = self.cols, BLOCK, self.dom_size
         if type(size) is int and 0 < size <= BLOCK:
             step = size * (BLOCK // size)
         for start in range(0, total, step):
@@ -894,18 +909,16 @@ class Chain:
     def locate(self, cols):
         """The segment of each flat domain position in cols, and the
         position within it, as two lists."""
-        size = _product(self.dom_dims)
-        if type(cols) is range and type(size) is int and size:
-            if cols.start % size == len(cols) % size == 0:  # whole segments
-                first, whole = cols.start // size, len(cols) // size
-                seg = concat.from_iterable(map(repeat, range(first, first + whole), repeat(size)))
-                return list(seg), list(range(size)) * whole
-        ends = self.segment_ends()
+        size, ends = self.dom_size, self.dom_ends
         if type(cols) is range and cols:
             k = bisect_right(ends, cols.start)
             if cols[-1] < ends[k]:  # within segment k
                 start = cols.start - (ends[k - 1] if k else 0)
                 return [k] * len(cols), list(range(start, start + len(cols)))
+            if type(size) is int and cols.start % size == len(cols) % size == 0:
+                first, whole = cols.start // size, len(cols) // size  # whole segments
+                seg = concat.from_iterable(map(repeat, range(first, first + whole), repeat(size)))
+                return list(seg), list(range(size)) * whole
         seg = list(map(bisect_right, repeat(ends), cols))
         starts = (0, *ends)
         return seg, list(map(sub, cols, map(starts.__getitem__, seg)))

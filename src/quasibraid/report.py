@@ -120,19 +120,25 @@ AXIOM_LEGEND = {
 }
 
 
+_assign = object.__setattr__  # sets a field past _Value.__setattr__
+
+
 class FrozenFieldError(AttributeError):
     """Raised on assigning or deleting a field of a Witness or a Check."""
 
 
 class _Value:
     """An immutable record of the fields named by __slots__, compared,
-    hashed and printed by their values, in slot order."""
+    hashed and printed by their values, in slot order.  A subclass's
+    __init__ calls _Value.__init__ directly: a validator records a Check
+    per grade tuple, tens of thousands at |G| = 24, and super() would
+    double the cost of each."""
 
     __slots__ = ()
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+            _assign(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -170,7 +176,7 @@ class Witness(_Value):
     __slots__ = ("domain", "codomain", "lhs", "rhs")
 
     def __init__(self, domain, codomain, lhs, rhs):
-        super().__init__(domain, codomain, lhs, rhs)
+        _Value.__init__(self, domain, codomain, lhs, rhs)
 
     def describe(self):
         dom = "(" + ",".join(str(a) for a in self.domain) + ")"
@@ -193,7 +199,7 @@ class Check(_Value):
     __slots__ = ("check_id", "passed", "required", "witness", "detail")
 
     def __init__(self, check_id, passed, required=True, witness=None, detail=""):
-        super().__init__(check_id, passed, required, witness, detail)
+        _Value.__init__(self, check_id, passed, required, witness, detail)
 
 
 def map_witness(lhs, rhs):
