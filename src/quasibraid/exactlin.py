@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain as concat, compress, count, product, repeat
 from math import prod
-from operator import add, eq, floordiv, getitem, mod, mul, sub
+from operator import add, eq, floordiv, getitem, mod, mul, ne, sub
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -563,8 +563,8 @@ class LegMap:
     __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale", "holes", "_stacks")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
-        dom_legs = tuple(tuple(leg) for leg in dom_legs)
-        cod_legs = tuple(tuple(leg) for leg in cod_legs)
+        dom_legs = tuple(map(tuple, dom_legs))
+        cod_legs = tuple(map(tuple, cod_legs))
         sides = ((f.dom, dom_legs, dom, "domain"), (f.cod, cod_legs, cod, "codomain"))
         for labels, legs, expected, side in sides:
             if expected is None:
@@ -575,27 +575,24 @@ class LegMap:
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
         self._stacks = {}
-        self.columns = self.scale = None
-        self.dest, self.holes = range(f.cols), False
-        one = f.field.one
-        if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
-            return
-        columns = {}
-        for (i, j), value in sorted(f.entries.items()):
+        self.columns, self.scale, self.dest, self.holes = None, None, range(f.cols), False
+        entries, values, n, one = f.entries, f.entries.values(), f.cols, f.field.one
+        rows, cols = zip(*entries) if entries else ((), ())  # in the order of the values
+        scaled = any(map(ne, values, repeat(one)))
+        if dom_legs == cod_legs and rows == cols and len(cols) == n and not scaled:
+            return  # the identity
+        columns = self.columns = {}
+        for (i, j), value in entries.items():
             columns.setdefault(j, []).append((i, value))
-        self.columns = columns
-        self.holes = len(columns) < f.cols
-        if any(len(images) != 1 for images in columns.values()):
+        self.holes = len(columns) < n
+        if len(columns) < len(entries):  # a column with several images: not monomial
+            for images in columns.values():
+                images.sort()
             self.dest = None
             return
-        dest = [-1] * f.cols
-        scale = [f.field.zero] * f.cols
-        for j, ((i, value),) in columns.items():
-            dest[j] = i
-            scale[j] = value
-        self.dest = dest
-        if any(images[0][1] != one for images in columns.values()):
-            self.scale = scale
+        self.dest = list(map(dict(zip(cols, rows)).get, range(n), repeat(-1)))
+        if scaled:
+            self.scale = list(map(dict(zip(cols, values)).get, range(n), repeat(f.field.zero)))
 
     def stacked(self, segments):
         """(dom stacks, cod stacks, cod sizes) of the map serving every one
@@ -620,19 +617,20 @@ class Stack:
 
     Its facts are read once, when it is built, for every then() it enters:
     field, which all maps must share; dom_legs and cod_legs, stacked like
-    a family's legs (one tuple of a leg per segment at each leg position);
-    cols and rows, an int where all segments share it, else the tuple of
-    them; identity, true when every map is an identity; and shared, the
-    map when every segment has the same one, else None (and then only
-    maps and shared are set, as a chain reads the one map).  A monomial stack
-    keeps dest, each segment's dest list (range(cols) for an identity),
-    and scale, each segment's scale list, or None when no map has one;
-    holes tells whether some map has a zero column.  A stack that is not
-    monomial has dest = scale = None and is read through maps[k]."""
+    a family's legs (one tuple of a leg per segment at each leg position),
+    and cod_dims as a chain keeps them; cols and rows, an int where all
+    segments share it, else the tuple of them; identity, true when every
+    map is an identity; and shared, the map when every segment has the
+    same one, else None (and then only maps and shared are set, as a chain
+    reads the one map).  A monomial stack keeps dest, each segment's dest
+    list (range(cols) for an identity), and scale, each segment's scale
+    list, or None when no map has one; holes tells whether some map has a
+    zero column.  A stack that is not monomial has dest = scale = None and
+    is read through maps[k]."""
 
     __slots__ = (
-        "maps", "field", "dom_legs", "cod_legs", "cols", "rows", "identity", "shared",
-        "dest", "scale", "holes",
+        "maps", "field", "dom_legs", "cod_legs", "cod_dims", "cols", "rows", "identity",
+        "shared", "dest", "scale", "holes",
     )
 
     def __init__(self, maps):
@@ -641,7 +639,7 @@ class Stack:
             raise DomainMismatch("a stack holds one map for each segment")
         distinct = tuple(dict.fromkeys(maps))  # a law draws its K maps from a few
         self.shared = maps[0] if len(distinct) == 1 else None
-        self.field = self.dom_legs = self.cod_legs = self.cols = self.rows = None
+        self.field = self.dom_legs = self.cod_legs = self.cod_dims = self.cols = self.rows = None
         self.identity = self.dest = self.scale = self.holes = None
         if self.shared is not None:
             return  # a chain reads the one map
@@ -649,10 +647,13 @@ class Stack:
         if fields.count(fields[0]) != len(fields):
             raise DomainMismatch("maps over different fields")
         self.field = fields[0]
-        if len({(len(f.dom_legs), len(f.cod_legs)) for f in distinct}) != 1:
+        n_dom, n_cod = len(distinct[0].dom_legs), len(distinct[0].cod_legs)
+        if any([len(f.dom_legs) != n_dom or len(f.cod_legs) != n_cod for f in distinct]):
             raise DomainMismatch("a stack's maps differ in their number of legs")
-        self.dom_legs = _stacked([f.dom_legs for f in maps])
-        self.cod_legs = _stacked([f.cod_legs for f in maps])
+        self.dom_legs = tuple([tuple([f.dom_legs[j] for f in maps]) for j in range(n_dom)])
+        self.cod_legs = tuple([tuple([f.cod_legs[j] for f in maps]) for j in range(n_cod)])
+        sizes = {tuple(map(len, f.cod_legs)) for f in distinct}
+        self.cod_dims = sizes.pop() if len(sizes) == 1 else tuple(map(_stack_size, self.cod_legs))
         cols, rows = {f.map.cols for f in distinct}, {f.map.rows for f in distinct}
         self.cols = cols.pop() if len(cols) == 1 else tuple([f.map.cols for f in maps])
         self.rows = rows.pop() if len(rows) == 1 else tuple([f.map.rows for f in maps])
@@ -663,19 +664,14 @@ class Stack:
         self.dest = tuple([f.dest for f in maps])
         if any([f.scale is not None for f in distinct]):
             one = self.field.one
-            self.scale = tuple([[one] * f.map.cols if f.scale is None else f.scale for f in maps])
+            scale = {f: [one] * f.map.cols if f.scale is None else f.scale for f in distinct}
+            self.scale = tuple(map(scale.__getitem__, maps))
 
     def __len__(self):
         return len(self.maps)
 
     def __repr__(self):
         return f"Stack({len(self.maps)} segments, {self.maps[0]!r}, ...)"
-
-
-def _stacked(legs):
-    """The legs of each map, stacked: at each leg position, the tuple of
-    every map's leg there."""
-    return tuple(tuple([x[j] for x in legs]) for j in range(len(legs[0])))
 
 
 def _misfit(pos, stop, legs):
@@ -845,7 +841,7 @@ class Chain:
                     raise _misfit(pos, stop, legs)
                 f_field, n, m, identity = f.field, f.cols, f.rows, f.identity
                 cod_stacks += f.cod_legs
-                cod_dims += tuple(map(_stack_size, f.cod_legs))
+                cod_dims += f.cod_dims
             if f_field is not field and f_field != field:
                 raise DomainMismatch("maps over different fields")
             if not identity:

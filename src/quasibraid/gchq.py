@@ -40,7 +40,7 @@ from .errors import (
     NotInvertible,
 )
 from .exactlin import Chain, LegMap, LinMap, Stack, product_labels
-from .report import Check, Report, chain_witness, law_checks
+from .report import Details, Report, Row, family_witnesses, law_checks
 from . import tables
 
 
@@ -259,12 +259,11 @@ def conj(h, p, q):
     return mul(h, mul(h, p, q), inv(h, p))
 
 
-def grade_details(h, *grades):
-    """The detail of each grade tuple: "grade p", or "grades (p,q,...)"."""
-    tag = h.grading.labels
-    if len(grades) == 1:
-        return [f"grade {tag[p]}" for p in grades[0]]
-    return [f"grades ({','.join(map(tag.__getitem__, t))})" for t in zip(*grades)]
+def grade_details(h, *grades, form=None):
+    """The detail of each grade tuple, formatted when read (Details): form
+    with the labels of its grades, by default "grade p" or "grades (p,q,...)"."""
+    default = "grade {}" if len(grades) == 1 else f"grades ({','.join(['{}'] * len(grades))})"
+    return Details(form or default, h.grading.labels, *grades)
 
 
 def _left_compensation(h, p):
@@ -277,19 +276,23 @@ def _left_compensation(h, p):
     return start.then(at(L.s, p_inv), i, i).then(i, mu).then(mu)
 
 
-def _bijectivity(f, detail):
-    """Whether the map of LegMap f is invertible, and detail with the rank
-    appended if not.  A square monomial map without zero columns is
-    invertible when its columns land on distinct rows; any other map is
-    inverted."""
-    m = f.map
-    if f.dest is not None and not f.holes and m.rows == m.cols == len(set(f.dest)):
-        return True, detail
-    try:
-        m.invert()
-        return True, detail
-    except NotInvertible as exc:
-        return False, f"{detail}: rank {exc.rank}"
+def _bijective(check_id, maps, details, required=True):
+    """The Row of the law that the map of each LegMap of maps is invertible,
+    a singular one's detail with its rank appended.  A square monomial map
+    without zero columns is invertible when its columns land on distinct rows."""
+    ranks = []
+    for f in maps:
+        m, rank = f.map, None
+        if f.dest is None or f.holes or not m.rows == m.cols == len(set(f.dest)):
+            try:
+                m.invert()
+            except NotInvertible as exc:
+                rank = exc.rank
+        ranks.append(rank)
+    verdicts = [rank is None for rank in ranks]
+    if not all(verdicts):
+        details = [d if r is None else f"{d}: rank {r}" for d, r in zip(details, ranks)]
+    return Row(check_id, required, details, [None] * len(ranks), verdicts)
 
 
 def hq_laws(h):
@@ -375,9 +378,8 @@ def validate_gchq(h, require_invertible_antipode=True):
         return rep
     for laws in hq_laws(h):
         rep.add_rows(*(law_checks(*law) for law in laws))
-    for p in h.grades():
-        ok, detail = _bijectivity(h.legs.s[p], f"grade {h.grade_label(p)}")
-        rep.add("GHQ-antipode-bijective", ok, required=require_invertible_antipode, detail=detail)
+    details, s = grade_details(h, list(h.grades())), h.legs.s
+    rep.add_rows(_bijective("GHQ-antipode-bijective", s, details, require_invertible_antipode))
     return rep
 
 
@@ -389,18 +391,14 @@ def validate_crossing(h):
     rep = Report(f"crossing (|G|={h.grading.order}, {h.field.name})")
     L = h.legs
     chain, mu, eta, s, delta, pi, eps = L.chain, L.mu, L.eta, L.s, L.delta, L.pi, L.eps
-    tag, k, e = h.grading.labels, L.chain(), 0
+    k, e = L.chain(), 0
 
     p, q = grade_tuples(h, 2)
     t, x = conj(h, p, q), at(pi, p, q)
-    details = [f"pi_{tag[a]} on grade {tag[b]}" for a, b in zip(p, q)]
-    bijective = [
-        Check("CROSS-pi-bijective", ok, True, None, noted)
-        for ok, noted in map(_bijectivity, x.maps, details)
-    ]
+    details = grade_details(h, p, q, form="pi_{} on grade {}")
     qq = chain(q, q)
     rep.add_rows(
-        bijective,
+        _bijective("CROSS-pi-bijective", x.maps, details),
         law_checks("CROSS-pi-multiplicative", details, qq.then(at(mu, q)).then(x),
                    qq.then(x, x).then(at(mu, t))),
         law_checks("CROSS-pi-unit", details, k.then(at(eta, q)).then(x), k.then(at(eta, t))),
@@ -410,7 +408,7 @@ def validate_crossing(h):
     E = [e] * len(grades)
     he = chain(E)
     rep.add_family(
-        "CROSS-3.7-counit", [f"pi_{tag[a]}" for a in grades],
+        "CROSS-3.7-counit", grade_details(h, grades, form="pi_{}"),
         he.then(at(pi, grades, E)).then(eps), he.then(eps),
     )
 
@@ -422,12 +420,12 @@ def validate_crossing(h):
     lhs = qr.then(at(delta, q3, r3)).then(at(pi, p3, q3), at(pi, p3, r3))
     rhs = qr.then(at(pi, p3, mul(h, q3, r3)))
     rhs = rhs.then(at(delta, conj(h, p3, q3), conj(h, p3, r3)))
-    details = [f"pi_{tag[a]} on grades ({tag[b]},{tag[c]})" for a, b, c in zip(p3, q3, r3)]
+    details = grade_details(h, p3, q3, r3, form="pi_{} on grades ({},{})")
     rep.add_family("CROSS-3.9-comult", details, lhs, rhs)
 
     lhs = chain(r3).then(at(pi, mul(h, p3, q3), r3))
     rhs = chain(r3).then(at(pi, q3, r3)).then(at(pi, p3, conj(h, q3, r3)))
-    details = [f"pi_{tag[a]}pi_{tag[b]} on grade {tag[c]}" for a, b, c in zip(p3, q3, r3)]
+    details = grade_details(h, p3, q3, r3, form="pi_{}pi_{} on grade {}")
     rep.add_family("CROSS-multiplicative", details, lhs, rhs)
 
     hq = chain(grades)
@@ -450,9 +448,10 @@ def power_construction(h, action):
     Every actor element must act as an automorphism of the whole
     structure: the induced basis permutation has to commute with
     multiplication, unit, comultiplication, counit and antipode, each an
-    identity between two Chains over h.graded.legs, the legs of h as the
-    one component over the trivial group.  The first failing equation is
-    reported otherwise.
+    identity between two families of Chains over h.graded.legs (the legs
+    of h as the one component over the trivial group), a segment per
+    actor.  The first failing equation, actor by actor, is reported
+    otherwise.
     """
     field = h.field
     G = action.actor
@@ -463,21 +462,21 @@ def power_construction(h, action):
         )
     L = h.graded.legs
     H, mu, eta, delta, eps, s = L.H[0], L.mu[0], L.eta[0], L.delta[(0, 0)], L.eps, L.s[0]
-    k, h1, h2 = L.chain(), L.chain(0), L.chain(0, 0)
+    E = [0] * G.order  # each law is one family, a segment per actor
+    t = Stack([LegMap(LinMap.from_permutation(field, p, h.labels), H, H) for p in action.maps])
+    k, h1, h2 = L.chain(), L.chain(E), L.chain(E, E)
+    laws = [
+        ("multiplication", h2.then(mu).then(t), h2.then(t, t).then(mu)),
+        ("unit", k.then(eta).then(t), k.then([eta] * G.order)),
+        ("comultiplication", h1.then(t).then(delta), h1.then(delta).then(t, t)),
+        ("counit", h1.then(t).then(eps), h1.then(eps)),
+        ("antipode", h1.then(t).then(s), h1.then(s).then(t)),
+    ]
+    found = [family_witnesses(lhs, rhs) for _, lhs, rhs in laws]
     for g in G.elements():
-        t = LegMap(LinMap.from_permutation(field, action.maps[g], h.labels), H, H)
-        checks = [
-            ("multiplication", h2.then(mu).then(t), h2.then(t, t).then(mu)),
-            ("unit", k.then(eta).then(t), k.then(eta)),
-            ("comultiplication", h1.then(t).then(delta), h1.then(delta).then(t, t)),
-            ("counit", h1.then(t).then(eps), h1.then(eps)),
-            ("antipode", h1.then(t).then(s), h1.then(s).then(t)),
-        ]
-        for name, lhs, rhs in checks:
-            if chain_witness(lhs, rhs) is not None:
-                raise ActionNotHopfAutomorphism(
-                    f"actor {G.labels[g]} does not preserve the {name}"
-                )
+        for (name, _, _), witnesses in zip(laws, found):
+            if witnesses[g] is not None:
+                raise ActionNotHopfAutomorphism(f"actor {G.labels[g]} does not preserve the {name}")
 
     components = [
         h.algebra.relabeled(tuple((f"{G.labels[p]}:{atom}",) for (atom,) in h.labels))

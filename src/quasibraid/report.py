@@ -12,15 +12,18 @@ of two families of Chains, a law over all its grade tuples
 (family_witnesses): among all entries where the sides differ, the one
 with the smallest (row, col) in row-major order; its labels are the lhs
 domain label of that column and codomain label of that row, and its
-values are formatted with field.fmt.  A law stated as families is
-recorded as one check per grade tuple (law_checks), and laws over the
-same tuples may be recorded interleaved, tuple by tuple (Report.add_rows).
+values are formatted with field.fmt.  A report records a law stated as
+families as one Row (law_checks), its ID, required flag and per grade tuple
+a detail, witness and verdict, and laws over the same tuples together, read
+interleaved tuple by tuple (Report.add_rows).  Verdicts, render() and
+to_jobj() read the rows: a Check is built only for Report.checks, find and
+the add methods, and a detail given as Details is formatted when read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain as concat, compress, count, islice, repeat
+from itertools import compress, count, islice, repeat, starmap
 from operator import lt, ne
 
 from .exactlin import flat_label
@@ -397,39 +400,81 @@ def _as_dicts(field, block):
     return [{} if x < 0 else {x: v} for x, v in zip(positions, scalars)]
 
 
+class Row(_Value):
+    """One law as a report records it: its check ID and required flag, and
+    for each of its grade tuples a detail, a witness and a verdict."""
+
+    __slots__ = ("check_id", "required", "details", "witnesses", "verdicts")
+
+    def entry(self, k):
+        """The fields of the Check of tuple k."""
+        return self.check_id, self.verdicts[k], self.required, self.witnesses[k], self.details[k]
+
+
+class Details:
+    """The detail of each grade tuple of a law, formatted only when read:
+    details[k] is form.format() of the labels of tuple k's grades."""
+
+    __slots__ = ("form", "labels", "grades")
+
+    def __init__(self, form, labels, *grades):
+        self.form, self.labels, self.grades = form, labels, grades
+
+    def __len__(self):
+        return len(self.grades[0])
+
+    def __getitem__(self, k):
+        return self.form.format(*[self.labels[g[k]] for g in self.grades])
+
+
 def law_checks(check_id, details, lhs, rhs, required=True):
-    """The checks of one law stated as two families, one per segment in
-    segment order, each with its detail from details."""
+    """The Row of one law stated as two families: per segment, in segment
+    order, its detail from details and its witness (family_witnesses)."""
     if len(details) != lhs.segments:
         raise ValueError(f"{len(details)} details for {lhs.segments} segments")
-    return [
-        Check(check_id, witness is None, required, witness, detail)
-        for detail, witness in zip(details, family_witnesses(lhs, rhs))
-    ]
+    witnesses = family_witnesses(lhs, rhs)
+    return Row(check_id, required, details, witnesses, [w is None for w in witnesses])
 
 
 class Report:
-    """Ordered collection of checks about one subject."""
+    """Ordered collection of checks about one subject, kept as rows, each a
+    tuple of Rows over the same grade tuples read interleaved tuple by tuple."""
 
     def __init__(self, subject):
         self.subject = subject
-        self.checks = []
+        self._rows = []
+
+    @property
+    def checks(self):
+        """Every check in report order, as a new list of Checks built on each read."""
+        return [Check(*fields) for fields in self._fields()]
+
+    def _entries(self):
+        """(Row, tuple index) of every check, in report order."""
+        rows = self._rows
+        return ((law, k) for laws in rows for k in range(len(laws[0].verdicts)) for law in laws)
+
+    def _fields(self):
+        return starmap(Row.entry, self._entries())
 
     def add(self, check_id, passed, required=True, witness=None, detail=""):
-        self.checks.append(Check(check_id, bool(passed), required, witness, detail))
-        return self.checks[-1]
+        self._rows.append((Row(check_id, required, (detail,), (witness,), (bool(passed),)),))
+        return Check(check_id, bool(passed), required, witness, detail)
 
     def add_first_witness(self, check_id, witnesses, required=True):
-        """Record a check stated as a stream of counterexamples: the first
-        Witness it yields fails the check, and none is drawn after it."""
+        """Record a check stated as a stream of counterexamples (the first
+        Witness fails it; none is drawn after it); return whether it passed."""
         witness = next(iter(witnesses), None)
-        return self.add(check_id, witness is None, required, witness)
+        self._rows.append((Row(check_id, required, ("",), (witness,), (witness is None,)),))
+        return witness is None
 
     def add_rows(self, *laws):
-        """Record laws over the same grade tuples, each a list of Checks in
-        tuple order, interleaved: every law's check of the first tuple,
-        then of the second, and so on."""
-        self.checks.extend(concat.from_iterable(zip(*laws, strict=True)))
+        """Record laws (Rows) over the same grade tuples, to be read
+        interleaved: every law's check of the first tuple, then of the
+        second, and so on."""
+        if len({len(law.verdicts) for law in laws}) != 1:
+            raise ValueError("interleaved laws need the same number of grade tuples")
+        self._rows.append(laws)
 
     def add_family(self, check_id, details, lhs, rhs, required=True):
         """Check a law stated as two families: one check per segment."""
@@ -446,40 +491,37 @@ class Report:
         return self.add(check_id, witness is None, required, witness, detail)
 
     def merge(self, other):
-        self.checks.extend(other.checks)
+        self._rows += other._rows
         return self
 
     @property
     def passed(self):
-        return all(c.passed for c in self.checks if c.required)
+        return all([all(law.verdicts) for laws in self._rows for law in laws if law.required])
 
     @property
     def all_passed(self):
-        return all(c.passed for c in self.checks)
+        return all([all(law.verdicts) for laws in self._rows for law in laws])
 
     def failed_ids(self, include_informational=False):
         return [
-            c.check_id
-            for c in self.checks
-            if not c.passed and (c.required or include_informational)
+            law.check_id
+            for law, k in self._entries()
+            if not law.verdicts[k] and (law.required or include_informational)
         ]
 
     def find(self, check_id):
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        return None
+        return next((Check(*fields) for fields in self._fields() if fields[0] == check_id), None)
 
     def render(self):
         lines = [f"subject: {self.subject}"]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            note = "" if c.required else " [info]"
-            line = f"{status}{note} {c.check_id}"
-            if c.detail:
-                line += f" ({c.detail})"
-            if c.witness is not None and not c.passed:
-                line += "  " + c.witness.describe()
+        for check_id, passed, required, witness, detail in self._fields():
+            status = "PASS" if passed else "FAIL"
+            note = "" if required else " [info]"
+            line = f"{status}{note} {check_id}"
+            if detail:
+                line += f" ({detail})"
+            if witness is not None and not passed:
+                line += "  " + witness.describe()
             lines.append(line)
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -490,16 +532,16 @@ class Report:
             "passed": self.passed,
             "checks": [
                 {
-                    "id": c.check_id,
-                    "passed": c.passed,
-                    "required": c.required,
-                    "detail": c.detail,
-                    "witness": None if c.witness is None else c.witness.to_jobj(),
+                    "id": check_id,
+                    "passed": passed,
+                    "required": required,
+                    "detail": detail,
+                    "witness": None if witness is None else witness.to_jobj(),
                 }
-                for c in self.checks
+                for check_id, passed, required, witness, detail in self._fields()
             ],
         }
 
     def __repr__(self):
-        n_fail = len([c for c in self.checks if not c.passed])
-        return f"Report({self.subject!r}, {len(self.checks)} checks, {n_fail} failing)"
+        verdicts = [law.verdicts[k] for law, k in self._entries()]
+        return f"Report({self.subject!r}, {len(verdicts)} checks, {verdicts.count(False)} failing)"

@@ -81,10 +81,14 @@ def _matrix_from_jobj(field, data, legs, what):
     with _reading(what):
         if type(data) is not list or any(type(row) is not list for row in data):
             raise ParseError(f"{what}: a matrix is a list of rows, each a list")
-        # a matrix repeats few distinct texts, so each is parsed once
+        # a matrix repeats few distinct texts, so each is parsed once, to its scalar
         values = {text: field.parse(text) for text in set(chain.from_iterable(data))}
-        rows = [list(map(values.__getitem__, row)) for row in data]
-        return LinMap.from_rows(field, rows, *legs_labels(legs))
+        if len(set(map(len, data))) > 1:
+            raise ParseError(f"{what}: ragged row data")
+        nonzero = {text: value for text, value in values.items() if value != field.zero}
+        entries = {(i, j): nonzero[text] for i, row in enumerate(data)
+                   for j, text in enumerate(row) if text in nonzero}
+        return LinMap(field, len(data), len(data[0]) if data else 0, entries, *legs_labels(legs))
 
 
 def _index(value, bound, what):

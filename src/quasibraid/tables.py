@@ -232,7 +232,7 @@ def validate_group(t):
         for y in t.elements()
         if not 0 <= table[x][y] < n
     )
-    if not rep.add_first_witness("GRP-closure", closure).passed:
+    if not rep.add_first_witness("GRP-closure", closure):
         return rep
     rep.add_first_witness("GRP-identity", _identity_witnesses(t))
     rep.add_first_witness(
@@ -309,7 +309,7 @@ def validate_ip_loop(t):
         for x in range(n)
         if left[x] is None or left[x] != right[x]
     )
-    if rep.add_first_witness("LOOP-inverse-two-sided", two_sided).passed:
+    if rep.add_first_witness("LOOP-inverse-two-sided", two_sided):
         rep.add_first_witness("LOOP-IP-left", _ip_witnesses(labels, table, left))
         rep.add_first_witness("LOOP-IP-right", _ip_witnesses(labels, transpose, right))
     else:

@@ -229,9 +229,8 @@ def validate_yd(v):
     eq("YD-counit", hv.then(rho[e]).then(i_v, eps), hv)
 
     r = list(base.grades())
-    tag = base.grade_label
     lhs, rhs = _crossed_condition_sides(v, r)
-    rep.add_family("YD-4.5-crossed", [f"coaction grade {tag(g)}" for g in r], lhs, rhs)
+    rep.add_family("YD-4.5-crossed", grade_details(base, r, form="coaction grade {}"), lhs, rhs)
 
     m, ir, details = at(mu, r), at(i, r), grade_details(base, r)
     spread = L.chain(v.labels, r, r).then(at(rho, r), ir, ir)  # (v,h,g) -> (v0,v1,h,g)

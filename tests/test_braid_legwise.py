@@ -381,6 +381,10 @@ KILLS = {
     "BRAID-H-colinear": "yd-diagonal-power/0/1,1=1/2",
     "BRAID-comp-tensor-second": "yd-diagonal-power/0/0,0=1/2",
     "BRAID-yang-baxter": "yd-crossed-s3/0/7,1=0",
+    # the unit of H_e acts on the trivial module by -1, so (1 1).x = -x but
+    # 1.(1.x) = x: the braiding of V (x) V with X acts on x once, the two
+    # braidings it factors through act twice
+    "BRAID-comp-tensor-first": "yd-trivial/action/0,0=-1",
 }
 
 

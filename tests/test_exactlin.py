@@ -28,6 +28,7 @@ from quasibraid.exactlin import (
     kron,
     kron_all,
     leg_perm,
+    product_labels,
     swap_map,
 )
 
@@ -845,3 +846,69 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     assert calls["checks"] > 0 and calls["stages"] > 0
     assert calls["flat"] == calls["blocked"] > 0
     assert calls["fallback"] == 0
+
+
+# -- LegMap facts, read in one pass ---------------------------------------------------
+
+
+def reference_leg_facts(f, dom_legs, cod_legs):
+    """(columns, dest, scale, holes) as LegMap.__init__ derived them from a
+    sorted copy of f.entries and an identity dict to compare against."""
+    one = f.field.one
+    if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
+        return None, range(f.cols), None, False
+    columns = {}
+    for (i, j), value in sorted(f.entries.items()):
+        columns.setdefault(j, []).append((i, value))
+    holes = len(columns) < f.cols
+    if any(len(images) != 1 for images in columns.values()):
+        return columns, None, None, holes
+    dest = [-1] * f.cols
+    scale = [f.field.zero] * f.cols
+    for j, ((i, value),) in columns.items():
+        dest[j] = i
+        scale[j] = value
+    scaled = any(images[0][1] != one for images in columns.values())
+    return columns, dest, scale if scaled else None, holes
+
+
+@st.composite
+def leg_map_cases(draw):
+    """A map between products of one or two legs over Q or GF(5): an
+    identity, a permutation, a rescaled one, one with zero columns, or a
+    dense one, its entries inserted in a drawn order."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    kind = draw(st.sampled_from(["identity", "monomial", "scaled", "holes", "dense"]))
+    leg_sizes = draw(st.sampled_from([(1,), (3,), (2, 2), (2, 3)]))
+    dom_legs = [default_labels(n, f"x{k}") for k, n in enumerate(leg_sizes)]
+    n = prod(leg_sizes)
+    cod_legs = dom_legs if kind == "identity" else [default_labels(draw(st.integers(1, 4)), "y")]
+    rows = prod(map(len, cod_legs))
+    scalar = st.sampled_from([1, 2, -1, Fraction(1, 3)] if field == QQ else [1, 2, 4])
+    if kind == "identity":
+        entries = {(j, j): field.one for j in range(n)}
+    elif kind == "dense":
+        entries = {
+            (i, j): field.scalar(draw(scalar))
+            for i in range(rows) for j in range(n) if draw(st.booleans())
+        }
+    else:
+        entries = {}
+        for j in range(n):
+            if kind != "holes" or draw(st.booleans()):
+                value = draw(scalar) if kind in ("scaled", "holes") else 1
+                entries[(draw(st.integers(0, rows - 1)), j)] = field.scalar(value)
+    order = draw(st.permutations(sorted(entries)))
+    f = LinMap(field, rows, n, {key: entries[key] for key in order},
+               product_labels(dom_legs), product_labels(cod_legs))
+    return f, dom_legs, cod_legs
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_map_cases())
+def test_leg_map_facts_match_the_sorted_reading(case):
+    f, dom_legs, cod_legs = case
+    g = LegMap(f, dom_legs, cod_legs)
+    assert (g.columns, g.dest, g.scale, g.holes) == reference_leg_facts(
+        f, g.dom_legs, g.cod_legs
+    )

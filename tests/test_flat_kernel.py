@@ -23,7 +23,7 @@ from quasibraid import exactlin, fixtures, gchq, report, yd
 from quasibraid.exactlin import Chain, LegMap, LinMap, QQ, Stack
 from quasibraid.gchq import CrossedGCHQ, validate_gchq
 from quasibraid.hq import UnitalAlgebra, from_hopf_quasigroup
-from quasibraid.report import Witness, chain_witness
+from quasibraid.report import Check, Witness, chain_witness
 from quasibraid.yd import YDModule, trivial_module, validate_yd
 from test_exactlin import B, GF2, GF5, LEG_SPACES, build_chain, perturb, programs
 
@@ -361,10 +361,10 @@ def test_kill_table(check_id, monkeypatch):
     law_checks = report.law_checks
 
     def captured(cid, details, lhs, rhs, *args, **kwargs):
-        checks = law_checks(cid, details, lhs, rhs, *args, **kwargs)
+        row = law_checks(cid, details, lhs, rhs, *args, **kwargs)
         if cid == check_id:
-            stated.append((checks, lhs, rhs))
-        return checks
+            stated.append(([Check(*row.entry(k)) for k in range(len(row.verdicts))], lhs, rhs))
+        return row
 
     for module in (report, gchq, yd):
         monkeypatch.setattr(module, "law_checks", captured)

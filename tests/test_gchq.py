@@ -1,13 +1,18 @@
 """Crossed group-cograded structures: validators, power construction, mirror."""
 
+import re
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasibraid.errors import (
     ActionNotHopfAutomorphism,
     InvalidInput,
     MalformedStructure,
 )
-from quasibraid.exactlin import LinMap, PrimeField, QQ
+from quasibraid.exactlin import LegMap, LinMap, PrimeField, QQ
 from quasibraid.fixtures import gchq_power as build_gchq_power
 from quasibraid.gchq import (
     CrossedGCHQ,
@@ -17,7 +22,10 @@ from quasibraid.gchq import (
     validate_crossing,
     validate_gchq,
 )
-from quasibraid.hq import from_hopf_quasigroup, group_algebra, validate_hopf_quasigroup
+from quasibraid.hq import (
+    HopfQuasigroup, from_hopf_quasigroup, group_algebra, validate_hopf_quasigroup,
+)
+from quasibraid.report import chain_witness
 from quasibraid.tables import GroupAction, GroupTable
 
 
@@ -253,3 +261,56 @@ def test_unreduced_gf_entries_give_the_reduced_verdict():
     )
     assert moved == h
     assert validate_crossing(moved).render() == validate_crossing(h).render()
+
+
+def first_failing_law(h, action):
+    """The error power_construction gives for action, found as it once was:
+    one pair of Chains per actor and law, actor by actor; None if every
+    actor passes."""
+    L = h.graded.legs
+    H, mu, eta, delta, eps, s = L.H[0], L.mu[0], L.eta[0], L.delta[(0, 0)], L.eps, L.s[0]
+    k, h1, h2 = L.chain(), L.chain(0), L.chain(0, 0)
+    for g, perm in enumerate(action.maps):
+        t = LegMap(LinMap.from_permutation(h.field, perm, h.labels), H, H)
+        for name, lhs, rhs in [
+            ("multiplication", h2.then(mu).then(t), h2.then(t, t).then(mu)),
+            ("unit", k.then(eta).then(t), k.then(eta)),
+            ("comultiplication", h1.then(t).then(delta), h1.then(delta).then(t, t)),
+            ("counit", h1.then(t).then(eps), h1.then(eps)),
+            ("antipode", h1.then(t).then(s), h1.then(s).then(t)),
+        ]:
+            if chain_witness(lhs, rhs) is not None:
+                return f"actor {action.actor.labels[g]} does not preserve the {name}"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_rejects_the_first_failing_actor_and_law(data):
+    """Each automorphism law is one family over the actors; the error names
+    the first actor that fails a law, and the first law it fails, as the
+    per-actor checks did.  Actions are drawn from automorphisms of the
+    carrier group and arbitrary permutations, on k[V4] or on k[V4] with
+    a counit or antipode that an automorphism need not preserve, so the
+    first failing law is the multiplication, the counit or the antipode."""
+    actor = data.draw(st.sampled_from([GroupTable.cyclic(2), GroupTable.symmetric(3)]))
+    carrier = GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.cyclic(2))
+    automorphisms = [(0,) + p for p in permutations((1, 2, 3))]
+    perms = st.sampled_from(automorphisms) | st.permutations(range(4)).map(tuple)
+    maps = [(0, 1, 2, 3)] + [data.draw(perms) for _ in range(actor.order - 1)]
+    action = GroupAction(actor, carrier, maps)
+    h = group_algebra(carrier, data.draw(st.sampled_from([QQ, PrimeField(5)])))
+    counit, antipode = h.counit, h.antipode
+    if data.draw(st.booleans()):
+        counit = LinMap(h.field, 1, 4, {(0, 0): 1, (0, data.draw(st.integers(1, 3))): 2},
+                        h.labels, h.counit.cod)
+    if data.draw(st.booleans()):
+        perm = data.draw(st.sampled_from(automorphisms))
+        antipode = LinMap.from_permutation(h.field, perm, h.labels)
+    h = HopfQuasigroup(h.field, h.algebra, h.comult, counit, antipode)
+    want = first_failing_law(h, action)
+    if want is None:
+        power_construction(h, action)
+    else:
+        with pytest.raises(ActionNotHopfAutomorphism, match=f"^{re.escape(want)}$"):
+            power_construction(h, action)

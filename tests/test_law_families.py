@@ -3,14 +3,18 @@ path they replaced.
 
 validate_gchq, validate_crossing and validate_yd state each law over all
 its grade tuples once, as two families of Chains with one segment per
-tuple, and record one check per tuple.  The reference below states every
-tuple's check as its own pair of one-segment Chains and decides it with
-chain_witness, as the validators did before; it lives only here.  Reports
-must agree in render() and to_jobj(), so witnesses, details and order are
-compared, not just verdicts.  Also here: mutants failing in chosen
-segments of a family, a kill for GHQ-epsilon-unit, a guard that the number
-of Chains a validation builds does not grow with the group, and the
-bounded witness search against the unbounded one.
+tuple, and record each law as one row of the report.  The reference below
+states every tuple's check as its own pair of one-segment Chains, decides
+it with chain_witness and records it as a Check at once, in a report that
+keeps a list of Checks (EagerReport), as the validators did before; it
+lives only here.  Reports must agree in their Checks, render(), to_jobj(),
+verdicts, failed IDs and lookups, so witnesses, details and order are
+compared, not just verdicts; also after merging rows into a report of
+single checks and the reverse.  Also here: mutants failing in chosen
+segments of a family, a kill for GHQ-epsilon-unit, guards that the number
+of Chains a validation builds does not grow with the group and that no
+Check is built until one is read, and the bounded witness search against
+the unbounded one.
 """
 
 from fractions import Fraction
@@ -25,10 +29,13 @@ from quasibraid import exactlin, fixtures
 from quasibraid.exactlin import Chain, LinMap, PrimeField, QQ
 from quasibraid.errors import NotInvertible
 from quasibraid.gchq import (
-    CrossedGCHQ, legs_labels, map_legs, validate_crossed, validate_crossing, validate_gchq,
+    CrossedGCHQ, legs_labels, map_legs, mirror, validate_crossed, validate_crossing,
+    validate_gchq,
 )
 from quasibraid.hq import UnitalAlgebra
-from quasibraid.report import Report, Witness, _first_difference
+from quasibraid.report import (
+    AXIOM_LEGEND, Check, Report, Witness, _first_difference, chain_witness,
+)
 from quasibraid import tables
 from quasibraid.yd import YDModule, module_legs, validate_yd
 from test_exactlin import v4_crossed_by_s3
@@ -39,6 +46,77 @@ YD_FIXTURES = sorted(name for name, (kind, _) in fixtures.REGISTRY.items() if ki
 
 
 # -- the per-check reference ------------------------------------------------------
+
+
+class EagerReport:
+    """The report as it was before rows: a list with a Check built for each
+    check as it is recorded, read by every verdict and writer."""
+
+    def __init__(self, subject):
+        self.subject = subject
+        self.checks = []
+
+    def add(self, check_id, passed, required=True, witness=None, detail=""):
+        self.checks.append(Check(check_id, bool(passed), required, witness, detail))
+        return self.checks[-1]
+
+    def add_chain_equality(self, check_id, lhs, rhs, required=True, detail=""):
+        witness = chain_witness(lhs, rhs)
+        return self.add(check_id, witness is None, required, witness, detail)
+
+    def merge(self, other):
+        self.checks.extend(other.checks)
+        return self
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks if c.required)
+
+    @property
+    def all_passed(self):
+        return all(c.passed for c in self.checks)
+
+    def failed_ids(self, include_informational=False):
+        return [
+            c.check_id
+            for c in self.checks
+            if not c.passed and (c.required or include_informational)
+        ]
+
+    def find(self, check_id):
+        return next((c for c in self.checks if c.check_id == check_id), None)
+
+    def render(self):
+        lines = [f"subject: {self.subject}"]
+        for c in self.checks:
+            line = f"{'PASS' if c.passed else 'FAIL'}{'' if c.required else ' [info]'} {c.check_id}"
+            if c.detail:
+                line += f" ({c.detail})"
+            if c.witness is not None and not c.passed:
+                line += "  " + c.witness.describe()
+            lines.append(line)
+        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
+        return "\n".join(lines)
+
+    def to_jobj(self):
+        return {
+            "subject": self.subject,
+            "passed": self.passed,
+            "checks": [
+                {
+                    "id": c.check_id,
+                    "passed": c.passed,
+                    "required": c.required,
+                    "detail": c.detail,
+                    "witness": None if c.witness is None else c.witness.to_jobj(),
+                }
+                for c in self.checks
+            ],
+        }
+
+    def __repr__(self):
+        n_fail = len([c for c in self.checks if not c.passed])
+        return f"Report({self.subject!r}, {len(self.checks)} checks, {n_fail} failing)"
 
 
 def reference_hq_laws(h):
@@ -102,8 +180,8 @@ def bijectivity(m, detail):
         return False, f"{detail}: rank {exc.rank}"
 
 
-def reference_gchq(h):
-    rep = Report(f"crossed structure (|G|={h.grading.order}, {h.field.name})")
+def reference_gchq(h, report=EagerReport):
+    rep = report(f"crossed structure (|G|={h.grading.order}, {h.field.name})")
     rep.merge(tables.validate_group(h.grading))
     if not rep.passed:
         return rep
@@ -115,8 +193,8 @@ def reference_gchq(h):
     return rep
 
 
-def reference_crossing(h):
-    rep = Report(f"crossing (|G|={h.grading.order}, {h.field.name})")
+def reference_crossing(h, report=EagerReport):
+    rep = report(f"crossing (|G|={h.grading.order}, {h.field.name})")
     L = h.legs
     chain, mu, eta, s, delta, pi, eps = L.chain, L.mu, L.eta, L.s, L.delta, L.pi, L.eps
     eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
@@ -161,6 +239,17 @@ def reference_crossed(h):
     return rep
 
 
+def assert_merges_read_as_eager(h):
+    """validate_gchq and validate_crossing of h, merged each way round with
+    the reference's checks recorded one by one (Report.add), and merged into
+    an EagerReport, read as the two eager references merged."""
+    want = reference_gchq(h).merge(reference_crossing(h))
+    assert_same(reference_gchq(h, Report).merge(validate_crossing(h)), want)
+    assert_same(validate_gchq(h).merge(reference_crossing(h, Report)), want)
+    assert_same(validate_gchq(h).merge(validate_crossing(h)), want)
+    assert_same(reference_gchq(h).merge(validate_crossing(h)), want)
+
+
 def reference_crossed_sides(v, r):
     base, p = v.base, v.grade
     L, V, act, rho, i_v = v.legs
@@ -174,7 +263,7 @@ def reference_crossed_sides(v, r):
 
 def reference_yd(v):
     base, p = v.base, v.grade
-    rep = Report(
+    rep = EagerReport(
         f"yd {'module' if v.strict else 'quasimodule'} "
         f"(grade {base.grade_label(p)}, dim {v.dim})"
     )
@@ -215,8 +304,17 @@ def reference_yd(v):
 
 
 def assert_same(got, want):
+    """got, a report of rows, reads as want does: the same Checks, rendered
+    and JSON forms, verdicts, failed IDs, lookups and summary."""
+    assert got.checks == want.checks
     assert got.render() == want.render()
     assert got.to_jobj() == want.to_jobj()
+    assert (got.passed, got.all_passed) == (want.passed, want.all_passed)
+    for informational in (False, True):
+        assert got.failed_ids(informational) == want.failed_ids(informational)
+    for check_id in [*AXIOM_LEGEND, "no such check"]:
+        assert got.find(check_id) == want.find(check_id)
+    assert repr(got) == repr(want)
 
 
 # -- structures and their mutants -----------------------------------------------------
@@ -309,6 +407,7 @@ def test_crossed_families_match_the_per_check_path(h, block):
     exactlin.BLOCK = block
     try:
         got = validate_crossed(h)
+        assert_merges_read_as_eager(h)
     finally:
         exactlin.BLOCK = saved
     assert_same(got, reference_crossed(h))
@@ -332,6 +431,7 @@ def test_every_fixture_matches_the_per_check_path(name, field):
     kind, h = fixtures.build(name, field)
     if kind == "gchq":
         assert_same(validate_crossed(h), reference_crossed(h))
+        assert_merges_read_as_eager(h)
     else:
         assert_same(validate_yd(h), reference_yd(h))
 
@@ -403,6 +503,28 @@ def chains_built(monkeypatch, h):
     monkeypatch.undo()
     assert rep.passed
     return len(calls), len(rep.checks)
+
+
+def test_no_check_is_built_until_one_is_read(monkeypatch):
+    """The validators record rows and mirror reads only their verdicts, so
+    mirror, which validates its input and output, builds no Check; a
+    report builds one per check when its checks are read."""
+    mirrored = mirror(V4_S3)
+    built = []
+    init = Check.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Check, "__init__", counted)
+    mirror(fixtures.gchq_power())
+    assert built == []
+    rep = validate_crossed(mirrored)
+    assert rep.passed and rep.failed_ids(True) == [] and rep.render() and rep.to_jobj()
+    assert built == []
+    assert len(rep.checks) == 948 and len(built) == 948
+    assert rep.find("CROSS-identity").detail == "grade e" and len(built) == 949
 
 
 def test_chains_built_do_not_grow_with_the_group(monkeypatch):

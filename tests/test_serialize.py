@@ -6,7 +6,9 @@ import pytest
 
 from quasibraid import fixtures, serialize
 from quasibraid.errors import ParseError
-from quasibraid.exactlin import PrimeField
+from quasibraid.exactlin import QQ, LinMap, PrimeField, Rationals
+from quasibraid.hq import HopfQuasigroup
+from quasibraid.yd import YDModule
 
 
 def load_kind(name, kind):
@@ -171,4 +173,55 @@ def test_gchq_loader_names_the_family_and_key(tmp_path, family, edit, message):
     path = tmp_path / "bad-gchq.json"
     serialize.write_file(path, jobj)
     with pytest.raises(ParseError, match=f"^{re.escape(f'{family}: {message}')}$"):
+        serialize.load("gchq", path)
+
+
+# -- matrices built from their parsed texts -------------------------------------------
+
+
+def _linmaps(obj):
+    """Every LinMap a loaded structure or module holds, by where it sits."""
+    if isinstance(obj, HopfQuasigroup):
+        return {"comult": obj.comult, "counit": obj.counit, "antipode": obj.antipode}
+    base = obj.base.maps() if isinstance(obj, YDModule) else {}
+    return {
+        (part, family, key): m
+        for part, maps in (("base", base), ("self", obj.maps()))
+        for family, keyed in maps.items() for key, m in keyed.items()
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (kind, _) in fixtures.REGISTRY.items() if kind in ("hq", "gchq", "yd"))
+)
+def test_loading_calls_field_scalar_on_no_cell(tmp_path, monkeypatch, name, field):
+    """Each matrix is built from the scalars its distinct texts parse to,
+    with no field.scalar call per cell, and equals the LinMap that
+    LinMap.from_rows builds from the same rows of parsed scalars."""
+    kind, obj = fixtures.build(name, field)
+    path = tmp_path / f"{name}.json"
+    serialize.save(kind, obj, path)
+    calls = []
+
+    def counted(scalar):
+        return lambda self, value: calls.append(value) or scalar(self, value)
+
+    for cls in (Rationals, PrimeField):
+        monkeypatch.setattr(cls, "scalar", counted(cls.scalar))
+    back = serialize.load(kind, path)
+    monkeypatch.undo()
+    assert calls == []
+    assert back == obj
+    for where, m in _linmaps(back).items():
+        rows = [[field.scalar(v) for v in row] for row in m.to_dense()]
+        assert m == LinMap.from_rows(field, rows, m.dom, m.cod), where
+
+
+def test_a_ragged_matrix_is_a_parse_error(tmp_path):
+    jobj = _gchq_jobj()
+    jobj["comult"]["1,1"][0].append("0")
+    path = tmp_path / "ragged.json"
+    serialize.write_file(path, jobj)
+    with pytest.raises(ParseError, match=r"^comult 1,1: ragged row data$"):
         serialize.load("gchq", path)
