@@ -919,16 +919,17 @@ class Chain:
         starts = (0, *ends)
         return seg, list(map(sub, cols, map(starts.__getitem__, seg)))
 
-    def block(self, cols):
+    def block(self, cols, located=None):
         """Images of the domain basis vectors at flat positions cols, as
         (monomial, images), each a position within its segment's
         codomain.  If monomial, images is (positions, scalars): one
         position per column, -1 for a column that has vanished, and one
         scalar per column (field.zero where it has vanished), or None when
         every column that has not vanished has scalar field.one.  Otherwise
-        images holds one sparse dict {position: scalar} per column."""
+        images holds one sparse dict {position: scalar} per column.
+        located, locate(cols) of a chain on the same domain, is read as is."""
         field = self.field
-        seg, positions = self.locate(cols)
+        seg, positions = self.locate(cols) if located is None else located
         scalars, dead = None, set()
         stages = iter(self.stages)
         for monomial, terms in stages:

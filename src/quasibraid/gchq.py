@@ -263,7 +263,7 @@ def grade_details(h, *grades, form=None):
     """The detail of each grade tuple, formatted when read (Details): form
     with the labels of its grades, by default "grade p" or "grades (p,q,...)"."""
     default = "grade {}" if len(grades) == 1 else f"grades ({','.join(['{}'] * len(grades))})"
-    return Details(form or default, h.grading.labels, *grades)
+    return Details(form or default, h.grading.labels, grades)
 
 
 def _left_compensation(h, p):

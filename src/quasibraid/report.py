@@ -133,9 +133,9 @@ class FrozenFieldError(AttributeError):
 class _Value:
     """An immutable record of the fields named by __slots__, compared,
     hashed and printed by their values, in slot order.  A subclass's
-    __init__ calls _Value.__init__ directly: a validator records a Check
-    per grade tuple, tens of thousands at |G| = 24, and super() would
-    double the cost of each."""
+    __init__ calls _Value.__init__ directly: reading a report's checks
+    builds a Check per grade tuple, tens of thousands at |G| = 24, and
+    super() would double the cost of each."""
 
     __slots__ = ()
 
@@ -263,8 +263,8 @@ def family_witnesses(lhs, rhs):
     best = [None] * lhs.segments
     ends = None
     for cols in lhs.dom_blocks():
-        a = lhs.block(cols)
-        b = rhs.block(cols)
+        located = lhs.locate(cols)  # the two sides share their domain
+        a, b = lhs.block(cols, located), rhs.block(cols, located)
         if a == b:
             continue
         if ends is None:
@@ -411,14 +411,12 @@ class Row(_Value):
         return self.check_id, self.verdicts[k], self.required, self.witnesses[k], self.details[k]
 
 
-class Details:
+class Details(_Value):
     """The detail of each grade tuple of a law, formatted only when read:
-    details[k] is form.format() of the labels of tuple k's grades."""
+    details[k] is form.format() of the labels of tuple k's grades, grades
+    holding one list of grades per position in the tuples."""
 
     __slots__ = ("form", "labels", "grades")
-
-    def __init__(self, form, labels, *grades):
-        self.form, self.labels, self.grades = form, labels, grades
 
     def __len__(self):
         return len(self.grades[0])

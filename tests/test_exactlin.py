@@ -809,9 +809,9 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
             calls["stages"] += len(chain.stages)
         return add_chain_equality(self, check_id, lhs, rhs, *args, **kwargs)
 
-    def counted_block(self, cols):
+    def counted_block(self, cols, *located):
         calls["blocked"] += len(self.stages)
-        return block(self, cols)
+        return block(self, cols, *located)
 
     def counted_flat(*args):
         calls["flat"] += 1
