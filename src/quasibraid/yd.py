@@ -12,15 +12,19 @@ compensation laws; the braiding is defined for strict modules only.
 A module reads its maps as LegMaps once, through v.legs: one leg V of its
 own beside the base's h.legs.  Every law and construction is a Chain over
 those legs (iterated comultiplications are successive Delta stages, leg
-shuffles are permute stages).  The module laws, the braiding-law suite and
-validate_morphism are identities between two Chains; a module law stated
-over coaction grades is one identity between two families of Chains, one
-segment per grade tuple, decided once and recorded per tuple as in gchq.
-The tensor product, conjugation, trivial module and braiding are built
-from Chains materialized with Chain.matrix(), the coactions of all grades
-as one family with Chain.matrices().  A map built on a tensor module
-enters a Chain as a LegMap over the factor legs: braiding(V (x) W, X) is
-read on (V, W, X).
+shuffles are permute stages).  Every law is an identity between two
+Chains, but for BRAID-inverse-matrix and the conjugation-coherence checks,
+which compare built matrices; a law stated over grades (the coaction
+grades, or the grades a braided pair is regraded by) is one identity
+between two families of Chains, one segment per grade tuple, decided once
+and recorded as one row with a check per tuple, as in gchq.  The tensor product, conjugation and
+trivial module are built from Chains materialized with Chain.matrix(),
+the coactions of all grades as one family with Chain.matrices().  The
+braiding is stated once, as a family over pairs of modules (_braidings):
+braiding(v, w) is its one segment, and BRAID-2.4 reads it over every
+regrading.  A map built on a tensor module enters a Chain as a LegMap
+over the factor legs: braiding(V (x) W, X) is read on (V, W, X), and the
+coactions of V (x) W on (V, W).
 """
 
 from __future__ import annotations
@@ -146,21 +150,17 @@ def _require_same_base(v, w):
 
 def validate_morphism(m):
     """Action-linearity and colinearity of a module morphism, as Chain
-    identities over the legs of its endpoints."""
+    identities over the legs of its endpoints; colinearity is one pair of
+    families over the coaction grades."""
     base, p = m.source.base, m.source.grade
     rep = Report("yd morphism")
     L, V, act, rho, _ = m.source.legs
     _, W, act_t, rho_t, _ = m.target.legs
     f = LegMap(m.map, V, W)
-    pv, hv = Chain(base.field, L.H[p] + V), Chain(base.field, V)
+    pv, hv, r = Chain(base.field, L.H[p] + V), Chain(base.field, V), list(base.grades())
     rep.add_chain_equality("YDM-linear", pv.then(act).then(f), pv.then(L.ident[p], f).then(act_t))
-    for r in base.grades():
-        rep.add_chain_equality(
-            "YDM-colinear",
-            hv.then(f).then(rho_t[r]),
-            hv.then(rho[r]).then(f, L.ident[r]),
-            detail=f"grade {base.grade_label(r)}",
-        )
+    lhs, rhs = hv.then(f).then(at(rho_t, r)), hv.then(at(rho, r)).then(f, at(L.ident, r))
+    rep.add_family("YDM-colinear", grade_details(base, r), lhs, rhs)
     return rep
 
 
@@ -278,14 +278,20 @@ def _group_table(comp):
     return group if validate_group(group).passed else None
 
 
-def _copies_of_identity_component(base):
-    """Whether every component is an index-identical copy of H_e (the
-    shape the power construction produces)."""
+def _diagonal_group(base):
+    """The GroupTable of H_e when the components of base are index-identical
+    copies of one group algebra (the shape the power construction
+    produces), else the reason they are not, as a str."""
     comp_e = base.comp(0)
-    return all(
-        comp.dim == comp_e.dim and comp.mult == comp_e.mult and comp.unit == comp_e.unit
+    group = _group_table(comp_e)
+    if group is None:
+        return "identity component is not a group algebra"
+    if any(
+        (comp.dim, comp.mult, comp.unit) != (comp_e.dim, comp_e.mult, comp_e.unit)
         for comp in base.components
-    )
+    ):
+        return "components are not index-identical copies"
+    return group
 
 
 def _conjugation_module(base, group):
@@ -323,11 +329,9 @@ def diagonal_module(base):
     """Conjugation action with grade-wise diagonal coaction over a base
     whose components are index-identical copies of one group algebra
     (the shape the power construction produces)."""
-    group = _group_table(base.comp(0))
-    if group is None:
-        raise InvalidInput("identity component is not a group algebra")
-    if not _copies_of_identity_component(base):
-        raise InvalidInput("components are not index-identical copies")
+    group = _diagonal_group(base)
+    if type(group) is str:
+        raise InvalidInput(group)
     return _conjugation_module(base, group)
 
 
@@ -494,11 +498,21 @@ def braiding(v, w):
     yd_tensor(yd_conjugate(w, v.grade), v)."""
     _require_same_base(v, w)
     _require_strict(v, w)
-    L, V, _, rho_v, i_v = v.legs
-    _, W, act_w, _, i_w = w.legs
-    qi = v.base.inv(w.grade)
-    coacted = Chain(v.base.field, V + W).then(rho_v[qi], i_w).then(i_v, L.s[qi], i_w)
-    return coacted.then(i_v, act_w).permute(1, 0).matrix()
+    return _braidings([v], [w]).matrix()
+
+
+def _braidings(vs, ws):
+    """The braiding of each pair (vs[k], ws[k]) of modules over one base,
+    as one family of Chains with a segment per pair: antipode of grade
+    q^-1 (q the grade of ws[k]) on the coaction leg of V, acted on W,
+    then the flip to W (x) V."""
+    base = vs[0].base
+    qi = inv(base, [w.grade for w in ws])
+    i_v, i_w = [v.legs[4] for v in vs], [w.legs[4] for w in ws]
+    start = Chain.family(base.field, [[v.labels for v in vs], [w.labels for w in ws]])
+    coacted = start.then([v.legs[3][q] for v, q in zip(vs, qi)], i_w)
+    coacted = coacted.then(i_v, at(base.legs.s, qi), i_w)
+    return coacted.then(i_v, [w.legs[2] for w in ws]).permute(1, 0)
 
 
 def braiding_inverse(v, w):
@@ -537,10 +551,13 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     and, when x / morphisms are supplied, both tensor-composition laws
     with their Yang-Baxter consequence and naturality.
 
-    Each law but the conjugation check is a Chain identity on the factor
-    legs V, W, X, which a map built on a tensor product enters as a LegMap.
-    built (Constructions) shares the tensor products and regradings with
-    conjugation_coherence on the same pair."""
+    Each law is a Chain identity on the factor legs V, W, X, which a map
+    built on a tensor product enters as a LegMap.  Colinearity is one pair
+    of families over the coaction grades r; conjugation compatibility is
+    one over the grades s, the braidings of the regradings (V_s, W_s)
+    built as one family against the braiding c of (V, W) on every
+    segment.  built (Constructions) shares the tensor products and
+    regradings with conjugation_coherence on the same pair."""
     _require_same_base(v, w)
     _require_strict(v, w)
     built = Constructions() if built is None else built
@@ -555,7 +572,7 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     W, i_w = w.legs[1], w.legs[4]
 
     c = braiding(v, w)
-    regraded = zip(built.regradings(v), built.regradings(w))  # BRAID-2.4 reads them all
+    regradings = built.regradings(v), built.regradings(w)  # BRAID-2.4 reads them all
     source = built.tensor(v, w)
     target = built.tensor(built.conjugate(w, p), v)
     lc = LegMap(c, V + W, W + V)
@@ -565,22 +582,15 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
         hvw.then(LegMap(source.action, L.H[pq] + V + W, V + W)).then(lc),
         hvw.then(L.ident[pq], lc).then(LegMap(target.action, L.H[pq] + W + V, W + V)),
     )
-    for r in base.grades():
-        H = L.H[r]
-        rep.add_chain_equality(
-            "BRAID-H-colinear",
-            vw.then(lc).then(LegMap(target.coaction[r], W + V, W + V + H)),
-            vw.then(LegMap(source.coaction[r], V + W, V + W + H)).then(lc, L.ident[r]),
-            detail=f"grade {base.grade_label(r)}",
-        )
+    r = list(base.grades())
+    rho_t = [LegMap(target.coaction[g], W + V, W + V + L.H[g]) for g in r]
+    rho_s = [LegMap(source.coaction[g], V + W, V + W + L.H[g]) for g in r]
+    lhs, rhs = vw.then(lc).then(rho_t), vw.then(rho_s).then(lc, at(L.ident, r))
+    rep.add_family("BRAID-H-colinear", grade_details(base, r), lhs, rhs)
 
-    for s, (v_s, w_s) in zip(base.grades(), regraded):
-        rep.add_map_equality(
-            "BRAID-2.4-conjugation",
-            braiding(v_s, w_s),
-            c,
-            detail=f"conjugated by {base.grade_label(s)}",
-        )
+    lhs = _braidings(*regradings)
+    details = grade_details(base, r, form="conjugated by {}")
+    rep.add_family("BRAID-2.4-conjugation", details, lhs, vw.then([lc] * len(r)))
 
     if x is not None:
         _require_same_base(v, x)
@@ -627,51 +637,43 @@ def check_crossed_equivalence(v):
     The first form constrains the coaction of an acted vector against
     the plain crossed law; the other two rewrite it through the inverse
     antipode with the two bracketings of the right factor.  Each form is
-    a Chain identity, as in validate_yd.  On any one structure all three
-    must pass or all three must fail; divergence is reported as a loud
-    failure of the equivalence check itself.
+    one pair of families over the coaction grades, as in validate_yd.  On
+    any one structure all three must pass or all three must fail;
+    divergence is reported as a loud failure of the equivalence check
+    itself.
     """
-    base, p = v.base, v.grade
-    L, V, act, rho, i_v = v.legs
-    H, mu, i, tag = L.H, L.mu, L.ident, base.grade_label
-    s_inv = {}
-    for r in base.grades():
+    base, p, r = v.base, v.grade, list(v.base.grades())
+    L, _, act, rho, i_v = v.legs
+    H, tag = L.H, base.grade_label
+    s_inv = []
+    for g in r:
         try:
-            s_inv[r] = LegMap(base.antipode[r].invert(), H[base.inv(r)], H[r])
+            s_inv.append(LegMap(base.antipode[g].invert(), H[base.inv(g)], H[g]))
         except NotInvertible as exc:
-            raise AntipodeNotInvertible(f"antipode at grade {tag(r)} has rank {exc.rank}") from exc
-    pv = Chain(base.field, H[p] + V)
-
-    def spread(r):
-        """(h, v) -> (h2, v0, h3, v1, pi_{p^-1}(h1)), the h legs of grades
-        (p r^-1 p^-1, p, r) split out of H_p."""
-        ri, ir = base.inv(r), i[r]
-        g2 = base.conj(p, ri)
-        return (
-            pv.then(L.delta[(base.mul(p, ri), r)], i_v)
-            .then(L.delta[(g2, p)], ir, i_v)
-            .then(i[g2], i[p], ir, rho[r])
-            .permute(1, 3, 2, 4, 0)
-            .then(i[p], i_v, ir, ir, L.pi[(base.inv(p), g2)])
-        )
-
+            raise AntipodeNotInvertible(f"antipode at grade {tag(g)} has rank {exc.rank}") from exc
+    P, ri, m, ir = [p] * len(r), inv(base, r), at(L.mu, r), at(L.ident, r)
+    g2 = conj(base, P, ri)
+    # (h, v) -> (h2, v0, h3, v1, pi_{p^-1}(h1)), the h legs of grades
+    # (p r^-1 p^-1, p, r) split out of H_p
+    pv, ip = L.chain(p, v.labels), L.ident[p]
+    spread = pv.then(at(L.delta, mul(base, P, ri), r), i_v).then(at(L.delta, g2, P), ir, i_v)
+    spread = spread.then(at(L.ident, g2), ip, ir, at(rho, r)).permute(1, 3, 2, 4, 0)
+    spread = spread.then(ip, i_v, ir, ir, at(L.pi, inv(base, P), g2))
+    acted = pv.then(act).then(at(rho, r))
+    forms = (
+        ("YD-4.5-crossed", *_crossed_condition_sides(v, r)),
+        # (h2.v0) (x) (h3 v1) S^-1 pi(h1)
+        ("YD-4.8-crossed", acted, spread.then(act, m, s_inv).then(i_v, m)),
+        # (h2.v0) (x) h3 (v1 S^-1 pi(h1))
+        ("YD-4.9-crossed", acted, spread.then(act, ir, ir, s_inv).then(i_v, ir, m).then(i_v, m)),
+    )
     rep = Report(f"crossed condition equivalence (grade {tag(p)})")
+    details = grade_details(base, r, form="coaction grade {}")
     verdicts = {}
-    for form in ("YD-4.5-crossed", "YD-4.8-crossed", "YD-4.9-crossed"):
-        ok = True
-        for r in base.grades():
-            m, ir = mu[r], i[r]
-            if form == "YD-4.5-crossed":
-                lhs, rhs = _crossed_condition_sides(v, r)
-            elif form == "YD-4.8-crossed":  # (h2.v0) (x) (h3 v1) S^-1 pi(h1)
-                lhs = pv.then(act).then(rho[r])
-                rhs = spread(r).then(act, m, s_inv[r]).then(i_v, m)
-            else:  # (h2.v0) (x) h3 (v1 S^-1 pi(h1))
-                lhs = pv.then(act).then(rho[r])
-                rhs = spread(r).then(act, ir, ir, s_inv[r]).then(i_v, ir, m).then(i_v, m)
-            check = rep.add_chain_equality(form, lhs, rhs, detail=f"coaction grade {tag(r)}")
-            ok = ok and check.passed
-        verdicts[form] = ok
+    for form, lhs, rhs in forms:
+        row = law_checks(form, details, lhs, rhs)
+        rep.add_rows(row)
+        verdicts[form] = all(row.verdicts)
 
     values = set(verdicts.values())
     rep.add(
@@ -748,13 +750,8 @@ def search_dim1_modules(base):
     """
     rep = Report("dim-1 module search at non-identity grades")
     field = base.field
-    if _group_table(base.comp(0)) is None:
-        unfit = "identity component is not a group algebra"
-    elif not _copies_of_identity_component(base):
-        unfit = "components are not index-identical copies"
-    else:
-        unfit = None
-    if unfit is not None:
+    unfit = _diagonal_group(base)
+    if type(unfit) is str:
         rep.add("YD-grade-search", True, required=False, detail=f"inapplicable: {unfit}")
         return rep
     n = base.comp(0).dim

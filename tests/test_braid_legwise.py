@@ -8,7 +8,8 @@ kron, compose, leg_perm and swap_map, and every law is compared with
 map_witness.  It lives only here, as an independent cross-check; the
 library has one path.  Constructions must agree as LinMaps (entries and
 labels), and reports in render() and to_jobj(), so failing witnesses are
-compared, not just verdicts.
+compared, not just verdicts.  A mutant changes one entry of a module map,
+or of a base map for a law that only a base map breaks (BASE_MUTANTS).
 """
 
 import random
@@ -362,17 +363,41 @@ def sampled_mutants(name, count, seed):
     return out
 
 
+def base_mutant(v, family, key, entry, value):
+    """v over a copy of its base in which one entry of the base map
+    family[key] (comult, antipode or crossing) is set to value; neither
+    is validated."""
+    h = v.base
+    maps = {name: dict(getattr(h, name)) for name in ("comult", "antipode", "crossing")}
+    maps[family][key] = perturbed(maps[family][key], entry, value)
+    base = CrossedGCHQ(h.field, h.grading, h.components, maps["comult"], h.counit,
+                       maps["antipode"], maps["crossing"])
+    return YDModule(base, v.grade, v.labels, v.action, v.coaction, v.strict)
+
+
 def build_mutant(spec, field):
-    """The mutant named spec (see sampled_mutants) over field."""
+    """The mutant named spec (see sampled_mutants) over field.  A part
+    "<family>:<key>" names a map of the base instead of the module, such
+    as "crossing:1,0" for the crossing of the grade pair (1, 0) or
+    "antipode:0" for the antipode of grade 0 (base_mutant)."""
     name, part, rest = spec.split("/", 2)
     where, value = rest.split("=")
     row, col = (int(n) for n in where.split(","))
     v = fixtures.build(name, field)[1]
     scalar = half(field) if value == "1/2" else field.parse(value)
+    if ":" in part:
+        family, key = part.split(":")
+        key = tuple(map(int, key.split(","))) if "," in key else int(key)
+        return base_mutant(v, family, key, (row, col), scalar)
     return mutant(v, part if part == "action" else int(part), (row, col), scalar)
 
 
 MUTANTS = sampled_mutants("yd-crossed-s3", 22, 1) + sampled_mutants("yd-diagonal-power", 22, 2)
+#: mutants of one entry of a base map, the module's own maps kept: the kill
+#: of BRAID-2.4-conjugation below, and that of YD-4.8-equivalence (test_yd.py)
+CROSSING_MUTANT = "yd-diagonal-power/crossing:1,0/0,0=0"
+ANTIPODE_MUTANT = "yd-diagonal-power/antipode:0/0,0=2"
+BASE_MUTANTS = [CROSSING_MUTANT, ANTIPODE_MUTANT]
 
 #: check ID -> a mutant that makes it fail when fed to the law suite as
 #: (v, v, v); before this table no test drove these IDs to fail
@@ -385,6 +410,10 @@ KILLS = {
     # 1.(1.x) = x: the braiding of V (x) V with X acts on x once, the two
     # braidings it factors through act twice
     "BRAID-comp-tensor-first": "yd-trivial/action/0,0=-1",
+    # pi_g on H_e no longer fixes the unit, and the action and coaction of
+    # a regrading by g read through it: the braiding of (V_g, W_g) differs
+    # from that of (V, W), while the other laws read regradings by e only
+    "BRAID-2.4-conjugation": CROSSING_MUTANT,
 }
 
 
@@ -418,7 +447,7 @@ def test_law_suite_matches_matrix_reference(pair, field):
 
 
 @FIELDS
-@pytest.mark.parametrize("spec", MUTANTS)
+@pytest.mark.parametrize("spec", MUTANTS + BASE_MUTANTS)
 def test_mutants_match_matrix_reference(spec, field):
     v = build_mutant(spec, field)
     assert_same_constructions(v, v)

@@ -10,7 +10,7 @@ from quasibraid.errors import (
     NotAGroupAlgebra,
 )
 from quasibraid.exactlin import K_LABELS, LinMap, PrimeField, QQ
-from quasibraid.fixtures import gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial
+from quasibraid.fixtures import build, gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial
 from quasibraid.report import Report
 from quasibraid.gchq import CrossedGCHQ
 from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, from_hopf_quasigroup, group_algebra
@@ -31,6 +31,7 @@ from quasibraid.yd import (
     yd_direct_sum,
     yd_tensor,
 )
+from test_braid_legwise import ANTIPODE_MUTANT, build_mutant
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +335,20 @@ def test_crossed_equivalence_co_fails_on_mutants(yd_crossed_s3, s3):
         assert rep.find("YD-4.8-equivalence").passed
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_an_antipode_mutant_kills_the_crossed_equivalence(field):
+    """S_e doubled on the unit of H_e: the plain crossed law YD-4.5 reads
+    no antipode and still holds, while the two forms through S^-1 fail at
+    coaction grade e, so the forms diverge and YD-4.8-equivalence fails."""
+    rep = check_crossed_equivalence(build_mutant(ANTIPODE_MUTANT, field))
+    assert rep.failed_ids() == ["YD-4.8-crossed", "YD-4.9-crossed", "YD-4.8-equivalence"]
+    for form in ("YD-4.8-crossed", "YD-4.9-crossed"):
+        assert rep.find(form).detail == "coaction grade e"
+    assert rep.find("YD-4.8-equivalence").detail == (
+        "EQUIVALENCE VIOLATED: YD-4.5-crossed=pass, YD-4.8-crossed=fail, YD-4.9-crossed=fail"
+    )
+
+
 # -- direct sums and morphisms ------------------------------------------------
 
 
@@ -439,3 +454,54 @@ def test_dim1_search_reports_empty_for_power_base(power_base):
 def test_dim1_search_inapplicable_for_nonassociative(hq_o16):
     rep = search_dim1_modules(from_hopf_quasigroup(hq_o16))
     assert any("inapplicable" in c.detail for c in rep.checks)
+
+
+def not_copies_base(h):
+    """h with one multiplication constant of its grade-1 component doubled,
+    unchecked: H_e is still a group algebra, but the components are no
+    longer copies of it."""
+    comp = h.comp(1)
+    mult = dict(comp.mult)
+    mult[min(mult)] = 2
+    components = [h.comp(0), UnitalAlgebra(h.field, comp.dim, comp.labels, mult, comp.unit)]
+    return CrossedGCHQ(h.field, h.grading, components, h.comult, h.counit, h.antipode, h.crossing)
+
+
+def test_diagonal_module_and_search_name_the_same_unfit_shape(hq_o16, power_base):
+    cases = [
+        (from_hopf_quasigroup(hq_o16), "identity component is not a group algebra"),
+        (not_copies_base(power_base), "components are not index-identical copies"),
+    ]
+    for base, reason in cases:
+        with pytest.raises(InvalidInput, match=f"^{reason}$"):
+            diagonal_module(base)
+        assert search_dim1_modules(base).find("YD-grade-search").detail == f"inapplicable: {reason}"
+
+
+def test_grade_search_checks_never_fail(hq_o16, power_base):
+    """Why YD-grade-search and YD-grade-search-summary have no kill: no
+    input can make them fail.  search_dim1_modules reports what exists for
+    a base and asserts nothing; an unfit base is reported as inapplicable,
+    a candidate that fails validate_yd as "not a module", and the summary
+    counts the candidates that pass.  None of these outcomes is a fault,
+    so both IDs are recorded informational with passed=True on every
+    path: here over bases with and without a dim-1 module at a
+    non-identity grade, unfit ones, and a mutated base that fails its own
+    laws."""
+    names = ["gchq-power", "gchq-power-mirror", "gchq-s3", "gchq-trivial-c2"]
+    bases = [build(name)[1] for name in names] + [
+        from_hopf_quasigroup(hq_o16),
+        not_copies_base(power_base),
+        build_mutant(ANTIPODE_MUTANT, QQ).base,
+    ]
+    details = []
+    for base in bases:
+        rep = search_dim1_modules(base)
+        checks = rep.checks
+        assert {c.check_id for c in checks} <= {"YD-grade-search", "YD-grade-search-summary"}
+        assert all(c.passed and not c.required for c in checks)
+        assert rep.all_passed and rep.failed_ids(include_informational=True) == []
+        details += [c.detail for c in checks]
+    paths = ["module found", "not a module", "inapplicable: identity", "inapplicable: components",
+             "0 candidate(s)", "1 candidate(s)"]
+    assert all(any(path in detail for detail in details) for path in paths)
