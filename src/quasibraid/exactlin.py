@@ -781,6 +781,10 @@ class Chain:
     def cols(self):
         return self.dom_ends[-1]
 
+    @property
+    def cod_size(self):  # an int, or one per segment, as dom_size
+        return _product(self.cod_dims)
+
     def _total(self, dims):
         size = _product(dims)
         return size * self.segments if type(size) is int else sum(size)

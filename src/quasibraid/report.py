@@ -229,8 +229,8 @@ def map_witness(lhs, rhs):
 
 
 def chain_witness(lhs, rhs):
-    """map_witness for two Chains of one segment with the same leg
-    dimensions, without building either side: family_witnesses of the
+    """map_witness for two Chains of one segment with the same domain and
+    codomain sizes, without building either side: family_witnesses of the
     one segment."""
     if lhs.segments != 1 or rhs.segments != 1:
         raise ValueError("chain_witness compares two chains of one segment")
@@ -239,9 +239,9 @@ def chain_witness(lhs, rhs):
 
 def family_witnesses(lhs, rhs):
     """The witness of each segment of two families (Chains) with the same
-    segments and leg dimensions, in segment order: None where the
-    segment's two sides agree, else map_witness of the segment's two
-    maps, without building any.
+    segments, of the same domain and codomain size on both sides (their
+    legs may differ), in segment order: None where the segment's two sides
+    agree, else map_witness of the segment's two maps, without building any.
 
     Both sides are evaluated block by block (Chain.block), in column
     order across segment boundaries, as positions within each column's
@@ -254,11 +254,11 @@ def family_witnesses(lhs, rhs):
     sought.  Positions order as index tuples do, so the smallest row over
     all of a segment's columns, the earliest column winning a tie, is the
     smallest differing (row, col) in row-major order.  Labels are built
-    only for the witnesses.
+    only for the witnesses, from the legs of the lhs.
     """
-    shapes = [(c.segments, c.dom_dims, c.cod_dims) for c in (lhs, rhs)]
+    shapes = [(c.segments, c.dom_size, c.cod_size) for c in (lhs, rhs)]
     if shapes[0] != shapes[1]:
-        raise ValueError("witness comparison needs chains with the same leg dimensions")
+        raise ValueError("witness comparison needs chains with the same segment sizes")
     field = lhs.field
     best = [None] * lhs.segments
     ends = None

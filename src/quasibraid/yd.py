@@ -13,18 +13,17 @@ A module reads its maps as LegMaps once, through v.legs: one leg V of its
 own beside the base's h.legs.  Every law and construction is a Chain over
 those legs (iterated comultiplications are successive Delta stages, leg
 shuffles are permute stages).  Every law is an identity between two
-Chains, but for BRAID-inverse-matrix and the conjugation-coherence checks,
-which compare built matrices; a law stated over grades (the coaction
-grades, or the grades a braided pair is regraded by) is one identity
-between two families of Chains, one segment per grade tuple, decided once
-and recorded as one row with a check per tuple, as in gchq.  The tensor product, conjugation and
-trivial module are built from Chains materialized with Chain.matrix(),
-the coactions of all grades as one family with Chain.matrices().  The
-braiding is stated once, as a family over pairs of modules (_braidings):
-braiding(v, w) is its one segment, and BRAID-2.4 reads it over every
-regrading.  A map built on a tensor module enters a Chain as a LegMap
-over the factor legs: braiding(V (x) W, X) is read on (V, W, X), and the
-coactions of V (x) W on (V, W).
+Chains; a law stated over grades (the coaction grades, or the grades a
+module is regraded by) is one identity between two families of Chains,
+one segment per grade tuple, decided once and recorded as one row with a
+check per tuple, as in gchq.  The tensor product, the regrading and the
+braiding are each stated once, as families over lists of modules
+(_tensors, _regradings, _braidings): yd_tensor, yd_conjugate and
+braiding materialize them with Chain.matrices(), conjugation coherence
+compares them without building the modules, and BRAID-2.4 reads the
+braidings of every regrading.  A map built on a tensor module enters a
+Chain as a LegMap over the factor legs: braiding(V (x) W, X) is read on
+(V, W, X), and the coactions of V (x) W on (V, W).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .exactlin import Chain, LegMap, LinMap, product_labels
 from .gchq import (
     at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs, space
 )
-from .report import Report, Witness, chain_witness, law_checks, map_witness
+from .report import Report, Row, Witness, chain_witness, family_witnesses, law_checks
 from .tables import GroupTable, conjugate, validate_group
 
 
@@ -336,31 +335,40 @@ def diagonal_module(base):
 
 
 def yd_tensor(v, w):
-    """Tensor product module at the product grade: diagonal action through
-    the comultiplication, coaction with a crossing twist on the left leg;
-    strict when both factors are and its action passes YD-4.1."""
+    """Tensor product module at the product grade (_tensors): diagonal
+    action through the comultiplication, coaction with a crossing twist on
+    the left leg; strict when both factors are and its action passes YD-4.1."""
     _require_same_base(v, w)
     base = v.base
-    field = base.field
-    p, q = v.grade, w.grade
-    pq, qi = base.mul(p, q), base.inv(q)
-    L, V, act_v, rho_v, i_v = v.legs
-    _, W, act_w, rho_w, i_w = w.legs
-
-    start = Chain(field, L.H[pq] + V + W).then(L.delta[(p, q)], i_v, i_w)
-    action = start.permute(0, 2, 1, 3).then(act_v, act_w).matrix()
-    r = list(base.grades())
-    g = conj(base, [q] * len(r), r)  # q r q^-1
-    # (v0, g, w0, r) -> (v0, w0, r, g), then r times pi_{q^-1}(g) in H_r
-    spread = Chain(field, V + W).then(at(rho_v, g), at(rho_w, r)).permute(0, 2, 3, 1)
-    twisted = spread.then(i_v, i_w, at(L.ident, r), at(L.pi, [qi] * len(r), g))
-    coaction = dict(zip(r, twisted.then(i_v, i_w, at(L.mu, r)).matrices()))
-
-    labels = product_labels((v.labels, w.labels))
-    out = YDModule(base, pq, labels, action, coaction, v.strict and w.strict)
+    actions, coactions = _tensors([v], [w])
+    labels, pq = product_labels((v.labels, w.labels)), base.mul(v.grade, w.grade)
+    coaction = dict(zip(base.grades(), coactions.matrices()))
+    out = YDModule(base, pq, labels, actions.matrix(), coaction, v.strict and w.strict)
     if out.strict and chain_witness(*_module_assoc_sides(out)) is not None:
         out.strict = False  # settled before the module is handed out
     return out
+
+
+def _tensors(vs, ws):
+    """The tensor product of each pair (vs[k], ws[k]) of modules, as two
+    families of Chains on the factor legs: the actions, a segment per k,
+    and the coactions, a segment per (k, r), k slowest."""
+    base, L, grades = vs[0].base, vs[0].base.legs, list(vs[0].base.grades())
+    p, q = [v.grade for v in vs], [w.grade for w in ws]
+    V, W = [v.labels for v in vs], [w.labels for w in ws]
+    start = Chain.family(base.field, [map(L.labels.__getitem__, mul(base, p, q)), V, W])
+    start = start.then(at(L.delta, p, q), [v.legs[4] for v in vs], [w.legs[4] for w in ws])
+    actions = start.permute(0, 2, 1, 3).then([v.legs[2] for v in vs], [w.legs[2] for w in ws])
+    r = grades * len(vs)  # a segment per (k, r)
+    vs, ws = [v for v in vs for _ in grades], [w for w in ws for _ in grades]
+    q, i_v, i_w = [w.grade for w in ws], [v.legs[4] for v in vs], [w.legs[4] for w in ws]
+    g = conj(base, q, r)  # q r q^-1
+    rho_v, rho_w = [v.legs[3][x] for v, x in zip(vs, g)], [w.legs[3][x] for w, x in zip(ws, r)]
+    # (v0, g, w0, r) -> (v0, w0, r, g), then r times pi_{q^-1}(g) in H_r
+    spread = Chain.family(base.field, [[v.labels for v in vs], [w.labels for w in ws]])
+    twisted = spread.then(rho_v, rho_w).permute(0, 2, 3, 1)
+    twisted = twisted.then(i_v, i_w, at(L.ident, r), at(L.pi, inv(base, q), g))
+    return actions, twisted.then(i_v, i_w, at(L.mu, r))
 
 
 def yd_conjugate(v, q):
@@ -370,45 +378,53 @@ def yd_conjugate(v, q):
 
 
 def _conjugates(v, qs):
-    """yd_conjugate(v, q) for each q of the list qs: the actions as one
-    family over qs, the coactions as one over (q, r), q slowest."""
-    base = v.base
-    L, V, act, rho, i_v = v.legs
-    grades, n = list(base.grades()), len(qs)
-    newgrades = conj(base, qs, [v.grade] * n)
-    actions = L.chain(newgrades, v.labels).then(at(L.pi, inv(base, qs), newgrades), i_v)
-    actions = actions.then(act).matrices()
-    q = [x for x in qs for _ in grades]
-    g = conj(base, inv(base, q), grades * n)  # q^-1 r q
-    coactions = Chain(base.field, V).then(at(rho, g)).then(i_v, at(L.pi, q, g)).matrices()
-    return [
-        YDModule(base, newgrades[k], v.labels, actions[k],
-                 dict(zip(grades, coactions[k * len(grades):(k + 1) * len(grades)])), v.strict)
-        for k in range(n)
-    ]
+    """yd_conjugate(v, q) for each q of the list qs, materialized from
+    _regradings of v by qs."""
+    base, grades = v.base, list(v.base.grades())
+    actions, coactions = (family.matrices() for family in _regradings([v] * len(qs), qs))
+    newgrades, n = conj(base, qs, [v.grade] * len(qs)), len(grades)
+    return [YDModule(base, g, v.labels, action, dict(zip(grades, coactions[k * n:])), v.strict)
+            for k, (g, action) in enumerate(zip(newgrades, actions))]
 
 
-def _structure_data_witness(a, b):
-    """First discrepancy between the structure data of two modules."""
-    if a.grade != b.grade:
-        return Witness(
-            ("grade",),
-            (),
-            a.base.grade_label(a.grade),
-            b.base.grade_label(b.grade),
-        )
-    if a.labels != b.labels:
-        return Witness(("labels",), (), str(a.dim), str(b.dim))
-    w = map_witness(a.action, b.action)
-    if w is not None:
-        return Witness(("action",) + w.domain, w.codomain, w.lhs, w.rhs)
-    for r in a.base.grades():
-        w = map_witness(a.coaction[r], b.coaction[r])
-        if w is not None:
-            return Witness(
-                (f"coaction@{a.base.grade_label(r)}",) + w.domain, w.codomain, w.lhs, w.rhs
-            )
-    return None
+def _regradings(vs, qs):
+    """The regrading of each module vs[k] by the grade qs[k], as two
+    families of Chains: the actions, a segment per k, and the coactions, a
+    segment per (k, r), k slowest."""
+    base, L, grades = vs[0].base, vs[0].base.legs, list(vs[0].base.grades())
+    newgrades = conj(base, qs, [v.grade for v in vs])
+    start = Chain.family(base.field, [map(L.labels.__getitem__, newgrades), [v.labels for v in vs]])
+    start = start.then(at(L.pi, inv(base, qs), newgrades), [v.legs[4] for v in vs])
+    actions = start.then([v.legs[2] for v in vs])
+    vs, q = [v for v in vs for _ in grades], [x for x in qs for _ in grades]  # per (k, r)
+    g = conj(base, inv(base, q), grades * len(qs))  # q^-1 r q
+    coacted = Chain.family(base.field, [[v.labels for v in vs]])
+    coacted = coacted.then([v.legs[3][x] for v, x in zip(vs, g)])
+    return actions, coacted.then([v.legs[4] for v in vs], at(L.pi, q, g))
+
+
+def _regrading_witnesses(m, qs, grades, build, *args):
+    """The witness of each tuple k of the law that m regraded by qs[k] is
+    the module of grade grades[k] that build (_regradings or _tensors)
+    makes of the k-th entries of args: ("grade",) where the grades differ,
+    else the first difference of the actions, then of the coactions by
+    grade.  Only the tuples whose grades agree enter the families."""
+    labels = m.base.grading.labels
+    tags, n = ["action"] + [f"coaction@{r}" for r in labels], len(labels)
+    mine = zip(conj(m.base, qs, [m.grade] * len(qs)), grades)
+    out = [None if a == b else Witness(("grade",), (), labels[a], labels[b]) for a, b in mine]
+    keep = [k for k, found in enumerate(out) if found is None]
+    if not keep:
+        return out
+    picked = [[x[k] for k in keep] for x in (qs, *args)]
+    sides = zip(_regradings([m] * len(keep), picked[0]), build(*picked[1:]))
+    actions, coactions = (family_witnesses(lhs, rhs) for lhs, rhs in sides)
+    for j, k in enumerate(keep):
+        for tag, w in zip(tags, [actions[j], *coactions[j * n:(j + 1) * n]]):
+            if w is not None:
+                out[k] = Witness((tag, *w.domain), w.codomain, w.lhs, w.rhs)
+                break
+    return out
 
 
 class Constructions:
@@ -417,7 +433,8 @@ class Constructions:
     is keyed by identity and held with the result, so its id stays its
     own; modules are immutable once built, so a kept result stays right.
     A law that reads a module's regradings by every grade asks for them
-    together (regradings), and those not kept yet are built as one family."""
+    together (regradings), and those not kept yet are built as one family.
+    Conjugation coherence builds only V (x) W and regradings of V and W."""
 
     def __init__(self):
         self._built = {}
@@ -446,40 +463,42 @@ class Constructions:
 def check_conjugation_coherence(v, w, s, t):
     """Conjugation is functorial for composition and tensor: regrading by
     st equals regrading by t then s, and regrading a tensor equals the
-    tensor of the regradings.  Exact structure-data equalities; the
-    one-pair case of conjugation_coherence."""
+    tensor of the regradings.  Exact structure-data equalities, decided
+    on families of Chains; the one-pair case of conjugation_coherence."""
     _require_same_base(v, w)
     label = v.base.grade_label
     rep = Report(f"conjugation coherence (s={label(s)}, t={label(t)})")
-    return _coherence(rep, v, w, [(s, [t])], Constructions())
+    return _coherence(rep, v, w, [s], [t], Constructions())
 
 
 def conjugation_coherence(v, w, built=None):
     """The checks of check_conjugation_coherence for every pair (s, t), s
-    slowest.  built (Constructions) shares the constructions with
-    check_braiding_laws on the same pair."""
+    slowest.  built (Constructions) shares V (x) W and the regradings of V
+    and W with check_braiding_laws on the same pair."""
     _require_same_base(v, w)
     built = Constructions() if built is None else built
-    grades = list(v.base.grades())
-    # every regrading of V (x) W, V, W and each V^t is read, so each is one family
-    for m in (built.tensor(v, w), v, w, *built.regradings(v)):
-        built.regradings(m)
-    return _coherence(Report("conjugation coherence"), v, w, [(s, grades) for s in grades], built)
+    for m in (v, w):
+        built.regradings(m)  # every regrading is read, so each module's are one family
+    return _coherence(Report("conjugation coherence"), v, w, *grade_tuples(v.base, 2), built)
 
 
-def _coherence(rep, v, w, pairs, built):
-    """Add to rep the two coherence checks of each (s, t), for pairs given
-    as [(s, [t, ...]), ...].  Each construction is built once through
-    built: V (x) W, the regradings of V and W, and the tensor check of
-    each s, which does not depend on t."""
-    base = v.base
-    conj, vw = built.conjugate, built.tensor(v, w)
-    for s, ts in pairs:
-        tensor = _structure_data_witness(conj(vw, s), built.tensor(conj(v, s), conj(w, s)))
-        for t in ts:
-            witness = _structure_data_witness(conj(v, base.mul(s, t)), conj(conj(v, t), s))
-            rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
-            rep.add("CONJ-4.6-tensor", tensor is None, witness=tensor)
+def _coherence(rep, v, w, s, t, built):
+    """Add to rep the two coherence checks of each pair (s[k], t[k]), as
+    two rows read interleaved; the tensor check, which does not depend on
+    t, is decided once per distinct s."""
+    base, conjugate = v.base, built.conjugate
+    vt = [conjugate(v, x) for x in t]
+    grades = conj(base, s, [m.grade for m in vt])
+    iterated = _regrading_witnesses(v, mul(base, s, t), grades, _regradings, vt, s)
+    firsts = list(dict.fromkeys(s))
+    vs, ws = [conjugate(v, x) for x in firsts], [conjugate(w, x) for x in firsts]
+    grades = mul(base, [m.grade for m in vs], [m.grade for m in ws])
+    tensor = _regrading_witnesses(built.tensor(v, w), firsts, grades, _tensors, vs, ws)
+    tensor = list(map(dict(zip(firsts, tensor)).__getitem__, s))
+    rep.add_rows(*[
+        Row(check_id, True, ("",) * len(s), found, [x is None for x in found])
+        for check_id, found in (("CONJ-4.6-iterated", iterated), ("CONJ-4.6-tensor", tensor))
+    ])
     return rep
 
 
@@ -527,8 +546,8 @@ def braiding_inverse(v, w):
 
 
 def check_braiding_inverse(v, w):
-    """Both round trips, as Chain identities, and agreement with
-    linear-algebra inversion."""
+    """Both round trips, and agreement with linear-algebra inversion, as
+    Chain identities."""
     field = v.base.field
     V, W = (v.labels,), (w.labels,)
     c = braiding(v, w)
@@ -539,9 +558,11 @@ def check_braiding_inverse(v, w):
     rep.add_chain_equality("BRAID-inverse-left", vw.then(lc).then(lci), vw)
     rep.add_chain_equality("BRAID-inverse-right", wv.then(lci).then(lc), wv)
     try:
-        rep.add_map_equality("BRAID-inverse-matrix", c.invert(), ci)
+        inverse = LegMap(c.invert(), W + V, V + W)
     except NotInvertible as exc:
         rep.add("BRAID-inverse-matrix", False, detail=f"braiding singular, rank {exc.rank}")
+    else:
+        rep.add_chain_equality("BRAID-inverse-matrix", wv.then(inverse), wv.then(lci))
     return rep
 
 

@@ -272,9 +272,11 @@ def test_each_base_builds_its_legs_once(fixture_dir, tmp_path, monkeypatch, caps
 
 def test_braid_report_builds_each_construction_once(fixture_dir, monkeypatch, capsys):
     """The braiding laws and conjugation coherence share V (x) W and the
-    regradings of V and W; with a third module equal to the others, its
-    regrading and W (x) X are shared as well.  A module whose regradings
-    by every grade are read is regraded by them in one call of
+    regradings of V and W, the only modules coherence reads (it compares
+    the regradings of V (x) W, of the V^t and the tensors of regradings as
+    families, without building them); with a third module equal to the
+    others, its regrading and W (x) X are shared as well.  A module whose
+    regradings by every grade are read is regraded by them in one call of
     yd._conjugates, once; a third module of its own only by the one grade
     its laws read."""
     from quasibraid import yd
@@ -283,15 +285,16 @@ def test_braid_report_builds_each_construction_once(fixture_dir, monkeypatch, ca
     conjugates = _count_calls(monkeypatch, yd, "_conjugates")
     module = str(fixture_dir / "yd-diagonal-power.json")
     trivial = str(fixture_dir / "yd-trivial.json")
-    for modules, counts in (([module] * 2, (4, 8)), ([module] * 3, (4, 8)),
-                            ([module] * 2 + [trivial], (5, 9))):
+    for modules, counts in (([module] * 2, (2, 2)), ([module] * 3, (2, 2)),
+                            ([module] * 2 + [trivial], (3, 3))):
         tensors.clear()
         conjugates.clear()
         code, _, _ = run(capsys, "braid-report", *modules)
         assert code == 0
         regraded = [m for m, _ in conjugates]
         assert len({id(m) for m in regraded}) == len(regraded)
-        # 5 and 13 (two modules), 6 and 14 (three) when each suite built its own
+        # 4 and 8 (5 and 9 with the trivial module) when coherence built the
+        # modules it compares; 5 and 13, 6 and 14 when each suite built its own
         assert (len(tensors), sum(len(grades) for _, grades in conjugates)) == counts
     # the trivial module, regraded by w's grade alone for BRAID-comp-tensor-first
     assert [grades for m, grades in conjugates if m.labels == (("1",),)] == [[0]]

@@ -5,6 +5,9 @@
 - composites are stated one way: no package module but exactlin.py (and
   __init__.py, for its re-exports) names the whole-matrix toolkit or
   multiplies matrices with @;
+- laws are decided one way: no package module but report.py names the
+  matrix comparator (map_witness, Report.add_map_equality), so every law
+  is decided on Chains;
 - every private top-level function or class is referenced somewhere in
   the package;
 - the runtime is stdlib-only: every module the package imports is in the
@@ -42,6 +45,11 @@ MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 MATRIX_TOOLKIT = {"kron", "kron_all", "leg_perm", "swap_map", "compose"}
 TOOLKIT_HOMES = {"exactlin.py", "__init__.py"}
 
+#: report's comparator of built matrices: the tests' reference for a law,
+#: but not how the library decides one (that is report.family_witnesses)
+MATRIX_COMPARATOR = {"map_witness", "add_map_equality"}
+COMPARATOR_HOME = "report.py"
+
 MAX_COLUMNS = 100
 
 
@@ -72,8 +80,14 @@ def unused_imports(source):
 
 
 def matrix_toolkit_uses(source):
-    """The toolkit names that source imports, reads or looks up as an
-    attribute, and "@" if it multiplies with @."""
+    """The toolkit names that source uses (names_used), and "@" if it
+    multiplies with @."""
+    return names_used(source, MATRIX_TOOLKIT | {"@"})
+
+
+def names_used(source, names):
+    """The names among `names` that source imports, reads or looks up as an
+    attribute, and "@" if it is among them and source multiplies with @."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -84,7 +98,7 @@ def matrix_toolkit_uses(source):
             found.add(node.name)
         elif isinstance(node, ast.MatMult):
             found.add("@")
-    return sorted(found & (MATRIX_TOOLKIT | {"@"}))
+    return sorted(found & names)
 
 
 def unreferenced_private_definitions(sources):
@@ -246,6 +260,15 @@ def test_detector_finds_the_matrix_toolkit():
     assert matrix_toolkit_uses("m = chain.then(f).matrix()\nnote = 'kron @ compose'\n") == []
 
 
+def test_detector_finds_the_matrix_comparator():
+    source = (
+        "from .report import Report, map_witness as mw\n"
+        "rep.add_map_equality('ID', f, g)\n"
+    )
+    assert names_used(source, MATRIX_COMPARATOR) == ["add_map_equality", "map_witness"]
+    assert names_used("rep.add_chain_equality('ID', lhs, rhs)\n", MATRIX_COMPARATOR) == []
+
+
 def test_detector_finds_non_stdlib_imports():
     source = (
         "import os.path, numpy as np\n"
@@ -327,6 +350,11 @@ def test_module_imports_are_used(name):
 @pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - TOOLKIT_HOMES))
 def test_module_states_composites_as_chains(name):
     assert matrix_toolkit_uses((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - {COMPARATOR_HOME}))
+def test_module_decides_laws_on_chains(name):
+    assert names_used((PACKAGE / name).read_text(encoding="utf-8"), MATRIX_COMPARATOR) == []
 
 
 @pytest.mark.parametrize("name", ALL_MODULES)

@@ -13,10 +13,11 @@ compared, not just verdicts; also after merging rows into a report of
 single checks and the reverse.  check_crossed_equivalence is compared the
 same way with its per-grade form (reference_crossed_equivalence).  Also
 here: mutants failing in chosen segments of a family, a kill for
-GHQ-epsilon-unit, guards that the number of Chains a validation or a yd
-law suite builds does not grow with the group and that no Check is built
-until one is read, and the bounded witness search against the unbounded
-one.
+GHQ-epsilon-unit, guards that the number of Chains a validation, a yd
+law suite or conjugation coherence builds does not grow with the group
+and that no Check is built until one is read, the bounded witness search
+against the unbounded one, and families that factor the same spaces into
+different legs against map_witness.
 """
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasibraid import exactlin, fixtures
-from quasibraid.exactlin import Chain, LegMap, LinMap, PrimeField, QQ
+from quasibraid.exactlin import Chain, LegMap, LinMap, PrimeField, QQ, product_labels
 from quasibraid.errors import AntipodeNotInvertible, NotInvertible
 from quasibraid.gchq import (
     CrossedGCHQ, legs_labels, map_legs, mirror, validate_crossed, validate_crossing,
@@ -36,12 +37,13 @@ from quasibraid.gchq import (
 )
 from quasibraid.hq import UnitalAlgebra
 from quasibraid.report import (
-    AXIOM_LEGEND, Check, Report, Witness, _first_difference, chain_witness,
+    AXIOM_LEGEND, Check, Report, Witness, _first_difference, chain_witness, family_witnesses,
+    map_witness,
 )
 from quasibraid import tables
 from quasibraid.yd import (
-    YDModule, check_braiding_laws, check_crossed_equivalence, diagonal_module, module_legs,
-    validate_morphism, validate_yd, yd_direct_sum,
+    YDModule, check_braiding_laws, check_crossed_equivalence, conjugation_coherence,
+    diagonal_module, module_legs, validate_morphism, validate_yd, yd_direct_sum,
 )
 from test_braid_legwise import ANTIPODE_MUTANT, MUTANTS, build_mutant
 from test_exactlin import v4_crossed_by_s3
@@ -634,6 +636,20 @@ def test_yd_law_suites_build_the_same_chains_at_any_group(monkeypatch):
     assert all(map(le, counts[0], [95, 10, 23]))
 
 
+def test_conjugation_coherence_builds_the_same_chains_at_any_group(monkeypatch):
+    """Conjugation coherence compares the regradings of V, of each V^t and
+    of V (x) W, and the tensors of regradings, as families over every pair
+    (s, t), building only V (x) W and the regradings of V and W; so the
+    diagonal modules over gchq-power (|G| = 2) and k[V4] crossed by S3
+    (|G| = 6) build the same number of Chains.  Building every module it
+    compared took 66 and 146."""
+    counts = [
+        chains_built_by(monkeypatch, conjugation_coherence, v, v)[0]
+        for v in (fixtures.build("yd-diagonal-power")[1], diagonal_module(V4_S3))
+    ]
+    assert counts[0] == counts[1] <= 47
+
+
 def test_a_chain_is_the_family_of_one_segment():
     """Chain(field, legs) and Chain.family(field, stacks of one leg) are
     one representation: same stages, same blocks, same matrix; a family of
@@ -791,3 +807,72 @@ def test_families_of_uneven_segments_match_the_per_check_path(case, block):
         exactlin.BLOCK = saved
     for rep, want in zip(got, (reference_gchq(h), reference_crossing(h), reference_yd(v))):
         assert_same(rep, want)
+
+
+# -- families that factor the same spaces into different legs ------------------------
+
+
+def basis(prefix, n):
+    return tuple((f"{prefix}{i}",) for i in range(n))
+
+
+def test_family_witnesses_need_the_same_segment_sizes():
+    """Two families are compared segment by segment on flat positions, so
+    they need the same segments, each with the same domain and codomain
+    size on both sides; the same totals are not enough."""
+    A, B = basis("a", 2), basis("b", 3)
+    with pytest.raises(ValueError):  # segments of sizes 2, 3 against 3, 2
+        family_witnesses(Chain.family(QQ, [(A, B)]), Chain.family(QQ, [(B, A)]))
+    with pytest.raises(ValueError):  # one segment against two
+        family_witnesses(Chain(QQ, (A,)), Chain.family(QQ, [(A, A)]))
+    to_b = LegMap(LinMap(QQ, 3, 2, {(0, 0): QQ.one}, A, B), (A,), (B,))
+    with pytest.raises(ValueError):  # the same domain, codomains of sizes 3 and 2
+        family_witnesses(Chain(QQ, (A,)).then(to_b), Chain(QQ, (A,)))
+
+
+@st.composite
+def flipping_maps(draw):
+    """A field and two lists of maps V (x) W -> W (x) V, dim V = 2 and
+    dim W = 3, labelled as products; a few random entries each, so columns
+    with several entries (off the monomial path) come up too."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    V, W = basis("v", 2), basis("w", 3)
+    dom, cod = product_labels((V, W)), product_labels((W, V))
+    segments = draw(st.integers(1, 3))
+    maps = []
+    for _ in range(2 * segments):
+        entries = {
+            (draw(st.integers(0, 5)), draw(st.integers(0, 5))):
+                field.scalar(draw(st.sampled_from([1, 1, 2, -1])))
+            for _ in range(draw(st.integers(0, 9)))
+        }
+        maps.append(LinMap(field, 6, 6, entries, dom, cod))
+    return field, V, W, maps[:segments], maps[segments:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flipping_maps(), st.sampled_from([1, 4, 1024]))
+def test_a_map_read_on_factor_legs_or_on_their_product_gives_map_witness(case, block):
+    """The witness of each segment of a family read on the legs (V, W) ->
+    (W, V) against one read on the single legs V (x) W -> W (x) V, either
+    way round, is map_witness of the segment's two maps: a witness reads
+    flat positions, and labels that concatenate across legs."""
+    field, V, W, fs, gs = case
+    VW, WV = product_labels((V, W)), product_labels((W, V))
+    k = len(fs)
+    factored = Chain.family(field, [[V] * k, [W] * k])
+    whole = Chain.family(field, [[VW] * k])
+    saved = exactlin.BLOCK
+    exactlin.BLOCK = block
+    try:
+        on_legs = factored.then([LegMap(f, (V, W), (W, V)) for f in fs])
+        on_product = whole.then([LegMap(g, (VW,), (WV,)) for g in gs])
+        got = family_witnesses(on_legs, on_product)
+        flipped = family_witnesses(
+            whole.then([LegMap(f, (VW,), (WV,)) for f in fs]),
+            factored.then([LegMap(g, (V, W), (W, V)) for g in gs]),
+        )
+    finally:
+        exactlin.BLOCK = saved
+    want = list(map(map_witness, fs, gs))
+    assert got == flipped == want

@@ -10,9 +10,11 @@ from quasibraid.errors import (
     NotAGroupAlgebra,
 )
 from quasibraid.exactlin import K_LABELS, LinMap, PrimeField, QQ
-from quasibraid.fixtures import build, gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial
-from quasibraid.report import Report
-from quasibraid.gchq import CrossedGCHQ
+from quasibraid.fixtures import (
+    REGISTRY, build, gchq_power, yd_crossed_s3, yd_diagonal_power, yd_trivial,
+)
+from quasibraid.report import Report, Witness, map_witness
+from quasibraid.gchq import CrossedGCHQ, legs_map, map_legs
 from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, from_hopf_quasigroup, group_algebra
 from quasibraid.tables import GroupTable
 from quasibraid.yd import (
@@ -23,6 +25,7 @@ from quasibraid.yd import (
     conjugation_coherence,
     crossed_set_module,
     diagonal_module,
+    module_legs,
     search_dim1_modules,
     trivial_module,
     validate_morphism,
@@ -31,7 +34,8 @@ from quasibraid.yd import (
     yd_direct_sum,
     yd_tensor,
 )
-from test_braid_legwise import ANTIPODE_MUTANT, build_mutant
+from test_braid_legwise import ANTIPODE_MUTANT, build_mutant, ref_yd_conjugate, ref_yd_tensor
+from test_hq_legwise import chein_loop
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +310,143 @@ def test_conjugation_coherence_suite_matches_per_pair_loop(field, pair):
 def test_conjugation_coherence_trivial_cases(yd_crossed_s3):
     rep = check_conjugation_coherence(yd_crossed_s3, yd_crossed_s3, 0, 0)
     assert rep.passed
+
+
+# -- conjugation coherence against the structure-data comparator --------------
+
+
+def structure_data_witness(a, b):
+    """First discrepancy between the structure data of two built modules:
+    the grade, the labels, the action, then the coaction of each grade,
+    each map compared with map_witness.  Conjugation coherence compared
+    built modules this way before it compared families of Chains; it
+    lives only here."""
+    if a.grade != b.grade:
+        return Witness(
+            ("grade",),
+            (),
+            a.base.grade_label(a.grade),
+            b.base.grade_label(b.grade),
+        )
+    if a.labels != b.labels:
+        return Witness(("labels",), (), str(a.dim), str(b.dim))
+    w = map_witness(a.action, b.action)
+    if w is not None:
+        return Witness(("action",) + w.domain, w.codomain, w.lhs, w.rhs)
+    for r in a.base.grades():
+        w = map_witness(a.coaction[r], b.coaction[r])
+        if w is not None:
+            return Witness(
+                (f"coaction@{a.base.grade_label(r)}",) + w.domain, w.codomain, w.lhs, w.rhs
+            )
+    return None
+
+
+def reference_coherence(rep, v, w, pairs):
+    """The per-pair loop over pairs [(s, [t, ...]), ...]: every module
+    compared is built, by the composed-matrix reference of
+    test_braid_legwise, and compared with structure_data_witness."""
+    for s, ts in pairs:
+        tensor = structure_data_witness(
+            ref_yd_conjugate(ref_yd_tensor(v, w), s),
+            ref_yd_tensor(ref_yd_conjugate(v, s), ref_yd_conjugate(w, s)),
+        )
+        for t in ts:
+            witness = structure_data_witness(
+                ref_yd_conjugate(v, v.base.mul(s, t)), ref_yd_conjugate(ref_yd_conjugate(v, t), s)
+            )
+            rep.add("CONJ-4.6-iterated", witness is None, witness=witness)
+            rep.add("CONJ-4.6-tensor", tensor is None, witness=tensor)
+    return rep
+
+
+def chein_graded_base(field):
+    """A base graded by Chein's Moufang loop M(S3,2) read as a GroupTable,
+    which is not associative: 12 one-dimensional components labelled
+    ("1",), and every map 1.  Regrading by st and by t then s can land in
+    different grades over it."""
+    loop = chein_loop(GroupTable.symmetric(3))
+    grading = GroupTable(loop.labels, loop.table)
+    one = field.one
+    comps = [UnitalAlgebra(field, 1, [("1",)], {(0, 0, 0): one}, [one]) for _ in loop.labels]
+    maps = {
+        family: {key: legs_map(field, {(0, 0): one}, legs) for key, legs in keyed.items()}
+        for family, keyed in map_legs(grading, comps).items()
+    }
+    return CrossedGCHQ(
+        field, grading, comps, maps["comult"], maps["counit"][None], maps["antipode"],
+        maps["crossing"],
+    )
+
+
+def one_dimensional(base, grade):
+    """The strict module on one basis vector at grade, every map 1."""
+    field, labels, one = base.field, (("1",),), {(0, 0): base.field.one}
+    legs = module_legs(base, grade, labels)
+    action = legs_map(field, one, legs["action"][None])
+    coaction = {r: legs_map(field, one, pair) for r, pair in legs["coaction"].items()}
+    return YDModule(base, grade, labels, action, coaction, True)
+
+
+YD_NAMES = sorted(name for name, (kind, _) in REGISTRY.items() if kind == "yd")
+
+#: every pair of yd fixtures over one base, and pairs whose coherence fails:
+#: over a base with a doubled crossing, and over the Chein-graded base
+#: (grade witnesses in the iterated check, and in the tensor check too for
+#: modules of grades 1 and 7)
+COHERENCE_PAIRS = [
+    f"{a}/{b}" for a in YD_NAMES for b in YD_NAMES
+    if build(a)[1].base == build(b)[1].base
+] + ["doubled/trivial", "doubled/doubled", "chein/1,1", "chein/1,7"]
+
+
+def coherence_pair(name, field):
+    a, b = name.split("/")
+    if a == "doubled":
+        v = _doubled_crossing(yd_diagonal_power(field))
+        return v, trivial_module(v.base) if b == "trivial" else v
+    if a == "chein":
+        base = chein_graded_base(field)
+        return tuple(one_dimensional(base, int(g)) for g in b.split(","))
+    return build(a, field)[1], build(b, field)[1]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("pair", COHERENCE_PAIRS)
+def test_coherence_matches_the_structure_data_comparator(field, pair):
+    """conjugation_coherence and check_conjugation_coherence, which compare
+    families of Chains without building the modules compared, give the
+    bytes of the per-pair loop that builds them all and compares their
+    structure data."""
+    v, w = coherence_pair(pair, field)
+    grades, label = list(v.base.grades()), v.base.grade_label
+    suite = conjugation_coherence(v, w)
+    want = reference_coherence(Report("conjugation coherence"), v, w, [(s, grades) for s in grades])
+    assert suite.render() == want.render()
+    assert suite.to_jobj() == want.to_jobj()
+    assert suite.passed == (pair.split("/")[0] not in ("doubled", "chein"))
+    for s in grades:
+        for t in grades:
+            rep = check_conjugation_coherence(v, w, s, t)
+            subject = f"conjugation coherence (s={label(s)}, t={label(t)})"
+            want = reference_coherence(Report(subject), v, w, [(s, [t])])
+            assert rep.render() == want.render()
+            assert rep.to_jobj() == want.to_jobj()
+
+
+def test_coherence_reports_a_grade_witness_over_a_non_group_grading():
+    """braid-report does not validate a base's grading, so it need not be a
+    group.  Over the Chein-graded base, regrading the module of grade 1 by
+    st and by t then s lands in different grades for 72 of the 144 pairs:
+    those iterated checks fail with a grade witness, and no family is built
+    for them."""
+    v = one_dimensional(chein_graded_base(QQ), 1)
+    rep = conjugation_coherence(v, v)
+    failed = [c for c in rep.checks if not c.passed]
+    assert len(rep.checks) == 288 and len(failed) == 72
+    assert {c.check_id for c in failed} == {"CONJ-4.6-iterated"}
+    assert {c.witness.domain for c in failed} == {("grade",)}
+    assert failed[0].witness.describe() == "at (grade) -> (): (1 2) != (0 2)"
 
 
 # -- crossed-condition equivalence -------------------------------------------
