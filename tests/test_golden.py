@@ -2,7 +2,10 @@
 every bundled fixture and for `braid-report` on the yd fixtures, over Q
 and GF(7).  Passing reports carry no witnesses, so a few mutants (one
 structure map scaled by 1/2, which is 4 in GF(7)) add failing checks
-whose witnesses hold integral and non-integral scalars.
+whose witnesses hold integral and non-integral scalars.  For each
+`construct` op on the fixtures (loop-algebra under QB_FIELD set to the
+field), the sha256 of the --out bytes and of stdout, with the output
+path replaced by a fixed token.
 
 A change that must not alter any report (a speed-up, a refactor) keeps
 these digests; a change to a verdict, check order, detail or witness
@@ -11,12 +14,13 @@ commit whose output is the reference:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste what it prints over GOLDEN.
+and paste what it prints over GOLDEN and GOLDEN_CONSTRUCT.
 """
 
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -97,6 +101,38 @@ def _cases():
 
 CASES = dict(_cases())
 
+#: (op, input fixtures, --grade); the mutants' cases are rejected: mirror
+#: refuses an invalid input, and a tensor with a failing module fails its
+#: re-validation
+CONSTRUCT = (
+    ("loop-algebra", ("table-c3",), None),
+    ("loop-algebra", ("table-o16",), None),
+    ("power", ("hq-c3", "action-c2-on-c3"), None),
+    ("mirror", ("gchq-power",), None),
+    ("mirror", ("gchq-power-half-antipode",), None),
+    ("yd-tensor", ("yd-crossed-s3", "yd-crossed-s3"), None),
+    ("yd-tensor", ("yd-trivial", "yd-diagonal-power"), None),
+    ("yd-tensor", ("yd-crossed-s3-half-coaction", "yd-crossed-s3"), None),
+    ("yd-conjugate", ("yd-diagonal-power",), "g"),
+    ("yd-conjugate", ("yd-crossed-s3",), "e"),
+    ("direct-sum", ("yd-diagonal-power", "yd-trivial"), None),
+    ("direct-sum", ("yd-crossed-s3", "yd-crossed-s3-quasi"), None),
+)
+
+
+def _construct_cases():
+    for field in FIELDS:
+        for op, names, grade in CONSTRUCT:
+            argv = ["construct", "--op", op] + [f"{n}.json" for n in names]
+            argv += ["--grade", grade] if grade else []
+            yield f"{field} construct {op} {' '.join(names)}", argv
+
+
+CONSTRUCT_CASES = dict(_construct_cases())
+
+#: stands for the --out path in a construct case's stdout
+OUT_TOKEN = "<out>"
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()[:16]
@@ -123,6 +159,37 @@ def run_case(directory, argv):
     ]
 
 
+def run_construct(directory, field, argv):
+    """(exit code, --out digest, stdout digest, stderr digest) of a
+    construct run with QB_FIELD set to field; stdout has the output path
+    as OUT_TOKEN, stderr loses its timing line, and a run that writes no
+    output has None."""
+    directory = Path(directory)
+    target = directory / "construct-out.json"
+    target.unlink(missing_ok=True)
+    argv = [str(directory / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("QB_FIELD")
+    os.environ["QB_FIELD"] = field
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv + ["--out", str(target)])
+    finally:
+        if saved is None:
+            del os.environ["QB_FIELD"]
+        else:
+            os.environ["QB_FIELD"] = saved
+    stderr = "".join(
+        line for line in err.getvalue().splitlines(True) if not line.startswith("elapsed: ")
+    )
+    return [
+        code,
+        _sha(target.read_bytes()) if target.exists() else None,
+        _sha(out.getvalue().replace(str(target), OUT_TOKEN).encode()),
+        _sha(stderr.encode()),
+    ]
+
+
 @pytest.fixture(scope="module")
 def fixture_dirs(tmp_path_factory):
     dirs = {}
@@ -141,6 +208,18 @@ def test_cli_output_matches_golden_digest(case, fixture_dirs):
 
 def test_golden_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCT_CASES))
+def test_construct_output_matches_golden_digest(case, fixture_dirs):
+    field = case.split(" ", 1)[0]
+    assert run_construct(fixture_dirs[field], field, CONSTRUCT_CASES[case]) == (
+        GOLDEN_CONSTRUCT[case]
+    )
+
+
+def test_golden_construct_table_covers_every_case():
+    assert sorted(GOLDEN_CONSTRUCT) == sorted(CONSTRUCT_CASES)
 
 
 #: recorded at the commit before integral Q scalars became ints
@@ -208,16 +287,50 @@ GOLDEN = {
 }
 
 
+#: recorded at the commit before the construct front end was restated
+GOLDEN_CONSTRUCT = {
+    'Q construct direct-sum yd-crossed-s3 yd-crossed-s3-quasi': [0, "4bb4452e21388aaf", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'Q construct direct-sum yd-diagonal-power yd-trivial': [0, "e0cf3dfd385c72a7", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'Q construct loop-algebra table-c3': [0, "8361ca64985bd970", "2e3bfd0f035f3fcb", "e3b0c44298fc1c14"],
+    'Q construct loop-algebra table-o16': [0, "8df8d1fd3ca646ec", "2e3bfd0f035f3fcb", "e3b0c44298fc1c14"],
+    'Q construct mirror gchq-power': [0, "d624450299ef0e30", "ba73dc12cdb41b52", "e3b0c44298fc1c14"],
+    'Q construct mirror gchq-power-half-antipode': [1, None, "e3b0c44298fc1c14", "2e47769711adac72"],
+    'Q construct power hq-c3 action-c2-on-c3': [0, "86aa666687f2f6b2", "ba73dc12cdb41b52", "e3b0c44298fc1c14"],
+    'Q construct yd-conjugate yd-crossed-s3': [0, "0bb46c452180c67e", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'Q construct yd-conjugate yd-diagonal-power': [0, "e8a79169e55c3eb7", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'Q construct yd-tensor yd-crossed-s3 yd-crossed-s3': [0, "f95b4b31f50140aa", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'Q construct yd-tensor yd-crossed-s3-half-coaction yd-crossed-s3': [1, None, "776ede861f45830b", "e3b0c44298fc1c14"],
+    'Q construct yd-tensor yd-trivial yd-diagonal-power': [0, "ab8267bd578b7a8d", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'GF:7 construct direct-sum yd-crossed-s3 yd-crossed-s3-quasi': [0, "d70389f185c6eb0b", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'GF:7 construct direct-sum yd-diagonal-power yd-trivial': [0, "fb8798aae6cc6735", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'GF:7 construct loop-algebra table-c3': [0, "b614dd8dceda524b", "2e3bfd0f035f3fcb", "e3b0c44298fc1c14"],
+    'GF:7 construct loop-algebra table-o16': [0, "6c98519977e2936b", "2e3bfd0f035f3fcb", "e3b0c44298fc1c14"],
+    'GF:7 construct mirror gchq-power': [0, "3ef3130e9d103124", "ba73dc12cdb41b52", "e3b0c44298fc1c14"],
+    'GF:7 construct mirror gchq-power-half-antipode': [1, None, "e3b0c44298fc1c14", "2e47769711adac72"],
+    'GF:7 construct power hq-c3 action-c2-on-c3': [0, "e2a2b8c70244bac8", "ba73dc12cdb41b52", "e3b0c44298fc1c14"],
+    'GF:7 construct yd-conjugate yd-crossed-s3': [0, "3f68ad395187a929", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'GF:7 construct yd-conjugate yd-diagonal-power': [0, "562de7c7f390e2e3", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'GF:7 construct yd-tensor yd-crossed-s3 yd-crossed-s3': [0, "d7603bc2979148b2", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+    'GF:7 construct yd-tensor yd-crossed-s3-half-coaction yd-crossed-s3': [1, None, "2c025e32a942678a", "e3b0c44298fc1c14"],
+    'GF:7 construct yd-tensor yd-trivial yd-diagonal-power': [0, "6e98a2af7b836abd", "0c409b21bb504c73", "e3b0c44298fc1c14"],
+}
+
 if __name__ == "__main__":
-    table = {}
+    tables = {"GOLDEN": {}, "GOLDEN_CONSTRUCT": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for field in FIELDS:
             directory = Path(tmp) / field.replace(":", "")
             write_inputs(directory, field)
             for case in sorted(CASES):
                 if case.startswith(field + " "):
-                    table[case] = run_case(directory, CASES[case])
-    sys.stdout.write("GOLDEN = {\n")
-    for case, value in table.items():
-        sys.stdout.write(f"    {case!r}: {json.dumps(value)},\n".replace("null", "None"))
-    sys.stdout.write("}\n")
+                    tables["GOLDEN"][case] = run_case(directory, CASES[case])
+            for case in sorted(CONSTRUCT_CASES):
+                if case.startswith(field + " "):
+                    tables["GOLDEN_CONSTRUCT"][case] = run_construct(
+                        directory, field, CONSTRUCT_CASES[case]
+                    )
+    for name, table in tables.items():
+        sys.stdout.write(f"{name} = {{\n")
+        for case, value in table.items():
+            sys.stdout.write(f"    {case!r}: {json.dumps(value)},\n".replace("null", "None"))
+        sys.stdout.write("}\n")
