@@ -7,9 +7,12 @@ Subcommands:
   fixtures      materialize the bundled example structures
 
 Exit codes: 0 all checks pass, 1 a required check failed or a
-construction was rejected, 2 unreadable/malformed input, 3 braiding
-requested on a non-strict module.  Reports are deterministic; timing
-goes to stderr so stdout and --json stay byte-stable.
+construction was rejected, 2 unreadable/malformed input or command line
+(a wrong number of files, a missing or unknown --grade, a bad field
+tag), 3 braiding requested on a non-strict module.  Errors other than
+argparse's own go to stderr as "error: <message>".  Reports are
+deterministic; timing goes to stderr so stdout and --json stay
+byte-stable.
 
 Each command imports what it runs.  The modules every command needs are
 imported at the top; yd and fixtures are imported only inside the code
@@ -24,7 +27,7 @@ import sys
 import time
 
 from . import serialize
-from .errors import NotStrict, ParseError, QuasibraidError
+from .errors import FieldError, NotStrict, ParseError, QuasibraidError
 from .exactlin import field_from_name
 from .gchq import mirror, power_construction, validate_crossed
 from .hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
@@ -36,8 +39,24 @@ EXIT_PARSE = 2
 EXIT_NOT_STRICT = 3
 
 
-def default_field():
-    return field_from_name(os.environ.get("QB_FIELD", "Q"))
+#: construct op -> (kinds of its input files, kind of its result)
+OPS = {
+    "loop-algebra": (("loop",), "hq"),
+    "power": (("hq", "action"), "gchq"),
+    "mirror": (("gchq",), "gchq"),
+    "yd-tensor": (("yd", "yd"), "yd"),
+    "yd-conjugate": (("yd",), "yd"),
+    "direct-sum": (("yd", "yd"), "yd"),
+}
+
+
+def _field(tag=None):
+    """The field named by tag, else by QB_FIELD, else Q; a bad tag is an
+    invocation error."""
+    try:
+        return field_from_name(tag or os.environ.get("QB_FIELD", "Q"))
+    except FieldError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _emit(report, json_path, elapsed):
@@ -52,14 +71,14 @@ def _validate_object(kind, obj):
     if kind == "hq":
         report = validate_hopf_quasigroup(obj)
         report.merge(antipode_inverse_laws(obj))
-    elif kind == "gchq":
-        report = validate_crossed(obj)
-    else:
-        from .yd import validate_yd
+        return report
+    if kind == "gchq":
+        return validate_crossed(obj)
+    from .yd import validate_yd
 
-        report = validate_crossed(obj.base)
-        if report.passed:
-            report.merge(validate_yd(obj))
+    report = validate_crossed(obj.base)
+    if report.passed:
+        report.merge(validate_yd(obj))
     return report
 
 
@@ -70,56 +89,35 @@ def cmd_validate(args):
     return _emit(report, args.json, time.monotonic() - start)
 
 
+def _construct(op, inputs, grade):
+    if op == "loop-algebra":
+        return loop_algebra(*inputs, _field())
+    if op == "power":
+        return power_construction(*inputs)
+    if op == "mirror":
+        return mirror(*inputs)
+    from . import yd
+
+    if op == "yd-tensor":
+        return yd.yd_tensor(*inputs)
+    if op == "direct-sum":
+        return yd.yd_direct_sum(*inputs)[0]
+    labels = inputs[0].base.grading.labels
+    if grade not in labels:
+        raise ParseError(f"unknown grade {grade!r}; choices: {', '.join(labels)}")
+    return yd.yd_conjugate(*inputs, labels.index(grade))
+
+
 def cmd_construct(args):
     start = time.monotonic()
-    op = args.op
-    validated = False
-    if op == "loop-algebra":
-        _expect_inputs(args, 1)
-        table = serialize.load("loop", args.inputs[0])
-        result_kind, result = "hq", loop_algebra(table, default_field())
-    elif op == "power":
-        _expect_inputs(args, 2)
-        h = serialize.load("hq", args.inputs[0])
-        action = serialize.load("action", args.inputs[1])
-        result_kind, result = "gchq", power_construction(h, action)
-    elif op == "mirror":
-        _expect_inputs(args, 1)
-        h = serialize.load("gchq", args.inputs[0])
-        # mirror validates its output and raises if it fails
-        result_kind, result, validated = "gchq", mirror(h), True
-    elif op == "yd-tensor":
-        from .yd import yd_tensor
-
-        _expect_inputs(args, 2)
-        v = serialize.load("yd", args.inputs[0])
-        w = serialize.load("yd", args.inputs[1])
-        result_kind, result = "yd", yd_tensor(v, w)
-    elif op == "yd-conjugate":
-        from .yd import yd_conjugate
-
-        _expect_inputs(args, 1)
-        v = serialize.load("yd", args.inputs[0])
-        if args.grade is None:
-            raise QuasibraidError("yd-conjugate needs --grade")
-        labels = v.base.grading.labels
-        if args.grade not in labels:
-            raise QuasibraidError(
-                f"unknown grade {args.grade!r}; choices: {', '.join(labels)}"
-            )
-        result_kind, result = "yd", yd_conjugate(v, labels.index(args.grade))
-    elif op == "direct-sum":
-        from .yd import yd_direct_sum
-
-        _expect_inputs(args, 2)
-        v = serialize.load("yd", args.inputs[0])
-        w = serialize.load("yd", args.inputs[1])
-        total, _, _ = yd_direct_sum(v, w)
-        result_kind, result = "yd", total
-    else:  # pragma: no cover - argparse restricts choices
-        raise QuasibraidError(f"unknown op {op}")
-
-    if not validated:
+    kinds, result_kind = OPS[args.op]
+    if len(args.inputs) != len(kinds):
+        raise ParseError(f"--op {args.op} needs exactly {len(kinds)} input file(s)")
+    if args.op == "yd-conjugate" and args.grade is None:
+        raise ParseError("yd-conjugate needs --grade")
+    inputs = [serialize.load(kind, path) for kind, path in zip(kinds, args.inputs)]
+    result = _construct(args.op, inputs, args.grade)
+    if args.op != "mirror":  # mirror validates its output and raises if it fails
         report = _validate_object(result_kind, result)
         if not report.passed:
             print(report.render())
@@ -131,12 +129,9 @@ def cmd_construct(args):
     return EXIT_OK
 
 
-def _expect_inputs(args, n):
-    if len(args.inputs) != n:
-        raise QuasibraidError(f"--op {args.op} needs exactly {n} input file(s)")
-
-
 def cmd_braid_report(args):
+    if not 2 <= len(args.modules) <= 3:
+        raise ParseError("braid-report needs two or three module files")
     from .yd import (
         Constructions,
         check_braiding_inverse,
@@ -167,8 +162,7 @@ def cmd_braid_report(args):
 def cmd_fixtures(args):
     from . import fixtures
 
-    field = field_from_name(args.field) if args.field else default_field()
-    paths = fixtures.write_all(args.out, field)
+    paths = fixtures.write_all(args.out, _field(args.field))
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
@@ -189,18 +183,14 @@ def build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("construct", help="run a construction and save the result")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=["loop-algebra", "power", "mirror", "yd-tensor", "yd-conjugate", "direct-sum"],
-    )
-    p.add_argument("inputs", nargs="+", help="input structure files")
+    p.add_argument("--op", required=True, choices=list(OPS))
+    p.add_argument("inputs", nargs="*", help="input structure files")
     p.add_argument("--grade", help="grade label for yd-conjugate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("braid-report", help="braiding law suite for two or three modules")
-    p.add_argument("modules", nargs="+", help="two or three yd module files")
+    p.add_argument("modules", nargs="*", help="two or three yd module files")
     p.add_argument("--json", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_braid_report)
 
@@ -212,22 +202,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "braid-report" and not 2 <= len(args.modules) <= 3:
-        print("braid-report needs two or three module files", file=sys.stderr)
-        return EXIT_PARSE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotStrict as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STRICT
     except QuasibraidError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_NOT_STRICT if isinstance(exc, NotStrict) else EXIT_FAILED
 
 
 if __name__ == "__main__":

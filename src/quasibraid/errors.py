@@ -58,7 +58,9 @@ class AntipodeNotInvertible(QuasibraidError):
 
 
 class ParseError(QuasibraidError):
-    """Serialized structure file is unreadable or malformed."""
+    """Unreadable or malformed input: a serialized structure file, or a
+    command line that names the wrong number of files, a missing or
+    unknown grade, or a bad field tag.  The CLI exits 2 on it."""
 
 
 class ConstructionCheckFailed(QuasibraidError):

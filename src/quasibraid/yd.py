@@ -176,11 +176,10 @@ def _module_assoc_sides(v):
 
 
 def _crossed_condition_sides(v, r):
-    """Both sides of the crossed compatibility law at coaction grade r,
-    as Chains H_{pr} (x) V -> V (x) H_r; for a list of grades r, as
-    families with one segment per grade."""
+    """Both sides of the crossed compatibility law at the coaction grades
+    in the list r, as families of Chains H_{pr} (x) V -> V (x) H_r with
+    one segment per grade."""
     base, L, _, act, rho, i_v = v.base, *v.legs
-    r = [r] if type(r) is int else r
     p = [v.grade] * len(r)
     g1 = conj(base, p, r)  # p r p^-1
     start = L.chain(mul(base, p, r), v.labels)
@@ -751,11 +750,6 @@ def yd_direct_sum(v, w):
         return YDMorphism(m, total, LinMap(field, n, m.dim, entries, m.labels, labels))
 
     return (total,) + tuple(inclusion(m, off) for m, off in blocks)
-
-
-def scaled_identity_morphism(v, scalar):
-    """v -> v given by a scalar multiple of the identity."""
-    return YDMorphism(v, v, v.ident().scale(scalar))
 
 
 # -- diagnostics -----------------------------------------------------------

@@ -156,9 +156,12 @@ def test_naturality_fails_for_non_morphism(yd_crossed_s3, s3):
     assert "BRAID-2.1-naturality" in rep.failed_ids()
 
 
-def test_scaled_identity_is_natural(yd_crossed_s3):
-    from quasibraid.yd import scaled_identity_morphism
+def scaled_identity_morphism(v, scalar):
+    """v -> v given by a scalar multiple of the identity."""
+    return YDMorphism(v, v, v.ident().scale(scalar))
 
+
+def test_scaled_identity_is_natural(yd_crossed_s3):
     f = scaled_identity_morphism(yd_crossed_s3, 2)
     g = scaled_identity_morphism(yd_crossed_s3, -1)
     rep = check_braiding_laws(yd_crossed_s3, yd_crossed_s3, None, f, g)

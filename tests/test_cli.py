@@ -20,6 +20,16 @@ def fixture_dir(tmp_path_factory):
     return directory
 
 
+#: a 5-element loop with two-sided inverses that is not associative
+NON_GROUP_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -56,6 +66,38 @@ def test_validate_corrupt_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(bad), "--kind", "hq")
     assert code == 2
     assert "error" in err
+
+
+def test_validate_gchq_over_a_non_group_grading_reports_only_the_grading(tmp_path, capsys):
+    """A crossed structure with dim-1 components graded by a 5-element
+    loop that is not a group (not associative): validation stops after
+    the group axioms."""
+    n = 5
+    one = [["1"]]
+    jobj = {
+        "field": "Q",
+        "group": {"labels": [f"x{i}" for i in range(n)], "order": n, "table": NON_GROUP_LOOP},
+        "components": {
+            str(p): {"dim": 1, "labels": ["1"], "mult": [[0, 0, 0, "1"]], "unit": ["1"]}
+            for p in range(n)
+        },
+        "comult": {f"{p},{q}": one for p in range(n) for q in range(n)},
+        "counit": ["1"],
+        "antipode": {str(p): one for p in range(n)},
+        "crossing": {f"{a}|{p}": one for a in range(n) for p in range(n)},
+    }
+    target = tmp_path / "non-group-grading.json"
+    serialize.write_file(target, jobj)
+    code, out, _ = run(capsys, "validate", str(target), "--kind", "gchq")
+    assert code == 1
+    assert out == (
+        "subject: crossed structure (|G|=5, Q)\n"
+        "PASS GRP-closure\n"
+        "PASS GRP-identity\n"
+        "PASS GRP-inverse\n"
+        "FAIL GRP-assoc  at (x1,x1,x2) -> (): x2 != x4\n"
+        "result: FAIL\n"
+    )
 
 
 def test_validate_failing_structure_exits_1(fixture_dir, tmp_path, capsys):
@@ -328,11 +370,6 @@ def test_braid_report_quasimodule_exits_3(fixture_dir, capsys):
     assert "quasimodule" in err
 
 
-def test_braid_report_module_count_checked(fixture_dir, capsys):
-    code, _, _ = run(capsys, "braid-report", str(fixture_dir / "yd-trivial.json"))
-    assert code == 2
-
-
 def test_reports_are_deterministic(fixture_dir, capsys):
     args = ("validate", str(fixture_dir / "gchq-power.json"), "--kind", "gchq")
     _, out1, _ = run(capsys, *args)
@@ -345,6 +382,82 @@ def test_fixtures_command(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "fx" / "yd-crossed-s3.json").exists()
     assert len(out.strip().splitlines()) == len(fixtures.REGISTRY)
+
+
+def test_fixtures_field_option_writes_the_library_fixtures(tmp_path, capsys):
+    code, _, _ = run(capsys, "fixtures", "--out", str(tmp_path / "cli"), "--field", "GF:7")
+    assert code == 0
+    paths = fixtures.write_all(tmp_path / "lib", PrimeField(7))
+    for path in paths:
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(p.name for p in paths)
+
+
+def test_qb_field_sets_the_loop_algebra_field(fixture_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QB_FIELD", "GF:7")
+    out_path = tmp_path / "c3-gf7.json"
+    table = str(fixture_dir / "table-c3.json")
+    code, _, _ = run(capsys, "construct", "--op", "loop-algebra", table, "--out", str(out_path))
+    assert code == 0
+    assert serialize.read_file(out_path)["field"] == "GF:7"
+    assert serialize.load("hq", out_path) == fixtures.hq_c3(PrimeField(7))
+
+
+# -- invocation errors: exit 2, "error: " first, nothing written --------------
+
+#: a bundled fixture of each input kind a construct op reads
+FIXTURE_OF_KIND = {
+    "loop": "table-c3",
+    "hq": "hq-c3",
+    "action": "action-c2-on-c3",
+    "gchq": "gchq-power",
+    "yd": "yd-diagonal-power",
+}
+
+
+def _invocation_errors():
+    """name -> (argv with fixtures as <name>.json, QB_FIELD or None, stderr)"""
+    for op, (kinds, _) in cli.OPS.items():
+        grade = ["--grade", "g"] if op == "yd-conjugate" else []
+        for n in (len(kinds) - 1, len(kinds) + 1):
+            names = [f"{FIXTURE_OF_KIND[kind]}.json" for kind in (kinds + kinds)[:n]]
+            message = f"error: --op {op} needs exactly {len(kinds)} input file(s)\n"
+            yield f"{op}-{n}-inputs", (["construct", "--op", op, *names, *grade], None, message)
+    conjugate = ["construct", "--op", "yd-conjugate", "yd-diagonal-power.json"]
+    yield "conjugate-no-grade", (conjugate, None, "error: yd-conjugate needs --grade\n")
+    yield "conjugate-unknown-grade", (
+        conjugate + ["--grade", "h"], None, "error: unknown grade 'h'; choices: e, g\n"
+    )
+    yield "fixtures-gf4", (
+        ["fixtures", "--field", "GF:4"], None, "error: GF modulus must be prime, got 4\n"
+    )
+    yield "qb-field-bogus", (
+        ["construct", "--op", "loop-algebra", "table-c3.json"],
+        "bogus",
+        "error: unknown field tag 'bogus'\n",
+    )
+    message = "error: braid-report needs two or three module files\n"
+    for n in (1, 4):
+        argv = ["braid-report"] + ["yd-trivial.json"] * n
+        yield f"braid-report-{n}-modules", (argv, None, message)
+
+
+INVOCATION_ERRORS = dict(_invocation_errors())
+
+
+@pytest.mark.parametrize("case", list(INVOCATION_ERRORS))
+def test_invocation_error_exits_2_and_writes_nothing(
+    case, fixture_dir, tmp_path, monkeypatch, capsys
+):
+    argv, qb_field, message = INVOCATION_ERRORS[case]
+    if qb_field is not None:
+        monkeypatch.setenv("QB_FIELD", qb_field)
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    target = tmp_path / "target"
+    flag = "--json" if argv[0] == "braid-report" else "--out"
+    code, out, err = run(capsys, *argv, flag, str(target))
+    assert (code, out, err) == (2, "", message)
+    assert not target.exists()
 
 
 # -- hostile input: out-of-range indices end in exit 2, never a traceback ------

@@ -25,6 +25,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -169,16 +170,8 @@ def run_construct(directory, field, argv):
     target.unlink(missing_ok=True)
     argv = [str(directory / a) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("QB_FIELD")
-    os.environ["QB_FIELD"] = field
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv + ["--out", str(target)])
-    finally:
-        if saved is None:
-            del os.environ["QB_FIELD"]
-        else:
-            os.environ["QB_FIELD"] = saved
+    with patch.dict(os.environ, QB_FIELD=field), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv + ["--out", str(target)])
     stderr = "".join(
         line for line in err.getvalue().splitlines(True) if not line.startswith("elapsed: ")
     )

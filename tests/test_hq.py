@@ -8,6 +8,7 @@ from quasibraid.errors import InvalidLoop, MalformedStructure
 from quasibraid.exactlin import LinMap, PrimeField, QQ
 from quasibraid.hq import (
     HopfQuasigroup,
+    UnitalAlgebra,
     antipode_inverse_laws,
     group_algebra,
     loop_algebra,
@@ -149,6 +150,25 @@ def test_malformed_structure_rejected(hq_c2):
     wrong = LinMap.identity(QQ, hq_c2.labels)
     with pytest.raises(MalformedStructure):
         HopfQuasigroup(QQ, hq_c2.algebra, wrong, hq_c2.counit, hq_c2.antipode)
+
+
+def test_unital_algebra_rejects_inconsistent_data():
+    labels, mult = (("e",), ("a",)), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    with pytest.raises(MalformedStructure, match="label count does not match dimension"):
+        UnitalAlgebra(QQ, 3, labels, mult, (1, 0))
+    with pytest.raises(MalformedStructure, match=r"mult index \(1, 2, 0\) outside dimension 2"):
+        UnitalAlgebra(QQ, 2, labels, {**mult, (1, 2, 0): 1}, (1, 0))
+    with pytest.raises(MalformedStructure, match="unit vector length does not match dimension"):
+        UnitalAlgebra(QQ, 2, labels, mult, (1, 0, 0))
+
+
+def test_unchecked_loop_algebra_needs_right_inverses():
+    """a a = a: the monoid {e, a} is no loop, and a has no right inverse,
+    so even the unchecked construction has no antipode to build."""
+    monoid = LoopTable(["e", "a"], [[0, 1], [1, 1]])
+    assert monoid.right_inverse == (0, None)
+    with pytest.raises(InvalidLoop, match="some element has no right inverse"):
+        loop_algebra(monoid, QQ, check=False)
 
 
 def test_mutated_counit_fails_coalgebra(hq_c2):

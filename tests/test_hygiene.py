@@ -19,6 +19,8 @@
 - the package's relative imports form no cycle: a special case depends on
   the general one, never both ways;
 - no line of a package module is wider than 100 columns;
+- every package module parses at the oldest Python that pyproject's
+  requires-python admits;
 - importing the command-line module loads only what every command runs,
   and validating a Hopf quasigroup over integral constants loads neither
   the Yetter-Drinfeld layer nor fractions.
@@ -27,6 +29,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +54,8 @@ MATRIX_COMPARATOR = {"map_witness", "add_map_equality"}
 COMPARATOR_HOME = "report.py"
 
 MAX_COLUMNS = 100
+
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 
 def non_stdlib_imports(source):
@@ -220,6 +225,13 @@ def long_lines(source, limit=MAX_COLUMNS):
     return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
 
 
+def python_floor(pyproject):
+    """(major, minor) of the `requires-python = ">=X.Y"` line in the text
+    of a pyproject.toml."""
+    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    return int(match[1]), int(match[2])
+
+
 def test_detector_finds_private_imports():
     sources = {
         "a.py": "from .b import _legs, public\nfrom .c import __version__\n",
@@ -337,6 +349,14 @@ def test_detector_finds_long_lines():
     assert long_lines("def f():\n    return 1\n") == []
 
 
+def test_detector_reads_the_python_floor():
+    assert python_floor('name = "x"\nrequires-python = ">=3.10"\n') == (3, 10)
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(newer, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=(3, 10))
+
+
 def test_no_two_functions_share_a_body():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert duplicate_bodies(sources) == []
@@ -380,6 +400,12 @@ def test_relative_imports_form_no_cycle():
 @pytest.mark.parametrize("name", ALL_MODULES)
 def test_module_lines_fit_in_100_columns(name):
     assert long_lines((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_module_parses_at_the_python_floor(name):
+    floor = python_floor(PYPROJECT.read_text(encoding="utf-8"))
+    ast.parse((PACKAGE / name).read_text(encoding="utf-8"), feature_version=floor)
 
 
 #: what `import quasibraid.cli` must leave unloaded: dataclasses pulls in

@@ -3,6 +3,7 @@
 import pytest
 
 from quasibraid.errors import (
+    AntipodeNotInvertible,
     BaseMismatch,
     GradeMismatch,
     InvalidInput,
@@ -94,7 +95,7 @@ def test_crossed_condition_instance_on_group_likes(yd_crossed_s3, s3):
     to h x h^-1 (x) h x on group-like basis vectors."""
     from quasibraid.yd import _crossed_condition_sides
 
-    lhs, rhs = _crossed_condition_sides(yd_crossed_s3, 0)
+    lhs, rhs = _crossed_condition_sides(yd_crossed_s3, [0])
     n = s3.order
     for h in range(n):
         for x in range(n):
@@ -134,6 +135,16 @@ def test_crossed_set_requires_group_algebra(hq_o16, power_base):
         crossed_set_module(from_hopf_quasigroup(hq_o16))
     with pytest.raises(NotAGroupAlgebra):
         crossed_set_module(power_base)
+
+
+def test_crossed_set_module_needs_the_identity_as_unit():
+    """k[C2] with unit e_a in place of e_e: the product is still the group
+    table, but the unit vector is not the group identity."""
+    h = group_algebra(GroupTable.cyclic(2), QQ)
+    algebra = UnitalAlgebra(QQ, 2, h.labels, h.algebra.mult, (0, 1))
+    h = HopfQuasigroup(QQ, algebra, h.comult, h.counit, h.antipode)
+    with pytest.raises(NotAGroupAlgebra, match="unit vector is not the group identity"):
+        crossed_set_module(from_hopf_quasigroup(h, check=False))
 
 
 def monoid_base():
@@ -490,6 +501,14 @@ def test_an_antipode_mutant_kills_the_crossed_equivalence(field):
     )
 
 
+def test_crossed_equivalence_needs_an_invertible_antipode():
+    """S_e with its unit entry zeroed is singular, and two of the three
+    forms read S_e^-1, so the check refuses to run."""
+    v = build_mutant("yd-diagonal-power/antipode:0/0,0=0", QQ)
+    with pytest.raises(AntipodeNotInvertible, match="antipode at grade e has rank 2"):
+        check_crossed_equivalence(v)
+
+
 # -- direct sums and morphisms ------------------------------------------------
 
 
@@ -529,14 +548,19 @@ def test_direct_sum_grade_mismatch(power_base, diag_power):
     t = trivial_module(power_base)
     conj = yd_conjugate(diag_power, 1)
     assert conj.grade == 0  # conjugating an identity-grade module stays at e
-    other = YDModule(
-        power_base, 1, t.labels,
-        kron_action_for_grade(power_base, 1, t.labels),
-        grade_one_coaction(power_base, t.labels),
+    with pytest.raises(GradeMismatch):
+        yd_direct_sum(t, grade_one_module(power_base, t.labels))
+
+
+def grade_one_module(base, labels):
+    """A module at grade 1 on labels: the trivial character action and
+    the coaction v -> v (x) 1."""
+    return YDModule(
+        base, 1, labels,
+        kron_action_for_grade(base, 1, labels),
+        grade_one_coaction(base, labels),
         True,
     )
-    with pytest.raises(GradeMismatch):
-        yd_direct_sum(t, other)
 
 
 def kron_action_for_grade(base, grade, labels):
@@ -566,6 +590,8 @@ def test_morphism_endpoint_checks(yd_crossed_s3, power_base):
         YDMorphism(yd_crossed_s3, t, yd_crossed_s3.ident())
     with pytest.raises(MalformedStructure):
         YDMorphism(yd_crossed_s3, yd_crossed_s3, LinMap.identity(QQ, (("x",),)))
+    with pytest.raises(GradeMismatch, match="morphism endpoints have different grades"):
+        YDMorphism(t, grade_one_module(power_base, t.labels), t.ident())
 
 
 def test_non_colinear_map_fails_morphism_laws(yd_crossed_s3, s3):
