@@ -1,8 +1,9 @@
 """Golden CLI output: the sha256 of stdout and of --json for `validate` on
 every bundled fixture and for `braid-report` on the yd fixtures, over Q
-and GF(7).  Passing reports carry no witnesses, so a few mutants (one
-structure map scaled by 1/2, which is 4 in GF(7)) add failing checks
-whose witnesses hold integral and non-integral scalars.  For each
+and GF(7).  Passing reports carry no witnesses, so a few mutants add
+failing checks: one structure map scaled by 1/2 (4 in GF(7)), whose
+witnesses hold integral and non-integral scalars, or one column of a
+structure map set to zero.  For each
 `construct` op on the fixtures (loop-algebra under QB_FIELD set to the
 field), the sha256 of the --out bytes and of stdout, with the output
 path replaced by a fixed token.
@@ -56,16 +57,22 @@ BRAID = (
     ("yd-trivial", "yd-diagonal-power", "yd-trivial"),
     ("yd-crossed-s3-quasi", "yd-crossed-s3"),
     ("yd-crossed-s3", "yd-diagonal-power"),
+    ("yd-diagonal-power-half-coaction", "yd-diagonal-power-half-coaction"),
+    ("yd-diagonal-power-hole-coaction", "yd-diagonal-power"),
 )
 
 
-#: mutant name -> (fixture, kind, key path of the scaled map)
+#: mutant name -> (fixture, kind, key path of the edited map); a "-half-"
+#: mutant scales the map by 1/2, a "-hole-" one sets its column 1 to zero
 MUTANTS = {
     "hq-c3-half-antipode": ("hq-c3", "hq", ("antipode",)),
     "gchq-power-half-antipode": ("gchq-power", "gchq", ("antipode", "1")),
     "yd-crossed-s3-half-action": ("yd-crossed-s3", "yd", ("action",)),
     "yd-crossed-s3-half-coaction": ("yd-crossed-s3", "yd", ("coaction", "0")),
     "yd-diagonal-power-half-coaction": ("yd-diagonal-power", "yd", ("coaction", "0")),
+    "hq-c3-hole-antipode": ("hq-c3", "hq", ("antipode",)),
+    "gchq-power-hole-crossing": ("gchq-power", "gchq", ("crossing", "1|0")),
+    "yd-diagonal-power-hole-coaction": ("yd-diagonal-power", "yd", ("coaction", "0")),
 }
 
 HALF = {"Q": "1/2", "GF:7": "4"}
@@ -77,6 +84,10 @@ def _halved(node, half):
     return half if node != "0" else node
 
 
+def _holed(rows):
+    return [[*row[:1], "0", *row[2:]] for row in rows]
+
+
 def write_inputs(directory, field):
     """The bundled fixtures and the mutants as <name>.json in directory."""
     directory = Path(directory)
@@ -86,7 +97,8 @@ def write_inputs(directory, field):
         parent = jobj
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = _halved(parent[path[-1]], HALF[field])
+        edited = parent[path[-1]]
+        parent[path[-1]] = _holed(edited) if "-hole-" in name else _halved(edited, HALF[field])
         serialize.write_file(directory / f"{name}.json", jobj)
 
 
@@ -277,6 +289,17 @@ GOLDEN = {
     'GF:7 validate yd-diagonal-power': [0, "aa85de30e83e0133", "a6991ab3c6301205", "e3b0c44298fc1c14"],
     'GF:7 validate yd-diagonal-power-half-coaction': [1, "d83be0870a1abe7e", "5aae5f980079507f", "e3b0c44298fc1c14"],
     'GF:7 validate yd-trivial': [0, "aa85de30e83e0133", "a6991ab3c6301205", "e3b0c44298fc1c14"],
+    # recorded at the commit before monomial maps were narrowed to unit scalars
+    'Q braid-report yd-diagonal-power-half-coaction yd-diagonal-power-half-coaction': [1, "6a4c86d43d75d471", "51d28de9a794bf94", "e3b0c44298fc1c14"],
+    'Q braid-report yd-diagonal-power-hole-coaction yd-diagonal-power': [1, "571413dc0d4e9dfa", "2abfc6e74707e11b", "e3b0c44298fc1c14"],
+    'Q validate gchq-power-hole-crossing': [1, "2b4b651d92a920b0", "a0c85e1a121fe0ea", "e3b0c44298fc1c14"],
+    'Q validate hq-c3-hole-antipode': [1, "b6ffb2d0381c0c6b", "4ed1c0aad51cba54", "e3b0c44298fc1c14"],
+    'Q validate yd-diagonal-power-hole-coaction': [1, "78c6def2b60afbcb", "ad07e6bea946d407", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-diagonal-power-half-coaction yd-diagonal-power-half-coaction': [1, "f88aff4cf3e5b8b7", "aa5ef62b007ae8d3", "e3b0c44298fc1c14"],
+    'GF:7 braid-report yd-diagonal-power-hole-coaction yd-diagonal-power': [1, "571413dc0d4e9dfa", "2abfc6e74707e11b", "e3b0c44298fc1c14"],
+    'GF:7 validate gchq-power-hole-crossing': [1, "85b14f2c920644ec", "216323de79c18d1f", "e3b0c44298fc1c14"],
+    'GF:7 validate hq-c3-hole-antipode': [1, "62e746fedcd813a5", "04985686cf7d69b1", "e3b0c44298fc1c14"],
+    'GF:7 validate yd-diagonal-power-hole-coaction': [1, "3bf02f7ce0068a13", "8a24de73c9418ee2", "e3b0c44298fc1c14"],
 }
 
 
