@@ -8,11 +8,13 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a required check failed or a
 construction was rejected, 2 unreadable/malformed input or command line
-(a wrong number of files, a missing or unknown --grade, a bad field
-tag), 3 braiding requested on a non-strict module.  Errors other than
-argparse's own go to stderr as "error: <message>".  Reports are
-deterministic; timing goes to stderr so stdout and --json stay
-byte-stable.
+(a wrong number of files, a missing or unknown --grade, --grade with
+an op other than yd-conjugate, a bad field tag), 3 braiding requested on
+a non-strict module.  Errors other than argparse's own go to stderr as
+"error: <message>".  Reports are deterministic; timing goes to stderr so
+stdout and --json stay byte-stable.  A reader that closes stdout early
+(a pipe into head) drops the rest of the output and changes no exit
+code.
 
 Each command imports what it runs.  The modules every command needs are
 imported at the top; yd and fixtures are imported only inside the code
@@ -59,8 +61,24 @@ def _field(tag=None):
         raise ParseError(str(exc)) from None
 
 
+def _say(text):
+    """Print text to stdout.  Once the reader has closed it, stdout is
+    pointed at os.devnull, so the command still ends with its own exit
+    code and nothing is reported when the interpreter flushes it."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout():
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(report, json_path, elapsed):
-    print(report.render())
+    _say(report.render())
     if json_path:
         serialize.write_file(json_path, report.to_jobj())
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -115,16 +133,18 @@ def cmd_construct(args):
         raise ParseError(f"--op {args.op} needs exactly {len(kinds)} input file(s)")
     if args.op == "yd-conjugate" and args.grade is None:
         raise ParseError("yd-conjugate needs --grade")
+    if args.op != "yd-conjugate" and args.grade is not None:
+        raise ParseError(f"--grade is only for yd-conjugate, not --op {args.op}")
     inputs = [serialize.load(kind, path) for kind, path in zip(kinds, args.inputs)]
     result = _construct(args.op, inputs, args.grade)
     if args.op != "mirror":  # mirror validates its output and raises if it fails
         report = _validate_object(result_kind, result)
         if not report.passed:
-            print(report.render())
-            print("construction result failed validation; not writing output")
+            _say(report.render())
+            _say("construction result failed validation; not writing output")
             return EXIT_FAILED
     serialize.save(result_kind, result, args.out)
-    print(f"wrote {result_kind} structure to {args.out}")
+    _say(f"wrote {result_kind} structure to {args.out}")
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -164,7 +184,7 @@ def cmd_fixtures(args):
 
     paths = fixtures.write_all(args.out, _field(args.field))
     for path in paths:
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return EXIT_OK
 
 
@@ -204,12 +224,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except QuasibraidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError):
-            return EXIT_PARSE
-        return EXIT_NOT_STRICT if isinstance(exc, NotStrict) else EXIT_FAILED
+            code = EXIT_PARSE
+        else:
+            code = EXIT_NOT_STRICT if isinstance(exc, NotStrict) else EXIT_FAILED
+    try:
+        sys.stdout.flush()  # a closed stdout fails here, not as the interpreter exits
+    except BrokenPipeError:
+        _drop_stdout()
+    return code
 
 
 if __name__ == "__main__":

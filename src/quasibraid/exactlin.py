@@ -23,9 +23,9 @@ matrices.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain as concat, compress, count, product, repeat
+from itertools import accumulate, chain as concat, product, repeat
 from math import prod
-from operator import add, eq, floordiv, getitem, mod, mul, ne, sub
+from operator import add, eq, floordiv, getitem, mod, mul, sub
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -548,19 +548,19 @@ class LegMap:
     yd.module_legs): f's labels are compared with them and nothing is
     rebuilt, and a map labelled with those very tuples passes at once.
 
-    For an identity map columns and scale are None, and a chain passes its
-    legs through.  Otherwise columns holds {input position: [(output
-    position, scalar), ...]} with no key for a zero column, and holes tells
-    whether there is a zero column.  Whether the map is monomial (every
-    column has at most one nonzero entry) is decided once: if it is, dest
-    lists over f's own domain the output position of each column, or -1
-    for a zero column (an identity's dest is range(cols)), and scale lists
-    the column scalars (field.zero on a zero column) only when some scalar
-    is not field.one; loop and group algebras keep no scale.  A map that is
-    not monomial has dest = scale = None.
+    For an identity map columns is None, and a chain passes its legs
+    through.  Otherwise columns holds {input position: [(output position,
+    scalar), ...]}, sorted by output position, with no key for a zero
+    column.  Whether the map is monomial (every column holds exactly one
+    entry, and that entry is field.one) is decided once: if it is, dest
+    lists over f's own domain the output position of each column (an
+    identity's dest is range(cols)).  Every structure map of a loop or
+    group algebra, and of the constructions on them, is monomial.  Any
+    other map, scaled, with a zero column or with a column of several
+    entries, has dest = None and is read through columns.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "scale", "holes", "_stacks")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "_stacks")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
@@ -575,24 +575,21 @@ class LegMap:
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
         self._stacks = {}
-        self.columns, self.scale, self.dest, self.holes = None, None, range(f.cols), False
-        entries, values, n, one = f.entries, f.entries.values(), f.cols, f.field.one
-        rows, cols = zip(*entries) if entries else ((), ())  # in the order of the values
-        scaled = any(map(ne, values, repeat(one)))
-        if dom_legs == cod_legs and rows == cols and len(cols) == n and not scaled:
+        self.columns, self.dest = None, range(f.cols)
+        entries, n = f.entries, f.cols
+        rows, cols = zip(*entries) if entries else ((), ())
+        unit = all(map(eq, entries.values(), repeat(f.field.one)))
+        if dom_legs == cod_legs and rows == cols and len(cols) == n and unit:
             return  # the identity
         columns = self.columns = {}
         for (i, j), value in entries.items():
             columns.setdefault(j, []).append((i, value))
-        self.holes = len(columns) < n
-        if len(columns) < len(entries):  # a column with several images: not monomial
+        if not (unit and len(columns) == len(entries) == n):  # not monomial
             for images in columns.values():
                 images.sort()
             self.dest = None
             return
-        self.dest = list(map(dict(zip(cols, rows)).get, range(n), repeat(-1)))
-        if scaled:
-            self.scale = list(map(dict(zip(cols, values)).get, range(n), repeat(f.field.zero)))
+        self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
 
     def stacked(self, segments):
         """(dom stacks, cod stacks, cod sizes) of the map serving every one
@@ -622,15 +619,13 @@ class Stack:
     segments share it, else the tuple of them; identity, true when every
     map is an identity; and shared, the map when every segment has the
     same one, else None (and then only maps and shared are set, as a chain
-    reads the one map).  A monomial stack keeps dest, each segment's dest
-    list (range(cols) for an identity), and scale, each segment's scale
-    list, or None when no map has one; holes tells whether some map has a
-    zero column.  A stack that is not monomial has dest = scale = None and
-    is read through maps[k]."""
+    reads the one map).  A stack of monomial maps keeps dest, each
+    segment's dest list (range(cols) for an identity); any other stack has
+    dest = None and is read through maps[k]."""
 
     __slots__ = (
         "maps", "field", "dom_legs", "cod_legs", "cod_dims", "cols", "rows", "identity",
-        "shared", "dest", "scale", "holes",
+        "shared", "dest",
     )
 
     def __init__(self, maps):
@@ -640,7 +635,7 @@ class Stack:
         distinct = tuple(dict.fromkeys(maps))  # a law draws its K maps from a few
         self.shared = maps[0] if len(distinct) == 1 else None
         self.field = self.dom_legs = self.cod_legs = self.cod_dims = self.cols = self.rows = None
-        self.identity = self.dest = self.scale = self.holes = None
+        self.identity = self.dest = None
         if self.shared is not None:
             return  # a chain reads the one map
         fields = [f.map.field for f in distinct]
@@ -658,14 +653,8 @@ class Stack:
         self.cols = cols.pop() if len(cols) == 1 else tuple([f.map.cols for f in maps])
         self.rows = rows.pop() if len(rows) == 1 else tuple([f.map.rows for f in maps])
         self.identity = all([f.columns is None for f in distinct])
-        self.holes = any([f.holes for f in distinct])
-        if any([f.dest is None for f in distinct]):
-            return
-        self.dest = tuple([f.dest for f in maps])
-        if any([f.scale is not None for f in distinct]):
-            one = self.field.one
-            scale = {f: [one] * f.map.cols if f.scale is None else f.scale for f in distinct}
-            self.scale = tuple(map(scale.__getitem__, maps))
+        if all([f.dest is not None for f in distinct]):
+            self.dest = tuple([f.dest for f in maps])
 
     def __len__(self):
         return len(self.maps)
@@ -734,8 +723,8 @@ class Chain:
 
     block(cols) is the one evaluator: it pushes a block of flat domain
     positions through the stages together.  While the stages are
-    monomial, each column stays one position with one scalar, and a stage
-    runs as a few C-level map passes over the block per term
+    monomial, each column stays one position, its scalar field.one, and a
+    stage runs as a few C-level map passes over the block per term
     (_flat_stage); the block falls back to sparse dicts {position: scalar}
     at the first other stage (_apply_kron).  Arithmetic goes through
     field.mul and field.add, and exact zeros are dropped at every stage
@@ -926,50 +915,29 @@ class Chain:
     def block(self, cols, located=None):
         """Images of the domain basis vectors at flat positions cols, as
         (monomial, images), each a position within its segment's
-        codomain.  If monomial, images is (positions, scalars): one
-        position per column, -1 for a column that has vanished, and one
-        scalar per column (field.zero where it has vanished), or None when
-        every column that has not vanished has scalar field.one.  Otherwise
+        codomain.  If monomial, images lists one position per column, the
+        image being that basis vector with scalar field.one.  Otherwise
         images holds one sparse dict {position: scalar} per column.
         located, locate(cols) of a chain on the same domain, is read as is."""
         field = self.field
         seg, positions = self.locate(cols) if located is None else located
-        scalars, dead = None, set()
         stages = iter(self.stages)
         for monomial, terms in stages:
             if not monomial:
                 one = field.one
-                vecs = [{x: one} for x in positions] if scalars is None else [
-                    {x: v} for x, v in zip(positions, scalars)
-                ]
-                for i in dead:
-                    vecs[i] = {}
-                vecs = _sparse_stage(field, terms, vecs, seg)
+                vecs = _sparse_stage(field, terms, [{x: one} for x in positions], seg)
                 for _, terms in stages:
                     vecs = _sparse_stage(field, terms, vecs, seg)
                 return False, vecs
-            if len(dead) < len(positions):  # else the next space may be empty
-                positions, scalars, lost = _flat_stage(field, terms, positions, scalars, seg)
-                dead.update(lost)
-        if dead:
-            for i in dead:
-                positions[i] = -1
-            if len(dead) == len(positions):
-                scalars = None
-            elif scalars is not None:
-                for i in dead:
-                    scalars[i] = field.zero
-        return True, (positions, scalars)
+            positions = _flat_stage(terms, positions, seg)
+        return True, positions
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
         if not 0 <= j < self.cols:
             raise DomainMismatch(f"basis index {j} outside dimension {self.cols}")
-        monomial, images = self.block((j,))
-        if not monomial:
-            return images[0]
-        (x,), scalars = images
-        return {} if x < 0 else {x: self.field.one if scalars is None else scalars[0]}
+        monomial, (image,) = self.block((j,))
+        return {image: self.field.one} if monomial else image
 
     def matrix(self):
         """The composite of a chain of one segment as a LinMap (matrices())."""
@@ -986,12 +954,8 @@ class Chain:
             seg, within = self.locate(cols)
             monomial, images = self.block(cols)
             if monomial:
-                positions, scalars = images
-                if scalars is None:
-                    scalars = repeat(field.one)
-                for j, k, i, v in zip(within, seg, positions, scalars):
-                    if i >= 0:
-                        entries[k][(i, j)] = v
+                for j, k, i in zip(within, seg, images):
+                    entries[k][(i, j)] = field.one
             else:
                 for j, k, vec in zip(within, seg, images):
                     for i, v in vec.items():
@@ -1045,20 +1009,15 @@ def _spread(sizes, seg):
     return map(sizes.__getitem__, seg)
 
 
-def _flat_stage(field, terms, positions, scalars, seg=None):
-    """One monomial stage on a block of positions, all in range, with
-    their scalars (None when all are field.one); seg holds each column's
-    segment in a family.  Each term is a chain of C-level map passes over
-    the block: floordiv and mod for its digit, dest.__getitem__ for its
-    factor (a stack's dest of each column's segment), then mul and add by
-    its output stride.  A product of nonzero scalars is nonzero, so a
-    column vanishes only where a dest holds -1; only factors with holes
-    look for that.  Returns (positions, scalars, lost), where lost lists
-    the block indices that vanished here; their positions are set to 0, a
-    position of the output space, so the next stage can run over the whole
-    block."""
+def _flat_stage(terms, positions, seg=None):
+    """One monomial stage on a block of positions, all in range; seg holds
+    each column's segment in a family.  Each term is a chain of C-level
+    map passes over the block: floordiv and mod for its digit,
+    dest.__getitem__ for its factor (a stack's dest of each column's
+    segment), then mul and add by its output stride.  Every factor is
+    monomial, so each column lands on one output position with scalar
+    field.one, and the stage returns the list of those positions."""
     out = None
-    lost = ()
     for s, n, t, f in terms:
         if s != 1:
             digits = map(floordiv, positions, repeat(s) if type(s) is int else _spread(s, seg))
@@ -1067,26 +1026,14 @@ def _flat_stage(field, terms, positions, scalars, seg=None):
         if n is not None:
             digits = map(mod, digits, repeat(n) if type(n) is int else _spread(n, seg))
         if f is not None:
-            stacked = type(f) is Stack
-            if f.scale is not None:
-                digits = list(digits)
-                if stacked:
-                    factor = list(_lookup(f.scale, digits, seg))
-                else:
-                    factor = list(map(f.scale.__getitem__, digits))
-                scalars = factor if scalars is None else list(map(field.mul, scalars, factor))
-            digits = _lookup(f.dest, digits, seg) if stacked else map(f.dest.__getitem__, digits)
-            if f.holes:
-                digits = list(digits)
-                if -1 in digits:
-                    lost = [*lost, *compress(count(), map(eq, digits, repeat(-1)))]
+            if type(f) is Stack:
+                digits = _lookup(f.dest, digits, seg)
+            else:
+                digits = map(f.dest.__getitem__, digits)
         if t != 1:
             digits = map(mul, digits, repeat(t) if type(t) is int else _spread(t, seg))
         out = digits if out is None else map(add, out, digits)
-    out = list(out)
-    for i in lost:
-        out[i] = 0
-    return out, scalars, lost
+    return list(out)
 
 
 def _sparse_stage(field, terms, vecs, seg):

@@ -279,11 +279,11 @@ def _left_compensation(h, p):
 def _bijective(check_id, maps, details, required=True):
     """The Row of the law that the map of each LegMap of maps is invertible,
     a singular one's detail with its rank appended.  A square monomial map
-    without zero columns is invertible when its columns land on distinct rows."""
+    is invertible when its columns land on distinct rows."""
     ranks = []
     for f in maps:
         m, rank = f.map, None
-        if f.dest is None or f.holes or not m.rows == m.cols == len(set(f.dest)):
+        if f.dest is None or not m.rows == m.cols == len(set(f.dest)):
             try:
                 m.invert()
             except NotInvertible as exc:

@@ -248,9 +248,10 @@ def family_witnesses(lhs, rhs):
     segment.  A block whose two sides are equal is done in one comparison
     of flat lists.  Otherwise the block is split at segment boundaries,
     and in each part whose sides differ each differing column offers its
-    smallest differing row; a monomial column whose sides land in
-    different rows offers the smaller of the two, with zero on the side
-    that misses it.  Only rows below the segment's best so far are
+    smallest differing row.  A monomial column is one basis vector with
+    scalar field.one, so one whose sides land in different rows offers
+    the smaller of the two, with one on the side that lands there and zero
+    on the other.  Only rows below the segment's best so far are
     sought.  Positions order as index tuples do, so the smallest row over
     all of a segment's columns, the earliest column winning a tie, is the
     smallest differing (row, col) in row-major order.  Labels are built
@@ -293,10 +294,7 @@ def _part(block, lo, hi, size):
     if lo == 0 and hi == size:
         return block
     monomial, images = block
-    if not monomial:
-        return False, images[lo:hi]
-    positions, scalars = images
-    return True, (positions[lo:hi], None if scalars is None else scalars[lo:hi])
+    return monomial, images[lo:hi]
 
 
 def _witness(chain, k, row, col, x, y):
@@ -326,38 +324,24 @@ def _first_difference(field, a, b, below=None):
                 return None
             row, i, x, y = found
             return row, low[i], x, y
-    (pa, sa), (pb, sb) = a[1], b[1]
-    offers = []
+    pa, pb = a[1], b[1]
     moved = list(map(ne, pa, pb))
-    xa, xb = list(compress(pa, moved)), list(compress(pb, moved))
-    if xa:
-        if -1 in xa or -1 in xb:  # a vanished side misses every row
-            rows = [max(x, y) if min(x, y) < 0 else min(x, y) for x, y in zip(xa, xb)]
-        else:
-            rows = list(map(min, xa, xb))
-        row = min(rows)
-        offers.append((row, next(islice(compress(count(), moved), rows.index(row), None))))
-    if sa != sb:
-        ones = repeat(field.one)
-        rescaled = compress(count(), map(ne, *(ones if x is None else x for x in (sa, sb))))
-        offers += [(pa[i], i) for i in rescaled if pa[i] == pb[i] >= 0]
-    if not offers:
+    rows = list(map(min, compress(pa, moved), compress(pb, moved)))
+    if not rows:
         return None
-    row, i = min(offers)
+    row = min(rows)
     if below is not None and row >= below:
         return None
+    i = next(islice(compress(count(), moved), rows.index(row), None))
     zero, one = field.zero, field.one
-    x = (one if sa is None else sa[i]) if pa[i] == row else zero
-    y = (one if sb is None else sb[i]) if pb[i] == row else zero
-    return row, i, x, y
+    return (row, i, one, zero) if pa[i] == row else (row, i, zero, one)
 
 
 def _landing_below(a, b, below):
     """The block indices, in order, of the columns of two monomial blocks
-    where a side lands below row `below` (or vanishes), the only columns
-    that can offer a row below it; None if they are half the block or
-    more."""
-    (pa, _), (pb, _) = a[1], b[1]
+    where a side lands below row `below`, the only columns that can offer
+    a row below it; None if they are half the block or more."""
+    pa, pb = a[1], b[1]
     half = len(pa) // 2
     low = set(compress(count(), map(lt, pa, repeat(below))))
     if len(low) < half:
@@ -369,9 +353,7 @@ def _landing_below(a, b, below):
 
 def _pick(block, indices):
     """The columns at indices of a monomial Chain.block result."""
-    positions, scalars = block[1]
-    pick = list(map(positions.__getitem__, indices))
-    return True, (pick, None if scalars is None else list(map(scalars.__getitem__, indices)))
+    return True, list(map(block[1].__getitem__, indices))
 
 
 def _sparse_difference(field, a, b, below=None):
@@ -394,10 +376,8 @@ def _as_dicts(field, block):
     monomial, images = block
     if not monomial:
         return images
-    positions, scalars = images
-    if scalars is None:
-        scalars = repeat(field.one)
-    return [{} if x < 0 else {x: v} for x, v in zip(positions, scalars)]
+    one = field.one
+    return [{x: one} for x in images]
 
 
 class Row(_Value):

@@ -425,6 +425,17 @@ def _invocation_errors():
             yield f"{op}-{n}-inputs", (["construct", "--op", op, *names, *grade], None, message)
     conjugate = ["construct", "--op", "yd-conjugate", "yd-diagonal-power.json"]
     yield "conjugate-no-grade", (conjugate, None, "error: yd-conjugate needs --grade\n")
+    for op, (kinds, _) in cli.OPS.items():
+        if op != "yd-conjugate":
+            names = [f"{FIXTURE_OF_KIND[kind]}.json" for kind in kinds]
+            message = f"error: --grade is only for yd-conjugate, not --op {op}\n"
+            yield f"{op}-grade", (["construct", "--op", op, *names, "--grade", "g"], None, message)
+    # --grade is checked before any input is read
+    yield "mirror-grade-missing-input", (
+        ["construct", "--op", "mirror", "no-such-file.json", "--grade", "g"],
+        None,
+        "error: --grade is only for yd-conjugate, not --op mirror\n",
+    )
     yield "conjugate-unknown-grade", (
         conjugate + ["--grade", "h"], None, "error: unknown grade 'h'; choices: e, g\n"
     )
@@ -640,3 +651,47 @@ def test_wrongly_typed_input_exits_2_without_traceback(case, fixture_dir, tmp_pa
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+# -- a closed stdout: the command's own exit code, no traceback ----------------
+
+#: name -> (argv with inputs as <name>.json, exit code); identity-antipode
+#: is hq-c3 with its antipode replaced by the identity, which fails
+CLOSED_STDOUT = {
+    "validate-pass": (["validate", "hq-o16.json", "--kind", "hq"], 0),
+    "validate-fail": (["validate", "identity-antipode.json", "--kind", "hq"], 1),
+    "braid-report": (["braid-report", "yd-crossed-s3.json", "yd-crossed-s3.json"], 0),
+    "construct": (["construct", "--op", "mirror", "gchq-power.json", "--out", "mirror.json"], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_STDOUT))
+def test_closed_stdout_keeps_the_exit_code_without_traceback(case, fixture_dir, tmp_path):
+    """A child whose stdout is a pipe with its read end already closed, as
+    when a pipe into head has read its line: it ends with the exit code
+    of the command, and stderr holds only the timing line."""
+    jobj = serialize.read_file(fixture_dir / "hq-c3.json")
+    jobj["antipode"] = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    serialize.write_file(tmp_path / "identity-antipode.json", jobj)
+    argv, code = CLOSED_STDOUT[case]
+    local = ("identity-antipode.json", "mirror.json")
+    argv = [str((tmp_path if a in local else fixture_dir) / a) if a.endswith(".json") else a
+            for a in argv]
+    src = str(Path(quasibraid.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quasibraid", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert [line.split(" ")[0] for line in done.stderr.splitlines()] == ["elapsed:"]

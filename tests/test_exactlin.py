@@ -848,35 +848,74 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     assert calls["fallback"] == 0
 
 
+#: CLI runs on the bundled fixtures, each ending in exit 0
+CLI_TRAFFIC = (
+    ["construct", "--op", "power", "hq-c3.json", "action-c2-on-c3.json"],
+    ["construct", "--op", "mirror", "gchq-power.json"],
+    ["construct", "--op", "yd-tensor", "yd-crossed-s3.json", "yd-crossed-s3.json"],
+    ["construct", "--op", "yd-conjugate", "yd-diagonal-power.json", "--grade", "g"],
+    ["construct", "--op", "direct-sum", "yd-diagonal-power.json", "yd-trivial.json"],
+    ["braid-report", "yd-crossed-s3.json", "yd-crossed-s3.json", "yd-crossed-s3.json"],
+    ["braid-report", "yd-diagonal-power.json", "yd-trivial.json", "yd-diagonal-power.json"],
+)
+
+
+@pytest.mark.parametrize("argv", CLI_TRAFFIC, ids=lambda argv: " ".join(argv[:3]))
+def test_cli_traffic_is_unit_monomial(argv, tmp_path, monkeypatch, capsys):
+    """The premise of the monomial kernel: every structure map the
+    constructions and the braiding suite build on group-like inputs is an
+    identity or monomial (one entry, field.one, in each column), so no
+    block leaves the flat path.  A change that made these maps scaled
+    fails here instead of quietly slowing every run."""
+    from quasibraid import cli, fixtures
+
+    fixtures.write_all(tmp_path)
+    built, fallbacks = [], []
+    init, apply_kron = LegMap.__init__, exactlin._apply_kron
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counted_fallback(*args):
+        fallbacks.append(args)
+        return apply_kron(*args)
+
+    monkeypatch.setattr(LegMap, "__init__", recorded_init)
+    monkeypatch.setattr(exactlin, "_apply_kron", counted_fallback)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = ["--out", str(tmp_path / "out.json")] if argv[0] == "construct" else []
+    assert cli.main(argv + out) == 0, capsys.readouterr()
+    assert built and all(f.dest is not None for f in built)
+    assert not fallbacks
+
+
 # -- LegMap facts, read in one pass ---------------------------------------------------
 
 
 def reference_leg_facts(f, dom_legs, cod_legs):
-    """(columns, dest, scale, holes) as LegMap.__init__ derived them from a
-    sorted copy of f.entries and an identity dict to compare against."""
+    """(columns, dest) as LegMap.__init__ derives them, from a sorted copy
+    of f.entries and an identity dict to compare against: dest only when
+    every column holds exactly one entry, field.one."""
     one = f.field.one
     if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
-        return None, range(f.cols), None, False
+        return None, range(f.cols)
     columns = {}
     for (i, j), value in sorted(f.entries.items()):
         columns.setdefault(j, []).append((i, value))
-    holes = len(columns) < f.cols
-    if any(len(images) != 1 for images in columns.values()):
-        return columns, None, None, holes
-    dest = [-1] * f.cols
-    scale = [f.field.zero] * f.cols
-    for j, ((i, value),) in columns.items():
-        dest[j] = i
-        scale[j] = value
-    scaled = any(images[0][1] != one for images in columns.values())
-    return columns, dest, scale if scaled else None, holes
+    if len(columns) == f.cols and all(
+        len(images) == 1 and images[0][1] == one for images in columns.values()
+    ):
+        return columns, [columns[j][0][0] for j in range(f.cols)]
+    return columns, None
 
 
 @st.composite
 def leg_map_cases(draw):
     """A map between products of one or two legs over Q or GF(5): an
-    identity, a permutation, a rescaled one, one with zero columns, or a
-    dense one, its entries inserted in a drawn order."""
+    identity, a permutation, a rescaled one (column 0 scaled by 2), one
+    with zero columns (column 0 among them), or a dense one, its entries
+    inserted in a drawn order."""
     field = draw(st.sampled_from([QQ, GF5]))
     kind = draw(st.sampled_from(["identity", "monomial", "scaled", "holes", "dense"]))
     leg_sizes = draw(st.sampled_from([(1,), (3,), (2, 2), (2, 3)]))
@@ -895,20 +934,21 @@ def leg_map_cases(draw):
     else:
         entries = {}
         for j in range(n):
-            if kind != "holes" or draw(st.booleans()):
+            if kind != "holes" or (j and draw(st.booleans())):
                 value = draw(scalar) if kind in ("scaled", "holes") else 1
+                value = 2 if kind == "scaled" and j == 0 else value
                 entries[(draw(st.integers(0, rows - 1)), j)] = field.scalar(value)
     order = draw(st.permutations(sorted(entries)))
     f = LinMap(field, rows, n, {key: entries[key] for key in order},
                product_labels(dom_legs), product_labels(cod_legs))
-    return f, dom_legs, cod_legs
+    return kind, f, dom_legs, cod_legs
 
 
 @settings(max_examples=300, deadline=None)
 @given(leg_map_cases())
 def test_leg_map_facts_match_the_sorted_reading(case):
-    f, dom_legs, cod_legs = case
+    kind, f, dom_legs, cod_legs = case
     g = LegMap(f, dom_legs, cod_legs)
-    assert (g.columns, g.dest, g.scale, g.holes) == reference_leg_facts(
-        f, g.dom_legs, g.cod_legs
-    )
+    assert (g.columns, g.dest) == reference_leg_facts(f, g.dom_legs, g.cod_legs)
+    if kind in ("scaled", "holes"):
+        assert g.dest is None

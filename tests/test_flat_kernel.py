@@ -51,7 +51,7 @@ def tuple_legmap(f):
     """(columns, table) of a LegMap as the tuple path read it: columns
     {input index tuple: [(output index tuple, scalar), ...]}, table
     {input index tuple: (output index tuple, scalar)} if every column has
-    at most one entry, else None; both None for an identity."""
+    exactly one entry, field.one, else None; both None for an identity."""
     one = f.map.field.one
     if f.dom_legs == f.cod_legs and f.map.entries == {(i, i): one for i in range(f.map.rows)}:
         return None, None
@@ -59,7 +59,8 @@ def tuple_legmap(f):
     columns = {}
     for (i, j), value in sorted(f.map.entries.items()):
         columns.setdefault(multi_index(j, dom_dims), []).append((multi_index(i, cod_dims), value))
-    if all(len(images) == 1 for images in columns.values()):
+    unit = all(len(images) == 1 and images[0][1] == one for images in columns.values())
+    if unit and len(columns) == f.map.cols:
         return columns, {multi: images[0] for multi, images in columns.items()}
     return columns, None
 
@@ -196,13 +197,7 @@ def as_tuple_block(chain, result):
     monomial, images = result
     if not monomial:
         return False, [{multi_index(r, cod_dims): v for r, v in vec.items()} for vec in images]
-    positions, scalars = images
-    if scalars is None:
-        scalars = [field.one] * len(positions)
-    return True, [
-        (None, field.zero) if x < 0 else (multi_index(x, cod_dims), v)
-        for x, v in zip(positions, scalars)
-    ]
+    return True, [(multi_index(x, cod_dims), field.one) for x in images]
 
 
 class Programs:
@@ -285,8 +280,9 @@ def test_flat_kernel_matches_tuple_path(data):
 
 def test_vanished_columns_and_scalars_in_one_block():
     """Non-unit scalars, then a map with unit scalars and a zero column:
-    the block holds -1 and field.zero for the vanished column, and the
-    witness compares the vanished side with a scaled one."""
+    neither map is monomial, so the block runs on the sparse path, with an
+    empty image for the vanished column, and the witness compares the
+    vanished side with a scaled one."""
 
     def chain(*entries):
         out = Chain(QQ, (B,))
@@ -296,8 +292,9 @@ def test_vanished_columns_and_scalars_in_one_block():
 
     scale = {(0, 0): 2, (1, 1): 2, (2, 2): Fraction(1, 2)}
     dropped = chain(scale, {(2, 0): 1, (0, 2): 1})
-    assert dropped.block(range(3)) == (True, ([2, -1, 0], [2, 0, Fraction(1, 2)]))
+    assert dropped.block(range(3)) == (False, [{2: 2}, {}, {0: Fraction(1, 2)}])
     kept = chain(scale, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    assert kept.block(range(3)) == (False, [{2: 2}, {1: 2}, {0: Fraction(1, 2)}])
     assert chain_witness(dropped, kept) == Witness(("b1",), ("b1",), "0", "2")
 
 

@@ -21,8 +21,8 @@ different legs against map_witness.
 """
 
 from fractions import Fraction
-from itertools import compress, count, islice, product, repeat
-from operator import le, ne
+from itertools import product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -686,49 +686,27 @@ def test_a_signature_label_check_still_rejects_a_mislabelled_map():
 
 
 def unbounded_first_difference(field, a, b):
-    """report._first_difference as it was before it took a bound."""
-    (pa, sa), (pb, sb) = a[1], b[1]
-    offers = []
-    moved = list(map(ne, pa, pb))
-    xa, xb = list(compress(pa, moved)), list(compress(pb, moved))
-    if xa:
-        if -1 in xa or -1 in xb:
-            rows = [max(x, y) if min(x, y) < 0 else min(x, y) for x, y in zip(xa, xb)]
-        else:
-            rows = list(map(min, xa, xb))
-        row = min(rows)
-        offers.append((row, next(islice(compress(count(), moved), rows.index(row), None))))
-    if sa != sb:
-        ones = repeat(field.one)
-        rescaled = compress(count(), map(ne, *(ones if x is None else x for x in (sa, sb))))
-        offers += [(pa[i], i) for i in rescaled if pa[i] == pb[i] >= 0]
+    """report._first_difference without a bound, read column by column:
+    the smallest row where a column's two positions differ, the earliest
+    column winning a tie, with one on the side that lands there."""
+    offers = [(min(x, y), i) for i, (x, y) in enumerate(zip(a[1], b[1])) if x != y]
     if not offers:
         return None
     row, i = min(offers)
-    zero, one = field.zero, field.one
-    x = (one if sa is None else sa[i]) if pa[i] == row else zero
-    y = (one if sb is None else sb[i]) if pb[i] == row else zero
-    return row, i, x, y
+    one, zero = field.one, field.zero
+    return (row, i, one, zero) if a[1][i] == row else (row, i, zero, one)
 
 
 @st.composite
 def monomial_blocks(draw):
-    """Two monomial Chain.block results over the same columns: positions
-    in a small codomain or -1 (vanished, with scalar zero), and scalars
-    all one (None) or drawn."""
+    """Two monomial Chain.block results over the same columns: one
+    position per column, in a small codomain."""
     field = draw(st.sampled_from([QQ, GF7]))
     size, rows = draw(st.integers(1, 40)), draw(st.integers(1, 12))
-    blocks = []
-    for _ in range(2):
-        positions = draw(st.lists(st.integers(-1, rows - 1), min_size=size, max_size=size))
-        if draw(st.booleans()) and -1 not in positions:
-            blocks.append((True, (positions, None)))
-            continue
-        scalars = [
-            field.zero if x < 0 else field.scalar(draw(st.sampled_from([1, 2, 3])))
-            for x in positions
-        ]
-        blocks.append((True, (positions, scalars)))
+    blocks = [
+        (True, draw(st.lists(st.integers(0, rows - 1), min_size=size, max_size=size)))
+        for _ in range(2)
+    ]
     return field, blocks[0], blocks[1], draw(st.integers(0, rows + 1))
 
 
