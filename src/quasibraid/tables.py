@@ -1,34 +1,57 @@
 """Finite groups, inverse-property loops and automorphic actions as Cayley tables.
 
 Element 0 is always the identity.  GroupTable and LoopTable share one
-core (the shape check, mul, elements, equality and the direct product)
-and add only their inverse tables and constructors.  Every group, loop
-and action law is stated once, as a stream of counterexample Witnesses
-over all elements, pairs or triples in index order, and recorded by one
-helper (Report.add_first_witness): the first witness fails the check.
-Groups and loops share the identity and associativity scans.  The
-16-element unit loop of the octonion basis is generated here.
+core (entry, label and shape checks, mul, elements, equality, the direct
+product, row and column gathers) and add only their inverse tables and
+constructors.  Every group, loop and action law is stated once, as a
+stream of counterexample Witnesses in index order, first argument
+slowest, recorded by Report.add_first_witness: the first one fails the
+check.  The pair and triple laws are checked one table row at a time by
+_law_witnesses: with the first argument fixed, both sides over the other
+arguments are built by gathers (C-level itemgetter calls over a row or
+column) and compared whole, and only sides that differ are searched for
+witnesses.  A gather reads a negative entry from the end of a row, so it
+runs only on entries bounded already (GRP-closure, or the range check of
+a LoopTable or GroupAction).  The octonion unit loop is generated here.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count, permutations, product
-from operator import ne
+from itertools import chain, compress, count, permutations, product, repeat, starmap
+from operator import getitem, itemgetter, ne
 
 from .errors import QuasibraidError
 from .report import Report, Witness
 
 # Lines of the seven-point plane in the index convention e_i e_{i+1} = e_{i+3};
 # cyclically ordered, so a pair read forward multiplies with a plus sign.
-_OCT_LINES = tuple(
-    ((n % 7) + 1, ((n + 1) % 7) + 1, ((n + 3) % 7) + 1) for n in range(7)
-)
+_OCT_LINES = tuple((n % 7 + 1, (n + 1) % 7 + 1, (n + 3) % 7 + 1) for n in range(7))
 
 
 def _require_indices(rows, n, what):
     """Raise QuasibraidError if an entry of rows lies outside [0, n)."""
-    if any(not 0 <= v < n for row in rows for v in row):
+    if not all(map(frozenset(range(n)).issuperset, rows)):
         raise QuasibraidError(f"{what} entry outside [0, {n})")
+
+
+def _int_rows(rows, what):
+    """rows as tuples of ints.  Any other entry is refused, not converted:
+    int() would read 1.7, True and "1" all as 1."""
+    rows = tuple(map(tuple, rows))
+    if any(k is bool or not issubclass(k, int) for k in set(map(type, chain(*rows)))):
+        bad = next(v for v in chain(*rows) if type(v) is bool or not isinstance(v, int))
+        raise QuasibraidError(f"{what} entry {bad!r} is not an int")
+    return rows
+
+
+def _gathers_of(lines):
+    """For each of some lines of indices, all of one length, a gather that
+    reads a sequence at them into a tuple: itemgetter, but a tuple for one
+    index too."""
+    lines = tuple(lines)
+    if lines and len(lines[0]) < 2:
+        return tuple(lambda seq, line=line: tuple(map(seq.__getitem__, line)) for line in lines)
+    return tuple(starmap(itemgetter, lines))
 
 
 class _CayleyTable:
@@ -36,16 +59,26 @@ class _CayleyTable:
     element indices; a subclass reads it as a group or a loop and keeps
     its own inverse tables."""
 
-    __slots__ = ("order", "labels", "table")
+    __slots__ = ("order", "labels", "table", "_gather_cache")
 
     def __init__(self, labels, table):
         self.order = len(labels)
         self.labels = tuple(str(s) for s in labels)
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
-        if len(self.table) != self.order or any(
-            len(row) != self.order for row in self.table
-        ):
+        if len(set(self.labels)) != self.order:
+            dup = next(s for i, s in enumerate(self.labels) if s in self.labels[:i])
+            raise QuasibraidError(f"duplicate element label {dup!r}")
+        self.table = _int_rows(table, "Cayley table")
+        if len(self.table) != self.order or any(len(r) != self.order for r in self.table):
             raise QuasibraidError("Cayley table shape does not match order")
+        self._gather_cache = [None, None]
+
+    def _gathers(self, columns=False):
+        """The gathers of the rows, rows[x](s) being s read at x y over y,
+        or of the columns; each built on first use."""
+        cache = self._gather_cache
+        if cache[columns] is None:
+            cache[columns] = _gathers_of(zip(*self.table) if columns else self.table)
+        return cache[columns]
 
     def mul(self, x, y):
         return self.table[x][y]
@@ -111,28 +144,21 @@ class GroupTable(_CayleyTable):
         perms = sorted(permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         labels = [_cycle_label(p) for p in perms]
-        table = [
-            [index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms
-        ]
+        table = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
         return cls(labels, table)
 
 
 def _cycle_label(perm):
-    seen = [False] * len(perm)
-    parts = []
+    """The cycles of perm, each from its least point, or "e"."""
+    parts, seen = [], set()
     for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
         cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(c) for c in cycle) + ")")
-    return "e" if not parts else "".join(parts)
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        if len(cycle) > 1 and start not in seen:
+            parts.append("(" + " ".join(map(str, cycle)) + ")")
+        seen.update(cycle)
+    return "".join(parts) or "e"
 
 
 class LoopTable(_CayleyTable):
@@ -148,14 +174,9 @@ class LoopTable(_CayleyTable):
 
     def __init__(self, labels, table):
         super().__init__(labels, table)
-        n, table = self.order, self.table
-        _require_indices(table, n, "loop table")
-        self.left_inverse = tuple(
-            next((y for y in range(n) if table[y][x] == 0), None) for x in range(n)
-        )
-        self.right_inverse = tuple(
-            next((y for y in range(n) if table[x][y] == 0), None) for x in range(n)
-        )
+        _require_indices(self.table, self.order, "loop table")
+        self.left_inverse = tuple(c.index(0) if 0 in c else None for c in zip(*self.table))
+        self.right_inverse = tuple(r.index(0) if 0 in r else None for r in self.table)
 
     @classmethod
     def from_group(cls, g):
@@ -164,40 +185,43 @@ class LoopTable(_CayleyTable):
     @classmethod
     def octonion_units(cls):
         """The 16-element loop {+-1, +-e1..+-e7} of octonion basis units."""
-        labels = ["1"] + [f"e{k}" for k in range(1, 8)]
-        labels += ["-1"] + [f"-e{k}" for k in range(1, 8)]
+        labels = [s + u for s in ("", "-") for u in ["1"] + [f"e{k}" for k in range(1, 8)]]
 
         def base_mul(i, j):
             # returns (sign bit, index) for e_i * e_j on indices 0..7
-            if i == 0:
-                return 0, j
-            if j == 0:
-                return 0, i
+            if i == 0 or j == 0:
+                return 0, i + j
             if i == j:
                 return 1, 0
-            for a, b, c in _OCT_LINES:
-                line = {a, b, c}
-                if i in line and j in line:
-                    k = (line - {i, j}).pop()
-                    forward = (i, j) in ((a, b), (b, c), (c, a))
-                    return (0 if forward else 1), k
-            raise AssertionError("pair not on any line")
+            a, b, c = next(line for line in _OCT_LINES if i in line and j in line)
+            return int((i, j) not in ((a, b), (b, c), (c, a))), a + b + c - i - j
 
-        table = []
-        for s1, i in product((0, 1), range(8)):
-            row = []
-            for s2, j in product((0, 1), range(8)):
-                s, k = base_mul(i, j)
-                row.append(((s1 ^ s2 ^ s) * 8) + k)
-            table.append(row)
+        signed = list(product((0, 1), range(8)))
+        table = [
+            [(s1 ^ s2 ^ s) * 8 + k for s2, j in signed for s, k in (base_mul(i, j),)]
+            for s1, i in signed
+        ]
         return cls(labels, table)
 
 
 # -- validators ------------------------------------------------------------
-#
-# Each law is one stream of counterexample Witnesses, elements taken in
-# index order with the first argument slowest; Report.add_first_witness
-# records the check, failed by the first Witness the stream yields.
+
+
+def _law_witnesses(domains, values, lhs, rhs, args=()):
+    """Witnesses of a law given side against side: lhs and rhs hold (or
+    yield) the two sides for each element of the argument after args, as
+    tuples over the later arguments nested one level per argument.  Only
+    sides that differ are searched, last argument fastest; a witness names
+    argument k by its label in domains[k] and the entries by values."""
+    for a, left, right in zip(count(), lhs, rhs):
+        if left == right:
+            continue
+        if len(args) + 2 < len(domains):
+            yield from _law_witnesses(domains, values, left, right, args + (a,))
+        else:
+            at = tuple(map(getitem, domains, args + (a,)))
+            for b in compress(count(), map(ne, left, right)):
+                yield Witness(at + (domains[-1][b],), (), values[left[b]], values[right[b]])
 
 
 def _identity_witnesses(t):
@@ -211,38 +235,35 @@ def _identity_witnesses(t):
 
 
 def _assoc_witnesses(t):
-    """(x, y, z) with (x y) z != x (y z); entries must be in range."""
-    labels, table = t.labels, t.table
-    for x in t.elements():
-        row_x = table[x]
-        for y in t.elements():
-            row_xy, row_y = table[row_x[y]], table[y]
-            for z in t.elements():
-                if (lhs := row_xy[z]) != (rhs := row_x[row_y[z]]):
-                    yield Witness((labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs])
+    """(x, y, z) with (x y) z != x (y z), entries in range: for each x, the
+    rows of the x y against row x read at each row y."""
+    labels, table, rows = t.labels, t.table, t._gathers()
+    lhs = (gather(table) for gather in rows)
+    rhs = (tuple([row_y(row_x) for row_y in rows]) for row_x in table)
+    return _law_witnesses((labels,) * 3, labels, lhs, rhs)
 
 
 def validate_group(t):
     """Exhaustive group axioms: closure, identity, inverses, associativity."""
     rep = Report(f"group table ({t.order} elements)")
     labels, table, n = t.labels, t.table, t.order
+    in_range = frozenset(range(n))
     closure = (
-        Witness((labels[x], labels[y]), (), str(table[x][y]), "in range")
-        for x in t.elements()
-        for y in t.elements()
-        if not 0 <= table[x][y] < n
+        Witness((labels[x], labels[y]), (), str(v), "in range")
+        for x, row in enumerate(table)
+        if not in_range.issuperset(row)
+        for y, v in enumerate(row)
+        if v not in in_range
     )
     if not rep.add_first_witness("GRP-closure", closure):
         return rep
     rep.add_first_witness("GRP-identity", _identity_witnesses(t))
-    rep.add_first_witness(
-        "GRP-inverse",
-        (
-            Witness((labels[x],), (), "no inverse", "inverse")
-            for x in t.elements()
-            if t.inverse[x] is None
-        ),
+    no_inverse = (
+        Witness((labels[x],), (), "no inverse", "inverse")
+        for x, y in enumerate(t.inverse)
+        if y is None
     )
+    rep.add_first_witness("GRP-inverse", no_inverse)
     rep.add_first_witness("GRP-assoc", _assoc_witnesses(t))
     return rep
 
@@ -258,33 +279,23 @@ def _latin_witnesses(t, lines, kind):
     )
 
 
-def _ip_witnesses(labels, table, inverse):
-    """(x, y) with x^-1 (x y) != y, x^-1 read from inverse.  On the
-    transposed table with right inverses this is (y x) x^-1 != y."""
-    n = len(table)
-    return (
-        Witness((labels[x], labels[y]), (), labels[got], labels[y])
-        for x, y in product(range(n), repeat=2)
-        if (got := table[inverse[x]][table[x][y]]) != y
-    )
+def _ip_witnesses(labels, table, gathers, inverse):
+    """(x, y) with x^-1 (x y) != y, x^-1 read from inverse and gathers
+    those of the rows of table.  On the transposed table with right
+    inverses and the column gathers this is (y x) x^-1 != y."""
+    got = (gather(table[i]) for gather, i in zip(gathers, inverse))
+    return _law_witnesses((labels, labels), labels, got, repeat(tuple(range(len(table)))))
 
 
 def _moufang_witnesses(t, transpose):
-    """(x, y, z) with (x y)(z x) != (x (y z)) x, z fastest.  For each (x, y)
-    both sides over all z are two map passes over rows of the table
-    (transpose holds its columns), and only a row whose sides differ is
-    searched for its z."""
-    labels, table = t.labels, t.table
-    for x in t.elements():
-        row_x, col_x = table[x], transpose[x]
-        for y in t.elements():
-            lhs = list(map(table[row_x[y]].__getitem__, col_x))  # (x y)(z x)
-            rhs = list(map(col_x.__getitem__, map(row_x.__getitem__, table[y])))  # (x (y z)) x
-            if lhs != rhs:
-                for z in compress(count(), map(ne, lhs, rhs)):
-                    yield Witness(
-                        (labels[x], labels[y], labels[z]), (), labels[lhs[z]], labels[rhs[z]]
-                    )
+    """(x, y, z) with (x y)(z x) != (x (y z)) x.  For each x the left side
+    is each row x y read at column x, the right side each row y read at
+    (x w) x over w."""
+    labels, table, rows, cols = t.labels, t.table, t._gathers(), t._gathers(columns=True)
+    lhs = (tuple(map(col, row(table))) for row, col in zip(rows, cols))
+    xwx = [row(col_x) for row, col_x in zip(rows, transpose)]  # (x w) x over w, per x
+    rhs = (tuple([row_y(f) for row_y in rows]) for f in xwx)
+    return _law_witnesses((labels,) * 3, labels, lhs, rhs)
 
 
 def validate_ip_loop(t):
@@ -310,8 +321,9 @@ def validate_ip_loop(t):
         if left[x] is None or left[x] != right[x]
     )
     if rep.add_first_witness("LOOP-inverse-two-sided", two_sided):
-        rep.add_first_witness("LOOP-IP-left", _ip_witnesses(labels, table, left))
-        rep.add_first_witness("LOOP-IP-right", _ip_witnesses(labels, transpose, right))
+        rows, cols = t._gathers(), t._gathers(columns=True)
+        rep.add_first_witness("LOOP-IP-left", _ip_witnesses(labels, table, rows, left))
+        rep.add_first_witness("LOOP-IP-right", _ip_witnesses(labels, transpose, cols, right))
     else:
         rep.add("LOOP-IP-left", False, detail="needs two-sided inverses")
         rep.add("LOOP-IP-right", False, detail="needs two-sided inverses")
@@ -339,10 +351,8 @@ class GroupAction:
     def __init__(self, actor, carrier, maps):
         self.actor = actor
         self.carrier = carrier
-        self.maps = tuple(tuple(int(v) for v in m) for m in maps)
-        if len(self.maps) != actor.order or any(
-            len(m) != carrier.order for m in self.maps
-        ):
+        self.maps = _int_rows(maps, "action map")
+        if len(self.maps) != actor.order or any(len(m) != carrier.order for m in self.maps):
             raise QuasibraidError("action maps do not match actor/carrier orders")
         _require_indices(self.maps, carrier.order, "action map")
         for name, t in (("actor", actor), ("carrier", carrier)):
@@ -358,62 +368,52 @@ class GroupAction:
     def __eq__(self, other):
         if not isinstance(other, GroupAction):
             return NotImplemented
-        return (
-            self.actor == other.actor
-            and self.carrier == other.carrier
-            and self.maps == other.maps
-        )
+        return (self.actor, self.carrier, self.maps) == (other.actor, other.carrier, other.maps)
 
     __hash__ = None
 
     @classmethod
     def trivial(cls, actor, carrier):
-        ident = tuple(range(carrier.order))
-        return cls(actor, carrier, [ident] * actor.order)
+        return cls(actor, carrier, [carrier.elements()] * actor.order)
 
     @classmethod
     def by_inversion(cls, carrier):
         """C2 acting on an abelian group by x -> x^-1."""
-        actor = GroupTable.cyclic(2)
-        ident = tuple(range(carrier.order))
-        inv = tuple(carrier.inv(x) for x in carrier.elements())
-        return cls(actor, carrier, [ident, inv])
+        elements = carrier.elements()
+        return cls(GroupTable.cyclic(2), carrier, [elements, map(carrier.inv, elements)])
 
 
 def validate_action(a):
     """Automorphism property, identity map and composition law, exhaustively."""
     rep = Report("group action")
-    actor, carrier, maps = a.actor, a.carrier, a.maps
-    alab, clab = actor.labels, carrier.labels
-    rep.add_first_witness("ACT-automorphism", _automorphism_witnesses(a))
-    ident = tuple(range(carrier.order))
+    by_map = _gathers_of(a.maps)
+    rep.add_first_witness("ACT-automorphism", _automorphism_witnesses(a, by_map))
     rep.add_first_witness(
-        "ACT-identity", () if maps[0] == ident else (Witness(("e",), (), "map", "id"),)
+        "ACT-identity",
+        () if a.maps[0] == tuple(a.carrier.elements()) else (Witness(("e",), (), "map", "id"),),
     )
-    composition = (
-        Witness((alab[g], alab[h], clab[x]), (), clab[gh_x], clab[maps[g][maps[h][x]]])
-        for g, h in product(actor.elements(), repeat=2)
-        for x in ident
-        if (gh_x := maps[actor.table[g][h]][x]) != maps[g][maps[h][x]]
-    )
-    rep.add_first_witness("ACT-composition", composition)
+    rep.add_first_witness("ACT-composition", _composition_witnesses(a, by_map))
     return rep
 
 
-def _automorphism_witnesses(a):
+def _composition_witnesses(a, by_map):
+    """(g, h, x) with (g h) x != g (h x), by_map the gathers of the maps:
+    for each g, the maps of the g h against map g read at each map h."""
+    lhs = (gather(a.maps) for gather in a.actor._gathers())
+    rhs = (tuple([map_h(m) for map_h in by_map]) for m in a.maps)
+    domains = (a.actor.labels, a.actor.labels, a.carrier.labels)
+    return _law_witnesses(domains, a.carrier.labels, lhs, rhs)
+
+
+def _automorphism_witnesses(a, by_map):
     """A map that is not a bijection of the carrier, or (g, x, y) with
-    g(x y) != g(x) g(y)."""
+    g(x y) != g(x) g(y), by_map the gathers of the maps: for each g, map g
+    read at each row x against the rows g(x) read at map g."""
     carrier = a.carrier
-    clab, ctable = carrier.labels, carrier.table
-    for g in a.actor.elements():
-        m = a.maps[g]
+    clab, rows = carrier.labels, carrier._gathers()
+    domains = (a.actor.labels, clab, clab)
+    for g, m, gather in zip(count(), a.maps, by_map):
         if sorted(m) != list(range(carrier.order)):
             yield Witness((a.actor.labels[g],), (), "map", "bijection")
-        for x, y in product(range(carrier.order), repeat=2):
-            if m[ctable[x][y]] != ctable[m[x]][m[y]]:
-                yield Witness(
-                    (a.actor.labels[g], clab[x], clab[y]),
-                    (),
-                    clab[m[ctable[x][y]]],
-                    clab[ctable[m[x]][m[y]]],
-                )
+        lhs, rhs = tuple([row(m) for row in rows]), tuple(map(gather, gather(carrier.table)))
+        yield from _law_witnesses(domains, clab, lhs, rhs, (g,))

@@ -695,3 +695,41 @@ def test_closed_stdout_keeps_the_exit_code_without_traceback(case, fixture_dir, 
         os.close(write_end)
     assert done.returncode == code
     assert [line.split(" ")[0] for line in done.stderr.splitlines()] == ["elapsed:"]
+
+
+def _set_labels(*path):
+    def edit(jobj):
+        for key in path[:-1]:
+            jobj = jobj[key]
+        jobj[path[-1]] = ["g", "g"]
+
+    return edit
+
+
+#: name -> (construct op, inputs, the input edited, edit, --grade); each
+#: edit gives one group or loop two elements labelled g
+DUPLICATE_LABELS = {
+    "table": ("loop-algebra", ["table-c2"], 0, _set_labels("labels"), None),
+    "action-actor": (
+        "power", ["hq-c3", "action-c2-on-c3"], 1, _set_labels("actor", "labels"), None
+    ),
+    "yd-grading": (
+        "yd-conjugate", ["yd-diagonal-power"], 0, _set_labels("base", "group", "labels"), "g"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DUPLICATE_LABELS))
+def test_duplicate_element_labels_exit_2(case, fixture_dir, tmp_path, capsys):
+    """yd-conjugate --grade g once took the first of two elements labelled g."""
+    op, names, edited, edit, grade = DUPLICATE_LABELS[case]
+    paths = [str(fixture_dir / f"{name}.json") for name in names]
+    jobj = serialize.read_file(paths[edited])
+    edit(jobj)
+    paths[edited] = str(tmp_path / f"{case}.json")
+    serialize.write_file(paths[edited], jobj)
+    out_path = tmp_path / "out.json"
+    argv = ["construct", "--op", op, *paths, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv, *(["--grade", grade] if grade else []))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: ") and "duplicate element label 'g'" in err

@@ -20,7 +20,9 @@
   the general one, never both ways;
 - no line of a package module is wider than 100 columns;
 - every package module parses at the oldest Python that pyproject's
-  requires-python admits;
+  requires-python admits, and, when that Python is on PATH, the CLI runs
+  on it (parsing cannot see a name the floor lacks, such as the 3.11
+  operator.call);
 - importing the command-line module loads only what every command runs,
   and validating a Hopf quasigroup over integral constants loads neither
   the Yetter-Drinfeld layer nor fractions.
@@ -30,6 +32,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -406,6 +409,42 @@ def test_module_lines_fit_in_100_columns(name):
 def test_module_parses_at_the_python_floor(name):
     floor = python_floor(PYPROJECT.read_text(encoding="utf-8"))
     ast.parse((PACKAGE / name).read_text(encoding="utf-8"), feature_version=floor)
+
+
+def floor_interpreter():
+    """The python<major>.<minor> on PATH for pyproject's requires-python
+    floor, if there is one and it runs as that version; else None."""
+    floor = python_floor(PYPROJECT.read_text(encoding="utf-8"))
+    exe = shutil.which("python{}.{}".format(*floor))
+    if exe is None:
+        return None
+    probe = subprocess.run(
+        [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    return exe if probe.returncode == 0 and probe.stdout.split() == list(map(str, floor)) else None
+
+
+def test_cli_runs_at_the_python_floor(tmp_path):
+    """Write the fixtures, validate a loop algebra (octonion units) and a
+    C2-graded structure (validate_group), and build a loop algebra from a
+    table (validate_ip_loop), all at the floor, without pytest."""
+    exe = floor_interpreter()
+    if exe is None:
+        pytest.skip("no runnable python at the requires-python floor on PATH")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
+    commands = [
+        ["fixtures", "--out", str(tmp_path)],
+        ["validate", str(tmp_path / "hq-o16.json"), "--kind", "hq"],
+        ["validate", str(tmp_path / "gchq-power.json"), "--kind", "gchq"],
+        ["construct", "--op", "loop-algebra", str(tmp_path / "table-o16.json"),
+         "--out", str(tmp_path / "hq-o16-built.json")],
+    ]
+    for argv in commands:
+        done = subprocess.run(
+            [exe, "-m", "quasibraid", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, (argv, done.stderr)
 
 
 #: what `import quasibraid.cli` must leave unloaded: dataclasses pulls in

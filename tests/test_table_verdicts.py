@@ -8,9 +8,11 @@ random Cayley tables (reduced Latin squares, group tables, arbitrary
 tables, entries out of range, single-entry mutations) and on random action
 maps on cyclic groups, V4 and the octonion unit loop, and must agree on
 render(), to_jobj() and any exception raised.  A kill table drives the
-table IDs that no other test drives to fail, and the LOOP-moufang scan,
-which reads whole rows, is pinned against the per-triple stream it
-replaced.
+table IDs that no other test drives to fail.  Each scan that checks one
+table row at a time (associativity, Moufang, the inverse property, an
+action's automorphism and composition laws) is pinned in full against
+the per-element stream it replaced, on the random tables and actions
+and on every table and action of order at most 2.
 """
 
 from itertools import permutations, product
@@ -28,6 +30,11 @@ from quasibraid.tables import (
     GroupAction,
     GroupTable,
     LoopTable,
+    _assoc_witnesses,
+    _automorphism_witnesses,
+    _composition_witnesses,
+    _gathers_of,
+    _ip_witnesses,
     _moufang_witnesses,
     validate_action,
     validate_group,
@@ -584,3 +591,146 @@ def test_moufang_scan_matches_the_per_triple_stream(rows):
     loop = LoopTable(labels_for(len(rows)), rows)
     transpose = tuple(zip(*loop.table))
     assert list(_moufang_witnesses(loop, transpose)) == list(reference_moufang_witnesses(loop))
+
+
+# -- every row-wise scan against its per-element stream ----------------------------------
+
+
+def drained(stream):
+    """Every witness of stream, or the exception that ended it."""
+    try:
+        return list(stream)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return (type(exc).__name__, str(exc))
+
+
+def reference_assoc_witnesses(t):
+    """GRP-/LOOP-assoc one triple at a time, z fastest."""
+    labels, table, n = t.labels, t.table, t.order
+    return (
+        Witness((labels[x], labels[y], labels[z]), (), labels[lhs], labels[rhs])
+        for x, y, z in product(range(n), repeat=3)
+        if (lhs := table[table[x][y]][z]) != (rhs := table[x][table[y][z]])
+    )
+
+
+def reference_ip_witnesses(t, inverse, side):
+    """LOOP-IP-left, x^-1 (x y) != y, or LOOP-IP-right, (y x) x^-1 != y,
+    one pair at a time with x^-1 read from inverse."""
+    labels, table, n = t.labels, t.table, t.order
+
+    def got(x, y):
+        if side == "left":
+            return table[inverse[x]][table[x][y]]
+        return table[table[y][x]][inverse[x]]
+
+    return (
+        Witness((labels[x], labels[y]), (), labels[g], labels[y])
+        for x, y in product(range(n), repeat=2)
+        if (g := got(x, y)) != y
+    )
+
+
+def reference_automorphism_witnesses(a):
+    """ACT-automorphism one map and one pair at a time, the bijection
+    witness of a map before its pairs."""
+    alab, clab, table = a.actor.labels, a.carrier.labels, a.carrier.table
+    for g, m in enumerate(a.maps):
+        if sorted(m) != list(range(a.carrier.order)):
+            yield Witness((alab[g],), (), "map", "bijection")
+        for x, y in product(range(a.carrier.order), repeat=2):
+            if (lhs := m[table[x][y]]) != (rhs := table[m[x]][m[y]]):
+                yield Witness((alab[g], clab[x], clab[y]), (), clab[lhs], clab[rhs])
+
+
+def reference_composition_witnesses(a):
+    """ACT-composition one triple (g, h, x) at a time, x fastest."""
+    alab, clab, maps = a.actor.labels, a.carrier.labels, a.maps
+    return (
+        Witness((alab[g], alab[h], clab[x]), (), clab[lhs], clab[rhs])
+        for g, h, x in product(range(a.actor.order), range(a.actor.order), range(a.carrier.order))
+        if (lhs := maps[a.actor.table[g][h]][x]) != (rhs := maps[g][maps[h][x]])
+    )
+
+
+def assert_table_scans_match(rows):
+    """Associativity on the group table of rows, whatever its entries (a
+    gather reads an entry outside the table as Python indexing does, so
+    the two even end in the same exception); and, when the entries are in
+    range, the IP scans with every inverse table and the Moufang scan on
+    its loop table."""
+    n, labels = len(rows), labels_for(len(rows))
+    group = GroupTable(labels, rows)
+    assert drained(_assoc_witnesses(group)) == drained(reference_assoc_witnesses(group))
+    if any(not 0 <= v < n for row in rows for v in row):
+        return
+    loop = LoopTable(labels, rows)
+    assert list(_assoc_witnesses(loop)) == list(reference_assoc_witnesses(loop))
+    by_row, by_column = loop._gathers(), loop._gathers(columns=True)
+    transpose = tuple(zip(*loop.table))
+    for inverse in (loop.left_inverse, loop.right_inverse, group.inverse):
+        left = _ip_witnesses(loop.labels, loop.table, by_row, inverse)
+        assert drained(left) == drained(reference_ip_witnesses(loop, inverse, "left"))
+        right = _ip_witnesses(loop.labels, transpose, by_column, inverse)
+        assert drained(right) == drained(reference_ip_witnesses(loop, inverse, "right"))
+    assert list(_moufang_witnesses(loop, transpose)) == list(reference_moufang_witnesses(loop))
+
+
+def assert_action_scans_match(actor, carrier, maps):
+    action = GroupAction(actor, carrier, maps)
+    by_map = _gathers_of(action.maps)
+    automorphism = _automorphism_witnesses(action, by_map)
+    assert list(automorphism) == list(reference_automorphism_witnesses(action))
+    composition = _composition_witnesses(action, by_map)
+    assert list(composition) == list(reference_composition_witnesses(action))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cayley_tables(), moufang_mutants()))
+def test_table_scans_match_the_per_element_streams(rows):
+    assert_table_scans_match(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(actions())
+def test_action_scans_match_the_per_element_streams(parts):
+    """Maps with an entry outside the carrier are refused when built."""
+    actor, carrier, maps = parts
+    if all(0 <= x < carrier.order for m in maps for x in m):
+        assert_action_scans_match(actor, carrier, maps)
+
+
+#: every table of order 1 or 2 with entries in {-1, ..., n}: itemgetter
+#: over one index returns a bare item, so order 1 is a case of its own
+SMALL_TABLES = [
+    [list(square[i * n:(i + 1) * n]) for i in range(n)]
+    for n in (1, 2)
+    for square in product(range(-1, n + 1), repeat=n * n)
+]
+
+
+@pytest.mark.parametrize("rows", SMALL_TABLES, ids=str)
+def test_small_table_scans_match_the_per_element_streams(rows):
+    assert_table_scans_match(rows)
+
+
+C1 = GroupTable.cyclic(1)
+
+#: (actor, carrier, maps) for every tuple of maps by which C1 or C2 could
+#: act on the groups and loops of order 1 and 2
+SMALL_ACTIONS = [
+    (actor, carrier, maps)
+    for actor in (C1, C2)
+    for carrier in (C1, LoopTable.from_group(C1), C2, LoopTable.from_group(C2))
+    for maps in product(product(carrier.elements(), repeat=carrier.order), repeat=actor.order)
+]
+
+
+def action_id(parts):
+    actor, carrier, maps = parts
+    return f"C{actor.order}-on-{type(carrier).__name__}{carrier.order}-{maps}"
+
+
+@pytest.mark.parametrize("parts", SMALL_ACTIONS, ids=action_id)
+def test_small_action_scans_match_the_per_element_streams(parts):
+    assert_action_scans_match(*parts)

@@ -248,3 +248,35 @@ def test_action_refuses_a_table_entry_outside_its_group(side, actor, carrier):
     assert validate_group(actor if side == "actor" else carrier).failed_ids() == ["GRP-closure"]
     with pytest.raises(QuasibraidError, match=rf"^{side} table entry outside \[0, 2\)$"):
         validate_action(GroupAction(actor, carrier, [(0, 1), (1, 0)]))
+
+
+@pytest.mark.parametrize("cls", [GroupTable, LoopTable])
+@pytest.mark.parametrize("entry", [1.7, True, "1", 1.0], ids=["float", "bool", "text", "whole"])
+def test_table_refuses_an_entry_that_is_not_an_int(cls, entry):
+    """Read with int(), 1.7, True and "1" all became 1, so each of these
+    tables was C2."""
+    with pytest.raises(QuasibraidError, match=rf"^Cayley table entry {entry!r} is not an int$"):
+        cls(["e", "g"], [[0, entry], [1, 0]])
+
+
+def test_table_refusing_a_float_and_a_bool_names_the_first():
+    """Once read as C2: int(1.7) == 1, int(True) == 1, int("0") == 0."""
+    with pytest.raises(QuasibraidError, match=r"^Cayley table entry 1\.7 is not an int$"):
+        GroupTable(["e", "g"], [[0, 1.7], [True, "0"]])
+
+
+def test_action_refuses_a_map_entry_that_is_not_an_int():
+    """Read with int(), 2.9 became 2, so this was C2 acting on C3 by inversion."""
+    c3 = GroupTable.cyclic(3)
+    with pytest.raises(QuasibraidError, match=r"^action map entry 2\.9 is not an int$"):
+        GroupAction(GroupTable.cyclic(2), c3, [(0, 1, 2), (0, 2.9, 1)])
+
+
+@pytest.mark.parametrize("cls", [GroupTable, LoopTable])
+@pytest.mark.parametrize(
+    "labels, label", [(["e", "e"], "e"), ([1, "1"], "1")], ids=["same", "same-as-text"]
+)
+def test_table_refuses_a_duplicate_element_label(cls, labels, label):
+    """A label names one element: yd-conjugate --grade took the first of two."""
+    with pytest.raises(QuasibraidError, match=rf"^duplicate element label {label!r}$"):
+        cls(labels, [[0, 1], [1, 0]])
