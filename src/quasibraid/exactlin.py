@@ -83,11 +83,17 @@ class Rationals:
     one = 1
 
     def scalar(self, value):
+        """value, an int, a rational or the text of one, as a Q scalar; a float is refused."""
         if type(value) is int:
             return value
         from fractions import Fraction
 
-        return _rational(Fraction(value))
+        if isinstance(value, float):
+            raise FieldError(f"float {value!r} is not an exact rational")
+        try:
+            return _rational(Fraction(value))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise FieldError(f"{value!r} is not a rational") from exc
 
     def add(self, a, b):
         c = a + b
@@ -162,7 +168,11 @@ class PrimeField:
         self.one = 1 % p
 
     def scalar(self, value):
-        return int(value) % self.p
+        """value mod p, for a value that QQ.scalar reads as an integer."""
+        value = QQ.scalar(value)
+        if type(value) is not int:
+            raise FieldError(f"{value} is not an integer, so not a GF({self.p}) scalar")
+        return value % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -232,8 +242,9 @@ class LinMap:
 
     rows x cols matrix acting on column vectors; entries holds only the
     nonzero coefficients, keyed by (row, col), over GF(p) reduced to
-    [0, p).  Equality is that of the dense matrix together with the basis
-    labels.
+    [0, p).  An entry is an int, or over Q also a rational such as a
+    Fraction, else FieldError (a bool, float or text).  Equality is that of
+    the dense matrix together with the basis labels.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "dom", "cod")
@@ -245,14 +256,17 @@ class LinMap:
             raise DomainMismatch(
                 f"label lists ({len(cod)}, {len(dom)}) do not match shape ({rows}, {cols})"
             )
-        if type(field) is PrimeField:
-            p = field.p
-            entries = {key: value % p for key, value in entries.items()}
+        p = field.p if type(field) is PrimeField else None
         clean = {}
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DomainMismatch(f"entry index ({i}, {j}) outside {rows}x{cols}")
-            if value != field.zero:
+            if type(value) is not int:  # over Q also a rational
+                if p or type(value) is bool or not hasattr(value, "denominator"):
+                    raise FieldError(f"entry {value!r} at ({i}, {j}) is not a {field.name} scalar")
+            if p:
+                value %= p
+            if value:
                 clean[(i, j)] = value
         self.field = field
         self.rows = rows
@@ -705,9 +719,10 @@ class Chain:
     position within the segment.  A family is built and evaluated once for
     all its segments, and no segment has a Chain of its own; the labels of
     its legs are only read for the boundary checks and a witness
-    (segment_legs; dom_legs and cod_legs of a chain of one segment).
+    (segment_legs(k), for segment k of any chain).
     dom_dims and cod_dims hold the size of each leg: an int where the
-    segments agree, else the tuple of the segments' sizes.
+    segments agree, else the tuple of the segments' sizes; dom_ends holds
+    the flat domain position where each segment's columns end.
 
     A stage is recorded once, as (monomial, terms).  Each term is one
     factor, a run of identity legs, or a run of legs a permutation keeps
@@ -777,23 +792,6 @@ class Chain:
     def _total(self, dims):
         size = _product(dims)
         return size * self.segments if type(size) is int else sum(size)
-
-    @property
-    def dom_legs(self):
-        return self._single().segment_legs(0)[0]
-
-    @property
-    def cod_legs(self):
-        return self._single().segment_legs(0)[1]
-
-    def _single(self):
-        if self.segments != 1:
-            raise DomainMismatch(f"a family of {self.segments} segments is not one map")
-        return self
-
-    def segment_ends(self):
-        """The flat domain position where each segment's columns end."""
-        return self.dom_ends
 
     def segment_legs(self, k):
         """(dom_legs, cod_legs) of segment k."""
@@ -941,7 +939,9 @@ class Chain:
 
     def matrix(self):
         """The composite of a chain of one segment as a LinMap (matrices())."""
-        return self._single().matrices()[0]
+        if self.segments != 1:
+            raise DomainMismatch(f"a family of {self.segments} segments is not one map")
+        return self.matrices()[0]
 
     def matrices(self):
         """Each segment's composite as a LinMap, in segment order, evaluated

@@ -7,17 +7,18 @@ structure constant that broke an axiom.  Check identifiers are stable
 strings; consumers key off them, not off positions in the list.
 
 The witness rule is the same whether the two sides are LinMaps
-(map_witness), Chains evaluated leg by leg (chain_witness) or one segment
-of two families of Chains, a law over all its grade tuples
-(family_witnesses): among all entries where the sides differ, the one
-with the smallest (row, col) in row-major order; its labels are the lhs
-domain label of that column and codomain label of that row, and its
-values are formatted with field.fmt.  A report records a law stated as
-families as one Row (law_checks), its ID, required flag and per grade tuple
-a detail, witness and verdict, and laws over the same tuples together, read
-interleaved tuple by tuple (Report.add_rows).  Verdicts, render() and
-to_jobj() read the rows: a Check is built only for Report.checks, find and
-the add methods, and a detail given as Details is formatted when read.
+(map_witness, the tests' reference) or one segment of two Chains
+evaluated leg by leg (family_witnesses), a plain chain being the family
+of one segment: among all entries where the sides differ, the one with
+the smallest (row, col) in row-major order; its labels are the lhs domain
+label of that column and codomain label of that row, and its values are
+formatted with field.fmt.  Every law stated as Chains is recorded as one
+Row (law_checks), its ID, required flag and per grade tuple a detail,
+witness and verdict: by Report.add_family, or with laws over the same
+tuples by Report.add_rows, read interleaved tuple by tuple.  Verdicts,
+render() and to_jobj() read the rows: a Check is built only for
+Report.checks, find, add and add_map_equality, and a detail given as
+Details is formatted when read.
 """
 
 from __future__ import annotations
@@ -228,15 +229,6 @@ def map_witness(lhs, rhs):
     return None
 
 
-def chain_witness(lhs, rhs):
-    """map_witness for two Chains of one segment with the same domain and
-    codomain sizes, without building either side: family_witnesses of the
-    one segment."""
-    if lhs.segments != 1 or rhs.segments != 1:
-        raise ValueError("chain_witness compares two chains of one segment")
-    return family_witnesses(lhs, rhs)[0]
-
-
 def family_witnesses(lhs, rhs):
     """The witness of each segment of two families (Chains) with the same
     segments, of the same domain and codomain size on both sides (their
@@ -269,7 +261,7 @@ def family_witnesses(lhs, rhs):
         if a == b:
             continue
         if ends is None:
-            ends = lhs.segment_ends()
+            ends = lhs.dom_ends
         k = bisect_right(ends, cols.start)
         lo = 0
         while lo < len(cols):
@@ -455,17 +447,15 @@ class Report:
         self._rows.append(laws)
 
     def add_family(self, check_id, details, lhs, rhs, required=True):
-        """Check a law stated as two families: one check per segment."""
-        self.add_rows(law_checks(check_id, details, lhs, rhs, required))
+        """Check a law stated as two families: one check per segment, a
+        chain of one segment with its one detail; return whether all passed."""
+        law = law_checks(check_id, details, lhs, rhs, required)
+        self.add_rows(law)
+        return all(law.verdicts)
 
     def add_map_equality(self, check_id, lhs, rhs, required=True, detail=""):
         """Check two composed maps for exact equality; record first difference."""
         witness = map_witness(lhs, rhs)
-        return self.add(check_id, witness is None, required, witness, detail)
-
-    def add_chain_equality(self, check_id, lhs, rhs, required=True, detail=""):
-        """Check two Chains for exact equality, a block of columns at a time."""
-        witness = chain_witness(lhs, rhs)
         return self.add(check_id, witness is None, required, witness, detail)
 
     def merge(self, other):

@@ -42,7 +42,7 @@ from .exactlin import Chain, LegMap, LinMap, product_labels
 from .gchq import (
     at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs, space
 )
-from .report import Report, Row, Witness, chain_witness, family_witnesses, law_checks
+from .report import Report, Row, Witness, family_witnesses, law_checks
 from .tables import GroupTable, conjugate, validate_group
 
 
@@ -157,7 +157,7 @@ def validate_morphism(m):
     _, W, act_t, rho_t, _ = m.target.legs
     f = LegMap(m.map, V, W)
     pv, hv, r = Chain(base.field, L.H[p] + V), Chain(base.field, V), list(base.grades())
-    rep.add_chain_equality("YDM-linear", pv.then(act).then(f), pv.then(L.ident[p], f).then(act_t))
+    rep.add_family("YDM-linear", ("",), pv.then(act).then(f), pv.then(L.ident[p], f).then(act_t))
     lhs, rhs = hv.then(f).then(at(rho_t, r)), hv.then(at(rho, r)).then(f, at(L.ident, r))
     rep.add_family("YDM-colinear", grade_details(base, r), lhs, rhs)
     return rep
@@ -207,28 +207,28 @@ def validate_yd(v):
     )
     L, V, act, rho, i_v = v.legs
     H, mu, i, s, delta, eps = L.H, L.mu, L.ident, L.s, L.delta, L.eps
-    eq, pi_, e = rep.add_chain_equality, base.inv(p), 0
+    eq, pi_, e = rep.add_family, base.inv(p), 0
     hv, ev = Chain(base.field, V), Chain(base.field, H[e] + V)
 
-    eq("YD-4.3-unital", hv.then(L.eta[p], i_v).then(act), hv)
+    eq("YD-4.3-unital", ("",), hv.then(L.eta[p], i_v).then(act), hv)
     eps_i = ev.then(eps, i_v)
     left = ev.then(delta[(pi_, p)], i_v).then(s[pi_], i[p], i_v)
     right = ev.then(delta[(p, pi_)], i_v).then(i[p], s[pi_], i_v)
-    eq("YD-4.4-left", left.then(i[p], act).then(act), eps_i)
-    eq("YD-4.4-right", right.then(i[p], act).then(act), eps_i)
+    eq("YD-4.4-left", ("",), left.then(i[p], act).then(act), eps_i)
+    eq("YD-4.4-right", ("",), right.then(i[p], act).then(act), eps_i)
     lhs, rhs = _module_assoc_sides(v)
-    eq("YD-4.1-module-assoc", lhs, rhs, required=v.strict, detail="required for strict modules")
+    eq("YD-4.1-module-assoc", ("required for strict modules",), lhs, rhs, required=v.strict)
 
     r1, r2 = grade_tuples(base, 2)
     lhs = hv.then(at(rho, r2)).then(at(rho, r1), at(i, r2))
     rhs = hv.then(at(rho, mul(base, r1, r2))).then(i_v, at(delta, r1, r2))
-    rep.add_family("YD-coassoc", grade_details(base, r1, r2), lhs, rhs)
+    eq("YD-coassoc", grade_details(base, r1, r2), lhs, rhs)
 
-    eq("YD-counit", hv.then(rho[e]).then(i_v, eps), hv)
+    eq("YD-counit", ("",), hv.then(rho[e]).then(i_v, eps), hv)
 
     r = list(base.grades())
     lhs, rhs = _crossed_condition_sides(v, r)
-    rep.add_family("YD-4.5-crossed", grade_details(base, r, form="coaction grade {}"), lhs, rhs)
+    eq("YD-4.5-crossed", grade_details(base, r, form="coaction grade {}"), lhs, rhs)
 
     m, ir, details = at(mu, r), at(i, r), grade_details(base, r)
     spread = L.chain(v.labels, r, r).then(at(rho, r), ir, ir)  # (v,h,g) -> (v0,v1,h,g)
@@ -343,7 +343,7 @@ def yd_tensor(v, w):
     labels, pq = product_labels((v.labels, w.labels)), base.mul(v.grade, w.grade)
     coaction = dict(zip(base.grades(), coactions.matrices()))
     out = YDModule(base, pq, labels, actions.matrix(), coaction, v.strict and w.strict)
-    if out.strict and chain_witness(*_module_assoc_sides(out)) is not None:
+    if out.strict and family_witnesses(*_module_assoc_sides(out))[0] is not None:
         out.strict = False  # settled before the module is handed out
     return out
 
@@ -554,14 +554,14 @@ def check_braiding_inverse(v, w):
     lc, lci = LegMap(c, V + W, W + V), LegMap(ci, W + V, V + W)
     vw, wv = Chain(field, V + W), Chain(field, W + V)
     rep = Report("braiding invertibility")
-    rep.add_chain_equality("BRAID-inverse-left", vw.then(lc).then(lci), vw)
-    rep.add_chain_equality("BRAID-inverse-right", wv.then(lci).then(lc), wv)
+    rep.add_family("BRAID-inverse-left", ("",), vw.then(lc).then(lci), vw)
+    rep.add_family("BRAID-inverse-right", ("",), wv.then(lci).then(lc), wv)
     try:
         inverse = LegMap(c.invert(), W + V, V + W)
     except NotInvertible as exc:
         rep.add("BRAID-inverse-matrix", False, detail=f"braiding singular, rank {exc.rank}")
     else:
-        rep.add_chain_equality("BRAID-inverse-matrix", wv.then(inverse), wv.then(lci))
+        rep.add_family("BRAID-inverse-matrix", ("",), wv.then(inverse), wv.then(lci))
     return rep
 
 
@@ -597,8 +597,9 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     target = built.tensor(built.conjugate(w, p), v)
     lc = LegMap(c, V + W, W + V)
     hvw, vw = Chain(field, L.H[pq] + V + W), Chain(field, V + W)
-    rep.add_chain_equality(
+    rep.add_family(
         "BRAID-H-linear",
+        ("",),
         hvw.then(LegMap(source.action, L.H[pq] + V + W, V + W)).then(lc),
         hvw.then(L.ident[pq], lc).then(LegMap(target.action, L.H[pq] + W + V, W + V)),
     )
@@ -620,18 +621,21 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
         c_v_qx = LegMap(braiding(v, built.conjugate(x, q)), V + X, X + V)
         vwx = Chain(field, V + W + X)
         through = vwx.then(i_v, c_wx).then(c_v_qx, i_w)  # (x', v, w)
-        rep.add_chain_equality(
+        rep.add_family(
             "BRAID-comp-tensor-first",
+            ("",),
             vwx.then(LegMap(braiding(source, x), V + W + X, X + V + W)),
             through,
         )
-        rep.add_chain_equality(
+        rep.add_family(
             "BRAID-comp-tensor-second",
+            ("",),
             vwx.then(LegMap(braiding(v, built.tensor(w, x)), V + W + X, W + X + V)),
             vwx.then(lc, i_x).then(i_w, LegMap(braiding(v, x), V + X, X + V)),
         )
-        rep.add_chain_equality(
+        rep.add_family(
             "BRAID-yang-baxter",
+            ("",),
             vwx.then(lc, i_x).then(LegMap(braiding(target, x), W + V + X, X + W + V)),
             through.then(i_x, lc),
         )
@@ -639,8 +643,9 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     if f is not None and g is not None:
         F, G = (f.target.labels,), (g.target.labels,)
         lf, lg = LegMap(f.map, V, F), LegMap(g.map, W, G)
-        rep.add_chain_equality(
+        rep.add_family(
             "BRAID-2.1-naturality",
+            ("",),
             vw.then(lc).then(lg, lf),
             vw.then(lf, lg).then(LegMap(braiding(f.target, g.target), F + G, G + F)),
         )

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: fields, composition, Kronecker, inversion,
 and leg-wise chains."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from quasibraid import exactlin
 from quasibraid.errors import DomainMismatch, FieldError, NotInvertible
-from quasibraid.report import Witness, chain_witness, map_witness
+from quasibraid.report import Witness, family_witnesses, map_witness
 from quasibraid.exactlin import (
     BLOCK,
     K_LABELS,
@@ -34,6 +35,7 @@ from quasibraid.exactlin import (
 
 GF2 = PrimeField(2)
 GF5 = PrimeField(5)
+GF7 = PrimeField(7)
 
 
 # -- fields -----------------------------------------------------------------
@@ -127,6 +129,58 @@ def test_parse_accepts_only_text(field, value):
     0 over GF(p), 0.1 as a 55-bit binary fraction over Q, true as 1."""
     with pytest.raises(FieldError):
         field.parse(value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (GF7, 1.7), (GF7, 2.0), (QQ, 0.1), (QQ, 1.0), (QQ, float("inf")),
+        (GF7, Fraction(1, 2)), (GF7, Decimal("1.7")),
+        (GF7, "1/2"), (GF7, "x"), (QQ, "x"), (QQ, "1/0"), (QQ, ""),
+        (GF7, None), (QQ, None), (QQ, 1j), (QQ, Decimal("Infinity")),
+    ],
+)
+def test_scalar_refuses_what_is_not_an_exact_scalar(field, value):
+    """A float, text that is no literal of the field and, over GF(p), a
+    non-integral rational are refused: none is silently truncated."""
+    with pytest.raises(FieldError):
+        field.scalar(value)
+
+
+def test_scalar_reads_exact_values():
+    assert [GF7.scalar(x) for x in (9, -1, True, Fraction(9, 1), "9", "-1")] == [2, 6, 1, 2, 2, 6]
+    assert all(type(GF7.scalar(x)) is int for x in (True, Fraction(9, 1), "9"))
+    assert QQ.scalar(True) == 1 and QQ.scalar("1/2") == Fraction(1, 2)
+    assert QQ.scalar(Decimal("0.1")) == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [
+        (GF7, 1.5), (GF7, 1.0), (GF7, Fraction(1, 2)), (GF7, Fraction(2, 1)), (GF7, "1"),
+        (GF7, True), (QQ, 0.1), (QQ, 1.0), (QQ, "1/2"), (QQ, Decimal("0.1")), (QQ, None),
+        (QQ, True),
+    ],
+)
+def test_linmap_refuses_an_inexact_entry(field, entry):
+    """An entry is stored as given, so it must already be an exact
+    scalar of the field: an int over GF(p), an int or a Fraction over Q;
+    a bool is no scalar (Q.scalar reads True as 1, but a stored True would
+    print as "True")."""
+    with pytest.raises(FieldError):
+        LinMap(field, 1, 2, {(0, 1): 1, (0, 0): entry})
+
+
+def test_from_rows_and_scale_refuse_floats():
+    with pytest.raises(FieldError):
+        LinMap.from_rows(GF7, [[0.5, 1.5]])
+    with pytest.raises(FieldError):
+        LinMap.from_rows(QQ, [[1, 0.5]])
+    with pytest.raises(FieldError):
+        LinMap.identity(QQ, ("a", "b")).scale(0.5)
+    assert LinMap(GF7, 1, 2, {(0, 0): 9, (0, 1): -1}).entries == {(0, 0): 2, (0, 1): 6}
+    assert LinMap(QQ, 1, 1, {(0, 0): Fraction(1, 2)}).entries == {(0, 0): Fraction(1, 2)}
+    assert LinMap.from_rows(GF7, [[Fraction(9, 1), "1"]]).entries == {(0, 0): 2, (0, 1): 1}
 
 
 def test_rational_parse_int_path():
@@ -480,7 +534,7 @@ def test_chain_matches_matrix_composite(fgh):
     assert chain.block([0])[0] == monomial
     # the witness rule: same pick as map_witness on the built matrices
     other = head.then(lh, la, la)
-    assert chain_witness(chain, other) == map_witness(matrix, other.matrix())
+    assert family_witnesses(chain, other) == [map_witness(matrix, other.matrix())]
 
 
 @pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])
@@ -537,8 +591,9 @@ def _multi(flat, dims):
 def image(chain, multi):
     """Chain.column of the basis vector with index tuple multi, keyed by
     codomain index tuples like reference_image."""
-    dom_dims = [len(leg) for leg in chain.dom_legs]
-    cod_dims = [len(leg) for leg in chain.cod_legs]
+    dom_legs, cod_legs = chain.segment_legs(0)
+    dom_dims = [len(leg) for leg in dom_legs]
+    cod_dims = [len(leg) for leg in cod_legs]
     flat = 0
     for d, idx in zip(dom_dims, multi):
         flat = flat * d + idx
@@ -697,9 +752,9 @@ def test_block_evaluator_matches_per_column_reference(data):
     try:
         for col in product(*[range(len(leg)) for leg in dom_legs]):
             assert image(lhs, col) == reference_image(field, program, col)
-        assert chain_witness(lhs, rhs) == reference_witness(
-            field, dom_legs, cod_legs, program, other
-        )
+        assert family_witnesses(lhs, rhs) == [
+            reference_witness(field, dom_legs, cod_legs, program, other)
+        ]
     finally:
         exactlin.BLOCK = saved
 
@@ -713,7 +768,7 @@ def test_entries_that_cancel_leave_no_zero(field):
     chain = Chain(field, (A,)).then(split).then(fold)
     zero = Chain(field, (A,)).then(LegMap(LinMap.zero_map(field, A, A), (A,), (A,)))
     assert image(chain, (0,)) == {} and chain.column(0) == {}
-    assert chain_witness(chain, zero) is None
+    assert family_witnesses(chain, zero) == [None]
 
 
 X = default_labels(2 * BLOCK + 50, "x")
@@ -748,14 +803,14 @@ def test_witness_is_carried_across_blocks(monomial):
     # block 0 differs at a larger row, block 1 at a smaller one: block 1 wins,
     # with zero on the side that misses the smaller row
     rhs = differing({first: 4, second: 1})
-    assert chain_witness(lhs, rhs) == witness_at(second, 1, "0", "1")
+    assert family_witnesses(lhs, rhs) == [witness_at(second, 1, "0", "1")]
     # a tie on row keeps the earlier column, across blocks and within one
     rhs = differing({first: 2, second: 2, second + 1: 2, third: 2})
-    assert chain_witness(lhs, rhs) == witness_at(first, 2, "0", "1")
+    assert family_witnesses(lhs, rhs) == [witness_at(first, 2, "0", "1")]
     # sides landing in the same row with different values
-    assert chain_witness(lhs.then(LegMap(LinMap.identity(QQ, Y).scale(2), (Y,), (Y,))), lhs) \
-        == witness_at(0, base[0], "2", "1")
-    assert chain_witness(lhs, lhs) is None
+    doubled = lhs.then(LegMap(LinMap.identity(QQ, Y).scale(2), (Y,), (Y,)))
+    assert family_witnesses(doubled, lhs) == [witness_at(0, base[0], "2", "1")]
+    assert family_witnesses(lhs, lhs) == [None]
 
 
 # -- kernel engagement -----------------------------------------------------------
@@ -775,16 +830,17 @@ def v4_crossed_by_s3():
 
 
 def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
-    """Every chain identity the validators and the braiding-law suite state
-    on these structures has only monomial stages; every stage that any
+    """Every chain identity the validators, the braiding-law suite and the
+    constructions compare on these structures (each through
+    family_witnesses, wherever it is bound) has only monomial stages;
+    every stage that any
     block, of a law or of a construction's Chain.matrix(), pushes through
     runs on the flat stage function, and none takes the sparse
     fallback."""
     from test_hq_legwise import chein_loop
-    from quasibraid import fixtures
+    from quasibraid import fixtures, gchq, report, yd
     from quasibraid.gchq import mirror, validate_crossing, validate_gchq
     from quasibraid.hq import antipode_inverse_laws, loop_algebra, validate_hopf_quasigroup
-    from quasibraid.report import Report
     from quasibraid.tables import GroupTable
     from quasibraid.yd import (
         check_braiding_inverse,
@@ -797,17 +853,15 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     )
 
     calls = {"checks": 0, "stages": 0, "blocked": 0, "flat": 0, "fallback": 0}
-    add_chain_equality = Report.add_chain_equality
+    family_witnesses = report.family_witnesses
     block, flat_stage, apply_kron = Chain.block, exactlin._flat_stage, exactlin._apply_kron
 
-    def counted_check(self, check_id, lhs, rhs, *args, **kwargs):
-        calls["checks"] += 1
+    def counted_check(lhs, rhs):
+        calls["checks"] += lhs.segments
         for chain in (lhs, rhs):
-            assert all(monomial for monomial, _ in chain.stages), (
-                f"{check_id}: a non-monomial stage"
-            )
+            assert all(monomial for monomial, _ in chain.stages), "a non-monomial stage"
             calls["stages"] += len(chain.stages)
-        return add_chain_equality(self, check_id, lhs, rhs, *args, **kwargs)
+        return family_witnesses(lhs, rhs)
 
     def counted_block(self, cols, *located):
         calls["blocked"] += len(self.stages)
@@ -821,7 +875,8 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
         calls["fallback"] += 1
         return apply_kron(*args)
 
-    monkeypatch.setattr(Report, "add_chain_equality", counted_check)
+    for module in (report, gchq, yd):
+        monkeypatch.setattr(module, "family_witnesses", counted_check)
     monkeypatch.setattr(Chain, "block", counted_block)
     monkeypatch.setattr(exactlin, "_flat_stage", counted_flat)
     monkeypatch.setattr(exactlin, "_apply_kron", counted_fallback)

@@ -1,4 +1,4 @@
-"""The flat-position kernel of Chain.block and report.chain_witness against
+"""The flat-position kernel of Chain.block and report.family_witnesses against
 the tuple path they replaced.
 
 The reference below is the evaluator as it stood before columns became
@@ -23,7 +23,7 @@ from quasibraid import exactlin, fixtures, gchq, report, yd
 from quasibraid.exactlin import Chain, LegMap, LinMap, QQ, Stack
 from quasibraid.gchq import CrossedGCHQ, validate_gchq
 from quasibraid.hq import UnitalAlgebra, from_hopf_quasigroup
-from quasibraid.report import Check, Witness, chain_witness
+from quasibraid.report import Check, Witness, family_witnesses
 from quasibraid.yd import YDModule, trivial_module, validate_yd
 from test_exactlin import B, GF2, GF5, LEG_SPACES, build_chain, perturb, programs
 
@@ -193,7 +193,7 @@ def tuple_chain_witness(field, dom_legs, cod_legs, lhs, rhs):
 
 def as_tuple_block(chain, result):
     """A flat Chain.block result in the tuple path's form."""
-    field, cod_dims = chain.field, dims(chain.cod_legs)
+    field, cod_dims = chain.field, dims(chain.segment_legs(0)[1])
     monomial, images = result
     if not monomial:
         return False, [{multi_index(r, cod_dims): v for r, v in vec.items()} for vec in images]
@@ -271,9 +271,9 @@ def test_flat_kernel_matches_tuple_path(data):
         assert len(flat_blocks) == len(tuple_blocks)
         for cols, multis in zip(flat_blocks, tuple_blocks):
             assert as_tuple_block(lhs, lhs.block(cols)) == tuple_block(field, stages, multis)
-        assert chain_witness(lhs, rhs) == tuple_chain_witness(
-            field, dom_legs, cod_legs, program, other
-        )
+        assert family_witnesses(lhs, rhs) == [
+            tuple_chain_witness(field, dom_legs, cod_legs, program, other)
+        ]
     finally:
         exactlin.BLOCK = saved
 
@@ -295,7 +295,7 @@ def test_vanished_columns_and_scalars_in_one_block():
     assert dropped.block(range(3)) == (False, [{2: 2}, {}, {0: Fraction(1, 2)}])
     kept = chain(scale, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert kept.block(range(3)) == (False, [{2: 2}, {1: 2}, {0: Fraction(1, 2)}])
-    assert chain_witness(dropped, kept) == Witness(("b1",), ("b1",), "0", "2")
+    assert family_witnesses(dropped, kept) == [Witness(("b1",), ("b1",), "0", "2")]
 
 
 # -- kill table ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from quasibraid.gchq import (
 from quasibraid.hq import (
     HopfQuasigroup, from_hopf_quasigroup, group_algebra, validate_hopf_quasigroup,
 )
-from quasibraid.report import chain_witness
+from quasibraid.report import family_witnesses
 from quasibraid.tables import GroupAction, GroupTable
 
 
@@ -279,7 +279,7 @@ def first_failing_law(h, action):
             ("counit", h1.then(t).then(eps), h1.then(eps)),
             ("antipode", h1.then(t).then(s), h1.then(s).then(t)),
         ]:
-            if chain_witness(lhs, rhs) is not None:
+            if family_witnesses(lhs, rhs) != [None]:
                 return f"actor {action.actor.labels[g]} does not preserve the {name}"
     return None
 

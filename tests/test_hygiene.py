@@ -29,6 +29,7 @@
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -281,7 +282,7 @@ def test_detector_finds_the_matrix_comparator():
         "rep.add_map_equality('ID', f, g)\n"
     )
     assert names_used(source, MATRIX_COMPARATOR) == ["add_map_equality", "map_witness"]
-    assert names_used("rep.add_chain_equality('ID', lhs, rhs)\n", MATRIX_COMPARATOR) == []
+    assert names_used("rep.add_family('ID', ('',), lhs, rhs)\n", MATRIX_COMPARATOR) == []
 
 
 def test_detector_finds_non_stdlib_imports():
@@ -393,6 +394,23 @@ def test_every_private_definition_is_referenced():
 def test_no_module_imports_a_private_name_of_another():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert private_imports(sources) == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """bench/tracing.py binds package names by text (SPECS); each must
+    still name a function in its module, or a method defined on its
+    class, where Tracer.install looks it up."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", PACKAGE.parents[1] / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPECS
+    for mod_name, qualname, _, _ in tracing.SPECS:
+        module = importlib.import_module(f"quasibraid.{mod_name}")
+        cls_name, _, attr = qualname.rpartition(".")
+        owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
+        assert callable(owner.get(attr)), f"{mod_name}.{qualname}"
 
 
 def test_relative_imports_form_no_cycle():

@@ -5,22 +5,24 @@ validate_gchq, validate_crossing and validate_yd state each law over all
 its grade tuples once, as two families of Chains with one segment per
 tuple, and record each law as one row of the report.  The reference below
 states every tuple's check as its own pair of one-segment Chains, decides
-it with chain_witness and records it as a Check at once, in a report that
-keeps a list of Checks (EagerReport), as the validators did before; it
-lives only here.  Reports must agree in their Checks, render(), to_jobj(),
-verdicts, failed IDs and lookups, so witnesses, details and order are
-compared, not just verdicts; also after merging rows into a report of
-single checks and the reverse.  check_crossed_equivalence is compared the
-same way with its per-grade form (reference_crossed_equivalence).  Also
-here: mutants failing in chosen segments of a family, a kill for
-GHQ-epsilon-unit, guards that the number of Chains a validation, a yd
-law suite or conjugation coherence builds does not grow with the group
-and that no Check is built until one is read, the bounded witness search
-against the unbounded one, and families that factor the same spaces into
-different legs against map_witness.
+it with family_witnesses of that one segment and records it as a Check at
+once (add_check), in a report that keeps a list of Checks (EagerReport),
+as the validators did before; it lives only here.  Reports must agree in
+their Checks, render(), to_jobj(), verdicts, failed IDs and lookups, so
+witnesses, details and order are compared, not just verdicts; also after
+merging rows into a report of single checks and the reverse.
+check_crossed_equivalence is compared the same way with its per-grade
+form (reference_crossed_equivalence).  Also here: mutants failing in
+chosen segments of a family, a kill for GHQ-epsilon-unit, guards that the
+number of Chains a validation, a yd law suite or conjugation coherence
+builds does not grow with the group and that no Check is built until one
+is read, the bounded witness search against the unbounded one, and
+families that factor the same spaces into different legs against
+map_witness.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from operator import le
 
@@ -37,8 +39,7 @@ from quasibraid.gchq import (
 )
 from quasibraid.hq import UnitalAlgebra
 from quasibraid.report import (
-    AXIOM_LEGEND, Check, Report, Witness, _first_difference, chain_witness, family_witnesses,
-    map_witness,
+    AXIOM_LEGEND, Check, Report, Witness, _first_difference, family_witnesses, map_witness,
 )
 from quasibraid import tables
 from quasibraid.yd import (
@@ -67,10 +68,6 @@ class EagerReport:
     def add(self, check_id, passed, required=True, witness=None, detail=""):
         self.checks.append(Check(check_id, bool(passed), required, witness, detail))
         return self.checks[-1]
-
-    def add_chain_equality(self, check_id, lhs, rhs, required=True, detail=""):
-        witness = chain_witness(lhs, rhs)
-        return self.add(check_id, witness is None, required, witness, detail)
 
     def merge(self, other):
         self.checks.extend(other.checks)
@@ -125,6 +122,13 @@ class EagerReport:
     def __repr__(self):
         n_fail = len([c for c in self.checks if not c.passed])
         return f"Report({self.subject!r}, {len(self.checks)} checks, {n_fail} failing)"
+
+
+def add_check(rep, check_id, lhs, rhs, required=True, detail=""):
+    """Decide one check stated as two Chains of one segment and record it
+    at once (rep.add), on an EagerReport or a Report."""
+    (witness,) = family_witnesses(lhs, rhs)
+    return rep.add(check_id, witness is None, required, witness, detail)
 
 
 def reference_hq_laws(h):
@@ -194,7 +198,7 @@ def reference_gchq(h, report=EagerReport):
     if not rep.passed:
         return rep
     for check_id, detail, lhs, rhs in reference_hq_laws(h):
-        rep.add_chain_equality(check_id, lhs, rhs, detail=detail)
+        add_check(rep, check_id, lhs, rhs, detail=detail)
     for p in h.grades():
         ok, detail = bijectivity(h.antipode[p], f"grade {h.grade_label(p)}")
         rep.add("GHQ-antipode-bijective", ok, detail=detail)
@@ -205,7 +209,7 @@ def reference_crossing(h, report=EagerReport):
     rep = report(f"crossing (|G|={h.grading.order}, {h.field.name})")
     L = h.legs
     chain, mu, eta, s, delta, pi, eps = L.chain, L.mu, L.eta, L.s, L.delta, L.pi, L.eps
-    eq, tag, k, e = rep.add_chain_equality, h.grade_label, L.chain(), 0
+    eq, tag, k, e = partial(add_check, rep), h.grade_label, L.chain(), 0
 
     for p, q in product(h.grades(), repeat=2):
         t, x, detail = h.conj(p, q), pi[(p, q)], f"pi_{tag(p)} on grade {tag(q)}"
@@ -277,7 +281,7 @@ def reference_yd(v):
     )
     L, V, act, rho, i_v = v.legs
     H, mu, i, s, delta, eps = L.H, L.mu, L.ident, L.s, L.delta, L.eps
-    eq, tag, pi_, e = rep.add_chain_equality, base.grade_label, base.inv(p), 0
+    eq, tag, pi_, e = partial(add_check, rep), base.grade_label, base.inv(p), 0
     hv, ev = Chain(base.field, V), Chain(base.field, H[e] + V)
 
     eq("YD-4.3-unital", hv.then(L.eta[p], i_v).then(act), hv)
@@ -350,7 +354,7 @@ def reference_crossed_equivalence(v):
             else:
                 lhs = pv.then(act).then(rho[r])
                 rhs = spread(r).then(act, ir, ir, s_inv[r]).then(i_v, ir, m).then(i_v, m)
-            check = rep.add_chain_equality(form, lhs, rhs, detail=f"coaction grade {tag(r)}")
+            check = add_check(rep, form, lhs, rhs, detail=f"coaction grade {tag(r)}")
             ok = ok and check.passed
         verdicts[form] = ok
     values = set(verdicts.values())
@@ -652,8 +656,8 @@ def test_conjugation_coherence_builds_the_same_chains_at_any_group(monkeypatch):
 
 def test_a_chain_is_the_family_of_one_segment():
     """Chain(field, legs) and Chain.family(field, stacks of one leg) are
-    one representation: same stages, same blocks, same matrix; a family of
-    several segments has no single domain legs or matrix."""
+    one representation: same stages, same legs, same blocks, same matrix; a
+    family of several segments has no single matrix."""
     A, B = (("a0",), ("a1",)), (("b0",), ("b1",), ("b2",))
     f = exactlin.LegMap(LinMap.identity(QQ, A).scale(3), (A,), (A,))
     g = exactlin.LegMap(LinMap.identity(QQ, B).scale(2), (B,), (B,))
@@ -661,13 +665,12 @@ def test_a_chain_is_the_family_of_one_segment():
     # a factor given as a sequence of one map serves the one segment
     family = Chain.family(QQ, [(A,), (B,)]).permute(1, 0).then([g], [f])
     assert family.segments == plain.segments == 1
-    assert family.stages == plain.stages and family.dom_legs == plain.dom_legs == (A, B)
+    assert family.stages == plain.stages
+    assert family.segment_legs(0) == plain.segment_legs(0) == ((A, B), (B, A))
     assert family.block(range(6)) == plain.block(range(6))
     assert family.matrix() == plain.matrix()
     two = Chain.family(QQ, [(A, A), (B, B)])
     assert two.segments == 2 and two.cols == 12
-    with pytest.raises(exactlin.DomainMismatch):
-        two.dom_legs
     with pytest.raises(exactlin.DomainMismatch):
         two.matrix()
 

@@ -461,8 +461,13 @@ def table_base(rows):
     component over the trivial group: diagonal comultiplication, the
     counit 1 on every basis vector, identity antipode, unit e_0."""
     n = len(rows)
+    return mult_base(n, {(i, j, rows[i][j]): 1 for i in range(n) for j in range(n)})
+
+
+def mult_base(n, mult):
+    """table_base with the multiplication tensor mult on n basis vectors,
+    which need not be the 0/1 tensor of any table."""
     labels = tuple((f"m{i}",) for i in range(n))
-    mult = {(i, j, rows[i][j]): 1 for i in range(n) for j in range(n)}
     algebra = UnitalAlgebra(QQ, n, labels, mult, tuple(int(i == 0) for i in range(n)))
     pairs = tuple(x + y for x in labels for y in labels)
     comult = LinMap(QQ, n * n, n, {(i * n + i, i): 1 for i in range(n)}, labels, pairs)
@@ -505,6 +510,33 @@ def test_group_algebra_test_matches_the_reference(rows):
     assert module.action.entries == conjugation
     assert diagonal_module(base) == module
     assert "inapplicable" not in search
+
+
+C2_MULT = {(i, j, (i + j) % 2): 1 for i in range(2) for j in range(2)}
+
+
+@pytest.mark.parametrize(
+    "mult",
+    [
+        {**C2_MULT, (1, 1, 0): 2},  # an entry that is not field.one
+        {**C2_MULT, (1, 1, 1): 1},  # two products for the pair (1, 1)
+        {key: v for key, v in C2_MULT.items() if key != (1, 1, 0)},  # no product for (1, 1)
+    ],
+    ids=["scalar-two", "two-products", "missing-product"],
+)
+def test_identity_component_that_is_no_group_table(mult):
+    """A defect in the multiplication tensor of the identity component
+    that no 0/1 table can have: no group is read off it."""
+    base = mult_base(2, mult)
+    assert _group_table(base.comp(0)) is None
+    with pytest.raises(InvalidInput, match="^identity component is not a group algebra$"):
+        diagonal_module(base)
+    with pytest.raises(NotAGroupAlgebra, match="^base component is not a group algebra$"):
+        crossed_set_module(base)
+    search = search_dim1_modules(base)
+    assert [(c.check_id, c.detail) for c in search.checks] == [
+        ("YD-grade-search", "inapplicable: identity component is not a group algebra")
+    ]
 
 
 # -- kill table -------------------------------------------------------------------------
