@@ -22,10 +22,11 @@ matrices.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain as concat, product, repeat
-from math import prod
-from operator import add, eq, floordiv, getitem, mod, mul, sub
+from itertools import accumulate, chain as concat, count, product, repeat
+from math import isqrt, prod
+from operator import add, attrgetter, eq, floordiv, getitem, mod, mul, sub
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -326,14 +327,18 @@ class LinMap:
         return grid
 
     def relabeled(self, dom=None, cod=None):
-        return LinMap(
-            self.field,
-            self.rows,
-            self.cols,
-            self.entries,
-            self.dom if dom is None else dom,
-            self.cod if cod is None else cod,
-        )
+        """The same matrix between bases with other labels; its entries,
+        checked when it was built, are copied as they are."""
+        dom = self.dom if dom is None else tuple(dom)
+        cod = self.cod if cod is None else tuple(cod)
+        if len(dom) != self.cols or len(cod) != self.rows:
+            raise DomainMismatch(
+                f"label lists ({len(cod)}, {len(dom)}) do not fit a {self.rows}x{self.cols} map"
+            )
+        out = LinMap.__new__(LinMap)
+        out.field, out.rows, out.cols, out.dom, out.cod = self.field, self.rows, self.cols, dom, cod
+        out.entries = dict(self.entries)
+        return out
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict."""
@@ -514,12 +519,55 @@ def product_labels(legs):
 # legs.  A basis vector of the product is named by its flat position, which
 # counts with the left leg slowest, as kron and leg_perm do; its label
 # concatenates the legs' labels in leg order.
+#
+# A family of segments holds at each leg position a leg stack (legs, at):
+# segment k's leg there is legs[at[k]], or legs[0] on every segment when at
+# is None.  legs is a tuple or a dict of label tuples and may repeat a leg;
+# a chain of one segment has at None everywhere.
 
 
-def _stack_size(stack):
-    """The size of the legs of a stack: an int if they all have it, else
-    the tuple of their sizes."""
-    return _uniform(tuple(map(len, stack)))
+def _leg(stack, k):
+    """Segment k's leg in a leg stack."""
+    legs, at = stack
+    return legs[0 if at is None else at[k]]
+
+
+def _leg_size(stack):
+    """The size of a stacked leg: an int if every segment's leg has it,
+    else the tuple of the segments' sizes."""
+    legs, at = stack
+    sizes = set(map(len, legs.values() if type(legs) is dict else legs))
+    if len(sizes) == 1:
+        return sizes.pop()
+    return _uniform(tuple(map(len, map(legs.__getitem__, at))))
+
+
+def _numbered(legs):
+    """The leg stack of a sequence of one leg per segment: its distinct
+    legs, by identity, and the number of each segment's among them."""
+    first = dict(zip(map(id, legs), legs))
+    if len(first) == 1:
+        return (legs[0],), None
+    number = dict(zip(first, count()))
+    return tuple(first.values()), list(map(number.__getitem__, map(id, legs)))
+
+
+def _fits(have, want):
+    """Whether two leg stacks put equal legs on every segment.  Where one
+    puts the same leg on every segment, it is compared with each distinct
+    leg of the other.  Two that name their legs in the same list (such as
+    a structure's legs by grade) and the same way are equal at once; else
+    the lists of the legs they put on the segments are compared, in
+    C-level passes that take identical legs at once."""
+    (a, i), (b, j) = have, want
+    if i is not None and j is not None:
+        if a is b and i == j:
+            return True
+        return list(map(a.__getitem__, i)) == list(map(b.__getitem__, j))
+    if i is not None:
+        (a, i), (b, j) = (b, j), (a, i)
+    leg = a[0]
+    return all([x is leg or x == leg for x in map(b.__getitem__, {0} if j is None else set(j))])
 
 
 def _uniform(sizes):
@@ -568,113 +616,265 @@ class LegMap:
     column.  Whether the map is monomial (every column holds exactly one
     entry, and that entry is field.one) is decided once: if it is, dest
     lists over f's own domain the output position of each column (an
-    identity's dest is range(cols)).  Every structure map of a loop or
-    group algebra, and of the constructions on them, is monomial.  Any
-    other map, scaled, with a zero column or with a column of several
-    entries, has dest = None and is read through columns.
+    identity's dest is range(cols)), and columns is built from it when
+    first read.  Every structure map of a loop or group algebra, and of
+    the constructions on them, is monomial.  Any other map, scaled, with a
+    zero column or with a column of several entries, has dest = None and
+    is read through columns.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "_stacks")
+    __slots__ = ("map", "dom_legs", "cod_legs", "dest", "_columns", "_stacks", "_behaviour")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
         cod_legs = tuple(map(tuple, cod_legs))
-        sides = ((f.dom, dom_legs, dom, "domain"), (f.cod, cod_legs, cod, "codomain"))
-        for labels, legs, expected, side in sides:
-            if expected is None:
-                expected = product_labels(legs)
+        dom = product_labels(dom_legs) if dom is None else dom
+        cod = product_labels(cod_legs) if cod is None else cod
+        for labels, expected, side in ((f.dom, dom, "domain"), (f.cod, cod, "codomain")):
             if labels is not expected and labels != expected:
                 raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
-        self._stacks = {}
-        self.columns, self.dest = None, range(f.cols)
+        self._columns = self._stacks = self._behaviour = None
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
-        unit = all(map(eq, entries.values(), repeat(f.field.one)))
-        if dom_legs == cod_legs and rows == cols and len(cols) == n and unit:
-            return  # the identity
-        columns = self.columns = {}
+        if all(map(eq, entries.values(), repeat(f.field.one))) and len(set(cols)) == len(cols) == n:
+            if dom_legs == cod_legs and rows == cols:
+                self.dest = range(n)  # the identity
+            else:
+                self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
+            return
+        columns = self._columns = {}
         for (i, j), value in entries.items():
             columns.setdefault(j, []).append((i, value))
-        if not (unit and len(columns) == len(entries) == n):  # not monomial
-            for images in columns.values():
-                images.sort()
-            self.dest = None
-            return
-        self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
+        for images in columns.values():
+            images.sort()
+        self.dest = None
 
-    def stacked(self, segments):
-        """(dom stacks, cod stacks, cod sizes) of the map serving every one
-        of `segments` segments of a family: each leg repeated per segment.
-        Kept per segment count, as a chain asks for them at every then()."""
-        out = self._stacks.get(segments)
-        if out is None:
-            out = self._stacks[segments] = (
-                tuple([(leg,) * segments for leg in self.dom_legs]),
-                tuple([(leg,) * segments for leg in self.cod_legs]),
+    @property
+    def columns(self):
+        """The map's columns, None for an identity (see the class)."""
+        if self._columns is None and type(self.dest) is list:
+            one = self.map.field.one
+            self._columns = {j: [(i, one)] for j, i in enumerate(self.dest)}
+        return self._columns
+
+    def stacks(self):
+        """(dom leg stacks, cod leg stacks, cod sizes) of the map serving
+        every segment of a family, each leg the same on every segment; kept,
+        as a chain asks for them at every then()."""
+        if self._stacks is None:
+            self._stacks = (
+                tuple([((leg,), None) for leg in self.dom_legs]),
+                tuple([((leg,), None) for leg in self.cod_legs]),
                 tuple(map(len, self.cod_legs)),
             )
-        return out
+        return self._stacks
+
+    @property
+    def behaviour(self):
+        """What the map does to flat positions, as a value: the sizes of
+        its legs, with its dest if it is monomial, else its columns.  Maps
+        that differ only in their labels share it, and so does an identity
+        with a map that keeps every position."""
+        if self._behaviour is None:
+            if self.dest is not None:
+                acts = tuple(self.dest)
+            else:
+                acts = tuple([(j, tuple(images)) for j, images in sorted(self.columns.items())])
+            sizes = tuple(map(len, self.dom_legs)), tuple(map(len, self.cod_legs))
+            self._behaviour = sizes, acts
+        return self._behaviour
 
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
 
 
-class Stack:
-    """A factor that differs from segment to segment of a family: one
-    LegMap per segment, maps[k] on segment k (Chain.then).
+class Table(dict):
+    """LegMaps by key, as a structure keeps its maps (gchq.GradedLegs,
+    yd.YDModule.legs), drawn on by families through stack().  Keys are the
+    grades 0, 1, ..., or the pairs of them in product order.  legs, when
+    given, is the list of the legs of the grades (GradedLegs.labels): a
+    leg of an entry found in it is named by its grade, so that a family's
+    legs drawn from tables over the same list compare by grade.  What
+    every stack drawn from the table shares is worked out once (read())."""
 
-    Its facts are read once, when it is built, for every then() it enters:
-    field, which all maps must share; dom_legs and cod_legs, stacked like
-    a family's legs (one tuple of a leg per segment at each leg position),
-    and cod_dims as a chain keeps them; cols and rows, an int where all
-    segments share it, else the tuple of them; identity, true when every
-    map is an identity; and shared, the map when every segment has the
-    same one, else None (and then only maps and shared are set, as a chain
-    reads the one map).  A stack of monomial maps keeps dest, each
-    segment's dest list (range(cols) for an identity); any other stack has
-    dest = None and is read through maps[k]."""
+    __slots__ = ("legs", "_read")
+
+    def __init__(self, items, legs=None):
+        dict.__init__(self, items)
+        self.legs, self._read = legs, None
+
+    def stack(self, *keys):
+        """The Stack whose segment k holds the map of key (keys[0][k], ...):
+        keys holds one list of grades per key position."""
+        return Stack.drawn(self, keys)
+
+    def read(self):
+        """What every stack drawn from the table shares, as (entries,
+        field, maps, kinds, dests, dom legs, cod legs, cod sizes): the
+        entries, by key as _gather reads them; the field they must share;
+        their distinct maps by behaviour, the number of each entry's among
+        them by key, and the dest of each of maps; how each leg position
+        names the entries' legs (_leg_source); and the size at each
+        codomain leg position that every entry's leg has, else None."""
+        if self._read is not None:
+            return self._read
+        entries = list(self.values())
+        if not entries:
+            raise DomainMismatch("a stack holds one map for each segment")
+        fields = [f.map.field for f in entries]
+        if fields.count(fields[0]) != len(fields):
+            raise DomainMismatch("maps over different fields")
+        if len({(len(f.dom_legs), len(f.cod_legs)) for f in entries}) != 1:
+            raise DomainMismatch("a stack's maps differ in their number of legs")
+        first = {}
+        for f in entries:
+            first.setdefault(f.behaviour, f)
+        number = dict(zip(first, count()))
+        keys = list(self)
+        parts = [keys] if type(keys[0]) is int else list(map(list, zip(*keys)))
+        shape = _by_key(len(parts), isqrt(len(keys)))
+        grades = None if self.legs is None else {id(leg): g for g, leg in enumerate(self.legs)}
+        dom, cod = (
+            tuple([
+                _leg_source(legs, grades, parts, shape)
+                for legs in zip(*[side(f) for f in entries])
+            ])
+            for side in (attrgetter("dom_legs"), attrgetter("cod_legs"))
+        )
+        sizes = [set(map(len, legs)) for legs in zip(*[f.cod_legs for f in entries])]
+        self._read = (
+            shape(entries), fields[0], tuple(first.values()),
+            shape([number[f.behaviour] for f in entries]),
+            tuple([f.dest for f in first.values()]), dom, cod,
+            tuple([size.pop() if len(size) == 1 else None for size in sizes]),
+        )
+        return self._read
+
+
+def _by_key(parts, order):
+    """How a table keeps a value per entry for _gather: as the list of
+    them for keys of one part, or as rows by the first grade for pairs."""
+    if parts == 1:
+        return list
+    return lambda values: [values[i:i + order] for i in range(0, len(values), order)]
+
+
+def _gather(values, keys):
+    """The value of each segment's key, from values kept as _by_key keeps
+    them; keys holds one list of grades per key position."""
+    if len(keys) == 1:
+        return map(values.__getitem__, keys[0])
+    p, q = keys
+    return map(getitem, map(values.__getitem__, p), q)
+
+
+def _leg_source(legs, grades, parts, shape):
+    """How the stacks drawn from a table name the legs of its entries at
+    one leg position, legs holding each entry's: ("one", leg) when every
+    entry has that leg; ("key", c) when each entry's leg is that of the
+    grade at position c of its key; ("grade", codes) when it is that of
+    the grade codes holds for its key; else ("own", legs), by key."""
+    if all([leg is legs[0] for leg in legs]):
+        return "one", legs[0]
+    codes = None if grades is None else list(map(grades.get, map(id, legs)))
+    if codes is None or None in codes:
+        return "own", shape(list(legs))
+    for c, part in enumerate(parts):
+        if codes == part:
+            return "key", c
+    return "grade", shape(codes)
+
+
+class Stack:
+    """A factor that differs from segment to segment of a family: the
+    LegMap of each segment (Chain.then), kept as its distinct maps and one
+    small int per segment.
+
+    Stack(maps) takes one LegMap per segment; a Table draws one for the
+    keys of a law's grade tuples (Table.stack, gchq.at).  maps holds the
+    distinct maps, distinct by what they do to positions
+    (LegMap.behaviour), not by object: maps that differ only in their
+    labels are one.  index is an array, maps[index[k]] acting on segment k.
+    The labels stay each segment's own: dom_legs and cod_legs hold a leg
+    stack per leg position, naming each segment's leg by grade where the
+    table knows the legs of the grades.
+
+    Its other facts are read once, when it is built, for every then() it
+    enters: field, which all maps must share; cod_dims as a chain keeps
+    them; alike, the map every segment's map acts as when they all act
+    alike (a chain then reads that map), else None; identity, true when
+    every segment's map is an identity; shared, the map of a stack of one
+    segment; and dest, the dest list of each of maps when every segment's
+    map is monomial, else None."""
 
     __slots__ = (
-        "maps", "field", "dom_legs", "cod_legs", "cod_dims", "cols", "rows", "identity",
+        "maps", "index", "field", "dom_legs", "cod_legs", "cod_dims", "alike", "identity",
         "shared", "dest",
     )
 
     def __init__(self, maps):
-        self.maps = maps = tuple(maps)
-        if not maps:
+        maps = tuple(maps)
+        number = dict(zip(dict.fromkeys(maps), count()))
+        self._draw(Table(zip(count(), number)), [list(map(number.__getitem__, maps))])
+
+    @classmethod
+    def drawn(cls, table, keys):
+        """The stack whose segment k holds the map of a Table at key
+        (keys[0][k], ...)."""
+        out = cls.__new__(cls)
+        out._draw(table, keys)
+        return out
+
+    def _draw(self, table, keys):
+        segments = len(keys[0])
+        if segments == 1:  # one segment: its map, on its own legs
+            key = next(zip(*keys))
+            f = self.shared = self.alike = table[key[0] if len(key) == 1 else key]
+            self.field, self.maps, self.index = f.map.field, (f,), array("I", [0])
+            self.identity, self.dest = type(f.dest) is range, None if f.dest is None else (f.dest,)
+            self.dom_legs, self.cod_legs, self.cod_dims = f._stacks or f.stacks()
+            return
+        if not segments:
             raise DomainMismatch("a stack holds one map for each segment")
-        distinct = tuple(dict.fromkeys(maps))  # a law draws its K maps from a few
-        self.shared = maps[0] if len(distinct) == 1 else None
-        self.field = self.dom_legs = self.cod_legs = self.cod_dims = self.cols = self.rows = None
-        self.identity = self.dest = None
-        if self.shared is not None:
-            return  # a chain reads the one map
-        fields = [f.map.field for f in distinct]
-        if fields.count(fields[0]) != len(fields):
-            raise DomainMismatch("maps over different fields")
-        self.field = fields[0]
-        n_dom, n_cod = len(distinct[0].dom_legs), len(distinct[0].cod_legs)
-        if any([len(f.dom_legs) != n_dom or len(f.cod_legs) != n_cod for f in distinct]):
-            raise DomainMismatch("a stack's maps differ in their number of legs")
-        self.dom_legs = tuple([tuple([f.dom_legs[j] for f in maps]) for j in range(n_dom)])
-        self.cod_legs = tuple([tuple([f.cod_legs[j] for f in maps]) for j in range(n_cod)])
-        sizes = {tuple(map(len, f.cod_legs)) for f in distinct}
-        self.cod_dims = sizes.pop() if len(sizes) == 1 else tuple(map(_stack_size, self.cod_legs))
-        cols, rows = {f.map.cols for f in distinct}, {f.map.rows for f in distinct}
-        self.cols = cols.pop() if len(cols) == 1 else tuple([f.map.cols for f in maps])
-        self.rows = rows.pop() if len(rows) == 1 else tuple([f.map.rows for f in maps])
-        self.identity = all([f.columns is None for f in distinct])
-        if all([f.dest is not None for f in distinct]):
-            self.dest = tuple([f.dest for f in maps])
+        entries, self.field, self.maps, kinds, dests, dom, cod, cod_sizes = table.read()
+        if len(self.maps) == 1:
+            self.index, acting = array("I", [0]) * segments, dests
+            self.alike = self.maps[0]
+        else:
+            self.index = array("I", _gather(kinds, keys))
+            used = set(self.index)
+            acting = [dests[k] for k in used]
+            self.alike = self.maps[used.pop()] if len(used) == 1 else None
+        self.identity = all([type(dest) is range for dest in acting])
+        self.dest = dests if None not in acting else None
+        self.shared, legs, read = None, table.legs, {}  # grade lists by their codes
+        sides = []
+        for side in (dom, cod):
+            stacks = []
+            for kind, value in side:  # as _leg_source names the legs
+                if kind == "one":
+                    stacks.append(((value,), None))
+                elif kind == "key":
+                    stacks.append((legs, keys[value]))
+                else:
+                    got = read.get(id(value))
+                    if got is None:
+                        got = read[id(value)] = list(_gather(value, keys))
+                    stacks.append((got, range(segments)) if kind == "own" else (legs, got))
+            sides.append(tuple(stacks))
+        self.dom_legs, self.cod_legs = sides
+        if None in cod_sizes:
+            cod_sizes = tuple(map(_leg_size, self.cod_legs))
+        self.cod_dims = cod_sizes
 
     def __len__(self):
-        return len(self.maps)
+        return len(self.index)
 
     def __repr__(self):
-        return f"Stack({len(self.maps)} segments, {self.maps[0]!r}, ...)"
+        return f"Stack({len(self.index)} segments, {len(self.maps)} maps, {self.maps[0]!r}, ...)"
 
 
 def _misfit(pos, stop, legs):
@@ -709,54 +909,62 @@ class Chain:
     Every chain is a family: the direct sum of K segments, one composite
     per grade tuple of a law, all with the same number of legs; a plain
     chain is the family of one segment.  Chain.family(field, stacks)
-    starts a family, each of stacks holding one leg per segment (leg k on
-    segment k), and a factor of then() may be a Stack of K LegMaps, one
-    per segment (or a sequence of them, made a Stack), where a single
+    starts a family from one leg per segment at each leg position, and
+    Chain.indexed(field, stacks) from leg stacks (legs, at), segment k's
+    leg being legs[at[k]]; a factor of then() may be a Stack of K LegMaps,
+    one per segment (or a sequence of them, made a Stack), where a single
     LegMap serves every segment; a chain of one segment meeting a Stack
     becomes a family of copies of itself.  The domain of a family is its
     segments' domains one after the other; a flat position in it is read
     as (segment, position in the segment), and every stage acts on the
     position within the segment.  A family is built and evaluated once for
-    all its segments, and no segment has a Chain of its own; the labels of
-    its legs are only read for the boundary checks and a witness
-    (segment_legs(k), for segment k of any chain).
+    all its segments, and no segment has a Chain of its own.  Its legs are
+    kept as a leg stack per leg position (dom_stacks, cod_stacks), read
+    for the boundary checks, once per distinct pair of legs that meet on a
+    segment, and for labels (segment_legs(k), for segment k of any chain).
     dom_dims and cod_dims hold the size of each leg: an int where the
-    segments agree, else the tuple of the segments' sizes; dom_ends holds
-    the flat domain position where each segment's columns end.
+    segments agree, else the tuple of the segments' sizes.
 
     A stage is recorded once, as (monomial, terms).  Each term is one
     factor, a run of identity legs, or a run of legs a permutation keeps
     together, as (s, n, t, f): its input digit of a position x is
     x // s % n (n is None for the leftmost run, where x // s suffices),
-    f is its LegMap, a Stack of one LegMap per segment, or None for
-    identity legs, and its output digit lands at output stride t, so a
-    stage sends x to the sum over its terms of f(digit) * t.  Where the
-    segments differ in size at a stage, s, n and t there are tuples of one
-    size per segment.  A stage is monomial when every f is None or has a
-    dest; permutations always are.  No stage holds a table over its
-    domain.
+    f is its LegMap, a Stack, or None for identity legs, and its output
+    digit lands at output stride t, so a stage sends x to the sum over its
+    terms of f(digit) * t.  A Stack whose maps all act alike enters as the
+    one they act as, so a term holds a Stack only where segments differ.
+    Where the segments differ in size at a stage, s, n and t there are
+    tuples of one size per segment.  A stage is monomial when every f is
+    None or has a dest; permutations always are.  No stage holds a table
+    over its domain.
+
+    varying lists what differs between segments in how they act on
+    positions: the segments' domain sizes where they differ, and each
+    per-segment size and Stack.index of a term, one value per segment in
+    each.  Two segments that agree in all of it act alike, so a law
+    decides each class of them once (segment_classes).
 
     block(cols) is the one evaluator: it pushes a block of flat domain
-    positions through the stages together.  While the stages are
-    monomial, each column stays one position, its scalar field.one, and a
-    stage runs as a few C-level map passes over the block per term
-    (_flat_stage); the block falls back to sparse dicts {position: scalar}
-    at the first other stage (_apply_kron).  Arithmetic goes through
-    field.mul and field.add, and exact zeros are dropped at every stage
-    boundary.  dom_blocks() yields the domain in column order, BLOCK
-    columns at a time across segment boundaries (whole segments when they
-    are small); column() evaluates a single column through block(),
-    matrices() every column, one LinMap per segment, and matrix() that of
-    a chain of one segment.
+    positions through the stages together.  While the
+    stages are monomial, each column stays one position, its scalar
+    field.one, and a stage runs as a few C-level map passes over the block
+    per term (_flat_stage); the block falls back to sparse dicts
+    {position: scalar} at the first other stage (_apply_kron).  Arithmetic
+    goes through field.mul and field.add, and exact zeros are dropped at
+    every stage boundary.  dom_blocks() yields the domain of some or all
+    segments in column order, at most BLOCK columns at a time (whole
+    segments when they are small); column() evaluates a single column
+    through block(), matrices() one segment of each class, giving one
+    LinMap per segment, and matrix() that of a chain of one segment.
     """
 
     __slots__ = (
         "field", "segments", "dom_stacks", "cod_stacks", "stages", "dom_dims", "cod_dims",
-        "dom_size", "dom_ends",
+        "dom_size", "varying",
     )
 
     def __init__(self, field, legs):
-        self._start(field, tuple((tuple(leg),) for leg in legs), 1)
+        self._start(field, tuple([((tuple(leg),), None) for leg in legs]), 1)
 
     @classmethod
     def family(cls, field, stacks):
@@ -767,15 +975,30 @@ class Chain:
         if any(len(stack) != segments for stack in stacks):
             raise DomainMismatch(f"a stacked leg does not hold a leg for each of {segments}")
         out = cls.__new__(cls)
+        out._start(field, tuple(map(_numbered, stacks)), segments)
+        return out
+
+    @classmethod
+    def indexed(cls, field, stacks):
+        """The identity family on leg stacks (legs, at): one segment per
+        entry of each at that is not None, or one segment if all are."""
+        stacks = tuple(stacks)
+        lengths = {len(at) for _, at in stacks if at is not None}
+        if len(lengths) > 1:
+            raise DomainMismatch("stacked legs for different numbers of segments")
+        segments = lengths.pop() if lengths else 1
+        if segments == 1:
+            stacks = tuple([((_leg(stack, 0),), None) for stack in stacks])
+        out = cls.__new__(cls)
         out._start(field, stacks, segments)
         return out
 
     def _start(self, field, stacks, segments):
         self.field, self.segments, self.stages = field, segments, ()
         self.dom_stacks = self.cod_stacks = stacks
-        self.dom_dims = self.cod_dims = tuple(map(_stack_size, stacks))
-        size = self.dom_size = _product(self.dom_dims)  # an int, or one per segment
-        self.dom_ends = tuple(accumulate(repeat(size, segments) if type(size) is int else size))
+        self.dom_dims = self.cod_dims = tuple(map(_leg_size, stacks))
+        self.dom_size = _product(self.dom_dims)  # an int, or one per segment
+        self.varying = () if type(self.dom_size) is int else (self.dom_size,)
 
     @property
     def rows(self):
@@ -783,7 +1006,7 @@ class Chain:
 
     @property
     def cols(self):
-        return self.dom_ends[-1]
+        return self._total(self.dom_dims)
 
     @property
     def cod_size(self):  # an int, or one per segment, as dom_size
@@ -795,44 +1018,45 @@ class Chain:
 
     def segment_legs(self, k):
         """(dom_legs, cod_legs) of segment k."""
-        return tuple(s[k] for s in self.dom_stacks), tuple(s[k] for s in self.cod_stacks)
+        return (
+            tuple([_leg(stack, k) for stack in self.dom_stacks]),
+            tuple([_leg(stack, k) for stack in self.cod_stacks]),
+        )
 
     def then(self, *factors):
         segments = self.segments
         for f in factors:
-            if type(f) is not LegMap and len(f) != 1:
-                if segments != len(f) and segments != 1:
-                    raise DomainMismatch(
-                        f"a factor for {len(f)} segments on a family of {segments}"
-                    )
-                segments = len(f)
-        field, legs = self.field, self.cod_stacks
-        if segments != self.segments:  # one segment, copied for each of a Stack's
-            legs = tuple(leg * segments for leg in legs)
+            if type(f) is not LegMap:
+                k = len(f.index) if type(f) is Stack else len(f)
+                if k != 1 and k != segments:
+                    if segments != 1:
+                        raise DomainMismatch(f"a factor for {k} segments on {segments}")
+                    segments = k
+        field, legs, dims = self.field, self.cod_stacks, self.cod_dims
         runs = []  # [input size, factor or None for a run of identity legs, output size]
         monomial = True
         pos = 0
         cod_stacks, cod_dims = (), ()
         for f in factors:
             if type(f) is not LegMap:
-                if type(f) is not Stack:
-                    f = Stack(f if len(f) == segments else f * segments)
-                f = f if f.shared is None else f.shared
+                if type(f) is not Stack:  # a sequence: one map, or one per segment
+                    f = f[0] if f.count(f[0]) == len(f) else Stack(f)
+                elif f.shared is not None:
+                    f = f.shared
             if type(f) is LegMap:  # one map for every segment
-                dom, cod, sizes = f.stacked(segments)
+                dom, cod, sizes = f._stacks or f.stacks()
                 stop = pos + len(dom)
-                if legs[pos:stop] != dom:
-                    raise _misfit(pos, stop, legs)
-                f_field, n, m, identity = f.map.field, f.map.cols, f.map.rows, f.columns is None
-                cod_stacks += cod
-                cod_dims += sizes
+                n, m, f_field, identity = f.map.cols, f.map.rows, f.map.field, type(f.dest) is range
             else:
-                stop = pos + len(f.dom_legs)
-                if f.dom_legs != legs[pos:stop]:
-                    raise _misfit(pos, stop, legs)
-                f_field, n, m, identity = f.field, f.cols, f.rows, f.identity
-                cod_stacks += f.cod_legs
-                cod_dims += f.cod_dims
+                dom, cod, sizes = f.dom_legs, f.cod_legs, f.cod_dims
+                stop = pos + len(dom)
+                n, m = _product(dims[pos:stop]), _product(sizes)
+                f_field, identity = f.field, f.identity
+                if f.alike is not None:  # every segment's map acts alike
+                    f = f.alike
+            have = legs[pos:stop]
+            if have != dom and (len(have) != len(dom) or not all(map(_fits, have, dom))):
+                raise _misfit(pos, stop, legs)
             if f_field is not field and f_field != field:
                 raise DomainMismatch("maps over different fields")
             if not identity:
@@ -842,6 +1066,8 @@ class Chain:
                 runs[-1][0] = _times(runs[-1][0], n)  # merge runs of identity legs
             else:
                 runs.append([n, None, None])
+            cod_stacks += cod
+            cod_dims += sizes
             pos = stop
         if pos != len(legs):
             raise DomainMismatch(f"factors cover {pos} of the chain's {len(legs)} legs")
@@ -872,40 +1098,62 @@ class Chain:
     def _extend(self, stage, cod_stacks, cod_dims, segments):
         """The chain followed by stage (None adds none) onto cod_stacks of
         sizes cod_dims, a family of `segments` when the chain is one
-        segment copied."""
+        segment copied (its leg stacks serve any number)."""
         out = Chain.__new__(Chain)
         out.field, out.segments, out.dom_dims = self.field, segments, self.dom_dims
-        out.dom_stacks, out.dom_size, out.dom_ends = self.dom_stacks, self.dom_size, self.dom_ends
-        if segments != self.segments:
-            out.dom_stacks = tuple(leg * segments for leg in self.dom_stacks)
-            out.dom_ends = tuple(accumulate(repeat(self.dom_size, segments)))
-        out.stages = self.stages if stage is None else self.stages + (stage,)
+        out.dom_stacks, out.dom_size = self.dom_stacks, self.dom_size
+        out.stages, out.varying = self.stages, self.varying
+        if stage is not None:
+            out.stages += (stage,)
+            if segments != 1:
+                for s, n, t, f in stage[1]:
+                    if type(f) is Stack:
+                        out.varying += (f.index,)
+                    if type(s) is tuple or type(n) is tuple or type(t) is tuple:
+                        out.varying += tuple([size for size in (s, n, t) if type(size) is tuple])
         out.cod_stacks, out.cod_dims = cod_stacks, cod_dims
         return out
 
-    def dom_blocks(self):
-        """Flat positions of the domain basis vectors in column order, as
-        ranges of at most BLOCK; in a family of segments of at most BLOCK
-        columns each, a block holds whole segments."""
-        total, step, size = self.cols, BLOCK, self.dom_size
+    def dom_blocks(self, segments=None):
+        """Flat positions of the domain basis vectors of the given segments
+        (an increasing list; all by default), in column order, as ranges
+        or lists of at most BLOCK; where a segment has at most BLOCK
+        columns, a block holds whole segments."""
+        size = self.dom_size
+        segments = range(self.segments) if segments is None else segments
         if type(size) is int and 0 < size <= BLOCK:
-            step = size * (BLOCK // size)
-        for start in range(0, total, step):
-            yield range(start, min(start + step, total))
+            per = BLOCK // size
+            for i in range(0, len(segments), per):
+                chunk = segments[i:i + per]
+                if chunk[-1] - chunk[0] == len(chunk) - 1:  # consecutive segments
+                    yield range(chunk[0] * size, (chunk[-1] + 1) * size)
+                else:
+                    starts = [k * size for k in chunk]
+                    stops = map(add, starts, repeat(size))
+                    yield list(concat.from_iterable(map(range, starts, stops)))
+            return
+        starts = (0, *accumulate(size)) if type(size) is tuple else None
+        for k in segments:
+            start = k * size if starts is None else starts[k]
+            stop = start + (size if starts is None else size[k])
+            for lo in range(start, stop, BLOCK):
+                yield range(lo, min(lo + BLOCK, stop))
 
     def locate(self, cols):
         """The segment of each flat domain position in cols, and the
         position within it, as two lists."""
-        size, ends = self.dom_size, self.dom_ends
-        if type(cols) is range and cols:
-            k = bisect_right(ends, cols.start)
-            if cols[-1] < ends[k]:  # within segment k
-                start = cols.start - (ends[k - 1] if k else 0)
+        size = self.dom_size
+        if type(size) is int:
+            if type(cols) is range and cols and cols.start // size == cols[-1] // size:
+                k = cols.start // size  # within segment k
+                start = cols.start - k * size
                 return [k] * len(cols), list(range(start, start + len(cols)))
-            if type(size) is int and cols.start % size == len(cols) % size == 0:
+            if type(cols) is range and cols.start % size == len(cols) % size == 0:
                 first, whole = cols.start // size, len(cols) // size  # whole segments
                 seg = concat.from_iterable(map(repeat, range(first, first + whole), repeat(size)))
                 return list(seg), list(range(size)) * whole
+            return list(map(floordiv, cols, repeat(size))), list(map(mod, cols, repeat(size)))
+        ends = list(accumulate(size))
         seg = list(map(bisect_right, repeat(ends), cols))
         starts = (0, *ends)
         return seg, list(map(sub, cols, map(starts.__getitem__, seg)))
@@ -944,15 +1192,18 @@ class Chain:
         return self.matrices()[0]
 
     def matrices(self):
-        """Each segment's composite as a LinMap, in segment order, evaluated
-        through block() in column order; its bases carry the labels kron
-        would give the products of the segment's domain and codomain legs.
-        The library's one way to turn a composite into matrices."""
-        field, segments = self.field, self.segments
-        entries = [{} for _ in range(segments)]
-        for cols in self.dom_blocks():
-            seg, within = self.locate(cols)
-            monomial, images = self.block(cols)
+        """Each segment's composite as a LinMap, in segment order; its
+        bases carry the labels kron would give the products of the
+        segment's domain and codomain legs.  One segment of each class
+        (segment_classes) is evaluated, through block() in column order,
+        and the others take its entries.  The library's one way to turn a
+        composite into matrices."""
+        field = self.field
+        classes = segment_classes(self)
+        entries = {k: {} for k in dict.fromkeys(classes)}
+        for cols in self.dom_blocks(list(entries)):
+            seg, within = located = self.locate(cols)
+            monomial, images = self.block(cols, located)
             if monomial:
                 for j, k, i in zip(within, seg, images):
                     entries[k][(i, j)] = field.one
@@ -961,7 +1212,7 @@ class Chain:
                     for i, v in vec.items():
                         entries[k][(i, j)] = v
         out, known = [], {}  # segments on the same legs share their labels
-        for k in range(segments):
+        for k, c in enumerate(classes):
             sides = []
             for legs in self.segment_legs(k):
                 key = tuple(map(id, legs))
@@ -969,7 +1220,7 @@ class Chain:
                     known[key] = product_labels(legs)
                 sides.append(known[key])
             dom, cod = sides
-            out.append(LinMap(field, len(cod), len(dom), entries[k], dom, cod))
+            out.append(LinMap(field, len(cod), len(dom), entries[c], dom, cod))
         return out
 
     def __repr__(self):
@@ -978,6 +1229,21 @@ class Chain:
             f"Chain({family}{len(self.dom_stacks)} -> {len(self.cod_stacks)} legs, "
             f"{len(self.stages)} stages, {self.field.name})"
         )
+
+
+def segment_classes(*chains):
+    """The class of each segment of families with the same segments (the
+    two sides of a law), named by its first segment.  Segments are in one
+    class when every chain reads the same maps and sizes on them
+    (Chain.varying), so that each column has the same images on both:
+    a law is decided on one segment of each class."""
+    varying = [values for chain in chains for values in chain.varying]
+    segments = chains[0].segments
+    if not varying:
+        return [0] * segments
+    first = {}
+    keys = zip(*varying) if len(varying) > 1 else varying[0]
+    return list(map(first.setdefault, keys, range(segments)))
 
 
 def _terms(runs):
@@ -999,11 +1265,6 @@ def _terms(runs):
     return tuple(terms)
 
 
-def _lookup(lists, digits, seg):
-    """lists[k][digit] for each column's segment k and digit."""
-    return map(getitem, map(lists.__getitem__, seg), digits)
-
-
 def _spread(sizes, seg):
     """The size of each column's segment, from sizes by segment."""
     return map(sizes.__getitem__, seg)
@@ -1013,10 +1274,10 @@ def _flat_stage(terms, positions, seg=None):
     """One monomial stage on a block of positions, all in range; seg holds
     each column's segment in a family.  Each term is a chain of C-level
     map passes over the block: floordiv and mod for its digit,
-    dest.__getitem__ for its factor (a stack's dest of each column's
-    segment), then mul and add by its output stride.  Every factor is
-    monomial, so each column lands on one output position with scalar
-    field.one, and the stage returns the list of those positions."""
+    dest.__getitem__ for its factor (for a Stack, the dest of the map of
+    each column's segment), then mul and add by its output stride.  Every
+    factor is monomial, so each column lands on one output position with
+    scalar field.one, and the stage returns the list of those positions."""
     out = None
     for s, n, t, f in terms:
         if s != 1:
@@ -1027,7 +1288,8 @@ def _flat_stage(terms, positions, seg=None):
             digits = map(mod, digits, repeat(n) if type(n) is int else _spread(n, seg))
         if f is not None:
             if type(f) is Stack:
-                digits = _lookup(f.dest, digits, seg)
+                dests = map(f.dest.__getitem__, _spread(f.index, seg))
+                digits = map(getitem, dests, digits)
             else:
                 digits = map(f.dest.__getitem__, digits)
         if t != 1:
@@ -1078,7 +1340,7 @@ def _segment_term(term, k):
     s, n, t, f = term
     s, n, t = (size if size is None or type(size) is int else size[k] for size in (s, n, t))
     if type(f) is Stack:
-        f = f.maps[k]
-        if f.columns is None:  # an identity among the stack's maps
+        f = f.maps[f.index[k]]
+        if type(f.dest) is range:  # an identity among the stack's maps
             f = None
     return s, n, t, f

@@ -29,7 +29,7 @@ is again a valid crossed structure is an asserted theorem, not a hope.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain as concat, product, repeat
 from operator import getitem
 
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     MalformedStructure,
     NotInvertible,
 )
-from .exactlin import Chain, LegMap, LinMap, Stack, product_labels
+from .exactlin import Chain, LegMap, LinMap, Stack, Table, product_labels
 from .report import Details, Report, Row, family_witnesses, law_checks
 from . import tables
 
@@ -107,14 +107,17 @@ class CrossedGCHQ:
 
     A structure is treated as immutable once built, so legs can read its
     maps as GradedLegs once, on first use, for every validator and
-    construction to share."""
+    construction to share.  A construction that built the signature to
+    label the maps hands it on (_signature), and it is not built again."""
 
     __slots__ = (
         "field", "grading", "components", "comult", "counit", "antipode", "crossing",
         "signature", "_legs",
     )
 
-    def __init__(self, field, grading, components, comult, counit, antipode, crossing):
+    def __init__(
+        self, field, grading, components, comult, counit, antipode, crossing, *, _signature=None
+    ):
         self.field = field
         self.grading = grading
         self.components = tuple(components)
@@ -129,7 +132,7 @@ class CrossedGCHQ:
             raise MalformedStructure(f"grading table entry outside [0, {grading.order})")
         if any(c.field != field for c in self.components):
             raise MalformedStructure("component field mismatch")
-        self.signature = map_legs(grading, self.components)
+        self.signature = map_legs(grading, self.components) if _signature is None else _signature
         require_legs(field, self.maps(), self.signature)
 
     def maps(self):
@@ -195,6 +198,8 @@ class GradedLegs:
     p.  The structure maps sit on the spaces of h.signature, read through
     its labels: s[p] the antipode of grade p, delta[(p, q)] and pi[(p, q)]
     the comultiplication and crossing of a grade pair, and eps the counit.
+    Each of mu, eta, ident, s, delta and pi is a Table, keyed by grade or
+    by grade pair in product order, for at() to draw Stacks from.
     """
 
     __slots__ = ("field", "labels", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
@@ -203,14 +208,20 @@ class GradedLegs:
         self.field = h.field
         self.labels = [c.labels for c in h.components]
         self.H = H = [(labels,) for labels in self.labels]
-        comps = list(enumerate(h.components))
-        self.mu = [LegMap(c.mult_map(), H[p] * 2, H[p]) for p, c in comps]
-        self.eta = [LegMap(c.unit_map(), (), H[p]) for p, c in comps]
-        self.ident = [LegMap(LinMap.identity(h.field, c.labels), H[p], H[p]) for p, c in comps]
-        legs = h.signature
-        self.s = [LegMap(h.antipode[p], *legs["antipode"][p]) for p, _ in comps]
-        self.delta = {key: LegMap(h.comult[key], *pair) for key, pair in legs["comult"].items()}
-        self.pi = {key: LegMap(h.crossing[key], *pair) for key, pair in legs["crossing"].items()}
+        comps, labels = list(enumerate(h.components)), self.labels
+        self.mu = Table(((p, LegMap(c.mult_map(), H[p] * 2, H[p])) for p, c in comps), labels)
+        self.eta = Table(((p, LegMap(c.unit_map(), (), H[p])) for p, c in comps), labels)
+        self.ident = Table((
+            (p, LegMap(LinMap.identity(h.field, c.labels), H[p], H[p])) for p, c in comps
+        ), labels)
+        legs, pairs = h.signature, list(product(h.grades(), repeat=2))
+        self.s = Table(((p, LegMap(h.antipode[p], *legs["antipode"][p])) for p, _ in comps), labels)
+        self.delta = Table((
+            (key, LegMap(h.comult[key], *legs["comult"][key])) for key in pairs
+        ), labels)
+        self.pi = Table((
+            (key, LegMap(h.crossing[key], *legs["crossing"][key])) for key in pairs
+        ), labels)
         self.eps = LegMap(h.counit, *legs["counit"][None])
 
     def chain(self, *legs):
@@ -221,10 +232,8 @@ class GradedLegs:
         law, it is the identity family with one segment per tuple, on the
         legs of that tuple's grades; a grade or labels serve every
         segment."""
-        stacks = [g for g in legs if type(g) is list]
-        segments, labels = len(stacks[0]) if stacks else 1, self.labels.__getitem__
-        return Chain.family(self.field, [
-            map(labels, g) if type(g) is list else (self._leg(g),) * segments for g in legs
+        return Chain.indexed(self.field, [
+            (self.labels, g) if type(g) is list else ((self._leg(g),), None) for g in legs
         ])
 
     def _leg(self, leg):
@@ -233,15 +242,20 @@ class GradedLegs:
 
 def at(table, *keys):
     """The Stack of table[key] for each grade tuple of a law: a structure
-    map for each segment of a family.  keys holds one list of grades per
-    key position, zipped into tuples when there are several."""
-    return Stack(map(table.__getitem__, keys[0] if len(keys) == 1 else zip(*keys)))
+    map for each segment of a family.  table is a Table (GradedLegs) keyed
+    by grade p, or by grade pair (p, q) in product order; keys holds one
+    list of grades per key position, and each tuple's map is read at its
+    position in the table, p or p |G| + q."""
+    return table.stack(*keys)
 
 
 def grade_tuples(h, n):
     """The grade n-tuples of h in product order, as n lists: the grades at
     each position of the tuples."""
-    return [list(grades) for grades in zip(*product(h.grades(), repeat=n))]
+    order = h.grading.order
+    runs = [repeat(order ** (n - 1 - j)) for j in range(n)]  # each grade's run at position j
+    return [list(concat.from_iterable(map(repeat, h.grades(), run))) * order ** j
+            for j, run in enumerate(runs)]
 
 
 def mul(h, p, q):
@@ -256,7 +270,7 @@ def inv(h, p):
 
 def conj(h, p, q):
     """p[j] q[j] p[j]^-1 at each position j of two lists of grades."""
-    return mul(h, mul(h, p, q), inv(h, p))
+    return list(map(getitem, map(h.grading.conjugates().__getitem__, p), q))
 
 
 def grade_details(h, *grades, form=None):
@@ -276,12 +290,13 @@ def _left_compensation(h, p):
     return start.then(at(L.s, p_inv), i, i).then(i, mu).then(mu)
 
 
-def _bijective(check_id, maps, details, required=True):
-    """The Row of the law that the map of each LegMap of maps is invertible,
-    a singular one's detail with its rank appended.  A square monomial map
-    is invertible when its columns land on distinct rows."""
+def _bijective(check_id, stack, details, required=True):
+    """The Row of the law that the map of each segment of a Stack is
+    invertible, a singular one's detail with its rank appended; decided
+    once for each of its distinct maps.  A square monomial map is
+    invertible when its columns land on distinct rows."""
     ranks = []
-    for f in maps:
+    for f in stack.maps:
         m, rank = f.map, None
         if f.dest is None or not m.rows == m.cols == len(set(f.dest)):
             try:
@@ -289,6 +304,7 @@ def _bijective(check_id, maps, details, required=True):
             except NotInvertible as exc:
                 rank = exc.rank
         ranks.append(rank)
+    ranks = list(map(ranks.__getitem__, stack.index))
     verdicts = [rank is None for rank in ranks]
     if not all(verdicts):
         details = [d if r is None else f"{d}: rank {r}" for d, r in zip(details, ranks)]
@@ -378,7 +394,8 @@ def validate_gchq(h, require_invertible_antipode=True):
         return rep
     for laws in hq_laws(h):
         rep.add_rows(*(law_checks(*law) for law in laws))
-    details, s = grade_details(h, list(h.grades())), h.legs.s
+    grades = list(h.grades())
+    s, details = at(h.legs.s, grades), grade_details(h, grades)
     rep.add_rows(_bijective("GHQ-antipode-bijective", s, details, require_invertible_antipode))
     return rep
 
@@ -398,7 +415,7 @@ def validate_crossing(h):
     details = grade_details(h, p, q, form="pi_{} on grade {}")
     qq = chain(q, q)
     rep.add_rows(
-        _bijective("CROSS-pi-bijective", x.maps, details),
+        _bijective("CROSS-pi-bijective", x, details),
         law_checks("CROSS-pi-multiplicative", details, qq.then(at(mu, q)).then(x),
                    qq.then(x, x).then(at(mu, t))),
         law_checks("CROSS-pi-unit", details, k.then(at(eta, q)).then(x), k.then(at(eta, t))),
@@ -463,7 +480,8 @@ def power_construction(h, action):
     L = h.graded.legs
     H, mu, eta, delta, eps, s = L.H[0], L.mu[0], L.eta[0], L.delta[(0, 0)], L.eps, L.s[0]
     E = [0] * G.order  # each law is one family, a segment per actor
-    t = Stack([LegMap(LinMap.from_permutation(field, p, h.labels), H, H) for p in action.maps])
+    actors = [LinMap.from_permutation(field, p, h.labels) for p in action.maps]
+    t = Stack([LegMap(m, H, H) for m in actors])
     k, h1, h2 = L.chain(), L.chain(E), L.chain(E, E)
     laws = [
         ("multiplication", h2.then(mu).then(t), h2.then(t, t).then(mu)),
@@ -489,10 +507,12 @@ def power_construction(h, action):
     )
     counit = h.counit.relabeled(*legs_labels(signature["counit"][None]))
     crossing = {
-        (p, q): LinMap.from_permutation(field, action.maps[p], *legs_labels(legs))
+        (p, q): actors[p].relabeled(*legs_labels(legs))
         for (p, q), legs in signature["crossing"].items()
     }
-    return CrossedGCHQ(field, G, components, comult, counit, antipode, crossing)
+    return CrossedGCHQ(
+        field, G, components, comult, counit, antipode, crossing, _signature=signature
+    )
 
 
 def mirror(h, check=True):

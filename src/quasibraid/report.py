@@ -8,7 +8,8 @@ strings; consumers key off them, not off positions in the list.
 
 The witness rule is the same whether the two sides are LinMaps
 (map_witness, the tests' reference) or one segment of two Chains
-evaluated leg by leg (family_witnesses), a plain chain being the family
+evaluated leg by leg (family_witnesses, which evaluates one segment of
+each class of segments that act alike), a plain chain being the family
 of one segment: among all entries where the sides differ, the one with
 the smallest (row, col) in row-major order; its labels are the lhs domain
 label of that column and codomain label of that row, and its values are
@@ -23,11 +24,10 @@ Details is formatted when read.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import compress, count, islice, repeat, starmap
-from operator import lt, ne
+from itertools import accumulate, compress, count, groupby, islice, repeat, starmap
+from operator import is_, lt, ne
 
-from .exactlin import flat_label
+from .exactlin import flat_label, segment_classes
 
 #: Every check identifier the library can emit, with a one-line meaning.
 #: Identifiers are part of the report format: consumers key off these
@@ -235,50 +235,61 @@ def family_witnesses(lhs, rhs):
     legs may differ), in segment order: None where the segment's two sides
     agree, else map_witness of the segment's two maps, without building any.
 
-    Both sides are evaluated block by block (Chain.block), in column
-    order across segment boundaries, as positions within each column's
-    segment.  A block whose two sides are equal is done in one comparison
-    of flat lists.  Otherwise the block is split at segment boundaries,
-    and in each part whose sides differ each differing column offers its
-    smallest differing row.  A monomial column is one basis vector with
-    scalar field.one, so one whose sides land in different rows offers
-    the smaller of the two, with one on the side that lands there and zero
-    on the other.  Only rows below the segment's best so far are
-    sought.  Positions order as index tuples do, so the smallest row over
-    all of a segment's columns, the earliest column winning a tie, is the
-    smallest differing (row, col) in row-major order.  Labels are built
-    only for the witnesses, from the legs of the lhs.
+    Segments that both sides treat alike have the same images
+    (exactlin.segment_classes), so only the first segment of each class is
+    evaluated, and every segment of the class takes its verdict and the
+    position of its witness, labelled with the segment's own legs (from
+    the lhs).  Both sides are evaluated block by block (Chain.block), in
+    column order, as positions within each column's segment.  A block
+    whose two sides are equal is done in one comparison of flat lists.
+    Otherwise the block is split into its segments, and in each part whose
+    sides differ each differing column offers its smallest differing row.
+    A monomial column is one basis vector with scalar field.one, so one
+    whose sides land in different rows offers the smaller of the two, with
+    one on the side that lands there and zero on the other.  Only rows
+    below the segment's best so far are sought.  Positions order as index
+    tuples do, so the smallest row over all of a segment's columns, the
+    earliest column winning a tie, is the smallest differing (row, col) in
+    row-major order.
     """
     shapes = [(c.segments, c.dom_size, c.cod_size) for c in (lhs, rhs)]
     if shapes[0] != shapes[1]:
         raise ValueError("witness comparison needs chains with the same segment sizes")
     field = lhs.field
-    best = [None] * lhs.segments
-    ends = None
-    for cols in lhs.dom_blocks():
+    classes = segment_classes(lhs, rhs)
+    best = {}
+    for cols in lhs.dom_blocks(list(dict.fromkeys(classes))):
         located = lhs.locate(cols)  # the two sides share their domain
         a, b = lhs.block(cols, located), rhs.block(cols, located)
         if a == b:
             continue
-        if ends is None:
-            ends = lhs.dom_ends
-        k = bisect_right(ends, cols.start)
+        seg, within = located
         lo = 0
-        while lo < len(cols):
-            hi = min(ends[k], cols.stop) - cols.start
-            x, y = _part(a, lo, hi, len(cols)), _part(b, lo, hi, len(cols))
+        for k, hi in _runs(seg):
+            x, y = _part(a, lo, hi, len(seg)), _part(b, lo, hi, len(seg))
             if x != y:
-                below = None if best[k] is None else best[k][0]
+                below = best[k][0] if k in best else None
                 found = (
                     _first_difference(field, x, y, below) if x[0] and y[0]
                     else _sparse_difference(field, x, y, below)
                 )
                 # blocks come in column order, so a tie in row keeps the earlier block
                 if found is not None:
-                    start = ends[k - 1] if k else 0
-                    best[k] = found[0], cols[lo + found[1]] - start, found[2], found[3]
-            lo, k = hi, k + 1
-    return [None if found is None else _witness(lhs, k, *found) for k, found in enumerate(best)]
+                    best[k] = found[0], within[lo + found[1]], found[2], found[3]
+            lo = hi
+    if not best:
+        return [None] * lhs.segments
+    found = map(best.get, classes)
+    return [None if f is None else _witness(lhs, k, *f) for k, f in enumerate(found)]
+
+
+def _runs(seg):
+    """(segment, end) of each run of one segment in a block's segment
+    list, in order."""
+    if seg[0] == seg[-1]:  # blocks are in column order, so one segment
+        return ((seg[0], len(seg)),)
+    ends = accumulate(len(list(run)) for _, run in groupby(seg))
+    return zip(dict.fromkeys(seg), ends)
 
 
 def _part(block, lo, hi, size):
@@ -403,7 +414,7 @@ def law_checks(check_id, details, lhs, rhs, required=True):
     if len(details) != lhs.segments:
         raise ValueError(f"{len(details)} details for {lhs.segments} segments")
     witnesses = family_witnesses(lhs, rhs)
-    return Row(check_id, required, details, witnesses, [w is None for w in witnesses])
+    return Row(check_id, required, details, witnesses, list(map(is_, witnesses, repeat(None))))
 
 
 class Report:

@@ -287,7 +287,9 @@ def gchq_from_jobj(jobj):
             for family in ("comult", "antipode", "crossing")
         )
         counit = _matrix_from_jobj(field, [jobj["counit"]], signature["counit"][None], "counit")
-        return CrossedGCHQ(field, grading, components, comult, counit, antipode, crossing)
+        return CrossedGCHQ(
+            field, grading, components, comult, counit, antipode, crossing, _signature=signature
+        )
 
 
 # -- Yetter-Drinfeld modules -------------------------------------------------
@@ -333,7 +335,7 @@ def yd_from_jobj(jobj, base_dir=None):
         signature = module_legs(base, grade, labels)
         action = _matrix_from_jobj(field, jobj["action"], signature["action"][None], "action")
         coaction = _maps_from_jobj(field, jobj, signature, "coaction")
-        return YDModule(base, grade, labels, action, coaction, strict)
+        return YDModule(base, grade, labels, action, coaction, strict, _signature=signature)
 
 
 # -- file-level helpers ------------------------------------------------------

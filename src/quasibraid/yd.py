@@ -38,7 +38,7 @@ from .errors import (
     NotInvertible,
     NotStrict,
 )
-from .exactlin import Chain, LegMap, LinMap, product_labels
+from .exactlin import Chain, LegMap, LinMap, Table, product_labels
 from .gchq import (
     at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs, space
 )
@@ -64,14 +64,15 @@ class YDModule:
 
     Like its base, a module is treated as immutable once built: signature
     is the module_legs its maps were checked against, and legs keeps its
-    maps as LegMaps on it from first use on.
+    maps as LegMaps on it from first use on.  A construction that built
+    the signature hands it on (_signature), and it is not built again.
     """
 
     __slots__ = (
         "base", "grade", "dim", "labels", "action", "coaction", "strict", "signature", "_legs"
     )
 
-    def __init__(self, base, grade, labels, action, coaction, strict):
+    def __init__(self, base, grade, labels, action, coaction, strict, *, _signature=None):
         if not 0 <= grade < base.grading.order:
             raise MalformedStructure(f"grade {grade} outside [0, {base.grading.order})")
         self.base = base
@@ -82,7 +83,7 @@ class YDModule:
         self.coaction = dict(coaction)
         self.strict = bool(strict)
         self._legs = None
-        self.signature = module_legs(base, grade, self.labels)
+        self.signature = module_legs(base, grade, self.labels) if _signature is None else _signature
         require_legs(base.field, self.maps(), self.signature)
 
     def maps(self):
@@ -95,11 +96,13 @@ class YDModule:
     @property
     def legs(self):
         """(h.legs of the base, the module's leg V, and as LegMaps its action,
-        coactions by grade and identity), built on first use."""
+        coactions by grade (a Table) and identity), built on first use."""
         if self._legs is None:
             V, legs = (self.labels,), self.signature
             action = LegMap(self.action, *legs["action"][None])
-            coaction = [LegMap(self.coaction[r], *legs["coaction"][r]) for r in self.base.grades()]
+            coaction = Table((
+                (r, LegMap(self.coaction[r], *legs["coaction"][r])) for r in self.base.grades()
+            ), self.base.legs.labels)
             self._legs = self.base.legs, V, action, coaction, LegMap(self.ident(), V, V)
         return self._legs
 
@@ -305,7 +308,7 @@ def _conjugation_module(base, group):
     action = legs_map(field, conjugation, signature["action"][None])
     diagonal = {(x * n + x, x): field.one for x in range(n)}
     coaction = {r: legs_map(field, diagonal, legs) for r, legs in signature["coaction"].items()}
-    return YDModule(base, 0, labels, action, coaction, strict=True)
+    return YDModule(base, 0, labels, action, coaction, strict=True, _signature=signature)
 
 
 def crossed_set_module(base):
@@ -341,8 +344,11 @@ def yd_tensor(v, w):
     base = v.base
     actions, coactions = _tensors([v], [w])
     labels, pq = product_labels((v.labels, w.labels)), base.mul(v.grade, w.grade)
-    coaction = dict(zip(base.grades(), coactions.matrices()))
-    out = YDModule(base, pq, labels, actions.matrix(), coaction, v.strict and w.strict)
+    action, coaction = actions.matrix(), dict(zip(base.grades(), coactions.matrices()))
+    out = YDModule(
+        base, pq, labels, action, coaction, v.strict and w.strict,
+        _signature=_built_legs(base, pq, labels, action, coaction),
+    )
     if out.strict and family_witnesses(*_module_assoc_sides(out))[0] is not None:
         out.strict = False  # settled before the module is handed out
     return out
@@ -382,8 +388,23 @@ def _conjugates(v, qs):
     base, grades = v.base, list(v.base.grades())
     actions, coactions = (family.matrices() for family in _regradings([v] * len(qs), qs))
     newgrades, n = conj(base, qs, [v.grade] * len(qs)), len(grades)
-    return [YDModule(base, g, v.labels, action, dict(zip(grades, coactions[k * n:])), v.strict)
-            for k, (g, action) in enumerate(zip(newgrades, actions))]
+    out = []
+    for k, (g, action) in enumerate(zip(newgrades, actions)):
+        coaction = dict(zip(grades, coactions[k * n:]))
+        signature = _built_legs(base, g, v.labels, action, coaction)
+        out.append(YDModule(base, g, v.labels, action, coaction, v.strict, _signature=signature))
+    return out
+
+
+def _built_legs(base, grade, labels, action, coaction):
+    """module_legs(base, grade, labels) for an action and coactions that
+    Chain.matrices built on those very legs: it carries their labels,
+    which are the products of the legs, instead of building them again."""
+    V, H = (labels,), base.legs.H
+    return {
+        "action": {None: (H[grade] + V, V, action.dom, action.cod)},
+        "coaction": {r: (V, V + H[r], m.dom, m.cod) for r, m in coaction.items()},
+    }
 
 
 def _regradings(vs, qs):

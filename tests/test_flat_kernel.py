@@ -241,11 +241,12 @@ class Programs:
 
 
 def segment_factor(f, k):
-    """The LegMap a factor of then() puts on segment k."""
+    """The LegMap a factor of then() puts on segment k (for a Stack, one
+    acting alike, as its distinct maps are kept)."""
     if type(f) is LegMap:
         return f
     if type(f) is Stack:
-        return f.maps[k if len(f) > 1 else 0]
+        return f.maps[f.index[k]]
     return f[k if len(f) > 1 else 0]
 
 
