@@ -327,18 +327,14 @@ class LinMap:
         return grid
 
     def relabeled(self, dom=None, cod=None):
-        """The same matrix between bases with other labels; its entries,
-        checked when it was built, are copied as they are."""
-        dom = self.dom if dom is None else tuple(dom)
-        cod = self.cod if cod is None else tuple(cod)
-        if len(dom) != self.cols or len(cod) != self.rows:
-            raise DomainMismatch(
-                f"label lists ({len(cod)}, {len(dom)}) do not fit a {self.rows}x{self.cols} map"
-            )
-        out = LinMap.__new__(LinMap)
-        out.field, out.rows, out.cols, out.dom, out.cod = self.field, self.rows, self.cols, dom, cod
-        out.entries = dict(self.entries)
-        return out
+        return LinMap(
+            self.field,
+            self.rows,
+            self.cols,
+            self.entries,
+            self.dom if dom is None else dom,
+            self.cod if cod is None else cod,
+        )
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict."""
@@ -518,16 +514,12 @@ def product_labels(legs):
 # tuple of one factor; the ground field k is the empty product and has no
 # legs.  A basis vector of the product is named by its flat position, which
 # counts with the left leg slowest, as kron and leg_perm do; its label
-# concatenates the legs' labels in leg order.
-#
-# A family of segments holds at each leg position a leg stack (legs, at):
-# segment k's leg there is legs[at[k]], or legs[0] on every segment when at
-# is None.  legs is a tuple or a dict of label tuples and may repeat a leg;
-# a chain of one segment has at None everywhere.
+# concatenates the legs' labels in leg order.  A family of segments keeps a
+# leg stack (legs, at) at each leg position: segment k's leg is legs[at[k]],
+# or legs[0] on every segment where at is None (always, on one segment).
 
 
 def _leg(stack, k):
-    """Segment k's leg in a leg stack."""
     legs, at = stack
     return legs[0 if at is None else at[k]]
 
@@ -536,38 +528,21 @@ def _leg_size(stack):
     """The size of a stacked leg: an int if every segment's leg has it,
     else the tuple of the segments' sizes."""
     legs, at = stack
-    sizes = set(map(len, legs.values() if type(legs) is dict else legs))
-    if len(sizes) == 1:
-        return sizes.pop()
-    return _uniform(tuple(map(len, map(legs.__getitem__, at))))
-
-
-def _numbered(legs):
-    """The leg stack of a sequence of one leg per segment: its distinct
-    legs, by identity, and the number of each segment's among them."""
-    first = dict(zip(map(id, legs), legs))
-    if len(first) == 1:
-        return (legs[0],), None
-    number = dict(zip(first, count()))
-    return tuple(first.values()), list(map(number.__getitem__, map(id, legs)))
+    sizes = set(map(len, legs))
+    return sizes.pop() if len(sizes) == 1 else _uniform(tuple(map(len, map(legs.__getitem__, at))))
 
 
 def _fits(have, want):
-    """Whether two leg stacks put equal legs on every segment.  Where one
-    puts the same leg on every segment, it is compared with each distinct
-    leg of the other.  Two that name their legs in the same list (such as
-    a structure's legs by grade) and the same way are equal at once; else
-    the lists of the legs they put on the segments are compared, in
-    C-level passes that take identical legs at once."""
+    """Whether two leg stacks put equal legs on every segment: at once if
+    they name them alike in one list (a structure's legs by grade), else
+    by the lists of the segments' legs, compared in C-level passes that
+    take identical legs at once."""
     (a, i), (b, j) = have, want
-    if i is not None and j is not None:
-        if a is b and i == j:
-            return True
-        return list(map(a.__getitem__, i)) == list(map(b.__getitem__, j))
-    if i is not None:
-        (a, i), (b, j) = (b, j), (a, i)
-    leg = a[0]
-    return all([x is leg or x == leg for x in map(b.__getitem__, {0} if j is None else set(j))])
+    if a is b and i == j:
+        return True
+    n = 1 if i is None and j is None else len(i if j is None else j)
+    mine = [a[0]] * n if i is None else list(map(a.__getitem__, i))
+    return mine == ([b[0]] * n if j is None else list(map(b.__getitem__, j)))
 
 
 def _uniform(sizes):
@@ -616,75 +591,55 @@ class LegMap:
     column.  Whether the map is monomial (every column holds exactly one
     entry, and that entry is field.one) is decided once: if it is, dest
     lists over f's own domain the output position of each column (an
-    identity's dest is range(cols)), and columns is built from it when
-    first read.  Every structure map of a loop or group algebra, and of
-    the constructions on them, is monomial.  Any other map, scaled, with a
-    zero column or with a column of several entries, has dest = None and
-    is read through columns.
+    identity's dest is range(cols)).  Every structure map of a loop or
+    group algebra, and of the constructions on them, is monomial.  Any
+    other map, scaled, with a zero column or with a column of several
+    entries, has dest = None and is read through columns.  stacks holds
+    its legs as the leg stacks of a family, with its codomain legs' sizes.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "dest", "_columns", "_stacks", "_behaviour")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "stacks", "_behaviour")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
         cod_legs = tuple(map(tuple, cod_legs))
-        dom = product_labels(dom_legs) if dom is None else dom
-        cod = product_labels(cod_legs) if cod is None else cod
-        for labels, expected, side in ((f.dom, dom, "domain"), (f.cod, cod, "codomain")):
+        sides = ((f.dom, dom_legs, dom, "domain"), (f.cod, cod_legs, cod, "codomain"))
+        for labels, legs, expected, side in sides:
+            if expected is None:
+                expected = product_labels(legs)
             if labels is not expected and labels != expected:
                 raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
-        self._columns = self._stacks = self._behaviour = None
+        self.stacks = tuple([((leg,), None) for leg in dom_legs]), tuple(
+            [((leg,), None) for leg in cod_legs]), tuple(map(len, cod_legs))
+        self._behaviour = None
+        self.columns, self.dest = None, range(f.cols)
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
-        if all(map(eq, entries.values(), repeat(f.field.one))) and len(set(cols)) == len(cols) == n:
-            if dom_legs == cod_legs and rows == cols:
-                self.dest = range(n)  # the identity
-            else:
-                self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
-            return
-        columns = self._columns = {}
+        unit = all(map(eq, entries.values(), repeat(f.field.one)))
+        if dom_legs == cod_legs and rows == cols and len(cols) == n and unit:
+            return  # the identity
+        columns = self.columns = {}
         for (i, j), value in entries.items():
             columns.setdefault(j, []).append((i, value))
-        for images in columns.values():
-            images.sort()
-        self.dest = None
-
-    @property
-    def columns(self):
-        """The map's columns, None for an identity (see the class)."""
-        if self._columns is None and type(self.dest) is list:
-            one = self.map.field.one
-            self._columns = {j: [(i, one)] for j, i in enumerate(self.dest)}
-        return self._columns
-
-    def stacks(self):
-        """(dom leg stacks, cod leg stacks, cod sizes) of the map serving
-        every segment of a family, each leg the same on every segment; kept,
-        as a chain asks for them at every then()."""
-        if self._stacks is None:
-            self._stacks = (
-                tuple([((leg,), None) for leg in self.dom_legs]),
-                tuple([((leg,), None) for leg in self.cod_legs]),
-                tuple(map(len, self.cod_legs)),
-            )
-        return self._stacks
+        if not (unit and len(columns) == len(entries) == n):  # not monomial
+            for images in columns.values():
+                images.sort()
+            self.dest = None
+            return
+        self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
 
     @property
     def behaviour(self):
-        """What the map does to flat positions, as a value: the sizes of
-        its legs, with its dest if it is monomial, else its columns.  Maps
-        that differ only in their labels share it, and so does an identity
-        with a map that keeps every position."""
+        """What the map does to positions: its leg sizes, with its dest if
+        monomial, else its columns.  Maps that differ only in labels share
+        it, and so do an identity and a map that keeps every position."""
         if self._behaviour is None:
-            if self.dest is not None:
-                acts = tuple(self.dest)
-            else:
-                acts = tuple([(j, tuple(images)) for j, images in sorted(self.columns.items())])
-            sizes = tuple(map(len, self.dom_legs)), tuple(map(len, self.cod_legs))
-            self._behaviour = sizes, acts
+            acts = tuple(self.dest) if self.dest is not None else tuple(
+                [(j, tuple(images)) for j, images in sorted(self.columns.items())])
+            self._behaviour = tuple(map(len, self.dom_legs)), tuple(map(len, self.cod_legs)), acts
         return self._behaviour
 
     def __repr__(self):
@@ -693,12 +648,11 @@ class LegMap:
 
 class Table(dict):
     """LegMaps by key, as a structure keeps its maps (gchq.GradedLegs,
-    yd.YDModule.legs), drawn on by families through stack().  Keys are the
-    grades 0, 1, ..., or the pairs of them in product order.  legs, when
-    given, is the list of the legs of the grades (GradedLegs.labels): a
-    leg of an entry found in it is named by its grade, so that a family's
-    legs drawn from tables over the same list compare by grade.  What
-    every stack drawn from the table shares is worked out once (read())."""
+    yd.YDModule.legs), for stack() to draw the Stack of a law's grade
+    tuples from.  Keys are grades, or pairs of them in product order;
+    legs, if given, lists the legs of the grades, and an entry's leg
+    found there is named by its grade.  What every such Stack shares is
+    worked out once (read())."""
 
     __slots__ = ("legs", "_read")
 
@@ -707,112 +661,82 @@ class Table(dict):
         self.legs, self._read = legs, None
 
     def stack(self, *keys):
-        """The Stack whose segment k holds the map of key (keys[0][k], ...):
-        keys holds one list of grades per key position."""
+        """The Stack whose segment k holds the map of key (keys[0][k], ...)."""
         return Stack.drawn(self, keys)
 
     def read(self):
-        """What every stack drawn from the table shares, as (entries,
-        field, maps, kinds, dests, dom legs, cod legs, cod sizes): the
-        entries, by key as _gather reads them; the field they must share;
-        their distinct maps by behaviour, the number of each entry's among
-        them by key, and the dest of each of maps; how each leg position
-        names the entries' legs (_leg_source); and the size at each
-        codomain leg position that every entry's leg has, else None."""
-        if self._read is not None:
-            return self._read
-        entries = list(self.values())
-        if not entries:
-            raise DomainMismatch("a stack holds one map for each segment")
-        fields = [f.map.field for f in entries]
-        if fields.count(fields[0]) != len(fields):
-            raise DomainMismatch("maps over different fields")
-        if len({(len(f.dom_legs), len(f.cod_legs)) for f in entries}) != 1:
-            raise DomainMismatch("a stack's maps differ in their number of legs")
-        first = {}
-        for f in entries:
-            first.setdefault(f.behaviour, f)
-        number = dict(zip(first, count()))
-        keys = list(self)
-        parts = [keys] if type(keys[0]) is int else list(map(list, zip(*keys)))
-        shape = _by_key(len(parts), isqrt(len(keys)))
-        grades = None if self.legs is None else {id(leg): g for g, leg in enumerate(self.legs)}
-        dom, cod = (
-            tuple([
-                _leg_source(legs, grades, parts, shape)
-                for legs in zip(*[side(f) for f in entries])
-            ])
-            for side in (attrgetter("dom_legs"), attrgetter("cod_legs"))
-        )
-        sizes = [set(map(len, legs)) for legs in zip(*[f.cod_legs for f in entries])]
-        self._read = (
-            shape(entries), fields[0], tuple(first.values()),
-            shape([number[f.behaviour] for f in entries]),
-            tuple([f.dest for f in first.values()]), dom, cod,
-            tuple([size.pop() if len(size) == 1 else None for size in sizes]),
-        )
+        """(field, maps, dests, kinds, dom legs, cod legs): the field all
+        entries share, their distinct maps by behaviour with the dest of
+        each, the number of each entry's map among them (by key, as
+        _gather reads it) and how each leg position names the entries'
+        legs (_leg_source)."""
+        if self._read is None:
+            entries = list(self.values())
+            field = entries[0].map.field
+            if any([f.map.field != field for f in entries]):
+                raise DomainMismatch("maps over different fields")
+            if len({(len(f.dom_legs), len(f.cod_legs)) for f in entries}) != 1:
+                raise DomainMismatch("a stack's maps differ in their number of legs")
+            first = {}
+            for f in entries:
+                first.setdefault(f.behaviour, f)
+            number, keys = dict(zip(first, count())), list(self)
+            parts = [keys] if type(keys[0]) is int else [list(part) for part in zip(*keys)]
+            rows = isqrt(len(keys))  # a table of pairs is kept as rows by the first grade
+            shape = list if len(parts) == 1 else (
+                lambda values: [values[i:i + rows] for i in range(0, len(values), rows)])
+            grades = self.legs and {id(leg): g for g, leg in enumerate(self.legs)}
+            dom, cod = (
+                [_leg_source(legs, grades, parts, shape) for legs in zip(*map(side, entries))]
+                for side in (attrgetter("dom_legs"), attrgetter("cod_legs"))
+            )
+            maps = tuple(first.values())
+            kinds = shape([number[f.behaviour] for f in entries])
+            self._read = field, maps, tuple([f.dest for f in maps]), kinds, dom, cod
         return self._read
 
 
-def _by_key(parts, order):
-    """How a table keeps a value per entry for _gather: as the list of
-    them for keys of one part, or as rows by the first grade for pairs."""
-    if parts == 1:
-        return list
-    return lambda values: [values[i:i + order] for i in range(0, len(values), order)]
-
-
 def _gather(values, keys):
-    """The value of each segment's key, from values kept as _by_key keeps
-    them; keys holds one list of grades per key position."""
+    """The value of each segment's key: values by grade, or for pairs of
+    grades by rows of the first; keys holds one list per key position."""
     if len(keys) == 1:
         return map(values.__getitem__, keys[0])
-    p, q = keys
-    return map(getitem, map(values.__getitem__, p), q)
+    return map(getitem, map(values.__getitem__, keys[0]), keys[1])
 
 
 def _leg_source(legs, grades, parts, shape):
-    """How the stacks drawn from a table name the legs of its entries at
-    one leg position, legs holding each entry's: ("one", leg) when every
-    entry has that leg; ("key", c) when each entry's leg is that of the
-    grade at position c of its key; ("grade", codes) when it is that of
-    the grade codes holds for its key; else ("own", legs), by key."""
+    """How the stacks drawn from a table name its entries' legs at one leg
+    position, legs holding each entry's: ("one", leg) when all are that
+    leg; ("key", c) when each is the leg of the grade at position c of its
+    key; ("grade", codes) when it is that of its grade in codes; else
+    ("own", legs), codes and legs by key (_gather)."""
     if all([leg is legs[0] for leg in legs]):
         return "one", legs[0]
-    codes = None if grades is None else list(map(grades.get, map(id, legs)))
-    if codes is None or None in codes:
+    codes = grades and list(map(grades.get, map(id, legs)))
+    if not codes or None in codes:
         return "own", shape(list(legs))
-    for c, part in enumerate(parts):
-        if codes == part:
-            return "key", c
-    return "grade", shape(codes)
+    return ("key", parts.index(codes)) if codes in parts else ("grade", shape(codes))
 
 
 class Stack:
     """A factor that differs from segment to segment of a family: the
-    LegMap of each segment (Chain.then), kept as its distinct maps and one
+    LegMap of each segment (Chain.then), kept as distinct maps and one
     small int per segment.
 
-    Stack(maps) takes one LegMap per segment; a Table draws one for the
-    keys of a law's grade tuples (Table.stack, gchq.at).  maps holds the
-    distinct maps, distinct by what they do to positions
-    (LegMap.behaviour), not by object: maps that differ only in their
-    labels are one.  index is an array, maps[index[k]] acting on segment k.
-    The labels stay each segment's own: dom_legs and cod_legs hold a leg
-    stack per leg position, naming each segment's leg by grade where the
-    table knows the legs of the grades.
-
-    Its other facts are read once, when it is built, for every then() it
-    enters: field, which all maps must share; cod_dims as a chain keeps
-    them; alike, the map every segment's map acts as when they all act
-    alike (a chain then reads that map), else None; identity, true when
-    every segment's map is an identity; shared, the map of a stack of one
-    segment; and dest, the dest list of each of maps when every segment's
-    map is monomial, else None."""
+    Stack(maps) takes one LegMap per segment; Table.stack draws one for the
+    keys of a law's grade tuples.  maps holds the distinct maps, distinct
+    by what they do to positions (LegMap.behaviour), not by object, and
+    index is an array: maps[index[k]] acts on segment k.  Each segment
+    keeps its own labels: dom_legs and cod_legs are leg stacks, naming the
+    legs by grade where the table knows the legs of the grades.  Read once
+    for every then() the stack enters: field; cod_dims as a chain keeps
+    them; alike, the map that every segment's map acts as, if there is one,
+    else None; identity, whether every segment's map is an identity; and
+    dest, the dest of each of maps if every segment's map is monomial,
+    else None."""
 
     __slots__ = (
-        "maps", "index", "field", "dom_legs", "cod_legs", "cod_dims", "alike", "identity",
-        "shared", "dest",
+        "maps", "index", "field", "dom_legs", "cod_legs", "cod_dims", "alike", "identity", "dest",
     )
 
     def __init__(self, maps):
@@ -822,8 +746,6 @@ class Stack:
 
     @classmethod
     def drawn(cls, table, keys):
-        """The stack whose segment k holds the map of a Table at key
-        (keys[0][k], ...)."""
         out = cls.__new__(cls)
         out._draw(table, keys)
         return out
@@ -832,43 +754,39 @@ class Stack:
         segments = len(keys[0])
         if segments == 1:  # one segment: its map, on its own legs
             key = next(zip(*keys))
-            f = self.shared = self.alike = table[key[0] if len(key) == 1 else key]
+            f = self.alike = table[key[0] if len(key) == 1 else key]
             self.field, self.maps, self.index = f.map.field, (f,), array("I", [0])
-            self.identity, self.dest = type(f.dest) is range, None if f.dest is None else (f.dest,)
-            self.dom_legs, self.cod_legs, self.cod_dims = f._stacks or f.stacks()
+            self.identity, self.dest = f.columns is None, None if f.dest is None else (f.dest,)
+            self.dom_legs, self.cod_legs, self.cod_dims = f.stacks
             return
         if not segments:
             raise DomainMismatch("a stack holds one map for each segment")
-        entries, self.field, self.maps, kinds, dests, dom, cod, cod_sizes = table.read()
+        self.field, self.maps, dests, kinds, dom, cod = table.read()
         if len(self.maps) == 1:
-            self.index, acting = array("I", [0]) * segments, dests
-            self.alike = self.maps[0]
+            self.index, used = array("I", [0]) * segments, {0}
         else:
             self.index = array("I", _gather(kinds, keys))
             used = set(self.index)
-            acting = [dests[k] for k in used]
-            self.alike = self.maps[used.pop()] if len(used) == 1 else None
+        acting = [dests[k] for k in used]
+        self.alike = self.maps[min(used)] if len(used) == 1 else None
         self.identity = all([type(dest) is range for dest in acting])
         self.dest = dests if None not in acting else None
-        self.shared, legs, read = None, table.legs, {}  # grade lists by their codes
-        sides = []
+        read, sides = {}, []  # each list by key gathered once
         for side in (dom, cod):
             stacks = []
-            for kind, value in side:  # as _leg_source names the legs
+            for kind, value in side:
                 if kind == "one":
                     stacks.append(((value,), None))
                 elif kind == "key":
-                    stacks.append((legs, keys[value]))
+                    stacks.append((table.legs, keys[value]))
                 else:
-                    got = read.get(id(value))
-                    if got is None:
-                        got = read[id(value)] = list(_gather(value, keys))
-                    stacks.append((got, range(segments)) if kind == "own" else (legs, got))
+                    if id(value) not in read:
+                        read[id(value)] = list(_gather(value, keys))
+                    got = read[id(value)]
+                    stacks.append((table.legs, got) if kind == "grade" else (got, range(segments)))
             sides.append(tuple(stacks))
         self.dom_legs, self.cod_legs = sides
-        if None in cod_sizes:
-            cod_sizes = tuple(map(_leg_size, self.cod_legs))
-        self.cod_dims = cod_sizes
+        self.cod_dims = tuple(map(_leg_size, self.cod_legs))
 
     def __len__(self):
         return len(self.index)
@@ -904,26 +822,22 @@ class Chain:
       identities only, add no stage.
 
     Both check the stage boundary like compose: the legs must agree in
-    number and basis labels, or DomainMismatch is raised.
+    number and basis labels on every segment, or DomainMismatch is raised.
 
     Every chain is a family: the direct sum of K segments, one composite
     per grade tuple of a law, all with the same number of legs; a plain
     chain is the family of one segment.  Chain.family(field, stacks)
-    starts a family from one leg per segment at each leg position, and
-    Chain.indexed(field, stacks) from leg stacks (legs, at), segment k's
-    leg being legs[at[k]]; a factor of then() may be a Stack of K LegMaps,
-    one per segment (or a sequence of them, made a Stack), where a single
-    LegMap serves every segment; a chain of one segment meeting a Stack
+    starts one from one leg per segment at each leg position, and
+    Chain.indexed(field, stacks) from leg stacks; a factor of then() may
+    be a Stack (or a sequence of LegMaps, made one), where a single LegMap
+    serves every segment, and a chain of one segment meeting a Stack
     becomes a family of copies of itself.  The domain of a family is its
     segments' domains one after the other; a flat position in it is read
     as (segment, position in the segment), and every stage acts on the
-    position within the segment.  A family is built and evaluated once for
-    all its segments, and no segment has a Chain of its own.  Its legs are
-    kept as a leg stack per leg position (dom_stacks, cod_stacks), read
-    for the boundary checks, once per distinct pair of legs that meet on a
-    segment, and for labels (segment_legs(k), for segment k of any chain).
-    dom_dims and cod_dims hold the size of each leg: an int where the
-    segments agree, else the tuple of the segments' sizes.
+    position within the segment.  The legs are kept as a leg stack per
+    leg position, read for the boundary checks and for labels
+    (segment_legs(k)); dom_dims and cod_dims hold the size of each leg,
+    an int where the segments agree, else the tuple of their sizes.
 
     A stage is recorded once, as (monomial, terms).  Each term is one
     factor, a run of identity legs, or a run of legs a permutation keeps
@@ -932,30 +846,25 @@ class Chain:
     f is its LegMap, a Stack, or None for identity legs, and its output
     digit lands at output stride t, so a stage sends x to the sum over its
     terms of f(digit) * t.  A Stack whose maps all act alike enters as the
-    one they act as, so a term holds a Stack only where segments differ.
-    Where the segments differ in size at a stage, s, n and t there are
-    tuples of one size per segment.  A stage is monomial when every f is
-    None or has a dest; permutations always are.  No stage holds a table
-    over its domain.
-
-    varying lists what differs between segments in how they act on
-    positions: the segments' domain sizes where they differ, and each
-    per-segment size and Stack.index of a term, one value per segment in
-    each.  Two segments that agree in all of it act alike, so a law
-    decides each class of them once (segment_classes).
+    map they act as.  Where the segments differ in size at a stage, s, n
+    and t there are tuples of one size per segment.  A stage is monomial
+    when every f is None or has a dest; permutations always are.  varying
+    lists all that differs between segments in how they act on positions:
+    the domain sizes where they differ, and each term's sizes per segment
+    and Stack.index.  Segments that agree in all of it form a class, and a
+    law is decided on one segment of each (segment_classes).
 
     block(cols) is the one evaluator: it pushes a block of flat domain
-    positions through the stages together.  While the
-    stages are monomial, each column stays one position, its scalar
-    field.one, and a stage runs as a few C-level map passes over the block
-    per term (_flat_stage); the block falls back to sparse dicts
-    {position: scalar} at the first other stage (_apply_kron).  Arithmetic
-    goes through field.mul and field.add, and exact zeros are dropped at
-    every stage boundary.  dom_blocks() yields the domain of some or all
-    segments in column order, at most BLOCK columns at a time (whole
-    segments when they are small); column() evaluates a single column
-    through block(), matrices() one segment of each class, giving one
-    LinMap per segment, and matrix() that of a chain of one segment.
+    positions through the stages together.  While the stages are
+    monomial, each column stays one position, its scalar field.one, and a
+    stage runs as a few C-level map passes over the block per term
+    (_flat_stage); the block falls back to sparse dicts {position: scalar}
+    at the first other stage (_apply_kron).  Arithmetic goes through
+    field.mul and field.add, and exact zeros are dropped at every stage
+    boundary.  dom_blocks() yields the domain of some or all segments in
+    column order, BLOCK columns at a time (whole segments when they are
+    small); column() evaluates a single column, matrices() one segment of
+    each class for one LinMap per segment, and matrix() a chain of one.
     """
 
     __slots__ = (
@@ -971,17 +880,14 @@ class Chain:
         """The identity family on stacks, each a sequence of one leg per
         segment; a family on no legs has one segment."""
         stacks = tuple(map(tuple, stacks))
-        segments = len(stacks[0]) if stacks else 1
-        if any(len(stack) != segments for stack in stacks):
-            raise DomainMismatch(f"a stacked leg does not hold a leg for each of {segments}")
-        out = cls.__new__(cls)
-        out._start(field, tuple(map(_numbered, stacks)), segments)
-        return out
+        if any(len(stack) != len(stacks[0]) for stack in stacks):
+            raise DomainMismatch(f"a stacked leg does not hold a leg for each of {len(stacks[0])}")
+        return cls.indexed(field, [(stack, range(len(stack))) for stack in stacks])
 
     @classmethod
     def indexed(cls, field, stacks):
-        """The identity family on leg stacks (legs, at): one segment per
-        entry of each at that is not None, or one segment if all are."""
+        """The identity family on leg stacks: one segment per entry of
+        each at that is not None, or one segment if all are None."""
         stacks = tuple(stacks)
         lengths = {len(at) for _, at in stacks if at is not None}
         if len(lengths) > 1:
@@ -1018,42 +924,32 @@ class Chain:
 
     def segment_legs(self, k):
         """(dom_legs, cod_legs) of segment k."""
-        return (
-            tuple([_leg(stack, k) for stack in self.dom_stacks]),
-            tuple([_leg(stack, k) for stack in self.cod_stacks]),
-        )
+        return tuple([_leg(s, k) for s in self.dom_stacks]), tuple(
+            [_leg(s, k) for s in self.cod_stacks])
 
     def then(self, *factors):
         segments = self.segments
         for f in factors:
-            if type(f) is not LegMap:
-                k = len(f.index) if type(f) is Stack else len(f)
-                if k != 1 and k != segments:
-                    if segments != 1:
-                        raise DomainMismatch(f"a factor for {k} segments on {segments}")
-                    segments = k
+            if type(f) is not LegMap and len(f) != 1 and len(f) != segments:
+                if segments != 1:
+                    raise DomainMismatch(f"a factor for {len(f)} segments on {segments}")
+                segments = len(f)
         field, legs, dims = self.field, self.cod_stacks, self.cod_dims
         runs = []  # [input size, factor or None for a run of identity legs, output size]
         monomial = True
         pos = 0
         cod_stacks, cod_dims = (), ()
         for f in factors:
-            if type(f) is not LegMap:
-                if type(f) is not Stack:  # a sequence: one map, or one per segment
-                    f = f[0] if f.count(f[0]) == len(f) else Stack(f)
-                elif f.shared is not None:
-                    f = f.shared
+            if type(f) is not LegMap and type(f) is not Stack:  # a sequence of LegMaps
+                f = f[0] if f.count(f[0]) == len(f) else Stack(f)
             if type(f) is LegMap:  # one map for every segment
-                dom, cod, sizes = f._stacks or f.stacks()
-                stop = pos + len(dom)
-                n, m, f_field, identity = f.map.cols, f.map.rows, f.map.field, type(f.dest) is range
+                (dom, cod, sizes), n, m = f.stacks, f.map.cols, f.map.rows
+                f_field, identity = f.map.field, f.columns is None
             else:
                 dom, cod, sizes = f.dom_legs, f.cod_legs, f.cod_dims
-                stop = pos + len(dom)
-                n, m = _product(dims[pos:stop]), _product(sizes)
-                f_field, identity = f.field, f.identity
-                if f.alike is not None:  # every segment's map acts alike
-                    f = f.alike
+                n, m = _product(dims[pos:pos + len(dom)]), _product(sizes)
+                f_field, identity, f = f.field, f.identity, f.alike or f
+            stop = pos + len(dom)
             have = legs[pos:stop]
             if have != dom and (len(have) != len(dom) or not all(map(_fits, have, dom))):
                 raise _misfit(pos, stop, legs)
@@ -1341,6 +1237,6 @@ def _segment_term(term, k):
     s, n, t = (size if size is None or type(size) is int else size[k] for size in (s, n, t))
     if type(f) is Stack:
         f = f.maps[f.index[k]]
-        if type(f.dest) is range:  # an identity among the stack's maps
+        if f.columns is None:  # an identity among the stack's maps
             f = None
     return s, n, t, f

@@ -433,9 +433,9 @@ def validate_crossing(h):
     rep.add_family("CROSS-3.8-antipode", details, lhs, chain(q).then(x).then(at(s, t)))
 
     p3, q3, r3 = grade_tuples(h, 3)
-    qr = chain(mul(h, q3, r3))
-    lhs = qr.then(at(delta, q3, r3)).then(at(pi, p3, q3), at(pi, p3, r3))
-    rhs = qr.then(at(pi, p3, mul(h, q3, r3)))
+    qr = mul(h, q3, r3)
+    lhs = chain(qr).then(at(delta, q3, r3)).then(at(pi, p3, q3), at(pi, p3, r3))
+    rhs = chain(qr).then(at(pi, p3, qr))
     rhs = rhs.then(at(delta, conj(h, p3, q3), conj(h, p3, r3)))
     details = grade_details(h, p3, q3, r3, form="pi_{} on grades ({},{})")
     rep.add_family("CROSS-3.9-comult", details, lhs, rhs)
