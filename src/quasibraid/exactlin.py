@@ -578,27 +578,20 @@ class LegMap:
     """A LinMap read as a map between tensor products of legs.
 
     f must carry the labels that kron would give the products of dom_legs
-    and cod_legs, so a flat position in f's own bases is a flat position
-    in the product of its legs.  The check costs the size of f's own bases,
-    never the size of a chain the map is used in.  dom and cod, when
+    and cod_legs, so a flat position in its bases is one in the product of
+    its legs; the check costs the size of f's bases.  dom and cod, when
     given, are those products as a signature carries them (gchq.map_legs,
-    yd.module_legs): f's labels are compared with them and nothing is
-    rebuilt, and a map labelled with those very tuples passes at once.
-
-    For an identity map columns is None, and a chain passes its legs
-    through.  Otherwise columns holds {input position: [(output position,
-    scalar), ...]}, sorted by output position, with no key for a zero
-    column.  Whether the map is monomial (every column holds exactly one
-    entry, and that entry is field.one) is decided once: if it is, dest
-    lists over f's own domain the output position of each column (an
-    identity's dest is range(cols)).  Every structure map of a loop or
-    group algebra, and of the constructions on them, is monomial.  Any
-    other map, scaled, with a zero column or with a column of several
-    entries, has dest = None and is read through columns.  stacks holds
-    its legs as the leg stacks of a family, with its codomain legs' sizes.
+    yd.module_legs), and a map labelled with those very tuples passes at
+    once.  columns is None for an identity, else {input position:
+    [(output position, scalar), ...]} sorted by output, with no key for a
+    zero column.  A monomial map (one entry, field.one, in every column),
+    as every structure map of a loop or group algebra is, has dest, the
+    output position of each column (range(cols) for an identity); any
+    other has dest None.  stacks holds its legs as a family's leg stacks,
+    with its codomain legs' sizes.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "stacks", "_behaviour")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "stacks")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
@@ -614,7 +607,6 @@ class LegMap:
         self.cod_legs = cod_legs
         self.stacks = tuple([((leg,), None) for leg in dom_legs]), tuple(
             [((leg,), None) for leg in cod_legs]), tuple(map(len, cod_legs))
-        self._behaviour = None
         self.columns, self.dest = None, range(f.cols)
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
@@ -631,28 +623,16 @@ class LegMap:
             return
         self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
 
-    @property
-    def behaviour(self):
-        """What the map does to positions: its leg sizes, with its dest if
-        monomial, else its columns.  Maps that differ only in labels share
-        it, and so do an identity and a map that keeps every position."""
-        if self._behaviour is None:
-            acts = tuple(self.dest) if self.dest is not None else tuple(
-                [(j, tuple(images)) for j, images in sorted(self.columns.items())])
-            self._behaviour = tuple(map(len, self.dom_legs)), tuple(map(len, self.cod_legs)), acts
-        return self._behaviour
-
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
 
 
 class Table(dict):
     """LegMaps by key, as a structure keeps its maps (gchq.GradedLegs,
-    yd.YDModule.legs), for stack() to draw the Stack of a law's grade
-    tuples from.  Keys are grades, or pairs of them in product order;
-    legs, if given, lists the legs of the grades, and an entry's leg
-    found there is named by its grade.  What every such Stack shares is
-    worked out once (read())."""
+    yd.YDModule.legs): keys are grades, or pairs of them in product order.
+    legs, if given, lists the legs of the grades, and an entry's leg found
+    there is named by its grade.  stack() draws the Stack of a law's grade
+    tuples; what every such Stack shares is worked out once (read())."""
 
     __slots__ = ("legs", "_read")
 
@@ -665,11 +645,11 @@ class Table(dict):
         return Stack.drawn(self, keys)
 
     def read(self):
-        """(field, maps, dests, kinds, dom legs, cod legs): the field all
-        entries share, their distinct maps by behaviour with the dest of
-        each, the number of each entry's map among them (by key, as
-        _gather reads it) and how each leg position names the entries'
-        legs (_leg_source)."""
+        """(field, maps, dests, kinds, dom legs, cod legs): the entries'
+        field; their distinct maps, distinct by what they do to positions
+        (their leg sizes, with their dest if monomial, else their columns),
+        and the dest of each; by key (_gather), the number of each entry's
+        map among them; and how each leg position names the legs."""
         if self._read is None:
             entries = list(self.values())
             field = entries[0].map.field
@@ -677,9 +657,12 @@ class Table(dict):
                 raise DomainMismatch("maps over different fields")
             if len({(len(f.dom_legs), len(f.cod_legs)) for f in entries}) != 1:
                 raise DomainMismatch("a stack's maps differ in their number of legs")
+            acts = [(tuple(map(len, f.dom_legs)), tuple(map(len, f.cod_legs)), tuple(
+                [(j, tuple(c)) for j, c in sorted(f.columns.items())] if f.dest is None else f.dest
+            )) for f in entries]
             first = {}
-            for f in entries:
-                first.setdefault(f.behaviour, f)
+            for key, f in zip(acts, entries):
+                first.setdefault(key, f)
             number, keys = dict(zip(first, count())), list(self)
             parts = [keys] if type(keys[0]) is int else [list(part) for part in zip(*keys)]
             rows = isqrt(len(keys))  # a table of pairs is kept as rows by the first grade
@@ -691,7 +674,7 @@ class Table(dict):
                 for side in (attrgetter("dom_legs"), attrgetter("cod_legs"))
             )
             maps = tuple(first.values())
-            kinds = shape([number[f.behaviour] for f in entries])
+            kinds = shape(list(map(number.__getitem__, acts)))
             self._read = field, maps, tuple([f.dest for f in maps]), kinds, dom, cod
         return self._read
 
@@ -705,11 +688,10 @@ def _gather(values, keys):
 
 
 def _leg_source(legs, grades, parts, shape):
-    """How the stacks drawn from a table name its entries' legs at one leg
-    position, legs holding each entry's: ("one", leg) when all are that
-    leg; ("key", c) when each is the leg of the grade at position c of its
-    key; ("grade", codes) when it is that of its grade in codes; else
-    ("own", legs), codes and legs by key (_gather)."""
+    """How a table's stacks name its entries' legs (legs) at one position:
+    ("one", leg) when all are that leg, ("key", c) when each is the leg of
+    its key's grade c, ("grade", codes) when it is that of its grade in
+    codes, else ("own", legs); codes and legs by key (_gather)."""
     if all([leg is legs[0] for leg in legs]):
         return "one", legs[0]
     codes = grades and list(map(grades.get, map(id, legs)))
@@ -720,20 +702,16 @@ def _leg_source(legs, grades, parts, shape):
 
 class Stack:
     """A factor that differs from segment to segment of a family: the
-    LegMap of each segment (Chain.then), kept as distinct maps and one
-    small int per segment.
+    LegMap of each segment, as distinct maps and one small int each.
 
-    Stack(maps) takes one LegMap per segment; Table.stack draws one for the
-    keys of a law's grade tuples.  maps holds the distinct maps, distinct
-    by what they do to positions (LegMap.behaviour), not by object, and
-    index is an array: maps[index[k]] acts on segment k.  Each segment
-    keeps its own labels: dom_legs and cod_legs are leg stacks, naming the
-    legs by grade where the table knows the legs of the grades.  Read once
-    for every then() the stack enters: field; cod_dims as a chain keeps
-    them; alike, the map that every segment's map acts as, if there is one,
-    else None; identity, whether every segment's map is an identity; and
-    dest, the dest of each of maps if every segment's map is monomial,
-    else None."""
+    Stack(maps) takes one LegMap per segment; Table.stack draws one for a
+    law's grade tuples.  maps holds the distinct maps, distinct by what
+    they do to positions (Table.read), not by object, and the array
+    index puts maps[index[k]] on segment k.  dom_legs and cod_legs are leg
+    stacks with each segment's own legs, by grade where the table names
+    them so.  Read once for every then(): field; cod_dims; alike, the map
+    every segment's map acts as, if any; identity; and dest, the dest of
+    each of maps if every segment's map is monomial, else None."""
 
     __slots__ = (
         "maps", "index", "field", "dom_legs", "cod_legs", "cod_dims", "alike", "identity", "dest",
@@ -811,60 +789,44 @@ class Chain:
     """A composite of leg-wise stages, applied without building its matrix;
     or a family of them, one law over all its grade tuples.
 
-    Chain(field, legs) is the identity of the tensor product of legs;
+    Chain(field, legs) is the identity of the tensor product of legs, and
     then() and permute() return the chain followed by one more stage:
-
-    - then(f1, ..., fm) applies f1 (x) ... (x) fm, where each fi is a
-      LegMap acting on the next len(fi.dom_legs) legs, left factor on the
-      leftmost (slowest) legs; the Kronecker product is never built.
-    - permute(*order) reorders the legs; order[j] names the leg that lands
-      in slot j, as in leg_perm.  The identity order, and a then() of
-      identities only, add no stage.
-
-    Both check the stage boundary like compose: the legs must agree in
-    number and basis labels on every segment, or DomainMismatch is raised.
+    then(f1, ..., fm) applies f1 (x) ... (x) fm, each fi a LegMap on the
+    next len(fi.dom_legs) legs, left factor on the slowest legs, without
+    building the Kronecker product; permute(*order) puts leg order[j] in
+    slot j, as leg_perm does.  An identity adds no stage.  Both check the
+    boundary like compose, on every segment, else DomainMismatch.
 
     Every chain is a family: the direct sum of K segments, one composite
-    per grade tuple of a law, all with the same number of legs; a plain
-    chain is the family of one segment.  Chain.family(field, stacks)
-    starts one from one leg per segment at each leg position, and
-    Chain.indexed(field, stacks) from leg stacks; a factor of then() may
-    be a Stack (or a sequence of LegMaps, made one), where a single LegMap
-    serves every segment, and a chain of one segment meeting a Stack
-    becomes a family of copies of itself.  The domain of a family is its
-    segments' domains one after the other; a flat position in it is read
-    as (segment, position in the segment), and every stage acts on the
-    position within the segment.  The legs are kept as a leg stack per
-    leg position, read for the boundary checks and for labels
-    (segment_legs(k)); dom_dims and cod_dims hold the size of each leg,
-    an int where the segments agree, else the tuple of their sizes.
+    per grade tuple, all with the same number of legs; a plain chain has
+    one segment.  Chain.family and Chain.indexed start one from one leg
+    per segment, or from leg stacks, at each leg position.  A factor may be
+    a Stack (or a sequence of LegMaps, made one), and a chain of one
+    segment meeting one becomes a family of copies of itself.  A flat
+    domain position is read as (segment, position within it), and the
+    stages act within the segment.  dom_dims and cod_dims hold each leg's
+    size: an int, or the tuple of the segments' sizes where they differ.
 
-    A stage is recorded once, as (monomial, terms).  Each term is one
-    factor, a run of identity legs, or a run of legs a permutation keeps
-    together, as (s, n, t, f): its input digit of a position x is
-    x // s % n (n is None for the leftmost run, where x // s suffices),
-    f is its LegMap, a Stack, or None for identity legs, and its output
-    digit lands at output stride t, so a stage sends x to the sum over its
-    terms of f(digit) * t.  A Stack whose maps all act alike enters as the
-    map they act as.  Where the segments differ in size at a stage, s, n
-    and t there are tuples of one size per segment.  A stage is monomial
-    when every f is None or has a dest; permutations always are.  varying
-    lists all that differs between segments in how they act on positions:
-    the domain sizes where they differ, and each term's sizes per segment
-    and Stack.index.  Segments that agree in all of it form a class, and a
+    A stage is recorded once, as (monomial, terms), each term a factor, a
+    run of identity legs or a run of legs a permutation keeps together, as
+    (s, n, t, f): a position x has the input digit x // s % n (n is None
+    for the leftmost run), f is its LegMap, a Stack whose segments act
+    differently (one whose segments act alike enters as the map they act
+    as), or None for identity legs, and the output digit lands at stride
+    t.  s, n and t are tuples of one size per segment where the segments
+    differ in size.  A stage is monomial when every f is None or has a
+    dest.  varying lists what differs between segments in how they act on
+    positions: domain sizes, term sizes and Stack.index, one value per
+    segment each.  Segments that agree in all of it form a class, and a
     law is decided on one segment of each (segment_classes).
 
     block(cols) is the one evaluator: it pushes a block of flat domain
-    positions through the stages together.  While the stages are
-    monomial, each column stays one position, its scalar field.one, and a
-    stage runs as a few C-level map passes over the block per term
-    (_flat_stage); the block falls back to sparse dicts {position: scalar}
-    at the first other stage (_apply_kron).  Arithmetic goes through
-    field.mul and field.add, and exact zeros are dropped at every stage
-    boundary.  dom_blocks() yields the domain of some or all segments in
-    column order, BLOCK columns at a time (whole segments when they are
-    small); column() evaluates a single column, matrices() one segment of
-    each class for one LinMap per segment, and matrix() a chain of one.
+    positions through the stages together, each column one position while
+    the stages are monomial (_flat_stage, a few C-level map passes per
+    term), else sparse dicts {position: scalar} (_apply_kron), exact zeros
+    dropped.  dom_blocks() yields some or all segments' columns in order,
+    at most BLOCK at a time, whole segments when small; column() evaluates
+    one column, matrices() one segment per class for a LinMap per segment.
     """
 
     __slots__ = (
@@ -879,10 +841,7 @@ class Chain:
     def family(cls, field, stacks):
         """The identity family on stacks, each a sequence of one leg per
         segment; a family on no legs has one segment."""
-        stacks = tuple(map(tuple, stacks))
-        if any(len(stack) != len(stacks[0]) for stack in stacks):
-            raise DomainMismatch(f"a stacked leg does not hold a leg for each of {len(stacks[0])}")
-        return cls.indexed(field, [(stack, range(len(stack))) for stack in stacks])
+        return cls.indexed(field, [(stack, range(len(stack))) for stack in map(tuple, stacks)])
 
     @classmethod
     def indexed(cls, field, stacks):
@@ -1024,9 +983,7 @@ class Chain:
                 if chunk[-1] - chunk[0] == len(chunk) - 1:  # consecutive segments
                     yield range(chunk[0] * size, (chunk[-1] + 1) * size)
                 else:
-                    starts = [k * size for k in chunk]
-                    stops = map(add, starts, repeat(size))
-                    yield list(concat.from_iterable(map(range, starts, stops)))
+                    yield list(concat.from_iterable(range(k * size, (k + 1) * size) for k in chunk))
             return
         starts = (0, *accumulate(size)) if type(size) is tuple else None
         for k in segments:
@@ -1044,10 +1001,6 @@ class Chain:
                 k = cols.start // size  # within segment k
                 start = cols.start - k * size
                 return [k] * len(cols), list(range(start, start + len(cols)))
-            if type(cols) is range and cols.start % size == len(cols) % size == 0:
-                first, whole = cols.start // size, len(cols) // size  # whole segments
-                seg = concat.from_iterable(map(repeat, range(first, first + whole), repeat(size)))
-                return list(seg), list(range(size)) * whole
             return list(map(floordiv, cols, repeat(size))), list(map(mod, cols, repeat(size)))
         ends = list(accumulate(size))
         seg = list(map(bisect_right, repeat(ends), cols))

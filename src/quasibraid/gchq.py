@@ -5,26 +5,21 @@ group G, with comultiplications, a counit, antipodes and a crossing.
 map_legs states the spaces of each map once, with the labels of their
 products: the loaders label the maps with them, and a structure keeps its
 own (h.signature), checks its maps against it and reads them as LegMaps
-through it, building no label product again.  Products across different
-grades are not representable in this encoding, which makes the vanishing
-condition structural.
+through it (h.legs).  Products across different grades are not
+representable in this encoding, which makes the vanishing condition
+structural.
 
-A structure reads its maps as LegMaps on per-grade legs once (h.legs),
-and everything here is a Chain over those legs.  The validators state
-every axiom once for all its grade tuples, as an identity between two
-families of Chains with one segment per tuple (at() gathers each tuple's
-structure map into a Stack); a family is built and evaluated in blocks
-of basis vectors once, and one check is recorded per tuple, in tuple
-order.  validate_crossed runs both validators in one report.  A plain Hopf
-quasigroup is the |G| = 1 case: hq builds on this module, checking its
-shape and deciding its shared laws on the embedding, and nothing here
-imports hq.  The constructions are the power construction (one copy of a
-Hopf quasigroup per group element, crossed by an automorphic action,
-checked as Chain identities) and the mirror, which rebuilds the structure
-on the inverse-indexed components with a twisted comultiplication and
-antipode, each a family of Chains over its grades materialized with
-Chain.matrices().  The mirror validates its own output: that the result
-is again a valid crossed structure is an asserted theorem, not a hope.
+Everything here is a Chain over those legs.  The validators state every
+axiom once for all its grade tuples, as an identity between two families
+of Chains with one segment per tuple (at() draws each tuple's structure
+map from a Table), decided once per class of segments that act alike and
+recorded with one check per tuple, in tuple order.  A plain Hopf
+quasigroup is the |G| = 1 case: hq builds on this module, and nothing
+here imports hq.  The constructions are the power construction (one copy
+of a Hopf quasigroup per group element, crossed by an automorphic action)
+and the mirror, which rebuilds the structure on the inverse-indexed
+components with a twisted comultiplication and antipode, each a family
+materialized with Chain.matrices(), and validates its own output.
 """
 
 from __future__ import annotations
@@ -198,8 +193,7 @@ class GradedLegs:
     p.  The structure maps sit on the spaces of h.signature, read through
     its labels: s[p] the antipode of grade p, delta[(p, q)] and pi[(p, q)]
     the comultiplication and crossing of a grade pair, and eps the counit.
-    Each of mu, eta, ident, s, delta and pi is a Table, keyed by grade or
-    by grade pair in product order, for at() to draw Stacks from.
+    Each of these is a Table on the legs by grade, for at() to draw from.
     """
 
     __slots__ = ("field", "labels", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
@@ -208,20 +202,17 @@ class GradedLegs:
         self.field = h.field
         self.labels = [c.labels for c in h.components]
         self.H = H = [(labels,) for labels in self.labels]
-        comps, labels = list(enumerate(h.components)), self.labels
-        self.mu = Table(((p, LegMap(c.mult_map(), H[p] * 2, H[p])) for p, c in comps), labels)
-        self.eta = Table(((p, LegMap(c.unit_map(), (), H[p])) for p, c in comps), labels)
-        self.ident = Table((
-            (p, LegMap(LinMap.identity(h.field, c.labels), H[p], H[p])) for p, c in comps
-        ), labels)
-        legs, pairs = h.signature, list(product(h.grades(), repeat=2))
-        self.s = Table(((p, LegMap(h.antipode[p], *legs["antipode"][p])) for p, _ in comps), labels)
-        self.delta = Table((
-            (key, LegMap(h.comult[key], *legs["comult"][key])) for key in pairs
-        ), labels)
-        self.pi = Table((
-            (key, LegMap(h.crossing[key], *legs["crossing"][key])) for key in pairs
-        ), labels)
+        comps, legs, labels = list(enumerate(h.components)), h.signature, self.labels
+        self.mu, self.eta, self.ident, self.s = (Table(enumerate(maps), labels) for maps in (
+            [LegMap(c.mult_map(), H[p] * 2, H[p]) for p, c in comps],
+            [LegMap(c.unit_map(), (), H[p]) for p, c in comps],
+            [LegMap(LinMap.identity(h.field, c.labels), H[p], H[p]) for p, c in comps],
+            [LegMap(h.antipode[p], *legs["antipode"][p]) for p, _ in comps],
+        ))
+        self.delta, self.pi = (  # keyed in product order, as map_legs keys them
+            Table(((key, LegMap(maps[key], *space)) for key, space in legs[name].items()), labels)
+            for name, maps in (("comult", h.comult), ("crossing", h.crossing))
+        )
         self.eps = LegMap(h.counit, *legs["counit"][None])
 
     def chain(self, *legs):
@@ -241,11 +232,8 @@ class GradedLegs:
 
 
 def at(table, *keys):
-    """The Stack of table[key] for each grade tuple of a law: a structure
-    map for each segment of a family.  table is a Table (GradedLegs) keyed
-    by grade p, or by grade pair (p, q) in product order; keys holds one
-    list of grades per key position, and each tuple's map is read at its
-    position in the table, p or p |G| + q."""
+    """The Stack of table[key] for each grade tuple of a law, keys holding
+    one list of grades per key position (Table.stack)."""
     return table.stack(*keys)
 
 
@@ -269,8 +257,10 @@ def inv(h, p):
 
 
 def conj(h, p, q):
-    """p[j] q[j] p[j]^-1 at each position j of two lists of grades."""
-    return list(map(getitem, map(h.grading.conjugates().__getitem__, p), q))
+    """p[j] q[j] p[j]^-1 at each position j of two lists of grades, read
+    from the table of conjugates."""
+    rows = [[tables.conjugate(h.grading, x, y) for y in h.grades()] for x in h.grades()]
+    return list(map(getitem, map(rows.__getitem__, p), q))
 
 
 def grade_details(h, *grades, form=None):
@@ -292,9 +282,9 @@ def _left_compensation(h, p):
 
 def _bijective(check_id, stack, details, required=True):
     """The Row of the law that the map of each segment of a Stack is
-    invertible, a singular one's detail with its rank appended; decided
-    once for each of its distinct maps.  A square monomial map is
-    invertible when its columns land on distinct rows."""
+    invertible, decided once per distinct map, a singular one's detail
+    with its rank appended.  A square monomial map is invertible when its
+    columns land on distinct rows."""
     ranks = []
     for f in stack.maps:
         m, rank = f.map, None

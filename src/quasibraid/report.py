@@ -8,23 +8,21 @@ strings; consumers key off them, not off positions in the list.
 
 The witness rule is the same whether the two sides are LinMaps
 (map_witness, the tests' reference) or one segment of two Chains
-evaluated leg by leg (family_witnesses, which evaluates one segment of
-each class of segments that act alike), a plain chain being the family
-of one segment: among all entries where the sides differ, the one with
-the smallest (row, col) in row-major order; its labels are the lhs domain
-label of that column and codomain label of that row, and its values are
-formatted with field.fmt.  Every law stated as Chains is recorded as one
-Row (law_checks), its ID, required flag and per grade tuple a detail,
-witness and verdict: by Report.add_family, or with laws over the same
-tuples by Report.add_rows, read interleaved tuple by tuple.  Verdicts,
-render() and to_jobj() read the rows: a Check is built only for
-Report.checks, find, add and add_map_equality, and a detail given as
-Details is formatted when read.
+(family_witnesses): among all entries where the sides differ, the one
+with the smallest (row, col) in row-major order, labelled with the lhs
+domain label of that column and codomain label of that row, its values
+formatted with field.fmt.  A law stated as Chains is recorded as one Row
+(law_checks): its ID, required flag and per grade tuple a detail, witness
+and verdict, by Report.add_family, or with laws over the same tuples by
+Report.add_rows, read interleaved tuple by tuple.  Verdicts, render() and
+to_jobj() read the rows; a Check is built only for Report.checks, find,
+add and add_map_equality, and Details are formatted when read.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count, groupby, islice, repeat, starmap
+from bisect import bisect_right
+from itertools import compress, count, islice, repeat, starmap
 from operator import is_, lt, ne
 
 from .exactlin import flat_label, segment_classes
@@ -231,26 +229,21 @@ def map_witness(lhs, rhs):
 
 def family_witnesses(lhs, rhs):
     """The witness of each segment of two families (Chains) with the same
-    segments, of the same domain and codomain size on both sides (their
-    legs may differ), in segment order: None where the segment's two sides
-    agree, else map_witness of the segment's two maps, without building any.
+    segments, each of the same size on both sides (their legs may
+    differ), in segment order: None where the segment's sides agree, else
+    map_witness of its two maps, without building any.
 
-    Segments that both sides treat alike have the same images
-    (exactlin.segment_classes), so only the first segment of each class is
-    evaluated, and every segment of the class takes its verdict and the
-    position of its witness, labelled with the segment's own legs (from
-    the lhs).  Both sides are evaluated block by block (Chain.block), in
-    column order, as positions within each column's segment.  A block
-    whose two sides are equal is done in one comparison of flat lists.
-    Otherwise the block is split into its segments, and in each part whose
-    sides differ each differing column offers its smallest differing row.
-    A monomial column is one basis vector with scalar field.one, so one
-    whose sides land in different rows offers the smaller of the two, with
-    one on the side that lands there and zero on the other.  Only rows
+    Only the first segment of each class of segments that act alike
+    (exactlin.segment_classes) is evaluated; every segment takes its
+    class's verdict and witness position, labelled with its own lhs legs.
+    Both sides are evaluated block by block (Chain.block), in column
+    order.  A block whose sides are equal is done in one comparison;
+    otherwise each segment's part whose sides differ offers the smallest
+    differing row of each differing column (a monomial column's smaller
+    landing row, with one on the side that lands there), and only rows
     below the segment's best so far are sought.  Positions order as index
-    tuples do, so the smallest row over all of a segment's columns, the
-    earliest column winning a tie, is the smallest differing (row, col) in
-    row-major order.
+    tuples do, so this is the smallest differing (row, col) in row-major
+    order, the earliest column winning a tie.
     """
     shapes = [(c.segments, c.dom_size, c.cod_size) for c in (lhs, rhs)]
     if shapes[0] != shapes[1]:
@@ -265,7 +258,9 @@ def family_witnesses(lhs, rhs):
             continue
         seg, within = located
         lo = 0
-        for k, hi in _runs(seg):
+        while lo < len(seg):  # the part of each segment, in order
+            k = seg[lo]
+            hi = bisect_right(seg, k, lo)
             x, y = _part(a, lo, hi, len(seg)), _part(b, lo, hi, len(seg))
             if x != y:
                 below = best[k][0] if k in best else None
@@ -281,15 +276,6 @@ def family_witnesses(lhs, rhs):
         return [None] * lhs.segments
     found = map(best.get, classes)
     return [None if f is None else _witness(lhs, k, *f) for k, f in enumerate(found)]
-
-
-def _runs(seg):
-    """(segment, end) of each run of one segment in a block's segment
-    list, in order."""
-    if seg[0] == seg[-1]:  # blocks are in column order, so one segment
-        return ((seg[0], len(seg)),)
-    ends = accumulate(len(list(run)) for _, run in groupby(seg))
-    return zip(dict.fromkeys(seg), ends)
 
 
 def _part(block, lo, hi, size):

@@ -108,7 +108,7 @@ class _CayleyTable:
 class GroupTable(_CayleyTable):
     """Finite group given by its Cayley table over element indices."""
 
-    __slots__ = ("inverse", "_conjugates")
+    __slots__ = ("inverse",)
 
     def __init__(self, labels, table):
         super().__init__(labels, table)
@@ -117,14 +117,6 @@ class GroupTable(_CayleyTable):
             next((y for y in range(n) if table[x][y] == 0 and table[y][x] == 0), None)
             for x in range(n)
         )
-        self._conjugates = None
-
-    def conjugates(self):
-        """The table of p q p^-1 by p and q, built on first use."""
-        if self._conjugates is None:
-            self._conjugates = [[conjugate(self, p, q) for q in self.elements()]
-                                for p in self.elements()]
-        return self._conjugates
 
     def inv(self, x):
         y = self.inverse[x]

@@ -2,28 +2,24 @@
 
 A module of grade p is a based space V with one action matrix and a
 coaction matrix per group element r; module_legs states their spaces
-once, with the labels of their products, as gchq.map_legs does: the
-loader labels the maps with them, and a module keeps its own
-(v.signature), checks its maps against it and reads them as LegMaps
-through it.  The strict flag distinguishes genuine modules (action
-associative) from quasimodules, which only satisfy the antipode
-compensation laws; the braiding is defined for strict modules only.
+once, with the labels of their products, as gchq.map_legs does, and a
+module keeps its own (v.signature) and reads its maps as LegMaps through
+it (v.legs: one leg V beside the base's h.legs).  The strict flag tells
+genuine modules (action associative) from quasimodules, which only
+satisfy the antipode compensation laws; the braiding is defined for
+strict modules only.
 
-A module reads its maps as LegMaps once, through v.legs: one leg V of its
-own beside the base's h.legs.  Every law and construction is a Chain over
-those legs (iterated comultiplications are successive Delta stages, leg
-shuffles are permute stages).  Every law is an identity between two
-Chains; a law stated over grades (the coaction grades, or the grades a
-module is regraded by) is one identity between two families of Chains,
-one segment per grade tuple, decided once and recorded as one row with a
+Every law and construction is a Chain over those legs, and a law stated
+over grades (coaction grades, or the grades a module is regraded by) is
+one identity between two families of Chains, recorded as one row with a
 check per tuple, as in gchq.  The tensor product, the regrading and the
 braiding are each stated once, as families over lists of modules
-(_tensors, _regradings, _braidings): yd_tensor, yd_conjugate and
-braiding materialize them with Chain.matrices(), conjugation coherence
-compares them without building the modules, and BRAID-2.4 reads the
-braidings of every regrading.  A map built on a tensor module enters a
-Chain as a LegMap over the factor legs: braiding(V (x) W, X) is read on
-(V, W, X), and the coactions of V (x) W on (V, W).
+(_tensors, _regradings, _braidings): yd_tensor, yd_conjugate and braiding
+materialize them, conjugation coherence compares them without building
+the modules, and BRAID-2.4 reads the braidings of every regrading.  A map
+built on a tensor module enters a Chain as a LegMap over the factor legs:
+braiding(V (x) W, X) is read on (V, W, X), the coactions of V (x) W on
+(V, W).
 """
 
 from __future__ import annotations
@@ -100,9 +96,8 @@ class YDModule:
         if self._legs is None:
             V, legs = (self.labels,), self.signature
             action = LegMap(self.action, *legs["action"][None])
-            coaction = Table((
-                (r, LegMap(self.coaction[r], *legs["coaction"][r])) for r in self.base.grades()
-            ), self.base.legs.labels)
+            coaction = [LegMap(self.coaction[r], *legs["coaction"][r]) for r in self.base.grades()]
+            coaction = Table(enumerate(coaction), self.base.legs.labels)
             self._legs = self.base.legs, V, action, coaction, LegMap(self.ident(), V, V)
         return self._legs
 
@@ -344,11 +339,8 @@ def yd_tensor(v, w):
     base = v.base
     actions, coactions = _tensors([v], [w])
     labels, pq = product_labels((v.labels, w.labels)), base.mul(v.grade, w.grade)
-    action, coaction = actions.matrix(), dict(zip(base.grades(), coactions.matrices()))
-    out = YDModule(
-        base, pq, labels, action, coaction, v.strict and w.strict,
-        _signature=_built_legs(base, pq, labels, action, coaction),
-    )
+    coaction = dict(zip(base.grades(), coactions.matrices()))
+    out = _built(base, pq, labels, actions.matrix(), coaction, v.strict and w.strict)
     if out.strict and family_witnesses(*_module_assoc_sides(out))[0] is not None:
         out.strict = False  # settled before the module is handed out
     return out
@@ -388,23 +380,18 @@ def _conjugates(v, qs):
     base, grades = v.base, list(v.base.grades())
     actions, coactions = (family.matrices() for family in _regradings([v] * len(qs), qs))
     newgrades, n = conj(base, qs, [v.grade] * len(qs)), len(grades)
-    out = []
-    for k, (g, action) in enumerate(zip(newgrades, actions)):
-        coaction = dict(zip(grades, coactions[k * n:]))
-        signature = _built_legs(base, g, v.labels, action, coaction)
-        out.append(YDModule(base, g, v.labels, action, coaction, v.strict, _signature=signature))
-    return out
+    return [_built(base, g, v.labels, action, dict(zip(grades, coactions[k * n:])), v.strict)
+            for k, (g, action) in enumerate(zip(newgrades, actions))]
 
 
-def _built_legs(base, grade, labels, action, coaction):
-    """module_legs(base, grade, labels) for an action and coactions that
-    Chain.matrices built on those very legs: it carries their labels,
-    which are the products of the legs, instead of building them again."""
+def _built(base, grade, labels, action, coaction, strict):
+    """The module of an action and coactions that Chain.matrices built on
+    its legs: its signature carries their labels, the legs' products."""
     V, H = (labels,), base.legs.H
-    return {
+    return YDModule(base, grade, labels, action, coaction, strict, _signature={
         "action": {None: (H[grade] + V, V, action.dom, action.cod)},
         "coaction": {r: (V, V + H[r], m.dom, m.cod) for r, m in coaction.items()},
-    }
+    })
 
 
 def _regradings(vs, qs):
@@ -504,17 +491,15 @@ def conjugation_coherence(v, w, built=None):
 
 def _coherence(rep, v, w, s, t, built):
     """Add to rep the two coherence checks of each pair (s[k], t[k]), as
-    two rows read interleaved; the tensor check, which does not depend on
-    t, is decided once per distinct s."""
+    two rows read interleaved; the tensor check does not depend on t, so
+    the pairs with one s form one class of its family."""
     base, conjugate = v.base, built.conjugate
     vt = [conjugate(v, x) for x in t]
     grades = conj(base, s, [m.grade for m in vt])
     iterated = _regrading_witnesses(v, mul(base, s, t), grades, _regradings, vt, s)
-    firsts = list(dict.fromkeys(s))
-    vs, ws = [conjugate(v, x) for x in firsts], [conjugate(w, x) for x in firsts]
+    vs, ws = [conjugate(v, x) for x in s], [conjugate(w, x) for x in s]
     grades = mul(base, [m.grade for m in vs], [m.grade for m in ws])
-    tensor = _regrading_witnesses(built.tensor(v, w), firsts, grades, _tensors, vs, ws)
-    tensor = list(map(dict(zip(firsts, tensor)).__getitem__, s))
+    tensor = _regrading_witnesses(built.tensor(v, w), s, grades, _tensors, vs, ws)
     rep.add_rows(*[
         Row(check_id, True, ("",) * len(s), found, [x is None for x in found])
         for check_id, found in (("CONJ-4.6-iterated", iterated), ("CONJ-4.6-tensor", tensor))
