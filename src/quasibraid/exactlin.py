@@ -327,14 +327,12 @@ class LinMap:
         return grid
 
     def relabeled(self, dom=None, cod=None):
-        return LinMap(
-            self.field,
-            self.rows,
-            self.cols,
-            self.entries,
-            self.dom if dom is None else dom,
-            self.cod if cod is None else cod,
-        )
+        """The same matrix between bases labelled anew; its entries, checked
+        when it was built, are copied as they are."""
+        dom, cod = self.dom if dom is None else dom, self.cod if cod is None else cod
+        out = LinMap(self.field, self.rows, self.cols, {}, dom, cod)
+        out.entries = dict(self.entries)
+        return out
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict."""
@@ -587,11 +585,10 @@ class LegMap:
     zero column.  A monomial map (one entry, field.one, in every column),
     as every structure map of a loop or group algebra is, has dest, the
     output position of each column (range(cols) for an identity); any
-    other has dest None.  stacks holds its legs as a family's leg stacks,
-    with its codomain legs' sizes.
+    other has dest None.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "stacks")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "_stacks")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
@@ -605,8 +602,7 @@ class LegMap:
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
-        self.stacks = tuple([((leg,), None) for leg in dom_legs]), tuple(
-            [((leg,), None) for leg in cod_legs]), tuple(map(len, cod_legs))
+        self._stacks = None
         self.columns, self.dest = None, range(f.cols)
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
@@ -622,6 +618,14 @@ class LegMap:
             self.dest = None
             return
         self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
+
+    def stacks(self):
+        """Its legs as the leg stacks of a family, with its codomain legs'
+        sizes; kept, as a chain asks for them at every then()."""
+        if self._stacks is None:
+            self._stacks = tuple([((leg,), None) for leg in self.dom_legs]), tuple(
+                [((leg,), None) for leg in self.cod_legs]), tuple(map(len, self.cod_legs))
+        return self._stacks
 
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
@@ -653,7 +657,7 @@ class Table(dict):
         if self._read is None:
             entries = list(self.values())
             field = entries[0].map.field
-            if any([f.map.field != field for f in entries]):
+            if any([f.map.field is not field and f.map.field != field for f in entries]):
                 raise DomainMismatch("maps over different fields")
             if len({(len(f.dom_legs), len(f.cod_legs)) for f in entries}) != 1:
                 raise DomainMismatch("a stack's maps differ in their number of legs")
@@ -735,7 +739,7 @@ class Stack:
             f = self.alike = table[key[0] if len(key) == 1 else key]
             self.field, self.maps, self.index = f.map.field, (f,), array("I", [0])
             self.identity, self.dest = f.columns is None, None if f.dest is None else (f.dest,)
-            self.dom_legs, self.cod_legs, self.cod_dims = f.stacks
+            self.dom_legs, self.cod_legs, self.cod_dims = f._stacks or f.stacks()
             return
         if not segments:
             raise DomainMismatch("a stack holds one map for each segment")
@@ -902,7 +906,7 @@ class Chain:
             if type(f) is not LegMap and type(f) is not Stack:  # a sequence of LegMaps
                 f = f[0] if f.count(f[0]) == len(f) else Stack(f)
             if type(f) is LegMap:  # one map for every segment
-                (dom, cod, sizes), n, m = f.stacks, f.map.cols, f.map.rows
+                (dom, cod, sizes), n, m = f._stacks or f.stacks(), f.map.cols, f.map.rows
                 f_field, identity = f.map.field, f.columns is None
             else:
                 dom, cod, sizes = f.dom_legs, f.cod_legs, f.cod_dims
