@@ -728,6 +728,7 @@ class Stack:
 
     @classmethod
     def drawn(cls, table, keys):
+        """The stack of the map of a Table at key (keys[0][k], ...) on each segment k."""
         out = cls.__new__(cls)
         out._draw(table, keys)
         return out

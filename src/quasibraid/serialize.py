@@ -66,13 +66,12 @@ def _reading(what):
 
 def _matrix_to_jobj(m):
     """The dense rows of m, each entry as field.fmt writes it; only the
-    distinct nonzero values are formatted, once each."""
+    nonzero entries are formatted one by one."""
     fmt = m.field.fmt
     zero = fmt(m.field.zero)
     rows = [[zero] * m.cols for _ in range(m.rows)]
-    texts = {value: fmt(value) for value in set(m.entries.values())}
     for (i, j), value in m.entries.items():
-        rows[i][j] = texts[value]
+        rows[i][j] = fmt(value)
     return rows
 
 
