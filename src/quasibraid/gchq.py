@@ -528,13 +528,28 @@ def mirror(h, check=True):
     twisted = conj(h, qi, inv(h, p))  # q^-1 p^-1 q
     split = L.chain(mul(h, twisted, qi)).then(at(L.delta, twisted, qi))
     comult = dict(zip(zip(p, q), split.then(at(L.pi, q, twisted), at(L.ident, qi)).matrices()))
+    # component r of the output is the input's r^-1, so the input's signature
+    # holds every space of the output's: its comult at (p, q) runs from the input
+    # antipode's codomain at pq to the input comult's codomain at (p^-1, q^-1)
+    legs = h.signature
+    ends = zip(map(legs["antipode"].__getitem__, mul(h, p, q)),
+               map(legs["comult"].__getitem__, zip(inv(h, p), qi)))
+    comult_legs = {key: (a[1], c[1], a[3], c[3]) for key, (a, c) in zip(comult, ends)}
 
     p = list(h.grades())
     antipode = L.chain(inv(h, p)).then(at(L.s, inv(h, p))).then(at(L.pi, p, p)).matrices()
     antipode = dict(zip(p, antipode))
     crossing = {(p, q): h.crossing[(p, h.inv(q))] for p in h.grades() for q in h.grades()}
+    signature = {
+        "comult": comult_legs,
+        "counit": legs["counit"],
+        "antipode": {r: legs["antipode"][h.inv(r)] for r in antipode},
+        "crossing": {(r, s): legs["crossing"][(r, h.inv(s))] for r, s in crossing},
+    }
 
-    out = CrossedGCHQ(field, G, components, comult, h.counit, antipode, crossing)
+    out = CrossedGCHQ(
+        field, G, components, comult, h.counit, antipode, crossing, _signature=signature
+    )
     if check:
         rep = validate_crossed(out)
         if not rep.passed:

@@ -7,6 +7,12 @@ over Q, canonical representatives in [0, p) over GF(p).  Each map is read
 between the spaces of its kind's signature (gchq.map_legs, yd.module_legs),
 and a keyed family must have exactly the signature's keys, in the text
 _KEY_TEXT writes for its family.
+
+A structure is written from its maps as JSON text, a matrix row at a time
+(the all-zero row encoded once and shared), objects joined from encoded
+parts in sorted key order; hq_to_jobj, gchq_to_jobj and yd_to_jobj parse
+that text.  The reader skips each row written as the zero row in one
+comparison, and parses each distinct scalar text once.
 """
 
 from __future__ import annotations
@@ -23,8 +29,17 @@ from .hq import HopfQuasigroup, UnitalAlgebra
 from .tables import GroupAction, GroupTable, LoopTable
 
 
+#: canonical JSON text of a plain value: sorted keys, compact separators
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _Text(str):
+    """JSON text that a structure writer built, joined into its file as is."""
+
+
 def dump_bytes(jobj):
-    return (json.dumps(jobj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    """The file bytes of jobj, a plain JSON value or a writer's _Text."""
+    return ((jobj if type(jobj) is _Text else _encode(jobj)) + "\n").encode("utf-8")
 
 
 def write_file(path, jobj):
@@ -64,15 +79,26 @@ def _reading(what):
         raise ParseError(f"{what}: {exc}") from exc
 
 
-def _matrix_to_jobj(m):
-    """The dense rows of m, each entry as field.fmt writes it; only the
-    nonzero entries are formatted one by one."""
+def _object(parts):
+    """The JSON object of parts in sorted key order, each _Text value as is."""
+    return _Text("{" + ",".join(
+        f"{_encode(key)}:{value if type(value) is _Text else _encode(value)}"
+        for key, value in sorted(parts.items())
+    ) + "}")
+
+
+def _matrix(m):
+    """The dense rows of m, a row at a time: the all-zero row is encoded once
+    and shared, and a row with nonzero entries is joined from its cells."""
     fmt = m.field.fmt
-    zero = fmt(m.field.zero)
-    rows = [[zero] * m.cols for _ in range(m.rows)]
+    zero = _encode(fmt(m.field.zero))
+    texts = {value: _encode(fmt(value)) for value in set(m.entries.values())}
+    rows, nonzero = ["[" + ",".join([zero] * m.cols) + "]"] * m.rows, {}
     for (i, j), value in m.entries.items():
-        rows[i][j] = fmt(value)
-    return rows
+        (nonzero.get(i) or nonzero.setdefault(i, [zero] * m.cols))[j] = texts[value]
+    for i, row in nonzero.items():
+        rows[i] = "[" + ",".join(row) + "]"
+    return _Text("[" + ",".join(rows) + "]")
 
 
 def _matrix_from_jobj(field, data, legs, what):
@@ -86,7 +112,8 @@ def _matrix_from_jobj(field, data, legs, what):
         if len(set(map(len, data))) > 1:
             raise ParseError(f"{what}: ragged row data")
         nonzero = {text: value for text, value in values.items() if value != field.zero}
-        entries = {(i, j): nonzero[text] for i, row in enumerate(data)
+        zeros = [field.fmt(field.zero)] * (len(data[0]) if data else 0)  # a zero row as written
+        entries = {(i, j): nonzero[text] for i, row in enumerate(data) if row != zeros
                    for j, text in enumerate(row) if text in nonzero}
         return LinMap(field, len(data), len(data[0]) if data else 0, entries, *legs_labels(legs))
 
@@ -136,12 +163,17 @@ def _algebra_from_jobj(field, data, what):
     labels, unit = _labels(data["labels"], what), data["unit"]
     if type(unit) is not list:  # a string would be read digit by digit
         raise ParseError(f"{what}: unit {unit!r} is not a list")
-    mult = {}
+    mult, scalars = {}, {}  # each distinct scalar text is parsed once
     for i, j, k, text in data["mult"]:
-        key = tuple(_index(n, dim, f"{what} mult entry") for n in (i, j, k))
+        key = (i, j, k)
+        if not (type(i) is type(j) is type(k) is int
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            key = tuple(_index(n, dim, f"{what} mult entry") for n in key)
         if key in mult:
             raise ParseError(f"{what} mult: two entries for {list(key)}")
-        mult[key] = field.parse(text)
+        if type(text) is not str or text not in scalars:
+            scalars[text] = field.parse(text)  # raises for any text not a str
+        mult[key] = scalars[text]
     unit = tuple(field.parse(text) for text in unit)
     return UnitalAlgebra(field, dim, tuple((atom,) for atom in labels), mult, unit)
 
@@ -156,8 +188,8 @@ _KEY_TEXT = {
 }
 
 
-def _keyed_to_jobj(family, items, write):
-    return {_KEY_TEXT[family](key): write(value) for key, value in items}
+def _keyed(family, items, write):
+    return _object({_KEY_TEXT[family](key): write(value) for key, value in items})
 
 
 def _keyed_from_jobj(family, data, keys):
@@ -237,14 +269,16 @@ def action_from_jobj(jobj):
 # -- Hopf quasigroups -------------------------------------------------------
 
 
-def hq_to_jobj(h):
-    return {
+def _hq_text(h):
+    return _object({
         "field": h.field.name,
         **_algebra_to_jobj(h.algebra),
-        "comult": _matrix_to_jobj(h.comult),
-        "counit": _matrix_to_jobj(h.counit),
-        "antipode": _matrix_to_jobj(h.antipode),
-    }
+        **{family: _matrix(getattr(h, family)) for family in ("comult", "counit", "antipode")},
+    })
+
+
+def hq_to_jobj(h):
+    return json.loads(_hq_text(h))
 
 
 def hq_from_jobj(jobj):
@@ -262,17 +296,21 @@ def hq_from_jobj(jobj):
 # -- crossed group-cograded structures --------------------------------------
 
 
-def gchq_to_jobj(h):
-    return {
+def _gchq_text(h):
+    return _object({
         "field": h.field.name,
         "group": table_to_jobj(h.grading),
-        "components": _keyed_to_jobj("components", enumerate(h.components), _algebra_to_jobj),
+        "components": _keyed("components", enumerate(h.components), _algebra_to_jobj),
         **{
-            family: _keyed_to_jobj(family, sorted(h.maps()[family].items()), _matrix_to_jobj)
+            family: _keyed(family, h.maps()[family].items(), _matrix)
             for family in ("comult", "antipode", "crossing")
         },
-        "counit": _matrix_to_jobj(h.counit)[0],
-    }
+        "counit": _Text(_matrix(h.counit)[1:-1]),  # its one row
+    })
+
+
+def gchq_to_jobj(h):
+    return json.loads(_gchq_text(h))
 
 
 def gchq_from_jobj(jobj):
@@ -295,18 +333,22 @@ def gchq_from_jobj(jobj):
 # -- Yetter-Drinfeld modules -------------------------------------------------
 
 
-def yd_to_jobj(m, base_ref=None):
-    """base_ref, when given, is stored instead of the inline base (a path
-    interpreted relative to the module file)."""
-    return {
-        "base": base_ref if base_ref is not None else gchq_to_jobj(m.base),
+def _yd_text(m, base_ref=None):
+    return _object({
+        "base": base_ref if base_ref is not None else _gchq_text(m.base),
         "grade": m.grade,
         "dim": m.dim,
         "labels": [list(label) for label in m.labels],
-        "action": _matrix_to_jobj(m.action),
-        "coaction": _keyed_to_jobj("coaction", sorted(m.coaction.items()), _matrix_to_jobj),
+        "action": _matrix(m.action),
+        "coaction": _keyed("coaction", m.coaction.items(), _matrix),
         "strict": m.strict,
-    }
+    })
+
+
+def yd_to_jobj(m, base_ref=None):
+    """base_ref, when given, is stored instead of the inline base (a path
+    interpreted relative to the module file)."""
+    return json.loads(_yd_text(m, base_ref))
 
 
 def yd_from_jobj(jobj, base_dir=None):
@@ -341,17 +383,18 @@ def yd_from_jobj(jobj, base_dir=None):
 # -- file-level helpers ------------------------------------------------------
 
 
-_TO_JOBJ = {
+#: what save writes: a table or action as its plain JSON value, a structure as its text
+_WRITERS = {
     "table": table_to_jobj,
     "action": action_to_jobj,
-    "hq": hq_to_jobj,
-    "gchq": gchq_to_jobj,
-    "yd": yd_to_jobj,
+    "hq": _hq_text,
+    "gchq": _gchq_text,
+    "yd": _yd_text,
 }
 
 
 def save(kind, obj, path, **kwargs):
-    write_file(path, _TO_JOBJ[kind](obj, **kwargs))
+    write_file(path, _WRITERS[kind](obj, **kwargs))
 
 
 def load(kind, path):

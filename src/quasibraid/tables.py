@@ -187,20 +187,13 @@ class LoopTable(_CayleyTable):
         """The 16-element loop {+-1, +-e1..+-e7} of octonion basis units."""
         labels = [s + u for s in ("", "-") for u in ["1"] + [f"e{k}" for k in range(1, 8)]]
 
-        def base_mul(i, j):
-            # returns (sign bit, index) for e_i * e_j on indices 0..7
-            if i == 0 or j == 0:
-                return 0, i + j
-            if i == j:
-                return 1, 0
-            a, b, c = next(line for line in _OCT_LINES if i in line and j in line)
-            return int((i, j) not in ((a, b), (b, c), (c, a))), a + b + c - i - j
-
-        signed = list(product((0, 1), range(8)))
-        table = [
-            [(s1 ^ s2 ^ s) * 8 + k for s2, j in signed for s, k in (base_mul(i, j),)]
-            for s1, i in signed
-        ]
+        # unit 8s + k is (-1)^s e_k: e0 is 1, e_k e_k = -1, and each line (a, b, c)
+        # gives e_a e_b = e_c cyclically and -e_c the other way round
+        base = [[i + j if i * j == 0 else 8 for j in range(8)] for i in range(8)]
+        for a, b, c in _OCT_LINES:
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                base[x][y], base[y][x] = z, 8 + z
+        table = [[base[i % 8][j % 8] ^ ((i ^ j) & 8) for j in range(16)] for i in range(16)]
         return cls(labels, table)
 
 

@@ -8,6 +8,9 @@
 - laws are decided one way: no package module but report.py names the
   matrix comparator (map_witness, Report.add_map_equality), so every law
   is decided on Chains;
+- files are written one way: no package module but serialize.py names
+  json.dumps, json.dump or JSONEncoder, and serialize.save writes a
+  structure from its maps, not through its *_to_jobj or a parse of JSON;
 - every private top-level function or class is referenced somewhere in
   the package;
 - the runtime is stdlib-only: every module the package imports is in the
@@ -56,6 +59,10 @@ TOOLKIT_HOMES = {"exactlin.py", "__init__.py"}
 #: but not how the library decides one (that is report.family_witnesses)
 MATRIX_COMPARATOR = {"map_witness", "add_map_equality"}
 COMPARATOR_HOME = "report.py"
+
+#: json's encoders: the structure writer's, and dump_bytes' for plain values
+JSON_WRITERS = {"dumps", "dump", "JSONEncoder"}
+WRITER_HOME = "serialize.py"
 
 MAX_COLUMNS = 100
 
@@ -379,6 +386,30 @@ def test_module_states_composites_as_chains(name):
 @pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - {COMPARATOR_HOME}))
 def test_module_decides_laws_on_chains(name):
     assert names_used((PACKAGE / name).read_text(encoding="utf-8"), MATRIX_COMPARATOR) == []
+
+
+@pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - {WRITER_HOME}))
+def test_module_leaves_json_writing_to_serialize(name):
+    assert names_used((PACKAGE / name).read_text(encoding="utf-8"), JSON_WRITERS) == []
+
+
+def test_save_writes_structures_without_their_jobj(tmp_path, monkeypatch):
+    """save gives the same bytes with hq_to_jobj, gchq_to_jobj, yd_to_jobj
+    and json.loads all refusing to run: a structure's file is written
+    once, from its maps, and never parsed back on the way."""
+    built = [fixtures.build(name) for name in sorted(fixtures.REGISTRY)]
+    for n, (kind, obj) in enumerate(built):
+        serialize.save(kind, obj, tmp_path / f"{n}.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("save went through a plain JSON value")
+
+    for name in ("hq_to_jobj", "gchq_to_jobj", "yd_to_jobj"):
+        monkeypatch.setattr(serialize, name, refuse)
+    monkeypatch.setattr(serialize.json, "loads", refuse)
+    for n, (kind, obj) in enumerate(built):
+        serialize.save(kind, obj, tmp_path / f"{n}.again.json")
+        assert (tmp_path / f"{n}.again.json").read_bytes() == (tmp_path / f"{n}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ALL_MODULES)
