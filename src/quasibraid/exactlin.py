@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain as concat, count, product, repeat
+from functools import reduce
+from itertools import accumulate, chain as concat, compress, count, product, repeat
 from math import isqrt, prod
-from operator import add, attrgetter, eq, floordiv, getitem, mod, mul, sub
+from operator import add, attrgetter, eq, floordiv, getitem, mod, mul, ne, sub
 
 from .errors import DomainMismatch, FieldError, NotInvertible
 
@@ -423,10 +424,7 @@ def kron(f, g):
 
 
 def kron_all(first, *rest):
-    out = first
-    for factor in rest:
-        out = kron(out, factor)
-    return out
+    return reduce(kron, rest, first)
 
 
 def invert(f):
@@ -548,19 +546,17 @@ def _uniform(sizes):
     return sizes[0] if sizes.count(sizes[0]) == len(sizes) else sizes
 
 
-def _times(a, b):
-    """a * b for sizes that are ints or tuples of one int per segment."""
+def _times(a, b, op=mul):
+    """op(a, b), a * b by default, for sizes that are ints or tuples of one
+    int per segment."""
     if type(a) is int and type(b) is int:
-        return a * b
+        return op(a, b)
     a, b = (repeat(x) if type(x) is int else x for x in (a, b))
-    return _uniform(tuple(map(mul, a, b)))
+    return _uniform(tuple(map(op, a, b)))
 
 
 def _product(sizes):
-    out = 1
-    for size in sizes:
-        out = _times(out, size)
-    return out
+    return reduce(_times, sizes, 1)
 
 
 def flat_label(legs, flat):
@@ -585,10 +581,10 @@ class LegMap:
     zero column.  A monomial map (one entry, field.one, in every column),
     as every structure map of a loop or group algebra is, has dest, the
     output position of each column (range(cols) for an identity); any
-    other has dest None.
+    other has dest None, and the kernel reads its images() instead.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "_stacks")
+    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "_stacks", "_images")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
@@ -602,7 +598,7 @@ class LegMap:
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
-        self._stacks = None
+        self._stacks = self._images = None
         self.columns, self.dest = None, range(f.cols)
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
@@ -626,6 +622,20 @@ class LegMap:
             self._stacks = tuple([((leg,), None) for leg in self.dom_legs]), tuple(
                 [((leg,), None) for leg in self.cod_legs]), tuple(map(len, self.cod_legs))
         return self._stacks
+
+    def images(self):
+        """(positions, scalars, unit, most): for each input position, the
+        output positions of its column's entries in order and their
+        scalars, as tuples; whether every scalar is field.one; and the most
+        entries a column has.  Kept, as the kernel reads them at every block."""
+        if self._images is None:
+            one = self.map.field.one
+            columns = [self.columns.get(j, ()) for j in range(self.map.cols)] if (
+                self.dest is None) else [((i, one),) for i in self.dest]
+            self._images = [tuple([i for i, _ in c]) for c in columns], [
+                tuple([v for _, v in c]) for c in columns], all(
+                [v == one for v in self.map.entries.values()]), max(map(len, columns), default=0)
+        return self._images
 
     def __repr__(self):
         return f"LegMap({len(self.dom_legs)} -> {len(self.cod_legs)} legs, {self.map!r})"
@@ -812,26 +822,30 @@ class Chain:
     stages act within the segment.  dom_dims and cod_dims hold each leg's
     size: an int, or the tuple of the segments' sizes where they differ.
 
-    A stage is recorded once, as (monomial, terms), each term a factor, a
-    run of identity legs or a run of legs a permutation keeps together, as
-    (s, n, t, f): a position x has the input digit x // s % n (n is None
-    for the leftmost run), f is its LegMap, a Stack whose segments act
-    differently (one whose segments act alike enters as the map they act
-    as), or None for identity legs, and the output digit lands at stride
-    t.  s, n and t are tuples of one size per segment where the segments
-    differ in size.  A stage is monomial when every f is None or has a
-    dest.  varying lists what differs between segments in how they act on
-    positions: domain sizes, term sizes and Stack.index, one value per
-    segment each.  Segments that agree in all of it form a class, and a
-    law is decided on one segment of each (segment_classes).
+    A stage is recorded once, as (permutation, terms), each term a
+    factor, a run of identity legs or a run of legs a permutation keeps
+    together, as (s, n, t, f): a position x has the input digit x // s % n
+    (n is None for the leftmost run), f is its LegMap, a Stack whose
+    segments act differently (one whose segments act alike enters as the
+    map they act as), or None for identity legs, and the output digit
+    lands at stride t.  A permutation keeps each position but for its
+    terms, whose t is the shift of the run's stride; a run that keeps its
+    stride has no term.  s, n and t are tuples of one size per segment
+    where the segments differ in size.  varying lists what differs between
+    segments in how they act on positions: domain sizes, term sizes and
+    Stack.index, one value per segment each.  Segments that agree in all
+    of it form a class, and a law is decided on one segment of each
+    (segment_classes).
 
     block(cols) is the one evaluator: it pushes a block of flat domain
-    positions through the stages together, each column one position while
-    the stages are monomial (_flat_stage, a few C-level map passes per
-    term), else sparse dicts {position: scalar} (_apply_kron), exact zeros
-    dropped.  dom_blocks() yields some or all segments' columns in order,
-    at most BLOCK at a time, whole segments when small; column() evaluates
-    one column, matrices() one segment per class for a LinMap per segment.
+    positions through the stages together as a frontier, the entries of
+    their images as parallel lists (column, position, scalar), whose
+    column and scalar lists are absent while every column has one image of
+    scalar field.one, as on unit-monomial maps.  Every stage runs one
+    kernel (_stage), a few C-level map passes per term whatever its maps.
+    dom_blocks() yields some or all segments' columns in order, at most
+    BLOCK at a time, whole segments when small; column() evaluates one
+    column, matrices() one segment per class for a LinMap per segment.
     """
 
     __slots__ = (
@@ -900,7 +914,6 @@ class Chain:
                 segments = len(f)
         field, legs, dims = self.field, self.cod_stacks, self.cod_dims
         runs = []  # [input size, factor or None for a run of identity legs, output size]
-        monomial = True
         pos = 0
         cod_stacks, cod_dims = (), ()
         for f in factors:
@@ -921,7 +934,6 @@ class Chain:
                 raise DomainMismatch("maps over different fields")
             if not identity:
                 runs.append([n, f, m])
-                monomial = monomial and f.dest is not None
             elif runs and runs[-1][1] is None:
                 runs[-1][0] = _times(runs[-1][0], n)  # merge runs of identity legs
             else:
@@ -931,7 +943,7 @@ class Chain:
             pos = stop
         if pos != len(legs):
             raise DomainMismatch(f"factors cover {pos} of the chain's {len(legs)} legs")
-        stage = None if len(runs) == 1 and runs[0][1] is None else (monomial, _terms(runs))
+        stage = None if len(runs) == 1 and runs[0][1] is None else (False, _terms(runs))
         return self._extend(stage, cod_stacks, cod_dims, segments)
 
     def permute(self, *order):
@@ -947,13 +959,14 @@ class Chain:
                 runs[-1][1] += 1
             else:
                 runs.append([leg, leg + 1, slot])
-        terms = tuple(
-            (_product(dims[stop:]), _product(dims[start:stop]) if start else None,
-             _product(out_dims[slot + stop - start:]), None)
-            for start, stop, slot in sorted(runs)
-        )
+        terms = []
+        for start, stop, slot in sorted(runs):
+            s = _product(dims[stop:])
+            shift = _times(_product(out_dims[slot + stop - start:]), s, sub)
+            if shift != 0:  # a run that keeps its stride stays where it is
+                terms.append((s, _product(dims[start:stop]) if start else None, shift, None))
         cod_stacks = tuple(self.cod_stacks[i] for i in order)
-        return self._extend((True, terms), cod_stacks, tuple(out_dims), self.segments)
+        return self._extend((True, tuple(terms)), cod_stacks, tuple(out_dims), self.segments)
 
     def _extend(self, stage, cod_stacks, cod_dims, segments):
         """The chain followed by stage (None adds none) onto cod_stacks of
@@ -1013,31 +1026,26 @@ class Chain:
         return seg, list(map(sub, cols, map(starts.__getitem__, seg)))
 
     def block(self, cols, located=None):
-        """Images of the domain basis vectors at flat positions cols, as
-        (monomial, images), each a position within its segment's
-        codomain.  If monomial, images lists one position per column, the
-        image being that basis vector with scalar field.one.  Otherwise
-        images holds one sparse dict {position: scalar} per column.
-        located, locate(cols) of a chain on the same domain, is read as is."""
-        field = self.field
+        """The frontier of the images of the domain basis vectors at flat
+        positions cols: (columns, positions, scalars), parallel lists of
+        the images' entries, each a block column index, a position within
+        that column's segment's codomain and a nonzero scalar, no two at one
+        (column, position).  Columns and scalars are None while every
+        column has one image of scalar field.one, positions then listing
+        one per column.  located, locate(cols) of a chain on the same
+        domain, is read as is."""
         seg, positions = self.locate(cols) if located is None else located
-        stages = iter(self.stages)
-        for monomial, terms in stages:
-            if not monomial:
-                one = field.one
-                vecs = _sparse_stage(field, terms, [{x: one} for x in positions], seg)
-                for _, terms in stages:
-                    vecs = _sparse_stage(field, terms, vecs, seg)
-                return False, vecs
-            positions = _flat_stage(terms, positions, seg)
-        return True, positions
+        frontier, seg = (None, positions, None), seg if self.varying else None
+        for stage in self.stages:
+            frontier = _stage(self.field, stage, frontier, seg)
+        return frontier
 
     def column(self, j):
         """Image of the j-th domain basis vector as a sparse dict {row: scalar}."""
         if not 0 <= j < self.cols:
             raise DomainMismatch(f"basis index {j} outside dimension {self.cols}")
-        monomial, (image,) = self.block((j,))
-        return {image: self.field.one} if monomial else image
+        _, rows, scalars = self.block((j,))
+        return dict(zip(rows, repeat(self.field.one) if scalars is None else scalars))
 
     def matrix(self):
         """The composite of a chain of one segment as a LinMap (matrices())."""
@@ -1057,14 +1065,11 @@ class Chain:
         entries = {k: {} for k in dict.fromkeys(classes)}
         for cols in self.dom_blocks(list(entries)):
             seg, within = located = self.locate(cols)
-            monomial, images = self.block(cols, located)
-            if monomial:
-                for j, k, i in zip(within, seg, images):
-                    entries[k][(i, j)] = field.one
-            else:
-                for j, k, vec in zip(within, seg, images):
-                    for i, v in vec.items():
-                        entries[k][(i, j)] = v
+            at, rows, scalars = self.block(cols, located)
+            if at is not None:
+                seg, within = map(seg.__getitem__, at), map(within.__getitem__, at)
+            for k, j, i, v in zip(seg, within, rows, scalars or repeat(field.one)):
+                entries[k][(i, j)] = v
         out, known = [], {}  # segments on the same legs share their labels
         for k, c in enumerate(classes):
             sides = []
@@ -1119,82 +1124,85 @@ def _terms(runs):
     return tuple(terms)
 
 
-def _spread(sizes, seg):
-    """The size of each column's segment, from sizes by segment."""
-    return map(sizes.__getitem__, seg)
+def _sizes(size, seg):
+    """A term's size for each entry: an int for all, or by each entry's segment."""
+    return repeat(size) if type(size) is int else map(size.__getitem__, seg)
 
 
-def _flat_stage(terms, positions, seg=None):
-    """One monomial stage on a block of positions, all in range; seg holds
-    each column's segment in a family.  Each term is a chain of C-level
-    map passes over the block: floordiv and mod for its digit,
-    dest.__getitem__ for its factor (for a Stack, the dest of the map of
-    each column's segment), then mul and add by its output stride.  Every
-    factor is monomial, so each column lands on one output position with
-    scalar field.one, and the stage returns the list of those positions."""
-    out = None
-    for s, n, t, f in terms:
-        if s != 1:
-            digits = map(floordiv, positions, repeat(s) if type(s) is int else _spread(s, seg))
-        else:
-            digits = positions
+def _stage(field, stage, frontier, seg):
+    """One stage on a frontier; seg holds each block column's segment in a
+    family whose segments vary, else None.  Each term is a few C-level map
+    passes over the entries: floordiv and mod for its digit, a gather
+    through its factor's dest (for a Stack, that of each entry's map),
+    then mul by its stride t and add, to the input position in a
+    permutation, else to 0.  A factor without a dest instead repeats each
+    entry's parent index by its column's entry count and concatenates the
+    columns' images (LegMap.images), multiplying their scalars in, so an
+    entry on a zero column is dropped.  One entry's images are distinct,
+    so only a then() on a frontier with a column list is merged."""
+    permutation, terms = stage
+    cols, xs, scalars = frontier
+    merge = cols is not None and not permutation
+    eseg = seg if seg is None or cols is None else list(map(seg.__getitem__, cols))
+    out, last = xs if permutation else None, len(terms) - 1
+    for k, (s, n, t, f) in enumerate(terms):
+        digits = xs if s == 1 else map(floordiv, xs, _sizes(s, eseg))
         if n is not None:
-            digits = map(mod, digits, repeat(n) if type(n) is int else _spread(n, seg))
-        if f is not None:
-            if type(f) is Stack:
-                dests = map(f.dest.__getitem__, _spread(f.index, seg))
-                digits = map(getitem, dests, digits)
-            else:
-                digits = map(f.dest.__getitem__, digits)
+            digits = map(mod, digits, _sizes(n, eseg))
+        if f is not None and f.dest is None:  # expand each entry into its column's images
+            digits = list(digits)
+            at, ws, most = _images(f, digits, eseg)
+            counts, entries = map(len, at), range(len(at))
+            parent = list(compress(entries, counts) if most < 2 else
+                          concat.from_iterable(map(mul, zip(entries), counts)))
+            if k < last:  # a term to the right reads the input position
+                xs = list(map(xs.__getitem__, parent))
+            out = out and map(list(out).__getitem__, parent)
+            scalars = scalars and list(map(scalars.__getitem__, parent))
+            if ws is not None:
+                ws = concat.from_iterable(ws)
+                scalars = list(ws) if scalars is None else list(map(field.mul, scalars, ws))
+            cols = parent if cols is None else list(map(cols.__getitem__, parent))
+            eseg = eseg and list(map(eseg.__getitem__, parent))
+            digits = concat.from_iterable(at)
+        elif type(f) is Stack:
+            digits = map(getitem, map(f.dest.__getitem__, map(f.index.__getitem__, eseg)), digits)
+        elif f is not None:
+            digits = map(f.dest.__getitem__, digits)
         if t != 1:
-            digits = map(mul, digits, repeat(t) if type(t) is int else _spread(t, seg))
+            digits = map(mul, digits, _sizes(t, eseg))
         out = digits if out is None else map(add, out, digits)
-    return list(out)
+    return _merged(field, cols, list(out), scalars) if merge else (cols, list(out), scalars)
 
 
-def _sparse_stage(field, terms, vecs, seg):
-    """One stage on sparse vectors {position: scalar}, vecs[i] of segment
-    seg[i]; terms as in Chain, read on each segment once (_segment_term)."""
-    on = {}
-    out = []
-    for vec, k in zip(vecs, seg):
-        resolved = on.get(k)
-        if resolved is None:
-            resolved = on[k] = [_segment_term(term, k) for term in terms]
-        out.append(_apply_kron(field, resolved, vec))
-    return out
-
-
-def _apply_kron(field, terms, vec):
-    """One stage on a sparse vector {position: scalar}; terms as in Chain
-    on one segment, read through each factor's columns."""
-    mul, add, zero = field.mul, field.add, field.zero
-    out = {}
-    for x, coeff in vec.items():
-        partial = [(0, coeff)]
-        for s, n, t, f in terms:
-            digit = x // s if n is None else x // s % n
-            if f is None:
-                shift = digit * t
-                partial = [(key + shift, v) for key, v in partial]
-                continue
-            images = f.columns.get(digit)
-            if images is None:
-                break
-            partial = [(key + o * t, mul(v, w)) for key, v in partial for o, w in images]
-        else:
-            for key, v in partial:
-                acc = out.get(key)
-                out[key] = v if acc is None else add(acc, v)
-    return {key: v for key, v in out.items() if v != zero}
-
-
-def _segment_term(term, k):
-    """A family's term as it acts on segment k: the sizes and the map of k."""
-    s, n, t, f = term
-    s, n, t = (size if size is None or type(size) is int else size[k] for size in (s, n, t))
+def _images(f, digits, seg):
+    """The output positions and the scalars of the column at each digit, of
+    f, or for a Stack of each entry's segment's map: two lists of tuples,
+    the second None if every scalar is field.one; and the most entries a
+    column has."""
     if type(f) is Stack:
-        f = f.maps[f.index[k]]
-        if f.columns is None:  # an identity among the stack's maps
-            f = None
-    return s, n, t, f
+        at, ws, unit, most = zip(*[m.images() for m in f.maps])
+        pick = list(map(f.index.__getitem__, seg))
+        at, ws = (map(getitem, map(side.__getitem__, pick), digits) for side in (at, ws))
+        unit, most = all(unit), max(most)
+    else:
+        at, ws, unit, most = f.images()
+        at, ws = map(at.__getitem__, digits), map(ws.__getitem__, digits)
+    return list(at), None if unit else list(ws), most
+
+
+def _merged(field, cols, positions, scalars):
+    """A frontier with each entry at the (column, position) of a later one
+    added to that one by field.add, and the exact zeros that leaves
+    dropped; only those entries are visited one by one."""
+    keys = list(zip(cols, positions))
+    last = dict(zip(keys, count()))  # the last entry at each (column, position)
+    if len(last) == len(keys):
+        return cols, positions, scalars
+    scalars = [field.one] * len(keys) if scalars is None else scalars
+    for i in set(range(len(keys))).difference(last.values()):  # a later entry has its key
+        j = last[keys[i]]
+        scalars[j] = field.add(scalars[i], scalars[j])
+    at = last.values()  # in the order of the entries' columns
+    kept = list(compress(at, map(ne, map(scalars.__getitem__, at), repeat(field.zero))))
+    return tuple([list(map(side.__getitem__, kept)) for side in (cols, positions, scalars)])

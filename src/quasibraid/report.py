@@ -21,9 +21,9 @@ add and add_map_equality, and Details are formatted when read.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, count, islice, repeat, starmap
-from operator import is_, lt, ne
+from operator import add, is_, lt, mul, ne
 
 from .exactlin import flat_label, segment_classes
 
@@ -237,18 +237,13 @@ def family_witnesses(lhs, rhs):
     (exactlin.segment_classes) is evaluated; every segment takes its
     class's verdict and witness position, labelled with its own lhs legs.
     Both sides are evaluated block by block (Chain.block), in column
-    order.  A block whose sides are equal is done in one comparison;
-    otherwise each segment's part whose sides differ offers the smallest
-    differing row of each differing column (a monomial column's smaller
-    landing row, with one on the side that lands there), and only rows
-    below the segment's best so far are sought.  Positions order as index
-    tuples do, so this is the smallest differing (row, col) in row-major
-    order, the earliest column winning a tie.
+    order.  A block whose frontiers are equal is done in one comparison;
+    otherwise each segment's part offers its smallest differing (row,
+    col) below the segment's best row so far, so the earliest column wins.
     """
     shapes = [(c.segments, c.dom_size, c.cod_size) for c in (lhs, rhs)]
     if shapes[0] != shapes[1]:
         raise ValueError("witness comparison needs chains with the same segment sizes")
-    field = lhs.field
     classes = segment_classes(lhs, rhs)
     best = {}
     for cols in lhs.dom_blocks(list(dict.fromkeys(classes))):
@@ -261,16 +256,9 @@ def family_witnesses(lhs, rhs):
         while lo < len(seg):  # the part of each segment, in order
             k = seg[lo]
             hi = bisect_right(seg, k, lo)
-            x, y = _part(a, lo, hi, len(seg)), _part(b, lo, hi, len(seg))
-            if x != y:
-                below = best[k][0] if k in best else None
-                found = (
-                    _first_difference(field, x, y, below) if x[0] and y[0]
-                    else _sparse_difference(field, x, y, below)
-                )
-                # blocks come in column order, so a tie in row keeps the earlier block
-                if found is not None:
-                    best[k] = found[0], within[lo + found[1]], found[2], found[3]
+            found = _smallest_difference(lhs.field, a, b, lo, hi, len(seg), best.get(k))
+            if found is not None:
+                best[k] = found[0], within[found[1]], found[2], found[3]
             lo = hi
     if not best:
         return [None] * lhs.segments
@@ -278,12 +266,45 @@ def family_witnesses(lhs, rhs):
     return [None if f is None else _witness(lhs, k, *f) for k, f in enumerate(found)]
 
 
-def _part(block, lo, hi, size):
-    """Columns lo..hi-1 of a Chain.block result of size columns."""
-    if lo == 0 and hi == size:
-        return block
-    monomial, images = block
-    return monomial, images[lo:hi]
+def _smallest_difference(field, a, b, lo, hi, width, best):
+    """(row, block column, lhs value, rhs value) of the smallest (row, col)
+    in row-major order where two frontiers (Chain.block) of a block of
+    width columns differ, among columns lo..hi-1 and, if best is not None,
+    rows below best[0]; None if there is none.  With one entry a column on
+    both sides, it is the smaller row of the first column whose entries
+    differ; else each side is read as {row * width + column: scalar}."""
+    one, zero, parts = field.one, field.zero, []
+    for at, rows, scalars in (a, b):
+        cut = slice(*(lo, hi) if at is None else (bisect_left(at, lo), bisect_left(at, hi)))
+        parts.append((range(lo, hi) if at is None else at[cut], rows[cut],
+                      scalars if scalars is None else scalars[cut]))
+    below = None if best is None else repeat(best[0])
+    if a[0] is None and b[0] is None:
+        (at, xr, xs), (_, yr, ys) = parts
+        if below is not None:  # only a column where a side lands below the bound
+            low = sorted({*compress(count(), map(lt, xr, below)),
+                          *compress(count(), map(lt, yr, below))})
+            at, xr, xs, yr, ys = [side and list(map(side.__getitem__, low))
+                                  for side in (at, xr, xs, yr, ys)]
+        moved = list(map(ne, xr, yr) if xs == ys else map(
+            ne, zip(xr, xs or repeat(one)), zip(yr, ys or repeat(one))))
+        rows = list(map(min, compress(xr, moved), compress(yr, moved)))
+        row = min(rows, default=None)
+        if row is None or best is not None and row >= best[0]:
+            return None
+        i = next(islice(compress(count(), moved), rows.index(row), None))
+        x, y = ((s[i] if s else one) if r[i] == row else zero for r, s in ((xr, xs), (yr, ys)))
+        return row, at[i], x, y
+    sides = []
+    for part in parts:
+        if below is not None:  # only the entries of the rows below it
+            low = list(compress(count(), map(lt, part[1], below)))
+            part = [side and list(map(side.__getitem__, low)) for side in part]
+        at, rows, scalars = part
+        sides.append(dict(zip(map(add, map(mul, rows, repeat(width)), at), scalars or repeat(one))))
+    x, y = sides
+    key = min([key for key, _ in x.items() ^ y.items()], default=None)
+    return None if key is None else (*divmod(key, width), x.get(key, zero), y.get(key, zero))
 
 
 def _witness(chain, k, row, col, x, y):
@@ -296,77 +317,6 @@ def _witness(chain, k, row, col, x, y):
         lhs=fmt(x),
         rhs=fmt(y),
     )
-
-
-def _first_difference(field, a, b, below=None):
-    """(row, index in block, lhs value, rhs value) of the smallest
-    differing row of two monomial blocks, the earliest column winning a
-    tie, or None if they agree; with a bound below, only rows below it
-    count.  Only the columns that differ are visited one by one, and
-    under a bound only those where a side lands below it (when they are
-    fewer than half the block)."""
-    if below is not None:
-        low = _landing_below(a, b, below)
-        if low is not None:
-            found = _first_difference(field, _pick(a, low), _pick(b, low)) if low else None
-            if found is None or found[0] >= below:
-                return None
-            row, i, x, y = found
-            return row, low[i], x, y
-    pa, pb = a[1], b[1]
-    moved = list(map(ne, pa, pb))
-    rows = list(map(min, compress(pa, moved), compress(pb, moved)))
-    if not rows:
-        return None
-    row = min(rows)
-    if below is not None and row >= below:
-        return None
-    i = next(islice(compress(count(), moved), rows.index(row), None))
-    zero, one = field.zero, field.one
-    return (row, i, one, zero) if pa[i] == row else (row, i, zero, one)
-
-
-def _landing_below(a, b, below):
-    """The block indices, in order, of the columns of two monomial blocks
-    where a side lands below row `below`, the only columns that can offer
-    a row below it; None if they are half the block or more."""
-    pa, pb = a[1], b[1]
-    half = len(pa) // 2
-    low = set(compress(count(), map(lt, pa, repeat(below))))
-    if len(low) < half:
-        low.update(compress(count(), map(lt, pb, repeat(below))))
-        if len(low) < half:
-            return sorted(low)
-    return None
-
-
-def _pick(block, indices):
-    """The columns at indices of a monomial Chain.block result."""
-    return True, list(map(block[1].__getitem__, indices))
-
-
-def _sparse_difference(field, a, b, below=None):
-    """_first_difference when a side has left the monomial path."""
-    zero = field.zero
-    best = None
-    for i, (x, y) in enumerate(zip(_as_dicts(field, a), _as_dicts(field, b))):
-        if x == y:
-            continue
-        for row in x.keys() | y.keys():
-            u, v = x.get(row, zero), y.get(row, zero)
-            # columns come in increasing order, so a tie in row keeps the first
-            if u != v and (best is None or row < best[0]) and (below is None or row < below):
-                best = (row, i, u, v)
-    return best
-
-
-def _as_dicts(field, block):
-    """A Chain.block result as one sparse dict {row: scalar} per column."""
-    monomial, images = block
-    if not monomial:
-        return images
-    one = field.one
-    return [{x: one} for x in images]
 
 
 class Row(_Value):

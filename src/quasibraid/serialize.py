@@ -115,7 +115,8 @@ def _matrix_from_jobj(field, data, legs, what):
         zeros = [field.fmt(field.zero)] * (len(data[0]) if data else 0)  # a zero row as written
         entries = {(i, j): nonzero[text] for i, row in enumerate(data) if row != zeros
                    for j, text in enumerate(row) if text in nonzero}
-        return LinMap(field, len(data), len(data[0]) if data else 0, entries, *legs_labels(legs))
+        dom, cod = legs_labels(legs)  # a matrix of no rows is written [] whatever its columns
+        return LinMap(field, len(data), len(data[0]) if data else len(dom), entries, dom, cod)
 
 
 def _index(value, bound, what):

@@ -529,9 +529,9 @@ def test_chain_matches_matrix_composite(fgh):
         @ kron(ident_a, f)
     )
     assert chain.matrix() == matrix
-    # monomial factors keep every column on the monomial kernel
+    # monomial factors keep every block a frontier with no column list
     monomial = all(m.dest is not None for m in (lf, lg, lh))
-    assert chain.block([0])[0] == monomial
+    assert (chain.block([0])[0] is None) == monomial
     # the witness rule: same pick as map_witness on the built matrices
     other = head.then(lh, la, la)
     assert family_witnesses(chain, other) == [map_witness(matrix, other.matrix())]
@@ -832,11 +832,10 @@ def v4_crossed_by_s3():
 def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     """Every chain identity the validators, the braiding-law suite and the
     constructions compare on these structures (each through
-    family_witnesses, wherever it is bound) has only monomial stages;
-    every stage that any
-    block, of a law or of a construction's Chain.matrix(), pushes through
-    runs on the flat stage function, and none takes the sparse
-    fallback."""
+    family_witnesses, wherever it is bound) has only monomial factors;
+    every block, of a law or of a construction's Chain.matrix(), comes
+    out a frontier with neither a column list nor a scalar list, and no
+    stage expands a column into its images."""
     from test_hq_legwise import chein_loop
     from quasibraid import fixtures, gchq, report, yd
     from quasibraid.gchq import mirror, validate_crossing, validate_gchq
@@ -852,34 +851,32 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
         yd_direct_sum,
     )
 
-    calls = {"checks": 0, "stages": 0, "blocked": 0, "flat": 0, "fallback": 0}
+    calls = {"checks": 0, "stages": 0, "blocked": 0, "expanded": 0}
     family_witnesses = report.family_witnesses
-    block, flat_stage, apply_kron = Chain.block, exactlin._flat_stage, exactlin._apply_kron
+    block, images = Chain.block, exactlin._images
 
     def counted_check(lhs, rhs):
         calls["checks"] += lhs.segments
         for chain in (lhs, rhs):
-            assert all(monomial for monomial, _ in chain.stages), "a non-monomial stage"
+            factors = [f for _, terms in chain.stages for *_, f in terms if f is not None]
+            assert all(f.dest is not None for f in factors), "a factor without a dest"
             calls["stages"] += len(chain.stages)
         return family_witnesses(lhs, rhs)
 
     def counted_block(self, cols, *located):
+        frontier = block(self, cols, *located)
+        assert frontier[0] is None and frontier[2] is None, "a column list or a scalar list"
         calls["blocked"] += len(self.stages)
-        return block(self, cols, *located)
+        return frontier
 
-    def counted_flat(*args):
-        calls["flat"] += 1
-        return flat_stage(*args)
-
-    def counted_fallback(*args):
-        calls["fallback"] += 1
-        return apply_kron(*args)
+    def counted_images(*args):
+        calls["expanded"] += 1
+        return images(*args)
 
     for module in (report, gchq, yd):
         monkeypatch.setattr(module, "family_witnesses", counted_check)
     monkeypatch.setattr(Chain, "block", counted_block)
-    monkeypatch.setattr(exactlin, "_flat_stage", counted_flat)
-    monkeypatch.setattr(exactlin, "_apply_kron", counted_fallback)
+    monkeypatch.setattr(exactlin, "_images", counted_images)
 
     for h in (fixtures.hq_o16(), loop_algebra(chein_loop(GroupTable.symmetric(3)), QQ)):
         validate_hopf_quasigroup(h)
@@ -899,8 +896,8 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     ):
         assert rep.passed
     assert calls["checks"] > 0 and calls["stages"] > 0
-    assert calls["flat"] == calls["blocked"] > 0
-    assert calls["fallback"] == 0
+    assert calls["blocked"] > 0
+    assert calls["expanded"] == 0
 
 
 #: CLI runs on the bundled fixtures, each ending in exit 0
@@ -917,32 +914,32 @@ CLI_TRAFFIC = (
 
 @pytest.mark.parametrize("argv", CLI_TRAFFIC, ids=lambda argv: " ".join(argv[:3]))
 def test_cli_traffic_is_unit_monomial(argv, tmp_path, monkeypatch, capsys):
-    """The premise of the monomial kernel: every structure map the
+    """The premise of the frontier with no lists: every structure map the
     constructions and the braiding suite build on group-like inputs is an
     identity or monomial (one entry, field.one, in each column), so no
-    block leaves the flat path.  A change that made these maps scaled
-    fails here instead of quietly slowing every run."""
+    block creates a scalar list or expands a column.  A change that made
+    these maps scaled fails here instead of quietly slowing every run."""
     from quasibraid import cli, fixtures
 
     fixtures.write_all(tmp_path)
-    built, fallbacks = [], []
-    init, apply_kron = LegMap.__init__, exactlin._apply_kron
+    built, expansions = [], []
+    init, images = LegMap.__init__, exactlin._images
 
     def recorded_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    def counted_fallback(*args):
-        fallbacks.append(args)
-        return apply_kron(*args)
+    def counted_images(*args):
+        expansions.append(args)
+        return images(*args)
 
     monkeypatch.setattr(LegMap, "__init__", recorded_init)
-    monkeypatch.setattr(exactlin, "_apply_kron", counted_fallback)
+    monkeypatch.setattr(exactlin, "_images", counted_images)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     out = ["--out", str(tmp_path / "out.json")] if argv[0] == "construct" else []
     assert cli.main(argv + out) == 0, capsys.readouterr()
     assert built and all(f.dest is not None for f in built)
-    assert not fallbacks
+    assert not expansions
 
 
 # -- LegMap facts, read in one pass ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""The flat-position kernel of Chain.block and report.family_witnesses against
+"""The frontier kernel of Chain.block and report.family_witnesses against
 the tuple path they replaced.
 
 The reference below is the evaluator as it stood before columns became
@@ -191,13 +191,18 @@ def tuple_chain_witness(field, dom_legs, cod_legs, lhs, rhs):
     )
 
 
-def as_tuple_block(chain, result):
-    """A flat Chain.block result in the tuple path's form."""
+def as_tuple_block(chain, frontier, width):
+    """A frontier (Chain.block) of width columns in the tuple path's form:
+    one (index tuple, scalar) per column while it has no lists, else one
+    dict {index tuple: scalar} per column."""
     field, cod_dims = chain.field, dims(chain.segment_legs(0)[1])
-    monomial, images = result
-    if not monomial:
-        return False, [{multi_index(r, cod_dims): v for r, v in vec.items()} for vec in images]
-    return True, [(multi_index(x, cod_dims), field.one) for x in images]
+    cols, positions, scalars = frontier
+    if cols is None and scalars is None:
+        return True, [(multi_index(x, cod_dims), field.one) for x in positions]
+    images = [{} for _ in range(width)]
+    for c, x, v in zip(cols, positions, scalars or [field.one] * len(positions)):
+        images[c][multi_index(x, cod_dims)] = v
+    return False, images
 
 
 class Programs:
@@ -271,7 +276,8 @@ def test_flat_kernel_matches_tuple_path(data):
         tuple_blocks = list(tuple_dom_blocks(dom_legs))
         assert len(flat_blocks) == len(tuple_blocks)
         for cols, multis in zip(flat_blocks, tuple_blocks):
-            assert as_tuple_block(lhs, lhs.block(cols)) == tuple_block(field, stages, multis)
+            assert as_tuple_block(lhs, lhs.block(cols), len(cols)) == tuple_block(
+                field, stages, multis)
         assert family_witnesses(lhs, rhs) == [
             tuple_chain_witness(field, dom_legs, cod_legs, program, other)
         ]
@@ -281,9 +287,9 @@ def test_flat_kernel_matches_tuple_path(data):
 
 def test_vanished_columns_and_scalars_in_one_block():
     """Non-unit scalars, then a map with unit scalars and a zero column:
-    neither map is monomial, so the block runs on the sparse path, with an
-    empty image for the vanished column, and the witness compares the
-    vanished side with a scaled one."""
+    neither map is monomial, so the block's frontier carries a column list
+    and a scalar list, with no entry for the vanished column, and the
+    witness compares the vanished side with a scaled one."""
 
     def chain(*entries):
         out = Chain(QQ, (B,))
@@ -293,9 +299,9 @@ def test_vanished_columns_and_scalars_in_one_block():
 
     scale = {(0, 0): 2, (1, 1): 2, (2, 2): Fraction(1, 2)}
     dropped = chain(scale, {(2, 0): 1, (0, 2): 1})
-    assert dropped.block(range(3)) == (False, [{2: 2}, {}, {0: Fraction(1, 2)}])
+    assert dropped.block(range(3)) == ([0, 2], [2, 0], [2, Fraction(1, 2)])
     kept = chain(scale, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-    assert kept.block(range(3)) == (False, [{2: 2}, {1: 2}, {0: Fraction(1, 2)}])
+    assert kept.block(range(3)) == ([0, 1, 2], [2, 1, 0], [2, 2, Fraction(1, 2)])
     assert family_witnesses(dropped, kept) == [Witness(("b1",), ("b1",), "0", "2")]
 
 

@@ -8,6 +8,10 @@
 - laws are decided one way: no package module but report.py names the
   matrix comparator (map_witness, Report.add_map_equality), so every law
   is decided on Chains;
+- blocks are evaluated one way: no package module defines a stage kernel
+  or witness search that the frontier kernel and its one search replaced
+  (RETIRED_EVALUATORS), and report.py reads no LegMap dest or columns, so
+  the witness search sees frontiers, never how a map is stored;
 - files are written one way: no package module but serialize.py names
   json.dumps, json.dump or JSONEncoder, and serialize.save writes a
   structure from its maps, not through its *_to_jobj or a parse of JSON;
@@ -59,6 +63,17 @@ TOOLKIT_HOMES = {"exactlin.py", "__init__.py"}
 #: but not how the library decides one (that is report.family_witnesses)
 MATRIX_COMPARATOR = {"map_witness", "add_map_equality"}
 COMPARATOR_HOME = "report.py"
+
+#: the monomial and sparse stage kernels and their two witness searches,
+#: which Chain.block's one kernel over frontiers and report's one search replaced
+RETIRED_EVALUATORS = {
+    "_flat_stage", "_sparse_stage", "_apply_kron", "_segment_term", "_first_difference",
+    "_landing_below", "_pick", "_sparse_difference", "_as_dicts",
+}
+
+#: how a LegMap stores its images, which only exactlin's kernel reads
+LEGMAP_STORAGE = {"dest", "columns"}
+FRONTIER_READER = "report.py"
 
 #: json's encoders: the structure writer's, and dump_bytes' for plain values
 JSON_WRITERS = {"dumps", "dump", "JSONEncoder"}
@@ -114,6 +129,18 @@ def names_used(source, names):
             found.add(node.name)
         elif isinstance(node, ast.MatMult):
             found.add("@")
+    return sorted(found & names)
+
+
+def definitions(source):
+    """The names of the functions and classes that source defines, at any depth."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted({node.name for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)})
+
+
+def attributes_read(source, names):
+    """The names among `names` that source looks up as an attribute."""
+    found = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
     return sorted(found & names)
 
 
@@ -292,6 +319,19 @@ def test_detector_finds_the_matrix_comparator():
     assert names_used("rep.add_family('ID', ('',), lhs, rhs)\n", MATRIX_COMPARATOR) == []
 
 
+def test_detector_finds_definitions_and_attributes():
+    source = (
+        "def _pick(x):\n"
+        "    def _as_dicts():\n"
+        "        return f.dest\n"
+        "class Chain:\n"
+        "    def block(self):\n"
+        "        dest = columns = 1\n"
+    )
+    assert definitions(source) == ["Chain", "_as_dicts", "_pick", "block"]
+    assert attributes_read(source, LEGMAP_STORAGE) == ["dest"]
+
+
 def test_detector_finds_non_stdlib_imports():
     source = (
         "import os.path, numpy as np\n"
@@ -386,6 +426,17 @@ def test_module_states_composites_as_chains(name):
 @pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - {COMPARATOR_HOME}))
 def test_module_decides_laws_on_chains(name):
     assert names_used((PACKAGE / name).read_text(encoding="utf-8"), MATRIX_COMPARATOR) == []
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_module_defines_no_retired_evaluator(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert sorted(set(definitions(source)) & RETIRED_EVALUATORS) == []
+
+
+def test_witness_search_reads_frontiers_not_leg_maps():
+    source = (PACKAGE / FRONTIER_READER).read_text(encoding="utf-8")
+    assert attributes_read(source, LEGMAP_STORAGE) == []
 
 
 @pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - {WRITER_HOME}))

@@ -39,7 +39,7 @@ from quasibraid.gchq import (
 )
 from quasibraid.hq import UnitalAlgebra
 from quasibraid.report import (
-    AXIOM_LEGEND, Check, Report, Witness, _first_difference, family_witnesses, map_witness,
+    AXIOM_LEGEND, Check, Report, Witness, _smallest_difference, family_witnesses, map_witness,
 )
 from quasibraid import tables
 from quasibraid.yd import (
@@ -688,41 +688,63 @@ def test_a_signature_label_check_still_rejects_a_mislabelled_map():
 # -- the bounded witness search --------------------------------------------------------
 
 
-def unbounded_first_difference(field, a, b):
-    """report._first_difference without a bound, read column by column:
-    the smallest row where a column's two positions differ, the earliest
-    column winning a tie, with one on the side that lands there."""
-    offers = [(min(x, y), i) for i, (x, y) in enumerate(zip(a[1], b[1])) if x != y]
-    if not offers:
+def unbounded_first_difference(field, a, b, lo, hi):
+    """The smallest (row, col) in row-major order, among columns lo..hi-1,
+    where two frontiers (Chain.block) differ, read entry by entry as
+    {(row, col): scalar}, with its two scalars; None if they agree."""
+    sides = []
+    for cols, rows, scalars in (a, b):
+        cols = range(len(rows)) if cols is None else cols
+        scalars = [field.one] * len(rows) if scalars is None else scalars
+        sides.append({(r, c): v for c, r, v in zip(cols, rows, scalars) if lo <= c < hi})
+    x, y = sides
+    zero = field.zero
+    differ = sorted(k for k in x.keys() | y.keys() if x.get(k, zero) != y.get(k, zero))
+    if not differ:
         return None
-    row, i = min(offers)
-    one, zero = field.one, field.zero
-    return (row, i, one, zero) if a[1][i] == row else (row, i, zero, one)
+    row, col = differ[0]
+    return row, col, x.get((row, col), zero), y.get((row, col), zero)
 
 
 @st.composite
-def monomial_blocks(draw):
-    """Two monomial Chain.block results over the same columns: one
-    position per column, in a small codomain."""
+def frontiers(draw, field, size, rows):
+    """A frontier of size columns in a codomain of rows rows: one position
+    per column with no lists, or per column a few (position, nonzero
+    scalar) entries, the scalar list absent when every scalar is one."""
+    if draw(st.booleans()):
+        return None, draw(st.lists(st.integers(0, rows - 1), min_size=size, max_size=size)), None
+    unit = draw(st.booleans())
+    scalar = st.just(field.one) if unit else st.sampled_from([field.one, 2, 3])
+    cols, positions, scalars = [], [], []
+    for c in range(size):
+        for r, v in sorted(draw(st.dictionaries(st.integers(0, rows - 1), scalar, max_size=3)).items()):
+            cols.append(c)
+            positions.append(r)
+            scalars.append(v)
+    return cols, positions, None if unit else scalars
+
+
+@st.composite
+def block_pairs(draw):
+    """Two frontiers of one block, a range of its columns and a bound."""
     field = draw(st.sampled_from([QQ, GF7]))
     size, rows = draw(st.integers(1, 40)), draw(st.integers(1, 12))
-    blocks = [
-        (True, draw(st.lists(st.integers(0, rows - 1), min_size=size, max_size=size)))
-        for _ in range(2)
-    ]
-    return field, blocks[0], blocks[1], draw(st.integers(0, rows + 1))
+    a, b = draw(frontiers(field, size, rows)), draw(frontiers(field, size, rows))
+    lo = draw(st.integers(0, size - 1))
+    hi = draw(st.integers(lo + 1, size))
+    return field, a, b, lo, hi, size, draw(st.integers(0, rows + 1))
 
 
 @settings(max_examples=400, deadline=None)
-@given(monomial_blocks())
+@given(block_pairs())
 def test_bounded_search_finds_the_unbounded_witness_below_the_bound(case):
     """Under a bound the search returns the unbounded search's witness when
     its row is below the bound, and nothing otherwise; without one, the
-    same witness."""
-    field, a, b, below = case
-    want = unbounded_first_difference(field, a, b)
-    assert _first_difference(field, a, b) == want
-    assert _first_difference(field, a, b, below) == (
+    same witness; on frontiers with and without column and scalar lists."""
+    field, a, b, lo, hi, size, below = case
+    want = unbounded_first_difference(field, a, b, lo, hi)
+    assert _smallest_difference(field, a, b, lo, hi, size, None) == want
+    assert _smallest_difference(field, a, b, lo, hi, size, (below,)) == (
         want if want is not None and want[0] < below else None
     )
 

@@ -10,7 +10,7 @@ legs.  Here:
 
 - the guard that a Stack of K references to D maps keeps D maps and K
   indices, and that maps which differ only in their labels are one;
-- a spy on the monomial kernel: hq_laws evaluates 135 of its 2,075
+- a spy on the block evaluator: hq_laws evaluates 135 of its 2,075
   columns on V4 crossed by S3 (every segment of a family in one class)
   and 785 on its mirror;
 - one-entry mutants of a comultiplication, crossing or antipode, which
@@ -116,18 +116,19 @@ def test_a_boundary_that_fails_in_one_segment_is_refused():
 
 
 def kernel_columns(monkeypatch, h):
-    """(columns the monomial kernel evaluates, columns of the laws) over
-    every law of hq_laws(h): a block's two sides share its list of
-    segments, so each list counts once."""
+    """(columns pushed through a stage, columns of the laws) over every
+    law of hq_laws(h): a block's two sides share its list of columns, so
+    each list counts once, if a side has a stage."""
     h.legs
     seen = {}
-    kernel = exactlin._flat_stage
+    block = Chain.block
 
-    def spy(terms, positions, seg=None):
-        seen.setdefault(id(seg), seg)
-        return kernel(terms, positions, seg)
+    def spy(chain, cols, *located):
+        if chain.stages:
+            seen.setdefault(id(cols), cols)
+        return block(chain, cols, *located)
 
-    monkeypatch.setattr(exactlin, "_flat_stage", spy)
+    monkeypatch.setattr(Chain, "block", spy)
     total = 0
     for laws in hq_laws(h):
         for law in laws:
