@@ -8,13 +8,13 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a required check failed or a
 construction was rejected, 2 unreadable/malformed input or command line
-(a wrong number of files, a missing or unknown --grade, --grade with
-an op other than yd-conjugate, a bad field tag), 3 braiding requested on
-a non-strict module.  Errors other than argparse's own go to stderr as
-"error: <message>".  Reports are deterministic; timing goes to stderr so
-stdout and --json stay byte-stable.  A reader that closes stdout early
-(a pipe into head) drops the rest of the output and changes no exit
-code.
+(a wrong number of files, a missing or unknown --grade, --grade with an
+op other than yd-conjugate, a bad field tag) or an unwritable output
+path, 3 braiding requested on a non-strict module.  Errors other than
+argparse's own go to stderr as "error: <message>".  Reports are
+deterministic; timing goes to stderr so stdout and --json stay
+byte-stable.  A reader that closes stdout early (a pipe into head) drops
+the rest of the output and changes no exit code.
 
 Each command imports what it runs.  The modules every command needs are
 imported at the top; yd and fixtures are imported only inside the code

@@ -556,7 +556,7 @@ def _times(a, b, op=mul):
 
 
 def _product(sizes):
-    return reduce(_times, sizes, 1)
+    return prod(sizes) if tuple not in map(type, sizes) else reduce(_times, sizes, 1)
 
 
 def flat_label(legs, flat):
@@ -576,15 +576,14 @@ class LegMap:
     its legs; the check costs the size of f's bases.  dom and cod, when
     given, are those products as a signature carries them (gchq.map_legs,
     yd.module_legs), and a map labelled with those very tuples passes at
-    once.  columns is None for an identity, else {input position:
-    [(output position, scalar), ...]} sorted by output, with no key for a
-    zero column.  A monomial map (one entry, field.one, in every column),
-    as every structure map of a loop or group algebra is, has dest, the
+    once.  A monomial map (one entry, field.one, in every column), as
+    every structure map of a loop or group algebra is, has dest, the
     output position of each column (range(cols) for an identity); any
     other has dest None, and the kernel reads its images() instead.
+    stack() is the one-segment Stack through which it enters a Chain.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "columns", "dest", "_stacks", "_images")
+    __slots__ = ("map", "dom_legs", "cod_legs", "dest", "_stack", "_images")
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
@@ -598,30 +597,29 @@ class LegMap:
         self.map = f
         self.dom_legs = dom_legs
         self.cod_legs = cod_legs
-        self._stacks = self._images = None
-        self.columns, self.dest = None, range(f.cols)
+        self._stack = self._images = None
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
-        unit = all(map(eq, entries.values(), repeat(f.field.one)))
-        if dom_legs == cod_legs and rows == cols and len(cols) == n and unit:
-            return  # the identity
-        columns = self.columns = {}
-        for (i, j), value in entries.items():
-            columns.setdefault(j, []).append((i, value))
-        if not (unit and len(columns) == len(entries) == n):  # not monomial
-            for images in columns.values():
-                images.sort()
-            self.dest = None
-            return
-        self.dest = list(map(dict(zip(cols, rows)).__getitem__, range(n)))
+        unit = len(entries) == n and all(map(eq, entries.values(), repeat(f.field.one)))
+        dest = dict(zip(cols, rows)) if unit else {}
+        if not unit or len(dest) != n:
+            self.dest = None  # not monomial
+        elif rows == cols and dom_legs == cod_legs:
+            self.dest = range(n)  # the identity
+        else:
+            self.dest = list(map(dest.__getitem__, range(n)))
 
-    def stacks(self):
-        """Its legs as the leg stacks of a family, with its codomain legs'
-        sizes; kept, as a chain asks for them at every then()."""
-        if self._stacks is None:
-            self._stacks = tuple([((leg,), None) for leg in self.dom_legs]), tuple(
-                [((leg,), None) for leg in self.cod_legs]), tuple(map(len, self.cod_legs))
-        return self._stacks
+    def stack(self):
+        """The Stack of this map on one segment, on its own legs; kept, as
+        a chain reads one at every then()."""
+        if self._stack is None:
+            s = self._stack = Stack.__new__(Stack)
+            s.field, s.maps, s.index, s.alike = self.map.field, (self,), array("I", [0]), self
+            s.identity, s.cod_dims = type(self.dest) is range, tuple(map(len, self.cod_legs))
+            s.dest = None if self.dest is None else (self.dest,)
+            s.dom_legs, s.cod_legs = (
+                tuple([((leg,), None) for leg in legs]) for legs in (self.dom_legs, self.cod_legs))
+        return self._stack
 
     def images(self):
         """(positions, scalars, unit, most): for each input position, the
@@ -629,12 +627,13 @@ class LegMap:
         scalars, as tuples; whether every scalar is field.one; and the most
         entries a column has.  Kept, as the kernel reads them at every block."""
         if self._images is None:
-            one = self.map.field.one
-            columns = [self.columns.get(j, ()) for j in range(self.map.cols)] if (
-                self.dest is None) else [((i, one),) for i in self.dest]
+            f, one = self.map, self.map.field.one
+            columns = [[] for _ in range(f.cols)]
+            for (i, j), value in sorted(f.entries.items()):
+                columns[j].append((i, value))
             self._images = [tuple([i for i, _ in c]) for c in columns], [
                 tuple([v for _, v in c]) for c in columns], all(
-                [v == one for v in self.map.entries.values()]), max(map(len, columns), default=0)
+                [v == one for v in f.entries.values()]), max(map(len, columns), default=0)
         return self._images
 
     def __repr__(self):
@@ -646,7 +645,8 @@ class Table(dict):
     yd.YDModule.legs): keys are grades, or pairs of them in product order.
     legs, if given, lists the legs of the grades, and an entry's leg found
     there is named by its grade.  stack() draws the Stack of a law's grade
-    tuples; what every such Stack shares is worked out once (read())."""
+    tuples, on one segment the entry's own (LegMap.stack); what every Stack
+    of many segments shares is worked out once (read())."""
 
     __slots__ = ("legs", "_read")
 
@@ -656,12 +656,16 @@ class Table(dict):
 
     def stack(self, *keys):
         """The Stack whose segment k holds the map of key (keys[0][k], ...)."""
-        return Stack.drawn(self, keys)
+        if len(keys[0]) == 1:
+            return self[keys[0][0] if len(keys) == 1 else tuple([k[0] for k in keys])].stack()
+        out = Stack.__new__(Stack)
+        out._draw(self, keys)
+        return out
 
     def read(self):
         """(field, maps, dests, kinds, dom legs, cod legs): the entries'
         field; their distinct maps, distinct by what they do to positions
-        (their leg sizes, with their dest if monomial, else their columns),
+        (their leg sizes, with their dest if monomial, else their images),
         and the dest of each; by key (_gather), the number of each entry's
         map among them; and how each leg position names the legs."""
         if self._read is None:
@@ -672,8 +676,7 @@ class Table(dict):
             if len({(len(f.dom_legs), len(f.cod_legs)) for f in entries}) != 1:
                 raise DomainMismatch("a stack's maps differ in their number of legs")
             acts = [(tuple(map(len, f.dom_legs)), tuple(map(len, f.cod_legs)), tuple(
-                [(j, tuple(c)) for j, c in sorted(f.columns.items())] if f.dest is None else f.dest
-            )) for f in entries]
+                map(tuple, f.images()[:2]) if f.dest is None else f.dest)) for f in entries]
             first = {}
             for key, f in zip(acts, entries):
                 first.setdefault(key, f)
@@ -715,17 +718,18 @@ def _leg_source(legs, grades, parts, shape):
 
 
 class Stack:
-    """A factor that differs from segment to segment of a family: the
-    LegMap of each segment, as distinct maps and one small int each.
+    """A factor of a Chain, as then() reads every factor: the LegMap of
+    each segment of a family, as distinct maps and one small int each.
 
-    Stack(maps) takes one LegMap per segment; Table.stack draws one for a
-    law's grade tuples.  maps holds the distinct maps, distinct by what
-    they do to positions (Table.read), not by object, and the array
-    index puts maps[index[k]] on segment k.  dom_legs and cod_legs are leg
-    stacks with each segment's own legs, by grade where the table names
-    them so.  Read once for every then(): field; cod_dims; alike, the map
-    every segment's map acts as, if any; identity; and dest, the dest of
-    each of maps if every segment's map is monomial, else None."""
+    Stack(maps) takes one LegMap per segment, Table.stack draws one for a
+    law's grade tuples, and LegMap.stack is a map's own on one segment.
+    maps holds the distinct maps, distinct by what they do to positions
+    (Table.read), not by object, and the array index puts maps[index[k]]
+    on segment k.  dom_legs and cod_legs are leg stacks with each
+    segment's own legs, by grade where the table names them so.  Read
+    once for every then(): field; cod_dims; alike, the map every
+    segment's map acts as, if any; identity; and dest, the dest of each of
+    maps if every segment's map is monomial, else None."""
 
     __slots__ = (
         "maps", "index", "field", "dom_legs", "cod_legs", "cod_dims", "alike", "identity", "dest",
@@ -736,22 +740,9 @@ class Stack:
         number = dict(zip(dict.fromkeys(maps), count()))
         self._draw(Table(zip(count(), number)), [list(map(number.__getitem__, maps))])
 
-    @classmethod
-    def drawn(cls, table, keys):
-        """The stack of the map of a Table at key (keys[0][k], ...) on each segment k."""
-        out = cls.__new__(cls)
-        out._draw(table, keys)
-        return out
-
     def _draw(self, table, keys):
+        """The Stack of the map of table at key (keys[0][k], ...) on each segment k."""
         segments = len(keys[0])
-        if segments == 1:  # one segment: its map, on its own legs
-            key = next(zip(*keys))
-            f = self.alike = table[key[0] if len(key) == 1 else key]
-            self.field, self.maps, self.index = f.map.field, (f,), array("I", [0])
-            self.identity, self.dest = f.columns is None, None if f.dest is None else (f.dest,)
-            self.dom_legs, self.cod_legs, self.cod_dims = f._stacks or f.stacks()
-            return
         if not segments:
             raise DomainMismatch("a stack holds one map for each segment")
         self.field, self.maps, dests, kinds, dom, cod = table.read()
@@ -806,18 +797,19 @@ class Chain:
 
     Chain(field, legs) is the identity of the tensor product of legs, and
     then() and permute() return the chain followed by one more stage:
-    then(f1, ..., fm) applies f1 (x) ... (x) fm, each fi a LegMap on the
-    next len(fi.dom_legs) legs, left factor on the slowest legs, without
-    building the Kronecker product; permute(*order) puts leg order[j] in
-    slot j, as leg_perm does.  An identity adds no stage.  Both check the
-    boundary like compose, on every segment, else DomainMismatch.
+    then(f1, ..., fm) applies f1 (x) ... (x) fm, each fi on the next legs,
+    left factor on the slowest legs, without building the Kronecker
+    product; permute(*order) puts leg order[j] in slot j, as leg_perm
+    does.  An identity adds no stage.  Both check the boundary like
+    compose, on every segment, else DomainMismatch.
 
     Every chain is a family: the direct sum of K segments, one composite
     per grade tuple, all with the same number of legs; a plain chain has
     one segment.  Chain.family and Chain.indexed start one from one leg
-    per segment, or from leg stacks, at each leg position.  A factor may be
-    a Stack (or a sequence of LegMaps, made one), and a chain of one
-    segment meeting one becomes a family of copies of itself.  A flat
+    per segment, or from leg stacks, at each leg position.  then() reads
+    every factor as a Stack: a LegMap as its own (LegMap.stack), a list of
+    LegMaps, one per segment, as Stack(maps); a chain of one segment
+    meeting a factor of K becomes a family of K copies of itself.  A flat
     domain position is read as (segment, position within it), and the
     stages act within the segment.  dom_dims and cod_dims hold each leg's
     size: an int, or the tuple of the segments' sizes where they differ.
@@ -917,23 +909,20 @@ class Chain:
         pos = 0
         cod_stacks, cod_dims = (), ()
         for f in factors:
-            if type(f) is not LegMap and type(f) is not Stack:  # a sequence of LegMaps
-                f = f[0] if f.count(f[0]) == len(f) else Stack(f)
-            if type(f) is LegMap:  # one map for every segment
-                (dom, cod, sizes), n, m = f._stacks or f.stacks(), f.map.cols, f.map.rows
-                f_field, identity = f.map.field, f.columns is None
-            else:
-                dom, cod, sizes = f.dom_legs, f.cod_legs, f.cod_dims
-                n, m = _product(dims[pos:pos + len(dom)]), _product(sizes)
-                f_field, identity, f = f.field, f.identity, f.alike or f
+            if type(f) is LegMap:
+                f = f.stack()
+            elif type(f) is not Stack:  # a sequence of LegMaps
+                f = f[0].stack() if f.count(f[0]) == len(f) else Stack(f)
+            dom, cod, sizes = f.dom_legs, f.cod_legs, f.cod_dims
+            f_field, identity, f = f.field, f.identity, f.alike or f
             stop = pos + len(dom)
-            have = legs[pos:stop]
+            n, have = _product(dims[pos:stop]), legs[pos:stop]
             if have != dom and (len(have) != len(dom) or not all(map(_fits, have, dom))):
                 raise _misfit(pos, stop, legs)
             if f_field is not field and f_field != field:
                 raise DomainMismatch("maps over different fields")
             if not identity:
-                runs.append([n, f, m])
+                runs.append([n, f, _product(sizes)])
             elif runs and runs[-1][1] is None:
                 runs[-1][0] = _times(runs[-1][0], n)  # merge runs of identity legs
             else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import serialize
+from .errors import ParseError
 from .exactlin import QQ
 from .gchq import mirror, power_construction
 from .hq import from_hopf_quasigroup, group_algebra, loop_algebra
@@ -125,7 +126,10 @@ def build(name, field=QQ):
 def write_all(directory, field=QQ):
     """Materialize every fixture as <name>.json; returns the paths."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {directory}: {exc}") from exc
     paths = []
     for name in sorted(REGISTRY):
         kind, obj = build(name, field)

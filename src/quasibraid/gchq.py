@@ -11,8 +11,8 @@ structural.
 
 Everything here is a Chain over those legs.  The validators state every
 axiom once for all its grade tuples, as an identity between two families
-of Chains with one segment per tuple (at() draws each tuple's structure
-map from a Table), decided once per class of segments that act alike and
+of Chains with one segment per tuple (Table.stack draws each tuple's
+structure map), decided once per class of segments that act alike and
 recorded with one check per tuple, in tuple order.  A plain Hopf
 quasigroup is the |G| = 1 case: hq builds on this module, and nothing
 here imports hq.  The constructions are the power construction (one copy
@@ -193,7 +193,8 @@ class GradedLegs:
     p.  The structure maps sit on the spaces of h.signature, read through
     its labels: s[p] the antipode of grade p, delta[(p, q)] and pi[(p, q)]
     the comultiplication and crossing of a grade pair, and eps the counit.
-    Each of these is a Table on the legs by grade, for at() to draw from.
+    Each of these is a Table on the legs by grade, whose stack() draws
+    them for a law's grade tuples.
     """
 
     __slots__ = ("field", "labels", "H", "mu", "eta", "ident", "s", "delta", "pi", "eps")
@@ -229,12 +230,6 @@ class GradedLegs:
 
     def _leg(self, leg):
         return self.labels[leg] if type(leg) is int else leg
-
-
-def at(table, *keys):
-    """The Stack of table[key] for each grade tuple of a law, keys holding
-    one list of grades per key position (Table.stack)."""
-    return table.stack(*keys)
 
 
 def grade_tuples(h, n):
@@ -275,9 +270,9 @@ def _left_compensation(h, p):
     x (x) g -> S_{p^-1}(x_(1,p^-1)) (x_(2,p) g), as a family over the
     list of grades p."""
     L = h.legs
-    p_inv, mu, i = inv(h, p), at(L.mu, p), at(L.ident, p)
-    start = L.chain([0] * len(p), p).then(at(L.delta, p_inv, p), i)
-    return start.then(at(L.s, p_inv), i, i).then(i, mu).then(mu)
+    p_inv, mu, i = inv(h, p), L.mu.stack(p), L.ident.stack(p)
+    start = L.chain([0] * len(p), p).then(L.delta.stack(p_inv, p), i)
+    return start.then(L.s.stack(p_inv), i, i).then(i, mu).then(mu)
 
 
 def _bijective(check_id, stack, details, required=True):
@@ -316,21 +311,21 @@ def hq_laws(h):
     k, e = L.chain(), 0
 
     p = list(h.grades())
-    E, p_inv, ip, mp = [e] * len(p), inv(h, p), at(i, p), at(mu, p)
+    E, p_inv, ip, mp = [e] * len(p), inv(h, p), i.stack(p), mu.stack(p)
     hp, details = chain(p), grade_details(h, p)
     yield (
-        ("GHQ-component-unit-left", details, hp.then(at(eta, p), ip).then(mp), hp),
-        ("GHQ-component-unit-right", details, hp.then(ip, at(eta, p)).then(mp), hp),
+        ("GHQ-component-unit-left", details, hp.then(eta.stack(p), ip).then(mp), hp),
+        ("GHQ-component-unit-right", details, hp.then(ip, eta.stack(p)).then(mp), hp),
     )
 
     p2, q2 = grade_tuples(h, 2)
-    pq, d = mul(h, p2, q2), at(delta, p2, q2)
+    pq, d = mul(h, p2, q2), delta.stack(p2, q2)
     pq_pq, pair_details = chain(pq, pq), grade_details(h, p2, q2)
-    rhs = pq_pq.then(d, d).permute(0, 2, 1, 3).then(at(mu, p2), at(mu, q2))
+    rhs = pq_pq.then(d, d).permute(0, 2, 1, 3).then(mu.stack(p2), mu.stack(q2))
     yield (
-        ("GHQ-delta-multiplicative", pair_details, pq_pq.then(at(mu, pq)).then(d), rhs),
-        ("GHQ-delta-unit", pair_details, k.then(at(eta, pq)).then(d),
-         k.then(at(eta, p2), at(eta, q2))),
+        ("GHQ-delta-multiplicative", pair_details, pq_pq.then(mu.stack(pq)).then(d), rhs),
+        ("GHQ-delta-unit", pair_details, k.then(eta.stack(pq)).then(d),
+         k.then(eta.stack(p2), eta.stack(q2))),
     )
 
     ee = chain(e, e)
@@ -339,20 +334,20 @@ def hq_laws(h):
 
     p3, q3, r3 = grade_tuples(h, 3)
     pq, qr = mul(h, p3, q3), mul(h, q3, r3)
-    lhs = chain(mul(h, pq, r3)).then(at(delta, pq, r3)).then(at(delta, p3, q3), at(i, r3))
-    rhs = chain(mul(h, p3, qr)).then(at(delta, p3, qr)).then(at(i, p3), at(delta, q3, r3))
+    lhs = chain(mul(h, pq, r3)).then(delta.stack(pq, r3)).then(delta.stack(p3, q3), i.stack(r3))
+    rhs = chain(mul(h, p3, qr)).then(delta.stack(p3, qr)).then(i.stack(p3), delta.stack(q3, r3))
     yield ("GHQ-3.1-coassoc", grade_details(h, p3, q3, r3), lhs, rhs),
 
     yield (
-        ("GHQ-3.2-counit-right", details, hp.then(at(delta, p, E)).then(ip, eps), hp),
-        ("GHQ-3.2-counit-left", details, hp.then(at(delta, E, p)).then(eps, ip), hp),
+        ("GHQ-3.2-counit-right", details, hp.then(delta.stack(p, E)).then(ip, eps), hp),
+        ("GHQ-3.2-counit-left", details, hp.then(delta.stack(E, p)).then(eps, ip), hp),
     )
 
-    sp = at(s, p_inv)
+    sp = s.stack(p_inv)
     eps_i, i_eps = chain(E, p).then(eps, ip), chain(p, E).then(ip, eps)
-    right = chain(E, p).then(at(delta, p, p_inv), ip).then(ip, sp, ip).then(ip, mp).then(mp)
-    left4 = chain(p, E).then(ip, at(delta, p, p_inv)).then(ip, ip, sp).then(mp, ip).then(mp)
-    right4 = chain(p, E).then(ip, at(delta, p_inv, p)).then(ip, sp, ip).then(mp, ip).then(mp)
+    right = chain(E, p).then(delta.stack(p, p_inv), ip).then(ip, sp, ip).then(ip, mp).then(mp)
+    left4 = chain(p, E).then(ip, delta.stack(p, p_inv)).then(ip, ip, sp).then(mp, ip).then(mp)
+    right4 = chain(p, E).then(ip, delta.stack(p_inv, p)).then(ip, sp, ip).then(mp, ip).then(mp)
     yield (
         ("GHQ-3.3-left", details, _left_compensation(h, p), eps_i),
         ("GHQ-3.3-right", details, right, eps_i),
@@ -360,11 +355,11 @@ def hq_laws(h):
         ("GHQ-3.4-right", details, right4, i_eps),
     )
 
-    pp, sp = chain(p, p), at(s, p)
-    rhs = pp.permute(1, 0).then(sp, sp).then(at(mu, p_inv))
+    pp, sp = chain(p, p), s.stack(p)
+    rhs = pp.permute(1, 0).then(sp, sp).then(mu.stack(p_inv))
     yield (
         ("GHQ-antipode-antimultiplicative", details, pp.then(mp).then(sp), rhs),
-        ("GHQ-antipode-unit", details, k.then(at(eta, p)).then(sp), k.then(at(eta, p_inv))),
+        ("GHQ-antipode-unit", details, k.then(eta.stack(p)).then(sp), k.then(eta.stack(p_inv))),
     )
 
 
@@ -385,7 +380,7 @@ def validate_gchq(h, require_invertible_antipode=True):
     for laws in hq_laws(h):
         rep.add_rows(*(law_checks(*law) for law in laws))
     grades = list(h.grades())
-    s, details = at(h.legs.s, grades), grade_details(h, grades)
+    s, details = h.legs.s.stack(grades), grade_details(h, grades)
     rep.add_rows(_bijective("GHQ-antipode-bijective", s, details, require_invertible_antipode))
     return rep
 
@@ -401,14 +396,14 @@ def validate_crossing(h):
     k, e = L.chain(), 0
 
     p, q = grade_tuples(h, 2)
-    t, x = conj(h, p, q), at(pi, p, q)
+    t, x = conj(h, p, q), pi.stack(p, q)
     details = grade_details(h, p, q, form="pi_{} on grade {}")
     qq = chain(q, q)
     rep.add_rows(
         _bijective("CROSS-pi-bijective", x, details),
-        law_checks("CROSS-pi-multiplicative", details, qq.then(at(mu, q)).then(x),
-                   qq.then(x, x).then(at(mu, t))),
-        law_checks("CROSS-pi-unit", details, k.then(at(eta, q)).then(x), k.then(at(eta, t))),
+        law_checks("CROSS-pi-multiplicative", details, qq.then(mu.stack(q)).then(x),
+                   qq.then(x, x).then(mu.stack(t))),
+        law_checks("CROSS-pi-unit", details, k.then(eta.stack(q)).then(x), k.then(eta.stack(t))),
     )
 
     grades = list(h.grades())
@@ -416,27 +411,27 @@ def validate_crossing(h):
     he = chain(E)
     rep.add_family(
         "CROSS-3.7-counit", grade_details(h, grades, form="pi_{}"),
-        he.then(at(pi, grades, E)).then(eps), he.then(eps),
+        he.then(pi.stack(grades, E)).then(eps), he.then(eps),
     )
 
-    lhs = chain(q).then(at(s, q)).then(at(pi, p, inv(h, q)))
-    rep.add_family("CROSS-3.8-antipode", details, lhs, chain(q).then(x).then(at(s, t)))
+    lhs = chain(q).then(s.stack(q)).then(pi.stack(p, inv(h, q)))
+    rep.add_family("CROSS-3.8-antipode", details, lhs, chain(q).then(x).then(s.stack(t)))
 
     p3, q3, r3 = grade_tuples(h, 3)
     qr = mul(h, q3, r3)
-    lhs = chain(qr).then(at(delta, q3, r3)).then(at(pi, p3, q3), at(pi, p3, r3))
-    rhs = chain(qr).then(at(pi, p3, qr))
-    rhs = rhs.then(at(delta, conj(h, p3, q3), conj(h, p3, r3)))
+    lhs = chain(qr).then(delta.stack(q3, r3)).then(pi.stack(p3, q3), pi.stack(p3, r3))
+    rhs = chain(qr).then(pi.stack(p3, qr))
+    rhs = rhs.then(delta.stack(conj(h, p3, q3), conj(h, p3, r3)))
     details = grade_details(h, p3, q3, r3, form="pi_{} on grades ({},{})")
     rep.add_family("CROSS-3.9-comult", details, lhs, rhs)
 
-    lhs = chain(r3).then(at(pi, mul(h, p3, q3), r3))
-    rhs = chain(r3).then(at(pi, q3, r3)).then(at(pi, p3, conj(h, q3, r3)))
+    lhs = chain(r3).then(pi.stack(mul(h, p3, q3), r3))
+    rhs = chain(r3).then(pi.stack(q3, r3)).then(pi.stack(p3, conj(h, q3, r3)))
     details = grade_details(h, p3, q3, r3, form="pi_{}pi_{} on grade {}")
     rep.add_family("CROSS-multiplicative", details, lhs, rhs)
 
     hq = chain(grades)
-    rep.add_family("CROSS-identity", grade_details(h, grades), hq.then(at(pi, E, grades)), hq)
+    rep.add_family("CROSS-identity", grade_details(h, grades), hq.then(pi.stack(E, grades)), hq)
     return rep
 
 
@@ -526,8 +521,8 @@ def mirror(h, check=True):
     p, q = grade_tuples(h, 2)
     qi = inv(h, q)
     twisted = conj(h, qi, inv(h, p))  # q^-1 p^-1 q
-    split = L.chain(mul(h, twisted, qi)).then(at(L.delta, twisted, qi))
-    comult = dict(zip(zip(p, q), split.then(at(L.pi, q, twisted), at(L.ident, qi)).matrices()))
+    split = L.chain(mul(h, twisted, qi)).then(L.delta.stack(twisted, qi))
+    comult = dict(zip(zip(p, q), split.then(L.pi.stack(q, twisted), L.ident.stack(qi)).matrices()))
     # component r of the output is the input's r^-1, so the input's signature
     # holds every space of the output's: its comult at (p, q) runs from the input
     # antipode's codomain at pq to the input comult's codomain at (p^-1, q^-1)
@@ -537,7 +532,7 @@ def mirror(h, check=True):
     comult_legs = {key: (a[1], c[1], a[3], c[3]) for key, (a, c) in zip(comult, ends)}
 
     p = list(h.grades())
-    antipode = L.chain(inv(h, p)).then(at(L.s, inv(h, p))).then(at(L.pi, p, p)).matrices()
+    antipode = L.chain(inv(h, p)).then(L.s.stack(inv(h, p))).then(L.pi.stack(p, p)).matrices()
     antipode = dict(zip(p, antipode))
     crossing = {(p, q): h.crossing[(p, h.inv(q))] for p in h.grades() for q in h.grades()}
     signature = {

@@ -43,15 +43,18 @@ def dump_bytes(jobj):
 
 
 def write_file(path, jobj):
-    with open(_path_text(path), "wb") as out:
-        out.write(dump_bytes(jobj))
+    try:
+        with open(_path_text(path), "wb") as out:
+            out.write(dump_bytes(jobj))
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def read_file(path):
     try:
         with open(_path_text(path), encoding="utf-8") as text:
             return json.loads(text.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -393,6 +396,10 @@ _WRITERS = {
     "yd": _yd_text,
 }
 
+#: what load reads each kind of file's JSON value with
+_READERS = {"group": group_from_jobj, "loop": loop_from_jobj, "action": action_from_jobj,
+            "hq": hq_from_jobj, "gchq": gchq_from_jobj, "yd": yd_from_jobj}
+
 
 def save(kind, obj, path, **kwargs):
     write_file(path, _WRITERS[kind](obj, **kwargs))
@@ -400,16 +407,8 @@ def save(kind, obj, path, **kwargs):
 
 def load(kind, path):
     jobj = read_file(path)
-    if kind == "group":
-        return group_from_jobj(jobj)
-    if kind == "loop":
-        return loop_from_jobj(jobj)
-    if kind == "action":
-        return action_from_jobj(jobj)
-    if kind == "hq":
-        return hq_from_jobj(jobj)
-    if kind == "gchq":
-        return gchq_from_jobj(jobj)
-    if kind == "yd":
+    if kind not in _READERS:
+        raise ParseError(f"unknown structure kind {kind!r}")
+    if kind == "yd":  # a base named by a relative path is read from the module's directory
         return yd_from_jobj(jobj, base_dir=os.path.dirname(_path_text(path)))
-    raise ParseError(f"unknown structure kind {kind!r}")
+    return _READERS[kind](jobj)

@@ -35,9 +35,7 @@ from .errors import (
     NotStrict,
 )
 from .exactlin import Chain, LegMap, LinMap, Table, product_labels
-from .gchq import (
-    at, conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs, space
-)
+from .gchq import conj, grade_details, grade_tuples, inv, legs_map, mul, require_legs, space
 from .report import Report, Row, Witness, family_witnesses, law_checks
 from .tables import GroupTable, conjugate, validate_group
 
@@ -156,7 +154,7 @@ def validate_morphism(m):
     f = LegMap(m.map, V, W)
     pv, hv, r = Chain(base.field, L.H[p] + V), Chain(base.field, V), list(base.grades())
     rep.add_family("YDM-linear", ("",), pv.then(act).then(f), pv.then(L.ident[p], f).then(act_t))
-    lhs, rhs = hv.then(f).then(at(rho_t, r)), hv.then(at(rho, r)).then(f, at(L.ident, r))
+    lhs, rhs = hv.then(f).then(rho_t.stack(r)), hv.then(rho.stack(r)).then(f, L.ident.stack(r))
     rep.add_family("YDM-colinear", grade_details(base, r), lhs, rhs)
     return rep
 
@@ -181,12 +179,12 @@ def _crossed_condition_sides(v, r):
     p = [v.grade] * len(r)
     g1 = conj(base, p, r)  # p r p^-1
     start = L.chain(mul(base, p, r), v.labels)
-    lhs = start.then(at(L.delta, p, r), at(rho, r)).permute(0, 2, 1, 3).then(act, at(L.mu, r))
-    twisted = start.then(at(L.delta, g1, p), i_v).then(at(L.ident, g1), act)
-    twisted = twisted.then(at(L.ident, g1), at(rho, r))
+    lhs = start.then(L.delta.stack(p, r), rho.stack(r)).permute(0, 2, 1, 3).then(act, L.mu.stack(r))
+    twisted = start.then(L.delta.stack(g1, p), i_v).then(L.ident.stack(g1), act)
+    twisted = twisted.then(L.ident.stack(g1), rho.stack(r))
     # (h1, v0, v1) -> (v0, v1, pi_{p^-1}(h1)), the twist landing in H_r
-    twisted = twisted.permute(1, 2, 0).then(i_v, at(L.ident, r), at(L.pi, inv(base, p), g1))
-    return lhs, twisted.then(i_v, at(L.mu, r))
+    twisted = twisted.permute(1, 2, 0).then(i_v, L.ident.stack(r), L.pi.stack(inv(base, p), g1))
+    return lhs, twisted.then(i_v, L.mu.stack(r))
 
 
 def validate_yd(v):
@@ -218,8 +216,8 @@ def validate_yd(v):
     eq("YD-4.1-module-assoc", ("required for strict modules",), lhs, rhs, required=v.strict)
 
     r1, r2 = grade_tuples(base, 2)
-    lhs = hv.then(at(rho, r2)).then(at(rho, r1), at(i, r2))
-    rhs = hv.then(at(rho, mul(base, r1, r2))).then(i_v, at(delta, r1, r2))
+    lhs = hv.then(rho.stack(r2)).then(rho.stack(r1), i.stack(r2))
+    rhs = hv.then(rho.stack(mul(base, r1, r2))).then(i_v, delta.stack(r1, r2))
     eq("YD-coassoc", grade_details(base, r1, r2), lhs, rhs)
 
     eq("YD-counit", ("",), hv.then(rho[e]).then(i_v, eps), hv)
@@ -228,8 +226,8 @@ def validate_yd(v):
     lhs, rhs = _crossed_condition_sides(v, r)
     eq("YD-4.5-crossed", grade_details(base, r, form="coaction grade {}"), lhs, rhs)
 
-    m, ir, details = at(mu, r), at(i, r), grade_details(base, r)
-    spread = L.chain(v.labels, r, r).then(at(rho, r), ir, ir)  # (v,h,g) -> (v0,v1,h,g)
+    m, ir, details = mu.stack(r), i.stack(r), grade_details(base, r)
+    spread = L.chain(v.labels, r, r).then(rho.stack(r), ir, ir)  # (v,h,g) -> (v0,v1,h,g)
     lhs6, rhs6 = spread.then(i_v, ir, m).then(i_v, m), spread.then(i_v, m, ir).then(i_v, m)
     shuffled = spread.permute(0, 2, 1, 3)  # (v0, h, v1, g)
     lhs7 = shuffled.then(i_v, m, ir).then(i_v, m)
@@ -253,7 +251,7 @@ def trivial_module(base):
     i_v = LegMap(LinMap.identity(field, labels), V, V)
     action = Chain(field, L.H[0] + V).then(L.eps, i_v).matrix()
     r = list(base.grades())
-    coaction = dict(zip(r, Chain(field, V).then(i_v, at(L.eta, r)).matrices()))
+    coaction = dict(zip(r, Chain(field, V).then(i_v, L.eta.stack(r)).matrices()))
     return YDModule(base, 0, labels, action, coaction, strict=True)
 
 
@@ -354,7 +352,7 @@ def _tensors(vs, ws):
     p, q = [v.grade for v in vs], [w.grade for w in ws]
     V, W = [v.labels for v in vs], [w.labels for w in ws]
     start = Chain.family(base.field, [map(L.labels.__getitem__, mul(base, p, q)), V, W])
-    start = start.then(at(L.delta, p, q), [v.legs[4] for v in vs], [w.legs[4] for w in ws])
+    start = start.then(L.delta.stack(p, q), [v.legs[4] for v in vs], [w.legs[4] for w in ws])
     actions = start.permute(0, 2, 1, 3).then([v.legs[2] for v in vs], [w.legs[2] for w in ws])
     r = grades * len(vs)  # a segment per (k, r)
     vs, ws = [v for v in vs for _ in grades], [w for w in ws for _ in grades]
@@ -364,8 +362,8 @@ def _tensors(vs, ws):
     # (v0, g, w0, r) -> (v0, w0, r, g), then r times pi_{q^-1}(g) in H_r
     spread = Chain.family(base.field, [[v.labels for v in vs], [w.labels for w in ws]])
     twisted = spread.then(rho_v, rho_w).permute(0, 2, 3, 1)
-    twisted = twisted.then(i_v, i_w, at(L.ident, r), at(L.pi, inv(base, q), g))
-    return actions, twisted.then(i_v, i_w, at(L.mu, r))
+    twisted = twisted.then(i_v, i_w, L.ident.stack(r), L.pi.stack(inv(base, q), g))
+    return actions, twisted.then(i_v, i_w, L.mu.stack(r))
 
 
 def yd_conjugate(v, q):
@@ -401,13 +399,13 @@ def _regradings(vs, qs):
     base, L, grades = vs[0].base, vs[0].base.legs, list(vs[0].base.grades())
     newgrades = conj(base, qs, [v.grade for v in vs])
     start = Chain.family(base.field, [map(L.labels.__getitem__, newgrades), [v.labels for v in vs]])
-    start = start.then(at(L.pi, inv(base, qs), newgrades), [v.legs[4] for v in vs])
+    start = start.then(L.pi.stack(inv(base, qs), newgrades), [v.legs[4] for v in vs])
     actions = start.then([v.legs[2] for v in vs])
     vs, q = [v for v in vs for _ in grades], [x for x in qs for _ in grades]  # per (k, r)
     g = conj(base, inv(base, q), grades * len(qs))  # q^-1 r q
     coacted = Chain.family(base.field, [[v.labels for v in vs]])
     coacted = coacted.then([v.legs[3][x] for v, x in zip(vs, g)])
-    return actions, coacted.then([v.legs[4] for v in vs], at(L.pi, q, g))
+    return actions, coacted.then([v.legs[4] for v in vs], L.pi.stack(q, g))
 
 
 def _regrading_witnesses(m, qs, grades, build, *args):
@@ -535,7 +533,7 @@ def _braidings(vs, ws):
     i_v, i_w = [v.legs[4] for v in vs], [w.legs[4] for w in ws]
     start = Chain.family(base.field, [[v.labels for v in vs], [w.labels for w in ws]])
     coacted = start.then([v.legs[3][q] for v, q in zip(vs, qi)], i_w)
-    coacted = coacted.then(i_v, at(base.legs.s, qi), i_w)
+    coacted = coacted.then(i_v, base.legs.s.stack(qi), i_w)
     return coacted.then(i_v, [w.legs[2] for w in ws]).permute(1, 0)
 
 
@@ -612,7 +610,7 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     r = list(base.grades())
     rho_t = [LegMap(target.coaction[g], W + V, W + V + L.H[g]) for g in r]
     rho_s = [LegMap(source.coaction[g], V + W, V + W + L.H[g]) for g in r]
-    lhs, rhs = vw.then(lc).then(rho_t), vw.then(rho_s).then(lc, at(L.ident, r))
+    lhs, rhs = vw.then(lc).then(rho_t), vw.then(rho_s).then(lc, L.ident.stack(r))
     rep.add_family("BRAID-H-colinear", grade_details(base, r), lhs, rhs)
 
     lhs = _braidings(*regradings)
@@ -682,15 +680,15 @@ def check_crossed_equivalence(v):
             s_inv.append(LegMap(base.antipode[g].invert(), H[base.inv(g)], H[g]))
         except NotInvertible as exc:
             raise AntipodeNotInvertible(f"antipode at grade {tag(g)} has rank {exc.rank}") from exc
-    P, ri, m, ir = [p] * len(r), inv(base, r), at(L.mu, r), at(L.ident, r)
+    P, ri, m, ir = [p] * len(r), inv(base, r), L.mu.stack(r), L.ident.stack(r)
     g2 = conj(base, P, ri)
     # (h, v) -> (h2, v0, h3, v1, pi_{p^-1}(h1)), the h legs of grades
     # (p r^-1 p^-1, p, r) split out of H_p
     pv, ip = L.chain(p, v.labels), L.ident[p]
-    spread = pv.then(at(L.delta, mul(base, P, ri), r), i_v).then(at(L.delta, g2, P), ir, i_v)
-    spread = spread.then(at(L.ident, g2), ip, ir, at(rho, r)).permute(1, 3, 2, 4, 0)
-    spread = spread.then(ip, i_v, ir, ir, at(L.pi, inv(base, P), g2))
-    acted = pv.then(act).then(at(rho, r))
+    spread = pv.then(L.delta.stack(mul(base, P, ri), r), i_v).then(L.delta.stack(g2, P), ir, i_v)
+    spread = spread.then(L.ident.stack(g2), ip, ir, rho.stack(r)).permute(1, 3, 2, 4, 0)
+    spread = spread.then(ip, i_v, ir, ir, L.pi.stack(inv(base, P), g2))
+    acted = pv.then(act).then(rho.stack(r))
     forms = (
         ("YD-4.5-crossed", *_crossed_condition_sides(v, r)),
         # (h2.v0) (x) (h3 v1) S^-1 pi(h1)

@@ -733,3 +733,63 @@ def test_duplicate_element_labels_exit_2(case, fixture_dir, tmp_path, capsys):
     code, out, err = run(capsys, *argv, *(["--grade", grade] if grade else []))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.startswith("error: ") and "duplicate element label 'g'" in err
+
+
+# -- JSON nested past the interpreter's recursion limit: exit 2, no traceback ----
+
+#: how deep a file nests; json.loads raises RecursionError well before
+DEPTH = 100_000
+
+#: nesting kind -> file text
+NESTED = {
+    "objects": '{"a":' * DEPTH + "1" + "}" * DEPTH,
+    "arrays": "[" * DEPTH + "]" * DEPTH,
+}
+
+#: reader -> argv with the nested file as deep.json
+DEEP_READERS = {
+    "validate": ["validate", "deep.json", "--kind", "hq"],
+    "construct": ["construct", "--op", "loop-algebra", "deep.json", "--out", "out.json"],
+    "braid-report": ["braid-report", "deep.json", "deep.json"],
+    "yd-base": ["validate", "module.json", "--kind", "yd"],
+}
+
+
+@pytest.mark.parametrize("nesting", list(NESTED))
+@pytest.mark.parametrize("reader", list(DEEP_READERS))
+def test_deeply_nested_json_exits_2(reader, nesting, fixture_dir, tmp_path, capsys):
+    """A file nested too deeply for json.loads once ended in a
+    RecursionError traceback and exit 1."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(NESTED[nesting], encoding="utf-8")
+    module = serialize.read_file(fixture_dir / "yd-trivial.json")
+    module["base"] = "deep.json"  # read from the module's own directory
+    serialize.write_file(tmp_path / "module.json", module)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in DEEP_READERS[reader]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and not (tmp_path / "out.json").exists()
+    assert err.startswith(f"error: cannot read {deep}: ") and err.count("\n") == 1
+
+
+# -- an output path that cannot be written: exit 2, no traceback ---------------
+
+#: command -> argv with fixtures as <name>.json and the output path as OUT
+UNWRITABLE = {
+    "validate-json": ["validate", "hq-c2.json", "--kind", "hq", "--json", "OUT"],
+    "braid-report-json": ["braid-report", "yd-trivial.json", "yd-trivial.json", "--json", "OUT"],
+    "construct-out": ["construct", "--op", "mirror", "gchq-power.json", "--out", "OUT"],
+    "fixtures-out": ["fixtures", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_output_path_that_cannot_be_written_exits_2(case, fixture_dir, tmp_path, capsys):
+    """An output path under a regular file once ended in an OSError
+    traceback and exit 1."""
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file, not a directory\n", encoding="utf-8")
+    target = blocker / "sub" if case == "fixtures-out" else blocker / "x.json"
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in UNWRITABLE[case]]
+    code, _, err = run(capsys, *[str(target) if a == "OUT" else a for a in argv])
+    assert code == 2 and blocker.read_text(encoding="utf-8").startswith("a regular file")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1

@@ -946,15 +946,17 @@ def test_cli_traffic_is_unit_monomial(argv, tmp_path, monkeypatch, capsys):
 
 
 def reference_leg_facts(f, dom_legs, cod_legs):
-    """(columns, dest) as LegMap.__init__ derives them, from a sorted copy
-    of f.entries and an identity dict to compare against: dest only when
-    every column holds exactly one entry, field.one."""
+    """(columns, dest) of a LegMap, from a sorted copy of f.entries and an
+    identity dict to compare against: columns {input position: [(output
+    position, scalar), ...]} sorted by output, no key for a zero column;
+    dest range(cols) for an identity, else only when every column holds
+    exactly one entry, field.one."""
     one = f.field.one
-    if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
-        return None, range(f.cols)
     columns = {}
     for (i, j), value in sorted(f.entries.items()):
         columns.setdefault(j, []).append((i, value))
+    if dom_legs == cod_legs and f.entries == {(i, i): one for i in range(f.rows)}:
+        return columns, range(f.cols)
     if len(columns) == f.cols and all(
         len(images) == 1 and images[0][1] == one for images in columns.values()
     ):
@@ -1001,6 +1003,12 @@ def leg_map_cases(draw):
 def test_leg_map_facts_match_the_sorted_reading(case):
     kind, f, dom_legs, cod_legs = case
     g = LegMap(f, dom_legs, cod_legs)
-    assert (g.columns, g.dest) == reference_leg_facts(f, g.dom_legs, g.cod_legs)
+    columns, dest = reference_leg_facts(f, g.dom_legs, g.cod_legs)
+    assert type(g.dest) is type(dest) and g.dest == dest
+    positions, scalars, unit, most = g.images()
+    assert [list(zip(*images)) for images in zip(positions, scalars)] == [
+        columns.get(j, []) for j in range(f.cols)]  # a zero column has no images
+    assert unit == all(value == f.field.one for value in f.entries.values())
+    assert most == max(map(len, columns.values()), default=0)
     if kind in ("scaled", "holes"):
         assert g.dest is None

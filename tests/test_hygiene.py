@@ -10,8 +10,12 @@
   is decided on Chains;
 - blocks are evaluated one way: no package module defines a stage kernel
   or witness search that the frontier kernel and its one search replaced
-  (RETIRED_EVALUATORS), and report.py reads no LegMap dest or columns, so
+  (RETIRED_EVALUATORS), and report.py reads no LegMap dest or images, so
   the witness search sees frontiers, never how a map is stored;
+- a structure map enters a chain one way, as a Stack (LegMap.stack,
+  Table.stack): no package module defines a wrapper that once stood
+  beside them (RETIRED_ENTRIES), and a LegMap keeps no columns copy of
+  its entries;
 - files are written one way: no package module but serialize.py names
   json.dumps, json.dump or JSONEncoder, and serialize.save writes a
   structure from its maps, not through its *_to_jobj or a parse of JSON;
@@ -49,6 +53,7 @@ import pytest
 
 import quasibraid
 from quasibraid import fixtures, serialize
+from quasibraid.exactlin import LegMap
 
 PACKAGE = Path(quasibraid.__file__).resolve().parent
 ALL_MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -72,8 +77,12 @@ RETIRED_EVALUATORS = {
 }
 
 #: how a LegMap stores its images, which only exactlin's kernel reads
-LEGMAP_STORAGE = {"dest", "columns"}
+LEGMAP_STORAGE = {"dest", "images"}
 FRONTIER_READER = "report.py"
+
+#: gchq.at, Stack.drawn and LegMap.stacks: the wrappers through which a
+#: structure map once reached a chain beside LegMap.stack and Table.stack
+RETIRED_ENTRIES = {"at", "drawn", "stacks"}
 
 #: json's encoders: the structure writer's, and dump_bytes' for plain values
 JSON_WRITERS = {"dumps", "dump", "JSONEncoder"}
@@ -437,6 +446,16 @@ def test_module_defines_no_retired_evaluator(name):
 def test_witness_search_reads_frontiers_not_leg_maps():
     source = (PACKAGE / FRONTIER_READER).read_text(encoding="utf-8")
     assert attributes_read(source, LEGMAP_STORAGE) == []
+
+
+def test_a_structure_map_enters_a_chain_one_way():
+    """No module defines a retired wrapper, and a LegMap holds its map,
+    its legs and dest, with no columns copy of the map's entries."""
+    sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
+    found = {name: sorted(set(definitions(source)) & RETIRED_ENTRIES)
+             for name, source in sources.items()}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert "columns" not in LegMap.__slots__
 
 
 @pytest.mark.parametrize("name", sorted(set(ALL_MODULES) - {WRITER_HOME}))
