@@ -78,9 +78,9 @@ def _drop_stdout():
 
 
 def _emit(report, json_path, elapsed):
-    _say(report.render())
-    if json_path:
+    if json_path:  # first, so that an unwritable path prints no report
         serialize.write_file(json_path, report.to_jobj())
+    _say(report.render())
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_FAILED
 

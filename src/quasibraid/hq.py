@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import InvalidInput, InvalidLoop, MalformedStructure, NotInvertible
 from .exactlin import K_LABELS, LegMap, LinMap, product_labels
-from .gchq import CrossedGCHQ, hq_laws
+from .gchq import CrossedGCHQ, hq_laws, legs_map, map_legs
 from .report import Report
 from . import tables
 
@@ -31,12 +31,12 @@ class UnitalAlgebra:
         self.labels = tuple(labels)
         if len(self.labels) != dim:
             raise MalformedStructure("label count does not match dimension")
-        self.mult = {
-            key: value
-            for key, value in mult.items()
-            if value != field.zero
-        }
-        for i, j, k in self.mult:
+        self.mult = dict(mult)  # filtered only when some value is zero
+        if field.zero in mult.values():
+            self.mult = {key: value for key, value in mult.items() if value != field.zero}
+        for i, j, k in self.mult:  # three plain ints: a bool or float index is saved unreadable
+            if not (type(i) is type(j) is type(k) is int):
+                raise MalformedStructure(f"mult index {(i, j, k)} is not three ints")
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise MalformedStructure(f"mult index {(i, j, k)} outside dimension {dim}")
         self.unit = tuple(unit)
@@ -82,19 +82,20 @@ class HopfQuasigroup:
     """Algebra + coalgebra + antipode over one based space; immutable once built.
 
     graded is h as the one component over the trivial group.  Building it
-    is h's shape check, and its legs are the structure maps as LegMaps."""
+    is h's shape check (on the signature a construction hands on, if any),
+    and its legs are the structure maps as LegMaps."""
 
     __slots__ = ("field", "algebra", "comult", "counit", "antipode", "graded")
 
-    def __init__(self, field, algebra, comult, counit, antipode):
+    def __init__(self, field, algebra, comult, counit, antipode, *, _signature=None):
         self.field = field
         self.algebra = algebra
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
         self.graded = CrossedGCHQ(
-            field, tables.GroupTable.trivial(), [algebra], {(0, 0): comult}, counit,
-            {0: antipode}, {(0, 0): LinMap.identity(field, algebra.labels)},
+            field, tables.GroupTable.trivial(), [algebra], {(0, 0): comult}, counit, {0: antipode},
+            {(0, 0): LinMap.identity(field, algebra.labels)}, _signature=_signature,
         )
 
     @property
@@ -118,28 +119,29 @@ class HopfQuasigroup:
 
 def loop_algebra(t, field, check=True):
     """Group-like structure on the basis of a loop: Dx = x(x)x, eps(x) = 1,
-    S(x) = x^-1.  The loop must pass the inverse-property validator unless
-    check is disabled (used to probe deliberately broken tables)."""
+    S(x) = x^-1.  The loop must pass tables.required_loop_laws, not Moufang
+    or associativity (k[L] is a Hopf quasigroup exactly when L is an IP
+    loop), unless check is disabled (to probe deliberately broken tables)."""
     if check:
-        rep = tables.validate_ip_loop(t)
+        rep = tables.required_loop_laws(t)
         if not rep.passed:
             raise InvalidLoop(
                 "table is not an inverse-property loop: "
                 + ", ".join(rep.failed_ids())
             )
-    n = t.order
+    n, one, elements = t.order, field.one, range(t.order)
     labels = tuple((s,) for s in t.labels)
-    mult = {(i, j, t.table[i][j]): field.one for i in range(n) for j in range(n)}
-    unit = tuple(field.one if i == 0 else field.zero for i in range(n))
+    mult = {(i, j, k): one for i, row in enumerate(t.table) for j, k in enumerate(row)}
+    unit = tuple(one if i == 0 else field.zero for i in elements)
     algebra = UnitalAlgebra(field, n, labels, mult, unit)
-    diagonal = {(i * n + i, i): field.one for i in range(n)}
-    comult = LinMap(field, n * n, n, diagonal, labels, product_labels((labels, labels)))
-    counit = LinMap(field, 1, n, {(0, i): field.one for i in range(n)}, labels, K_LABELS)
-    inv = [t.right_inverse[i] for i in range(n)]
+    signature = map_legs(tables.GroupTable.trivial(), [algebra])
+    comult = legs_map(field, {(i * n + i, i): one for i in elements}, signature["comult"][(0, 0)])
+    counit = legs_map(field, {(0, i): one for i in elements}, signature["counit"][None])
+    inv = [t.right_inverse[i] for i in elements]
     if any(v is None for v in inv):
         raise InvalidLoop("some element has no right inverse; cannot build antipode")
     antipode = LinMap.from_permutation(field, inv, labels)
-    return HopfQuasigroup(field, algebra, comult, counit, antipode)
+    return HopfQuasigroup(field, algebra, comult, counit, antipode, _signature=signature)
 
 
 def group_algebra(g, field):

@@ -150,12 +150,15 @@ def _index_rows(data, bound, what):
 
 
 def _algebra_to_jobj(algebra):
-    """dim, labels, mult and unit of a unital algebra, as _algebra_from_jobj reads them."""
-    fmt = algebra.field.fmt
+    """dim, labels, mult and unit of a unital algebra, as _algebra_from_jobj reads them;
+    mult as text in key order, each scalar and index (a plain int below dim) encoded once."""
+    fmt, mult, n = algebra.field.fmt, algebra.mult, list(map(str, range(algebra.dim)))
+    texts = {value: _encode(fmt(value)) for value in set(mult.values())}
     return {
         "dim": algebra.dim,
         "labels": [atom for (atom,) in algebra.labels],
-        "mult": sorted([i, j, k, fmt(v)] for (i, j, k), v in algebra.mult.items()),
+        "mult": _Text("[" + ",".join([f"[{n[i]},{n[j]},{n[k]},{texts[v]}]"
+                                      for (i, j, k), v in sorted(mult.items())]) + "]"),
         "unit": [fmt(v) for v in algebra.unit],
     }
 
@@ -294,7 +297,7 @@ def hq_from_jobj(jobj):
             _matrix_from_jobj(field, jobj[family], signature[family][key], family)
             for family, key in (("comult", (0, 0)), ("counit", None), ("antipode", 0))
         )
-        return HopfQuasigroup(field, algebra, comult, counit, antipode)
+        return HopfQuasigroup(field, algebra, comult, counit, antipode, _signature=signature)
 
 
 # -- crossed group-cograded structures --------------------------------------
@@ -304,7 +307,8 @@ def _gchq_text(h):
     return _object({
         "field": h.field.name,
         "group": table_to_jobj(h.grading),
-        "components": _keyed("components", enumerate(h.components), _algebra_to_jobj),
+        "components": _keyed("components", enumerate(h.components),
+                             lambda algebra: _object(_algebra_to_jobj(algebra))),
         **{
             family: _keyed(family, h.maps()[family].items(), _matrix)
             for family in ("comult", "antipode", "crossing")

@@ -291,9 +291,9 @@ def _moufang_witnesses(t, transpose):
     return _law_witnesses((labels,) * 3, labels, lhs, rhs)
 
 
-def validate_ip_loop(t):
-    """Quasigroup, identity and inverse-property checks; Moufang and
-    associativity are reported informationally and may fail."""
+def required_loop_laws(t):
+    """The IP-loop laws, loop_algebra's gate: latin rows and columns and identity
+    (nothing more if one fails), two-sided inverses, IP-left and IP-right."""
     rep = Report(f"loop table ({t.order} elements)")
     labels, table, n = t.labels, t.table, t.order
     transpose = tuple(zip(*table))
@@ -320,9 +320,17 @@ def validate_ip_loop(t):
     else:
         rep.add("LOOP-IP-left", False, detail="needs two-sided inverses")
         rep.add("LOOP-IP-right", False, detail="needs two-sided inverses")
+    return rep
 
-    rep.add_first_witness("LOOP-moufang", _moufang_witnesses(t, transpose), required=False)
-    rep.add_first_witness("LOOP-assoc", _assoc_witnesses(t), required=False)
+
+def validate_ip_loop(t):
+    """required_loop_laws, then Moufang and associativity, still reported
+    informationally (they may fail) once the latin and identity checks pass."""
+    rep = required_loop_laws(t)
+    if rep.find("LOOP-IP-right") is not None:
+        moufang = _moufang_witnesses(t, tuple(zip(*t.table)))
+        rep.add_first_witness("LOOP-moufang", moufang, required=False)
+        rep.add_first_witness("LOOP-assoc", _assoc_witnesses(t), required=False)
     return rep
 
 

@@ -785,11 +785,13 @@ UNWRITABLE = {
 @pytest.mark.parametrize("case", list(UNWRITABLE))
 def test_output_path_that_cannot_be_written_exits_2(case, fixture_dir, tmp_path, capsys):
     """An output path under a regular file once ended in an OSError
-    traceback and exit 1."""
+    traceback and exit 1, and a --json path that cannot be written once
+    came after the whole report on stdout: nothing is printed now."""
     blocker = tmp_path / "file"
     blocker.write_text("a regular file, not a directory\n", encoding="utf-8")
     target = blocker / "sub" if case == "fixtures-out" else blocker / "x.json"
     argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in UNWRITABLE[case]]
-    code, _, err = run(capsys, *[str(target) if a == "OUT" else a for a in argv])
+    code, out, err = run(capsys, *[str(target) if a == "OUT" else a for a in argv])
     assert code == 2 and blocker.read_text(encoding="utf-8").startswith("a regular file")
+    assert out == ""
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1

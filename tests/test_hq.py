@@ -1,5 +1,6 @@
 """Hopf quasigroup validation, loop algebras, antipode inverse laws."""
 
+import re
 from itertools import product
 
 import pytest
@@ -160,6 +161,16 @@ def test_unital_algebra_rejects_inconsistent_data():
         UnitalAlgebra(QQ, 2, labels, {**mult, (1, 2, 0): 1}, (1, 0))
     with pytest.raises(MalformedStructure, match="unit vector length does not match dimension"):
         UnitalAlgebra(QQ, 2, labels, mult, (1, 0, 0))
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", 2**70])
+def test_unital_algebra_refuses_an_index_that_is_not_a_plain_int(index):
+    """A bool or float index was once taken, and saved as true or 1.0,
+    which no loader reads as an index.  2**70 is an int, but out of range."""
+    mult = {(0, 0, 0): 1, (index, 0, 1): 1}
+    message = "outside dimension 2" if type(index) is int else "is not three ints"
+    with pytest.raises(MalformedStructure, match=re.escape(f"mult index {(index, 0, 1)} {message}")):
+        UnitalAlgebra(QQ, 2, (("e",), ("a",)), mult, (1, 0))
 
 
 def test_unchecked_loop_algebra_needs_right_inverses():
