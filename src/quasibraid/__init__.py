@@ -22,14 +22,14 @@ _EXPORTS = {
         "group_algebra", "loop_algebra", "validate_hopf_quasigroup",
     ),
     "gchq": (
-        "CrossedGCHQ", "mirror", "power_construction", "sweedler_spot_check",
-        "validate_crossed", "validate_crossing", "validate_gchq",
+        "CrossedGCHQ", "mirror", "power_construction", "validate_crossed", "validate_crossing",
+        "validate_gchq",
     ),
     "yd": (
         "YDModule", "YDMorphism", "braiding", "braiding_inverse", "check_braiding_inverse",
-        "check_braiding_laws", "check_conjugation_coherence", "check_crossed_equivalence",
-        "crossed_set_module", "diagonal_module", "search_dim1_modules", "trivial_module",
-        "validate_morphism", "validate_yd", "yd_conjugate", "yd_direct_sum", "yd_tensor",
+        "check_braiding_laws", "check_conjugation_coherence", "crossed_set_module",
+        "diagonal_module", "trivial_module", "validate_morphism", "validate_yd", "yd_conjugate",
+        "yd_direct_sum", "yd_tensor",
     ),
 }
 

@@ -53,10 +53,6 @@ class NotStrict(QuasibraidError):
     """Operation is only defined for modules, not quasimodules."""
 
 
-class AntipodeNotInvertible(QuasibraidError):
-    """A check needs the inverse antipode but some component is singular."""
-
-
 class ParseError(QuasibraidError):
     """Unreadable or malformed input: a serialized structure file, or a
     command line that names the wrong number of files, a missing or

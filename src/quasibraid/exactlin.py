@@ -580,10 +580,16 @@ class LegMap:
     every structure map of a loop or group algebra is, has dest, the
     output position of each column (range(cols) for an identity); any
     other has dest None, and the kernel reads its images() instead.
-    stack() is the one-segment Stack through which it enters a Chain.
+    A LegMap is its own factor on one segment: it carries what then()
+    reads of a Stack (field, dom_stacks and cod_stacks of one leg each,
+    cod_dims, identity), and alike, maps and index name it without
+    storing a reference to itself.
     """
 
-    __slots__ = ("map", "dom_legs", "cod_legs", "dest", "_stack", "_images")
+    __slots__ = (
+        "map", "dom_legs", "cod_legs", "dest", "_images", "field", "dom_stacks", "cod_stacks",
+        "cod_dims", "identity",
+    )
 
     def __init__(self, f, dom_legs, cod_legs, dom=None, cod=None):
         dom_legs = tuple(map(tuple, dom_legs))
@@ -594,10 +600,11 @@ class LegMap:
                 expected = product_labels(legs)
             if labels is not expected and labels != expected:
                 raise DomainMismatch(f"{side} labels of {f!r} are not the product of its legs")
-        self.map = f
-        self.dom_legs = dom_legs
-        self.cod_legs = cod_legs
-        self._stack = self._images = None
+        self.map, self.field, self._images = f, f.field, None
+        self.dom_legs, self.cod_legs = dom_legs, cod_legs
+        self.dom_stacks, self.cod_stacks = (
+            tuple([((leg,), None) for leg in legs]) for legs in (dom_legs, cod_legs))
+        self.cod_dims = tuple(map(len, cod_legs))
         entries, n = f.entries, f.cols
         rows, cols = zip(*entries) if entries else ((), ())
         unit = len(entries) == n and all(map(eq, entries.values(), repeat(f.field.one)))
@@ -608,18 +615,14 @@ class LegMap:
             self.dest = range(n)  # the identity
         else:
             self.dest = list(map(dest.__getitem__, range(n)))
+        self.identity = type(self.dest) is range
 
-    def stack(self):
-        """The Stack of this map on one segment, on its own legs; kept, as
-        a chain reads one at every then()."""
-        if self._stack is None:
-            s = self._stack = Stack.__new__(Stack)
-            s.field, s.maps, s.index, s.alike = self.map.field, (self,), array("I", [0]), self
-            s.identity, s.cod_dims = type(self.dest) is range, tuple(map(len, self.cod_legs))
-            s.dest = None if self.dest is None else (self.dest,)
-            s.dom_legs, s.cod_legs = (
-                tuple([((leg,), None) for leg in legs]) for legs in (self.dom_legs, self.cod_legs))
-        return self._stack
+    alike = property(lambda self: self)
+    maps = property(lambda self: (self,))
+    index = property(lambda self: array("I", [0]))
+
+    def __len__(self):
+        return 1
 
     def images(self):
         """(positions, scalars, unit, most): for each input position, the
@@ -645,8 +648,8 @@ class Table(dict):
     yd.YDModule.legs): keys are grades, or pairs of them in product order.
     legs, if given, lists the legs of the grades, and an entry's leg found
     there is named by its grade.  stack() draws the Stack of a law's grade
-    tuples, on one segment the entry's own (LegMap.stack); what every Stack
-    of many segments shares is worked out once (read())."""
+    tuples, on one segment the entry itself; what every Stack of many
+    segments shares is worked out once (read())."""
 
     __slots__ = ("legs", "_read")
 
@@ -657,7 +660,7 @@ class Table(dict):
     def stack(self, *keys):
         """The Stack whose segment k holds the map of key (keys[0][k], ...)."""
         if len(keys[0]) == 1:
-            return self[keys[0][0] if len(keys) == 1 else tuple([k[0] for k in keys])].stack()
+            return self[keys[0][0] if len(keys) == 1 else tuple([k[0] for k in keys])]
         out = Stack.__new__(Stack)
         out._draw(self, keys)
         return out
@@ -721,18 +724,19 @@ class Stack:
     """A factor of a Chain, as then() reads every factor: the LegMap of
     each segment of a family, as distinct maps and one small int each.
 
-    Stack(maps) takes one LegMap per segment, Table.stack draws one for a
-    law's grade tuples, and LegMap.stack is a map's own on one segment.
+    Stack(maps) takes one LegMap per segment, and Table.stack draws one
+    for a law's grade tuples; on one segment a LegMap is its own factor.
     maps holds the distinct maps, distinct by what they do to positions
     (Table.read), not by object, and the array index puts maps[index[k]]
-    on segment k.  dom_legs and cod_legs are leg stacks with each
+    on segment k.  dom_stacks and cod_stacks are leg stacks with each
     segment's own legs, by grade where the table names them so.  Read
     once for every then(): field; cod_dims; alike, the map every
     segment's map acts as, if any; identity; and dest, the dest of each of
     maps if every segment's map is monomial, else None."""
 
     __slots__ = (
-        "maps", "index", "field", "dom_legs", "cod_legs", "cod_dims", "alike", "identity", "dest",
+        "maps", "index", "field", "dom_stacks", "cod_stacks", "cod_dims", "alike", "identity",
+        "dest",
     )
 
     def __init__(self, maps):
@@ -769,8 +773,8 @@ class Stack:
                     got = read[id(value)]
                     stacks.append((table.legs, got) if kind == "grade" else (got, range(segments)))
             sides.append(tuple(stacks))
-        self.dom_legs, self.cod_legs = sides
-        self.cod_dims = tuple(map(_leg_size, self.cod_legs))
+        self.dom_stacks, self.cod_stacks = sides
+        self.cod_dims = tuple(map(_leg_size, self.cod_stacks))
 
     def __len__(self):
         return len(self.index)
@@ -807,7 +811,7 @@ class Chain:
     per grade tuple, all with the same number of legs; a plain chain has
     one segment.  Chain.family and Chain.indexed start one from one leg
     per segment, or from leg stacks, at each leg position.  then() reads
-    every factor as a Stack: a LegMap as its own (LegMap.stack), a list of
+    every factor as a Stack: a LegMap as its own factor, a list of
     LegMaps, one per segment, as Stack(maps); a chain of one segment
     meeting a factor of K becomes a family of K copies of itself.  A flat
     domain position is read as (segment, position within it), and the
@@ -900,7 +904,7 @@ class Chain:
     def then(self, *factors):
         segments = self.segments
         for f in factors:
-            if type(f) is not LegMap and len(f) != 1 and len(f) != segments:
+            if len(f) != 1 and len(f) != segments:
                 if segments != 1:
                     raise DomainMismatch(f"a factor for {len(f)} segments on {segments}")
                 segments = len(f)
@@ -909,11 +913,9 @@ class Chain:
         pos = 0
         cod_stacks, cod_dims = (), ()
         for f in factors:
-            if type(f) is LegMap:
-                f = f.stack()
-            elif type(f) is not Stack:  # a sequence of LegMaps
-                f = f[0].stack() if f.count(f[0]) == len(f) else Stack(f)
-            dom, cod, sizes = f.dom_legs, f.cod_legs, f.cod_dims
+            if type(f) is not LegMap and type(f) is not Stack:  # a sequence of LegMaps
+                f = f[0] if f.count(f[0]) == len(f) else Stack(f)
+            dom, cod, sizes = f.dom_stacks, f.cod_stacks, f.cod_dims
             f_field, identity, f = f.field, f.identity, f.alike or f
             stop = pos + len(dom)
             n, have = _product(dims[pos:stop]), legs[pos:stop]

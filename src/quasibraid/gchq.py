@@ -553,78 +553,3 @@ def mirror(h, check=True):
             )
     return out
 
-
-def _component_product(comp, u, v):
-    """Product of two sparse vectors in one component, via the mult tensor."""
-    field = comp.field
-    out = {}
-    for (i, j, k), coeff in comp.mult.items():
-        a = u.get(i)
-        b = v.get(j)
-        if a is None or b is None:
-            continue
-        acc = field.add(out.get(k, field.zero), field.mul(coeff, field.mul(a, b)))
-        if acc == field.zero:
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return out
-
-
-def sweedler_spot_check(h, samples=20, seed=0):
-    """Element-wise evaluation of the left antipode law against the Chain
-    that decides GHQ-3.3-left, on randomly chosen basis pairs.
-
-    For basis vectors x in H_e and g in H_p the element form
-    S_{p^-1}(x_(1,p^-1)) (x_(2,p) g) = eps(x) g is computed from the raw
-    structure constants and compared with the column the GHQ-3.3-left
-    chain produces for the same pair.
-    """
-    import random
-
-    field = h.field
-    rep = Report("sweedler spot check")
-    rng = random.Random(seed)
-    e = 0
-    d_e = h.comp(e).dim
-
-    pool = [
-        (p, i, j)
-        for p in h.grades()
-        for i in range(d_e)
-        for j in range(h.comp(p).dim)
-    ]
-    chosen = pool if len(pool) <= samples else rng.sample(pool, samples)
-
-    for p, i, j in sorted(chosen):
-        pi_ = h.inv(p)
-        comp_p = h.comp(p)
-        d_p = comp_p.dim
-        s = h.antipode[pi_]
-
-        # element-wise: Delta legs of e_i, antipode on the first, then two products
-        elementwise = {}
-        delta_col = h.comult[(pi_, p)].column(i)
-        for pair_idx, coeff in delta_col.items():
-            a, b = divmod(pair_idx, d_p)
-            s_a = s.column(a)  # vector in H_p
-            inner = _component_product(comp_p, {b: field.one}, {j: field.one})
-            outer = _component_product(comp_p, s_a, inner)
-            for k, v in outer.items():
-                acc = field.add(elementwise.get(k, field.zero), field.mul(coeff, v))
-                if acc == field.zero:
-                    elementwise.pop(k, None)
-                else:
-                    elementwise[k] = acc
-
-        eps_i = h.counit.column(i).get(0, field.zero)
-        expected = {j: eps_i} if eps_i != field.zero else {}
-        composed = _left_compensation(h, [p]).column(i * d_p + j)
-
-        ok = elementwise == composed == expected
-        rep.add(
-            "GHQ-3.5-sweedler-agreement",
-            ok,
-            detail=f"grade {h.grade_label(p)}, basis ({i},{j})",
-        )
-    return rep

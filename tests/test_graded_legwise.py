@@ -1,12 +1,19 @@
 """Chain-based crossed-structure and YD validators against a matrix reference.
 
 The reference below is the composed-matrix pipeline that validate_gchq,
-validate_crossing, validate_yd and check_crossed_equivalence used before
-they were restated as Chains: every side is a LinMap built with kron,
-compose and leg_perm and compared with map_witness.  It lives only here,
-as an independent cross-check; the library has one path.  Reports must
-agree in render() and to_jobj(), so failing witnesses are compared, not
-just verdicts.
+validate_crossing and validate_yd used before they were restated as
+Chains: every side is a LinMap built with kron, compose and leg_perm and
+compared with map_witness.  It lives only here, as an independent
+cross-check; the library has one path.  Reports must agree in render()
+and to_jobj(), so failing witnesses are compared, not just verdicts.
+
+reference_crossed_equivalence states the crossed condition in the same
+way in its three equivalent forms, the plain law and two rewrites
+through the inverse antipode, and reports whether they agree in verdict.
+No verdict needs it, so it is the tests' only form of that check; a
+singular antipode stops it with AntipodeNotInvertible.  On every yd
+fixture and mutant its plain law must read as validate_yd's, and its
+forms through the inverse antipode must pass at the same grades.
 """
 
 from hypothesis import given, settings
@@ -14,12 +21,13 @@ from hypothesis import strategies as st
 import pytest
 
 from quasibraid import fixtures
-from quasibraid.errors import AntipodeNotInvertible, NotInvertible
+from quasibraid.errors import NotInvertible, QuasibraidError
 from quasibraid.exactlin import K_LABELS, LinMap, PrimeField, QQ, kron, kron_all, leg_perm
 from quasibraid.gchq import CrossedGCHQ, validate_crossing, validate_gchq
 from quasibraid.report import Report
 from quasibraid import tables
-from quasibraid.yd import YDModule, check_crossed_equivalence, validate_yd
+from quasibraid.yd import YDModule, validate_yd
+from test_braid_legwise import ANTIPODE_MUTANT, MUTANTS, build_mutant
 
 GF7 = PrimeField(7)
 
@@ -327,7 +335,15 @@ def reference_yd(v):
     return rep
 
 
+class AntipodeNotInvertible(QuasibraidError):
+    """A check needs the inverse antipode but some component is singular."""
+
+
 def reference_crossed_equivalence(v):
+    """Evaluate the three equivalent forms of the crossed condition
+    independently and confirm they agree in verdict: on any one structure
+    all three pass or all three fail, and a divergence fails
+    YD-4.8-equivalence itself."""
     base = v.base
     field = base.field
     p = v.grade
@@ -424,13 +440,6 @@ def assert_same_gchq_reports(h):
 
 def assert_same_yd_reports(v):
     assert_same(validate_yd(v), reference_yd(v))
-    try:
-        want = reference_crossed_equivalence(v)
-    except AntipodeNotInvertible as exc:
-        with pytest.raises(AntipodeNotInvertible, match=str(exc)):
-            check_crossed_equivalence(v)
-    else:
-        assert_same(check_crossed_equivalence(v), want)
 
 
 # -- inputs -----------------------------------------------------------------------
@@ -550,6 +559,28 @@ def test_yd_validators_match_matrix_reference_over_a_mutated_base():
     base = GCHQ_MUTANTS["crossing-entry"](v.base, half(QQ))
     moved = YDModule(base, v.grade, v.labels, v.action, v.coaction, v.strict)
     assert_same_yd_reports(moved)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+@pytest.mark.parametrize("spec", YD_FIXTURES + [ANTIPODE_MUTANT] + MUTANTS)
+def test_crossed_equivalence_reads_the_plain_law_as_validate_yd(spec, field):
+    """On every yd fixture and on module and base mutants, the crossed
+    equivalence states YD-4.5-crossed as validate_yd does, failing
+    witnesses included, and its two forms through the inverse antipode
+    pass at the same coaction grades as the plain law; only the mutated
+    antipode makes them diverge, and so fail YD-4.8-equivalence."""
+    v = fixtures.build(spec, field)[1] if spec in YD_FIXTURES else build_mutant(spec, field)
+    rep = reference_crossed_equivalence(v)
+    forms = {
+        form: [c for c in rep.checks if c.check_id == form]
+        for form in ("YD-4.5-crossed", "YD-4.8-crossed", "YD-4.9-crossed")
+    }
+    plain = [c for c in validate_yd(v).checks if c.check_id == "YD-4.5-crossed"]
+    assert forms["YD-4.5-crossed"] == plain
+    grades_passing = {tuple(c.passed for c in checks) for checks in forms.values()}
+    agree = spec != ANTIPODE_MUTANT
+    assert (len(grades_passing) == 1) == agree
+    assert rep.find("YD-4.8-equivalence").passed == agree
 
 
 @st.composite

@@ -13,8 +13,9 @@ import pytest
 
 from quasibraid import fixtures, gchq
 from quasibraid.exactlin import PrimeField, QQ
-from quasibraid.gchq import CrossedGCHQ, sweedler_spot_check, validate_gchq
+from quasibraid.gchq import CrossedGCHQ, validate_gchq
 from quasibraid.hq import antipode_inverse_laws, from_hopf_quasigroup, validate_hopf_quasigroup
+from crosschecks import sweedler_spot_check
 from test_hq_legwise import MUTANTS
 
 GF7 = PrimeField(7)

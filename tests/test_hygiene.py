@@ -12,10 +12,10 @@
   or witness search that the frontier kernel and its one search replaced
   (RETIRED_EVALUATORS), and report.py reads no LegMap dest or images, so
   the witness search sees frontiers, never how a map is stored;
-- a structure map enters a chain one way, as a Stack (LegMap.stack,
-  Table.stack): no package module defines a wrapper that once stood
-  beside them (RETIRED_ENTRIES), and a LegMap keeps no columns copy of
-  its entries;
+- a structure map enters a chain one way, as a LegMap (its own factor
+  on one segment) or a Stack (Table.stack): no package module defines a
+  wrapper that once stood beside them (RETIRED_ENTRIES), and a LegMap
+  keeps no columns copy of its entries;
 - files are written one way: no package module but serialize.py names
   json.dumps, json.dump or JSONEncoder, and serialize.save writes a
   structure from its maps, not through its *_to_jobj or a parse of JSON;
@@ -23,6 +23,9 @@
   the package;
 - the runtime is stdlib-only: every module the package imports is in the
   standard library or is quasibraid itself;
+- a verdict reads every input it is given, never a sample: no package
+  module imports random, at any level (sampled cross-checks live in
+  tests/crosschecks.py);
 - no two package functions or methods have the same body once their
   docstrings are dropped: shared code lives in one place;
 - no package module imports a private name (one leading underscore) from
@@ -31,9 +34,9 @@
   the general one, never both ways;
 - no line of a package module is wider than 100 columns;
 - every package module parses at the oldest Python that pyproject's
-  requires-python admits, and, when that Python is on PATH, the CLI runs
-  on it (parsing cannot see a name the floor lacks, such as the 3.11
-  operator.call);
+  requires-python admits, and, when that Python is on PATH or built by
+  pyenv, the CLI runs on it (parsing cannot see a name the floor lacks,
+  such as the 3.11 operator.call);
 - importing the command-line module loads only what every command runs,
   and validating a Hopf quasigroup over integral constants loads neither
   the Yetter-Drinfeld layer nor fractions.
@@ -81,7 +84,7 @@ LEGMAP_STORAGE = {"dest", "images"}
 FRONTIER_READER = "report.py"
 
 #: gchq.at, Stack.drawn and LegMap.stacks: the wrappers through which a
-#: structure map once reached a chain beside LegMap.stack and Table.stack
+#: structure map once reached a chain beside a LegMap and Table.stack
 RETIRED_ENTRIES = {"at", "drawn", "stacks"}
 
 #: json's encoders: the structure writer's, and dump_bytes' for plain values
@@ -93,17 +96,23 @@ MAX_COLUMNS = 100
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 
-def non_stdlib_imports(source):
-    """Top-level names of the absolute imports in source that are neither
-    in the standard library nor quasibraid; relative imports are the
-    package's own."""
+def absolute_imports(source):
+    """Top-level names of the absolute imports in source, function-level
+    ones included; relative imports are the package's own."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
-    return sorted(found - set(sys.stdlib_module_names) - {"quasibraid", "__future__"})
+    return found
+
+
+def non_stdlib_imports(source):
+    """The absolute imports in source that are neither in the standard
+    library nor quasibraid."""
+    known = set(sys.stdlib_module_names) | {"quasibraid", "__future__"}
+    return sorted(absolute_imports(source) - known)
 
 
 def unused_imports(source):
@@ -354,6 +363,8 @@ def test_detector_finds_non_stdlib_imports():
     )
     assert non_stdlib_imports(source) == ["hypothesis", "numpy", "sympy"]
     assert non_stdlib_imports("from itertools import repeat\nimport operator\n") == []
+    assert "random" in absolute_imports("def f(seed):\n    import random\n")
+    assert "random" in absolute_imports("from random import Random\n")
 
 
 def test_detector_finds_unreferenced_private_definitions():
@@ -487,6 +498,11 @@ def test_module_imports_only_the_standard_library(name):
     assert non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_module_draws_no_random_sample(name):
+    assert "random" not in absolute_imports((PACKAGE / name).read_text(encoding="utf-8"))
+
+
 def test_every_private_definition_is_referenced():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert unreferenced_private_definitions(sources) == []
@@ -531,17 +547,28 @@ def test_module_parses_at_the_python_floor(name):
 
 
 def floor_interpreter():
-    """The python<major>.<minor> on PATH for pyproject's requires-python
-    floor, if there is one and it runs as that version; else None."""
+    """A python<major>.<minor> for pyproject's requires-python floor that
+    runs as that version: the one on PATH, else the newest pyenv build of
+    it under $PYENV_ROOT (~/.pyenv by default), as a PATH entry may be a
+    pyenv shim that runs some other version; None if there is none."""
     floor = python_floor(PYPROJECT.read_text(encoding="utf-8"))
-    exe = shutil.which("python{}.{}".format(*floor))
-    if exe is None:
-        return None
-    probe = subprocess.run(
-        [exe, "-c", "import sys; print(*sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60,
+    name = "python{}.{}".format(*floor)
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    builds = sorted(
+        map(str, root.glob("versions/{}.{}.*/bin/{}".format(*floor, name))),
+        key=lambda path: [int(n) for n in re.findall(r"\d+", Path(path).parts[-3])],
+        reverse=True,
     )
-    return exe if probe.returncode == 0 and probe.stdout.split() == list(map(str, floor)) else None
+    for exe in [shutil.which(name), *builds]:
+        if exe is None:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.split() == list(map(str, floor)):
+            return exe
+    return None
 
 
 def test_cli_runs_at_the_python_floor(tmp_path):
@@ -550,7 +577,7 @@ def test_cli_runs_at_the_python_floor(tmp_path):
     table (validate_ip_loop), all at the floor, without pytest."""
     exe = floor_interpreter()
     if exe is None:
-        pytest.skip("no runnable python at the requires-python floor on PATH")
+        pytest.skip("no runnable python at the requires-python floor on PATH or under pyenv")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
     commands = [
         ["fixtures", "--out", str(tmp_path)],

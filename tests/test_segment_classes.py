@@ -18,7 +18,7 @@ legs.  Here:
 - a scale pin: the digests of the reports on k[V4] crossed by S4
   (45,246 checks), on its mirror and on two mutants, recorded before
   evaluation by classes;
-- the zero-cancellation branch of gchq._component_product.
+- the zero-cancellation branch of crosschecks._component_product.
 """
 
 import hashlib
@@ -32,11 +32,12 @@ from hypothesis import strategies as st
 
 from quasibraid import exactlin
 from quasibraid.exactlin import QQ, Chain, LegMap, LinMap, PrimeField, Stack, default_labels
-from quasibraid.gchq import _component_product, hq_laws, mirror, power_construction
+from quasibraid.gchq import hq_laws, mirror, power_construction
 from quasibraid.gchq import validate_crossed
 from quasibraid.hq import group_algebra
 from quasibraid.report import law_checks
 from quasibraid.tables import GroupAction, GroupTable, validate_action
+from crosschecks import _component_product
 from test_law_families import assert_same, mutated, reference_crossed, values
 
 GF7 = PrimeField(7)

@@ -40,7 +40,8 @@ from quasibraid.tables import (
     validate_group,
     validate_ip_loop,
 )
-from quasibraid.yd import _group_table, crossed_set_module, diagonal_module, search_dim1_modules
+from quasibraid.yd import _group_table, crossed_set_module, diagonal_module
+from crosschecks import search_dim1_modules
 from test_hq_legwise import chein_loop
 
 
@@ -766,3 +767,26 @@ def action_id(parts):
 @pytest.mark.parametrize("parts", SMALL_ACTIONS, ids=action_id)
 def test_small_action_scans_match_the_per_element_streams(parts):
     assert_action_scans_match(*parts)
+
+
+# -- permutation labels ---------------------------------------------------------------
+
+
+def reference_cycle_label(perm):
+    """The cycles of perm, walked from every start and each kept from its
+    least point, or "e"."""
+    parts = []
+    for start in range(len(perm)):
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        if len(cycle) > 1 and start == min(cycle):
+            parts.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(parts) or "e"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_labels_match_the_walk_from_every_start(n):
+    """_cycle_label walks each cycle once, from its least point."""
+    want = [reference_cycle_label(p) for p in sorted(permutations(range(n)))]
+    assert list(GroupTable.symmetric(n).labels) == want

