@@ -21,8 +21,6 @@ imported at the top; yd and fixtures are imported only inside the code
 paths that use them, so no hq or gchq command loads either.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

@@ -20,8 +20,6 @@ the monoidal structure is strict: unitors and associators are identity
 matrices.
 """
 
-from __future__ import annotations
-
 from array import array
 from bisect import bisect_right
 from functools import reduce

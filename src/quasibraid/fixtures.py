@@ -4,8 +4,6 @@ Everything is generated from Cayley tables, so fixtures can be
 materialized into files on demand and byte-compared across runs.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 
 from . import serialize

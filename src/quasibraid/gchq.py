@@ -22,8 +22,6 @@ components with a twisted comultiplication and antipode, each a family
 materialized with Chain.matrices(), and validates its own output.
 """
 
-from __future__ import annotations
-
 from itertools import chain as concat, product, repeat
 from operator import getitem
 
@@ -53,7 +51,7 @@ def map_legs(grading, components):
         "comult": {(p, q): space(H[grading.mul(p, q)], H[p] + H[q]) for p, q in pairs},
         "counit": {None: space(H[0], ())},
         "antipode": {p: space(H[p], H[grading.inv(p)]) for p in grading.elements()},
-        "crossing": {(p, q): space(H[q], H[tables.conjugate(grading, p, q)]) for p, q in pairs},
+        "crossing": {(p, q): space(H[q], H[grading.conjugates()[p][q]]) for p, q in pairs},
     }
 
 
@@ -158,7 +156,7 @@ class CrossedGCHQ:
         return self.grading.inv(p)
 
     def conj(self, p, q):
-        return tables.conjugate(self.grading, p, q)
+        return self.grading.conjugates()[p][q]
 
     def comp(self, p):
         return self.components[p]
@@ -253,9 +251,8 @@ def inv(h, p):
 
 def conj(h, p, q):
     """p[j] q[j] p[j]^-1 at each position j of two lists of grades, read
-    from the table of conjugates."""
-    rows = [[tables.conjugate(h.grading, x, y) for y in h.grades()] for x in h.grades()]
-    return list(map(getitem, map(rows.__getitem__, p), q))
+    from the grading's table of conjugates."""
+    return list(map(getitem, map(h.grading.conjugates().__getitem__, p), q))
 
 
 def grade_details(h, *grades, form=None):
@@ -275,7 +272,7 @@ def _left_compensation(h, p):
     return start.then(L.s.stack(p_inv), i, i).then(i, mu).then(mu)
 
 
-def _bijective(check_id, stack, details, required=True):
+def _bijective(check_id, stack, details):
     """The Row of the law that the map of each segment of a Stack is
     invertible, decided once per distinct map, a singular one's detail
     with its rank appended.  A square monomial map is invertible when its
@@ -293,7 +290,7 @@ def _bijective(check_id, stack, details, required=True):
     verdicts = [rank is None for rank in ranks]
     if not all(verdicts):
         details = [d if r is None else f"{d}: rank {r}" for d, r in zip(details, ranks)]
-    return Row(check_id, required, details, [None] * len(ranks), verdicts)
+    return Row(check_id, True, details, [None] * len(ranks), verdicts)
 
 
 def hq_laws(h):
@@ -363,15 +360,15 @@ def hq_laws(h):
     )
 
 
-def validate_gchq(h, require_invertible_antipode=True):
+def validate_gchq(h):
     """Grading, algebra, coalgebra and antipode axioms over all grade tuples.
 
     The group table is checked first.  Each law of hq_laws is then decided
     for all its grade tuples at once, as an identity between two families
     of Chains over the GradedLegs of h, read left to right and evaluated
     in blocks of basis vectors; one check per tuple is recorded.  Antipode
-    bijectivity is demanded by the module theory downstream; pass
-    require_invertible_antipode=False to downgrade it to a warning.
+    bijectivity, which the module theory downstream demands, is a
+    required check like the rest.
     """
     rep = Report(f"crossed structure (|G|={h.grading.order}, {h.field.name})")
     rep.merge(tables.validate_group(h.grading))
@@ -381,7 +378,7 @@ def validate_gchq(h, require_invertible_antipode=True):
         rep.add_rows(*(law_checks(*law) for law in laws))
     grades = list(h.grades())
     s, details = h.legs.s.stack(grades), grade_details(h, grades)
-    rep.add_rows(_bijective("GHQ-antipode-bijective", s, details, require_invertible_antipode))
+    rep.add_rows(_bijective("GHQ-antipode-bijective", s, details))
     return rep
 
 
@@ -500,18 +497,17 @@ def power_construction(h, action):
     )
 
 
-def mirror(h, check=True):
+def mirror(h):
     """The reflected structure: component p of the output is component
     p^-1 of the input, the comultiplication gains a crossing twist on its
-    first leg and the antipode becomes pi_p S_{p^-1}.  Output validity is
-    asserted: both validators run on the result."""
-    if check:
-        rep = validate_crossed(h)
-        if not rep.passed:
-            raise InvalidInput(
-                "mirror input is not a valid crossed structure: "
-                + ", ".join(rep.failed_ids())
-            )
+    first leg and the antipode becomes pi_p S_{p^-1}.  validate_crossed
+    runs on the input and on the result: InvalidInput if the input fails,
+    ConstructionCheckFailed if the result does."""
+    rep = validate_crossed(h)
+    if not rep.passed:
+        raise InvalidInput(
+            "mirror input is not a valid crossed structure: " + ", ".join(rep.failed_ids())
+        )
     field = h.field
     G = h.grading
     L = h.legs
@@ -545,11 +541,10 @@ def mirror(h, check=True):
     out = CrossedGCHQ(
         field, G, components, comult, h.counit, antipode, crossing, _signature=signature
     )
-    if check:
-        rep = validate_crossed(out)
-        if not rep.passed:
-            raise ConstructionCheckFailed(
-                "mirror output failed validation: " + ", ".join(rep.failed_ids())
-            )
+    rep = validate_crossed(out)
+    if not rep.passed:
+        raise ConstructionCheckFailed(
+            "mirror output failed validation: " + ", ".join(rep.failed_ids())
+        )
     return out
 

@@ -11,8 +11,6 @@ matrix on H^{(x)3} or H^{(x)4}; associativity is reported but never
 required, which is the whole point of the structure.
 """
 
-from __future__ import annotations
-
 from .errors import InvalidInput, InvalidLoop, MalformedStructure, NotInvertible
 from .exactlin import K_LABELS, LegMap, LinMap, product_labels
 from .gchq import CrossedGCHQ, hq_laws, legs_map, map_legs
@@ -236,13 +234,10 @@ def antipode_inverse_laws(h):
     return rep
 
 
-def from_hopf_quasigroup(h, check=True):
-    """h as the single component over the trivial group (h.graded), once
-    validate_hopf_quasigroup passes unless check is False."""
-    if check:
-        rep = validate_hopf_quasigroup(h)
-        if not rep.passed:
-            raise InvalidInput(
-                "not a valid Hopf quasigroup: " + ", ".join(rep.failed_ids())
-            )
+def from_hopf_quasigroup(h):
+    """h as the single component over the trivial group (h.graded); raises
+    InvalidInput unless validate_hopf_quasigroup passes on h."""
+    rep = validate_hopf_quasigroup(h)
+    if not rep.passed:
+        raise InvalidInput("not a valid Hopf quasigroup: " + ", ".join(rep.failed_ids()))
     return h.graded

@@ -16,12 +16,12 @@ formatted with field.fmt.  A law stated as Chains is recorded as one Row
 and verdict, by Report.add_family, or with laws over the same tuples by
 Report.add_rows, read interleaved tuple by tuple.  Verdicts, render() and
 to_jobj() read the rows; a Check is built only for Report.checks, find,
-add and add_map_equality, and Details are formatted when read.
+add and add_map_equality, and Details are formatted when read.  Witness,
+Check and Row are named tuples, each equal only to its own type's records.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from itertools import compress, count, islice, repeat, starmap
 from operator import add, is_, lt, mul, ne
 
@@ -122,52 +122,23 @@ AXIOM_LEGEND = {
 }
 
 
-_assign = object.__setattr__  # sets a field past _Value.__setattr__
-
-
-class FrozenFieldError(AttributeError):
-    """Raised on assigning or deleting a field of a Witness or a Check."""
-
-
-class _Value:
-    """An immutable record of the fields named by __slots__, compared,
-    hashed and printed by their values, in slot order.  A subclass's
-    __init__ calls _Value.__init__ directly: reading a report's checks
-    builds a Check per grade tuple, tens of thousands at |G| = 24, and
-    super() would double the cost of each."""
+class _Record:
+    """Keeps a record equal only to a record of its own type, so a Witness
+    is never equal to a plain tuple of the same fields; hashing, repr,
+    pickling and refusing assignment are the named tuple's own."""
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            _assign(self, name, value)
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        return not self.__eq__(other)
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise FrozenFieldError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenFieldError(f"cannot delete field {name!r}")
+    __hash__ = tuple.__hash__
 
 
-class Witness(_Value):
+class Witness(_Record, namedtuple("Witness", "domain codomain lhs rhs")):
     """First counterexample found for a failed check.
 
     domain/codomain hold basis-label atoms (domain may be a tuple of
@@ -175,10 +146,7 @@ class Witness(_Value):
     values, formatted as text.
     """
 
-    __slots__ = ("domain", "codomain", "lhs", "rhs")
-
-    def __init__(self, domain, codomain, lhs, rhs):
-        _Value.__init__(self, domain, codomain, lhs, rhs)
+    __slots__ = ()
 
     def describe(self):
         dom = "(" + ",".join(str(a) for a in self.domain) + ")"
@@ -194,14 +162,12 @@ class Witness(_Value):
         }
 
 
-class Check(_Value):
+class Check(_Record, namedtuple("Check", "check_id passed required witness detail",
+                                defaults=(True, None, ""))):
     """One named check: whether it passed, whether it is required, and
     its witness and detail text."""
 
-    __slots__ = ("check_id", "passed", "required", "witness", "detail")
-
-    def __init__(self, check_id, passed, required=True, witness=None, detail=""):
-        _Value.__init__(self, check_id, passed, required, witness, detail)
+    __slots__ = ()
 
 
 def map_witness(lhs, rhs):
@@ -319,23 +285,26 @@ def _witness(chain, k, row, col, x, y):
     )
 
 
-class Row(_Value):
+class Row(_Record, namedtuple("Row", "check_id required details witnesses verdicts")):
     """One law as a report records it: its check ID and required flag, and
     for each of its grade tuples a detail, a witness and a verdict."""
 
-    __slots__ = ("check_id", "required", "details", "witnesses", "verdicts")
+    __slots__ = ()
 
     def entry(self, k):
         """The fields of the Check of tuple k."""
         return self.check_id, self.verdicts[k], self.required, self.witnesses[k], self.details[k]
 
 
-class Details(_Value):
+class Details:
     """The detail of each grade tuple of a law, formatted only when read:
     details[k] is form.format() of the labels of tuple k's grades, grades
     holding one list of grades per position in the tuples."""
 
     __slots__ = ("form", "labels", "grades")
+
+    def __init__(self, form, labels, grades):
+        self.form, self.labels, self.grades = form, labels, grades
 
     def __len__(self):
         return len(self.grades[0])

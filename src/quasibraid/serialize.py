@@ -15,8 +15,6 @@ that text.  The reader skips each row written as the zero row in one
 comparison, and parses each distinct scalar text once.
 """
 
-from __future__ import annotations
-
 import json
 import os.path
 from contextlib import contextmanager
@@ -341,9 +339,9 @@ def gchq_from_jobj(jobj):
 # -- Yetter-Drinfeld modules -------------------------------------------------
 
 
-def _yd_text(m, base_ref=None):
+def _yd_text(m):
     return _object({
-        "base": base_ref if base_ref is not None else _gchq_text(m.base),
+        "base": _gchq_text(m.base),
         "grade": m.grade,
         "dim": m.dim,
         "labels": [list(label) for label in m.labels],
@@ -353,10 +351,10 @@ def _yd_text(m, base_ref=None):
     })
 
 
-def yd_to_jobj(m, base_ref=None):
-    """base_ref, when given, is stored instead of the inline base (a path
-    interpreted relative to the module file)."""
-    return json.loads(_yd_text(m, base_ref))
+def yd_to_jobj(m):
+    """m with its base written inline; yd_from_jobj also reads a base given
+    as a path, relative to the module file."""
+    return json.loads(_yd_text(m))
 
 
 def yd_from_jobj(jobj, base_dir=None):
@@ -405,8 +403,8 @@ _READERS = {"group": group_from_jobj, "loop": loop_from_jobj, "action": action_f
             "hq": hq_from_jobj, "gchq": gchq_from_jobj, "yd": yd_from_jobj}
 
 
-def save(kind, obj, path, **kwargs):
-    write_file(path, _WRITERS[kind](obj, **kwargs))
+def save(kind, obj, path):
+    write_file(path, _WRITERS[kind](obj))
 
 
 def load(kind, path):

@@ -15,8 +15,6 @@ runs only on entries bounded already (GRP-closure, or the range check of
 a LoopTable or GroupAction).  The octonion unit loop is generated here.
 """
 
-from __future__ import annotations
-
 from itertools import chain, compress, count, filterfalse, permutations, product, repeat, starmap
 from operator import getitem, itemgetter, ne
 
@@ -108,7 +106,7 @@ class _CayleyTable:
 class GroupTable(_CayleyTable):
     """Finite group given by its Cayley table over element indices."""
 
-    __slots__ = ("inverse",)
+    __slots__ = ("inverse", "_conjugates")
 
     def __init__(self, labels, table):
         super().__init__(labels, table)
@@ -117,12 +115,19 @@ class GroupTable(_CayleyTable):
             next((y for y in range(n) if table[x][y] == 0 and table[y][x] == 0), None)
             for x in range(n)
         )
+        self._conjugates = None
 
     def inv(self, x):
         y = self.inverse[x]
         if y is None:
             raise QuasibraidError(f"element {self.labels[x]} has no two-sided inverse")
         return y
+
+    def conjugates(self):
+        """rows[p][q] = conjugate(self, p, q), the table built on first use."""
+        n = self.elements()
+        self._conjugates = self._conjugates or [[conjugate(self, p, q) for q in n] for p in n]
+        return self._conjugates
 
     # -- constructors -------------------------------------------------
 

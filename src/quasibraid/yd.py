@@ -22,8 +22,6 @@ braiding(V (x) W, X) is read on (V, W, X), the coactions of V (x) W on
 (V, W).
 """
 
-from __future__ import annotations
-
 from .errors import (
     BaseMismatch,
     GradeMismatch,

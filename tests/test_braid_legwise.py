@@ -427,7 +427,6 @@ def test_trivial_module_and_mirror_match_matrix_reference(name, field):
     assert_same_module(trivial_module(h), ref_trivial_module(h))
     got, want = mirror(h), ref_mirror(h)
     assert got == want  # every map as a LinMap, labels included
-    assert mirror(h, check=False) == want
 
 
 @FIELDS

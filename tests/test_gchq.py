@@ -240,12 +240,6 @@ def test_validators_on_s3_base(gchq_s3):
     assert validate_crossing(gchq_s3).passed
 
 
-def test_antipode_invertibility_flag(gchq_power):
-    rep = validate_gchq(gchq_power, require_invertible_antipode=False)
-    bijective = [c for c in rep.checks if c.check_id == "GHQ-antipode-bijective"]
-    assert bijective and all(not c.required for c in bijective)
-
-
 def test_unreduced_gf_entries_give_the_reduced_verdict():
     """A crossing whose GF(7) entries are written as v + 7 is the same
     crossing: LinMap reduces them, so CROSS-identity and every other

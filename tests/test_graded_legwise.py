@@ -35,7 +35,7 @@ GF7 = PrimeField(7)
 # -- matrix reference -----------------------------------------------------------
 
 
-def reference_gchq(h, require_invertible_antipode=True):
+def reference_gchq(h):
     field = h.field
     rep = Report(f"crossed structure (|G|={h.grading.order}, {field.name})")
     rep.merge(tables.validate_group(h.grading))
@@ -155,7 +155,6 @@ def reference_gchq(h, require_invertible_antipode=True):
         rep.add(
             "GHQ-antipode-bijective",
             ok,
-            required=require_invertible_antipode,
             detail=f"grade {h.grade_label(p)}" + (f": {note}" if note else ""),
         )
     return rep
@@ -431,10 +430,6 @@ def assert_same(got, want):
 
 def assert_same_gchq_reports(h):
     assert_same(validate_gchq(h), reference_gchq(h))
-    assert_same(
-        validate_gchq(h, require_invertible_antipode=False),
-        reference_gchq(h, require_invertible_antipode=False),
-    )
     assert_same(validate_crossing(h), reference_crossing(h))
 
 

@@ -5,8 +5,8 @@ compensation laws as the GHQ laws of its one-component embedding over the
 trivial group.  This pins that equivalence from outside: on every HQ
 fixture and every mutant of tests/test_hq_legwise.py, over Q and GF(7),
 each HQ check must carry the same verdict and the same Witness as its GHQ
-law in validate_gchq(from_hopf_quasigroup(h, check=False)).  The table
-below is written out here, not read from the library.
+law in validate_gchq(h.graded).  The table below is written out here, not
+read from the library.
 """
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from quasibraid import fixtures, gchq
 from quasibraid.exactlin import PrimeField, QQ
 from quasibraid.gchq import CrossedGCHQ, validate_gchq
-from quasibraid.hq import antipode_inverse_laws, from_hopf_quasigroup, validate_hopf_quasigroup
+from quasibraid.hq import antipode_inverse_laws, validate_hopf_quasigroup
 from crosschecks import sweedler_spot_check
 from test_hq_legwise import MUTANTS
 
@@ -48,7 +48,7 @@ def test_each_shared_hq_law_is_its_ghq_law(name, mutant, field):
     if mutant is not None:
         h = MUTANTS[mutant](h)
     hq = validate_hopf_quasigroup(h)
-    ghq = validate_gchq(from_hopf_quasigroup(h, check=False))
+    ghq = validate_gchq(h.graded)
     assert [c.check_id for c in hq.checks][: len(SHARED)] == list(SHARED)
     for hq_id, ghq_id in SHARED.items():
         got, want = hq.find(hq_id), ghq.find(ghq_id)

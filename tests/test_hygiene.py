@@ -116,15 +116,20 @@ def non_stdlib_imports(source):
 
 
 def unused_imports(source):
-    """Names bound by import statements that no expression reads."""
+    """Names bound by import statements that no expression reads; a
+    __future__ feature counts as a name, and `annotations` is read only by
+    a source that annotates something."""
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if any(getattr(node, "annotation", None) or getattr(node, "returns", None)
+           for node in ast.walk(tree)):
+        used.add("annotations")
     return sorted(imported - used)
 
 
@@ -313,7 +318,10 @@ def test_detector_finds_import_cycles():
 def test_detector_finds_unused_names():
     source = "import os.path\nfrom x import a, b as c\nfrom . import d\nc(d.e)\n"
     assert unused_imports(source) == ["a", "os"]
-    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("from __future__ import annotations\n") == ["annotations"]
+    assert unused_imports("from __future__ import annotations\ndef f(x: int): pass\n") == []
+    assert unused_imports("from __future__ import annotations\ndef f() -> int: pass\n") == []
+    assert unused_imports("from __future__ import annotations\nx: int = 1\n") == []
 
 
 def test_detector_finds_the_matrix_toolkit():

@@ -108,7 +108,7 @@ def test_check_defaults_and_value_equality():
 
 @pytest.mark.parametrize("value", [witness(), Check("HQ-coassoc", False, witness=witness())])
 def test_value_classes_reject_assignment(value):
-    field = type(value).__slots__[0]
+    field = type(value)._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, field, "changed")
     with pytest.raises(AttributeError):

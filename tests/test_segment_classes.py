@@ -17,7 +17,7 @@ legs.  Here:
   split a class, against the per-check reference of test_law_families;
 - a scale pin: the digests of the reports on k[V4] crossed by S4
   (45,246 checks), on its mirror and on two mutants, recorded before
-  evaluation by classes;
+  evaluation by classes, and each conjugate of S4 computed once for them;
 - the zero-cancellation branch of crosschecks._component_product.
 """
 
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasibraid import exactlin
+from quasibraid import exactlin, tables
 from quasibraid.exactlin import QQ, Chain, LegMap, LinMap, PrimeField, Stack, default_labels
 from quasibraid.gchq import hq_laws, mirror, power_construction
 from quasibraid.gchq import validate_crossed
@@ -226,6 +226,27 @@ def test_reports_at_scale_keep_their_digests():
     for part, key in (("comult", (5, 7)), ("crossing", (3, 5))):
         reports[f"{part} ({key[0]},{key[1]})"] = validate_crossed(mutated(h, part, key, (1, 1), 3))
     assert {name: digests(rep) for name, rep in reports.items()} == SCALE_DIGESTS
+
+
+def test_the_conjugates_are_computed_once_per_grading(monkeypatch):
+    """Building k[V4] crossed by S4 and validating it compute each
+    conjugate of each grading once, into the grading's table, however many
+    laws regrade by conjugation: |G|^2 = 576 for S4; the report keeps its
+    digests."""
+    conjugate, calls = tables.conjugate, []
+
+    def counted(t, p, q):
+        calls.append((id(t), p, q))
+        return conjugate(t, p, q)
+
+    monkeypatch.setattr(tables, "conjugate", counted)
+    h = v4_crossed_by_s4()
+    rep = validate_crossed(h)
+    assert len(calls) == len(set(calls))
+    assert [t for t, _, _ in calls].count(id(h.grading)) == 24 * 24
+    grades = h.grades()
+    assert h.grading.conjugates() == [[conjugate(h.grading, p, q) for q in grades] for p in grades]
+    assert digests(rep) == SCALE_DIGESTS["power"]
 
 
 # -- element-wise products ----------------------------------------------------------------

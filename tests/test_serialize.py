@@ -42,7 +42,7 @@ def test_round_trip_over_prime_field(tmp_path):
 def test_yd_file_with_base_reference(tmp_path):
     v = fixtures.yd_crossed_s3()
     serialize.save("gchq", v.base, tmp_path / "base.json")
-    serialize.write_file(tmp_path / "module.json", serialize.yd_to_jobj(v, base_ref="base.json"))
+    serialize.write_file(tmp_path / "module.json", {**serialize.yd_to_jobj(v), "base": "base.json"})
     back = serialize.load("yd", tmp_path / "module.json")
     assert back == v
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from quasibraid import fixtures
 from quasibraid.errors import InvalidInput, NotAGroupAlgebra, QuasibraidError
 from quasibraid.exactlin import K_LABELS, LinMap, QQ
-from quasibraid.hq import HopfQuasigroup, UnitalAlgebra, from_hopf_quasigroup
+from quasibraid.hq import HopfQuasigroup, UnitalAlgebra
 from quasibraid.report import Report, Witness
 from quasibraid.tables import (
     GroupAction,
@@ -474,7 +474,7 @@ def mult_base(n, mult):
     comult = LinMap(QQ, n * n, n, {(i * n + i, i): 1 for i in range(n)}, labels, pairs)
     counit = LinMap(QQ, 1, n, {(0, i): 1 for i in range(n)}, labels, K_LABELS)
     h = HopfQuasigroup(QQ, algebra, comult, counit, LinMap.identity(QQ, labels))
-    return from_hopf_quasigroup(h, check=False)
+    return h.graded
 
 
 def raised(build, base):

@@ -143,7 +143,7 @@ def test_crossed_set_module_needs_the_identity_as_unit():
     algebra = UnitalAlgebra(QQ, 2, h.labels, h.algebra.mult, (0, 1))
     h = HopfQuasigroup(QQ, algebra, h.comult, h.counit, h.antipode)
     with pytest.raises(NotAGroupAlgebra, match="unit vector is not the group identity"):
-        crossed_set_module(from_hopf_quasigroup(h, check=False))
+        crossed_set_module(h.graded)
 
 
 def monoid_base():
@@ -156,7 +156,7 @@ def monoid_base():
     comult = LinMap(QQ, 4, 2, {(0, 0): 1, (3, 1): 1}, labels, pairs)
     counit = LinMap(QQ, 1, 2, {(0, 0): 1, (0, 1): 1}, labels, K_LABELS)
     h = HopfQuasigroup(QQ, algebra, comult, counit, LinMap.identity(QQ, labels))
-    return from_hopf_quasigroup(h, check=False)
+    return h.graded
 
 
 def test_monoid_algebra_is_not_a_group_algebra():
