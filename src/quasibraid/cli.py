@@ -2,7 +2,7 @@
 
 Subcommands:
   validate      run the validator suite for one structure file
-  construct     run a construction and write the (re-validated) result
+  construct     run a construction, validate its result and write it
   braid-report  run the full braiding law suite on two or three modules
   fixtures      materialize the bundled example structures
 
@@ -135,12 +135,11 @@ def cmd_construct(args):
         raise ParseError(f"--grade is only for yd-conjugate, not --op {args.op}")
     inputs = [serialize.load(kind, path) for kind, path in zip(kinds, args.inputs)]
     result = _construct(args.op, inputs, args.grade)
-    if args.op != "mirror":  # mirror validates its output and raises if it fails
-        report = _validate_object(result_kind, result)
-        if not report.passed:
-            _say(report.render())
-            _say("construction result failed validation; not writing output")
-            return EXIT_FAILED
+    report = _validate_object(result_kind, result)
+    if not report.passed:
+        _say(report.render())
+        _say("construction result failed validation; not writing output")
+        return EXIT_FAILED
     serialize.save(result_kind, result, args.out)
     _say(f"wrote {result_kind} structure to {args.out}")
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)

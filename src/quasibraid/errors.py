@@ -57,7 +57,3 @@ class ParseError(QuasibraidError):
     """Unreadable or malformed input: a serialized structure file, or a
     command line that names the wrong number of files, a missing or
     unknown grade, or a bad field tag.  The CLI exits 2 on it."""
-
-
-class ConstructionCheckFailed(QuasibraidError):
-    """A construction's asserted validation of its own output failed."""

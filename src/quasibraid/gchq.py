@@ -19,7 +19,8 @@ here imports hq.  The constructions are the power construction (one copy
 of a Hopf quasigroup per group element, crossed by an automorphic action)
 and the mirror, which rebuilds the structure on the inverse-indexed
 components with a twisted comultiplication and antipode, each a family
-materialized with Chain.matrices(), and validates its own output.
+materialized with Chain.matrices().  Both check only their input; the
+caller validates the result (CLI construct runs validate_crossed on it).
 """
 
 from itertools import chain as concat, product, repeat
@@ -27,7 +28,6 @@ from operator import getitem
 
 from .errors import (
     ActionNotHopfAutomorphism,
-    ConstructionCheckFailed,
     InvalidInput,
     MalformedStructure,
     NotInvertible,
@@ -501,8 +501,8 @@ def mirror(h):
     """The reflected structure: component p of the output is component
     p^-1 of the input, the comultiplication gains a crossing twist on its
     first leg and the antipode becomes pi_p S_{p^-1}.  validate_crossed
-    runs on the input and on the result: InvalidInput if the input fails,
-    ConstructionCheckFailed if the result does."""
+    runs on the input only (InvalidInput if it fails); a caller validates
+    the result with validate_crossed, as for every other construction."""
     rep = validate_crossed(h)
     if not rep.passed:
         raise InvalidInput(
@@ -538,13 +538,7 @@ def mirror(h):
         "crossing": {(r, s): legs["crossing"][(r, h.inv(s))] for r, s in crossing},
     }
 
-    out = CrossedGCHQ(
+    return CrossedGCHQ(
         field, G, components, comult, h.counit, antipode, crossing, _signature=signature
     )
-    rep = validate_crossed(out)
-    if not rep.passed:
-        raise ConstructionCheckFailed(
-            "mirror output failed validation: " + ", ".join(rep.failed_ids())
-        )
-    return out
 

@@ -366,6 +366,9 @@ def yd_from_jobj(jobj, base_dir=None):
             path = base_field
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(os.fspath(base_dir), path)
+            # a FIFO may block the reader and a device never end: read only a regular file
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise ParseError(f"cannot read {_path_text(path)}: not a regular file")
             base = gchq_from_jobj(read_file(_path_text(path)))
         else:
             base = gchq_from_jobj(base_field)

@@ -61,6 +61,8 @@ class _CayleyTable:
 
     def __init__(self, labels, table):
         self.order = len(labels)
+        if not self.order:
+            raise QuasibraidError("a Cayley table needs element 0, the identity")
         self.labels = tuple(str(s) for s in labels)
         if len(set(self.labels)) != self.order:
             dup = next(s for i, s in enumerate(self.labels) if s in self.labels[:i])

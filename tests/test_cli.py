@@ -286,7 +286,7 @@ def test_construct_mirror_validates_its_output_once(fixture_dir, tmp_path, monke
     )
     assert code == 0
     assert out == f"wrote gchq structure to {out_path}\n"
-    assert (len(in_mirror), len(in_cli)) == (2, 0)  # the input, then the output
+    assert (len(in_mirror), len(in_cli)) == (2, 1)  # the input, then the output
     assert out_path.read_bytes() == (fixture_dir / "gchq-power-mirror.json").read_bytes()
 
 
@@ -530,8 +530,13 @@ def _gchq_counit(edit_list):
     return edit
 
 
+#: a Cayley table with no elements, so no element 0 to be the identity
+EMPTY_TABLE = {"order": 0, "labels": [], "table": []}
+
+
 #: name -> (fixture, field, edit); each edit once loaded, and then passed or
-#: failed checks, where the input was not what it claimed to be
+#: failed checks, where the input was not what it claimed to be, or was
+#: refused by a reader line that no other test reached
 MISREAD = {
     "scalar-float": ("hq-c2", QQ, _set_entry("antipode", 0, 0, 1.0)),
     "scalar-true": ("hq-c2", QQ, _set_entry("antipode", 1, 1, True)),
@@ -555,6 +560,10 @@ MISREAD = {
     "field-leading-zeros": ("hq-c2", QQ, _set("field", "GF:007")),
     "field-inner-space": ("hq-c2", QQ, _set("field", "GF: 7")),
     "field-plus-sign": ("hq-c2", QQ, _set("field", "GF:+7")),
+    "field-gf1": ("hq-c2", QQ, _set("field", "GF:1")),
+    "scalar-fraction-over-gf7": ("hq-c2", PrimeField(7), _set_entry("antipode", 0, 1, "1/2")),
+    "yd-labels-as-text": ("yd-trivial", QQ, _set("labels", "x")),
+    "gchq-group-empty": ("gchq-power", QQ, _set("group", EMPTY_TABLE)),
 }
 
 
@@ -581,7 +590,8 @@ def _set_map_entry(g, x, value):
 
 #: name -> (construct op, inputs, the input edited, edit); each edit once
 #: loaded as a valid table or action, so the construction wrote its output
-#: and exited 0
+#: and exited 0, or ran it to a later failure and exit 1 (an empty table),
+#: or was refused by a reader line that no other test reached
 TABLE_MISREAD = {
     "table-bools": ("loop-algebra", ["table-c2"], 0, _set("table", [[0, True], [1, False]])),
     "table-entry-float": ("loop-algebra", ["table-c2"], 0, _set_entry("table", 0, 1, 1.7)),
@@ -594,6 +604,16 @@ TABLE_MISREAD = {
     ),
     "action-carrier-kind-number": (
         "power", ["hq-c3", "action-c2-on-c3"], 1, _set("carrier_kind", 5)
+    ),
+    "table-empty": ("loop-algebra", ["table-c2"], 0, lambda jobj: jobj.update(EMPTY_TABLE)),
+    "table-rows-as-text": ("loop-algebra", ["table-c2"], 0, _set("table", "0110")),
+    "table-order-not-the-label-count": ("loop-algebra", ["table-c2"], 0, _set("order", 3)),
+    "action-actor-empty": (
+        "power", ["hq-c3", "action-c2-on-c3"], 1,
+        lambda jobj: jobj.update(actor=EMPTY_TABLE, maps=[]),
+    ),
+    "action-maps-fewer-than-actors": (
+        "power", ["hq-c3", "action-c2-on-c3"], 1, lambda jobj: jobj.update(maps=jobj["maps"][:1])
     ),
 }
 
@@ -769,6 +789,42 @@ def test_deeply_nested_json_exits_2(reader, nesting, fixture_dir, tmp_path, caps
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and not (tmp_path / "out.json").exists()
     assert err.startswith(f"error: cannot read {deep}: ") and err.count("\n") == 1
+
+
+# -- a yd base path that names no regular file: exit 2, nothing read -----------
+
+def _fifo(directory):
+    os.mkfifo(directory / "base.fifo")
+    return "base.fifo"
+
+
+#: base kind -> how the module file names it, made in the module's directory
+SPECIAL_BASES = {"fifo": _fifo, "dev-null": lambda directory: os.devnull}
+
+
+@pytest.mark.parametrize("kind", list(SPECIAL_BASES))
+def test_yd_base_that_is_not_a_regular_file_exits_2(kind, fixture_dir, tmp_path):
+    """A base named by a FIFO once blocked the reader until it was killed,
+    and one named by a device was read to its end, which /dev/zero has
+    not.  The child runs under a timeout, so a reader that still opens
+    the FIFO fails this test instead of hanging the suite."""
+    module = serialize.read_file(fixture_dir / "yd-trivial.json")
+    module["base"] = SPECIAL_BASES[kind](tmp_path)
+    serialize.write_file(tmp_path / "module.json", module)
+    base = os.path.join(tmp_path, module["base"])
+    src = str(Path(quasibraid.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "quasibraid", "validate", str(tmp_path / "module.json"),
+         "--kind", "yd"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: cannot read {base}: not a regular file\n"
 
 
 # -- an output path that cannot be written: exit 2, no traceback ---------------

@@ -13,11 +13,12 @@ from quasibraid.errors import (
     MalformedStructure,
 )
 from quasibraid.exactlin import LegMap, LinMap, PrimeField, QQ
-from quasibraid.fixtures import gchq_power as build_gchq_power
+from quasibraid.fixtures import build as build_fixture, gchq_power as build_gchq_power
 from quasibraid.gchq import (
     CrossedGCHQ,
     mirror,
     power_construction,
+    validate_crossed,
     validate_crossing,
     validate_gchq,
 )
@@ -27,6 +28,7 @@ from quasibraid.hq import (
 from quasibraid.report import family_witnesses
 from quasibraid.tables import GroupAction, GroupTable
 from crosschecks import sweedler_spot_check
+from test_segment_classes import v4_crossed_by_s3, v4_crossed_by_s4
 
 
 def both_validators_pass(h):
@@ -102,11 +104,31 @@ def test_mirror_of_trivially_graded_equals_input(gchq_trivial_c2):
     assert mirror(gchq_trivial_c2) == gchq_trivial_c2
 
 
-def test_mirror_of_power_passes_both_validators(gchq_power):
-    m = mirror(gchq_power)  # mirror itself asserts validity of its output
-    assert validate_gchq(m).passed
-    assert validate_crossing(m).passed
-    assert m != gchq_power  # the twist is visible in the comultiplications
+def _fixture(name, field):
+    return lambda: build_fixture(name, field)[1]
+
+
+#: name -> builder of a valid crossed structure, each a mirror input
+MIRROR_INPUTS = {
+    **{
+        f"{name}-{field.name}": _fixture(name, field)
+        for name in ("gchq-trivial-c2", "gchq-s3", "gchq-power", "gchq-power-mirror")
+        for field in (QQ, PrimeField(7))
+    },
+    "v4-by-s3-Q": v4_crossed_by_s3,
+    "v4-by-s3-GF:7": lambda: v4_crossed_by_s3(PrimeField(7)),
+    "v4-by-s4-Q": v4_crossed_by_s4,
+}
+
+
+@pytest.mark.parametrize("name", list(MIRROR_INPUTS))
+def test_mirror_of_power_passes_both_validators(name):
+    """mirror checks only its input; on every valid input its result
+    passes validate_crossed, and mirroring twice gives the input back."""
+    h = MIRROR_INPUTS[name]()
+    m = mirror(h)
+    assert validate_crossed(m).passed
+    assert mirror(m) == h
 
 
 def test_mirror_antipode_formula_on_power(gchq_power):

@@ -21,6 +21,8 @@
   structure from its maps, not through its *_to_jobj or a parse of JSON;
 - every private top-level function or class is referenced somewhere in
   the package;
+- every error class that errors.py defines is raised by some package
+  module and named by some test module;
 - the runtime is stdlib-only: every module the package imports is in the
   standard library or is quasibraid itself;
 - a verdict reads every input it is given, never a sample: no package
@@ -94,6 +96,7 @@ WRITER_HOME = "serialize.py"
 MAX_COLUMNS = 100
 
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
 
 
 def absolute_imports(source):
@@ -281,6 +284,32 @@ def import_cycles(sources):
     return sorted(list(cycle) for cycle in cycles)
 
 
+def raised_names(source):
+    """The names that source's raise statements raise, `raise E` and
+    `raise E(...)` alike, E a name or an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return found - {None}
+
+
+def untried_errors(errors, raisers, tests):
+    """For each class that the source errors defines at top level,
+    "<name>: not raised" if no source among raisers raises it, and
+    "<name>: not tested" if no source among tests names it (names_used)."""
+    classes = [node.name for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)]
+    raised = set().union(*map(raised_names, raisers))
+    tested = set().union(*(names_used(source, set(classes)) for source in tests))
+    return [
+        f"{name}: not {what}"
+        for name in classes
+        for what, seen in (("raised", raised), ("tested", tested))
+        if name not in seen
+    ]
+
+
 def long_lines(source, limit=MAX_COLUMNS):
     """1-based numbers of the lines of source wider than limit columns."""
     return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
@@ -420,6 +449,19 @@ def test_detector_finds_duplicate_bodies():
     ]
 
 
+def test_detector_finds_untried_errors():
+    errors = "class A(Exception):\n    pass\nclass B(A): pass\nclass C(A): pass\nclass D(A): pass\n"
+    raisers = [
+        "raise A('x')\n",
+        "from . import errors\ndef f():\n    raise errors.B\n",
+        "try:\n    pass\nexcept C:\n    raise\n",
+    ]
+    tests = ["from errors import A\n", "with raises(errors.C):\n    pass\n"]
+    assert untried_errors(errors, raisers, tests) == [
+        "B: not tested", "C: not raised", "D: not raised", "D: not tested"
+    ]
+
+
 def test_detector_finds_long_lines():
     fits = "x = " + "1" * (MAX_COLUMNS - 4)
     source = f"{fits}\n{fits}2\n\n    # {'-' * MAX_COLUMNS}\n"
@@ -514,6 +556,13 @@ def test_module_draws_no_random_sample(name):
 def test_every_private_definition_is_referenced():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert unreferenced_private_definitions(sources) == []
+
+
+def test_every_error_class_is_raised_and_tested():
+    sources = [(PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES]
+    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    assert untried_errors(errors, sources, tests) == []
 
 
 def test_no_module_imports_a_private_name_of_another():

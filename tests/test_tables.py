@@ -280,3 +280,11 @@ def test_table_refuses_a_duplicate_element_label(cls, labels, label):
     """A label names one element: yd-conjugate --grade took the first of two."""
     with pytest.raises(QuasibraidError, match=rf"^duplicate element label {label!r}$"):
         cls(labels, [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("cls", [GroupTable, LoopTable])
+def test_table_refuses_no_elements(cls):
+    """With no element 0 to be the identity, validate_group and
+    validate_ip_loop once passed every law on the empty table."""
+    with pytest.raises(QuasibraidError, match=r"^a Cayley table needs element 0, the identity$"):
+        cls([], [])
