@@ -22,7 +22,7 @@ matrices.
 
 from array import array
 from bisect import bisect_right
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain as concat, compress, count, product, repeat
 from math import isqrt, prod
 from operator import add, attrgetter, eq, floordiv, getitem, mod, mul, ne, sub
@@ -493,10 +493,26 @@ def leg_perm(field, legs, order):
     return LinMap(field, total, total, entries, dom, cod)
 
 
+#: How many products product_labels keeps: 64 * 64, one per comultiplication pair of a
+#: grading of up to 64 elements, so a signature finds those its maps were labelled with.
+_PRODUCTS_KEPT = 4096
+
+
 def product_labels(legs):
-    """Basis labels of the tensor product of legs, left leg slowest; a
-    label is a tuple, so one leg is its own product."""
-    out = legs[0] if legs else K_LABELS
+    """Basis labels of the tensor product of legs, left leg slowest; a label
+    is a tuple, so one leg is its own product.  A product of more legs is
+    built once and kept, so maps and signatures on equal legs share it."""
+    if len(legs) < 2:
+        return tuple(legs[0]) if legs else K_LABELS
+    try:
+        return _product_of(tuple(legs))
+    except TypeError:  # a leg given as a list cannot be a key, so each leg is converted
+        return _product_of(tuple(map(tuple, legs)))
+
+
+@lru_cache(maxsize=_PRODUCTS_KEPT)
+def _product_of(legs):
+    out = legs[0]
     for leg in legs[1:]:
         out = [a + b for a in out for b in leg]
     return tuple(out)
@@ -573,11 +589,12 @@ class LegMap:
     and cod_legs, so a flat position in its bases is one in the product of
     its legs; the check costs the size of f's bases.  dom and cod, when
     given, are those products as a signature carries them (gchq.map_legs,
-    yd.module_legs), and a map labelled with those very tuples passes at
-    once.  A monomial map (one entry, field.one, in every column), as
-    every structure map of a loop or group algebra is, has dest, the
-    output position of each column (range(cols) for an identity); any
-    other has dest None, and the kernel reads its images() instead.
+    yd.module_legs); a map labelled by product_labels on the same legs has
+    those very tuples and passes at once.  A monomial map (one entry,
+    field.one, in every column), as every structure map of a loop or group
+    algebra is, has dest, the output position of each column (range(cols)
+    for an identity); any other has dest None, and the kernel reads its
+    images() instead.
     A LegMap is its own factor on one segment: it carries what then()
     reads of a Stack (field, dom_stacks and cod_stacks of one leg each,
     cod_dims, identity), and alike, maps and index name it without

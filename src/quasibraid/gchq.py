@@ -23,7 +23,7 @@ materialized with Chain.matrices().  Both check only their input; the
 caller validates the result (CLI construct runs validate_crossed on it).
 """
 
-from itertools import chain as concat, product, repeat
+from itertools import chain as concat, repeat
 from operator import getitem
 
 from .errors import (
@@ -46,12 +46,12 @@ def map_legs(grading, components):
     cod_legs, dom, cod) (space()), so LegMap(f, *space) reads f on it.
     The constructor, legs and loaders all read their shapes from here."""
     H = [(c.labels,) for c in components]
-    pairs = list(product(grading.elements(), repeat=2))
+    G, table, conj = grading.elements(), grading.table, grading.conjugates()
     return {
-        "comult": {(p, q): space(H[grading.mul(p, q)], H[p] + H[q]) for p, q in pairs},
+        "comult": {(p, q): space(H[table[p][q]], H[p] + H[q]) for p in G for q in G},
         "counit": {None: space(H[0], ())},
-        "antipode": {p: space(H[p], H[grading.inv(p)]) for p in grading.elements()},
-        "crossing": {(p, q): space(H[q], H[grading.conjugates()[p][q]]) for p, q in pairs},
+        "antipode": {p: space(H[p], H[grading.inv(p)]) for p in G},
+        "crossing": {(p, q): space(H[q], H[conj[p][q]]) for p in G for q in G},
     }
 
 
@@ -83,13 +83,15 @@ def require_legs(field, maps, signature):
             if key not in given:
                 raise MalformedStructure(f"{family} {key}: missing")
         for key, m in given.items():
-            name = family if key is None else f"{family} {key}"
             if key not in legs:
-                raise MalformedStructure(f"{name}: unexpected key")
-            if m.field != field:
-                raise MalformedStructure(f"{name} is over {m.field.name}, not {field.name}")
-            if (m.dom, m.cod) != legs_labels(legs[key]):
-                raise MalformedStructure(f"{name}: labels are not the products of its legs")
+                fault = ": unexpected key"
+            elif m.field is not field and m.field != field:
+                fault = f" is over {m.field.name}, not {field.name}"
+            elif (m.dom, m.cod) != legs_labels(legs[key]):
+                fault = ": labels are not the products of its legs"
+            else:
+                continue
+            raise MalformedStructure((family if key is None else f"{family} {key}") + fault)
 
 
 class CrossedGCHQ:
@@ -100,17 +102,15 @@ class CrossedGCHQ:
 
     A structure is treated as immutable once built, so legs can read its
     maps as GradedLegs once, on first use, for every validator and
-    construction to share.  A construction that built the signature to
-    label the maps hands it on (_signature), and it is not built again."""
+    construction to share.  Maps labelled through map_legs carry the very
+    tuples the signature does (product_labels keeps its products)."""
 
     __slots__ = (
         "field", "grading", "components", "comult", "counit", "antipode", "crossing",
         "signature", "_legs",
     )
 
-    def __init__(
-        self, field, grading, components, comult, counit, antipode, crossing, *, _signature=None
-    ):
+    def __init__(self, field, grading, components, comult, counit, antipode, crossing):
         self.field = field
         self.grading = grading
         self.components = tuple(components)
@@ -125,7 +125,7 @@ class CrossedGCHQ:
             raise MalformedStructure(f"grading table entry outside [0, {grading.order})")
         if any(c.field != field for c in self.components):
             raise MalformedStructure("component field mismatch")
-        self.signature = map_legs(grading, self.components) if _signature is None else _signature
+        self.signature = map_legs(grading, self.components)
         require_legs(field, self.maps(), self.signature)
 
     def maps(self):
@@ -492,9 +492,7 @@ def power_construction(h, action):
         (p, q): actors[p].relabeled(*legs_labels(legs))
         for (p, q), legs in signature["crossing"].items()
     }
-    return CrossedGCHQ(
-        field, G, components, comult, counit, antipode, crossing, _signature=signature
-    )
+    return CrossedGCHQ(field, G, components, comult, counit, antipode, crossing)
 
 
 def mirror(h):
@@ -502,43 +500,25 @@ def mirror(h):
     p^-1 of the input, the comultiplication gains a crossing twist on its
     first leg and the antipode becomes pi_p S_{p^-1}.  validate_crossed
     runs on the input only (InvalidInput if it fails); a caller validates
-    the result with validate_crossed, as for every other construction."""
+    the result with validate_crossed, as for every other construction.
+    The output shares the input's components, counit and crossing maps."""
     rep = validate_crossed(h)
     if not rep.passed:
         raise InvalidInput(
             "mirror input is not a valid crossed structure: " + ", ".join(rep.failed_ids())
         )
-    field = h.field
-    G = h.grading
     L = h.legs
-    # relabeled builds fresh dicts, so input and output share no mutable state
-    components = [c.relabeled(c.labels) for c in (h.comp(h.inv(p)) for p in h.grades())]
+    components = [h.comp(h.inv(p)) for p in h.grades()]
 
     p, q = grade_tuples(h, 2)
     qi = inv(h, q)
     twisted = conj(h, qi, inv(h, p))  # q^-1 p^-1 q
     split = L.chain(mul(h, twisted, qi)).then(L.delta.stack(twisted, qi))
     comult = dict(zip(zip(p, q), split.then(L.pi.stack(q, twisted), L.ident.stack(qi)).matrices()))
-    # component r of the output is the input's r^-1, so the input's signature
-    # holds every space of the output's: its comult at (p, q) runs from the input
-    # antipode's codomain at pq to the input comult's codomain at (p^-1, q^-1)
-    legs = h.signature
-    ends = zip(map(legs["antipode"].__getitem__, mul(h, p, q)),
-               map(legs["comult"].__getitem__, zip(inv(h, p), qi)))
-    comult_legs = {key: (a[1], c[1], a[3], c[3]) for key, (a, c) in zip(comult, ends)}
 
     p = list(h.grades())
     antipode = L.chain(inv(h, p)).then(L.s.stack(inv(h, p))).then(L.pi.stack(p, p)).matrices()
     antipode = dict(zip(p, antipode))
     crossing = {(p, q): h.crossing[(p, h.inv(q))] for p in h.grades() for q in h.grades()}
-    signature = {
-        "comult": comult_legs,
-        "counit": legs["counit"],
-        "antipode": {r: legs["antipode"][h.inv(r)] for r in antipode},
-        "crossing": {(r, s): legs["crossing"][(r, h.inv(s))] for r, s in crossing},
-    }
-
-    return CrossedGCHQ(
-        field, G, components, comult, h.counit, antipode, crossing, _signature=signature
-    )
+    return CrossedGCHQ(h.field, h.grading, components, comult, h.counit, antipode, crossing)
 

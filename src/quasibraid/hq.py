@@ -80,12 +80,11 @@ class HopfQuasigroup:
     """Algebra + coalgebra + antipode over one based space; immutable once built.
 
     graded is h as the one component over the trivial group.  Building it
-    is h's shape check (on the signature a construction hands on, if any),
-    and its legs are the structure maps as LegMaps."""
+    is h's shape check, and its legs are the structure maps as LegMaps."""
 
     __slots__ = ("field", "algebra", "comult", "counit", "antipode", "graded")
 
-    def __init__(self, field, algebra, comult, counit, antipode, *, _signature=None):
+    def __init__(self, field, algebra, comult, counit, antipode):
         self.field = field
         self.algebra = algebra
         self.comult = comult
@@ -93,7 +92,7 @@ class HopfQuasigroup:
         self.antipode = antipode
         self.graded = CrossedGCHQ(
             field, tables.GroupTable.trivial(), [algebra], {(0, 0): comult}, counit, {0: antipode},
-            {(0, 0): LinMap.identity(field, algebra.labels)}, _signature=_signature,
+            {(0, 0): LinMap.identity(field, algebra.labels)},
         )
 
     @property
@@ -139,7 +138,7 @@ def loop_algebra(t, field, check=True):
     if any(v is None for v in inv):
         raise InvalidLoop("some element has no right inverse; cannot build antipode")
     antipode = LinMap.from_permutation(field, inv, labels)
-    return HopfQuasigroup(field, algebra, comult, counit, antipode, _signature=signature)
+    return HopfQuasigroup(field, algebra, comult, counit, antipode)
 
 
 def group_algebra(g, field):

@@ -49,6 +49,10 @@ def write_file(path, jobj):
 
 
 def read_file(path):
+    """The JSON value of the regular file at path.  Any other path is refused
+    unopened: a FIFO may block the reader and a device never end."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ParseError(f"cannot read {path}: not a regular file")
     try:
         with open(_path_text(path), encoding="utf-8") as text:
             return json.loads(text.read())
@@ -295,7 +299,7 @@ def hq_from_jobj(jobj):
             _matrix_from_jobj(field, jobj[family], signature[family][key], family)
             for family, key in (("comult", (0, 0)), ("counit", None), ("antipode", 0))
         )
-        return HopfQuasigroup(field, algebra, comult, counit, antipode, _signature=signature)
+        return HopfQuasigroup(field, algebra, comult, counit, antipode)
 
 
 # -- crossed group-cograded structures --------------------------------------
@@ -331,9 +335,7 @@ def gchq_from_jobj(jobj):
             for family in ("comult", "antipode", "crossing")
         )
         counit = _matrix_from_jobj(field, [jobj["counit"]], signature["counit"][None], "counit")
-        return CrossedGCHQ(
-            field, grading, components, comult, counit, antipode, crossing, _signature=signature
-        )
+        return CrossedGCHQ(field, grading, components, comult, counit, antipode, crossing)
 
 
 # -- Yetter-Drinfeld modules -------------------------------------------------
@@ -366,9 +368,6 @@ def yd_from_jobj(jobj, base_dir=None):
             path = base_field
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(os.fspath(base_dir), path)
-            # a FIFO may block the reader and a device never end: read only a regular file
-            if os.path.exists(path) and not os.path.isfile(path):
-                raise ParseError(f"cannot read {_path_text(path)}: not a regular file")
             base = gchq_from_jobj(read_file(_path_text(path)))
         else:
             base = gchq_from_jobj(base_field)
@@ -386,7 +385,7 @@ def yd_from_jobj(jobj, base_dir=None):
         signature = module_legs(base, grade, labels)
         action = _matrix_from_jobj(field, jobj["action"], signature["action"][None], "action")
         coaction = _maps_from_jobj(field, jobj, signature, "coaction")
-        return YDModule(base, grade, labels, action, coaction, strict, _signature=signature)
+        return YDModule(base, grade, labels, action, coaction, strict)
 
 
 # -- file-level helpers ------------------------------------------------------

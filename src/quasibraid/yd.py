@@ -55,15 +55,15 @@ class YDModule:
 
     Like its base, a module is treated as immutable once built: signature
     is the module_legs its maps were checked against, and legs keeps its
-    maps as LegMaps on it from first use on.  A construction that built
-    the signature hands it on (_signature), and it is not built again.
+    maps as LegMaps on it from first use on.  Maps labelled on its legs,
+    through module_legs or by Chain.matrices, carry the signature's tuples.
     """
 
     __slots__ = (
         "base", "grade", "dim", "labels", "action", "coaction", "strict", "signature", "_legs"
     )
 
-    def __init__(self, base, grade, labels, action, coaction, strict, *, _signature=None):
+    def __init__(self, base, grade, labels, action, coaction, strict):
         if not 0 <= grade < base.grading.order:
             raise MalformedStructure(f"grade {grade} outside [0, {base.grading.order})")
         self.base = base
@@ -74,7 +74,7 @@ class YDModule:
         self.coaction = dict(coaction)
         self.strict = bool(strict)
         self._legs = None
-        self.signature = module_legs(base, grade, self.labels) if _signature is None else _signature
+        self.signature = module_legs(base, grade, self.labels)
         require_legs(base.field, self.maps(), self.signature)
 
     def maps(self):
@@ -298,7 +298,7 @@ def _conjugation_module(base, group):
     action = legs_map(field, conjugation, signature["action"][None])
     diagonal = {(x * n + x, x): field.one for x in range(n)}
     coaction = {r: legs_map(field, diagonal, legs) for r, legs in signature["coaction"].items()}
-    return YDModule(base, 0, labels, action, coaction, strict=True, _signature=signature)
+    return YDModule(base, 0, labels, action, coaction, strict=True)
 
 
 def crossed_set_module(base):
@@ -335,7 +335,7 @@ def yd_tensor(v, w):
     actions, coactions = _tensors([v], [w])
     labels, pq = product_labels((v.labels, w.labels)), base.mul(v.grade, w.grade)
     coaction = dict(zip(base.grades(), coactions.matrices()))
-    out = _built(base, pq, labels, actions.matrix(), coaction, v.strict and w.strict)
+    out = YDModule(base, pq, labels, actions.matrix(), coaction, v.strict and w.strict)
     if out.strict and family_witnesses(*_module_assoc_sides(out))[0] is not None:
         out.strict = False  # settled before the module is handed out
     return out
@@ -375,18 +375,8 @@ def _conjugates(v, qs):
     base, grades = v.base, list(v.base.grades())
     actions, coactions = (family.matrices() for family in _regradings([v] * len(qs), qs))
     newgrades, n = conj(base, qs, [v.grade] * len(qs)), len(grades)
-    return [_built(base, g, v.labels, action, dict(zip(grades, coactions[k * n:])), v.strict)
+    return [YDModule(base, g, v.labels, action, dict(zip(grades, coactions[k * n:])), v.strict)
             for k, (g, action) in enumerate(zip(newgrades, actions))]
-
-
-def _built(base, grade, labels, action, coaction, strict):
-    """The module of an action and coactions that Chain.matrices built on
-    its legs: its signature carries their labels, the legs' products."""
-    V, H = (labels,), base.legs.H
-    return YDModule(base, grade, labels, action, coaction, strict, _signature={
-        "action": {None: (H[grade] + V, V, action.dom, action.cod)},
-        "coaction": {r: (V, V + H[r], m.dom, m.cod) for r, m in coaction.items()},
-    })
 
 
 def _regradings(vs, qs):

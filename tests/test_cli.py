@@ -791,33 +791,45 @@ def test_deeply_nested_json_exits_2(reader, nesting, fixture_dir, tmp_path, caps
     assert err.startswith(f"error: cannot read {deep}: ") and err.count("\n") == 1
 
 
-# -- a yd base path that names no regular file: exit 2, nothing read -----------
+# -- an input path that names no regular file: exit 2, nothing read ----------
 
 def _fifo(directory):
     os.mkfifo(directory / "base.fifo")
     return "base.fifo"
 
 
-#: base kind -> how the module file names it, made in the module's directory
+#: special file kind -> how the module file names it, made in the module's directory
 SPECIAL_BASES = {"fifo": _fifo, "dev-null": lambda directory: os.devnull}
 
+#: reader -> argv that reads the special file, named SPECIAL, as its main
+#: input, or (yd-base) through the base path of module.json
+SPECIAL_READERS = {
+    "yd-base": ["validate", "module.json", "--kind", "yd"],
+    "validate": ["validate", "SPECIAL", "--kind", "gchq"],
+    "construct": ["construct", "--op", "mirror", "SPECIAL", "--out", "out.json"],
+    "braid-report": ["braid-report", "SPECIAL", "SPECIAL"],
+}
 
+
+@pytest.mark.parametrize("reader", list(SPECIAL_READERS))
 @pytest.mark.parametrize("kind", list(SPECIAL_BASES))
-def test_yd_base_that_is_not_a_regular_file_exits_2(kind, fixture_dir, tmp_path):
+def test_yd_base_that_is_not_a_regular_file_exits_2(kind, reader, fixture_dir, tmp_path):
     """A base named by a FIFO once blocked the reader until it was killed,
     and one named by a device was read to its end, which /dev/zero has
-    not.  The child runs under a timeout, so a reader that still opens
-    the FIFO fails this test instead of hanging the suite."""
+    not; a FIFO given as a command's own input blocked it alike.  Each
+    child runs under a timeout, so a reader that still opens the FIFO
+    fails this test instead of hanging the suite."""
     module = serialize.read_file(fixture_dir / "yd-trivial.json")
     module["base"] = SPECIAL_BASES[kind](tmp_path)
     serialize.write_file(tmp_path / "module.json", module)
     base = os.path.join(tmp_path, module["base"])
+    argv = [base if a == "SPECIAL" else a for a in SPECIAL_READERS[reader]]
     src = str(Path(quasibraid.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-m", "quasibraid", "validate", str(tmp_path / "module.json"),
-         "--kind", "yd"],
+        [sys.executable, "-m", "quasibraid",
+         *[str(tmp_path / a) if a.endswith(".json") else a for a in argv]],
         capture_output=True,
         text=True,
         env=env,
@@ -825,6 +837,7 @@ def test_yd_base_that_is_not_a_regular_file_exits_2(kind, fixture_dir, tmp_path)
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: cannot read {base}: not a regular file\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 # -- an output path that cannot be written: exit 2, no traceback ---------------

@@ -34,6 +34,9 @@
   another, or reads one as an attribute of a package module it imported;
 - the package's relative imports form no cycle: a special case depends on
   the general one, never both ways;
+- no package function or method takes a parameter whose name starts with
+  an underscore: a structure builds what it checks, and a caller does not
+  hand it a private shortcut;
 - no line of a package module is wider than 100 columns;
 - every package module parses at the oldest Python that pyproject's
   requires-python admits, and, when that Python is on PATH or built by
@@ -310,6 +313,20 @@ def untried_errors(errors, raisers, tests):
     ]
 
 
+def underscore_parameters(source):
+    """function:parameter for each parameter of a function, method or
+    lambda in source, at any depth, whose name starts with "_"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}:{arg.arg}" for arg in params if arg.arg.startswith("_")]
+    return sorted(found)
+
+
 def long_lines(source, limit=MAX_COLUMNS):
     """1-based numbers of the lines of source wider than limit columns."""
     return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
@@ -462,6 +479,24 @@ def test_detector_finds_untried_errors():
     ]
 
 
+def test_detector_finds_underscore_parameters():
+    source = (
+        "class A:\n"
+        "    def __init__(self, x, *, _signature=None):\n"
+        "        self._x = x\n"
+        "def f(a, _b, /, c, *_rest, _d=1, **_more):\n"
+        "    def g(__x):\n"
+        "        return lambda _y, z: z\n"
+        "    return g\n"
+        "async def h(self, __init__=None): pass\n"
+    )
+    assert underscore_parameters(source) == [
+        "<lambda>:_y", "__init__:_signature", "f:_b", "f:_d", "f:_more", "f:_rest", "g:__x",
+        "h:__init__",
+    ]
+    assert underscore_parameters("def _f(a, b=_x, *c, d, **e):\n    _g = a\n") == []
+
+
 def test_detector_finds_long_lines():
     fits = "x = " + "1" * (MAX_COLUMNS - 4)
     source = f"{fits}\n{fits}2\n\n    # {'-' * MAX_COLUMNS}\n"
@@ -590,6 +625,11 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
 def test_relative_imports_form_no_cycle():
     sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ALL_MODULES}
     assert import_cycles(sources) == []
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_module_takes_no_underscore_parameter(name):
+    assert underscore_parameters((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("name", ALL_MODULES)
