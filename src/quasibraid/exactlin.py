@@ -41,18 +41,27 @@ def default_labels(n, prefix=""):
     return tuple((f"{prefix}{i}",) for i in range(n))
 
 
+#: the largest |exponent| of a Q literal, as Fraction("1e999999999") computes 10**999999999:
+#: CPython's default int_max_str_digits, which Python 3.10 cannot report
+_EXPONENT_BOUND = 4300
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin over the primes to 37: exact below 3.18 * 10**23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 38:
+        return n in bases
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 is an odd number times 2**r
+    for a in bases:
+        x = pow(a, (n - 1) >> r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -137,6 +146,9 @@ class Rationals:
         try:
             if text.isascii() and text.removeprefix("-").isdigit():
                 return int(text)
+            _, e, exponent = text.lower().rpartition("e")
+            if e and abs(int(exponent)) > _EXPONENT_BOUND:
+                raise FieldError(f"rational literal {text!r}: exponent beyond {_EXPONENT_BOUND}")
             from fractions import Fraction
 
             return _rational(Fraction(text))
@@ -160,6 +172,8 @@ class PrimeField:
     """GF(p) for prime p; scalars are ints reduced to [0, p)."""
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= 2**64:  # where _is_prime may err
+            raise FieldError(f"GF modulus must be below 2^64, got a {p.bit_length()}-bit number")
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError(f"GF modulus must be prime, got {p!r}")
         self.p = p
@@ -231,6 +245,8 @@ def field_from_name(name):
         return QQ
     if name.startswith("GF:"):
         digits = name[3:]
+        if len(digits) > 20:  # 2^64 has 20 digits, and int() of 5000 raises ValueError
+            raise FieldError(f"a GF modulus has at most 20 digits, not {len(digits)}")
         if not (digits.isdecimal() and str(int(digits)) == digits):
             raise FieldError(f"bad field tag {name!r}")
         return PrimeField(int(digits))

@@ -246,21 +246,18 @@ def _smallest_difference(field, a, b, lo, hi, width, best):
                       scalars if scalars is None else scalars[cut]))
     below = None if best is None else repeat(best[0])
     if a[0] is None and b[0] is None:
-        (at, xr, xs), (_, yr, ys) = parts
+        (at, xr, _), (_, yr, _) = parts  # no scalars without columns
         if below is not None:  # only a column where a side lands below the bound
             low = sorted({*compress(count(), map(lt, xr, below)),
                           *compress(count(), map(lt, yr, below))})
-            at, xr, xs, yr, ys = [side and list(map(side.__getitem__, low))
-                                  for side in (at, xr, xs, yr, ys)]
-        moved = list(map(ne, xr, yr) if xs == ys else map(
-            ne, zip(xr, xs or repeat(one)), zip(yr, ys or repeat(one))))
+            at, xr, yr = [side and list(map(side.__getitem__, low)) for side in (at, xr, yr)]
+        moved = list(map(ne, xr, yr))
         rows = list(map(min, compress(xr, moved), compress(yr, moved)))
         row = min(rows, default=None)
         if row is None or best is not None and row >= best[0]:
             return None
         i = next(islice(compress(count(), moved), rows.index(row), None))
-        x, y = ((s[i] if s else one) if r[i] == row else zero for r, s in ((xr, xs), (yr, ys)))
-        return row, at[i], x, y
+        return row, at[i], *(one if r[i] == row else zero for r in (xr, yr))
     sides = []
     for part in parts:
         if below is not None:  # only the entries of the rows below it

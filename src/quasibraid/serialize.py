@@ -42,34 +42,24 @@ def dump_bytes(jobj):
 
 def write_file(path, jobj):
     try:
-        with open(_path_text(path), "wb") as out:
+        with open(path, "wb") as out:
             out.write(dump_bytes(jobj))
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def read_file(path):
-    """The JSON value of the regular file at path.  Any other path is refused
-    unopened: a FIFO may block the reader and a device never end."""
+    """The JSON value of the regular file at path, opened by that very name.
+    Any other file is refused unopened, however the path spells it: a FIFO
+    may block the reader and a device never end.  A spelling the system
+    refuses, such as a trailing "/" after a file, fails as the open does."""
     if os.path.exists(path) and not os.path.isfile(path):
         raise ParseError(f"cannot read {path}: not a regular file")
     try:
-        with open(_path_text(path), encoding="utf-8") as text:
+        with open(path, encoding="utf-8") as text:
             return json.loads(text.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _path_text(path):
-    """A file path (str or path-like) as pathlib writes it, so that file
-    errors name the file as they always have: repeated and trailing
-    separators and "." parts dropped, ".." kept, and "." for no path.
-    Only the root keeps a doubled "//"."""
-    path = os.fspath(path)
-    root = "/" if path.startswith("/") else ""
-    if path.startswith("//") and not path.startswith("///"):
-        root = "//"
-    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
 @contextmanager
@@ -363,14 +353,10 @@ def yd_from_jobj(jobj, base_dir=None):
     from .yd import YDModule, module_legs
 
     with _reading("bad yd module"):
-        base_field = jobj["base"]
-        if isinstance(base_field, str):
-            path = base_field
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(os.fspath(base_dir), path)
-            base = gchq_from_jobj(read_file(_path_text(path)))
-        else:
-            base = gchq_from_jobj(base_field)
+        base = jobj["base"]
+        if isinstance(base, str):  # a path, read relative to base_dir unless absolute
+            base = read_file(os.path.join(base_dir or "", base))
+        base = gchq_from_jobj(base)
         field = base.field
         grade = _index(jobj["grade"], base.grading.order, "grade")
         labels = jobj["labels"]
@@ -410,9 +396,8 @@ def save(kind, obj, path):
 
 
 def load(kind, path):
-    jobj = read_file(path)
     if kind not in _READERS:
         raise ParseError(f"unknown structure kind {kind!r}")
     if kind == "yd":  # a base named by a relative path is read from the module's directory
-        return yd_from_jobj(jobj, base_dir=os.path.dirname(_path_text(path)))
-    return _READERS[kind](jobj)
+        return yd_from_jobj(read_file(path), base_dir=os.path.dirname(path))
+    return _READERS[kind](read_file(path))

@@ -530,6 +530,14 @@ def _gchq_counit(edit_list):
     return edit
 
 
+def _as_list(key):
+    """The keyed family at key as the list of its values, in key order."""
+    def edit(jobj):
+        jobj[key] = [jobj[key][text] for text in sorted(jobj[key])]
+
+    return edit
+
+
 #: a Cayley table with no elements, so no element 0 to be the identity
 EMPTY_TABLE = {"order": 0, "labels": [], "table": []}
 
@@ -564,6 +572,10 @@ MISREAD = {
     "scalar-fraction-over-gf7": ("hq-c2", PrimeField(7), _set_entry("antipode", 0, 1, "1/2")),
     "yd-labels-as-text": ("yd-trivial", QQ, _set("labels", "x")),
     "gchq-group-empty": ("gchq-power", QQ, _set("group", EMPTY_TABLE)),
+    "gchq-comult-as-list": ("gchq-power", QQ, _as_list("comult")),
+    "gchq-components-as-list": ("gchq-power", QQ, _as_list("components")),
+    "gchq-crossing-as-list": ("gchq-power", QQ, _as_list("crossing")),
+    "yd-coaction-as-text": ("yd-trivial", QQ, _set("coaction", "0")),
 }
 
 
@@ -793,6 +805,15 @@ def test_deeply_nested_json_exits_2(reader, nesting, fixture_dir, tmp_path, caps
 
 # -- an input path that names no regular file: exit 2, nothing read ----------
 
+def _child(argv):
+    """A quasibraid child on argv, killed after 30 s."""
+    src = str(Path(quasibraid.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-m", "quasibraid", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
 def _fifo(directory):
     os.mkfifo(directory / "base.fifo")
     return "base.fifo"
@@ -800,6 +821,16 @@ def _fifo(directory):
 
 #: special file kind -> how the module file names it, made in the module's directory
 SPECIAL_BASES = {"fifo": _fifo, "dev-null": lambda directory: os.devnull}
+
+#: id suffix -> what a path spelling the special file ends in; a trailing
+#: "/" or "/." once named the file itself
+SPELLINGS = {"": "", "-slash": "/", "-slash-dot": "/."}
+
+#: special file kind and spelling -> (how the module names it, its ending)
+SPECIAL_NAMES = {
+    kind + suffix: (make, ending)
+    for kind, make in SPECIAL_BASES.items() for suffix, ending in SPELLINGS.items()
+}
 
 #: reader -> argv that reads the special file, named SPECIAL, as its main
 #: input, or (yd-base) through the base path of module.json
@@ -812,32 +843,48 @@ SPECIAL_READERS = {
 
 
 @pytest.mark.parametrize("reader", list(SPECIAL_READERS))
-@pytest.mark.parametrize("kind", list(SPECIAL_BASES))
+@pytest.mark.parametrize("kind", list(SPECIAL_NAMES))
 def test_yd_base_that_is_not_a_regular_file_exits_2(kind, reader, fixture_dir, tmp_path):
     """A base named by a FIFO once blocked the reader until it was killed,
     and one named by a device was read to its end, which /dev/zero has
-    not; a FIFO given as a command's own input blocked it alike.  Each
+    not; a FIFO given as a command's own input blocked it alike, and
+    still did when spelled with a trailing "/" or "/.".  Each
     child runs under a timeout, so a reader that still opens the FIFO
     fails this test instead of hanging the suite."""
+    make, ending = SPECIAL_NAMES[kind]
     module = serialize.read_file(fixture_dir / "yd-trivial.json")
-    module["base"] = SPECIAL_BASES[kind](tmp_path)
+    module["base"] = make(tmp_path) + ending
     serialize.write_file(tmp_path / "module.json", module)
     base = os.path.join(tmp_path, module["base"])
     argv = [base if a == "SPECIAL" else a for a in SPECIAL_READERS[reader]]
-    src = str(Path(quasibraid.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
-        [sys.executable, "-m", "quasibraid",
-         *[str(tmp_path / a) if a.endswith(".json") else a for a in argv]],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    done = _child([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"error: cannot read {base}: not a regular file\n"
+    if ending:  # the system refuses the spelling when the reader opens it
+        assert done.stderr.startswith(f"error: cannot read {base}: ")
+        assert done.stderr.count("\n") == 1
+    else:
+        assert done.stderr == f"error: cannot read {base}: not a regular file\n"
     assert not (tmp_path / "out.json").exists()
+
+
+#: reader -> argv that reads PATH, a regular file spelled as a directory
+DIRECTORY_SPELLINGS = {
+    "validate": ["validate", "PATH", "--kind", "gchq"],
+    "construct": ["construct", "--op", "mirror", "PATH", "--out", "out.json"],
+}
+
+
+@pytest.mark.parametrize("ending", ["/", "/."], ids=["slash", "slash-dot"])
+@pytest.mark.parametrize("reader", list(DIRECTORY_SPELLINGS))
+def test_regular_file_spelled_as_a_directory_exits_2(reader, ending, fixture_dir, tmp_path,
+                                                     capsys):
+    """gchq-power.json/ names no file, but was once read as gchq-power.json
+    and passed."""
+    path = str(fixture_dir / "gchq-power.json") + ending
+    argv = [path if a == "PATH" else a for a in DIRECTORY_SPELLINGS[reader]]
+    code, out, err = run(capsys, *[str(tmp_path / a) if a == "out.json" else a for a in argv])
+    assert (code, out) == (2, "") and not (tmp_path / "out.json").exists()
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
 # -- an output path that cannot be written: exit 2, no traceback ---------------
@@ -864,3 +911,48 @@ def test_output_path_that_cannot_be_written_exits_2(case, fixture_dir, tmp_path,
     assert code == 2 and blocker.read_text(encoding="utf-8").startswith("a regular file")
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [case for case in UNWRITABLE if case != "fixtures-out"])
+def test_output_path_spelled_as_a_directory_exits_2(case, fixture_dir, tmp_path, capsys):
+    """--out new.json/ and --json new.json/ once wrote the file new.json.
+    (fixtures --out takes a directory, which new.json/ may name.)"""
+    target = str(tmp_path / "new.json") + "/"
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in UNWRITABLE[case]]
+    code, out, err = run(capsys, *[target if a == "OUT" else a for a in argv])
+    assert (code, out) == (2, "") and os.listdir(tmp_path) == []
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+# -- scalars and moduli too large to read in time: exit 2, quickly -------------
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+def test_q_scalar_with_a_huge_exponent_exits_2(literal, fixture_dir, tmp_path):
+    """Fraction(literal) computes 10**999999999, so this 13-byte unit cell
+    once stalled the loader until it was killed."""
+    jobj = serialize.read_file(fixture_dir / "hq-c2.json")
+    jobj["unit"][0] = literal
+    target = tmp_path / "huge-exponent.json"
+    serialize.write_file(target, jobj)
+    done = _child(["validate", str(target), "--kind", "hq"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_field_tag_of_5000_digits_exits_2(tmp_path, capsys):
+    """int() of it once raised ValueError, a traceback and exit 1."""
+    code, out, err = run(capsys, "fixtures", "--out", str(tmp_path / "lib"),
+                         "--field", "GF:" + "7" * 5000)
+    assert (code, out) == (2, "") and not (tmp_path / "lib").exists()
+    assert err == "error: a GF modulus has at most 20 digits, not 5000\n"
+
+
+def test_largest_64_bit_prime_field_validates(fixture_dir, tmp_path):
+    """Trial division of 2^64 - 59 would take minutes; Miller-Rabin takes
+    well under a millisecond."""
+    kind, obj = fixtures.build("gchq-power", PrimeField(18446744073709551557))
+    target = tmp_path / "gf-2-64-59.json"
+    serialize.save(kind, obj, target)
+    assert serialize.read_file(target)["field"] == "GF:18446744073709551557"
+    done = _child(["validate", str(target), "--kind", kind])
+    assert done.returncode == 0 and "result: PASS" in done.stdout

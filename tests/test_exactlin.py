@@ -5,7 +5,7 @@ import gc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +245,50 @@ def test_field_tags():
     assert field_from_name("GF:7") == PrimeField(7)
     with pytest.raises(FieldError):
         field_from_name("R")
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if exactlin._is_prime(n)] == [
+        n for n in range(10**5) if trial_division(n)
+    ]
+
+
+#: the least strong pseudoprime to the first k primes, for k = 1 to 8, and
+#: the least Carmichael number
+PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 561)
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    assert not exactlin._is_prime(n)
+
+
+def test_gf_modulus_is_a_prime_below_2_to_the_64():
+    """Miller-Rabin over the primes to 37 is exact there; trial division
+    took minutes on the largest 64-bit prime."""
+    largest = 18446744073709551557  # 2^64 - 59
+    assert exactlin._is_prime(largest)
+    assert field_from_name(f"GF:{largest}") == PrimeField(largest)
+    with pytest.raises(FieldError, match=r"^GF modulus must be below 2\^64"):
+        PrimeField(2**64 + 13)
+    with pytest.raises(FieldError, match="at most 20 digits"):
+        field_from_name("GF:" + "7" * 5000)  # int() of it would raise ValueError
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2E-4301", "1.5e+99999", "1_0e1_0_000"])
+def test_rational_parse_refuses_a_huge_exponent(text):
+    """Fraction("1e999999999") computes 10**999999999; the bound is 4300.
+    (Exponents that large run in a child under a timeout, in test_cli.)"""
+    with pytest.raises(FieldError, match="exponent beyond 4300"):
+        QQ.parse(text)
+
+
+def test_rational_parse_reads_an_exponent_within_the_bound():
+    assert QQ.parse("1e4300") == 10**4300 and QQ.parse("-3E-2") == Fraction(-3, 100)
 
 
 # -- frozen examples ---------------------------------------------------------
@@ -758,6 +802,24 @@ def test_block_evaluator_matches_per_column_reference(data):
         ]
     finally:
         exactlin.BLOCK = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_frontier_without_columns_has_no_scalars(data):
+    """Every stage of a block sets a column list whenever it sets scalars, so
+    report._smallest_difference reads no scalars on a frontier whose column
+    list is None."""
+    field = data.draw(st.sampled_from([QQ, GF5, PrimeField(2)]))
+    dom_legs = tuple(data.draw(st.lists(st.sampled_from(LEG_SPACES), max_size=3)))
+    program, _ = data.draw(programs(field, dom_legs, data.draw(st.integers(1, 4))))
+    chain, stage, frontiers = build_chain(field, dom_legs, program), exactlin._stage, []
+    exactlin._stage = lambda *args: frontiers.append(stage(*args)) or frontiers[-1]
+    try:
+        frontiers.append(chain.block(range(chain.dom_size)))
+    finally:
+        exactlin._stage = stage
+    assert all(scalars is None for cols, _, scalars in frontiers if cols is None)
 
 
 @pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])

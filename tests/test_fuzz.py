@@ -25,7 +25,8 @@ from quasibraid import cli, fixtures, serialize
 from quasibraid.errors import QuasibraidError
 
 #: the values a leaf is replaced with
-HOSTILE = (None, True, -1, 0, 1000000, 0.5, "", "x", "0", "2", "1/2", [], {})
+HOSTILE = (None, True, -1, 0, 1000000, 0.5, "", "x", "0", "2", "1/2", [], {},
+           "1e999999999", "-1e-999999999", "GF:18446744073709551557")
 
 FIXTURES = sorted(
     (name, kind) for name, (kind, _) in fixtures.REGISTRY.items() if kind in ("hq", "gchq", "yd")

@@ -1,11 +1,8 @@
 """Round trips and canonical bytes for every structure kind."""
 
 import re
-from pathlib import PurePosixPath
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from quasibraid import fixtures, serialize
 from quasibraid.errors import ParseError
@@ -230,15 +227,7 @@ def test_a_ragged_matrix_is_a_parse_error(tmp_path):
         serialize.load("gchq", path)
 
 
-#: file paths made of separators, "." and ".." parts, and names
-PATHS = st.lists(st.sampled_from(["/", ".", "..", "a", "b.c"]), max_size=10).map("".join)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(PATHS)
-@example("//a/./b//")
-@example("///a")
-@example("")
-def test_path_text_is_the_text_pathlib_writes(path):
-    assert serialize._path_text(path) == str(PurePosixPath(path))
-    assert serialize._path_text(PurePosixPath(path)) == str(PurePosixPath(path))
+def test_load_refuses_an_unknown_kind_before_it_reads(tmp_path):
+    """load once read the whole file before it looked at the kind."""
+    with pytest.raises(ParseError, match=r"^unknown structure kind 'bogus'$"):
+        serialize.load("bogus", tmp_path / "no-such-file.json")
